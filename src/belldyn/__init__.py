@@ -12,6 +12,7 @@ reproduces statistical scatter and error bars.
 
 from .correlations import (
     CorrelationSet,
+    bell_correlations,
     bell_diagonal_state,
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
@@ -26,13 +27,11 @@ from .correlations import (
 from .dephasing import (
     LAMBDA0,
     SPEED_OF_LIGHT,
-    DephasingPoint,
     GaussianComponent,
     MultiGaussian,
     SampledSpectrum,
     SingleGaussian,
     SweepConfig,
-    SweepPoint,
     angular_frequency,
     effective_retardation,
     evolve_state,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrelationSet",
-    "DephasingPoint",
     "GaussianComponent",
     "GridSpec",
     "LAMBDA0",
@@ -85,9 +83,9 @@ __all__ = [
     "SingleGaussian",
     "SPEED_OF_LIGHT",
     "SweepConfig",
-    "SweepPoint",
     "TomographyRecord",
     "angular_frequency",
+    "bell_correlations",
     "bell_diagonal_state",
     "bell_eigenvalues_from_kappas",
     "classical_correlation_bell",

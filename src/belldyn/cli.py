@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -60,14 +61,26 @@ NOISY_VALUE_COLUMNS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "l
 #: threshold used for the quantum-correlation revival-start landmark
 Q_REVIVAL_THRESHOLD = 0.005
 
+#: Q values within this of the maximum count as one plateau; the revival peak
+#: is the first plateau point, so roundoff cannot move it along the plateau
+PLATEAU_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """Counts per setting, bootstrap resamples, and base seed for noisy series."""
+    """Counts per setting (>= 1), bootstrap resamples (>= 2), and base seed (>= 0), all integers."""
 
     n_per_setting: int
     resamples: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        for name, key, low in (("n_per_setting", "tomo_counts", 1),
+                               ("resamples", "tomo_resamples", 2), ("seed", "tomo_seed", 0)):
+            value = getattr(self, name)
+            if not float(value).is_integer() or value < low:
+                raise ConfigError(f"{key} must be an integer >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -90,22 +103,23 @@ class ExperimentConfig:
     tomography: TomographySettings | None = None
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ConfigError(f"step must be positive, got {self.step}")
-        if self.x_b_max < self.step:
-            raise ConfigError(f"x_b_max ({self.x_b_max}) must be at least step ({self.step})")
-        if self.x_a < 0.0:
-            raise ConfigError(f"x_a must be nonnegative, got {self.x_a}")
-        if self.filter_a_fwhm_nm <= 0.0 or self.lambda0_nm <= 0.0:
-            raise ConfigError("filter_a and lambda0 must be positive")
+        # every check is written so that NaN fails it
+        if not 0.0 < self.step < math.inf:
+            raise ConfigError(f"step must be finite and positive, got {self.step}")
+        if not self.step <= self.x_b_max < math.inf:
+            raise ConfigError(f"x_b_max ({self.x_b_max}) must be finite and at least step ({self.step})")
+        if not 0.0 <= self.x_a < math.inf:
+            raise ConfigError(f"x_a must be finite and nonnegative, got {self.x_a}")
+        if not (0.0 < self.filter_a_fwhm_nm < math.inf and 0.0 < self.lambda0_nm < math.inf):
+            raise ConfigError("filter_a and lambda0 must be finite and positive")
         pts = tuple(float(p) for p in self.echo_points)
-        if any(p < 0.0 for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ConfigError(f"echo points must be nonnegative and strictly increasing: {pts}")
+        if any(not 0.0 <= p < math.inf for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
+            raise ConfigError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
         if not self.spectrum_b:
             raise ConfigError("spectrum_b needs at least one component")
         comps = tuple(tuple(float(v) for v in c) for c in self.spectrum_b)
-        if any(w <= 0.0 or center <= 0.0 or fwhm <= 0.0 for w, center, fwhm in comps):
-            raise ConfigError("spectrum_b components need positive weight, center, and width")
+        if not all(0.0 < v < math.inf for c in comps for v in c):
+            raise ConfigError("spectrum_b components need finite positive weight, center, and width")
         total = sum(w for w, _, _ in comps)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"spectrum_b weights sum to {total}, not 1")
@@ -210,15 +224,11 @@ def parse_config_lines(lines, name_hint: str = "custom") -> ExperimentConfig:
     if "tomo_counts" in values:
         lineno = value_lines["tomo_counts"]
         tomo = TomographySettings(
-            n_per_setting=int(_parse_float(values["tomo_counts"], lineno, "tomo_counts")),
-            resamples=int(
-                _parse_float(values.get("tomo_resamples", "100"),
-                             value_lines.get("tomo_resamples", lineno), "tomo_resamples")
-            ),
-            seed=int(
-                _parse_float(values.get("tomo_seed", "0"),
-                             value_lines.get("tomo_seed", lineno), "tomo_seed")
-            ),
+            n_per_setting=_parse_float(values["tomo_counts"], lineno, "tomo_counts"),
+            resamples=_parse_float(values.get("tomo_resamples", "100"),
+                                   value_lines.get("tomo_resamples", lineno), "tomo_resamples"),
+            seed=_parse_float(values.get("tomo_seed", "0"),
+                              value_lines.get("tomo_seed", lineno), "tomo_seed"),
         )
     elif "tomo_resamples" in values or "tomo_seed" in values:
         raise MissingKeyError("tomo_resamples/tomo_seed need tomo_counts")
@@ -269,23 +279,6 @@ def to_sweep_config(config: ExperimentConfig) -> SweepConfig:
     )
 
 
-def series_from_points(points, lambda0: float) -> dict[str, np.ndarray]:
-    """Column arrays (sweep.csv layout) from sweep output, x in lambda0 units."""
-    rows = {name: np.empty(len(points)) for name in SWEEP_COLUMNS}
-    for i, pt in enumerate(points):
-        corr = pt.correlations
-        rows["x_over_lambda0"][i] = pt.x_b / lambda0
-        rows["kappa_a_abs"][i] = abs(pt.point.kappa_a)
-        rows["kappa_b_abs"][i] = abs(pt.point.kappa_b)
-        for j in range(4):
-            rows[f"lambda{j + 1}"][i] = pt.lambdas[j]
-        rows["I"][i] = corr.total
-        rows["C"][i] = corr.classical
-        rows["Q"][i] = corr.quantum
-        rows["REE"][i] = corr.ree
-    return rows
-
-
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
@@ -304,7 +297,13 @@ def read_sweep_csv(path) -> dict[str, np.ndarray]:
         rows = list(reader)
     if not rows:
         raise ParseError(f"{path}: empty sweep file")
-    return {name: np.array([float(r[name]) for r in rows]) for name in SWEEP_COLUMNS}
+    missing = [name for name in SWEEP_COLUMNS if name not in reader.fieldnames]
+    if missing:
+        raise ParseError(f"{path}: missing columns {', '.join(missing)}")
+    try:
+        return {name: np.array([float(r[name]) for r in rows]) for name in SWEEP_COLUMNS}
+    except (TypeError, ValueError):
+        raise ParseError(f"{path}: a row has a missing or non-numeric value") from None
 
 
 def _first_local_min(x: np.ndarray, y: np.ndarray, start: float) -> int | None:
@@ -360,7 +359,8 @@ def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
         if dip is not None:
             out["q_dip_x"] = float(x[dip])
             out["q_dip"] = float(q[dip])
-            peak = dip + int(np.argmax(q[dip:]))
+            after = q[dip:]
+            peak = dip + int(np.argmax(after >= after.max() - PLATEAU_TOL))
             out["q_revival_peak_x"] = float(x[peak])
             out["q_revival_peak"] = float(q[peak])
             try:
@@ -382,10 +382,10 @@ def write_landmarks(landmarks: dict[str, float], path) -> None:
             handle.write(f"{key} = {_fmt(value)}\n")
 
 
-def write_noisy_csv(points, config: ExperimentConfig, path) -> None:
+def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path) -> None:
     """Tomography-reconstructed series with bootstrap error bars.
 
-    Per sweep point: simulate counts from the evolved state, reconstruct, and
+    Per sweep-table row: simulate counts from the evolved state, reconstruct, and
     evaluate the correlation measures on the reconstructed spectrum; errors
     come from the parametric bootstrap. Substreams derive from (seed, index).
     """
@@ -395,8 +395,8 @@ def write_noisy_csv(points, config: ExperimentConfig, path) -> None:
         header += [name, f"{name}_err"]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for i, pt in enumerate(points):
-            rho = dephasing.evolve_state(pt.point.kappa_a, pt.point.kappa_b)
+        for i, (kappa_a, kappa_b) in enumerate(zip(table["kappa_a"], table["kappa_b"])):
+            rho = dephasing.evolve_state(kappa_a, kappa_b)
             record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
             lam = eigenvalues_sorted(tomography.reconstruct(record))
             corr = correlations_from_spectrum(lam)
@@ -405,7 +405,7 @@ def write_noisy_csv(points, config: ExperimentConfig, path) -> None:
                 "I": corr.total, "C": corr.classical, "Q": corr.quantum, "REE": corr.ree,
                 "lambda1": lam[0], "lambda2": lam[1], "lambda3": lam[2], "lambda4": lam[3],
             }
-            row = [_fmt(pt.x_b / (config.lambda0_nm * 1e-9))]
+            row = [_fmt(table["x_over_lambda0"][i])]
             for name in NOISY_VALUE_COLUMNS:
                 row += [_fmt(values[name]), _fmt(errs[name])]
             handle.write(",".join(row) + "\n")
@@ -420,17 +420,20 @@ def run(config: ExperimentConfig, out_dir, *, step: float | None = None,
     """
     if seed is not None and config.tomography is not None:
         config = replace(config, tomography=replace(config.tomography, seed=seed))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    lambda0 = config.lambda0_nm * 1e-9
     sweep_config = to_sweep_config(config)
     if step is not None:
-        sweep_config = replace(sweep_config, step=step * config.lambda0_nm * 1e-9)
-    points = sweep(sweep_config)
-    series = series_from_points(points, config.lambda0_nm * 1e-9)
-    write_sweep_csv(series, out / "sweep.csv")
-    write_landmarks(landmarks_from_series(series), out / "landmarks.txt")
+        sweep_config = replace(sweep_config, step=step * lambda0)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    table = sweep(sweep_config)
+    table["x_over_lambda0"] = table["x_b"] / lambda0
+    table["kappa_a_abs"] = np.abs(table["kappa_a"])
+    table["kappa_b_abs"] = np.abs(table["kappa_b"])
+    write_sweep_csv(table, out / "sweep.csv")
+    write_landmarks(landmarks_from_series(table), out / "landmarks.txt")
     if config.tomography is not None:
-        write_noisy_csv(points, config, out / "noisy.csv")
+        write_noisy_csv(table, config, out / "noisy.csv")
 
 
 def _cmd_run(args) -> int:
@@ -455,6 +458,8 @@ def _cmd_landmarks(args) -> int:
 
 
 def _cmd_tomo_demo(args) -> int:
+    if args.counts < 1 or args.seed < 0:
+        raise _UsageError(f"--counts must be >= 1 and --seed >= 0, got {args.counts} and {args.seed}")
     rho = dephasing.evolve_state(args.kappa_a, args.kappa_b)
     record = tomography.simulate_counts(rho, args.counts, args.seed)
     print(tomography.record_to_csv(record), end="")

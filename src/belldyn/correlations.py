@@ -45,11 +45,11 @@ class CorrelationSet:
     ree: float
 
 
-def _kappa_modulus(kappa) -> float:
-    k = abs(kappa)
-    if not math.isfinite(k) or k > 1.0 + KAPPA_TOL:
-        raise InvalidKappaError(f"|kappa| = {k} exceeds 1")
-    return min(k, 1.0)
+def _kappa_modulus(kappa):
+    k = np.abs(np.asarray(kappa))
+    if not np.all(k <= 1.0 + KAPPA_TOL):
+        raise InvalidKappaError(f"|kappa| = {np.max(k)} exceeds 1")
+    return np.minimum(k, 1.0)
 
 
 def kappa_correlation(kappa) -> float:
@@ -58,69 +58,73 @@ def kappa_correlation(kappa) -> float:
     This is the common kernel of the quantum and classical branches; the
     k -> 1 endpoint uses the 0 log 0 = 0 convention and evaluates to 1.
     """
-    k = _kappa_modulus(kappa)
+    k = float(_kappa_modulus(kappa))
     out = 0.5 * (1.0 + k) * math.log2(1.0 + k)
     if k < 1.0:
         out += 0.5 * (1.0 - k) * math.log2(1.0 - k)
     return out
 
 
+def bell_correlations(spectra):
+    """Total, classical, quantum and entanglement correlations (I, C, Q, REE) in bits.
+
+    `spectra` holds sorted spectra along its last axis; each result has the
+    leading shape. With chi the closest classical spectrum and l1 the largest
+    eigenvalue: I = 2 - S(rho), C = 2 - S(chi), Q = S(chi) - S(rho), and
+    REE = 1 - H(l1, 1 - l1) for l1 > 1/2, else zero (the state is separable).
+    """
+    lam = validate_bell_spectrum(spectra)
+    chi = np.repeat((lam[..., 0::2] + lam[..., 1::2]) / 2.0, 2, axis=-1)
+    l1 = lam[..., 0]
+    zero = np.zeros_like(l1)
+    binary = np.stack([l1, 1.0 - l1, zero, zero], axis=-1)
+    s_rho, s_chi, h_l1 = shannon_bits(np.stack([lam, chi, binary]), axis=-1)
+    ree = np.where(l1 > 0.5, np.maximum(1.0 - h_l1, 0.0), 0.0)
+    return 2.0 - s_rho, 2.0 - s_chi, np.maximum(s_chi - s_rho, 0.0), ree
+
+
 def closest_classical_bell(spectrum) -> np.ndarray:
     """Spectrum of the closest classical state: pairwise averages of the sorted eigenvalues."""
     lam = validate_bell_spectrum(spectrum)
-    top = (lam[0] + lam[1]) / 2.0
-    bottom = (lam[2] + lam[3]) / 2.0
-    return np.array([top, top, bottom, bottom])
+    return np.repeat((lam[..., 0::2] + lam[..., 1::2]) / 2.0, 2, axis=-1)
 
 
 def quantum_correlation_bell(spectrum) -> float:
     """Quantum correlation S(chi) - S(rho) of a Bell-diagonal spectrum."""
-    lam = validate_bell_spectrum(spectrum)
-    value = float(shannon_bits(closest_classical_bell(lam))) - float(shannon_bits(lam))
-    return max(value, 0.0)
+    return float(bell_correlations(spectrum)[2])
 
 
 def classical_correlation_bell(spectrum) -> float:
     """Classical correlation 2 - S(chi); the closest product state is maximally mixed."""
-    lam = validate_bell_spectrum(spectrum)
-    return 2.0 - float(shannon_bits(closest_classical_bell(lam)))
+    return float(bell_correlations(spectrum)[1])
 
 
 def total_mutual_information_bell(spectrum) -> float:
     """Total mutual information 2 - S(rho) of a Bell-diagonal spectrum."""
-    lam = validate_bell_spectrum(spectrum)
-    return 2.0 - float(shannon_bits(lam))
+    return float(bell_correlations(spectrum)[0])
 
 
 def ree_bell(spectrum) -> float:
     """Relative entropy of entanglement of a Bell-diagonal spectrum.
 
-    1 + l1 log2 l1 + (1-l1) log2 (1-l1) for largest eigenvalue l1 >= 1/2,
-    zero otherwise (the state is already separable).
+    1 - H(l1, 1 - l1) for largest eigenvalue l1 > 1/2, zero otherwise.
     """
-    lam = validate_bell_spectrum(spectrum)
-    l1 = float(lam[0])
-    if l1 <= 0.5:
-        return 0.0
-    out = 1.0 + l1 * math.log2(l1)
-    if l1 < 1.0:
-        out += (1.0 - l1) * math.log2(1.0 - l1)
-    return max(out, 0.0)
+    return float(bell_correlations(spectrum)[3])
 
 
 def bell_eigenvalues_from_kappas(kappa_a, kappa_b) -> np.ndarray:
-    """Sorted eigenvalues (1 +/- |kappa_a|)(1 +/- |kappa_b|)/4 of the dephased state."""
+    """Sorted eigenvalues (1 +/- |kappa_a|)(1 +/- |kappa_b|)/4 of the dephased state.
+
+    The parameters broadcast; the eigenvalues, largest first, fill a new last axis.
+    """
     ka = _kappa_modulus(kappa_a)
     kb = _kappa_modulus(kappa_b)
-    vals = 0.25 * np.array(
-        [
-            (1.0 + ka) * (1.0 + kb),
-            (1.0 - ka) * (1.0 + kb),
-            (1.0 + ka) * (1.0 - kb),
-            (1.0 - ka) * (1.0 - kb),
-        ]
+    hi, lo = np.maximum(ka, kb), np.minimum(ka, kb)
+    return 0.25 * np.stack(
+        [(1.0 + ka) * (1.0 + kb), (1.0 + hi) * (1.0 - lo), (1.0 - hi) * (1.0 + lo),
+         (1.0 - ka) * (1.0 - kb)],
+        axis=-1,
     )
-    return np.sort(vals)[::-1]
 
 
 def correlations_from_kappas(kappa_a, kappa_b) -> CorrelationSet:
@@ -130,8 +134,8 @@ def correlations_from_kappas(kappa_a, kappa_b) -> CorrelationSet:
     branch on the max; the two coincide when the moduli are equal. Complex
     inputs contribute through their moduli only.
     """
-    ka = _kappa_modulus(kappa_a)
-    kb = _kappa_modulus(kappa_b)
+    ka = float(_kappa_modulus(kappa_a))
+    kb = float(_kappa_modulus(kappa_b))
     quantum = kappa_correlation(min(ka, kb))
     classical = kappa_correlation(max(ka, kb))
     ree = ree_bell(bell_eigenvalues_from_kappas(ka, kb))
@@ -142,13 +146,7 @@ def correlations_from_kappas(kappa_a, kappa_b) -> CorrelationSet:
 
 def correlations_from_spectrum(spectrum) -> CorrelationSet:
     """All four correlation measures from a sorted Bell-diagonal spectrum."""
-    lam = validate_bell_spectrum(spectrum)
-    return CorrelationSet(
-        total=total_mutual_information_bell(lam),
-        classical=classical_correlation_bell(lam),
-        quantum=quantum_correlation_bell(lam),
-        ree=ree_bell(lam),
-    )
+    return CorrelationSet(*(float(v) for v in bell_correlations(spectrum)))
 
 
 def bell_diagonal_state(spectrum) -> np.ndarray:

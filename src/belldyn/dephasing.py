@@ -9,27 +9,29 @@ polarization exchange (sigma_x) inserted at some retardation flips the sign
 of subsequent phase accrual, so later retardation unwinds earlier dephasing
 and produces correlation echoes.
 
-Sweep points are mutually independent pure computations; they are evaluated
-in x order here, but any evaluation order yields the same output.
+Every decoherence parameter and the echo schedule accept an array of
+retardations, so a sweep is one column computation over the whole x grid: the
+two parameters give the Bell-diagonal eigenvalues and the correlation
+measures in closed form. The 4x4 density matrix of `evolve_state` is not on
+that path; it serves tomography and the cross-check of the closed forms.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import CorrelationSet, correlations_from_spectrum
+from .correlations import bell_correlations, bell_eigenvalues_from_kappas
 from .errors import (
+    ConfigError,
     CrossingNotFoundError,
     InvalidKappaError,
     NormalizationError,
     ScheduleError,
     UnderResolvedGridError,
 )
-from .qstate import eigenvalues_sorted
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -38,6 +40,10 @@ LAMBDA0 = 0.78e-6
 
 #: minimum samples per oscillation period required of a sampled spectrum
 MIN_SAMPLES_PER_PERIOD = 8
+
+#: largest sweep grid; the presets use 401 points, and a grid beyond this is
+#: taken for a mistyped step or range rather than allocated
+MAX_SWEEP_POINTS = 100_000
 
 
 def angular_frequency(wavelength: float) -> float:
@@ -70,17 +76,17 @@ class GaussianComponent:
             raise ValueError(f"width must be positive, got {self.width}")
 
 
-def kappa_gaussian(x: float, sigma: float, omega0: float) -> complex:
+def kappa_gaussian(x, sigma: float, omega0: float):
     """Decoherence parameter of a single Gaussian density.
 
     exp[-(x/c)^2 sigma^2 / 16 + i (x/c) omega0]; the modulus is monotone
-    non-increasing in the retardation x.
+    non-increasing in the retardation x. x may be a scalar or an array.
     """
-    u = x / SPEED_OF_LIGHT
-    return cmath.exp(complex(-(u * sigma) ** 2 / 16.0, u * omega0))
+    u = np.asarray(x, dtype=float) / SPEED_OF_LIGHT
+    return np.exp(-(u * sigma) ** 2 / 16.0 + 1j * (u * omega0))
 
 
-def kappa_multi_gaussian(x: float, components) -> complex:
+def kappa_multi_gaussian(x, components):
     """Weighted sum of single-Gaussian decoherence parameters.
 
     Raises NormalizationError unless the amplitudes sum to 1 within 1e-9.
@@ -99,7 +105,7 @@ class SingleGaussian:
     sigma: float
     omega0: float
 
-    def kappa(self, x: float) -> complex:
+    def kappa(self, x):
         return kappa_gaussian(x, self.sigma, self.omega0)
 
 
@@ -116,7 +122,7 @@ class MultiGaussian:
         if abs(total - 1.0) > 1e-9:
             raise NormalizationError(f"component amplitudes sum to {total}, not 1")
 
-    def kappa(self, x: float) -> complex:
+    def kappa(self, x):
         return kappa_multi_gaussian(x, self.components)
 
 
@@ -146,57 +152,60 @@ class SampledSpectrum:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "density", density)
 
-    def kappa(self, x: float) -> complex:
+    def kappa(self, x):
         return kappa_numeric(x, self)
 
 
-def kappa_numeric(x: float, spectrum: SampledSpectrum) -> complex:
+def kappa_numeric(x, spectrum: SampledSpectrum):
     """Trapezoid-rule decoherence parameter of a sampled frequency density.
 
-    Requires at least MIN_SAMPLES_PER_PERIOD grid points per oscillation
-    period 2 pi c / x across the support, else UnderResolvedGridError.
+    x may be a scalar or an array. Requires at least MIN_SAMPLES_PER_PERIOD
+    grid points per oscillation period 2 pi c / |x| across the support, at
+    the largest |x|, else UnderResolvedGridError.
     """
+    x = np.asarray(x, dtype=float)
     omega = spectrum.omega
-    if x != 0.0:
-        period = 2.0 * math.pi * SPEED_OF_LIGHT / abs(x)
+    x_max = float(np.max(np.abs(x), initial=0.0))
+    if x_max != 0.0:
+        period = 2.0 * math.pi * SPEED_OF_LIGHT / x_max
         max_spacing = float(np.max(np.diff(omega)))
         if max_spacing > period / MIN_SAMPLES_PER_PERIOD:
             raise UnderResolvedGridError(
                 f"grid spacing {max_spacing:.3e} rad/s exceeds "
-                f"{period / MIN_SAMPLES_PER_PERIOD:.3e} (period/{MIN_SAMPLES_PER_PERIOD}) at x = {x:.3e} m"
+                f"{period / MIN_SAMPLES_PER_PERIOD:.3e} (period/{MIN_SAMPLES_PER_PERIOD}) at x = {x_max:.3e} m"
             )
-    phase = np.exp(1j * (x / SPEED_OF_LIGHT) * omega)
-    return complex(np.trapezoid(spectrum.density * phase, omega))
+    values = [
+        np.trapezoid(spectrum.density * np.exp(1j * (xi / SPEED_OF_LIGHT) * omega), omega)
+        for xi in x.ravel()
+    ]
+    return np.array(values, dtype=complex).reshape(x.shape)[()]
 
 
-def effective_retardation(x: float, sigma_x_points) -> float:
+def effective_retardation(x, sigma_x_points):
     """Net signed phase-accrual length after the polarization-exchange schedule.
 
     Accrual starts at +1 per unit retardation from zero; every exchange point
     at or below x flips the sign of subsequent accrual. With one exchange at
-    x_s the result is x below x_s and 2 x_s - x beyond it.
+    x_s the result is x below x_s and 2 x_s - x beyond it. x may be a scalar
+    or an array.
     """
     pts = tuple(float(p) for p in sigma_x_points)
-    if any(p < 0.0 for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ScheduleError(f"exchange points must be nonnegative and strictly increasing: {pts}")
-    if x < 0.0:
-        raise ValueError(f"retardation must be nonnegative, got {x}")
-    net = 0.0
-    prev = 0.0
-    sign = 1.0
+    if any(not 0.0 <= p < math.inf for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
+        raise ScheduleError(
+            f"exchange points must be finite, nonnegative and strictly increasing: {pts}"
+        )
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError(f"retardation must be nonnegative, got {x.min()}")
+    net = np.zeros_like(x)
+    prev = np.zeros_like(x)
+    sign = np.ones_like(x)
     for p in pts:
-        if p > x:
-            break
-        net += sign * (p - prev)
-        prev = p
-        sign = -sign
-    return net + sign * (x - prev)
-
-
-def _kappa_at(spectrum, x_signed: float) -> complex:
-    """kappa at a signed retardation: evaluated at |x| with the phase sign carried."""
-    k = spectrum.kappa(abs(x_signed))
-    return k.conjugate() if x_signed < 0.0 else k
+        hit = p <= x
+        net = np.where(hit, net + sign * (p - prev), net)
+        prev = np.where(hit, p, prev)
+        sign = np.where(hit, -sign, sign)
+    return (net + sign * (x - prev))[()]
 
 
 def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
@@ -223,26 +232,13 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DephasingPoint:
-    """Arm retardations (meters) and the resulting decoherence parameters."""
-
-    x_a: float
-    x_b: float
-    kappa_a: complex
-    kappa_b: complex
-
-    def __post_init__(self):
-        for name, k in (("kappa_a", self.kappa_a), ("kappa_b", self.kappa_b)):
-            if abs(k) > 1.0 + 1e-9:
-                raise InvalidKappaError(f"|{name}| = {abs(k)} exceeds 1")
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     """Retardation sweep: fixed arm-a retardation, arm-b spectrum swept to x_b_max.
 
     All lengths in meters. echo_points lists the arm-b retardations at which a
-    polarization exchange is applied, strictly increasing.
+    polarization exchange is applied, strictly increasing. Raises ConfigError
+    for a non-finite or negative length, a step that is not positive, or a
+    grid of more than MAX_SWEEP_POINTS points.
     """
 
     x_a: float
@@ -253,53 +249,43 @@ class SweepConfig:
     echo_points: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.x_b_max < 0.0:
-            raise ValueError(f"x_b_max must be nonnegative, got {self.x_b_max}")
-        if self.x_a < 0.0:
-            raise ValueError(f"x_a must be nonnegative, got {self.x_a}")
+        for name in ("x_a", "x_b_max"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+        if not 0.0 < self.step < math.inf:
+            raise ConfigError(f"step must be finite and positive, got {self.step}")
+        # the grid has floor(x_b_max / step + 1e-9) + 1 points
+        if not self.x_b_max / self.step + 1e-9 < MAX_SWEEP_POINTS:
+            raise ConfigError(
+                f"x_b_max / step = {self.x_b_max / self.step:.6g} gives more than "
+                f"{MAX_SWEEP_POINTS} sweep points"
+            )
         object.__setattr__(self, "echo_points", tuple(float(p) for p in self.echo_points))
 
 
-@dataclass(frozen=True, eq=False)
-class SweepPoint:
-    """One sweep sample: retardation, decoherence parameters, spectrum, correlations."""
-
-    x_b: float
-    point: DephasingPoint
-    lambdas: np.ndarray
-    correlations: CorrelationSet
-
-
-def sweep(config: SweepConfig) -> list[SweepPoint]:
+def sweep(config: SweepConfig) -> dict[str, np.ndarray]:
     """Evaluate the dephasing dynamics over the arm-b retardation grid.
 
-    For each x_b from 0 to x_b_max in steps of `step`: apply the echo
-    schedule, compute kappa_b from the arm-b spectrum at the effective
-    retardation, build the evolved density matrix, diagonalize it, and
-    evaluate all correlation measures on the spectrum. kappa_a is fixed by
-    the arm-a spectrum at x_a. Output is ordered by x_b.
+    The grid runs from 0 to x_b_max in steps of `step`. The echo schedule
+    maps it to effective retardations, where the arm-b spectrum gives
+    kappa_b; a negative effective retardation carries the conjugate phase.
+    kappa_a is fixed by the arm-a spectrum at x_a. Returns a column table of
+    equal-length 1-d arrays ordered by x_b: "x_b" (meters), the complex
+    "kappa_a" and "kappa_b", the sorted eigenvalues "lambda1".."lambda4", and
+    the correlations "I", "C", "Q", "REE" in bits.
     """
-    # validates the schedule once up front
-    effective_retardation(0.0, config.echo_points)
-    kappa_a = _kappa_at(config.spectrum_a, config.x_a)
-    n_steps = int(math.floor(config.x_b_max / config.step + 1e-9))
-    points = []
-    for i in range(n_steps + 1):
-        x_b = i * config.step
-        x_eff = effective_retardation(x_b, config.echo_points)
-        kappa_b = _kappa_at(config.spectrum_b, x_eff)
-        lambdas = eigenvalues_sorted(evolve_state(kappa_a, kappa_b))
-        points.append(
-            SweepPoint(
-                x_b=x_b,
-                point=DephasingPoint(x_a=config.x_a, x_b=x_b, kappa_a=kappa_a, kappa_b=kappa_b),
-                lambdas=lambdas,
-                correlations=correlations_from_spectrum(lambdas),
-            )
-        )
-    return points
+    n_points = int(math.floor(config.x_b_max / config.step + 1e-9)) + 1
+    x_b = np.arange(n_points) * config.step
+    x_eff = effective_retardation(x_b, config.echo_points)
+    kappa_b = config.spectrum_b.kappa(np.abs(x_eff))
+    kappa_b = np.where(x_eff < 0.0, np.conj(kappa_b), kappa_b)
+    kappa_a = np.full(n_points, config.spectrum_a.kappa(config.x_a), dtype=complex)
+    lam = bell_eigenvalues_from_kappas(kappa_a, kappa_b)
+    table = {"x_b": x_b, "kappa_a": kappa_a, "kappa_b": kappa_b}
+    table.update((f"lambda{j + 1}", lam[:, j]) for j in range(4))
+    table.update(zip(("I", "C", "Q", "REE"), bell_correlations(lam)))
+    return table
 
 
 def find_crossing(x, y, level: float, *, rising: bool | None = None,

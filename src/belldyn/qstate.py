@@ -60,20 +60,22 @@ def validate_state(matrix: np.ndarray) -> np.ndarray:
 
 
 def validate_bell_spectrum(lambdas) -> np.ndarray:
-    """Validate a non-increasing probability 4-vector and return it as a float array.
+    """Validate non-increasing probability 4-vectors and return them as a float array.
 
-    Entries may dip to -1e-10 from roundoff; they are clipped to zero. The sum
-    must be 1 within 1e-12 and the ordering non-increasing.
+    The spectra lie along the last axis (shape (4,) or (..., 4)). Entries may
+    dip to -1e-10 from roundoff; they are clipped to zero. Each sum must be 1
+    within 1e-12 and each ordering non-increasing; NaN fails every check.
     """
     lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (4,):
+    if lam.ndim == 0 or lam.shape[-1] != 4:
         raise InvalidSpectrumError(f"expected 4 eigenvalues, got shape {lam.shape}")
-    if lam.min() < EIGENVALUE_FLOOR or lam.max() > 1.0 + 1e-12:
-        raise InvalidSpectrumError(f"eigenvalues outside [0, 1]: {lam}")
-    if abs(lam.sum() - 1.0) > 1e-12:
-        raise InvalidSpectrumError(f"eigenvalues sum to {lam.sum()}, not 1")
-    if np.any(np.diff(lam) > 1e-12):
-        raise InvalidSpectrumError(f"eigenvalues not sorted non-increasing: {lam}")
+    for bad, what in (
+        (~np.all((lam >= EIGENVALUE_FLOOR) & (lam <= 1.0 + 1e-12), axis=-1), "outside [0, 1]"),
+        (~(np.abs(lam.sum(axis=-1) - 1.0) <= 1e-12), "not summing to 1 within 1e-12"),
+        (np.any(np.diff(lam, axis=-1) > 1e-12, axis=-1), "not sorted non-increasing"),
+    ):
+        if np.any(bad):
+            raise InvalidSpectrumError(f"eigenvalues {what}: {lam[bad][0]}")
     return np.clip(lam, 0.0, 1.0)
 
 

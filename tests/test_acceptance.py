@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from belldyn.cli import preset_config, series_from_points, to_sweep_config
+from belldyn.cli import preset_config, to_sweep_config
 from belldyn.correlations import (
     bell_diagonal_state,
     bell_eigenvalues_from_kappas,
@@ -53,12 +53,15 @@ def _report(number, checks):
 
 
 def _run_preset(name):
+    """The preset's sweep table, with x in lambda0 units and the two |kappa| added."""
     config = preset_config(name)
     start = time.perf_counter()
-    points = sweep(to_sweep_config(config))
+    series = sweep(to_sweep_config(config))
     elapsed = time.perf_counter() - start
-    series = series_from_points(points, config.lambda0_nm * 1e-9)
-    return points, series, elapsed
+    series["x_over_lambda0"] = series["x_b"] / (config.lambda0_nm * 1e-9)
+    series["kappa_a_abs"] = np.abs(series["kappa_a"])
+    series["kappa_b_abs"] = np.abs(series["kappa_b"])
+    return series, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +93,7 @@ def test_criterion_2_initial_correlations():
 
 
 def test_criterion_3_sudden_transition(fig2a):
-    _, series, elapsed = fig2a
+    series, elapsed = fig2a
     level = series["kappa_a_abs"][0]
     crossing = find_crossing(series["x_over_lambda0"], series["kappa_b_abs"], level, rising=False)
     _report(
@@ -103,7 +106,7 @@ def test_criterion_3_sudden_transition(fig2a):
 
 
 def test_criterion_4_ree_sudden_death(fig2a):
-    _, series, _ = fig2a
+    series, _ = fig2a
     # equivalent locators: largest eigenvalue falling through 1/2, and the
     # REE series itself reaching zero
     death = find_crossing(series["x_over_lambda0"], series["lambda1"], 0.5, rising=False)
@@ -118,7 +121,7 @@ def test_criterion_4_ree_sudden_death(fig2a):
 
 
 def test_criterion_5_revival(fig2a):
-    _, series, _ = fig2a
+    series, _ = fig2a
     x = series["x_over_lambda0"]
     window = (x >= 400.0) & (x <= 700.0)
     kb_max = float(series["kappa_b_abs"][window].max())
@@ -151,7 +154,7 @@ def test_criterion_5_revival(fig2a):
 
 
 def test_criterion_6_narrow_filter_revival(fig2b):
-    _, series, _ = fig2b
+    series, _ = fig2b
     x = series["x_over_lambda0"]
     window = (x >= 400.0) & (x <= 700.0)
     kb_max = float(series["kappa_b_abs"][window].max())
@@ -170,29 +173,13 @@ def test_criterion_6_narrow_filter_revival(fig2b):
 def test_criterion_7_echo_exactness():
     checks = []
     for name, echo_x in (("fig3a", 200.0), ("fig3b", 400.0)):
-        points, _, _ = _run_preset(name)
-        xs = np.array([pt.x_b for pt in points]) / LAM0
+        series, _ = _run_preset(name)
+        xs = series["x_over_lambda0"]
         center = int(np.argmin(np.abs(xs - echo_x)))
         revival = int(np.argmin(np.abs(xs - 2 * echo_x)))
-        first = points[0].correlations
-        revived = points[revival].correlations
-        return_err = max(
-            abs(revived.total - first.total),
-            abs(revived.classical - first.classical),
-            abs(revived.quantum - first.quantum),
-            abs(revived.ree - first.ree),
-        )
-        sym_err = 0.0
-        for d in range(1, center + 1):
-            left = points[center - d].correlations
-            right = points[center + d].correlations
-            sym_err = max(
-                sym_err,
-                abs(left.total - right.total),
-                abs(left.classical - right.classical),
-                abs(left.quantum - right.quantum),
-                abs(left.ree - right.ree),
-            )
+        corr = np.stack([series[k] for k in ("I", "C", "Q", "REE")])
+        return_err = float(np.abs(corr[:, revival] - corr[:, 0]).max())
+        sym_err = float(np.abs(corr[:, center + 1:2 * center + 1] - corr[:, center - 1::-1]).max())
         checks.append(
             (f"{name} revival at {2 * echo_x:.0f} lam0", return_err <= 1e-9, f"max err {return_err:.2e}")
         )
@@ -273,8 +260,13 @@ def test_criterion_10_structural_properties():
     neg = 0.0
     kb_excess = 0.0
     kb_zero_err = 0.0
+    ref_err = 0.0
     for name in ("fig2a", "fig2b", "fig3a", "fig3b"):
-        points, series, _ = _run_preset(name)
+        series, _ = _run_preset(name)
+        # the 4x4 reference path: diagonalize the evolved state at every point
+        lams = np.stack([series[f"lambda{j}"] for j in range(1, 5)], axis=-1)
+        for ka, kb, lam in zip(series["kappa_a"], series["kappa_b"], lams):
+            ref_err = max(ref_err, float(np.abs(eigenvalues_sorted(evolve_state(ka, kb)) - lam).max()))
         sum_err = max(sum_err, float(np.abs(series["I"] - series["Q"] - series["C"]).max()))
         neg = min(
             neg,
@@ -290,6 +282,8 @@ def test_criterion_10_structural_properties():
     checks.append(("correlations nonnegative", neg >= 0.0, f"min {neg:.2e}"))
     checks.append(("|kappa| <= 1", kb_excess <= 1e-9, f"max excess {kb_excess:.2e}"))
     checks.append(("kappa_b(0) = 1", kb_zero_err <= 1e-12, f"err {kb_zero_err:.2e}"))
+    checks.append(("closed-form eigenvalues = 4x4 diagonalization on every sweep point",
+                   ref_err <= 1e-12, f"max err {ref_err:.2e}"))
 
     # kappa(0) = 1 and |kappa| <= 1 for every spectral model kind
     single = SingleGaussian(sigma_from_fwhm(3e-9, 780e-9), angular_frequency(780e-9))

@@ -12,10 +12,9 @@ from belldyn.cli import (
     preset_config,
     read_sweep_csv,
     run,
-    series_from_points,
     to_sweep_config,
 )
-from belldyn.dephasing import sweep
+from belldyn.dephasing import MAX_SWEEP_POINTS, sweep
 from belldyn.errors import (
     ConfigError,
     MissingKeyError,
@@ -173,16 +172,34 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path):
 
 
 def test_run_landmarks_recomputable_from_csv(tmp_path):
-    run(preset_config("fig2a"), tmp_path, step=2.0)
-    series = read_sweep_csv(tmp_path / "sweep.csv")
-    recomputed = landmarks_from_series(series)
-    written = {}
-    for line in (tmp_path / "landmarks.txt").read_text().splitlines():
-        key, _, value = line.partition(" = ")
-        written[key] = float(value)
-    assert set(written) == set(recomputed)
-    for key, value in written.items():
-        assert recomputed[key] == pytest.approx(value, abs=1e-5), key
+    for preset in PRESET_NAMES:
+        out = tmp_path / preset
+        run(preset_config(preset), out, step=2.0)
+        recomputed = landmarks_from_series(read_sweep_csv(out / "sweep.csv"))
+        written = {}
+        for line in (out / "landmarks.txt").read_text().splitlines():
+            key, _, value = line.partition(" = ")
+            written[key] = float(value)
+        assert set(written) == set(recomputed), preset
+        for key, value in written.items():
+            if key in ("q_dip_x", "q_revival_peak_x"):
+                # grid points, so the 9-digit CSV must land on the same one
+                assert recomputed[key] == value, (preset, key)
+            else:
+                assert recomputed[key] == pytest.approx(value, abs=1e-5), (preset, key)
+
+
+def test_revival_peak_is_first_point_of_a_plateau():
+    x = np.arange(8.0)
+    q = np.array([0.5, 0.2, 0.1, 0.3, 0.4, 0.4 - 1e-12, 0.4 + 1e-12, 0.4])
+    series = {
+        "x_over_lambda0": x, "kappa_a_abs": np.full(8, 0.5),
+        "kappa_b_abs": np.array([1.0, 0.4, 0.3, 0.4, 0.6, 0.6, 0.6, 0.6]),
+        "lambda1": np.full(8, 0.4), "Q": q,
+    }
+    landmarks = landmarks_from_series(series)
+    assert landmarks["q_dip_x"] == 2.0
+    assert landmarks["q_revival_peak_x"] == 4.0
 
 
 def test_run_fig2a_landmark_values(tmp_path):
@@ -242,13 +259,20 @@ def test_run_with_tomography_writes_noisy_csv(tmp_path):
     assert all(e >= 0.0 for e in errs)
 
 
-def test_series_matches_sweep_output():
+def test_series_matches_sweep_output(tmp_path):
     cfg = preset_config("fig2a")
-    points = sweep(to_sweep_config(cfg))
-    series = series_from_points(points, cfg.lambda0_nm * 1e-9)
+    table = sweep(to_sweep_config(cfg))
+    run(cfg, tmp_path)
+    series = read_sweep_csv(tmp_path / "sweep.csv")
     assert len(series["x_over_lambda0"]) == 401
     assert series["kappa_b_abs"][0] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(series["I"], series["Q"] + series["C"], atol=1e-9)
+    np.testing.assert_allclose(series["I"], series["Q"] + series["C"], atol=1e-8)
+    expected = dict(table, x_over_lambda0=table["x_b"] / (cfg.lambda0_nm * 1e-9),
+                    kappa_a_abs=np.abs(table["kappa_a"]), kappa_b_abs=np.abs(table["kappa_b"]))
+    for name in SWEEP_COLUMNS:
+        # the CSV keeps 9 significant digits
+        np.testing.assert_allclose(series[name], expected[name], rtol=1e-8, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_main_run_and_landmarks_roundtrip(tmp_path, capsys):
@@ -301,3 +325,71 @@ def test_main_io_error(tmp_path, capsys):
 def test_main_computation_error(capsys):
     assert main(["tomo-demo", "--kappa-a", "1.5", "--kappa-b", "0.5"]) == 2
     assert "computation error" in capsys.readouterr().err
+
+
+_VALID_CONFIG = ["x_a = 117", "filter_a = 3", "x_b_max = 40", "step = 4",
+                 "[spectrum_b]", "component = 1.0, 780.16, 0.85"]
+
+
+def _with(*lines):
+    return "\n".join(list(lines) + _VALID_CONFIG) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,config_text",
+    [
+        pytest.param(["run", "fig2a", "--out", "{out}", "--step", "0"], None, id="step-0"),
+        pytest.param(["run", "fig2a", "--out", "{out}", "--step", "-1"], None, id="step-neg"),
+        pytest.param(["run", "fig2a", "--out", "{out}", "--step", "nan"], None, id="step-nan"),
+        # 800 / 0.008 lambda0 is MAX_SWEEP_POINTS + 1 grid points
+        pytest.param(["run", "fig2a", "--out", "{out}", "--step", str(800.0 / MAX_SWEEP_POINTS)],
+                     None, id="grid-over-cap"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"], _with("lambda0 = nan"), id="lambda0-nan"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"],
+                     _with().replace("x_b_max = 40", "x_b_max = nan"), id="x_b_max-nan"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"], _with("echo_points = 4, nan"),
+                     id="echo-nan"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 0"), id="counts-0"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 2.9"),
+                     id="counts-fraction"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"],
+                     _with("tomo_counts = 100", "tomo_resamples = 1"), id="resamples-1"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"],
+                     _with("tomo_counts = 100", "tomo_seed = -1"), id="seed-neg"),
+        pytest.param(["run", "{cfg}", "--out", "{out}", "--seed", "-1"], _with("tomo_counts = 100"),
+                     id="run-seed-neg"),
+        pytest.param(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--counts", "0"], None,
+                     id="demo-counts-0"),
+        pytest.param(["landmarks", "{cfg}"], "x_over_lambda0,kappa_a_abs\n0,1\n",
+                     id="csv-missing-columns"),
+        pytest.param(["landmarks", "{cfg}"],
+                     ",".join(SWEEP_COLUMNS) + "\n" + ",".join(["0"] * 10) + "\n",
+                     id="csv-short-row"),
+    ],
+)
+def test_main_rejects_bad_input_with_exit_1(tmp_path, capsys, argv, config_text):
+    cfg = tmp_path / "bad.cfg"
+    if config_text is not None:
+        cfg.write_text(config_text)
+    argv = [a.format(out=tmp_path / "out", cfg=cfg) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("belldyn: error:")
+    assert "Traceback" not in err
+
+
+def test_tomography_settings_validation():
+    assert parse_config_lines(
+        ["tomo_counts = 5000.0", "tomo_resamples = 2"] + _VALID_CONFIG
+    ).tomography.n_per_setting == 5000
+    for bad in (["tomo_counts = 0"], ["tomo_counts = 2.9"], ["tomo_counts = inf"],
+                ["tomo_counts = 10", "tomo_resamples = 1"]):
+        with pytest.raises(ConfigError, match="tomo_"):
+            parse_config_lines(bad + _VALID_CONFIG)
+
+
+def test_read_sweep_csv_missing_columns(tmp_path):
+    path = tmp_path / "partial.csv"
+    path.write_text("x_over_lambda0,Q\n0,0.1\n")
+    with pytest.raises(ParseError, match="missing columns"):
+        read_sweep_csv(path)

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from belldyn.dephasing import (
     LAMBDA0,
+    MAX_SWEEP_POINTS,
     SPEED_OF_LIGHT,
     GaussianComponent,
     MultiGaussian,
@@ -23,6 +25,7 @@ from belldyn.dephasing import (
 )
 from belldyn.correlations import bell_eigenvalues_from_kappas
 from belldyn.errors import (
+    ConfigError,
     CrossingNotFoundError,
     InvalidKappaError,
     NormalizationError,
@@ -257,57 +260,53 @@ def test_sweep_constant_when_arm_b_untouched():
         x_b_max=100 * LAM0,
         step=10 * LAM0,
     )
-    points = sweep(config)
-    first = points[0].correlations
-    for pt in points:
-        assert abs(pt.point.kappa_b) == pytest.approx(1.0, abs=1e-15)
-        assert pt.correlations.quantum == pytest.approx(first.quantum, abs=1e-12)
-        assert pt.correlations.classical == pytest.approx(first.classical, abs=1e-12)
+    table = sweep(config)
+    np.testing.assert_allclose(np.abs(table["kappa_b"]), 1.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(table["Q"], table["Q"][0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(table["C"], table["C"][0], rtol=0.0, atol=1e-12)
+
+
+def test_sweep_returns_equal_length_columns():
+    table = sweep(_fig_sweep_config(x_max=20.0, step=5.0))
+    assert set(table) == {"x_b", "kappa_a", "kappa_b", "lambda1", "lambda2", "lambda3",
+                          "lambda4", "I", "C", "Q", "REE"}
+    assert all(col.shape == (5,) for col in table.values())
+    assert table["kappa_a"].dtype == complex and table["kappa_b"].dtype == complex
 
 
 def test_sweep_single_point_when_step_exceeds_range():
-    points = sweep(_fig_sweep_config(x_max=10.0, step=40.0))
-    assert len(points) == 1
-    assert points[0].x_b == 0.0
-    assert abs(points[0].point.kappa_b) == pytest.approx(1.0, abs=1e-15)
+    table = sweep(_fig_sweep_config(x_max=10.0, step=40.0))
+    assert len(table["x_b"]) == 1
+    assert table["x_b"][0] == 0.0
+    assert abs(table["kappa_b"][0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sweep_grid_and_ordering():
-    points = sweep(_fig_sweep_config(x_max=20.0, step=5.0))
-    xs = [pt.x_b / LAM0 for pt in points]
-    np.testing.assert_allclose(xs, [0.0, 5.0, 10.0, 15.0, 20.0], rtol=1e-12)
+    table = sweep(_fig_sweep_config(x_max=20.0, step=5.0))
+    np.testing.assert_allclose(table["x_b"] / LAM0, [0.0, 5.0, 10.0, 15.0, 20.0], rtol=1e-12)
 
 
 def test_sweep_total_equals_sum_of_parts():
-    for pt in sweep(_fig_sweep_config(x_max=300.0, step=10.0)):
-        corr = pt.correlations
-        assert corr.total == pytest.approx(corr.quantum + corr.classical, abs=1e-9)
+    table = sweep(_fig_sweep_config(x_max=300.0, step=10.0))
+    np.testing.assert_allclose(table["I"], table["Q"] + table["C"], rtol=0.0, atol=1e-9)
 
 
 def test_sweep_is_deterministic():
     a = sweep(_fig_sweep_config(x_max=100.0, step=10.0))
     b = sweep(_fig_sweep_config(x_max=100.0, step=10.0))
-    for pa, pb in zip(a, b):
-        assert pa.point.kappa_b == pb.point.kappa_b
-        assert pa.correlations == pb.correlations
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def test_sweep_echo_symmetry_and_exact_revival():
-    points = sweep(_fig_sweep_config(echo=(200.0,), x_max=400.0, step=2.0))
+    table = sweep(_fig_sweep_config(echo=(200.0,), x_max=400.0, step=2.0))
     center = 100  # index of the exchange point at 200 lambda0
-    first = points[0].correlations
-    revived = points[2 * center].correlations
-    assert revived.total == pytest.approx(first.total, abs=1e-12)
-    assert revived.classical == pytest.approx(first.classical, abs=1e-12)
-    assert revived.quantum == pytest.approx(first.quantum, abs=1e-12)
-    assert revived.ree == pytest.approx(first.ree, abs=1e-12)
-    for d in range(1, center + 1):
-        left = points[center - d].correlations
-        right = points[center + d].correlations
-        assert right.total == pytest.approx(left.total, abs=1e-9)
-        assert right.classical == pytest.approx(left.classical, abs=1e-9)
-        assert right.quantum == pytest.approx(left.quantum, abs=1e-9)
-        assert right.ree == pytest.approx(left.ree, abs=1e-9)
+    for name in ("I", "C", "Q", "REE"):
+        col = table[name]
+        assert col[2 * center] == pytest.approx(col[0], abs=1e-12), name
+        np.testing.assert_allclose(
+            col[center + 1:], col[center - 1::-1], rtol=0.0, atol=1e-9, err_msg=name
+        )
 
 
 def test_sweep_markovian_case_never_revives():
@@ -320,19 +319,86 @@ def test_sweep_markovian_case_never_revives():
         x_b_max=900 * LAM0,
         step=5 * LAM0,
     )
-    points = sweep(config)
-    kb = np.array([abs(pt.point.kappa_b) for pt in points])
-    ka = abs(points[0].point.kappa_a)
+    table = sweep(config)
+    kb = np.abs(table["kappa_b"])
+    ka = abs(table["kappa_a"][0])
     assert np.all(np.diff(kb) < 0.0)
     after = kb < ka
-    q = np.array([pt.correlations.quantum for pt in points])
-    assert np.all(np.diff(q[after]) <= 1e-15)
+    assert np.all(np.diff(table["Q"][after]) <= 1e-15)
 
 
 def test_sweep_rejects_bad_schedule():
     config = _fig_sweep_config(echo=(100.0, 100.0), x_max=50.0, step=10.0)
     with pytest.raises(ScheduleError):
         sweep(config)
+
+
+def test_sweep_sampled_spectrum_matches_multi_gaussian():
+    # the FP spectrum sampled on a grid against its closed form; the echo at
+    # 100 lambda0 drives the effective retardation negative beyond 200
+    omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), 12001)
+    density = sum(
+        c.amplitude * gaussian_density(omega, c.width, c.center) for c in FP_COMPONENTS
+    )
+    sampled = SampledSpectrum(omega=omega, density=density / np.trapezoid(density, omega))
+    closed = _fig_sweep_config(echo=(100.0,), x_max=300.0, step=5.0)
+    want = sweep(closed)
+    got = sweep(replace(closed, spectrum_b=sampled))
+    assert np.min(effective_retardation(got["x_b"], closed.echo_points)) < 0.0
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=0.0, atol=1e-4, err_msg=name)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"step": 0.0},
+        {"step": -1.0},
+        {"step": math.nan},
+        {"step": math.inf},
+        {"x_b_max": math.nan},
+        {"x_b_max": -1.0},
+        {"x_a": math.inf},
+        {"x_b_max": MAX_SWEEP_POINTS * 2.0 * LAM0},  # MAX_SWEEP_POINTS + 1 points
+    ],
+)
+def test_sweep_config_rejects_bad_grid(overrides):
+    with pytest.raises(ConfigError):
+        replace(_fig_sweep_config(x_max=10.0, step=2.0), **overrides)
+
+
+def test_sweep_config_accepts_grid_at_the_cap():
+    config = replace(_fig_sweep_config(step=2.0), x_b_max=(MAX_SWEEP_POINTS - 1) * 2.0 * LAM0)
+    assert math.floor(config.x_b_max / config.step + 1e-9) + 1 == MAX_SWEEP_POINTS
+
+
+def _loop_retardation(x, pts):
+    """Reference: walk the schedule point by point, flipping the accrual sign."""
+    net, prev, sign = 0.0, 0.0, 1.0
+    for p in pts:
+        if p > x:
+            break
+        net += sign * (p - prev)
+        prev, sign = p, -sign
+    return net + sign * (x - prev)
+
+
+def test_effective_retardation_vectorized():
+    rng = np.random.default_rng(35)
+    xs = np.concatenate([[0.0, 1.0, 3.0], rng.uniform(0.0, 6.0, 40)])
+    for schedule in ((), (1.0,), (1.0, 3.0), (0.5, 2.0, 4.5)):
+        # same arithmetic per element, so equal to the last bit
+        np.testing.assert_array_equal(
+            effective_retardation(xs, schedule), [_loop_retardation(x, schedule) for x in xs]
+        )
+
+
+def test_kappa_numeric_vectorized():
+    spectrum = _sampled_gaussian(n=8001)
+    xs = np.array([0.0, 30.0, 120.0]) * LAM0
+    np.testing.assert_array_equal(kappa_numeric(xs, spectrum), [kappa_numeric(x, spectrum) for x in xs])
+    with pytest.raises(UnderResolvedGridError):
+        kappa_numeric(np.array([0.0, 500.0]) * LAM0, _sampled_gaussian(n=40))
 
 
 def test_find_crossing_linear_interpolation():
