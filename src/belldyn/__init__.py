@@ -60,13 +60,13 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .tomography import (
+    STANDARD_SETTINGS,
     ProjectorSetting,
     TomographyRecord,
     error_bars,
     reconstruct,
     record_to_csv,
     simulate_counts,
-    standard_basis_set,
 )
 
 __version__ = "0.1.0"
@@ -82,6 +82,7 @@ __all__ = [
     "SimplexGridSpec",
     "SingleGaussian",
     "SPEED_OF_LIGHT",
+    "STANDARD_SETTINGS",
     "SweepConfig",
     "TomographyRecord",
     "angular_frequency",
@@ -114,7 +115,6 @@ __all__ = [
     "relative_entropy",
     "sigma_from_fwhm",
     "simulate_counts",
-    "standard_basis_set",
     "sweep",
     "total_mutual_information_bell",
     "validate_bell_spectrum",

@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from . import dephasing, tomography
-from .correlations import correlations_from_spectrum
 from .dephasing import (
     MultiGaussian,
     GaussianComponent,
@@ -48,15 +47,12 @@ from .errors import (
     ParseError,
     UnknownKeyError,
 )
-from .qstate import eigenvalues_sorted
 
 SWEEP_COLUMNS = (
     "x_over_lambda0", "kappa_a_abs", "kappa_b_abs",
     "lambda1", "lambda2", "lambda3", "lambda4",
     "I", "C", "Q", "REE",
 )
-
-NOISY_VALUE_COLUMNS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
 
 #: threshold used for the quantum-correlation revival-start landmark
 Q_REVIVAL_THRESHOLD = 0.005
@@ -65,21 +61,27 @@ Q_REVIVAL_THRESHOLD = 0.005
 #: is the first plateau point, so roundoff cannot move it along the plateau
 PLATEAU_TOL = 1e-9
 
+#: largest counts per tomography setting: every count stays an exact integer in
+#: a float (below 2**53), far below numpy's Poisson limit of about 9.2e18
+MAX_TOMO_COUNTS = 10**15
+
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """Counts per setting (>= 1), bootstrap resamples (>= 2), and base seed (>= 0), all integers."""
+    """Counts per setting (1 to MAX_TOMO_COUNTS), resamples (>= 2) and seed (>= 0), all integers."""
 
     n_per_setting: int
     resamples: int = 100
     seed: int = 0
 
     def __post_init__(self):
-        for name, key, low in (("n_per_setting", "tomo_counts", 1),
-                               ("resamples", "tomo_resamples", 2), ("seed", "tomo_seed", 0)):
+        for name, key, low, high in (("n_per_setting", "tomo_counts", 1, MAX_TOMO_COUNTS),
+                                     ("resamples", "tomo_resamples", 2, math.inf),
+                                     ("seed", "tomo_seed", 0, math.inf)):
             value = getattr(self, name)
-            if not float(value).is_integer() or value < low:
-                raise ConfigError(f"{key} must be an integer >= {low}, got {value}")
+            # value % 1 is NaN for NaN and inf, and exact for an int too large for a float
+            if not (value % 1 == 0 and low <= value <= high):
+                raise ConfigError(f"{key} must be an integer in [{low}, {high:g}], got {value}")
             object.__setattr__(self, name, int(value))
 
 
@@ -391,23 +393,18 @@ def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path
     """
     tomo = config.tomography
     header = ["x_over_lambda0"]
-    for name in NOISY_VALUE_COLUMNS:
+    for name in tomography.BOOTSTRAP_KEYS:
         header += [name, f"{name}_err"]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(header) + "\n")
         for i, (kappa_a, kappa_b) in enumerate(zip(table["kappa_a"], table["kappa_b"])):
             rho = dephasing.evolve_state(kappa_a, kappa_b)
             record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
-            lam = eigenvalues_sorted(tomography.reconstruct(record))
-            corr = correlations_from_spectrum(lam)
+            values = tomography.state_quantities(tomography.reconstruct(record))
             errs = tomography.error_bars(record, tomo.resamples, [tomo.seed, i, 1])
-            values = {
-                "I": corr.total, "C": corr.classical, "Q": corr.quantum, "REE": corr.ree,
-                "lambda1": lam[0], "lambda2": lam[1], "lambda3": lam[2], "lambda4": lam[3],
-            }
             row = [_fmt(table["x_over_lambda0"][i])]
-            for name in NOISY_VALUE_COLUMNS:
-                row += [_fmt(values[name]), _fmt(errs[name])]
+            for name, value in zip(tomography.BOOTSTRAP_KEYS, values):
+                row += [_fmt(value), _fmt(errs[name])]
             handle.write(",".join(row) + "\n")
 
 
@@ -458,28 +455,17 @@ def _cmd_landmarks(args) -> int:
 
 
 def _cmd_tomo_demo(args) -> int:
-    if args.counts < 1 or args.seed < 0:
-        raise _UsageError(f"--counts must be >= 1 and --seed >= 0, got {args.counts} and {args.seed}")
+    tomo = TomographySettings(n_per_setting=args.counts, seed=args.seed)
     rho = dephasing.evolve_state(args.kappa_a, args.kappa_b)
-    record = tomography.simulate_counts(rho, args.counts, args.seed)
+    record = tomography.simulate_counts(rho, tomo.n_per_setting, tomo.seed)
     print(tomography.record_to_csv(record), end="")
-    lam_true = eigenvalues_sorted(rho)
-    lam = eigenvalues_sorted(tomography.reconstruct(record))
-    corr_true = correlations_from_spectrum(lam_true)
-    corr = correlations_from_spectrum(lam)
-    errs = tomography.error_bars(record, 100, args.seed + 1)
+    true = tomography.state_quantities(rho)
+    reconstructed = tomography.state_quantities(tomography.reconstruct(record))
+    errs = tomography.error_bars(record, tomo.resamples, tomo.seed + 1)
     print()
     print(f"{'quantity':8s} {'true':>12s} {'reconstructed':>14s} {'error':>10s}")
-    rows = [
-        ("I", corr_true.total, corr.total, errs["I"]),
-        ("C", corr_true.classical, corr.classical, errs["C"]),
-        ("Q", corr_true.quantum, corr.quantum, errs["Q"]),
-        ("REE", corr_true.ree, corr.ree, errs["REE"]),
-    ] + [
-        (f"lambda{i + 1}", lam_true[i], lam[i], errs[f"lambda{i + 1}"]) for i in range(4)
-    ]
-    for name, true, rec, err in rows:
-        print(f"{name:8s} {true:12.6f} {rec:14.6f} {err:10.6f}")
+    for name, t, rec in zip(tomography.BOOTSTRAP_KEYS, true, reconstructed):
+        print(f"{name:8s} {t:12.6f} {rec:14.6f} {errs[name]:10.6f}")
     return 0
 
 

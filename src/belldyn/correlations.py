@@ -45,10 +45,11 @@ class CorrelationSet:
     ree: float
 
 
-def _kappa_modulus(kappa):
+def _kappa_modulus(kappa, name):
+    """|kappa| clipped to 1; InvalidKappaError naming `name` if NaN or above 1 + KAPPA_TOL."""
     k = np.abs(np.asarray(kappa))
     if not np.all(k <= 1.0 + KAPPA_TOL):
-        raise InvalidKappaError(f"|kappa| = {np.max(k)} exceeds 1")
+        raise InvalidKappaError(f"|{name}| must be at most 1, got {np.max(k)}")
     return np.minimum(k, 1.0)
 
 
@@ -58,7 +59,7 @@ def kappa_correlation(kappa) -> float:
     This is the common kernel of the quantum and classical branches; the
     k -> 1 endpoint uses the 0 log 0 = 0 convention and evaluates to 1.
     """
-    k = float(_kappa_modulus(kappa))
+    k = float(_kappa_modulus(kappa, "kappa"))
     out = 0.5 * (1.0 + k) * math.log2(1.0 + k)
     if k < 1.0:
         out += 0.5 * (1.0 - k) * math.log2(1.0 - k)
@@ -117,8 +118,8 @@ def bell_eigenvalues_from_kappas(kappa_a, kappa_b) -> np.ndarray:
 
     The parameters broadcast; the eigenvalues, largest first, fill a new last axis.
     """
-    ka = _kappa_modulus(kappa_a)
-    kb = _kappa_modulus(kappa_b)
+    ka = _kappa_modulus(kappa_a, "kappa_a")
+    kb = _kappa_modulus(kappa_b, "kappa_b")
     hi, lo = np.maximum(ka, kb), np.minimum(ka, kb)
     return 0.25 * np.stack(
         [(1.0 + ka) * (1.0 + kb), (1.0 + hi) * (1.0 - lo), (1.0 - hi) * (1.0 + lo),
@@ -134,8 +135,8 @@ def correlations_from_kappas(kappa_a, kappa_b) -> CorrelationSet:
     branch on the max; the two coincide when the moduli are equal. Complex
     inputs contribute through their moduli only.
     """
-    ka = float(_kappa_modulus(kappa_a))
-    kb = float(_kappa_modulus(kappa_b))
+    ka = float(_kappa_modulus(kappa_a, "kappa_a"))
+    kb = float(_kappa_modulus(kappa_b, "kappa_b"))
     quantum = kappa_correlation(min(ka, kb))
     classical = kappa_correlation(max(ka, kb))
     ree = ree_bell(bell_eigenvalues_from_kappas(ka, kb))

@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import bell_correlations, bell_eigenvalues_from_kappas
+from .correlations import _kappa_modulus, bell_correlations, bell_eigenvalues_from_kappas
 from .errors import (
     ConfigError,
     CrossingNotFoundError,
-    InvalidKappaError,
     NormalizationError,
     ScheduleError,
     UnderResolvedGridError,
@@ -91,11 +90,7 @@ def kappa_multi_gaussian(x, components):
 
     Raises NormalizationError unless the amplitudes sum to 1 within 1e-9.
     """
-    comps = tuple(components)
-    total = sum(c.amplitude for c in comps)
-    if abs(total - 1.0) > 1e-9:
-        raise NormalizationError(f"component amplitudes sum to {total}, not 1")
-    return sum(c.amplitude * kappa_gaussian(x, c.width, c.center) for c in comps)
+    return MultiGaussian(components).kappa(x)
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,7 @@ class MultiGaussian:
             raise NormalizationError(f"component amplitudes sum to {total}, not 1")
 
     def kappa(self, x):
-        return kappa_multi_gaussian(x, self.components)
+        return sum(c.amplitude * kappa_gaussian(x, c.width, c.center) for c in self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +211,8 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
     eigenvalues depend only on the moduli of the two parameters.
     """
     ka, kb = complex(kappa_a), complex(kappa_b)
-    for name, k in (("kappa_a", ka), ("kappa_b", kb)):
-        if abs(k) > 1.0 + 1e-9:
-            raise InvalidKappaError(f"|{name}| = {abs(k)} exceeds 1")
+    _kappa_modulus(ka, "kappa_a")
+    _kappa_modulus(kb, "kappa_b")
     kac, kbc = ka.conjugate(), kb.conjugate()
     return 0.25 * np.array(
         [

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .correlations import correlations_from_spectrum
+from .correlations import bell_correlations
 from .errors import EmptyRecordError, InvalidStateError, SingularSystemError
 from .qstate import eigenvalues_sorted, validate_state
 
@@ -59,13 +59,14 @@ class ProjectorSetting:
         object.__setattr__(self, "projector", p)
 
 
-def standard_basis_set() -> list[ProjectorSetting]:
-    """The canonical informationally complete set of 16 product projectors."""
-    settings = []
-    for label in STANDARD_LABELS:
-        ket = np.kron(KET[label[0]], KET[label[1]])
-        settings.append(ProjectorSetting(label, np.outer(ket, ket.conj())))
-    return settings
+def _product_setting(label: str) -> ProjectorSetting:
+    ket = np.kron(KET[label[0]], KET[label[1]])
+    return ProjectorSetting(label, np.outer(ket, ket.conj()))
+
+
+#: the canonical informationally complete set of 16 product projectors, built
+#: and validated once, at import
+STANDARD_SETTINGS = tuple(_product_setting(label) for label in STANDARD_LABELS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +90,13 @@ class TomographyRecord:
             raise ValueError(f"negative count {counts.min()}")
         if self.total_per_setting <= 0.0:
             raise ValueError("total_per_setting must be positive")
-        for i in range(len(settings)):
-            for j in range(i + 1, len(settings)):
-                if np.allclose(settings[i].projector, settings[j].projector, atol=1e-12):
-                    raise ValueError(
-                        f"settings {settings[i].label} and {settings[j].label} coincide"
-                    )
+        flat = np.array([s.projector for s in settings]).reshape(len(settings), 16)
+        # np.allclose(P_i, P_j, atol=1e-12), default rtol included, for every pair i < j
+        same = np.all(np.abs(flat[:, None] - flat) <= 1e-12 + 1e-5 * np.abs(flat), axis=-1)
+        pairs = np.argwhere(np.triu(same, 1))
+        if pairs.size:
+            i, j = pairs[0]
+            raise ValueError(f"settings {settings[i].label} and {settings[j].label} coincide")
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "counts", counts)
 
@@ -134,10 +136,11 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
         raise InvalidStateError("tomography expects a two-qubit state")
     if n_per_setting < 1:
         raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting}")
-    settings = tuple(standard_basis_set())
-    means = n_per_setting * probabilities(rho, settings)
+    means = n_per_setting * probabilities(rho, STANDARD_SETTINGS)
     counts = _rng_from(seed).poisson(means).astype(float)
-    return TomographyRecord(settings=settings, counts=counts, total_per_setting=float(n_per_setting))
+    return TomographyRecord(
+        settings=STANDARD_SETTINGS, counts=counts, total_per_setting=float(n_per_setting)
+    )
 
 
 _TRIL = np.tril_indices(4, -1)
@@ -201,16 +204,8 @@ def _mle_refine(rho_start, projs, counts, scale):
     return rho / trace
 
 
-def reconstruct(record: TomographyRecord) -> np.ndarray:
-    """Reconstruct a physical density matrix from a tomography record.
-
-    Linear inversion of the normalized counts against the projector system,
-    hermitization, eigenvalue clip-and-renormalize, then Poisson
-    maximum-likelihood refinement; the candidate with the better likelihood
-    wins, so exact (noiseless) counts reproduce the state exactly. Raises
-    SingularSystemError if the settings do not span the operator space and
-    EmptyRecordError for a record with no settings.
-    """
+def _projector_system(record: TomographyRecord):
+    """Projector stack and linear system of a record's settings, checked as in `reconstruct`."""
     if len(record.settings) == 0:
         raise EmptyRecordError("record has no settings")
     projs = np.stack([s.projector for s in record.settings])
@@ -218,7 +213,12 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     rank = np.linalg.matrix_rank(system, tol=1e-10)
     if rank < 16:
         raise SingularSystemError(f"settings span only {rank} of 16 operator dimensions")
-    freqs = record.counts / record.total_per_setting
+    return projs, system
+
+
+def _reconstruct(projs, system, counts, scale) -> np.ndarray:
+    """Reconstruction kernel on a checked projector system; see `reconstruct`."""
+    freqs = counts / scale
     x, *_ = np.linalg.lstsq(system, freqs.astype(complex), rcond=None)
     rho_lin = x.reshape(4, 4)
     rho_lin = 0.5 * (rho_lin + rho_lin.conj().T)
@@ -230,19 +230,37 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     w = w / w.sum()
     rho_proj = (v * w) @ v.conj().T
 
-    rho_mle = _mle_refine(rho_proj, projs, record.counts, record.total_per_setting)
+    rho_mle = _mle_refine(rho_proj, projs, counts, scale)
     if rho_mle is None:
         return rho_proj
     q_proj = np.einsum("kij,ji->k", projs, rho_proj).real
     q_mle = np.einsum("kij,ji->k", projs, rho_mle).real
-    if _nll(q_mle, record.counts, record.total_per_setting) < _nll(
-        q_proj, record.counts, record.total_per_setting
-    ):
+    if _nll(q_mle, counts, scale) < _nll(q_proj, counts, scale):
         return rho_mle
     return rho_proj
 
 
+def reconstruct(record: TomographyRecord) -> np.ndarray:
+    """Reconstruct a physical density matrix from a tomography record.
+
+    Linear inversion of the normalized counts against the projector system,
+    hermitization, eigenvalue clip-and-renormalize, then Poisson
+    maximum-likelihood refinement; the candidate with the better likelihood
+    wins, so exact (noiseless) counts reproduce the state exactly. Raises
+    SingularSystemError if the settings do not span the operator space and
+    EmptyRecordError for a record with no settings.
+    """
+    projs, system = _projector_system(record)
+    return _reconstruct(projs, system, record.counts, record.total_per_setting)
+
+
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
+
+
+def state_quantities(rho) -> np.ndarray:
+    """The BOOTSTRAP_KEYS of a state: I, C, Q, REE in bits, then its sorted eigenvalues."""
+    lam = eigenvalues_sorted(rho)
+    return np.array([*bell_correlations(lam), *lam])
 
 
 def error_bars(record: TomographyRecord, resamples: int, seed) -> dict[str, float]:
@@ -254,18 +272,12 @@ def error_bars(record: TomographyRecord, resamples: int, seed) -> dict[str, floa
     depend on evaluation order. Returns sample standard deviations for
     I, C, Q, REE and the four eigenvalues.
     """
-    if len(record.settings) == 0:
-        raise EmptyRecordError("record has no settings")
+    projs, system = _projector_system(record)
     if resamples < 2:
         raise ValueError(f"resamples must be >= 2, got {resamples}")
     samples = np.empty((resamples, len(BOOTSTRAP_KEYS)))
     for r in range(resamples):
         counts = _rng_from(seed, r).poisson(record.counts).astype(float)
-        resampled = TomographyRecord(
-            settings=record.settings, counts=counts, total_per_setting=record.total_per_setting
-        )
-        lam = eigenvalues_sorted(reconstruct(resampled))
-        corr = correlations_from_spectrum(lam)
-        samples[r] = (corr.total, corr.classical, corr.quantum, corr.ree, *lam)
+        samples[r] = state_quantities(_reconstruct(projs, system, counts, record.total_per_setting))
     stds = samples.std(axis=0, ddof=1)
     return dict(zip(BOOTSTRAP_KEYS, stds.tolist()))

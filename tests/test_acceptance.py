@@ -31,12 +31,12 @@ from belldyn.oracle import (
 )
 from belldyn.qstate import eigenvalues_sorted
 from belldyn.tomography import (
+    STANDARD_SETTINGS,
     TomographyRecord,
     error_bars,
     probabilities,
     reconstruct,
     simulate_counts,
-    standard_basis_set,
 )
 
 from conftest import random_bell_spectrum, random_density_matrix
@@ -222,7 +222,7 @@ def test_criterion_8_oracle_agreement():
 
 def test_criterion_9_tomography():
     rng = np.random.default_rng(909)
-    settings = tuple(standard_basis_set())
+    settings = STANDARD_SETTINGS
     roundtrip_err = 0.0
     for _ in range(20):
         rho = random_density_matrix(rng)

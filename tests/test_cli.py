@@ -323,8 +323,9 @@ def test_main_io_error(tmp_path, capsys):
 
 
 def test_main_computation_error(capsys):
-    assert main(["tomo-demo", "--kappa-a", "1.5", "--kappa-b", "0.5"]) == 2
-    assert "computation error" in capsys.readouterr().err
+    for kappa_a in ("1.5", "nan"):
+        assert main(["tomo-demo", "--kappa-a", kappa_a, "--kappa-b", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("belldyn: computation error: |kappa_a|")
 
 
 _VALID_CONFIG = ["x_a = 117", "filter_a = 3", "x_b_max = 40", "step = 4",
@@ -352,6 +353,8 @@ def _with(*lines):
         pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 0"), id="counts-0"),
         pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 2.9"),
                      id="counts-fraction"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 1e30"),
+                     id="counts-huge"),
         pytest.param(["run", "{cfg}", "--out", "{out}"],
                      _with("tomo_counts = 100", "tomo_resamples = 1"), id="resamples-1"),
         pytest.param(["run", "{cfg}", "--out", "{out}"],
@@ -360,6 +363,8 @@ def _with(*lines):
                      id="run-seed-neg"),
         pytest.param(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--counts", "0"], None,
                      id="demo-counts-0"),
+        pytest.param(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4",
+                      "--counts", "100000000000000000000"], None, id="demo-counts-huge"),
         pytest.param(["landmarks", "{cfg}"], "x_over_lambda0,kappa_a_abs\n0,1\n",
                      id="csv-missing-columns"),
         pytest.param(["landmarks", "{cfg}"],

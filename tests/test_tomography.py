@@ -1,38 +1,41 @@
 import numpy as np
 import pytest
 
+from belldyn.correlations import correlations_from_spectrum
 from belldyn.dephasing import evolve_state
 from belldyn.errors import EmptyRecordError, SingularSystemError
 from belldyn.qstate import eigenvalues_sorted, validate_state
 from belldyn.tomography import (
+    BOOTSTRAP_KEYS,
     STANDARD_LABELS,
+    STANDARD_SETTINGS,
+    ProjectorSetting,
     TomographyRecord,
     error_bars,
     probabilities,
     reconstruct,
     record_to_csv,
     simulate_counts,
-    standard_basis_set,
 )
 
 from conftest import random_density_matrix
 
 
 def exact_record(rho, n=10**6):
-    settings = tuple(standard_basis_set())
+    settings = STANDARD_SETTINGS
     counts = n * probabilities(rho, settings)
     return TomographyRecord(settings=settings, counts=counts, total_per_setting=float(n))
 
 
 def test_standard_basis_set_size_and_labels():
-    settings = standard_basis_set()
+    settings = STANDARD_SETTINGS
     assert len(settings) == 16
     assert tuple(s.label for s in settings) == STANDARD_LABELS
     assert len(set(STANDARD_LABELS)) == 16
 
 
 def test_standard_basis_set_projectors_are_rank1_products():
-    for s in standard_basis_set():
+    for s in STANDARD_SETTINGS:
         w = np.linalg.eigvalsh(s.projector)
         np.testing.assert_allclose(np.sort(w), [0, 0, 0, 1], atol=1e-12)
         # product structure: partial transposition keeps rank 1
@@ -41,12 +44,12 @@ def test_standard_basis_set_projectors_are_rank1_products():
 
 
 def test_standard_basis_set_spans_operator_space():
-    system = np.array([s.projector.T.flatten() for s in standard_basis_set()])
+    system = np.array([s.projector.T.flatten() for s in STANDARD_SETTINGS])
     assert np.linalg.matrix_rank(system, tol=1e-10) == 16
 
 
 def test_probabilities_trivial_cases():
-    settings = standard_basis_set()
+    settings = STANDARD_SETTINGS
     hh = np.zeros((4, 4), dtype=complex)
     hh[0, 0] = 1.0
     p = probabilities(hh, settings)
@@ -97,7 +100,7 @@ def test_reconstruct_noiseless_identity_random_states():
 
 
 def test_reconstruct_output_always_physical():
-    settings = tuple(standard_basis_set())
+    settings = STANDARD_SETTINGS
     rng = np.random.default_rng(51)
     counts = rng.poisson(500, size=16).astype(float)
     counts[3:9] = 0.0  # zero out a block of settings
@@ -106,7 +109,7 @@ def test_reconstruct_output_always_physical():
 
 
 def test_reconstruct_all_zero_counts_gives_mixed_state():
-    settings = tuple(standard_basis_set())
+    settings = STANDARD_SETTINGS
     rec = TomographyRecord(settings=settings, counts=np.zeros(16), total_per_setting=100.0)
     np.testing.assert_allclose(reconstruct(rec), np.eye(4) / 4.0, atol=1e-12)
 
@@ -137,7 +140,7 @@ def test_reconstruct_error_decreases_with_counts():
 
 
 def test_reconstruct_requires_informationally_complete_settings():
-    settings = tuple(standard_basis_set())[:8]
+    settings = STANDARD_SETTINGS[:8]
     rec = TomographyRecord(settings=settings, counts=np.full(8, 100.0), total_per_setting=400.0)
     with pytest.raises(SingularSystemError):
         reconstruct(rec)
@@ -152,10 +155,13 @@ def test_reconstruct_empty_record():
 
 
 def test_record_rejects_duplicate_settings():
-    settings = standard_basis_set()
-    dup = tuple(settings[:15]) + (settings[0],)
-    with pytest.raises(ValueError):
-        TomographyRecord(settings=dup, counts=np.full(16, 1.0), total_per_setting=16.0)
+    s = STANDARD_SETTINGS
+    # 1e-13 is inside np.allclose(atol=1e-12), so the perturbed copy still coincides
+    near_copy = ProjectorSetting("HD'", s[4].projector + 1e-13)
+    for dup in (s[:15] + (s[0],), s[:5] + (s[2],) + s[6:], s[:9] + (near_copy,) + s[10:]):
+        assert len(dup) == 16
+        with pytest.raises(ValueError, match="coincide"):
+            TomographyRecord(settings=dup, counts=np.full(16, 1.0), total_per_setting=16.0)
 
 
 def test_record_to_csv_format():
@@ -177,6 +183,23 @@ def test_error_bars_deterministic():
     assert a == b
     c = error_bars(rec, 25, 18)
     assert a != c
+
+
+def test_error_bars_match_per_record_reference():
+    # each resample through the public per-record path: a new record, reconstruct, spectrum
+    record = simulate_counts(evolve_state(0.607, 0.385), 2000, 9)
+    seed, resamples = 17, 6
+    samples = []
+    for r in range(resamples):
+        counts = np.random.default_rng([seed, r]).poisson(record.counts).astype(float)
+        resampled = TomographyRecord(
+            settings=record.settings, counts=counts, total_per_setting=record.total_per_setting
+        )
+        lam = eigenvalues_sorted(reconstruct(resampled))
+        corr = correlations_from_spectrum(lam)
+        samples.append([corr.total, corr.classical, corr.quantum, corr.ree, *lam])
+    expected = dict(zip(BOOTSTRAP_KEYS, np.std(samples, axis=0, ddof=1).tolist()))
+    assert error_bars(record, resamples, seed) == expected
 
 
 def test_error_bars_vanish_for_huge_counts():
