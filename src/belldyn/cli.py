@@ -20,10 +20,9 @@ file.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from .dephasing import (
     find_crossing,
     sigma_from_fwhm,
     sweep,
+    validate_echo_points,
 )
 from .errors import (
     BelldynError,
@@ -47,6 +47,7 @@ from .errors import (
     ParseError,
     UnknownKeyError,
 )
+from .tomography import MAX_TOMO_COUNTS
 
 SWEEP_COLUMNS = (
     "x_over_lambda0", "kappa_a_abs", "kappa_b_abs",
@@ -61,10 +62,6 @@ Q_REVIVAL_THRESHOLD = 0.005
 #: is the first plateau point, so roundoff cannot move it along the plateau
 PLATEAU_TOL = 1e-9
 
-#: largest counts per tomography setting: every count stays an exact integer in
-#: a float (below 2**53), far below numpy's Poisson limit of about 9.2e18
-MAX_TOMO_COUNTS = 10**15
-
 
 @dataclass(frozen=True)
 class TomographySettings:
@@ -73,11 +70,12 @@ class TomographySettings:
     n_per_setting: int
     resamples: int = 100
     seed: int = 0
+    #: the names of the three values in error messages: config keys, or the flags that set them
+    keys: InitVar[tuple[str, str, str]] = ("tomo_counts", "tomo_resamples", "tomo_seed")
 
-    def __post_init__(self):
-        for name, key, low, high in (("n_per_setting", "tomo_counts", 1, MAX_TOMO_COUNTS),
-                                     ("resamples", "tomo_resamples", 2, math.inf),
-                                     ("seed", "tomo_seed", 0, math.inf)):
+    def __post_init__(self, keys):
+        for name, key, low, high in zip(("n_per_setting", "resamples", "seed"), keys,
+                                        (1, 2, 0), (MAX_TOMO_COUNTS, math.inf, math.inf)):
             value = getattr(self, name)
             # value % 1 is NaN for NaN and inf, and exact for an int too large for a float
             if not (value % 1 == 0 and low <= value <= high):
@@ -114,9 +112,7 @@ class ExperimentConfig:
             raise ConfigError(f"x_a must be finite and nonnegative, got {self.x_a}")
         if not (0.0 < self.filter_a_fwhm_nm < math.inf and 0.0 < self.lambda0_nm < math.inf):
             raise ConfigError("filter_a and lambda0 must be finite and positive")
-        pts = tuple(float(p) for p in self.echo_points)
-        if any(not 0.0 <= p < math.inf for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ConfigError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
+        pts = validate_echo_points(self.echo_points)
         if not self.spectrum_b:
             raise ConfigError("spectrum_b needs at least one component")
         comps = tuple(tuple(float(v) for v in c) for c in self.spectrum_b)
@@ -249,11 +245,18 @@ def parse_config_lines(lines, name_hint: str = "custom") -> ExperimentConfig:
     )
 
 
+def _read_utf8(path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ParseError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def parse_config(path) -> ExperimentConfig:
     """Parse a config file; built-in preset names need no file."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        return parse_config_lines(handle, name_hint=path.stem)
+    return parse_config_lines(_read_utf8(path).split("\n"), name_hint=Path(path).stem)
 
 
 def to_sweep_config(config: ExperimentConfig) -> SweepConfig:
@@ -285,36 +288,39 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
+def _write_csv(path, header, columns) -> None:
+    """One row per element of the equal-length columns, each value to 9 significant digits."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.9g", delimiter=",",
+               header=",".join(header), comments="")
+
+
 def write_sweep_csv(series: dict[str, np.ndarray], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(SWEEP_COLUMNS) + "\n")
-        n = len(series["x_over_lambda0"])
-        for i in range(n):
-            handle.write(",".join(_fmt(series[c][i]) for c in SWEEP_COLUMNS) + "\n")
+    _write_csv(path, SWEEP_COLUMNS, [series[name] for name in SWEEP_COLUMNS])
 
 
 def read_sweep_csv(path) -> dict[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        rows = list(reader)
-    if not rows:
+    """SWEEP_COLUMNS of a sweep.csv by header name; malformed or non-UTF-8 text raises ParseError."""
+    header, _, body = _read_utf8(path).partition("\n")
+    if not body.strip():
         raise ParseError(f"{path}: empty sweep file")
-    missing = [name for name in SWEEP_COLUMNS if name not in reader.fieldnames]
+    index = {name: i for i, name in enumerate(header.split(","))}
+    missing = [name for name in SWEEP_COLUMNS if name not in index]
     if missing:
         raise ParseError(f"{path}: missing columns {', '.join(missing)}")
     try:
-        return {name: np.array([float(r[name]) for r in rows]) for name in SWEEP_COLUMNS}
-    except (TypeError, ValueError):
-        raise ParseError(f"{path}: a row has a missing or non-numeric value") from None
+        data = np.loadtxt(body.split("\n"), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != len(index):
+        raise ParseError(f"{path}: a row has a missing, extra or non-numeric value")
+    return {name: data[:, index[name]] for name in SWEEP_COLUMNS}
 
 
 def _first_local_min(x: np.ndarray, y: np.ndarray, start: float) -> int | None:
-    for i in range(1, y.size - 1):
-        if x[i] <= start:
-            continue
-        if y[i] <= y[i - 1] and y[i] <= y[i + 1]:
-            return i
-    return None
+    """Index of the first interior point beyond `start` that no neighbour undercuts."""
+    inner = y[1:-1]
+    hits = np.flatnonzero(~(x[1:-1] <= start) & (inner <= y[:-2]) & (inner <= y[2:]))
+    return int(hits[0]) + 1 if hits.size else None
 
 
 def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
@@ -332,30 +338,22 @@ def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
     kb = series["kappa_b_abs"]
     lam1 = series["lambda1"]
     q = series["Q"]
-    out: dict[str, float] = {"kappa_a_abs": float(ka[0])}
     level = float(ka[0])
-    try:
-        out["sudden_transition_x"] = find_crossing(x, kb, level, rising=False)
-    except CrossingNotFoundError:
-        pass
+    out: dict[str, float] = {"kappa_a_abs": level}
+
+    def crossing(key, xs, ys, level, **options):
+        try:
+            out[key] = find_crossing(xs, ys, level, **options)
+        except CrossingNotFoundError:
+            pass
+
+    crossing("sudden_transition_x", x, kb, level, rising=False)
     if "sudden_transition_x" in out:
-        try:
-            out["revival_transition_x"] = find_crossing(
-                x, kb, level, rising=True, start=out["sudden_transition_x"]
-            )
-        except CrossingNotFoundError:
-            pass
-    try:
-        out["ree_death_x"] = find_crossing(x, lam1, 0.5, rising=False)
-    except CrossingNotFoundError:
-        pass
+        crossing("revival_transition_x", x, kb, level, rising=True,
+                 start=out["sudden_transition_x"])
+    crossing("ree_death_x", x, lam1, 0.5, rising=False)
     if "ree_death_x" in out:
-        try:
-            out["ree_revival_x"] = find_crossing(
-                x, lam1, 0.5, rising=True, start=out["ree_death_x"]
-            )
-        except CrossingNotFoundError:
-            pass
+        crossing("ree_revival_x", x, lam1, 0.5, rising=True, start=out["ree_death_x"])
     if "sudden_transition_x" in out:
         dip = _first_local_min(x, q, out["sudden_transition_x"])
         if dip is not None:
@@ -365,13 +363,8 @@ def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
             peak = dip + int(np.argmax(after >= after.max() - PLATEAU_TOL))
             out["q_revival_peak_x"] = float(x[peak])
             out["q_revival_peak"] = float(q[peak])
-            try:
-                out["q_revival_start_x"] = find_crossing(
-                    x[: peak + 1], q[: peak + 1], Q_REVIVAL_THRESHOLD,
-                    rising=True, start=out["sudden_transition_x"], which="last",
-                )
-            except CrossingNotFoundError:
-                pass
+            crossing("q_revival_start_x", x[: peak + 1], q[: peak + 1], Q_REVIVAL_THRESHOLD,
+                     rising=True, start=out["sudden_transition_x"], which="last")
     echo_hits = np.where((x > 0.0) & (kb >= 1.0 - 1e-9))[0]
     if echo_hits.size:
         out["echo_x"] = float(x[echo_hits[0]])
@@ -392,20 +385,17 @@ def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path
     come from the parametric bootstrap. Substreams derive from (seed, index).
     """
     tomo = config.tomography
-    header = ["x_over_lambda0"]
-    for name in tomography.BOOTSTRAP_KEYS:
-        header += [name, f"{name}_err"]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for i, (kappa_a, kappa_b) in enumerate(zip(table["kappa_a"], table["kappa_b"])):
-            rho = dephasing.evolve_state(kappa_a, kappa_b)
-            record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
-            values = tomography.state_quantities(tomography.reconstruct(record))
-            errs = tomography.error_bars(record, tomo.resamples, [tomo.seed, i, 1])
-            row = [_fmt(table["x_over_lambda0"][i])]
-            for name, value in zip(tomography.BOOTSTRAP_KEYS, values):
-                row += [_fmt(value), _fmt(errs[name])]
-            handle.write(",".join(row) + "\n")
+    keys = tomography.BOOTSTRAP_KEYS
+    # per row, each value followed by its error, in BOOTSTRAP_KEYS order
+    cells = np.empty((len(table["x_over_lambda0"]), len(keys), 2))
+    for i, (kappa_a, kappa_b) in enumerate(zip(table["kappa_a"], table["kappa_b"])):
+        rho = dephasing.evolve_state(kappa_a, kappa_b)
+        record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
+        cells[i, :, 0] = tomography.state_quantities(tomography.reconstruct(record))
+        errs = tomography.error_bars(record, tomo.resamples, [tomo.seed, i, 1])
+        cells[i, :, 1] = [errs[name] for name in keys]
+    header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
+    _write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
 
 def run(config: ExperimentConfig, out_dir, *, step: float | None = None,
@@ -455,7 +445,8 @@ def _cmd_landmarks(args) -> int:
 
 
 def _cmd_tomo_demo(args) -> int:
-    tomo = TomographySettings(n_per_setting=args.counts, seed=args.seed)
+    tomo = TomographySettings(n_per_setting=args.counts, seed=args.seed,
+                              keys=("--counts", "resamples", "--seed"))
     rho = dephasing.evolve_state(args.kappa_a, args.kappa_b)
     record = tomography.simulate_counts(rho, tomo.n_per_setting, tomo.seed)
     print(tomography.record_to_csv(record), end="")

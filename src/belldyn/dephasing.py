@@ -176,6 +176,14 @@ def kappa_numeric(x, spectrum: SampledSpectrum):
     return np.array(values, dtype=complex).reshape(x.shape)[()]
 
 
+def validate_echo_points(points) -> tuple[float, ...]:
+    """The exchange schedule as floats; ScheduleError unless finite, nonnegative and increasing."""
+    pts = tuple(float(p) for p in points)
+    if any(not 0.0 <= p < math.inf for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
+        raise ScheduleError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
+    return pts
+
+
 def effective_retardation(x, sigma_x_points):
     """Net signed phase-accrual length after the polarization-exchange schedule.
 
@@ -184,11 +192,7 @@ def effective_retardation(x, sigma_x_points):
     x_s the result is x below x_s and 2 x_s - x beyond it. x may be a scalar
     or an array.
     """
-    pts = tuple(float(p) for p in sigma_x_points)
-    if any(not 0.0 <= p < math.inf for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ScheduleError(
-            f"exchange points must be finite, nonnegative and strictly increasing: {pts}"
-        )
+    pts = validate_echo_points(sigma_x_points)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError(f"retardation must be nonnegative, got {x.min()}")
@@ -297,23 +301,13 @@ def find_crossing(x, y, level: float, *, rising: bool | None = None,
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be matching 1-d arrays")
-    matches = []
-    for i in range(x.size - 1):
-        y0, y1 = y[i], y[i + 1]
-        if y0 == y1:
-            continue
-        up = y0 < level <= y1
-        down = y0 > level >= y1
-        if rising is True and not up:
-            continue
-        if rising is False and not down:
-            continue
-        if rising is None and not (up or down):
-            continue
-        xc = x[i] + (level - y0) * (x[i + 1] - x[i]) / (y1 - y0)
-        if start is not None and xc < start:
-            continue
-        matches.append(float(xc))
-    if not matches:
+    y0, y1 = y[:-1], y[1:]
+    up = (y0 < level) & (level <= y1)
+    down = (y0 > level) & (level >= y1)
+    i = np.flatnonzero({True: up, False: down, None: up | down}[rising])
+    xc = x[i] + (level - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
+    if start is not None:
+        xc = xc[~(xc < start)]  # a NaN crossing is not below any start
+    if not xc.size:
         raise CrossingNotFoundError(f"series never crosses {level}")
-    return matches[0] if which == "first" else matches[-1]
+    return float(xc[0] if which == "first" else xc[-1])

@@ -29,10 +29,6 @@ class UnderResolvedGridError(BelldynError):
     """Sampled spectrum is too coarse to resolve the oscillatory phase."""
 
 
-class ScheduleError(BelldynError):
-    """Polarization-exchange points are not strictly increasing and nonnegative."""
-
-
 class NonConvergenceError(BelldynError):
     """Iterative refinement failed to reach the requested tolerance."""
 
@@ -49,12 +45,20 @@ class EmptyRecordError(BelldynError):
     """Tomography record contains no settings."""
 
 
+class CountsRangeError(BelldynError):
+    """Counts per tomography setting lie outside [1, MAX_TOMO_COUNTS]."""
+
+
 class ConfigError(BelldynError):
     """Base class for experiment-config problems."""
 
 
+class ScheduleError(ConfigError):
+    """Polarization-exchange points are not finite, nonnegative and strictly increasing."""
+
+
 class ParseError(ConfigError):
-    """Malformed config line."""
+    """Malformed input text: a config line, a sweep.csv row, or bytes that are not UTF-8."""
 
 
 class UnknownKeyError(ConfigError):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .correlations import bell_correlations
-from .errors import EmptyRecordError, InvalidStateError, SingularSystemError
+from .errors import CountsRangeError, EmptyRecordError, InvalidStateError, SingularSystemError
 from .qstate import eigenvalues_sorted, validate_state
 
 KET = {
@@ -37,6 +37,10 @@ STANDARD_LABELS = (
     "DD", "DL", "LH", "LD",
     "LL", "LV", "VL", "VD",
 )
+
+#: largest counts per tomography setting: every count stays an exact integer in
+#: a float (below 2**53), far below numpy's Poisson limit of about 9.2e18
+MAX_TOMO_COUNTS = 10**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,13 +133,14 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     """Draw Poisson counts with mean n_per_setting * tr(rho P) per setting.
 
     Deterministic for a fixed seed; seeds may be ints or sequences of ints so
-    that callers can derive independent substreams.
+    that callers can derive independent substreams. Raises CountsRangeError
+    unless 1 <= n_per_setting <= MAX_TOMO_COUNTS.
     """
     rho = validate_state(rho)
     if rho.shape != (4, 4):
         raise InvalidStateError("tomography expects a two-qubit state")
-    if n_per_setting < 1:
-        raise ValueError(f"n_per_setting must be >= 1, got {n_per_setting}")
+    if not 1 <= n_per_setting <= MAX_TOMO_COUNTS:  # NaN fails too
+        raise CountsRangeError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting}")
     means = n_per_setting * probabilities(rho, STANDARD_SETTINGS)
     counts = _rng_from(seed).poisson(means).astype(float)
     return TomographyRecord(

@@ -3,6 +3,7 @@ import pytest
 
 from belldyn.cli import (
     ExperimentConfig,
+    _first_local_min,
     PRESET_NAMES,
     SWEEP_COLUMNS,
     landmarks_from_series,
@@ -202,6 +203,23 @@ def test_revival_peak_is_first_point_of_a_plateau():
     assert landmarks["q_revival_peak_x"] == 4.0
 
 
+def test_first_local_min_matches_pointwise_reference():
+    def loop_min(x, y, start):
+        for i in range(1, y.size - 1):
+            if not x[i] <= start and y[i] <= y[i - 1] and y[i] <= y[i + 1]:
+                return i
+        return None
+
+    rng = np.random.default_rng(8)
+    x = np.arange(40.0)
+    for _ in range(50):
+        # coarse values, so that ties with a neighbour are common
+        y = np.round(rng.uniform(0.0, 1.0, 40), 1)
+        for start in (-1.0, 5.5, 20.0, 38.0):
+            assert _first_local_min(x, y, start) == loop_min(x, y, start)
+    assert _first_local_min(x, np.arange(40.0), -1.0) is None
+
+
 def test_run_fig2a_landmark_values(tmp_path):
     run(preset_config("fig2a"), tmp_path, step=2.0)
     landmarks = {}
@@ -336,6 +354,9 @@ def _with(*lines):
     return "\n".join(list(lines) + _VALID_CONFIG) + "\n"
 
 
+_CSV_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv,config_text",
     [
@@ -350,6 +371,10 @@ def _with(*lines):
                      _with().replace("x_b_max = 40", "x_b_max = nan"), id="x_b_max-nan"),
         pytest.param(["run", "{cfg}", "--out", "{out}"], _with("echo_points = 4, nan"),
                      id="echo-nan"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"], _with("echo_points = 5, 5"),
+                     id="echo-repeated"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"], b"\xff" + _with().encode(),
+                     id="config-not-utf8"),
         pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 0"), id="counts-0"),
         pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 2.9"),
                      id="counts-fraction"),
@@ -365,22 +390,37 @@ def _with(*lines):
                      id="demo-counts-0"),
         pytest.param(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4",
                       "--counts", "100000000000000000000"], None, id="demo-counts-huge"),
+        pytest.param(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--seed", "-1"], None,
+                     id="demo-seed-neg"),
         pytest.param(["landmarks", "{cfg}"], "x_over_lambda0,kappa_a_abs\n0,1\n",
                      id="csv-missing-columns"),
-        pytest.param(["landmarks", "{cfg}"],
-                     ",".join(SWEEP_COLUMNS) + "\n" + ",".join(["0"] * 10) + "\n",
+        pytest.param(["landmarks", "{cfg}"], _CSV_HEADER + ",".join(["0"] * 10) + "\n",
                      id="csv-short-row"),
+        pytest.param(["landmarks", "{cfg}"], _CSV_HEADER + ",".join(["0"] * 12) + "\n",
+                     id="csv-extra-field"),
+        pytest.param(["landmarks", "{cfg}"], _CSV_HEADER + '"0",' + ",".join(["0"] * 10) + "\n",
+                     id="csv-quoted-number"),
+        pytest.param(["landmarks", "{cfg}"], _CSV_HEADER, id="csv-header-only"),
+        pytest.param(["landmarks", "{cfg}"], "", id="csv-empty"),
+        pytest.param(["landmarks", "{cfg}"], _CSV_HEADER.encode() + b"\xff\n",
+                     id="csv-not-utf8"),
     ],
 )
 def test_main_rejects_bad_input_with_exit_1(tmp_path, capsys, argv, config_text):
+    """config_text, str or bytes, is written to the file that "{cfg}" names."""
     cfg = tmp_path / "bad.cfg"
+    if isinstance(config_text, str):
+        config_text = config_text.encode()
     if config_text is not None:
-        cfg.write_text(config_text)
+        cfg.write_bytes(config_text)
     argv = [a.format(out=tmp_path / "out", cfg=cfg) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("belldyn: error:")
     assert "Traceback" not in err
+    if argv[0] == "tomo-demo":
+        # the message names the flag the user typed, not its config key
+        assert err.startswith(f"belldyn: error: {argv[-2]} must be")
 
 
 def test_tomography_settings_validation():

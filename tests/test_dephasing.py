@@ -22,6 +22,7 @@ from belldyn.dephasing import (
     kappa_numeric,
     sigma_from_fwhm,
     sweep,
+    validate_echo_points,
 )
 from belldyn.correlations import bell_eigenvalues_from_kappas
 from belldyn.errors import (
@@ -432,3 +433,46 @@ def test_find_crossing_not_found():
     y = np.ones(4)
     with pytest.raises(CrossingNotFoundError):
         find_crossing(x, y, 2.0)
+
+
+def _loop_crossings(x, y, level, rising):
+    """Every bracketing pair's interpolated crossing, one pair at a time."""
+    out = []
+    for i in range(x.size - 1):
+        y0, y1 = y[i], y[i + 1]
+        up, down = y0 < level <= y1, y0 > level >= y1
+        if {True: up, False: down, None: up or down}[rising]:
+            out.append(x[i] + (level - y0) * (x[i + 1] - x[i]) / (y1 - y0))
+    return out
+
+
+def test_find_crossing_matches_pairwise_reference():
+    rng = np.random.default_rng(52)
+    x = np.cumsum(rng.uniform(0.5, 1.5, 60))
+    # a coarse random walk, so that samples often sit exactly on the level or repeat
+    y = np.round(np.cumsum(rng.normal(size=60)), 1)
+    found = 0
+    for level in (0.0, 0.5, float(y[7])):
+        for rising in (True, False, None):
+            for start in (None, x[20] + 0.3):
+                expected = [c for c in _loop_crossings(x, y, level, rising)
+                            if start is None or c >= start]
+                for which, pick in (("first", 0), ("last", -1)):
+                    if not expected:
+                        with pytest.raises(CrossingNotFoundError):
+                            find_crossing(x, y, level, rising=rising, start=start, which=which)
+                        continue
+                    # same arithmetic per pair, so equal to the last bit
+                    assert find_crossing(x, y, level, rising=rising, start=start,
+                                         which=which) == expected[pick]
+                    found += 1
+    assert found >= 30
+
+
+def test_validate_echo_points_is_the_one_schedule_check():
+    assert validate_echo_points([0, 2.5, 3]) == (0.0, 2.5, 3.0)
+    for bad in ((2.0, 2.0), (-1.0,), (1.0, float("nan")), (float("inf"),), (3.0, 1.0)):
+        with pytest.raises(ScheduleError, match="echo points"):
+            validate_echo_points(bad)
+    # a bad schedule in a config is a config error
+    assert issubclass(ScheduleError, ConfigError)

@@ -3,10 +3,11 @@ import pytest
 
 from belldyn.correlations import correlations_from_spectrum
 from belldyn.dephasing import evolve_state
-from belldyn.errors import EmptyRecordError, SingularSystemError
+from belldyn.errors import BelldynError, CountsRangeError, EmptyRecordError, SingularSystemError
 from belldyn.qstate import eigenvalues_sorted, validate_state
 from belldyn.tomography import (
     BOOTSTRAP_KEYS,
+    MAX_TOMO_COUNTS,
     STANDARD_LABELS,
     STANDARD_SETTINGS,
     ProjectorSetting,
@@ -229,6 +230,15 @@ def test_error_bars_requires_two_resamples():
     rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
     with pytest.raises(ValueError):
         error_bars(rec, 1, 0)
+
+
+def test_simulate_counts_rejects_counts_out_of_range():
+    rho = np.eye(4) / 4.0
+    for bad in (0, 0.5, float("nan"), 1e30, MAX_TOMO_COUNTS + 1):
+        with pytest.raises(CountsRangeError, match="n_per_setting"):
+            simulate_counts(rho, bad, 0)
+    assert issubclass(CountsRangeError, BelldynError)
+    assert simulate_counts(rho, MAX_TOMO_COUNTS, 0).total_per_setting == MAX_TOMO_COUNTS
 
 
 def test_eigenvalue_estimates_track_truth():
