@@ -289,9 +289,16 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(path, header, columns) -> None:
-    """One row per element of the equal-length columns, each value to 9 significant digits."""
-    np.savetxt(path, np.column_stack(columns), fmt="%.9g", delimiter=",",
-               header=",".join(header), comments="")
+    """One row per element of the equal-length columns, each value to 9 significant digits.
+
+    The whole table is one %-format over the flattened array; the bytes are
+    those of np.savetxt(fmt="%.9g", delimiter=","), which formats row by row.
+    """
+    table = np.column_stack(columns)
+    rows, width = table.shape
+    row = ",".join(["%.9g"] * width) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n" + (row * rows) % tuple(table.ravel().tolist()))
 
 
 def write_sweep_csv(series: dict[str, np.ndarray], path) -> None:
@@ -299,7 +306,10 @@ def write_sweep_csv(series: dict[str, np.ndarray], path) -> None:
 
 
 def read_sweep_csv(path) -> dict[str, np.ndarray]:
-    """SWEEP_COLUMNS of a sweep.csv by header name; malformed or non-UTF-8 text raises ParseError."""
+    """SWEEP_COLUMNS of a sweep.csv by header name.
+
+    Malformed or non-UTF-8 text, and a NaN or infinite cell, raise ParseError.
+    """
     header, _, body = _read_utf8(path).partition("\n")
     if not body.strip():
         raise ParseError(f"{path}: empty sweep file")
@@ -313,6 +323,8 @@ def read_sweep_csv(path) -> dict[str, np.ndarray]:
         data = None
     if data is None or data.shape[1] != len(index):
         raise ParseError(f"{path}: a row has a missing, extra or non-numeric value")
+    if not np.isfinite(data).all():
+        raise ParseError(f"{path}: a cell is NaN or infinite")
     return {name: data[:, index[name]] for name in SWEEP_COLUMNS}
 
 
@@ -406,7 +418,9 @@ def run(config: ExperimentConfig, out_dir, *, step: float | None = None,
     seed override only applies when tomography is configured.
     """
     if seed is not None and config.tomography is not None:
-        config = replace(config, tomography=replace(config.tomography, seed=seed))
+        # the override is the --seed flag, so its message names the flag
+        config = replace(config, tomography=replace(
+            config.tomography, seed=seed, keys=("tomo_counts", "tomo_resamples", "--seed")))
     lambda0 = config.lambda0_nm * 1e-9
     sweep_config = to_sweep_config(config)
     if step is not None:

@@ -45,6 +45,11 @@ class EmptyRecordError(BelldynError):
     """Tomography record contains no settings."""
 
 
+class TomographyInputError(BelldynError, ValueError):
+    """Malformed tomography input: counts that do not match the settings, a negative count,
+    a nonpositive scale, coinciding settings, or fewer than 2 bootstrap resamples."""
+
+
 class CountsRangeError(BelldynError):
     """Counts per tomography setting lie outside [1, MAX_TOMO_COUNTS]."""
 

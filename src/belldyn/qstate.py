@@ -117,22 +117,23 @@ def relative_entropy(rho, sigma) -> float:
 
 
 def eigenvalues_sorted(state) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, non-increasing.
+    """Real eigenvalues of a Hermitian matrix, or of each of a stack, non-increasing.
 
-    Negative values above the -1e-10 floor are clipped to zero and the vector
-    renormalized to unit sum; values below the floor raise InvalidStateError.
+    The eigenvalues lie along the last axis. Negative values above the -1e-10
+    floor are clipped to zero and each vector renormalized to unit sum;
+    values below the floor raise InvalidStateError.
     """
     rho = np.asarray(state, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
+    if not np.allclose(rho, rho.conj().swapaxes(-1, -2), rtol=0.0, atol=HERMITICITY_TOL):
         raise NonHermitianError("matrix is not Hermitian within 1e-12")
-    w = np.linalg.eigvalsh(rho)[::-1]
+    w = np.linalg.eigvalsh(rho)[..., ::-1]
     if w.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"eigenvalue {w.min()} below the {EIGENVALUE_FLOOR} floor")
     w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
+    total = w.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise InvalidStateError("eigenvalues sum to zero")
     return w / total
 

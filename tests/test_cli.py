@@ -404,6 +404,10 @@ _CSV_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
         pytest.param(["landmarks", "{cfg}"], "", id="csv-empty"),
         pytest.param(["landmarks", "{cfg}"], _CSV_HEADER.encode() + b"\xff\n",
                      id="csv-not-utf8"),
+        pytest.param(["landmarks", "{cfg}"], _CSV_HEADER + ",".join(["0"] * 10 + ["inf"]) + "\n"
+                     + ",".join(["1"] * 11) + "\n", id="csv-inf"),
+        pytest.param(["landmarks", "{cfg}"], _CSV_HEADER + ",".join(["nan"] + ["0"] * 10) + "\n",
+                     id="csv-nan"),
     ],
 )
 def test_main_rejects_bad_input_with_exit_1(tmp_path, capsys, argv, config_text):
@@ -418,7 +422,7 @@ def test_main_rejects_bad_input_with_exit_1(tmp_path, capsys, argv, config_text)
     err = capsys.readouterr().err
     assert err.startswith("belldyn: error:")
     assert "Traceback" not in err
-    if argv[0] == "tomo-demo":
+    if argv[-2] in ("--counts", "--seed"):
         # the message names the flag the user typed, not its config key
         assert err.startswith(f"belldyn: error: {argv[-2]} must be")
 

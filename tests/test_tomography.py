@@ -1,9 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import belldyn.tomography as tomography
+from belldyn.cli import preset_config, to_sweep_config
 from belldyn.correlations import correlations_from_spectrum
-from belldyn.dephasing import evolve_state
-from belldyn.errors import BelldynError, CountsRangeError, EmptyRecordError, SingularSystemError
+from belldyn.dephasing import evolve_state, sweep
+from belldyn.errors import (
+    BelldynError,
+    CountsRangeError,
+    EmptyRecordError,
+    NonConvergenceError,
+    SingularSystemError,
+    TomographyInputError,
+)
 from belldyn.qstate import eigenvalues_sorted, validate_state
 from belldyn.tomography import (
     BOOTSTRAP_KEYS,
@@ -248,3 +262,102 @@ def test_eigenvalue_estimates_track_truth():
     np.testing.assert_allclose(
         lam, [0.55642375, 0.24707625, 0.13607625, 0.06042375], atol=0.02
     )
+
+
+def test_import_leaves_scipy_unloaded():
+    # a fresh interpreter that finds belldyn where this one did
+    root = str(Path(tomography.__file__).resolve().parents[1])
+    code = "import sys, belldyn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": root})
+    assert out.stdout.strip() == "[]"
+
+
+def linear_inversion(record):
+    """rho_lin from the projector system by least squares, independently of the estimator."""
+    system = np.array([s.projector.T.flatten() for s in record.settings])
+    freqs = record.counts / record.total_per_setting
+    x, *_ = np.linalg.lstsq(system, freqs.astype(complex), rcond=None)
+    return x.reshape(4, 4)
+
+
+def is_physical(rho):
+    return np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= 0.0
+
+
+def test_physical_inversion_is_returned_in_closed_form():
+    rng = np.random.default_rng(52)
+    records = [exact_record(random_density_matrix(rng)) for _ in range(5)]
+    records += [simulate_counts(evolve_state(0.607, 0.2), 10**4, seed) for seed in range(10)]
+    physical = [rec for rec in records if is_physical(linear_inversion(rec))]
+    assert len(physical) >= 10
+    for rec in physical:
+        rho_lin = linear_inversion(rec)
+        np.testing.assert_allclose(reconstruct(rec), rho_lin / np.trace(rho_lin).real,
+                                   rtol=0.0, atol=1e-12)
+
+
+def unphysical_records():
+    """Records whose linear inversion has a negative eigenvalue: the rank-2 x = 0 state of
+    the fig2a spectra and pure states, at 10^4 counts."""
+    table = sweep(to_sweep_config(preset_config("fig2a")))
+    rng = np.random.default_rng(53)
+    phases = np.exp(2j * np.pi * rng.uniform(size=(4, 2)))
+    states = [evolve_state(table["kappa_a"][0], table["kappa_b"][0]), evolve_state(1.0, 1.0)]
+    states += [evolve_state(a, b) for a, b in phases]
+    records = [simulate_counts(rho, 10**4, seed) for rho in states for seed in range(4)]
+    records = [rec for rec in records if not is_physical(linear_inversion(rec))]
+    assert len(records) >= 20
+    return records
+
+
+def test_unphysical_estimates_have_unit_trace_and_full_rank():
+    for rec in unphysical_records():
+        rho = reconstruct(rec)
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        assert np.abs(rho - rho.conj().T).max() == 0.0
+        assert np.linalg.eigvalsh(rho).min() > 0.0
+
+
+def test_unphysical_estimates_satisfy_optimality_conditions():
+    # at the unnormalized optimum rho* (sum_k q_k = sum_k f_k), the KKT conditions of
+    # max sum_k (n_k log q_k - s q_k) over rho >= 0 read M >= 0 and tr(M rho*) = 0 with
+    # M = sum_k (s - n_k / q_k) P_k; checked in units of s = counts per setting
+    projs = np.stack([s.projector for s in STANDARD_SETTINGS])
+    for rec in unphysical_records():
+        freqs = rec.counts / rec.total_per_setting
+        rho = reconstruct(rec)
+        q = probabilities(rho, STANDARD_SETTINGS)
+        optimum = rho * freqs.sum() / q.sum()
+        q = q * freqs.sum() / q.sum()
+        m = np.einsum("k,kij->ij", 1.0 - freqs / q, projs)
+        assert np.linalg.eigvalsh(m).min() >= -1e-7
+        assert abs(np.trace(m @ optimum)) <= 1e-7
+
+
+def test_estimate_of_a_row_does_not_depend_on_its_batch():
+    system, inverse = tomography._STANDARD_MAP, tomography._STANDARD_INVERSE
+    rng = np.random.default_rng(54)
+    pure = evolve_state(1.0, 1.0)
+    for trial in range(6):
+        rho = pure if trial % 2 else evolve_state(0.607, rng.uniform(0.2, 1.0))
+        freqs = np.stack([simulate_counts(rho, 10**4, [trial, j]).counts for j in range(8)]) / 1e4
+        batch = tomography._estimate(system, inverse, freqs)
+        for j in range(8):
+            assert np.array_equal(tomography._estimate(system, inverse, freqs[j:j + 1])[0], batch[j])
+
+
+def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
+    rec = simulate_counts(evolve_state(1.0, 1.0), 10**4, 0)
+    monkeypatch.setattr(tomography, "_MAX_STEPS", 3)
+    with pytest.raises(NonConvergenceError):
+        reconstruct(rec)
+
+
+def test_tomography_input_errors_are_belldyn_and_value_errors():
+    assert issubclass(TomographyInputError, BelldynError)
+    assert issubclass(TomographyInputError, ValueError)
+    with pytest.raises(TomographyInputError, match="negative count"):
+        TomographyRecord(settings=STANDARD_SETTINGS, counts=-np.ones(16), total_per_setting=1.0)
+    with pytest.raises(TomographyInputError, match="resamples"):
+        error_bars(simulate_counts(np.eye(4) / 4.0, 100, 0), 1, 0)
