@@ -27,6 +27,7 @@ from .correlations import _kappa_modulus, bell_correlations, bell_eigenvalues_fr
 from .errors import (
     ConfigError,
     CrossingNotFoundError,
+    DephasingInputError,
     NormalizationError,
     ScheduleError,
     UnderResolvedGridError,
@@ -70,9 +71,9 @@ class GaussianComponent:
 
     def __post_init__(self):
         if self.amplitude <= 0.0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
+            raise DephasingInputError(f"amplitude must be positive, got {self.amplitude}")
         if self.width <= 0.0:
-            raise ValueError(f"width must be positive, got {self.width}")
+            raise DephasingInputError(f"width must be positive, got {self.width}")
 
 
 def kappa_gaussian(x, sigma: float, omega0: float):
@@ -136,11 +137,11 @@ class SampledSpectrum:
         omega = np.asarray(self.omega, dtype=float)
         density = np.asarray(self.density, dtype=float)
         if omega.ndim != 1 or omega.shape != density.shape or omega.size < 2:
-            raise ValueError("omega and density must be matching 1-d arrays")
+            raise DephasingInputError("omega and density must be matching 1-d arrays")
         if np.any(np.diff(omega) <= 0.0):
-            raise ValueError("omega grid must be strictly increasing")
+            raise DephasingInputError("omega grid must be strictly increasing")
         if density.min() < 0.0:
-            raise ValueError(f"negative density {density.min()}")
+            raise DephasingInputError(f"negative density {density.min()}")
         norm = float(np.trapezoid(density, omega))
         if abs(norm - 1.0) > 1e-6:
             raise NormalizationError(f"density integrates to {norm}, not 1")
@@ -195,7 +196,7 @@ def effective_retardation(x, sigma_x_points):
     pts = validate_echo_points(sigma_x_points)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
-        raise ValueError(f"retardation must be nonnegative, got {x.min()}")
+        raise DephasingInputError(f"retardation must be nonnegative, got {x.min()}")
     net = np.zeros_like(x)
     prev = np.zeros_like(x)
     sign = np.ones_like(x)
@@ -296,11 +297,11 @@ def find_crossing(x, y, level: float, *, rising: bool | None = None,
     no sample pair brackets the level.
     """
     if which not in ("first", "last"):
-        raise ValueError(f"which must be 'first' or 'last', got {which!r}")
+        raise DephasingInputError(f"which must be 'first' or 'last', got {which!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be matching 1-d arrays")
+        raise DephasingInputError("x and y must be matching 1-d arrays")
     y0, y1 = y[:-1], y[1:]
     up = (y0 < level) & (level <= y1)
     down = (y0 > level) & (level >= y1)

@@ -50,6 +50,16 @@ class TomographyInputError(BelldynError, ValueError):
     a nonpositive scale, coinciding settings, or fewer than 2 bootstrap resamples."""
 
 
+class DephasingInputError(BelldynError, ValueError):
+    """Malformed dephasing-model input: a nonpositive Gaussian amplitude or width, a sampled
+    density that is not a nonnegative function on a strictly increasing grid, bad
+    `find_crossing` arguments, or a negative retardation."""
+
+
+class OracleInputError(BelldynError, ValueError):
+    """An oracle was given a valid state that is not a two-qubit state."""
+
+
 class CountsRangeError(BelldynError):
     """Counts per tomography setting lie outside [1, MAX_TOMO_COUNTS]."""
 

@@ -3,23 +3,28 @@
 The quantum-correlation oracle searches all product measurement bases (two
 Bloch directions) on a coarse grid with local refinement; for a fixed basis
 the closest classical state is the dephased input, so the objective reduces
-to the Shannon entropy of the four product-basis populations. The
-entanglement oracle minimizes the classical relative entropy over the
-separable Bell-diagonal simplex (all eigenvalues <= 1/2) by a coarse simplex
-grid followed by pattern refinement along pairwise-exchange directions.
+to the Shannon entropy of the four product-basis populations. The search runs
+once per state: its result is kept for the last (matrix, grid) pair, so the
+classical-correlation oracle called on the matrix the quantum-correlation
+oracle just searched reuses that basis. The entanglement oracle minimizes the
+classical relative entropy over the separable Bell-diagonal simplex (all
+eigenvalues <= 1/2) by a coarse simplex grid followed by pattern refinement
+along pairwise-exchange directions.
 
-Grid evaluations are vectorized and independent; results are deterministic
-for a fixed grid spec, with ties broken by the smallest flattened grid index.
+Each basis grid, the coarse simplex grid and each round of exchange moves is
+evaluated as one array. Results are deterministic for a fixed grid spec, with
+ties broken by the smallest flattened grid index or move index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, OracleInputError
 from .qstate import (
     PAULIS,
     dephase_in_product_basis,
@@ -89,19 +94,52 @@ def _direction_grid(thetas: np.ndarray, phis: np.ndarray):
     return dirs, t, p
 
 
+#: signs of the a and b Bloch terms in the four product-basis populations
+_SIGNS_A = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
+_SIGNS_B = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+
+
 def _population_entropy(vec_a, vec_b, corr, dirs_a, dirs_b) -> np.ndarray:
-    """Entropy of the four product-basis populations for every direction pair."""
-    da = dirs_a @ vec_a
-    db = dirs_b @ vec_b
+    """Entropy of the four product-basis populations for every direction pair.
+
+    The populations (1 + sa a.r_a + sb b.r_b + sa sb a.T.b) / 4 of the sign
+    pairs (+,+), (+,-), (-,+), (-,-) are built in one broadcast. They are
+    clipped to [0, 1], and a zero population adds 0 to the entropy, as in
+    `shannon_bits`.
+    """
     cross = dirs_a @ corr @ dirs_b.T
-    probs = np.empty((4,) + cross.shape)
-    for idx, (sa, sb) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1))):
-        probs[idx] = 0.25 * (1.0 + sa * da[:, None] + sb * db[None, :] + sa * sb * cross)
-    return shannon_bits(probs, axis=0)
+    probs = (1.0 + _SIGNS_A * (dirs_a @ vec_a)[:, None]) + _SIGNS_B * (dirs_b @ vec_b)
+    probs[::3] += cross
+    probs[1:3] -= cross
+    probs *= 0.25
+    np.clip(probs, 0.0, 1.0, out=probs)
+    logs = np.maximum(probs, np.finfo(float).tiny)
+    np.log2(logs, out=logs)
+    logs *= probs
+    return -logs.sum(axis=0)
 
 
-def _minimizing_basis(rho: np.ndarray, grid: GridSpec):
-    """Product basis minimizing the dephased entropy; returns (entropy, dir_a, dir_b)."""
+def _validated_search(rho, grid: GridSpec | None):
+    """The validated two-qubit state and its minimizing basis (entropy, dir_a, dir_b).
+
+    This is the oracles' one input check; a matrix that is not a two-qubit
+    state raises InvalidStateError or OracleInputError. The search is keyed
+    by the matrix's bytes and the grid.
+    """
+    rho = validate_state(rho)
+    if rho.shape != (4, 4):
+        raise OracleInputError(f"the oracles expect a two-qubit state, got shape {rho.shape}")
+    return rho, _minimizing_basis(rho.tobytes(), grid or GridSpec())
+
+
+@functools.lru_cache(maxsize=1)
+def _minimizing_basis(state: bytes, grid: GridSpec):
+    """Product basis minimizing the dephased entropy; returns (entropy, dir_a, dir_b).
+
+    Only the last (state, grid) pair is kept, and its directions are
+    read-only. A search that raises NonConvergenceError is not kept.
+    """
+    rho = np.frombuffer(state, dtype=complex).reshape(4, 4)
     vec_a, vec_b, corr = _pauli_components(rho)
     thetas = np.linspace(0.0, math.pi, grid.n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, grid.n_phi, endpoint=False)
@@ -148,16 +186,14 @@ def _minimizing_basis(rho: np.ndarray, grid: GridSpec):
             [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
         )
 
-    return best, _unit(*center_a), _unit(*center_b)
+    dir_a, dir_b = _unit(*center_a), _unit(*center_b)
+    dir_a.flags.writeable = dir_b.flags.writeable = False
+    return best, dir_a, dir_b
 
 
 def oracle_quantum_correlation(rho, grid: GridSpec | None = None) -> float:
     """Minimum of S(rho || dephased rho) over product bases, in bits."""
-    rho = validate_state(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("quantum-correlation oracle expects a two-qubit state")
-    grid = grid or GridSpec()
-    best, _, _ = _minimizing_basis(rho, grid)
+    rho, (best, _, _) = _validated_search(rho, grid)
     s_rho = float(shannon_bits(np.linalg.eigvalsh(rho)))
     return max(best - s_rho, 0.0)
 
@@ -165,29 +201,38 @@ def oracle_quantum_correlation(rho, grid: GridSpec | None = None) -> float:
 def oracle_classical_correlation(rho, grid: GridSpec | None = None) -> float:
     """Classical correlation of the classical state found by the basis search.
 
-    Recomputes the minimizing basis, dephases rho there, and returns
-    S(pi_chi) - S(chi) against the product of the marginals of chi.
+    Dephases rho in the minimizing product basis and returns S(pi_chi) - S(chi)
+    against the product of the marginals of chi. The basis is searched once
+    per (matrix, grid): after `oracle_quantum_correlation` on the same matrix,
+    its basis is reused.
     """
-    rho = validate_state(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("classical-correlation oracle expects a two-qubit state")
-    grid = grid or GridSpec()
-    _, dir_a, dir_b = _minimizing_basis(rho, grid)
+    rho, (_, dir_a, dir_b) = _validated_search(rho, grid)
     chi = dephase_in_product_basis(rho, dir_a, dir_b)
     s_chi = float(shannon_bits(np.linalg.eigvalsh(chi)))
     s_pi = float(shannon_bits(np.linalg.eigvalsh(closest_product_state(chi))))
     return max(s_pi - s_chi, 0.0)
 
 
-def _kl_bits(lam: np.ndarray, q: np.ndarray) -> float:
-    """Classical relative entropy sum lam log2(lam/q); +inf off the support of q."""
-    total = 0.0
-    for li, qi in zip(lam, q):
-        if li > 0.0:
-            if qi <= 0.0:
-                return math.inf
-            total += li * math.log2(li / qi)
-    return total
+#: the pairwise exchanges q_a += step, q_b -= step of the pattern search, in move order
+_EXCHANGES = np.array([np.eye(4)[a] - np.eye(4)[b] for a in range(4) for b in range(4) if a != b])
+
+
+def _kl_bits(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Classical relative entropy sum lam log2(lam/q) of each row of q; +inf off its support.
+
+    Terms with lam = 0 are left out.
+    """
+    support = lam > 0.0
+    with np.errstate(divide="ignore"):
+        return (lam[support] * np.log2(lam[support] / q[:, support])).sum(axis=1)
+
+
+def _separable_grid(n: int) -> np.ndarray:
+    """Points [i, j, k, n - i - j - k] / n with no entry above 1/2, in (i, j, k) order."""
+    i, j, k = np.indices((max(n + 1, 0),) * 3).reshape(3, -1)
+    counts = np.stack([i, j, k, n - i - j - k], axis=1)[i + j + k <= n]
+    points = counts / n
+    return points[~(points.max(axis=1) > 0.5 + 1e-12)]
 
 
 def oracle_ree_bell(spectrum, grid: SimplexGridSpec | None = None) -> float:
@@ -196,45 +241,31 @@ def oracle_ree_bell(spectrum, grid: SimplexGridSpec | None = None) -> float:
     grid = grid or SimplexGridSpec()
     n = grid.resolution
 
-    best = math.inf
-    best_q = None
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            for k in range(n + 1 - i - j):
-                q = np.array([i, j, k, n - i - j - k], dtype=float) / n
-                if q.max() > 0.5 + 1e-12:
-                    continue
-                val = _kl_bits(lam, q)
-                if val < best:
-                    best, best_q = val, q
-    if best_q is None:
+    points = _separable_grid(n)
+    values = _kl_bits(lam, points)
+    if not np.any(values < math.inf):
         raise NonConvergenceError(
             f"no feasible point on the coarse simplex grid at resolution {n}"
         )
+    first = int(np.argmin(values))
+    best, best_q = float(values[first]), points[first]
 
-    moves = [(a, b) for a in range(4) for b in range(4) if a != b]
     step = 1.0 / n
     rounds = 0
     while True:
         rounds += 1
         round_gain = 0.0
         while True:
-            cand_val, cand_q = best, None
-            for a, b in moves:
-                q = best_q.copy()
-                q[a] += step
-                q[b] -= step
-                if q.min() < -1e-12 or q.max() > 0.5 + 1e-12:
-                    continue
-                q = np.clip(q, 0.0, 0.5)
-                q = q / q.sum()
-                val = _kl_bits(lam, q)
-                if val < cand_val:
-                    cand_val, cand_q = val, q
-            if cand_q is None:
+            moves = best_q + step * _EXCHANGES
+            feasible = ~((moves.min(axis=1) < -1e-12) | (moves.max(axis=1) > 0.5 + 1e-12))
+            moves = np.clip(moves[feasible], 0.0, 0.5)
+            moves /= moves.sum(axis=1, keepdims=True)
+            values = _kl_bits(lam, moves)
+            if not np.any(values < best):
                 break
-            round_gain += best - cand_val
-            best, best_q = cand_val, cand_q
+            first = int(np.argmin(values))
+            round_gain += best - float(values[first])
+            best, best_q = float(values[first]), moves[first]
         step /= grid.shrink
         if rounds >= grid.refine_rounds and round_gain <= grid.tol:
             break

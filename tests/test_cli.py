@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import belldyn.cli
 from belldyn.cli import (
     ExperimentConfig,
     _first_local_min,
@@ -15,13 +16,24 @@ from belldyn.cli import (
     run,
     to_sweep_config,
 )
-from belldyn.dephasing import MAX_SWEEP_POINTS, sweep
+from belldyn.dephasing import (
+    MAX_SWEEP_POINTS,
+    GaussianComponent,
+    SampledSpectrum,
+    effective_retardation,
+    find_crossing,
+    sweep,
+)
 from belldyn.errors import (
+    BelldynError,
     ConfigError,
+    DephasingInputError,
     MissingKeyError,
+    OracleInputError,
     ParseError,
     UnknownKeyError,
 )
+from belldyn.oracle import oracle_classical_correlation
 
 CONFIG_TEXT = """\
 # custom experiment
@@ -344,6 +356,25 @@ def test_main_computation_error(capsys):
     for kappa_a in ("1.5", "nan"):
         assert main(["tomo-demo", "--kappa-a", kappa_a, "--kappa-b", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("belldyn: computation error: |kappa_a|")
+
+
+@pytest.mark.parametrize(
+    "error, bad_call",
+    [
+        (DephasingInputError, lambda: GaussianComponent(amplitude=-1.0, center=1.0, width=1.0)),
+        (DephasingInputError, lambda: SampledSpectrum(omega=np.ones(3), density=np.ones(3))),
+        (DephasingInputError, lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="all")),
+        (DephasingInputError, lambda: effective_retardation([1.0, -1.0], (0.5,))),
+        (OracleInputError, lambda: oracle_classical_correlation(np.eye(2) / 2.0)),
+    ],
+)
+def test_library_value_errors_exit_2(monkeypatch, tmp_path, capsys, error, bad_call):
+    with pytest.raises(error) as info:
+        bad_call()
+    assert isinstance(info.value, BelldynError) and isinstance(info.value, ValueError)
+    monkeypatch.setattr(belldyn.cli, "sweep", lambda config: bad_call())
+    assert main(["run", "fig2a", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("belldyn: computation error: ")
 
 
 _VALID_CONFIG = ["x_a = 117", "filter_a = 3", "x_b_max = 40", "step = 4",

@@ -26,8 +26,10 @@ from belldyn.dephasing import (
 )
 from belldyn.correlations import bell_eigenvalues_from_kappas
 from belldyn.errors import (
+    BelldynError,
     ConfigError,
     CrossingNotFoundError,
+    DephasingInputError,
     InvalidKappaError,
     NormalizationError,
     ScheduleError,
@@ -171,6 +173,26 @@ def test_sampled_spectrum_validation():
         SampledSpectrum(omega=omega[::-1], density=np.full(50, 1.0))
     with pytest.raises(ValueError):
         SampledSpectrum(omega=omega, density=np.linspace(-0.1, 2.1, 50))
+
+
+@pytest.mark.parametrize(
+    "bad_input",
+    [
+        lambda: GaussianComponent(amplitude=0.0, center=1.0, width=1.0),
+        lambda: GaussianComponent(amplitude=1.0, center=1.0, width=-1.0),
+        lambda: SampledSpectrum(omega=np.linspace(1.0, 2.0, 5), density=np.ones(4)),
+        lambda: SampledSpectrum(omega=np.linspace(2.0, 1.0, 5), density=np.ones(5)),
+        lambda: SampledSpectrum(omega=np.linspace(1.0, 2.0, 5), density=-np.ones(5)),
+        lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="middle"),
+        lambda: find_crossing([0.0, 1.0], [0.0, 1.0, 2.0], 0.5),
+        lambda: effective_retardation(-1.0, ()),
+    ],
+)
+def test_malformed_model_inputs_raise_dephasing_input_error(bad_input):
+    with pytest.raises(DephasingInputError) as info:
+        bad_input()
+    assert isinstance(info.value, BelldynError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_effective_retardation_no_exchange():
