@@ -11,18 +11,14 @@ reproduces statistical scatter and error bars.
 """
 
 from .correlations import (
-    CorrelationSet,
     bell_correlations,
     bell_diagonal_state,
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
-    closest_classical_bell,
     correlations_from_kappas,
-    correlations_from_spectrum,
     kappa_correlation,
     quantum_correlation_bell,
     ree_bell,
-    total_mutual_information_bell,
 )
 from .dephasing import (
     LAMBDA0,
@@ -37,7 +33,6 @@ from .dephasing import (
     evolve_state,
     find_crossing,
     kappa_gaussian,
-    kappa_multi_gaussian,
     kappa_numeric,
     sigma_from_fwhm,
     sweep,
@@ -60,8 +55,7 @@ from .qstate import (
     von_neumann_entropy,
 )
 from .tomography import (
-    STANDARD_SETTINGS,
-    ProjectorSetting,
+    STANDARD_PROJECTORS,
     TomographyRecord,
     error_bars,
     reconstruct,
@@ -72,17 +66,15 @@ from .tomography import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationSet",
     "GaussianComponent",
     "GridSpec",
     "LAMBDA0",
     "MultiGaussian",
-    "ProjectorSetting",
     "SampledSpectrum",
     "SimplexGridSpec",
     "SingleGaussian",
     "SPEED_OF_LIGHT",
-    "STANDARD_SETTINGS",
+    "STANDARD_PROJECTORS",
     "SweepConfig",
     "TomographyRecord",
     "angular_frequency",
@@ -90,10 +82,8 @@ __all__ = [
     "bell_diagonal_state",
     "bell_eigenvalues_from_kappas",
     "classical_correlation_bell",
-    "closest_classical_bell",
     "closest_product_state",
     "correlations_from_kappas",
-    "correlations_from_spectrum",
     "dephase_in_product_basis",
     "effective_retardation",
     "eigenvalues_sorted",
@@ -102,7 +92,6 @@ __all__ = [
     "find_crossing",
     "kappa_correlation",
     "kappa_gaussian",
-    "kappa_multi_gaussian",
     "kappa_numeric",
     "oracle_classical_correlation",
     "oracle_quantum_correlation",
@@ -116,7 +105,6 @@ __all__ = [
     "sigma_from_fwhm",
     "simulate_counts",
     "sweep",
-    "total_mutual_information_bell",
     "validate_bell_spectrum",
     "validate_state",
     "von_neumann_entropy",

@@ -47,7 +47,7 @@ from .errors import (
     ParseError,
     UnknownKeyError,
 )
-from .tomography import MAX_TOMO_COUNTS
+from .tomography import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES
 
 SWEEP_COLUMNS = (
     "x_over_lambda0", "kappa_a_abs", "kappa_b_abs",
@@ -65,7 +65,8 @@ PLATEAU_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TomographySettings:
-    """Counts per setting (1 to MAX_TOMO_COUNTS), resamples (>= 2) and seed (>= 0), all integers."""
+    """Counts per setting (1 to MAX_TOMO_COUNTS), resamples (2 to MAX_TOMO_RESAMPLES) and seed
+    (>= 0), all integers."""
 
     n_per_setting: int
     resamples: int = 100
@@ -75,7 +76,7 @@ class TomographySettings:
 
     def __post_init__(self, keys):
         for name, key, low, high in zip(("n_per_setting", "resamples", "seed"), keys,
-                                        (1, 2, 0), (MAX_TOMO_COUNTS, math.inf, math.inf)):
+                                        (1, 2, 0), (MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, math.inf)):
             value = getattr(self, name)
             # value % 1 is NaN for NaN and inf, and exact for an int too large for a float
             if not (value % 1 == 0 and low <= value <= high):

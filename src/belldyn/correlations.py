@@ -13,7 +13,6 @@ in the two decoherence parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +32,6 @@ BELL_KETS = np.array(
     ],
     dtype=complex,
 ) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class CorrelationSet:
-    """Total, classical, quantum, and entanglement correlations in bits."""
-
-    total: float
-    classical: float
-    quantum: float
-    ree: float
 
 
 def _kappa_modulus(kappa, name):
@@ -84,12 +73,6 @@ def bell_correlations(spectra):
     return 2.0 - s_rho, 2.0 - s_chi, np.maximum(s_chi - s_rho, 0.0), ree
 
 
-def closest_classical_bell(spectrum) -> np.ndarray:
-    """Spectrum of the closest classical state: pairwise averages of the sorted eigenvalues."""
-    lam = validate_bell_spectrum(spectrum)
-    return np.repeat((lam[..., 0::2] + lam[..., 1::2]) / 2.0, 2, axis=-1)
-
-
 def quantum_correlation_bell(spectrum) -> float:
     """Quantum correlation S(chi) - S(rho) of a Bell-diagonal spectrum."""
     return float(bell_correlations(spectrum)[2])
@@ -98,11 +81,6 @@ def quantum_correlation_bell(spectrum) -> float:
 def classical_correlation_bell(spectrum) -> float:
     """Classical correlation 2 - S(chi); the closest product state is maximally mixed."""
     return float(bell_correlations(spectrum)[1])
-
-
-def total_mutual_information_bell(spectrum) -> float:
-    """Total mutual information 2 - S(rho) of a Bell-diagonal spectrum."""
-    return float(bell_correlations(spectrum)[0])
 
 
 def ree_bell(spectrum) -> float:
@@ -128,10 +106,11 @@ def bell_eigenvalues_from_kappas(kappa_a, kappa_b) -> np.ndarray:
     )
 
 
-def correlations_from_kappas(kappa_a, kappa_b) -> CorrelationSet:
-    """All four correlation measures from the two decoherence parameters.
+def correlations_from_kappas(kappa_a, kappa_b) -> tuple[float, float, float, float]:
+    """(I, C, Q, REE) in bits from the two decoherence parameters, in `bell_correlations`' order.
 
-    The quantum branch depends on min(|kappa_a|, |kappa_b|) and the classical
+    This is the paper's piecewise form, independent of the spectrum route:
+    the quantum branch depends on min(|kappa_a|, |kappa_b|) and the classical
     branch on the max; the two coincide when the moduli are equal. Complex
     inputs contribute through their moduli only.
     """
@@ -140,14 +119,7 @@ def correlations_from_kappas(kappa_a, kappa_b) -> CorrelationSet:
     quantum = kappa_correlation(min(ka, kb))
     classical = kappa_correlation(max(ka, kb))
     ree = ree_bell(bell_eigenvalues_from_kappas(ka, kb))
-    return CorrelationSet(
-        total=quantum + classical, classical=classical, quantum=quantum, ree=ree
-    )
-
-
-def correlations_from_spectrum(spectrum) -> CorrelationSet:
-    """All four correlation measures from a sorted Bell-diagonal spectrum."""
-    return CorrelationSet(*(float(v) for v in bell_correlations(spectrum)))
+    return quantum + classical, classical, quantum, ree
 
 
 def bell_diagonal_state(spectrum) -> np.ndarray:

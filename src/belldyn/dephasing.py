@@ -86,14 +86,6 @@ def kappa_gaussian(x, sigma: float, omega0: float):
     return np.exp(-(u * sigma) ** 2 / 16.0 + 1j * (u * omega0))
 
 
-def kappa_multi_gaussian(x, components):
-    """Weighted sum of single-Gaussian decoherence parameters.
-
-    Raises NormalizationError unless the amplitudes sum to 1 within 1e-9.
-    """
-    return MultiGaussian(components).kappa(x)
-
-
 @dataclass(frozen=True)
 class SingleGaussian:
     """Gaussian frequency density with width sigma and center omega0 (rad/s)."""

@@ -37,17 +37,9 @@ class CrossingNotFoundError(BelldynError):
     """No sample pair brackets the requested level crossing."""
 
 
-class SingularSystemError(BelldynError):
-    """Measurement settings are not informationally complete."""
-
-
-class EmptyRecordError(BelldynError):
-    """Tomography record contains no settings."""
-
-
 class TomographyInputError(BelldynError, ValueError):
-    """Malformed tomography input: counts that do not match the settings, a negative count,
-    a nonpositive scale, coinciding settings, or fewer than 2 bootstrap resamples."""
+    """Malformed tomography input: counts that are not 16 finite nonnegative values, a scale
+    that is not finite and positive, or a bootstrap size outside [2, MAX_TOMO_RESAMPLES]."""
 
 
 class DephasingInputError(BelldynError, ValueError):

@@ -35,6 +35,14 @@ from .qstate import (
 )
 
 
+def _check_refinement(spec) -> None:
+    """OracleInputError unless a spec's shrink factor is finite and positive and its tol is not NaN."""
+    if not 0.0 < spec.shrink < math.inf:
+        raise OracleInputError(f"shrink must be finite and positive, got {spec.shrink}")
+    if math.isnan(spec.tol):
+        raise OracleInputError("tol must not be NaN")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Search control for the product-basis minimization.
@@ -52,6 +60,13 @@ class GridSpec:
     tol: float = 1e-6
     max_rounds: int = 50
 
+    def __post_init__(self):
+        for name, low in (("n_phi", 1), ("n_theta", 2)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= low):
+                raise OracleInputError(f"{name} must be an integer >= {low}, got {value!r}")
+        _check_refinement(self)
+
 
 @dataclass(frozen=True)
 class SimplexGridSpec:
@@ -68,6 +83,11 @@ class SimplexGridSpec:
     shrink: float = 4.0
     tol: float = 1e-9
     max_rounds: int = 60
+
+    def __post_init__(self):
+        if not isinstance(self.resolution, (int, np.integer)):
+            raise OracleInputError(f"resolution must be an integer, got {self.resolution!r}")
+        _check_refinement(self)
 
 
 def closest_product_state(rho) -> np.ndarray:
@@ -228,8 +248,9 @@ def _kl_bits(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _separable_grid(n: int) -> np.ndarray:
-    """Points [i, j, k, n - i - j - k] / n with no entry above 1/2, in (i, j, k) order."""
-    i, j, k = np.indices((max(n + 1, 0),) * 3).reshape(3, -1)
+    """Points [i, j, k, n - i - j - k] / n with no entry above 1/2, in (i, j, k) order;
+    none for n <= 0."""
+    i, j, k = np.indices((n + 1 if n > 0 else 0,) * 3).reshape(3, -1)
     counts = np.stack([i, j, k, n - i - j - k], axis=1)[i + j + k <= n]
     points = counts / n
     return points[~(points.max(axis=1) > 0.5 + 1e-12)]

@@ -10,9 +10,10 @@ the observed counts and solves all resamples as one batch; each row's
 arithmetic is independent of the batch, so a resample gives the same bits as
 `reconstruct` of its counts.
 
-The canonical 16 settings are the products of {H, V, D, L} per side, with
-D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in a fixed documented order so that a
-fixed seed reproduces outputs bit for bit.
+The 16 settings are the products of {H, V, D, L} per side, with
+D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
+that a fixed seed reproduces outputs bit for bit; a record is 16 counts in that
+order plus the expected counts per setting.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ import numpy as np
 from .correlations import bell_correlations
 from .errors import (
     CountsRangeError,
-    EmptyRecordError,
     InvalidStateError,
     NonConvergenceError,
-    SingularSystemError,
     TomographyInputError,
 )
 from .qstate import eigenvalues_sorted, validate_state
@@ -50,77 +49,53 @@ STANDARD_LABELS = (
 #: largest counts per tomography setting: every count stays an exact integer in
 #: a float (below 2**53), far below numpy's Poisson limit of about 9.2e18
 MAX_TOMO_COUNTS = 10**15
+#: largest number of bootstrap resamples: every resample is a Generator and a
+#: row of the batched solve, so an unbounded size exhausts memory
+MAX_TOMO_RESAMPLES = 10**4
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorSetting:
-    """A labelled rank-1 two-qubit projector measured in coincidence."""
-
-    label: str
-    projector: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.projector, dtype=complex)
-        if p.shape != (4, 4):
-            raise InvalidStateError(f"projector must be 4x4, got {p.shape}")
-        if not np.allclose(p, p.conj().T, atol=1e-10):
-            raise InvalidStateError(f"projector {self.label} is not Hermitian")
-        if not np.allclose(p @ p, p, atol=1e-10):
-            raise InvalidStateError(f"projector {self.label} is not idempotent")
-        if abs(np.trace(p) - 1.0) > 1e-10:
-            raise InvalidStateError(f"projector {self.label} does not have trace 1")
-        object.__setattr__(self, "projector", p)
-
-
-def _product_setting(label: str) -> ProjectorSetting:
+def _product_projector(label: str) -> np.ndarray:
     ket = np.kron(KET[label[0]], KET[label[1]])
-    return ProjectorSetting(label, np.outer(ket, ket.conj()))
+    return np.outer(ket, ket.conj())
 
 
-#: the canonical informationally complete set of 16 product projectors, built
-#: and validated once, at import
-STANDARD_SETTINGS = tuple(_product_setting(label) for label in STANDARD_LABELS)
+#: the canonical informationally complete set of 16 product projectors, one per
+#: STANDARD_LABELS entry in that order, built once at import; read-only
+STANDARD_PROJECTORS = np.stack([_product_projector(label) for label in STANDARD_LABELS])
+STANDARD_PROJECTORS.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
 class TomographyRecord:
-    """Counts for a set of projector settings at a common expected scale.
+    """Counts of the 16 STANDARD_LABELS settings, in that order, at a common expected scale.
 
-    counts holds one nonnegative value per setting; exact expected counts
+    counts holds 16 finite nonnegative values; exact expected counts
     (non-integer) are accepted so that noiseless studies stay exact.
+    total_per_setting is finite and positive.
     """
 
-    settings: tuple[ProjectorSetting, ...]
     counts: np.ndarray
     total_per_setting: float
 
     def __post_init__(self):
-        settings = tuple(self.settings)
         counts = np.asarray(self.counts, dtype=float)
-        if counts.ndim != 1 or counts.size != len(settings):
-            raise TomographyInputError("counts must be a 1-d array matching the settings")
-        if counts.size and counts.min() < 0.0:
-            raise TomographyInputError(f"negative count {counts.min()}")
-        if self.total_per_setting <= 0.0:
-            raise TomographyInputError("total_per_setting must be positive")
-        flat = np.array([s.projector for s in settings]).reshape(len(settings), 16)
-        # np.allclose(P_i, P_j, atol=1e-12), default rtol included, for every pair i < j
-        same = np.all(np.abs(flat[:, None] - flat) <= 1e-12 + 1e-5 * np.abs(flat), axis=-1)
-        pairs = np.argwhere(np.triu(same, 1))
-        if pairs.size:
-            i, j = pairs[0]
+        if counts.shape != (len(STANDARD_LABELS),):
+            raise TomographyInputError(f"counts must be 16 values, got shape {counts.shape}")
+        ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
+        if not ok.all():
+            raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
+        if not 0.0 < self.total_per_setting < math.inf:
             raise TomographyInputError(
-                f"settings {settings[i].label} and {settings[j].label} coincide")
-        object.__setattr__(self, "settings", settings)
+                f"total_per_setting must be finite and positive, got {self.total_per_setting}")
         object.__setattr__(self, "counts", counts)
 
 
 def record_to_csv(record: TomographyRecord) -> str:
     """Serialize a record as 'setting,count' rows (the CLI wire format)."""
     lines = ["setting,count"]
-    for setting, count in zip(record.settings, record.counts):
+    for label, count in zip(STANDARD_LABELS, record.counts):
         value = f"{int(count)}" if float(count).is_integer() else f"{count:.9g}"
-        lines.append(f"{setting.label},{value}")
+        lines.append(f"{label},{value}")
     return "\n".join(lines) + "\n"
 
 
@@ -133,10 +108,10 @@ def _rng_from(seed, *extra) -> np.random.Generator:
     return np.random.default_rng(words + [int(e) for e in extra])
 
 
-def probabilities(rho, settings) -> np.ndarray:
-    """Born-rule probabilities tr(rho P) for every setting."""
-    projs = np.stack([s.projector for s in settings])
-    return np.clip(np.einsum("kij,ji->k", projs, np.asarray(rho, dtype=complex)).real, 0.0, 1.0)
+def probabilities(rho) -> np.ndarray:
+    """Born-rule probabilities tr(rho P) for every standard setting."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.clip(np.einsum("kij,ji->k", STANDARD_PROJECTORS, rho).real, 0.0, 1.0)
 
 
 def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
@@ -151,11 +126,8 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
         raise InvalidStateError("tomography expects a two-qubit state")
     if not 1 <= n_per_setting <= MAX_TOMO_COUNTS:  # NaN fails too
         raise CountsRangeError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting}")
-    means = n_per_setting * probabilities(rho, STANDARD_SETTINGS)
-    counts = _rng_from(seed).poisson(means).astype(float)
-    return TomographyRecord(
-        settings=STANDARD_SETTINGS, counts=counts, total_per_setting=float(n_per_setting)
-    )
+    counts = _rng_from(seed).poisson(n_per_setting * probabilities(rho)).astype(float)
+    return TomographyRecord(counts=counts, total_per_setting=float(n_per_setting))
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -193,29 +165,11 @@ def _matrices(x: np.ndarray) -> np.ndarray:
     return _apply(_BASIS.T, x).reshape(-1, 4, 4)
 
 
-def _linear_map(settings) -> np.ndarray:
-    """The real map from the coordinates of rho to the probabilities tr(P_k rho)."""
-    projs = np.stack([s.projector for s in settings]).reshape(len(settings), 16)
-    return (projs @ _BASIS.conj().T).real
-
-
-#: the linear map of STANDARD_SETTINGS and its inverse (the 16 settings are informationally
+#: the real map from the coordinates of rho to the probabilities tr(P_k rho) of the
+#: standard settings, and its inverse (the 16 settings are informationally
 #: complete, so the system is square and of full rank)
-_STANDARD_MAP = _linear_map(STANDARD_SETTINGS)
+_STANDARD_MAP = (STANDARD_PROJECTORS.reshape(16, 16) @ _BASIS.conj().T).real
 _STANDARD_INVERSE = np.linalg.inv(_STANDARD_MAP)
-
-
-def _system(record: TomographyRecord) -> tuple[np.ndarray, np.ndarray]:
-    """The linear map of a record's settings and its (pseudo-)inverse, checked as in `reconstruct`."""
-    if record.settings == STANDARD_SETTINGS:
-        return _STANDARD_MAP, _STANDARD_INVERSE
-    if len(record.settings) == 0:
-        raise EmptyRecordError("record has no settings")
-    system = _linear_map(record.settings)
-    rank = np.linalg.matrix_rank(system, tol=1e-10)
-    if rank < 16:
-        raise SingularSystemError(f"settings span only {rank} of 16 operator dimensions")
-    return system, np.linalg.pinv(system)
 
 
 #: barrier weight over the total frequency, one value per stage; the last one
@@ -234,28 +188,28 @@ _MAX_STEPS = 200
 _MAX_HALVINGS = 60
 
 
-def _evaluate(system, freqs, x):
+def _evaluate(freqs, x):
     """Likelihood term, log det rho, and the pieces the derivatives reuse, at coordinates x.
 
     A point where rho is not positive definite gives NaN or infinite terms.
     """
     w, v = np.linalg.eigh(_matrices(x))
-    q = _apply(system, x)
+    q = _apply(_STANDARD_MAP, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         lik = (q - freqs * np.log(q)).sum(axis=-1)
         logdet = np.log(w).sum(axis=-1)
     return lik, logdet, w, v, q
 
 
-def _derivatives(system, freqs, t, w, v, q):
+def _derivatives(freqs, t, w, v, q):
     """Gradient and Hessian of the barrier objective, and the gradient tr(rho^-1 B_j) of log det.
 
     With rho = V diag(w) V^H and C_j = diag(w)^-1/2 V^H B_j V diag(w)^-1/2,
     tr(rho^-1 B_j) = tr C_j and tr(rho^-1 B_i rho^-1 B_j) = tr(C_i C_j).
     """
     ratio = freqs / q
-    grad = _apply(system.T, 1.0 - ratio)
-    hess = (system.T * (ratio / q)[:, None, :]) @ system
+    grad = _apply(_STANDARD_MAP.T, 1.0 - ratio)
+    hess = (_STANDARD_MAP.T * (ratio / q)[:, None, :]) @ _STANDARD_MAP
     kron = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
     root = 1.0 / np.sqrt(w)
     c = (_BASIS @ kron) * (root[:, :, None] * root[:, None, :]).reshape(-1, 1, 16)
@@ -265,7 +219,7 @@ def _derivatives(system, freqs, t, w, v, q):
             log_det_grad)
 
 
-def _line_search(system, freqs, t, x, step, full, current, decrement):
+def _line_search(freqs, t, x, step, full, current, decrement):
     """Per row, the first of x + step, x + step/2, ... that is positive definite and,
     unless `full`, lowers the objective (`current` at x) by the Armijo fraction of
     the squared decrement; returns it with its `_evaluate` terms."""
@@ -277,14 +231,14 @@ def _line_search(system, freqs, t, x, step, full, current, decrement):
         return (w[:, 0] > 0.0) & np.isfinite(value) & (full[rows] | armijo)
 
     point = x + step
-    result = [point, *_evaluate(system, freqs, point)]
+    result = [point, *_evaluate(freqs, point)]
     pending = np.flatnonzero(~accepted(result, slice(None), 1.0))
     for halving in range(1, _MAX_HALVINGS + 1):
         if not pending.size:
             return result
         alpha = 0.5 ** halving
         point = x[pending] + alpha * step[pending]
-        trial = [point, *_evaluate(system, freqs[pending], point)]
+        trial = [point, *_evaluate(freqs[pending], point)]
         ok = accepted(trial, pending, alpha)
         for whole, part in zip(result, trial):
             whole[pending[ok]] = part[ok]
@@ -292,7 +246,7 @@ def _line_search(system, freqs, t, x, step, full, current, decrement):
     raise NonConvergenceError(f"barrier line search found no acceptable step in {_MAX_HALVINGS} halvings")
 
 
-def _barrier_solve(system, freqs, x, lowest):
+def _barrier_solve(freqs, x, lowest):
     """Unnormalized extended-likelihood optimum for rows whose linear inversion is unphysical.
 
     Minimizes sum_k (q_k - f_k log q_k) - t log det rho by Newton's method over
@@ -311,9 +265,9 @@ def _barrier_solve(system, freqs, x, lowest):
     t = scale * _BARRIER_STAGES[0]
     x = x.copy()
     x[:, :4] += (t - lowest)[:, None]
-    lik, logdet, w, v, q = _evaluate(system, freqs, x)
+    lik, logdet, w, v, q = _evaluate(freqs, x)
     for _ in range(_MAX_STEPS):
-        grad, hess, log_det_grad = _derivatives(system, freqs, t, w, v, q)
+        grad, hess, log_det_grad = _derivatives(freqs, t, w, v, q)
         solution = np.linalg.solve(hess, np.stack([-grad, log_det_grad], axis=-1))
         newton, tangent = solution[..., 0], solution[..., 1]
         decrement = (-grad * newton).sum(axis=-1)
@@ -333,18 +287,18 @@ def _barrier_solve(system, freqs, x, lowest):
         t = scale * _BARRIER_STAGES[stage]
         step = np.where(centred[:, None], (t - t_old)[:, None] * tangent, newton)
         full = centred | (decrement <= _FULL_STEP * t_old)
-        x, lik, logdet, w, v, q = _line_search(system, freqs, t, x, step, full,
-                                               lik - t_old * logdet, decrement)
+        x, lik, logdet, w, v, q = _line_search(freqs, t, x, step, full, lik - t_old * logdet,
+                                               decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 
-def _estimate(system, inverse, freqs) -> np.ndarray:
+def _estimate(freqs) -> np.ndarray:
     """Normalized extended-likelihood estimates, one per row of freqs; see `reconstruct`."""
-    x = _apply(inverse, freqs)
+    x = _apply(_STANDARD_INVERSE, freqs)
     lowest = np.linalg.eigvalsh(_matrices(x))[:, 0]
     unphysical = lowest < 0.0
     if unphysical.any():
-        x[unphysical] = _barrier_solve(system, freqs[unphysical], x[unphysical], lowest[unphysical])
+        x[unphysical] = _barrier_solve(freqs[unphysical], x[unphysical], lowest[unphysical])
     x[~freqs.any(axis=-1), :4] = 0.25  # no counts: the maximally mixed state, by rule
     return _matrices(x / x[:, :4].sum(axis=-1, keepdims=True))
 
@@ -356,18 +310,14 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     sum_k (n_k log q_k - N q_k), q_k = tr(P_k rho), over rho >= 0 and
     normalizes the trace (James et al., PRA 64 052312, 2001):
     - a linear inversion whose eigenvalues are all >= 0 reproduces every
-      observed frequency and is the optimum, returned as rho_lin / tr rho_lin
-      (for an overcomplete set of settings, the least-squares inversion);
+      observed frequency and is the optimum, returned as rho_lin / tr rho_lin;
     - otherwise a log-det barrier Newton solve (`_barrier_solve`) gives an
       estimate of full rank, its smallest eigenvalue of the order of 1e-10;
     - a record with no counts gives the maximally mixed state I/4.
     Exact (noiseless) counts of a full-rank state reproduce it. Raises
-    SingularSystemError if the settings do not span the operator space,
-    EmptyRecordError for a record with no settings and NonConvergenceError
-    if the solve fails.
+    NonConvergenceError if the solve fails.
     """
-    system, inverse = _system(record)
-    return _estimate(system, inverse, record.counts[None] / record.total_per_setting)[0]
+    return _estimate(record.counts[None] / record.total_per_setting)[0]
 
 
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
@@ -390,12 +340,13 @@ def error_bars(record: TomographyRecord, resamples: int, seed) -> dict[str, floa
     would, and the correlation measures are evaluated on their sorted
     eigenvalues. Resample r uses the substream (seed, r), so results do not
     depend on evaluation order. Returns sample standard deviations for
-    I, C, Q, REE and the four eigenvalues.
+    I, C, Q, REE and the four eigenvalues. Raises TomographyInputError unless
+    2 <= resamples <= MAX_TOMO_RESAMPLES.
     """
-    system, inverse = _system(record)
-    if resamples < 2:
-        raise TomographyInputError(f"resamples must be >= 2, got {resamples}")
+    if not 2 <= resamples <= MAX_TOMO_RESAMPLES:  # NaN fails too
+        raise TomographyInputError(
+            f"resamples must be in [2, {MAX_TOMO_RESAMPLES}], got {resamples}")
     counts = np.stack([_rng_from(seed, r).poisson(record.counts) for r in range(resamples)])
-    samples = state_quantities(_estimate(system, inverse, counts / record.total_per_setting))
+    samples = state_quantities(_estimate(counts / record.total_per_setting))
     stds = samples.std(axis=0, ddof=1)
     return dict(zip(BOOTSTRAP_KEYS, stds.tolist()))

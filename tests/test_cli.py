@@ -34,6 +34,7 @@ from belldyn.errors import (
     UnknownKeyError,
 )
 from belldyn.oracle import oracle_classical_correlation
+from belldyn.tomography import MAX_TOMO_RESAMPLES
 
 CONFIG_TEXT = """\
 # custom experiment
@@ -413,6 +414,9 @@ _CSV_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
                      id="counts-huge"),
         pytest.param(["run", "{cfg}", "--out", "{out}"],
                      _with("tomo_counts = 100", "tomo_resamples = 1"), id="resamples-1"),
+        pytest.param(["run", "{cfg}", "--out", "{out}"],
+                     _with("tomo_counts = 100", f"tomo_resamples = {MAX_TOMO_RESAMPLES + 1}"),
+                     id="resamples-over-cap"),
         pytest.param(["run", "{cfg}", "--out", "{out}"],
                      _with("tomo_counts = 100", "tomo_seed = -1"), id="seed-neg"),
         pytest.param(["run", "{cfg}", "--out", "{out}", "--seed", "-1"], _with("tomo_counts = 100"),

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from belldyn.correlations import (
+    bell_correlations,
     bell_diagonal_state,
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
-    closest_classical_bell,
     correlations_from_kappas,
-    correlations_from_spectrum,
     kappa_correlation,
     quantum_correlation_bell,
     ree_bell,
-    total_mutual_information_bell,
 )
 from belldyn.errors import InvalidKappaError, InvalidSpectrumError
 from belldyn.qstate import eigenvalues_sorted, von_neumann_entropy
@@ -25,20 +23,22 @@ INITIAL = np.array([0.8035, 0.1965, 0.0, 0.0])
 PARTIAL = np.array([0.55642375, 0.24707625, 0.13607625, 0.06042375])
 
 
+def _assert_classical_is_that_of(spectrum, chi):
+    """C = 2 - S(chi): chi, the closest classical spectrum, averages the sorted eigenvalues pairwise."""
+    expected = 2.0 - float(von_neumann_entropy(np.array(chi)))
+    assert float(bell_correlations(spectrum)[1]) == pytest.approx(expected, abs=1e-12)
+
+
 def test_closest_classical_fixed_point():
-    np.testing.assert_allclose(closest_classical_bell([0.25] * 4), [0.25] * 4, atol=1e-15)
+    _assert_classical_is_that_of([0.25] * 4, [0.25] * 4)
 
 
 def test_closest_classical_pure():
-    np.testing.assert_allclose(
-        closest_classical_bell([1.0, 0.0, 0.0, 0.0]), [0.5, 0.5, 0.0, 0.0], atol=1e-15
-    )
+    _assert_classical_is_that_of([1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0])
 
 
 def test_closest_classical_pairwise_average():
-    np.testing.assert_allclose(
-        closest_classical_bell(PARTIAL), [0.40175, 0.40175, 0.09825, 0.09825], atol=1e-12
-    )
+    _assert_classical_is_that_of(PARTIAL, [0.40175, 0.40175, 0.09825, 0.09825])
 
 
 @pytest.mark.parametrize(
@@ -74,7 +74,7 @@ def test_classical_correlation_examples(spectrum, expected):
     ],
 )
 def test_total_mutual_information_examples(spectrum, expected):
-    assert total_mutual_information_bell(spectrum) == pytest.approx(expected, abs=1e-12)
+    assert float(bell_correlations(spectrum)[0]) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -144,23 +144,23 @@ def test_kappa_correlation_endpoint():
 
 
 def test_correlations_from_kappas_initial_state():
-    corr = correlations_from_kappas(0.607, 1.0)
-    assert corr.classical == pytest.approx(1.0, abs=1e-12)
-    assert corr.quantum == pytest.approx(H_607, abs=1e-12)
-    assert corr.total == pytest.approx(1.0 + H_607, abs=1e-12)
-    assert corr.ree == pytest.approx(H_607, abs=1e-12)
+    total, classical, quantum, ree = correlations_from_kappas(0.607, 1.0)
+    assert classical == pytest.approx(1.0, abs=1e-12)
+    assert quantum == pytest.approx(H_607, abs=1e-12)
+    assert total == pytest.approx(1.0 + H_607, abs=1e-12)
+    assert ree == pytest.approx(H_607, abs=1e-12)
 
 
 def test_correlations_from_kappas_equal_point():
-    corr = correlations_from_kappas(0.607, 0.607)
-    assert corr.quantum == pytest.approx(corr.classical, abs=1e-15)
-    assert corr.quantum == pytest.approx(H_607, abs=1e-12)
+    _, classical, quantum, _ = correlations_from_kappas(0.607, 0.607)
+    assert quantum == pytest.approx(classical, abs=1e-15)
+    assert quantum == pytest.approx(H_607, abs=1e-12)
 
 
 def test_correlations_from_kappas_revival_peak():
-    corr = correlations_from_kappas(0.607, 0.385)
-    assert corr.quantum == pytest.approx(H_385, abs=1e-12)
-    assert corr.classical == pytest.approx(H_607, abs=1e-12)
+    _, classical, quantum, _ = correlations_from_kappas(0.607, 0.385)
+    assert quantum == pytest.approx(H_385, abs=1e-12)
+    assert classical == pytest.approx(H_607, abs=1e-12)
 
 
 def test_complex_kappas_use_moduli():
@@ -170,10 +170,7 @@ def test_complex_kappas_use_moduli():
         pa, pb = rng.uniform(0, 2 * np.pi, size=2)
         plain = correlations_from_kappas(ka, kb)
         rotated = correlations_from_kappas(ka * np.exp(1j * pa), kb * np.exp(1j * pb))
-        assert rotated.total == pytest.approx(plain.total, abs=1e-12)
-        assert rotated.classical == pytest.approx(plain.classical, abs=1e-12)
-        assert rotated.quantum == pytest.approx(plain.quantum, abs=1e-12)
-        assert rotated.ree == pytest.approx(plain.ree, abs=1e-12)
+        assert rotated == pytest.approx(plain, abs=1e-12)
 
 
 def test_piecewise_matches_spectrum_route():
@@ -181,43 +178,40 @@ def test_piecewise_matches_spectrum_route():
     for _ in range(50):
         ka, kb = rng.uniform(0, 1, size=2)
         lam = bell_eigenvalues_from_kappas(ka, kb)
-        corr = correlations_from_kappas(ka, kb)
-        assert corr.quantum == pytest.approx(quantum_correlation_bell(lam), abs=1e-9)
-        assert corr.classical == pytest.approx(classical_correlation_bell(lam), abs=1e-9)
-        assert corr.total == pytest.approx(total_mutual_information_bell(lam), abs=1e-9)
-        assert corr.ree == pytest.approx(ree_bell(lam), abs=1e-9)
+        spectrum_route = tuple(float(v) for v in bell_correlations(lam))
+        assert correlations_from_kappas(ka, kb) == pytest.approx(spectrum_route, abs=1e-9)
 
 
 def test_quantum_constant_while_kappa_b_dominates():
     ka = 0.58
-    values = [correlations_from_kappas(ka, kb).quantum for kb in np.linspace(ka, 1.0, 15)]
+    values = [correlations_from_kappas(ka, kb)[2] for kb in np.linspace(ka, 1.0, 15)]
     assert np.ptp(values) == 0.0
 
 
 def test_classical_constant_while_kappa_a_dominates():
     ka = 0.58
-    values = [correlations_from_kappas(ka, kb).classical for kb in np.linspace(0.0, ka, 15)]
+    values = [correlations_from_kappas(ka, kb)[1] for kb in np.linspace(0.0, ka, 15)]
     assert np.ptp(values) == 0.0
 
 
 def test_branch_continuity_at_equal_kappas():
     ka = 0.437
     eps = 1e-12
-    lo = correlations_from_kappas(ka, ka - eps)
-    hi = correlations_from_kappas(ka, ka + eps)
-    assert lo.quantum == pytest.approx(hi.quantum, abs=1e-9)
-    assert lo.classical == pytest.approx(hi.classical, abs=1e-9)
+    _, lo_classical, lo_quantum, _ = correlations_from_kappas(ka, ka - eps)
+    _, hi_classical, hi_quantum, _ = correlations_from_kappas(ka, ka + eps)
+    assert lo_quantum == pytest.approx(hi_quantum, abs=1e-9)
+    assert lo_classical == pytest.approx(hi_classical, abs=1e-9)
 
 
 def test_total_is_sum_of_parts():
     rng = np.random.default_rng(14)
     for _ in range(50):
         lam = random_bell_spectrum(rng)
-        corr = correlations_from_spectrum(lam)
-        assert corr.total == pytest.approx(corr.quantum + corr.classical, abs=1e-9)
-        assert corr.quantum >= 0.0 and corr.classical >= 0.0 and corr.ree >= 0.0
-        assert corr.total <= 2.0 + 1e-12
-        assert corr.ree <= 1.0 + 1e-12
+        total, classical, quantum, ree = (float(v) for v in bell_correlations(lam))
+        assert total == pytest.approx(quantum + classical, abs=1e-9)
+        assert quantum >= 0.0 and classical >= 0.0 and ree >= 0.0
+        assert total <= 2.0 + 1e-12
+        assert ree <= 1.0 + 1e-12
 
 
 def test_bell_diagonal_state_spectrum_roundtrip():

@@ -18,7 +18,6 @@ from belldyn.dephasing import (
     evolve_state,
     find_crossing,
     kappa_gaussian,
-    kappa_multi_gaussian,
     kappa_numeric,
     sigma_from_fwhm,
     sweep,
@@ -90,13 +89,13 @@ def test_kappa_gaussian_modulus_monotone():
 
 
 def test_kappa_multi_gaussian_at_zero():
-    assert kappa_multi_gaussian(0.0, FP_COMPONENTS) == 1.0 + 0.0j
+    assert MultiGaussian(FP_COMPONENTS).kappa(0.0) == 1.0 + 0.0j
 
 
 def test_kappa_multi_gaussian_single_component_reduction():
     comp = GaussianComponent(1.0, OMEGA_780, SIGMA_3NM)
     for x in (0.0, 40 * LAM0, 333 * LAM0):
-        assert kappa_multi_gaussian(x, [comp]) == kappa_gaussian(x, SIGMA_3NM, OMEGA_780)
+        assert MultiGaussian([comp]).kappa(x) == kappa_gaussian(x, SIGMA_3NM, OMEGA_780)
 
 
 def test_kappa_multi_gaussian_normalization_error():
@@ -105,21 +104,19 @@ def test_kappa_multi_gaussian_normalization_error():
         GaussianComponent(0.4, OMEGA_780 * 1.001, SIGMA_3NM),
     )
     with pytest.raises(NormalizationError):
-        kappa_multi_gaussian(10 * LAM0, bad)
-    with pytest.raises(NormalizationError):
         MultiGaussian(bad)
 
 
 def test_kappa_multi_gaussian_revival_magnitude():
     xs = np.arange(400.0, 700.0, 0.5) * LAM0
-    mods = [abs(kappa_multi_gaussian(x, FP_COMPONENTS)) for x in xs]
+    mods = [abs(MultiGaussian(FP_COMPONENTS).kappa(x)) for x in xs]
     assert max(mods) == pytest.approx(0.385, abs=0.02)
 
 
 def test_kappa_modulus_bounded():
     xs = np.linspace(0.0, 800.0, 1500) * LAM0
     for x in xs[::50]:
-        assert abs(kappa_multi_gaussian(x, FP_COMPONENTS)) <= 1.0 + 1e-12
+        assert abs(MultiGaussian(FP_COMPONENTS).kappa(x)) <= 1.0 + 1e-12
 
 
 def _sampled_gaussian(n=6001, half_width=4.0):
@@ -156,7 +153,7 @@ def test_kappa_numeric_matches_multi_gaussian():
     rng = np.random.default_rng(32)
     for _ in range(10):
         x = rng.uniform(0.0, 300.0) * LAM0
-        assert abs(kappa_numeric(x, spectrum) - kappa_multi_gaussian(x, FP_COMPONENTS)) < 1e-4
+        assert abs(kappa_numeric(x, spectrum) - MultiGaussian(FP_COMPONENTS).kappa(x)) < 1e-4
 
 
 def test_kappa_numeric_under_resolved():

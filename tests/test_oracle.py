@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,3 +324,29 @@ def test_ree_oracle_nonconvergence():
         oracle_ree_bell([0.6, 0.25, 0.1, 0.05], capped)
     with pytest.raises(NonConvergenceError, match="still improving"):
         _reference_ree_bell([0.6, 0.25, 0.1, 0.05], capped)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [
+        lambda: GridSpec(n_theta=1),
+        lambda: GridSpec(n_phi=0),
+        lambda: GridSpec(n_phi=24.0),
+        lambda: GridSpec(shrink=0.0),
+        lambda: GridSpec(shrink=math.inf),
+        lambda: GridSpec(tol=math.nan),
+        lambda: SimplexGridSpec(resolution=2.5),
+        lambda: SimplexGridSpec(shrink=math.nan),
+        lambda: SimplexGridSpec(tol=math.nan),
+    ],
+)
+def test_grid_specs_reject_bad_fields(make_spec):
+    with pytest.raises(OracleInputError):
+        make_spec()
+
+
+def test_ree_oracle_at_resolution_0_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="no feasible point"):
+            oracle_ree_bell(INITIAL, SimplexGridSpec(resolution=0))

@@ -8,23 +8,21 @@ import pytest
 
 import belldyn.tomography as tomography
 from belldyn.cli import preset_config, to_sweep_config
-from belldyn.correlations import correlations_from_spectrum
+from belldyn.correlations import bell_correlations
 from belldyn.dephasing import evolve_state, sweep
 from belldyn.errors import (
     BelldynError,
     CountsRangeError,
-    EmptyRecordError,
     NonConvergenceError,
-    SingularSystemError,
     TomographyInputError,
 )
 from belldyn.qstate import eigenvalues_sorted, validate_state
 from belldyn.tomography import (
     BOOTSTRAP_KEYS,
     MAX_TOMO_COUNTS,
+    MAX_TOMO_RESAMPLES,
     STANDARD_LABELS,
-    STANDARD_SETTINGS,
-    ProjectorSetting,
+    STANDARD_PROJECTORS,
     TomographyRecord,
     error_bars,
     probabilities,
@@ -37,41 +35,43 @@ from conftest import random_density_matrix
 
 
 def exact_record(rho, n=10**6):
-    settings = STANDARD_SETTINGS
-    counts = n * probabilities(rho, settings)
-    return TomographyRecord(settings=settings, counts=counts, total_per_setting=float(n))
+    return TomographyRecord(counts=n * probabilities(rho), total_per_setting=float(n))
 
 
 def test_standard_basis_set_size_and_labels():
-    settings = STANDARD_SETTINGS
-    assert len(settings) == 16
-    assert tuple(s.label for s in settings) == STANDARD_LABELS
+    assert STANDARD_PROJECTORS.shape == (16, 4, 4)
+    assert len(STANDARD_LABELS) == 16
     assert len(set(STANDARD_LABELS)) == 16
 
 
 def test_standard_basis_set_projectors_are_rank1_products():
-    for s in STANDARD_SETTINGS:
-        w = np.linalg.eigvalsh(s.projector)
+    assert not STANDARD_PROJECTORS.flags.writeable
+    with pytest.raises(ValueError):
+        STANDARD_PROJECTORS[0, 0, 0] = 0.0
+    for label, p in zip(STANDARD_LABELS, STANDARD_PROJECTORS):
+        np.testing.assert_allclose(p, p.conj().T, atol=1e-10, err_msg=f"{label} not Hermitian")
+        np.testing.assert_allclose(p @ p, p, atol=1e-10, err_msg=f"{label} not idempotent")
+        assert abs(np.trace(p) - 1.0) <= 1e-10
+        w = np.linalg.eigvalsh(p)
         np.testing.assert_allclose(np.sort(w), [0, 0, 0, 1], atol=1e-12)
         # product structure: partial transposition keeps rank 1
-        pt = s.projector.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        pt = p.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
         assert np.linalg.matrix_rank(pt, tol=1e-10) == 1
 
 
 def test_standard_basis_set_spans_operator_space():
-    system = np.array([s.projector.T.flatten() for s in STANDARD_SETTINGS])
+    system = np.array([p.T.flatten() for p in STANDARD_PROJECTORS])
     assert np.linalg.matrix_rank(system, tol=1e-10) == 16
 
 
 def test_probabilities_trivial_cases():
-    settings = STANDARD_SETTINGS
     hh = np.zeros((4, 4), dtype=complex)
     hh[0, 0] = 1.0
-    p = probabilities(hh, settings)
+    p = probabilities(hh)
     by_label = dict(zip(STANDARD_LABELS, p))
     assert by_label["HH"] == pytest.approx(1.0, abs=1e-12)
     assert by_label["VV"] == pytest.approx(0.0, abs=1e-12)
-    mixed = probabilities(np.eye(4) / 4.0, settings)
+    mixed = probabilities(np.eye(4) / 4.0)
     np.testing.assert_allclose(mixed, 0.25, atol=1e-12)
 
 
@@ -115,17 +115,15 @@ def test_reconstruct_noiseless_identity_random_states():
 
 
 def test_reconstruct_output_always_physical():
-    settings = STANDARD_SETTINGS
     rng = np.random.default_rng(51)
     counts = rng.poisson(500, size=16).astype(float)
     counts[3:9] = 0.0  # zero out a block of settings
-    rho = reconstruct(TomographyRecord(settings=settings, counts=counts, total_per_setting=2000.0))
+    rho = reconstruct(TomographyRecord(counts=counts, total_per_setting=2000.0))
     validate_state(rho)
 
 
 def test_reconstruct_all_zero_counts_gives_mixed_state():
-    settings = STANDARD_SETTINGS
-    rec = TomographyRecord(settings=settings, counts=np.zeros(16), total_per_setting=100.0)
+    rec = TomographyRecord(counts=np.zeros(16), total_per_setting=100.0)
     np.testing.assert_allclose(reconstruct(rec), np.eye(4) / 4.0, atol=1e-12)
 
 
@@ -152,31 +150,6 @@ def test_reconstruct_error_decreases_with_counts():
             [trace_distance(reconstruct(simulate_counts(rho, n, s)), rho) for s in range(20)]
         )
     assert dist[10**5] < dist[10**3]
-
-
-def test_reconstruct_requires_informationally_complete_settings():
-    settings = STANDARD_SETTINGS[:8]
-    rec = TomographyRecord(settings=settings, counts=np.full(8, 100.0), total_per_setting=400.0)
-    with pytest.raises(SingularSystemError):
-        reconstruct(rec)
-
-
-def test_reconstruct_empty_record():
-    rec = TomographyRecord(settings=(), counts=np.array([]), total_per_setting=1.0)
-    with pytest.raises(EmptyRecordError):
-        reconstruct(rec)
-    with pytest.raises(EmptyRecordError):
-        error_bars(rec, 10, 0)
-
-
-def test_record_rejects_duplicate_settings():
-    s = STANDARD_SETTINGS
-    # 1e-13 is inside np.allclose(atol=1e-12), so the perturbed copy still coincides
-    near_copy = ProjectorSetting("HD'", s[4].projector + 1e-13)
-    for dup in (s[:15] + (s[0],), s[:5] + (s[2],) + s[6:], s[:9] + (near_copy,) + s[10:]):
-        assert len(dup) == 16
-        with pytest.raises(ValueError, match="coincide"):
-            TomographyRecord(settings=dup, counts=np.full(16, 1.0), total_per_setting=16.0)
 
 
 def test_record_to_csv_format():
@@ -207,12 +180,9 @@ def test_error_bars_match_per_record_reference():
     samples = []
     for r in range(resamples):
         counts = np.random.default_rng([seed, r]).poisson(record.counts).astype(float)
-        resampled = TomographyRecord(
-            settings=record.settings, counts=counts, total_per_setting=record.total_per_setting
-        )
+        resampled = TomographyRecord(counts=counts, total_per_setting=record.total_per_setting)
         lam = eigenvalues_sorted(reconstruct(resampled))
-        corr = correlations_from_spectrum(lam)
-        samples.append([corr.total, corr.classical, corr.quantum, corr.ree, *lam])
+        samples.append([*(float(v) for v in bell_correlations(lam)), *lam])
     expected = dict(zip(BOOTSTRAP_KEYS, np.std(samples, axis=0, ddof=1).tolist()))
     assert error_bars(record, resamples, seed) == expected
 
@@ -275,7 +245,7 @@ def test_import_leaves_scipy_unloaded():
 
 def linear_inversion(record):
     """rho_lin from the projector system by least squares, independently of the estimator."""
-    system = np.array([s.projector.T.flatten() for s in record.settings])
+    system = np.array([p.T.flatten() for p in STANDARD_PROJECTORS])
     freqs = record.counts / record.total_per_setting
     x, *_ = np.linalg.lstsq(system, freqs.astype(complex), rcond=None)
     return x.reshape(4, 4)
@@ -323,28 +293,26 @@ def test_unphysical_estimates_satisfy_optimality_conditions():
     # at the unnormalized optimum rho* (sum_k q_k = sum_k f_k), the KKT conditions of
     # max sum_k (n_k log q_k - s q_k) over rho >= 0 read M >= 0 and tr(M rho*) = 0 with
     # M = sum_k (s - n_k / q_k) P_k; checked in units of s = counts per setting
-    projs = np.stack([s.projector for s in STANDARD_SETTINGS])
     for rec in unphysical_records():
         freqs = rec.counts / rec.total_per_setting
         rho = reconstruct(rec)
-        q = probabilities(rho, STANDARD_SETTINGS)
+        q = probabilities(rho)
         optimum = rho * freqs.sum() / q.sum()
         q = q * freqs.sum() / q.sum()
-        m = np.einsum("k,kij->ij", 1.0 - freqs / q, projs)
+        m = np.einsum("k,kij->ij", 1.0 - freqs / q, STANDARD_PROJECTORS)
         assert np.linalg.eigvalsh(m).min() >= -1e-7
         assert abs(np.trace(m @ optimum)) <= 1e-7
 
 
 def test_estimate_of_a_row_does_not_depend_on_its_batch():
-    system, inverse = tomography._STANDARD_MAP, tomography._STANDARD_INVERSE
     rng = np.random.default_rng(54)
     pure = evolve_state(1.0, 1.0)
     for trial in range(6):
         rho = pure if trial % 2 else evolve_state(0.607, rng.uniform(0.2, 1.0))
         freqs = np.stack([simulate_counts(rho, 10**4, [trial, j]).counts for j in range(8)]) / 1e4
-        batch = tomography._estimate(system, inverse, freqs)
+        batch = tomography._estimate(freqs)
         for j in range(8):
-            assert np.array_equal(tomography._estimate(system, inverse, freqs[j:j + 1])[0], batch[j])
+            assert np.array_equal(tomography._estimate(freqs[j:j + 1])[0], batch[j])
 
 
 def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
@@ -357,7 +325,22 @@ def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
 def test_tomography_input_errors_are_belldyn_and_value_errors():
     assert issubclass(TomographyInputError, BelldynError)
     assert issubclass(TomographyInputError, ValueError)
-    with pytest.raises(TomographyInputError, match="negative count"):
-        TomographyRecord(settings=STANDARD_SETTINGS, counts=-np.ones(16), total_per_setting=1.0)
-    with pytest.raises(TomographyInputError, match="resamples"):
-        error_bars(simulate_counts(np.eye(4) / 4.0, 100, 0), 1, 0)
+    with pytest.raises(TomographyInputError, match="nonnegative"):
+        TomographyRecord(counts=-np.ones(16), total_per_setting=1.0)
+    with pytest.raises(TomographyInputError, match="16 values"):
+        TomographyRecord(counts=np.ones(8), total_per_setting=1.0)
+    rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
+    for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, float("nan")):
+        with pytest.raises(TomographyInputError, match="resamples"):
+            error_bars(rec, bad, 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_record_rejects_non_finite_input(bad):
+    counts = np.full(16, 100.0)
+    with pytest.raises(TomographyInputError, match="total_per_setting"):
+        TomographyRecord(counts=counts, total_per_setting=bad)
+    counts[5] = bad
+    with pytest.raises(TomographyInputError, match="finite"):
+        TomographyRecord(counts=counts, total_per_setting=400.0)
+
