@@ -25,15 +25,12 @@ from .dephasing import (
     SPEED_OF_LIGHT,
     GaussianComponent,
     MultiGaussian,
-    SampledSpectrum,
-    SingleGaussian,
     SweepConfig,
     angular_frequency,
     effective_retardation,
     evolve_state,
     find_crossing,
     kappa_gaussian,
-    kappa_numeric,
     sigma_from_fwhm,
     sweep,
 )
@@ -70,9 +67,7 @@ __all__ = [
     "GridSpec",
     "LAMBDA0",
     "MultiGaussian",
-    "SampledSpectrum",
     "SimplexGridSpec",
-    "SingleGaussian",
     "SPEED_OF_LIGHT",
     "STANDARD_PROJECTORS",
     "SweepConfig",
@@ -92,7 +87,6 @@ __all__ = [
     "find_crossing",
     "kappa_correlation",
     "kappa_gaussian",
-    "kappa_numeric",
     "oracle_classical_correlation",
     "oracle_quantum_correlation",
     "oracle_ree_bell",

@@ -29,9 +29,8 @@ import numpy as np
 
 from . import dephasing, tomography
 from .dephasing import (
-    MultiGaussian,
     GaussianComponent,
-    SingleGaussian,
+    MultiGaussian,
     SweepConfig,
     angular_frequency,
     find_crossing,
@@ -261,28 +260,31 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def to_sweep_config(config: ExperimentConfig) -> SweepConfig:
-    """Convert a lambda0-unit experiment config into a meter-unit sweep config."""
-    lam0 = config.lambda0_nm * 1e-9
-    spectrum_a = SingleGaussian(
-        sigma=sigma_from_fwhm(config.filter_a_fwhm_nm * 1e-9, lam0),
-        omega0=angular_frequency(lam0),
-    )
-    comps = tuple(
-        GaussianComponent(
-            amplitude=w,
-            center=angular_frequency(center_nm * 1e-9),
-            width=sigma_from_fwhm(fwhm_nm * 1e-9, lam0),
+    """Convert a lambda0-unit experiment config into a meter-unit sweep config.
+
+    Both arms are Gaussian mixtures: arm a one component, the filter_a_fwhm_nm
+    filter centered on lambda0, and arm b the spectrum_b components. The
+    conversion is float64 arithmetic in which a value beyond the float range
+    overflows to inf or underflows to 0 silently, so it ends in the range
+    checks of GaussianComponent or SweepConfig.
+    """
+    with np.errstate(all="ignore"):
+        lam0 = np.float64(config.lambda0_nm) * 1e-9
+
+        def mixture(components) -> MultiGaussian:
+            weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
+            centers = angular_frequency(centers_nm * 1e-9)
+            widths = sigma_from_fwhm(fwhms_nm * 1e-9, lam0)
+            return MultiGaussian(tuple(map(GaussianComponent, weights, centers, widths)))
+
+        return SweepConfig(
+            x_a=config.x_a * lam0,
+            spectrum_a=mixture(((1.0, config.lambda0_nm, config.filter_a_fwhm_nm),)),
+            spectrum_b=mixture(config.spectrum_b),
+            x_b_max=config.x_b_max * lam0,
+            step=config.step * lam0,
+            echo_points=tuple(p * lam0 for p in config.echo_points),
         )
-        for w, center_nm, fwhm_nm in config.spectrum_b
-    )
-    return SweepConfig(
-        x_a=config.x_a * lam0,
-        spectrum_a=spectrum_a,
-        spectrum_b=MultiGaussian(comps),
-        x_b_max=config.x_b_max * lam0,
-        step=config.step * lam0,
-        echo_points=tuple(p * lam0 for p in config.echo_points),
-    )
 
 
 def _fmt(value: float) -> str:

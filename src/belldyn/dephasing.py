@@ -3,11 +3,12 @@
 A birefringent element of retardation x (optical path-length difference, in
 meters) multiplies the polarization coherences of a photon by the decoherence
 parameter kappa(x) = integral f(omega) exp(i x omega / c) domega over its
-frequency density f. Single and multi-Gaussian densities have closed forms;
-arbitrary sampled densities are integrated by the trapezoid rule. A
-polarization exchange (sigma_x) inserted at some retardation flips the sign
-of subsequent phase accrual, so later retardation unwinds earlier dephasing
-and produces correlation echoes.
+frequency density f. Every density is a Gaussian mixture, `MultiGaussian`:
+the continuous filter of arm a is one component and the discrete
+multi-peaked spectrum of arm b several, and kappa is the weighted sum of the
+components' closed form `kappa_gaussian`. A polarization exchange (sigma_x)
+inserted at some retardation flips the sign of subsequent phase accrual, so
+later retardation unwinds earlier dephasing and produces correlation echoes.
 
 Every decoherence parameter and the echo schedule accept an array of
 retardations, so a sweep is one column computation over the whole x grid: the
@@ -28,18 +29,13 @@ from .errors import (
     ConfigError,
     CrossingNotFoundError,
     DephasingInputError,
-    NormalizationError,
     ScheduleError,
-    UnderResolvedGridError,
 )
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 #: default reporting wavelength, 0.78 um
 LAMBDA0 = 0.78e-6
-
-#: minimum samples per oscillation period required of a sampled spectrum
-MIN_SAMPLES_PER_PERIOD = 8
 
 #: largest sweep grid; the presets use 401 points, and a grid beyond this is
 #: taken for a mistyped step or range rather than allocated
@@ -70,36 +66,29 @@ class GaussianComponent:
     width: float
 
     def __post_init__(self):
-        if self.amplitude <= 0.0:
-            raise DephasingInputError(f"amplitude must be positive, got {self.amplitude}")
-        if self.width <= 0.0:
-            raise DephasingInputError(f"width must be positive, got {self.width}")
+        for name in ("amplitude", "center", "width"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise DephasingInputError(f"{name} must be finite and positive, got {value}")
 
 
 def kappa_gaussian(x, sigma: float, omega0: float):
     """Decoherence parameter of a single Gaussian density.
 
     exp[-(x/c)^2 sigma^2 / 16 + i (x/c) omega0]; the modulus is monotone
-    non-increasing in the retardation x. x may be a scalar or an array.
+    non-increasing in the retardation x. x may be a scalar or an array. Where
+    the exponent overflows the value is its exact limit 0, whatever the phase.
     """
     u = np.asarray(x, dtype=float) / SPEED_OF_LIGHT
-    return np.exp(-(u * sigma) ** 2 / 16.0 + 1j * (u * omega0))
-
-
-@dataclass(frozen=True)
-class SingleGaussian:
-    """Gaussian frequency density with width sigma and center omega0 (rad/s)."""
-
-    sigma: float
-    omega0: float
-
-    def kappa(self, x):
-        return kappa_gaussian(x, self.sigma, self.omega0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -(u * sigma) ** 2 / 16.0
+        kappa = np.exp(exponent + 1j * (u * omega0))
+    return np.where(exponent == -math.inf, 0j, kappa)[()]
 
 
 @dataclass(frozen=True)
 class MultiGaussian:
-    """Discrete frequency density: a normalized sum of Gaussian components."""
+    """Frequency density as a sum of Gaussian components whose amplitudes sum to 1."""
 
     components: tuple[GaussianComponent, ...]
 
@@ -108,65 +97,10 @@ class MultiGaussian:
         object.__setattr__(self, "components", comps)
         total = sum(c.amplitude for c in comps)
         if abs(total - 1.0) > 1e-9:
-            raise NormalizationError(f"component amplitudes sum to {total}, not 1")
+            raise DephasingInputError(f"component amplitudes sum to {total}, not 1")
 
     def kappa(self, x):
         return sum(c.amplitude * kappa_gaussian(x, c.width, c.center) for c in self.components)
-
-
-@dataclass(frozen=True, eq=False)
-class SampledSpectrum:
-    """Frequency density on a strictly increasing omega grid (rad/s).
-
-    The trapezoid-rule norm must be 1 within 1e-6; densities must be
-    nonnegative.
-    """
-
-    omega: np.ndarray
-    density: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        density = np.asarray(self.density, dtype=float)
-        if omega.ndim != 1 or omega.shape != density.shape or omega.size < 2:
-            raise DephasingInputError("omega and density must be matching 1-d arrays")
-        if np.any(np.diff(omega) <= 0.0):
-            raise DephasingInputError("omega grid must be strictly increasing")
-        if density.min() < 0.0:
-            raise DephasingInputError(f"negative density {density.min()}")
-        norm = float(np.trapezoid(density, omega))
-        if abs(norm - 1.0) > 1e-6:
-            raise NormalizationError(f"density integrates to {norm}, not 1")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "density", density)
-
-    def kappa(self, x):
-        return kappa_numeric(x, self)
-
-
-def kappa_numeric(x, spectrum: SampledSpectrum):
-    """Trapezoid-rule decoherence parameter of a sampled frequency density.
-
-    x may be a scalar or an array. Requires at least MIN_SAMPLES_PER_PERIOD
-    grid points per oscillation period 2 pi c / |x| across the support, at
-    the largest |x|, else UnderResolvedGridError.
-    """
-    x = np.asarray(x, dtype=float)
-    omega = spectrum.omega
-    x_max = float(np.max(np.abs(x), initial=0.0))
-    if x_max != 0.0:
-        period = 2.0 * math.pi * SPEED_OF_LIGHT / x_max
-        max_spacing = float(np.max(np.diff(omega)))
-        if max_spacing > period / MIN_SAMPLES_PER_PERIOD:
-            raise UnderResolvedGridError(
-                f"grid spacing {max_spacing:.3e} rad/s exceeds "
-                f"{period / MIN_SAMPLES_PER_PERIOD:.3e} (period/{MIN_SAMPLES_PER_PERIOD}) at x = {x_max:.3e} m"
-            )
-    values = [
-        np.trapezoid(spectrum.density * np.exp(1j * (xi / SPEED_OF_LIGHT) * omega), omega)
-        for xi in x.ravel()
-    ]
-    return np.array(values, dtype=complex).reshape(x.shape)[()]
 
 
 def validate_echo_points(points) -> tuple[float, ...]:

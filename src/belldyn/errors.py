@@ -21,14 +21,6 @@ class InvalidKappaError(BelldynError):
     """Decoherence parameter magnitude exceeds 1."""
 
 
-class NormalizationError(BelldynError):
-    """Spectral weights or densities do not sum/integrate to 1."""
-
-
-class UnderResolvedGridError(BelldynError):
-    """Sampled spectrum is too coarse to resolve the oscillatory phase."""
-
-
 class NonConvergenceError(BelldynError):
     """Iterative refinement failed to reach the requested tolerance."""
 
@@ -39,21 +31,18 @@ class CrossingNotFoundError(BelldynError):
 
 class TomographyInputError(BelldynError, ValueError):
     """Malformed tomography input: counts that are not 16 finite nonnegative values, a scale
-    that is not finite and positive, or a bootstrap size outside [2, MAX_TOMO_RESAMPLES]."""
+    that is not finite and positive, counts per setting outside [1, MAX_TOMO_COUNTS], or a
+    bootstrap size outside [2, MAX_TOMO_RESAMPLES]."""
 
 
 class DephasingInputError(BelldynError, ValueError):
-    """Malformed dephasing-model input: a nonpositive Gaussian amplitude or width, a sampled
-    density that is not a nonnegative function on a strictly increasing grid, bad
-    `find_crossing` arguments, or a negative retardation."""
+    """Malformed dephasing-model input: a Gaussian amplitude, center or width that is not finite
+    and positive, mixture amplitudes that do not sum to 1, bad `find_crossing` arguments, or a
+    negative retardation."""
 
 
 class OracleInputError(BelldynError, ValueError):
     """An oracle was given a valid state that is not a two-qubit state."""
-
-
-class CountsRangeError(BelldynError):
-    """Counts per tomography setting lie outside [1, MAX_TOMO_COUNTS]."""
 
 
 class ConfigError(BelldynError):

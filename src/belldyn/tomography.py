@@ -25,7 +25,6 @@ import numpy as np
 
 from .correlations import bell_correlations
 from .errors import (
-    CountsRangeError,
     InvalidStateError,
     NonConvergenceError,
     TomographyInputError,
@@ -118,14 +117,14 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     """Draw Poisson counts with mean n_per_setting * tr(rho P) per setting.
 
     Deterministic for a fixed seed; seeds may be ints or sequences of ints so
-    that callers can derive independent substreams. Raises CountsRangeError
+    that callers can derive independent substreams. Raises TomographyInputError
     unless 1 <= n_per_setting <= MAX_TOMO_COUNTS.
     """
     rho = validate_state(rho)
     if rho.shape != (4, 4):
         raise InvalidStateError("tomography expects a two-qubit state")
     if not 1 <= n_per_setting <= MAX_TOMO_COUNTS:  # NaN fails too
-        raise CountsRangeError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting}")
+        raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting}")
     counts = _rng_from(seed).poisson(n_per_setting * probabilities(rho)).astype(float)
     return TomographyRecord(counts=counts, total_per_setting=float(n_per_setting))
 

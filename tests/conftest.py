@@ -1,4 +1,9 @@
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from belldyn.dephasing import SPEED_OF_LIGHT
 
 
 def random_density_matrix(rng, dim=4, rank=None):
@@ -19,3 +24,28 @@ def random_unitary(rng, dim=2):
 def random_bell_spectrum(rng):
     """Sorted Dirichlet-distributed Bell-diagonal spectrum."""
     return np.sort(rng.dirichlet(np.ones(4)))[::-1]
+
+
+def gaussian_density(omega, sigma, omega0):
+    """Normalized Gaussian frequency density whose decoherence parameter is kappa_gaussian."""
+    return (2.0 / (math.sqrt(math.pi) * sigma)) * np.exp(-4.0 * (omega - omega0) ** 2 / sigma**2)
+
+
+def quadrature_kappa(x, omega, density):
+    """Independent trapezoid evaluation of the decoherence integral of a sampled density.
+
+    x may be a scalar or an array; the grid must resolve the phase exp(i x omega / c).
+    """
+    phase = np.multiply.outer(np.asarray(x, dtype=float) / SPEED_OF_LIGHT, omega)
+    return np.trapezoid(density * np.exp(1j * phase), omega, axis=-1)
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureSpectrum:
+    """A density sampled on an omega grid whose kappa is the trapezoid reference integral."""
+
+    omega: np.ndarray
+    density: np.ndarray
+
+    def kappa(self, x):
+        return quadrature_kappa(x, self.omega, self.density)

@@ -16,8 +16,8 @@ from belldyn.correlations import (
     ree_bell,
 )
 from belldyn.dephasing import (
-    SampledSpectrum,
-    SingleGaussian,
+    GaussianComponent,
+    MultiGaussian,
     angular_frequency,
     evolve_state,
     find_crossing,
@@ -38,9 +38,13 @@ from belldyn.tomography import (
     simulate_counts,
 )
 
-from conftest import random_bell_spectrum, random_density_matrix
+from conftest import QuadratureSpectrum, random_bell_spectrum, random_density_matrix
 
 LAM0 = 0.78e-6
+#: the 3 nm arm-a filter at 780 nm as a one-component mixture
+FILTER_A = MultiGaussian(
+    (GaussianComponent(1.0, angular_frequency(780e-9), sigma_from_fwhm(3e-9, 780e-9)),)
+)
 
 
 def _report(number, checks):
@@ -74,8 +78,7 @@ def fig2b():
 
 
 def test_criterion_1_kappa_a_calibration():
-    spectrum = SingleGaussian(sigma_from_fwhm(3e-9, 780e-9), angular_frequency(780e-9))
-    value = abs(spectrum.kappa(117 * LAM0))
+    value = abs(FILTER_A.kappa(117 * LAM0))
     _report(1, [("|kappa_a| at 117 lam0", abs(value - 0.607) <= 0.010, f"{value:.4f} (0.607 +/- 0.010)")])
 
 
@@ -283,12 +286,14 @@ def test_criterion_10_structural_properties():
                    ref_err <= 1e-12, f"max err {ref_err:.2e}"))
 
     # kappa(0) = 1 and |kappa| <= 1 for every spectral model kind
-    single = SingleGaussian(sigma_from_fwhm(3e-9, 780e-9), angular_frequency(780e-9))
+    # (one-component mixture, three-component mixture, trapezoid integral of a sampled density)
+    single = FILTER_A
     comps = to_sweep_config(preset_config("fig2a")).spectrum_b
+    sigma = single.components[0].width
     omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), 9001)
-    density = np.exp(-4 * (omega - angular_frequency(780e-9)) ** 2 / single.sigma**2)
+    density = np.exp(-4 * (omega - angular_frequency(780e-9)) ** 2 / sigma**2)
     density /= np.trapezoid(density, omega)
-    sampled = SampledSpectrum(omega=omega, density=density)
+    sampled = QuadratureSpectrum(omega, density)
     model_err = max(
         abs(single.kappa(0.0) - 1.0), abs(comps.kappa(0.0) - 1.0), abs(sampled.kappa(0.0) - 1.0)
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from belldyn.cli import (
 from belldyn.dephasing import (
     MAX_SWEEP_POINTS,
     GaussianComponent,
-    SampledSpectrum,
     effective_retardation,
     find_crossing,
     sweep,
@@ -353,6 +354,38 @@ def test_main_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "changes, code, outcome",
+    [
+        # lambda0^2 underflows to 0, so the arm-a width overflows
+        pytest.param({"lambda0": "1e-200"}, 2, "width must be finite and positive, got inf",
+                     id="lambda0-tiny"),
+        # past the overflow of the exponent a Gaussian envelope is its exact limit 0
+        pytest.param({"x_a": "1e300"}, 0, "kappa_a_abs", id="x_a-huge"),
+        pytest.param({"x_b_max": "1e308", "step": "1e306"}, 0, "kappa_b_abs", id="x_b-huge"),
+        pytest.param({"component": "1.0, 1e-300, 0.85"}, 2,
+                     "center must be finite and positive, got inf", id="center-tiny"),
+        pytest.param({"component": "1.0, 780.16, 1e300"}, 2,
+                     "width must be finite and positive, got inf", id="fwhm-huge"),
+    ],
+)
+def test_run_on_values_at_the_float_range_ends_cleanly(tmp_path, capsys, changes, code, outcome):
+    values = {"x_a": "117", "filter_a": "3", "x_b_max": "40", "step": "4",
+              "component": "1.0, 780.16, 0.85", **changes}
+    component = values.pop("component")
+    cfg = tmp_path / "extreme.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items())
+                   + f"[spectrum_b]\ncomponent = {component}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"belldyn: computation error: {outcome}\n"
+    else:
+        # no warning either: the suite would have raised it
+        assert err == ""
+        assert np.all(read_sweep_csv(tmp_path / "out" / "sweep.csv")[outcome][1:] == 0.0)
+
+
 def test_main_computation_error(capsys):
     for kappa_a in ("1.5", "nan"):
         assert main(["tomo-demo", "--kappa-a", kappa_a, "--kappa-b", "0.5"]) == 2
@@ -363,7 +396,7 @@ def test_main_computation_error(capsys):
     "error, bad_call",
     [
         (DephasingInputError, lambda: GaussianComponent(amplitude=-1.0, center=1.0, width=1.0)),
-        (DephasingInputError, lambda: SampledSpectrum(omega=np.ones(3), density=np.ones(3))),
+        (DephasingInputError, lambda: GaussianComponent(amplitude=1.0, center=math.nan, width=1.0)),
         (DephasingInputError, lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="all")),
         (DephasingInputError, lambda: effective_retardation([1.0, -1.0], (0.5,))),
         (OracleInputError, lambda: oracle_classical_correlation(np.eye(2) / 2.0)),

@@ -10,15 +10,12 @@ from belldyn.dephasing import (
     SPEED_OF_LIGHT,
     GaussianComponent,
     MultiGaussian,
-    SampledSpectrum,
-    SingleGaussian,
     SweepConfig,
     angular_frequency,
     effective_retardation,
     evolve_state,
     find_crossing,
     kappa_gaussian,
-    kappa_numeric,
     sigma_from_fwhm,
     sweep,
     validate_echo_points,
@@ -30,11 +27,11 @@ from belldyn.errors import (
     CrossingNotFoundError,
     DephasingInputError,
     InvalidKappaError,
-    NormalizationError,
     ScheduleError,
-    UnderResolvedGridError,
 )
 from belldyn.qstate import eigenvalues_sorted, validate_state
+
+from conftest import QuadratureSpectrum, gaussian_density, quadrature_kappa
 
 LAM0 = LAMBDA0
 SIGMA_3NM = sigma_from_fwhm(3e-9, 780e-9)
@@ -46,15 +43,18 @@ FP_COMPONENTS = tuple(
 )
 
 
-def gaussian_density(omega, sigma, omega0):
-    return (2.0 / (math.sqrt(math.pi) * sigma)) * np.exp(-4.0 * (omega - omega0) ** 2 / sigma**2)
+def _gaussian(sigma, omega0):
+    """A single Gaussian density as the one-component mixture."""
+    return MultiGaussian((GaussianComponent(1.0, omega0, sigma),))
 
 
-def quadrature_kappa(x, sigma, omega0, n=20001, half_width=5.0):
-    """Independent trapezoid evaluation of the decoherence integral."""
-    omega = np.linspace(omega0 - half_width * sigma, omega0 + half_width * sigma, n)
-    f = gaussian_density(omega, sigma, omega0)
-    return np.trapezoid(f * np.exp(1j * (x / SPEED_OF_LIGHT) * omega), omega)
+def _sampled_gaussian(n=6001, half_width=4.0, normalize=True):
+    """The 3 nm Gaussian density on an n-point grid of +-half_width widths."""
+    omega = np.linspace(
+        OMEGA_780 - half_width * SIGMA_3NM, OMEGA_780 + half_width * SIGMA_3NM, n
+    )
+    density = gaussian_density(omega, SIGMA_3NM, OMEGA_780)
+    return omega, density / np.trapezoid(density, omega) if normalize else density
 
 
 def test_kappa_gaussian_at_zero():
@@ -72,7 +72,7 @@ def test_kappa_gaussian_matches_quadrature():
     for _ in range(12):
         x = rng.uniform(0.0, 250.0) * LAM0
         closed = kappa_gaussian(x, SIGMA_3NM, OMEGA_780)
-        numeric = quadrature_kappa(x, SIGMA_3NM, OMEGA_780)
+        numeric = quadrature_kappa(x, *_sampled_gaussian(20001, 5.0, normalize=False))
         assert abs(closed - numeric) < 1e-6
 
 
@@ -103,7 +103,7 @@ def test_kappa_multi_gaussian_normalization_error():
         GaussianComponent(0.5, OMEGA_780, SIGMA_3NM),
         GaussianComponent(0.4, OMEGA_780 * 1.001, SIGMA_3NM),
     )
-    with pytest.raises(NormalizationError):
+    with pytest.raises(DephasingInputError, match="sum to"):
         MultiGaussian(bad)
 
 
@@ -119,57 +119,42 @@ def test_kappa_modulus_bounded():
         assert abs(MultiGaussian(FP_COMPONENTS).kappa(x)) <= 1.0 + 1e-12
 
 
-def _sampled_gaussian(n=6001, half_width=4.0):
-    omega = np.linspace(
-        OMEGA_780 - half_width * SIGMA_3NM, OMEGA_780 + half_width * SIGMA_3NM, n
-    )
-    density = gaussian_density(omega, SIGMA_3NM, OMEGA_780)
-    density = density / np.trapezoid(density, omega)
-    return SampledSpectrum(omega=omega, density=density)
+def test_kappa_quadrature_at_zero():
+    numeric = quadrature_kappa(0.0, *_sampled_gaussian())
+    assert abs(numeric - kappa_gaussian(0.0, SIGMA_3NM, OMEGA_780)) < 1e-6
 
 
-def test_kappa_numeric_at_zero():
-    spectrum = _sampled_gaussian()
-    assert abs(kappa_numeric(0.0, spectrum) - 1.0) < 1e-6
-
-
-def test_kappa_numeric_matches_closed_form():
-    spectrum = _sampled_gaussian(n=8001)
+def test_kappa_quadrature_matches_closed_form():
+    grid = _sampled_gaussian(n=8001)
     rng = np.random.default_rng(31)
     for _ in range(20):
         x = rng.uniform(0.0, 300.0) * LAM0
-        assert abs(kappa_numeric(x, spectrum) - kappa_gaussian(x, SIGMA_3NM, OMEGA_780)) < 1e-4
+        assert abs(quadrature_kappa(x, *grid) - kappa_gaussian(x, SIGMA_3NM, OMEGA_780)) < 1e-4
 
 
-def test_kappa_numeric_matches_multi_gaussian():
-    lo = angular_frequency(783e-9)
-    hi = angular_frequency(777e-9)
-    omega = np.linspace(lo, hi, 12001)
+def _sampled_fp(n=12001):
+    """The FP spectrum's density on an n-point grid from 777 to 783 nm, normalized."""
+    omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), n)
     density = sum(
         c.amplitude * gaussian_density(omega, c.width, c.center) for c in FP_COMPONENTS
     )
-    density = density / np.trapezoid(density, omega)
-    spectrum = SampledSpectrum(omega=omega, density=density)
+    return omega, density / np.trapezoid(density, omega)
+
+
+def test_kappa_quadrature_matches_multi_gaussian():
+    grid = _sampled_fp()
     rng = np.random.default_rng(32)
     for _ in range(10):
         x = rng.uniform(0.0, 300.0) * LAM0
-        assert abs(kappa_numeric(x, spectrum) - MultiGaussian(FP_COMPONENTS).kappa(x)) < 1e-4
+        assert abs(quadrature_kappa(x, *grid) - MultiGaussian(FP_COMPONENTS).kappa(x)) < 1e-4
 
 
-def test_kappa_numeric_under_resolved():
-    spectrum = _sampled_gaussian(n=40)
-    with pytest.raises(UnderResolvedGridError):
-        kappa_numeric(500 * LAM0, spectrum)
-
-
-def test_sampled_spectrum_validation():
-    omega = np.linspace(1.0, 2.0, 50)
-    with pytest.raises(NormalizationError):
-        SampledSpectrum(omega=omega, density=np.full(50, 0.5))
-    with pytest.raises(ValueError):
-        SampledSpectrum(omega=omega[::-1], density=np.full(50, 1.0))
-    with pytest.raises(ValueError):
-        SampledSpectrum(omega=omega, density=np.linspace(-0.1, 2.1, 50))
+def test_kappa_gaussian_is_zero_past_envelope_overflow():
+    # (x/c)^2 sigma^2 overflows: the envelope's exact limit 0, with no numpy warning
+    assert kappa_gaussian(1e300, SIGMA_3NM, OMEGA_780) == 0.0
+    got = kappa_gaussian(np.array([0.0, 1e300, 1e306]), SIGMA_3NM, OMEGA_780)
+    np.testing.assert_array_equal(got, [1.0, 0.0, 0.0])
+    assert MultiGaussian(FP_COMPONENTS).kappa(1e308) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -177,12 +162,18 @@ def test_sampled_spectrum_validation():
     [
         lambda: GaussianComponent(amplitude=0.0, center=1.0, width=1.0),
         lambda: GaussianComponent(amplitude=1.0, center=1.0, width=-1.0),
-        lambda: SampledSpectrum(omega=np.linspace(1.0, 2.0, 5), density=np.ones(4)),
-        lambda: SampledSpectrum(omega=np.linspace(2.0, 1.0, 5), density=np.ones(5)),
-        lambda: SampledSpectrum(omega=np.linspace(1.0, 2.0, 5), density=-np.ones(5)),
         lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="middle"),
         lambda: find_crossing([0.0, 1.0], [0.0, 1.0, 2.0], 0.5),
         lambda: effective_retardation(-1.0, ()),
+        lambda: MultiGaussian((GaussianComponent(0.5, 1.0, 1.0),)),
+        lambda: GaussianComponent(amplitude=math.nan, center=1e15, width=1e12),
+        lambda: GaussianComponent(amplitude=1.0, center=math.nan, width=1e12),
+        lambda: GaussianComponent(amplitude=1.0, center=1e15, width=math.nan),
+        lambda: GaussianComponent(amplitude=math.inf, center=1e15, width=1e12),
+        lambda: GaussianComponent(amplitude=1.0, center=math.inf, width=1e12),
+        lambda: GaussianComponent(amplitude=1.0, center=1e15, width=math.inf),
+        lambda: GaussianComponent(amplitude=1.0, center=0.0, width=1e12),
+        lambda: GaussianComponent(amplitude=1.0, center=-1e15, width=1e12),
     ],
 )
 def test_malformed_model_inputs_raise_dephasing_input_error(bad_input):
@@ -190,6 +181,14 @@ def test_malformed_model_inputs_raise_dephasing_input_error(bad_input):
         bad_input()
     assert isinstance(info.value, BelldynError)
     assert isinstance(info.value, ValueError)
+
+
+def test_gaussian_component_error_names_the_field():
+    good = {"amplitude": 1.0, "center": 1e15, "width": 1e12}
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf, 0.0):
+            with pytest.raises(DephasingInputError, match=f"^{name} must be finite and positive"):
+                GaussianComponent(**{**good, name: bad})
 
 
 def test_effective_retardation_no_exchange():
@@ -263,7 +262,7 @@ def _fig_sweep_config(echo=(), x_max=800.0, step=2.0, fwhm_b_nm=0.85):
     )
     return SweepConfig(
         x_a=117 * LAM0,
-        spectrum_a=SingleGaussian(SIGMA_3NM, OMEGA_780),
+        spectrum_a=_gaussian(SIGMA_3NM, OMEGA_780),
         spectrum_b=MultiGaussian(comps),
         x_b_max=x_max * LAM0,
         step=step * LAM0,
@@ -275,8 +274,8 @@ def test_sweep_constant_when_arm_b_untouched():
     # an essentially monochromatic arm-b spectrum keeps |kappa_b| at 1
     config = SweepConfig(
         x_a=117 * LAM0,
-        spectrum_a=SingleGaussian(SIGMA_3NM, OMEGA_780),
-        spectrum_b=SingleGaussian(1.0, OMEGA_780),
+        spectrum_a=_gaussian(SIGMA_3NM, OMEGA_780),
+        spectrum_b=_gaussian(1.0, OMEGA_780),
         x_b_max=100 * LAM0,
         step=10 * LAM0,
     )
@@ -334,8 +333,8 @@ def test_sweep_markovian_case_never_revives():
     # so the quantum branch is monotone after the transition
     config = SweepConfig(
         x_a=117 * LAM0,
-        spectrum_a=SingleGaussian(SIGMA_3NM, OMEGA_780),
-        spectrum_b=SingleGaussian(sigma_from_fwhm(0.85e-9, 780e-9), OMEGA_780),
+        spectrum_a=_gaussian(SIGMA_3NM, OMEGA_780),
+        spectrum_b=_gaussian(sigma_from_fwhm(0.85e-9, 780e-9), OMEGA_780),
         x_b_max=900 * LAM0,
         step=5 * LAM0,
     )
@@ -356,11 +355,7 @@ def test_sweep_rejects_bad_schedule():
 def test_sweep_sampled_spectrum_matches_multi_gaussian():
     # the FP spectrum sampled on a grid against its closed form; the echo at
     # 100 lambda0 drives the effective retardation negative beyond 200
-    omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), 12001)
-    density = sum(
-        c.amplitude * gaussian_density(omega, c.width, c.center) for c in FP_COMPONENTS
-    )
-    sampled = SampledSpectrum(omega=omega, density=density / np.trapezoid(density, omega))
+    sampled = QuadratureSpectrum(*_sampled_fp())
     closed = _fig_sweep_config(echo=(100.0,), x_max=300.0, step=5.0)
     want = sweep(closed)
     got = sweep(replace(closed, spectrum_b=sampled))
@@ -411,14 +406,6 @@ def test_effective_retardation_vectorized():
         np.testing.assert_array_equal(
             effective_retardation(xs, schedule), [_loop_retardation(x, schedule) for x in xs]
         )
-
-
-def test_kappa_numeric_vectorized():
-    spectrum = _sampled_gaussian(n=8001)
-    xs = np.array([0.0, 30.0, 120.0]) * LAM0
-    np.testing.assert_array_equal(kappa_numeric(xs, spectrum), [kappa_numeric(x, spectrum) for x in xs])
-    with pytest.raises(UnderResolvedGridError):
-        kappa_numeric(np.array([0.0, 500.0]) * LAM0, _sampled_gaussian(n=40))
 
 
 def test_find_crossing_linear_interpolation():

@@ -1,10 +1,12 @@
-"""Fuzz tests of the two text boundaries: a sweep.csv read by `landmarks`, and config text.
+"""Fuzz tests of the text boundaries: a sweep.csv read by `landmarks`, config text, and `run`.
 
 Every input must end in a documented exit code or a ConfigError, never a
-traceback. `run` is left out: a fuzzed tomography block could run for minutes.
+traceback; the suite turns any warning into an error, so a numpy warning
+fails too. A fuzzed `run` is bounded in points x (1 + resamples), so that a
+tomography block cannot run for minutes.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from belldyn.cli import SWEEP_COLUMNS, main, parse_config_lines
@@ -73,3 +75,47 @@ def test_parse_config_lines_returns_or_raises_config_error(lines):
         parse_config_lines(lines)
     except ConfigError:
         pass
+
+
+#: any positive finite float, subnormals included, or a whole number up to the counts cap
+_FINITE = st.floats(min_value=5e-324, max_value=1e308)
+_VALUES = _FINITE | st.integers(1, 10**15).map(float)
+
+_VALID = {"x_a": 117.0, "filter_a": 3.0, "x_b_max": 8.0, "step": 4.0, "lambda0": 780.0}
+_TOMO = {"tomo_counts": 100.0, "tomo_resamples": 2.0, "tomo_seed": 0.0}
+
+#: the largest points x (1 + resamples) a fuzzed run may ask for, so that the test stays short
+_MAX_WORK = 60
+
+
+@st.composite
+def _run_configs(draw):
+    """A valid run config, 1-3 components with or without tomography, with up to three of its
+    values replaced; keys are config keys or (component index, field index)."""
+    n = draw(st.integers(1, 3))
+    values = {**_VALID, **(_TOMO if draw(st.booleans()) else {})}
+    values.update({(i, j): v for i in range(n) for j, v in enumerate((1.0 / n, 780.16, 0.85))})
+    for key in draw(st.lists(st.sampled_from(list(values)), max_size=3, unique=True)):
+        values[key] = draw(_VALUES)
+    return values, draw(st.lists(_FINITE, max_size=2))
+
+
+def _run_config_text(values, echo_points):
+    n = max(key[0] for key in values if isinstance(key, tuple)) + 1
+    return "".join(
+        [f"{key} = {value!r}\n" for key, value in values.items() if isinstance(key, str)]
+        + ["echo_points = " + ", ".join(map(repr, echo_points)) + "\n", "[spectrum_b]\n"]
+        + [f"component = {values[i, 0]!r}, {values[i, 1]!r}, {values[i, 2]!r}\n" for i in range(n)]
+    )
+
+
+@_FUZZ
+@given(config=_run_configs())
+def test_run_on_near_valid_configs_ends_in_an_exit_code(tmp_path_factory, config):
+    values, echo_points = config
+    assume(values["x_b_max"] / values["step"] * (1.0 + values.get("tomo_resamples", 0.0))
+           <= _MAX_WORK)
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz-run.cfg"
+    path.write_text(_run_config_text(values, echo_points))
+    assert main(["run", str(path), "--out", str(base / "fuzz-run")]) in (0, 1, 2, 3)

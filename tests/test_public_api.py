@@ -1,0 +1,34 @@
+"""The public surface: `belldyn.__all__` resolves, and removed names stay removed."""
+
+import importlib
+
+import pytest
+
+import belldyn
+
+#: module -> names it no longer defines, as listed under "Removed names" in README
+REMOVED = {
+    "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS"),
+    "belldyn.correlations": ("CorrelationSet", "correlations_from_spectrum",
+                             "total_mutual_information_bell", "closest_classical_bell"),
+    "belldyn.dephasing": ("kappa_multi_gaussian", "SingleGaussian", "SampledSpectrum",
+                          "kappa_numeric", "MIN_SAMPLES_PER_PERIOD"),
+    "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
+                       "NormalizationError", "CountsRangeError"),
+}
+
+
+def test_all_has_no_duplicates_and_every_name_resolves():
+    assert len(belldyn.__all__) == len(set(belldyn.__all__))
+    for name in belldyn.__all__:
+        assert getattr(belldyn, name) is not None, name
+
+
+def test_removed_names_are_gone():
+    for module_name, names in REMOVED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(belldyn, name)
+            assert not hasattr(module, name), f"{module_name}.{name}"
+    assert not hasattr(belldyn.TomographyRecord, "settings")

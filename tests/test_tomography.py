@@ -12,7 +12,6 @@ from belldyn.correlations import bell_correlations
 from belldyn.dephasing import evolve_state, sweep
 from belldyn.errors import (
     BelldynError,
-    CountsRangeError,
     NonConvergenceError,
     TomographyInputError,
 )
@@ -219,9 +218,10 @@ def test_error_bars_requires_two_resamples():
 def test_simulate_counts_rejects_counts_out_of_range():
     rho = np.eye(4) / 4.0
     for bad in (0, 0.5, float("nan"), 1e30, MAX_TOMO_COUNTS + 1):
-        with pytest.raises(CountsRangeError, match="n_per_setting"):
+        with pytest.raises(TomographyInputError, match="n_per_setting"):
             simulate_counts(rho, bad, 0)
-    assert issubclass(CountsRangeError, BelldynError)
+    assert issubclass(TomographyInputError, BelldynError)
+    assert issubclass(TomographyInputError, ValueError)
     assert simulate_counts(rho, MAX_TOMO_COUNTS, 0).total_per_setting == MAX_TOMO_COUNTS
 
 
