@@ -191,9 +191,7 @@ def parse_config_lines(lines, name_hint: str = "custom") -> ExperimentConfig:
                 raise UnknownKeyError(f"line {lineno}: unknown key {key!r} in [spectrum_b]")
             parts = [p.strip() for p in raw_value.split(",")]
             if len(parts) != 3:
-                raise ParseError(
-                    f"line {lineno}: component needs 'weight, center_nm, fwhm_nm'"
-                )
+                raise ParseError(f"line {lineno}: component needs 'weight, center_nm, fwhm_nm'")
             components.append(tuple(_parse_float(p, lineno, "component") for p in parts))
             continue
         if key not in _SCALAR_KEYS:
@@ -212,11 +210,8 @@ def parse_config_lines(lines, name_hint: str = "custom") -> ExperimentConfig:
     echo: tuple[float, ...] = ()
     if "echo_points" in values and values["echo_points"]:
         lineno = value_lines["echo_points"]
-        echo = tuple(
-            _parse_float(p.strip(), lineno, "echo_points")
-            for p in values["echo_points"].split(",")
-            if p.strip()
-        )
+        echo = tuple(_parse_float(p.strip(), lineno, "echo_points")
+                     for p in values["echo_points"].split(",") if p.strip())
 
     tomo = None
     if "tomo_counts" in values:
@@ -392,23 +387,31 @@ def write_landmarks(landmarks: dict[str, float], path) -> None:
             handle.write(f"{key} = {_fmt(value)}\n")
 
 
+#: largest tomography batch: point estimates plus resamples of whole sweep rows
+_BLOCK_ROWS = 256
+
+
 def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path) -> None:
     """Tomography-reconstructed series with bootstrap error bars.
 
     Per sweep-table row: simulate counts from the evolved state, reconstruct, and
     evaluate the correlation measures on the reconstructed spectrum; errors
     come from the parametric bootstrap. Substreams derive from (seed, index).
+    Rows go to `tomography.bootstrap` in blocks of at most _BLOCK_ROWS estimates (one
+    row if larger): memory stays bounded, and the bits are those of one row at a time.
     """
     tomo = config.tomography
     keys = tomography.BOOTSTRAP_KEYS
     # per row, each value followed by its error, in BOOTSTRAP_KEYS order
     cells = np.empty((len(table["x_over_lambda0"]), len(keys), 2))
-    for i, (kappa_a, kappa_b) in enumerate(zip(table["kappa_a"], table["kappa_b"])):
-        rho = dephasing.evolve_state(kappa_a, kappa_b)
-        record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
-        cells[i, :, 0] = tomography.state_quantities(tomography.reconstruct(record))
-        errs = tomography.error_bars(record, tomo.resamples, [tomo.seed, i, 1])
-        cells[i, :, 1] = [errs[name] for name in keys]
+    block = max(1, _BLOCK_ROWS // (1 + tomo.resamples))
+    for start in range(0, len(cells), block):
+        index = range(start, min(start + block, len(cells)))
+        records = [tomography.simulate_counts(
+            dephasing.evolve_state(table["kappa_a"][i], table["kappa_b"][i]),
+            tomo.n_per_setting, [tomo.seed, i, 0]) for i in index]
+        cells[index, :, 0], cells[index, :, 1] = tomography.bootstrap(
+            records, tomo.resamples, [[tomo.seed, i, 1] for i in index])
     header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
     _write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
@@ -468,12 +471,11 @@ def _cmd_tomo_demo(args) -> int:
     record = tomography.simulate_counts(rho, tomo.n_per_setting, tomo.seed)
     print(tomography.record_to_csv(record), end="")
     true = tomography.state_quantities(rho)
-    reconstructed = tomography.state_quantities(tomography.reconstruct(record))
-    errs = tomography.error_bars(record, tomo.resamples, tomo.seed + 1)
+    (reconstructed,), (errs,) = tomography.bootstrap([record], tomo.resamples, [tomo.seed + 1])
     print()
     print(f"{'quantity':8s} {'true':>12s} {'reconstructed':>14s} {'error':>10s}")
-    for name, t, rec in zip(tomography.BOOTSTRAP_KEYS, true, reconstructed):
-        print(f"{name:8s} {t:12.6f} {rec:14.6f} {errs[name]:10.6f}")
+    for name, t, rec, err in zip(tomography.BOOTSTRAP_KEYS, true, reconstructed, errs):
+        print(f"{name:8s} {t:12.6f} {rec:14.6f} {err:10.6f}")
     return 0
 
 

@@ -77,12 +77,20 @@ def kappa_gaussian(x, sigma: float, omega0: float):
 
     exp[-(x/c)^2 sigma^2 / 16 + i (x/c) omega0]; the modulus is monotone
     non-increasing in the retardation x. x may be a scalar or an array. Where
-    the exponent overflows the value is its exact limit 0, whatever the phase.
+    the exponent overflows the value is its exact limit 0, whatever the phase;
+    where only the phase overflows, DephasingInputError names the range.
     """
-    u = np.asarray(x, dtype=float) / SPEED_OF_LIGHT
+    x = np.asarray(x, dtype=float)
+    u = x / SPEED_OF_LIGHT
     with np.errstate(over="ignore", invalid="ignore"):
         exponent = -(u * sigma) ** 2 / 16.0
-        kappa = np.exp(exponent + 1j * (u * omega0))
+        phase = u * omega0
+        kappa = np.exp(exponent + 1j * phase)
+    undefined = (exponent > -math.inf) & ~np.isfinite(phase)
+    if undefined.any():
+        limit = SPEED_OF_LIGHT * (np.finfo(float).max / omega0)
+        raise DephasingInputError(f"retardation {abs(x[undefined][0]):.6g} m is out of range: "
+                                  f"the phase (x/c)*omega0 overflows beyond {limit:.6g} m")
     return np.where(exponent == -math.inf, 0j, kappa)[()]
 
 

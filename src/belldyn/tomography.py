@@ -5,10 +5,11 @@ projectors. Reconstruction has one estimator, the maximum of the extended
 (free-trace) Poisson likelihood over positive semidefinite states, normalized
 to trace 1 (see `reconstruct`): a physical linear inversion is that maximum
 in closed form, and an unphysical one goes to a log-det barrier Newton solve.
-Statistical errors are propagated by a parametric bootstrap that resamples
-the observed counts and solves all resamples as one batch; each row's
-arithmetic is independent of the batch, so a resample gives the same bits as
-`reconstruct` of its counts.
+Statistical errors come from a parametric bootstrap that resamples the
+observed counts. `bootstrap` solves the point estimates and resamples of many
+records as one batch, and a run reconstructs its sweep rows in such blocks;
+each row's arithmetic is independent of the batch, so it gives the same bits
+as one row at a time, and a resample the bits of `reconstruct` of its counts.
 
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
@@ -100,10 +101,7 @@ def record_to_csv(record: TomographyRecord) -> str:
 
 def _rng_from(seed, *extra) -> np.random.Generator:
     """Generator from an int or int-sequence seed plus stream-splitting words."""
-    if isinstance(seed, (int, np.integer)):
-        words = [int(seed)]
-    else:
-        words = [int(s) for s in seed]
+    words = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
     return np.random.default_rng(words + [int(e) for e in extra])
 
 
@@ -331,21 +329,33 @@ def state_quantities(states) -> np.ndarray:
     return np.concatenate([np.stack(bell_correlations(lam), axis=-1), lam], axis=-1)
 
 
-def error_bars(record: TomographyRecord, resamples: int, seed) -> dict[str, float]:
-    """Parametric-bootstrap standard deviations of the correlation quantities.
+def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Point estimates and parametric-bootstrap standard deviations of a stack of records.
 
-    Each resample redraws every count from Poisson(observed count); all
-    resamples are reconstructed as one batch, each exactly as `reconstruct`
-    would, and the correlation measures are evaluated on their sorted
-    eigenvalues. Resample r uses the substream (seed, r), so results do not
-    depend on evaluation order. Returns sample standard deviations for
-    I, C, Q, REE and the four eigenvalues. Raises TomographyInputError unless
+    Resample r of record i redraws every count from Poisson(observed count) with
+    the substream (seeds[i], r). All estimates are rows of one `_estimate` and one
+    `state_quantities` call, each row with the bits it has alone. Returns two
+    (len(records), 8) arrays in BOOTSTRAP_KEYS order: the point estimates'
+    quantities and the resamples' standard deviations (ddof=1). Raises
+    TomographyInputError unless records is nonempty with one seed each and
     2 <= resamples <= MAX_TOMO_RESAMPLES.
     """
     if not 2 <= resamples <= MAX_TOMO_RESAMPLES:  # NaN fails too
         raise TomographyInputError(
             f"resamples must be in [2, {MAX_TOMO_RESAMPLES}], got {resamples}")
-    counts = np.stack([_rng_from(seed, r).poisson(record.counts) for r in range(resamples)])
-    samples = state_quantities(_estimate(counts / record.total_per_setting))
-    stds = samples.std(axis=0, ddof=1)
-    return dict(zip(BOOTSTRAP_KEYS, stds.tolist()))
+    if not 0 < len(records) == len(seeds):
+        raise TomographyInputError(f"need 1+ records, one seed each, got {len(seeds)} for {len(records)}")
+    freqs = np.stack([
+        np.stack([record.counts] + [_rng_from(seed, r).poisson(record.counts)
+                                    for r in range(resamples)]) / record.total_per_setting
+        for record, seed in zip(records, seeds)])
+    quantities = state_quantities(_estimate(freqs.reshape(-1, 16))).reshape(len(freqs), 1 + resamples, -1)
+    return quantities[:, 0], quantities[:, 1:].std(axis=1, ddof=1)
+
+
+def error_bars(record: TomographyRecord, resamples: int, seed) -> dict[str, float]:
+    """Bootstrap standard deviations of the BOOTSTRAP_KEYS of one record, by name.
+
+    The one-record call of `bootstrap`: resample r uses the substream (seed, r).
+    """
+    return dict(zip(BOOTSTRAP_KEYS, bootstrap([record], resamples, [seed])[1][0].tolist()))

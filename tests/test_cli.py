@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import belldyn.cli
+from belldyn import dephasing, tomography
 from belldyn.cli import (
     ExperimentConfig,
     _first_local_min,
@@ -291,6 +292,88 @@ def test_run_with_tomography_writes_noisy_csv(tmp_path):
     assert all(e >= 0.0 for e in errs)
 
 
+def _reference_write_noisy_csv(table, config, path):
+    """The row-by-row noisy.csv writer that block reconstruction replaced:
+    one `reconstruct` and one `error_bars` call per sweep row."""
+    tomo = config.tomography
+    keys = tomography.BOOTSTRAP_KEYS
+    cells = np.empty((len(table["x_over_lambda0"]), len(keys), 2))
+    for i, (kappa_a, kappa_b) in enumerate(zip(table["kappa_a"], table["kappa_b"])):
+        rho = dephasing.evolve_state(kappa_a, kappa_b)
+        record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
+        cells[i, :, 0] = tomography.state_quantities(tomography.reconstruct(record))
+        errs = tomography.error_bars(record, tomo.resamples, [tomo.seed, i, 1])
+        cells[i, :, 1] = [errs[name] for name in keys]
+    header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
+    belldyn.cli._write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
+
+
+def _tomography_config(resamples, seed=5):
+    # 6 rows from x = 0, where the rank-2 state gives unphysical inversions,
+    # past the sudden transition
+    return parse_config_lines(["x_a = 117", "filter_a = 3.0", "x_b_max = 200", "step = 40",
+                               "tomo_counts = 3000", f"tomo_resamples = {resamples}",
+                               f"tomo_seed = {seed}", "[spectrum_b]",
+                               "component = 0.37, 778.853, 0.85",
+                               "component = 0.44, 780.160, 0.85",
+                               "component = 0.19, 781.459, 0.85"])
+
+
+@pytest.mark.parametrize(
+    "block_rows, resamples",
+    [
+        pytest.param(None, 7, id="default"),
+        # 5 and 4 sweep rows per block: blocks of 5 and 1 rows, and of 4 and 2
+        pytest.param(17, 2, id="five-rows"),
+        pytest.param(12, 2, id="four-rows"),
+        # 1 + resamples exceeds the block: one sweep row per batch
+        pytest.param(3, 4, id="row-larger-than-block"),
+    ],
+)
+def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_rows, resamples):
+    if block_rows is not None:
+        monkeypatch.setattr(belldyn.cli, "_BLOCK_ROWS", block_rows)
+    limit = max(belldyn.cli._BLOCK_ROWS, 1 + resamples)
+    batches = []
+    estimate = tomography._estimate
+
+    def spy(freqs):
+        batches.append(len(freqs))
+        assert len(freqs) <= limit
+        return estimate(freqs)
+
+    config = _tomography_config(resamples)
+    monkeypatch.setattr(tomography, "_estimate", spy)
+    run(config, tmp_path)
+    monkeypatch.setattr(tomography, "_estimate", estimate)
+    assert len(batches) == -(-6 // max(1, belldyn.cli._BLOCK_ROWS // (1 + resamples)))
+    table = sweep(to_sweep_config(config))
+    table["x_over_lambda0"] = table["x_b"] / (config.lambda0_nm * 1e-9)
+    _reference_write_noisy_csv(table, config, tmp_path / "reference.csv")
+    assert (tmp_path / "noisy.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_main_tomo_demo_output_is_pinned(capsys):
+    # the bytes of the per-call reconstruct + error_bars demo
+    assert main(["tomo-demo", "--kappa-a", "0.98", "--kappa-b", "0.99",
+                 "--counts", "10000", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "setting,count\n"
+        "HH,2417\nHV,2548\nVH,2421\nVV,2497\nHD,5025\nHL,2484\nDH,4936\nDV,45\n"
+        "DD,2529\nDL,2470\nLH,2572\nLD,2496\nLL,4900\nLV,2523\nVL,2454\nVD,22\n"
+        "\n"
+        "quantity         true  reconstructed      error\n"
+        "I            1.873792       1.900106   0.036428\n"
+        "C            0.954585       0.980749   0.013403\n"
+        "Q            0.919207       0.919358   0.033168\n"
+        "REE          0.887941       0.907446   0.034388\n"
+        "lambda1      0.985050       0.988192   0.005750\n"
+        "lambda2      0.009950       0.009981   0.005502\n"
+        "lambda3      0.004950       0.001827   0.001409\n"
+        "lambda4      0.000050       0.000000   0.000000\n"
+    )
+
+
 def test_series_matches_sweep_output(tmp_path):
     cfg = preset_config("fig2a")
     table = sweep(to_sweep_config(cfg))
@@ -367,6 +450,10 @@ def test_main_io_error(tmp_path, capsys):
                      "center must be finite and positive, got inf", id="center-tiny"),
         pytest.param({"component": "1.0, 780.16, 1e300"}, 2,
                      "width must be finite and positive, got inf", id="fwhm-huge"),
+        # a width of 1e-310 nm keeps the envelope finite where the phase overflows
+        pytest.param({"x_b_max": "1e308", "step": "1e306", "component": "1.0, 780.16, 1e-310"},
+                     2, "retardation 2.262e+301 m is out of range: the phase (x/c)*omega0 "
+                     "overflows beyond 2.23213e+301 m", id="phase-overflow"),
     ],
 )
 def test_run_on_values_at_the_float_range_ends_cleanly(tmp_path, capsys, changes, code, outcome):

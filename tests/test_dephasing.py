@@ -157,6 +157,17 @@ def test_kappa_gaussian_is_zero_past_envelope_overflow():
     assert MultiGaussian(FP_COMPONENTS).kappa(1e308) == 0.0
 
 
+def test_kappa_gaussian_names_the_range_where_only_the_phase_overflows():
+    # sigma 1e-300 keeps the envelope at 1 where (x/c) omega0 overflows; the
+    # limit is c * max_float / omega0
+    limit = SPEED_OF_LIGHT * (np.finfo(float).max / OMEGA_780)
+    for x in (1e308, np.array([0.0, -1e308])):
+        with pytest.raises(DephasingInputError) as info:
+            kappa_gaussian(x, 1e-300, OMEGA_780)
+        assert str(info.value) == ("retardation 1e+308 m is out of range: the phase "
+                                   f"(x/c)*omega0 overflows beyond {limit:.6g} m")
+
+
 @pytest.mark.parametrize(
     "bad_input",
     [

@@ -23,6 +23,7 @@ from belldyn.tomography import (
     STANDARD_LABELS,
     STANDARD_PROJECTORS,
     TomographyRecord,
+    bootstrap,
     error_bars,
     probabilities,
     reconstruct,
@@ -186,6 +187,18 @@ def test_error_bars_match_per_record_reference():
     assert error_bars(record, resamples, seed) == expected
 
 
+def test_bootstrap_of_a_stack_matches_each_record_alone():
+    # pure, rank-2 and mixed states: unphysical and physical rows share one batch
+    states = [evolve_state(1.0, 1.0), evolve_state(0.607, 1.0), evolve_state(0.607, 0.385)]
+    records = [simulate_counts(rho, 2000, [3, i]) for i, rho in enumerate(states)]
+    seeds = [[3, i, 1] for i in range(len(records))]
+    values, errors = bootstrap(records, 9, seeds)
+    assert values.shape == errors.shape == (3, len(BOOTSTRAP_KEYS))
+    for record, seed, value, error in zip(records, seeds, values, errors):
+        assert np.array_equal(value, tomography.state_quantities(reconstruct(record)))
+        assert dict(zip(BOOTSTRAP_KEYS, error.tolist())) == error_bars(record, 9, seed)
+
+
 def test_error_bars_vanish_for_huge_counts():
     rec = exact_record(evolve_state(0.607, 0.385), n=10**8)
     errs = error_bars(rec, 30, 5)
@@ -333,6 +346,9 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
     for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, float("nan")):
         with pytest.raises(TomographyInputError, match="resamples"):
             error_bars(rec, bad, 0)
+    for records, seeds in (([], []), ([rec, rec], [1]), ([rec], [1, 2])):
+        with pytest.raises(TomographyInputError, match="one seed each"):
+            bootstrap(records, 3, seeds)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
