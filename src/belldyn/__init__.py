@@ -35,8 +35,6 @@ from .dephasing import (
     sweep,
 )
 from .oracle import (
-    GridSpec,
-    SimplexGridSpec,
     closest_product_state,
     oracle_classical_correlation,
     oracle_quantum_correlation,
@@ -64,10 +62,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianComponent",
-    "GridSpec",
     "LAMBDA0",
     "MultiGaussian",
-    "SimplexGridSpec",
     "SPEED_OF_LIGHT",
     "STANDARD_PROJECTORS",
     "SweepConfig",

@@ -4,7 +4,7 @@ The quantum-correlation oracle searches all product measurement bases (two
 Bloch directions) on a coarse grid with local refinement; for a fixed basis
 the closest classical state is the dephased input, so the objective reduces
 to the Shannon entropy of the four product-basis populations. The search runs
-once per state: its result is kept for the last (matrix, grid) pair, so the
+once per state: its result is kept for the last matrix searched, so the
 classical-correlation oracle called on the matrix the quantum-correlation
 oracle just searched reuses that basis. The entanglement oracle minimizes the
 classical relative entropy over the separable Bell-diagonal simplex (all
@@ -12,15 +12,15 @@ eigenvalues <= 1/2) by a coarse simplex grid followed by pattern refinement
 along pairwise-exchange directions.
 
 Each basis grid, the coarse simplex grid and each round of exchange moves is
-evaluated as one array. Results are deterministic for a fixed grid spec, with
-ties broken by the smallest flattened grid index or move index.
+evaluated as one array. Both searches are fixed by the module constants below,
+so results are deterministic, with ties broken by the smallest flattened grid
+index or move index.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,59 +35,26 @@ from .qstate import (
 )
 
 
-def _check_refinement(spec) -> None:
-    """OracleInputError unless a spec's shrink factor is finite and positive and its tol is not NaN."""
-    if not 0.0 < spec.shrink < math.inf:
-        raise OracleInputError(f"shrink must be finite and positive, got {spec.shrink}")
-    if math.isnan(spec.tol):
-        raise OracleInputError("tol must not be NaN")
+#: the product-basis search: _N_PHI x _N_THETA directions per side, on the coarse
+#: grid and in each refinement round around the best point, whose window shrinks
+#: by _BASIS_SHRINK per round. At least _BASIS_REFINE_ROUNDS rounds run; rounds
+#: continue until one improves by no more than _BASIS_TOL, up to _BASIS_MAX_ROUNDS.
+_N_PHI = 24
+_N_THETA = 12
+_BASIS_REFINE_ROUNDS = 3
+_BASIS_SHRINK = 4.0
+_BASIS_TOL = 1e-6
+_BASIS_MAX_ROUNDS = 50
 
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Search control for the product-basis minimization.
-
-    The coarse pass scans n_phi x n_theta directions per side; each refinement
-    round re-grids a window around the best point, shrinking it by `shrink`.
-    At least refine_rounds rounds run; rounds continue until the objective
-    improves by no more than `tol`, up to max_rounds.
-    """
-
-    n_phi: int = 24
-    n_theta: int = 12
-    refine_rounds: int = 3
-    shrink: float = 4.0
-    tol: float = 1e-6
-    max_rounds: int = 50
-
-    def __post_init__(self):
-        for name, low in (("n_phi", 1), ("n_theta", 2)):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= low):
-                raise OracleInputError(f"{name} must be an integer >= {low}, got {value!r}")
-        _check_refinement(self)
-
-
-@dataclass(frozen=True)
-class SimplexGridSpec:
-    """Search control for the separable Bell-diagonal minimization.
-
-    `resolution` is the coarse simplex grid denominator; refinement is a
-    pattern search over pairwise exchanges with step shrinking by `shrink`
-    per round, at least refine_rounds rounds, until a round improves by no
-    more than `tol`.
-    """
-
-    resolution: int = 20
-    refine_rounds: int = 6
-    shrink: float = 4.0
-    tol: float = 1e-9
-    max_rounds: int = 60
-
-    def __post_init__(self):
-        if not isinstance(self.resolution, (int, np.integer)):
-            raise OracleInputError(f"resolution must be an integer, got {self.resolution!r}")
-        _check_refinement(self)
+#: the separable-simplex search: the coarse grid denominator, then a pattern
+#: search over pairwise exchanges whose step shrinks by _SIMPLEX_SHRINK per round,
+#: under the same round rule. At resolution 20 the coarse grid holds the uniform
+#: point, which is feasible for every spectrum.
+_RESOLUTION = 20
+_SIMPLEX_REFINE_ROUNDS = 6
+_SIMPLEX_SHRINK = 4.0
+_SIMPLEX_TOL = 1e-9
+_SIMPLEX_MAX_ROUNDS = 60
 
 
 def closest_product_state(rho) -> np.ndarray:
@@ -139,30 +106,30 @@ def _population_entropy(vec_a, vec_b, corr, dirs_a, dirs_b) -> np.ndarray:
     return -logs.sum(axis=0)
 
 
-def _validated_search(rho, grid: GridSpec | None):
+def _validated_search(rho):
     """The validated two-qubit state and its minimizing basis (entropy, dir_a, dir_b).
 
     This is the oracles' one input check; a matrix that is not a two-qubit
     state raises InvalidStateError or OracleInputError. The search is keyed
-    by the matrix's bytes and the grid.
+    by the matrix's bytes.
     """
     rho = validate_state(rho)
     if rho.shape != (4, 4):
         raise OracleInputError(f"the oracles expect a two-qubit state, got shape {rho.shape}")
-    return rho, _minimizing_basis(rho.tobytes(), grid or GridSpec())
+    return rho, _minimizing_basis(rho.tobytes())
 
 
 @functools.lru_cache(maxsize=1)
-def _minimizing_basis(state: bytes, grid: GridSpec):
+def _minimizing_basis(state: bytes):
     """Product basis minimizing the dephased entropy; returns (entropy, dir_a, dir_b).
 
-    Only the last (state, grid) pair is kept, and its directions are
-    read-only. A search that raises NonConvergenceError is not kept.
+    Only the last state is kept, and its directions are read-only. A search
+    that raises NonConvergenceError is not kept.
     """
     rho = np.frombuffer(state, dtype=complex).reshape(4, 4)
     vec_a, vec_b, corr = _pauli_components(rho)
-    thetas = np.linspace(0.0, math.pi, grid.n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid.n_phi, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, _N_THETA)
+    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
     dirs, tgrid, pgrid = _direction_grid(thetas, phis)
     ent = _population_entropy(vec_a, vec_b, corr, dirs, dirs)
     ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
@@ -171,19 +138,19 @@ def _minimizing_basis(state: bytes, grid: GridSpec):
     center_b = (tgrid[ib], pgrid[ib])
 
     # round 1 re-grids a window of one full coarse cell around the best point;
-    # each later round shrinks the window by the configured factor
-    w_theta = math.pi / (grid.n_theta - 1)
-    w_phi = 2.0 * math.pi / grid.n_phi
+    # each later round shrinks the window by _BASIS_SHRINK
+    w_theta = math.pi / (_N_THETA - 1)
+    w_phi = 2.0 * math.pi / _N_PHI
     rounds = 0
     while True:
         rounds += 1
         dirs_a, tg_a, pg_a = _direction_grid(
-            np.linspace(center_a[0] - w_theta, center_a[0] + w_theta, grid.n_theta),
-            np.linspace(center_a[1] - w_phi, center_a[1] + w_phi, grid.n_phi),
+            np.linspace(center_a[0] - w_theta, center_a[0] + w_theta, _N_THETA),
+            np.linspace(center_a[1] - w_phi, center_a[1] + w_phi, _N_PHI),
         )
         dirs_b, tg_b, pg_b = _direction_grid(
-            np.linspace(center_b[0] - w_theta, center_b[0] + w_theta, grid.n_theta),
-            np.linspace(center_b[1] - w_phi, center_b[1] + w_phi, grid.n_phi),
+            np.linspace(center_b[0] - w_theta, center_b[0] + w_theta, _N_THETA),
+            np.linspace(center_b[1] - w_phi, center_b[1] + w_phi, _N_PHI),
         )
         ent = _population_entropy(vec_a, vec_b, corr, dirs_a, dirs_b)
         ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
@@ -192,11 +159,11 @@ def _minimizing_basis(state: bytes, grid: GridSpec):
             best = float(ent[ia, ib])
             center_a = (tg_a[ia], pg_a[ia])
             center_b = (tg_b[ib], pg_b[ib])
-        w_theta /= grid.shrink
-        w_phi /= grid.shrink
-        if rounds >= grid.refine_rounds and improvement <= grid.tol:
+        w_theta /= _BASIS_SHRINK
+        w_phi /= _BASIS_SHRINK
+        if rounds >= _BASIS_REFINE_ROUNDS and improvement <= _BASIS_TOL:
             break
-        if rounds >= grid.max_rounds:
+        if rounds >= _BASIS_MAX_ROUNDS:
             raise NonConvergenceError(
                 f"basis refinement still improving by {improvement} after {rounds} rounds"
             )
@@ -211,22 +178,22 @@ def _minimizing_basis(state: bytes, grid: GridSpec):
     return best, dir_a, dir_b
 
 
-def oracle_quantum_correlation(rho, grid: GridSpec | None = None) -> float:
+def oracle_quantum_correlation(rho) -> float:
     """Minimum of S(rho || dephased rho) over product bases, in bits."""
-    rho, (best, _, _) = _validated_search(rho, grid)
+    rho, (best, _, _) = _validated_search(rho)
     s_rho = float(shannon_bits(np.linalg.eigvalsh(rho)))
     return max(best - s_rho, 0.0)
 
 
-def oracle_classical_correlation(rho, grid: GridSpec | None = None) -> float:
+def oracle_classical_correlation(rho) -> float:
     """Classical correlation of the classical state found by the basis search.
 
     Dephases rho in the minimizing product basis and returns S(pi_chi) - S(chi)
     against the product of the marginals of chi. The basis is searched once
-    per (matrix, grid): after `oracle_quantum_correlation` on the same matrix,
-    its basis is reused.
+    per matrix: after `oracle_quantum_correlation` on the same matrix, its
+    basis is reused.
     """
-    rho, (_, dir_a, dir_b) = _validated_search(rho, grid)
+    rho, (_, dir_a, dir_b) = _validated_search(rho)
     chi = dephase_in_product_basis(rho, dir_a, dir_b)
     s_chi = float(shannon_bits(np.linalg.eigvalsh(chi)))
     s_pi = float(shannon_bits(np.linalg.eigvalsh(closest_product_state(chi))))
@@ -248,30 +215,22 @@ def _kl_bits(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _separable_grid(n: int) -> np.ndarray:
-    """Points [i, j, k, n - i - j - k] / n with no entry above 1/2, in (i, j, k) order;
-    none for n <= 0."""
-    i, j, k = np.indices((n + 1 if n > 0 else 0,) * 3).reshape(3, -1)
+    """Points [i, j, k, n - i - j - k] / n with no entry above 1/2, in (i, j, k) order."""
+    i, j, k = np.indices((n + 1,) * 3).reshape(3, -1)
     counts = np.stack([i, j, k, n - i - j - k], axis=1)[i + j + k <= n]
     points = counts / n
     return points[~(points.max(axis=1) > 0.5 + 1e-12)]
 
 
-def oracle_ree_bell(spectrum, grid: SimplexGridSpec | None = None) -> float:
+def oracle_ree_bell(spectrum) -> float:
     """Minimum relative entropy to the separable Bell-diagonal set, in bits."""
     lam = validate_bell_spectrum(spectrum)
-    grid = grid or SimplexGridSpec()
-    n = grid.resolution
-
-    points = _separable_grid(n)
+    points = _separable_grid(_RESOLUTION)
     values = _kl_bits(lam, points)
-    if not np.any(values < math.inf):
-        raise NonConvergenceError(
-            f"no feasible point on the coarse simplex grid at resolution {n}"
-        )
     first = int(np.argmin(values))
     best, best_q = float(values[first]), points[first]
 
-    step = 1.0 / n
+    step = 1.0 / _RESOLUTION
     rounds = 0
     while True:
         rounds += 1
@@ -287,10 +246,10 @@ def oracle_ree_bell(spectrum, grid: SimplexGridSpec | None = None) -> float:
             first = int(np.argmin(values))
             round_gain += best - float(values[first])
             best, best_q = float(values[first]), moves[first]
-        step /= grid.shrink
-        if rounds >= grid.refine_rounds and round_gain <= grid.tol:
+        step /= _SIMPLEX_SHRINK
+        if rounds >= _SIMPLEX_REFINE_ROUNDS and round_gain <= _SIMPLEX_TOL:
             break
-        if rounds >= grid.max_rounds:
+        if rounds >= _SIMPLEX_MAX_ROUNDS:
             raise NonConvergenceError(
                 f"simplex refinement still improving by {round_gain} after {rounds} rounds"
             )

@@ -338,11 +338,13 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     (len(records), 8) arrays in BOOTSTRAP_KEYS order: the point estimates'
     quantities and the resamples' standard deviations (ddof=1). Raises
     TomographyInputError unless records is nonempty with one seed each and
-    2 <= resamples <= MAX_TOMO_RESAMPLES.
+    resamples is an integer in [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
     """
-    if not 2 <= resamples <= MAX_TOMO_RESAMPLES:  # NaN fails too
+    # resamples % 1 is NaN for NaN and inf, and exact for an int too large for a float
+    if not (resamples % 1 == 0 and 2 <= resamples <= MAX_TOMO_RESAMPLES):
         raise TomographyInputError(
-            f"resamples must be in [2, {MAX_TOMO_RESAMPLES}], got {resamples}")
+            f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples}")
+    resamples = int(resamples)
     if not 0 < len(records) == len(seeds):
         raise TomographyInputError(f"need 1+ records, one seed each, got {len(seeds)} for {len(records)}")
     freqs = np.stack([

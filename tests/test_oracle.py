@@ -1,5 +1,5 @@
+import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +14,6 @@ from belldyn.correlations import (
 from belldyn.errors import BelldynError, NonConvergenceError, OracleInputError
 from belldyn.qstate import validate_bell_spectrum
 from belldyn.oracle import (
-    GridSpec,
-    SimplexGridSpec,
     closest_product_state,
     oracle_classical_correlation,
     oracle_quantum_correlation,
@@ -26,6 +24,23 @@ from belldyn.dephasing import evolve_state
 from conftest import random_bell_spectrum, random_unitary
 
 INITIAL = np.array([0.8035, 0.1965, 0.0, 0.0])
+
+
+@pytest.fixture
+def search_constants(monkeypatch):
+    """Sets oracle search constants for one test, e.g. search_constants(_RESOLUTION=7).
+
+    The basis cache is keyed by the matrix alone, so it is cleared before and
+    after the test: no basis found under a patched grid outlives it.
+    """
+    oracle._minimizing_basis.cache_clear()
+
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(oracle, name, value)
+
+    yield patch
+    oracle._minimizing_basis.cache_clear()
 
 
 def test_closest_product_state_mixed():
@@ -109,12 +124,17 @@ def test_quantum_oracle_on_evolved_states_with_phases():
         )
 
 
-def test_quantum_oracle_nonconvergence_when_capped():
+#: search constants that stop the basis search after one round unless it has converged
+BASIS_CAPPED = dict(_BASIS_REFINE_ROUNDS=1, _BASIS_MAX_ROUNDS=1, _BASIS_TOL=1e-12)
+
+
+def test_quantum_oracle_nonconvergence_when_capped(search_constants):
     rng = np.random.default_rng(23)
     u = np.kron(random_unitary(rng), random_unitary(rng))
     rho = u @ bell_diagonal_state([0.6, 0.25, 0.1, 0.05]) @ u.conj().T
+    search_constants(**BASIS_CAPPED)
     with pytest.raises(NonConvergenceError):
-        oracle_quantum_correlation(rho, GridSpec(refine_rounds=1, max_rounds=1, tol=1e-12))
+        oracle_quantum_correlation(rho)
 
 
 def test_ree_oracle_examples():
@@ -148,13 +168,11 @@ def test_grid_spec_determinism():
     rng = np.random.default_rng(26)
     u = np.kron(random_unitary(rng), random_unitary(rng))
     rho = u @ bell_diagonal_state([0.55, 0.25, 0.15, 0.05]) @ u.conj().T
-    grid = GridSpec()
-    first = oracle_quantum_correlation(rho, grid)
+    first = oracle_quantum_correlation(rho)
     oracle._minimizing_basis.cache_clear()
-    assert oracle_quantum_correlation(rho, grid) == first
+    assert oracle_quantum_correlation(rho) == first
     lam = random_bell_spectrum(rng)
-    simplex_grid = SimplexGridSpec()
-    assert oracle_ree_bell(lam, simplex_grid) == oracle_ree_bell(lam, simplex_grid)
+    assert oracle_ree_bell(lam) == oracle_ree_bell(lam)
 
 
 def test_oracle_rejects_single_qubit_input():
@@ -192,30 +210,28 @@ def test_a_new_grid_or_a_matrix_one_ulp_away_searches_again():
     rho = _random_rotated_state(rng)
     oracle._minimizing_basis.cache_clear()
     oracle_quantum_correlation(rho)
-    oracle_classical_correlation(rho, GridSpec())
+    oracle_classical_correlation(rho)
     assert oracle._minimizing_basis.cache_info()[:2] == (1, 1)  # hits, misses
-    oracle_classical_correlation(rho, GridSpec(n_phi=25))
-    assert oracle._minimizing_basis.cache_info()[:2] == (1, 2)
     nudged = rho.copy()
     nudged[0, 0] = np.nextafter(rho[0, 0].real, 1.0)
     oracle_quantum_correlation(nudged)
-    assert oracle._minimizing_basis.cache_info()[:2] == (1, 3)
+    assert oracle._minimizing_basis.cache_info()[:2] == (1, 2)
 
 
-def test_cache_keeps_one_read_only_entry_and_no_failed_search():
+def test_cache_keeps_one_read_only_entry_and_no_failed_search(search_constants, monkeypatch):
     rng = np.random.default_rng(29)
-    oracle._minimizing_basis.cache_clear()
-    capped = GridSpec(refine_rounds=1, max_rounds=1, tol=1e-12)
     rho = _random_rotated_state(rng, [0.6, 0.25, 0.1, 0.05])
+    search_constants(**BASIS_CAPPED)
     for _ in range(2):
         with pytest.raises(NonConvergenceError):
-            oracle_quantum_correlation(rho, capped)
+            oracle_quantum_correlation(rho)
     assert oracle._minimizing_basis.cache_info()[:4] == (0, 2, 1, 0)  # hits, misses, maxsize, size
+    monkeypatch.undo()  # the fixed search again
     for _ in range(3):
         oracle_quantum_correlation(_random_rotated_state(rng))
     assert oracle._minimizing_basis.cache_info().currsize == 1
     rho = _random_rotated_state(rng)
-    _, (_, dir_a, dir_b) = oracle._validated_search(rho, None)
+    _, (_, dir_a, dir_b) = oracle._validated_search(rho)
     for direction in (dir_a, dir_b):
         with pytest.raises(ValueError):
             direction[0] = 0.0
@@ -232,25 +248,33 @@ def _reference_kl_bits(lam, q):
     return total
 
 
-def _reference_ree_bell(spectrum, grid=None):
-    """The scalar triple loop and pattern search that oracle_ree_bell evaluates as arrays."""
-    lam = validate_bell_spectrum(spectrum)
-    grid = grid or SimplexGridSpec()
-    n = grid.resolution
-
-    best = math.inf
-    best_q = None
+@functools.lru_cache
+def _reference_coarse_points(n):
+    """The feasible points [i, j, k, n - i - j - k] / n of the scalar triple loop, in loop order."""
+    points = []
     for i in range(n + 1):
         for j in range(n + 1 - i):
             for k in range(n + 1 - i - j):
-                q = np.array([i, j, k, n - i - j - k], dtype=float) / n
-                if q.max() > 0.5 + 1e-12:
-                    continue
-                val = _reference_kl_bits(lam, q)
-                if val < best:
-                    best, best_q = val, q
-    if best_q is None:
-        raise NonConvergenceError(f"no feasible point at resolution {n}")
+                q = (i / n, j / n, k / n, (n - i - j - k) / n)
+                if max(q) <= 0.5 + 1e-12:
+                    points.append(q)
+    return tuple(points)
+
+
+def _reference_ree_bell(spectrum):
+    """The scalar triple loop and pattern search that oracle_ree_bell evaluates as arrays.
+
+    Reads the oracle's search constants at call time, so it follows every patch.
+    """
+    lam = validate_bell_spectrum(spectrum).tolist()
+    n = oracle._RESOLUTION
+
+    best = math.inf
+    best_q = None
+    for q in _reference_coarse_points(n):
+        val = _reference_kl_bits(lam, q)
+        if val < best:
+            best, best_q = val, q
 
     moves = [(a, b) for a in range(4) for b in range(4) if a != b]
     step = 1.0 / n
@@ -261,13 +285,14 @@ def _reference_ree_bell(spectrum, grid=None):
         while True:
             cand_val, cand_q = best, None
             for a, b in moves:
-                q = best_q.copy()
+                q = list(best_q)
                 q[a] += step
                 q[b] -= step
-                if q.min() < -1e-12 or q.max() > 0.5 + 1e-12:
+                if min(q) < -1e-12 or max(q) > 0.5 + 1e-12:
                     continue
-                q = np.clip(q, 0.0, 0.5)
-                q = q / q.sum()
+                q = [min(max(qi, 0.0), 0.5) for qi in q]
+                total = q[0] + q[1] + q[2] + q[3]
+                q = [qi / total for qi in q]
                 val = _reference_kl_bits(lam, q)
                 if val < cand_val:
                     cand_val, cand_q = val, q
@@ -275,10 +300,10 @@ def _reference_ree_bell(spectrum, grid=None):
                 break
             round_gain += best - cand_val
             best, best_q = cand_val, cand_q
-        step /= grid.shrink
-        if rounds >= grid.refine_rounds and round_gain <= grid.tol:
+        step /= oracle._SIMPLEX_SHRINK
+        if rounds >= oracle._SIMPLEX_REFINE_ROUNDS and round_gain <= oracle._SIMPLEX_TOL:
             break
-        if rounds >= grid.max_rounds:
+        if rounds >= oracle._SIMPLEX_MAX_ROUNDS:
             raise NonConvergenceError(f"still improving by {round_gain} after {rounds} rounds")
     return max(best, 0.0)
 
@@ -302,51 +327,23 @@ def test_array_ree_search_matches_the_scalar_loop_on_random_spectra():
         list(INITIAL),
     ],
 )
-def test_array_ree_search_matches_the_scalar_loop_on_edge_spectra(spectrum):
-    for grid in (None, SimplexGridSpec(resolution=7)):
-        assert abs(oracle_ree_bell(spectrum, grid) - _reference_ree_bell(spectrum, grid)) <= 1e-12
+def test_array_ree_search_matches_the_scalar_loop_on_edge_spectra(spectrum, search_constants):
+    assert abs(oracle_ree_bell(spectrum) - _reference_ree_bell(spectrum)) <= 1e-12
+    search_constants(_RESOLUTION=7)
+    assert abs(oracle_ree_bell(spectrum) - _reference_ree_bell(spectrum)) <= 1e-12
 
 
-def test_array_ree_search_matches_the_scalar_loop_at_resolution_7():
+def test_array_ree_search_matches_the_scalar_loop_at_resolution_7(search_constants):
     rng = np.random.default_rng(31)
-    grid = SimplexGridSpec(resolution=7)
+    search_constants(_RESOLUTION=7)
     for _ in range(40):
         lam = random_bell_spectrum(rng)
-        assert abs(oracle_ree_bell(lam, grid) - _reference_ree_bell(lam, grid)) <= 1e-12
+        assert abs(oracle_ree_bell(lam) - _reference_ree_bell(lam)) <= 1e-12
 
 
-def test_ree_oracle_nonconvergence():
-    for resolution in (1, -2):
-        with pytest.raises(NonConvergenceError, match="no feasible point"):
-            oracle_ree_bell(INITIAL, SimplexGridSpec(resolution=resolution))
-    capped = SimplexGridSpec(refine_rounds=2, max_rounds=2, tol=1e-12)
+def test_ree_oracle_nonconvergence(search_constants):
+    search_constants(_SIMPLEX_REFINE_ROUNDS=2, _SIMPLEX_MAX_ROUNDS=2, _SIMPLEX_TOL=1e-12)
     with pytest.raises(NonConvergenceError, match="still improving"):
-        oracle_ree_bell([0.6, 0.25, 0.1, 0.05], capped)
+        oracle_ree_bell([0.6, 0.25, 0.1, 0.05])
     with pytest.raises(NonConvergenceError, match="still improving"):
-        _reference_ree_bell([0.6, 0.25, 0.1, 0.05], capped)
-
-
-@pytest.mark.parametrize(
-    "make_spec",
-    [
-        lambda: GridSpec(n_theta=1),
-        lambda: GridSpec(n_phi=0),
-        lambda: GridSpec(n_phi=24.0),
-        lambda: GridSpec(shrink=0.0),
-        lambda: GridSpec(shrink=math.inf),
-        lambda: GridSpec(tol=math.nan),
-        lambda: SimplexGridSpec(resolution=2.5),
-        lambda: SimplexGridSpec(shrink=math.nan),
-        lambda: SimplexGridSpec(tol=math.nan),
-    ],
-)
-def test_grid_specs_reject_bad_fields(make_spec):
-    with pytest.raises(OracleInputError):
-        make_spec()
-
-
-def test_ree_oracle_at_resolution_0_raises_without_a_warning():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError, match="no feasible point"):
-            oracle_ree_bell(INITIAL, SimplexGridSpec(resolution=0))
+        _reference_ree_bell([0.6, 0.25, 0.1, 0.05])

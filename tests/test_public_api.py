@@ -15,6 +15,7 @@ REMOVED = {
                           "kappa_numeric", "MIN_SAMPLES_PER_PERIOD"),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
                        "NormalizationError", "CountsRangeError"),
+    "belldyn.oracle": ("GridSpec", "SimplexGridSpec"),
 }
 
 
