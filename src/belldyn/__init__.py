@@ -35,15 +35,12 @@ from .dephasing import (
     sweep,
 )
 from .oracle import (
-    closest_product_state,
     oracle_classical_correlation,
     oracle_quantum_correlation,
     oracle_ree_bell,
 )
 from .qstate import (
-    dephase_in_product_basis,
     eigenvalues_sorted,
-    partial_trace,
     relative_entropy,
     validate_bell_spectrum,
     validate_state,
@@ -73,9 +70,7 @@ __all__ = [
     "bell_diagonal_state",
     "bell_eigenvalues_from_kappas",
     "classical_correlation_bell",
-    "closest_product_state",
     "correlations_from_kappas",
-    "dephase_in_product_basis",
     "effective_retardation",
     "eigenvalues_sorted",
     "error_bars",
@@ -86,7 +81,6 @@ __all__ = [
     "oracle_classical_correlation",
     "oracle_quantum_correlation",
     "oracle_ree_bell",
-    "partial_trace",
     "quantum_correlation_bell",
     "reconstruct",
     "record_to_csv",

@@ -2,11 +2,13 @@
 
 The quantum-correlation oracle searches all product measurement bases (two
 Bloch directions) on a coarse grid with local refinement; for a fixed basis
-the closest classical state is the dephased input, so the objective reduces
-to the Shannon entropy of the four product-basis populations. The search runs
-once per state: its result is kept for the last matrix searched, so the
-classical-correlation oracle called on the matrix the quantum-correlation
-oracle just searched reuses that basis. The entanglement oracle minimizes the
+the closest classical state chi is the dephased input, so the objective
+reduces to the Shannon entropy H(p) of the four product-basis populations p.
+The closest product state to chi is the product of its marginals, so the
+classical-correlation oracle is the mutual information H(p_A) + H(p_B) - H(p)
+of the same searched populations. The search runs once per state: its two
+entropies are kept for the last matrix searched, so the two oracles called on
+the same matrix share one search. The entanglement oracle minimizes the
 classical relative entropy over the separable Bell-diagonal simplex (all
 eigenvalues <= 1/2) by a coarse simplex grid followed by pattern refinement
 along pairwise-exchange directions.
@@ -25,14 +27,7 @@ import math
 import numpy as np
 
 from .errors import NonConvergenceError, OracleInputError
-from .qstate import (
-    PAULIS,
-    dephase_in_product_basis,
-    partial_trace,
-    shannon_bits,
-    validate_bell_spectrum,
-    validate_state,
-)
+from .qstate import PAULIS, shannon_bits, validate_bell_spectrum, validate_state
 
 
 #: the product-basis search: _N_PHI x _N_THETA directions per side, on the coarse
@@ -55,12 +50,6 @@ _SIMPLEX_REFINE_ROUNDS = 6
 _SIMPLEX_SHRINK = 4.0
 _SIMPLEX_TOL = 1e-9
 _SIMPLEX_MAX_ROUNDS = 60
-
-
-def closest_product_state(rho) -> np.ndarray:
-    """Tensor product of the two reduced states; the nearest product state."""
-    rho = validate_state(rho)
-    return np.kron(partial_trace(rho, "A"), partial_trace(rho, "B"))
 
 
 def _pauli_components(rho: np.ndarray):
@@ -86,28 +75,36 @@ _SIGNS_A = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
 _SIGNS_B = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
 
 
-def _population_entropy(vec_a, vec_b, corr, dirs_a, dirs_b) -> np.ndarray:
-    """Entropy of the four product-basis populations for every direction pair.
+def _populations(vec_a, vec_b, corr, dirs_a, dirs_b) -> np.ndarray:
+    """The four product-basis populations for every direction pair, shape (4, len(a), len(b)).
 
     The populations (1 + sa a.r_a + sb b.r_b + sa sb a.T.b) / 4 of the sign
-    pairs (+,+), (+,-), (-,+), (-,-) are built in one broadcast. They are
-    clipped to [0, 1], and a zero population adds 0 to the entropy, as in
-    `shannon_bits`.
+    pairs (+,+), (+,-), (-,+), (-,-) are built in one broadcast and clipped
+    to [0, 1].
     """
     cross = dirs_a @ corr @ dirs_b.T
     probs = (1.0 + _SIGNS_A * (dirs_a @ vec_a)[:, None]) + _SIGNS_B * (dirs_b @ vec_b)
     probs[::3] += cross
     probs[1:3] -= cross
     probs *= 0.25
-    np.clip(probs, 0.0, 1.0, out=probs)
+    return np.clip(probs, 0.0, 1.0, out=probs)
+
+
+def _entropy(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy along the first axis; a zero population adds 0, as in `shannon_bits`."""
     logs = np.maximum(probs, np.finfo(float).tiny)
     np.log2(logs, out=logs)
     logs *= probs
     return -logs.sum(axis=0)
 
 
+def _marginal_entropy(p: np.ndarray) -> np.ndarray:
+    """H(p_A) + H(p_B) along the first axis: p_A = (p0 + p1, p2 + p3), p_B = (p0 + p2, p1 + p3)."""
+    return _entropy(np.array([[p[0] + p[1], p[0] + p[2]], [p[2] + p[3], p[1] + p[3]]])).sum(axis=0)
+
+
 def _validated_search(rho):
-    """The validated two-qubit state and its minimizing basis (entropy, dir_a, dir_b).
+    """The validated two-qubit state and its basis search (H(p), H(p_A) + H(p_B)).
 
     This is the oracles' one input check; a matrix that is not a two-qubit
     state raises InvalidStateError or OracleInputError. The search is keyed
@@ -120,20 +117,23 @@ def _validated_search(rho):
 
 
 @functools.lru_cache(maxsize=1)
-def _minimizing_basis(state: bytes):
-    """Product basis minimizing the dephased entropy; returns (entropy, dir_a, dir_b).
+def _minimizing_basis(state: bytes) -> tuple[float, float]:
+    """Search the product bases for the least population entropy H(p).
 
-    Only the last state is kept, and its directions are read-only. A search
-    that raises NonConvergenceError is not kept.
+    Returns H(p) and the marginal entropies H(p_A) + H(p_B) of the same
+    populations p. Only the last state is kept; a search that raises
+    NonConvergenceError is not kept.
     """
     rho = np.frombuffer(state, dtype=complex).reshape(4, 4)
     vec_a, vec_b, corr = _pauli_components(rho)
     thetas = np.linspace(0.0, math.pi, _N_THETA)
     phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
     dirs, tgrid, pgrid = _direction_grid(thetas, phis)
-    ent = _population_entropy(vec_a, vec_b, corr, dirs, dirs)
+    probs = _populations(vec_a, vec_b, corr, dirs, dirs)
+    ent = _entropy(probs)
     ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
-    best = float(ent[ia, ib])
+    # best_p is a copy, so no round's population grid outlives the round
+    best, best_p = float(ent[ia, ib]), probs[:, ia, ib].copy()
     center_a = (tgrid[ia], pgrid[ia])
     center_b = (tgrid[ib], pgrid[ib])
 
@@ -152,11 +152,12 @@ def _minimizing_basis(state: bytes):
             np.linspace(center_b[0] - w_theta, center_b[0] + w_theta, _N_THETA),
             np.linspace(center_b[1] - w_phi, center_b[1] + w_phi, _N_PHI),
         )
-        ent = _population_entropy(vec_a, vec_b, corr, dirs_a, dirs_b)
+        probs = _populations(vec_a, vec_b, corr, dirs_a, dirs_b)
+        ent = _entropy(probs)
         ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
         improvement = best - float(ent[ia, ib])
         if improvement > 0.0:
-            best = float(ent[ia, ib])
+            best, best_p = float(ent[ia, ib]), probs[:, ia, ib].copy()
             center_a = (tg_a[ia], pg_a[ia])
             center_b = (tg_b[ib], pg_b[ib])
         w_theta /= _BASIS_SHRINK
@@ -167,37 +168,27 @@ def _minimizing_basis(state: bytes):
             raise NonConvergenceError(
                 f"basis refinement still improving by {improvement} after {rounds} rounds"
             )
-
-    def _unit(theta, phi):
-        return np.array(
-            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-        )
-
-    dir_a, dir_b = _unit(*center_a), _unit(*center_b)
-    dir_a.flags.writeable = dir_b.flags.writeable = False
-    return best, dir_a, dir_b
+    return best, float(_marginal_entropy(best_p))
 
 
 def oracle_quantum_correlation(rho) -> float:
     """Minimum of S(rho || dephased rho) over product bases, in bits."""
-    rho, (best, _, _) = _validated_search(rho)
+    rho, (best, _) = _validated_search(rho)
     s_rho = float(shannon_bits(np.linalg.eigvalsh(rho)))
     return max(best - s_rho, 0.0)
 
 
 def oracle_classical_correlation(rho) -> float:
-    """Classical correlation of the classical state found by the basis search.
+    """Classical correlation of the classical state found by the basis search, in bits.
 
-    Dephases rho in the minimizing product basis and returns S(pi_chi) - S(chi)
-    against the product of the marginals of chi. The basis is searched once
-    per matrix: after `oracle_quantum_correlation` on the same matrix, its
-    basis is reused.
+    The classical state chi is rho dephased in the minimizing product basis,
+    with populations p; its closest product state is the product of its
+    marginals, so C = S(pi_chi) - S(chi) = H(p_A) + H(p_B) - H(p), the mutual
+    information of the populations. The basis is searched once per matrix:
+    after `oracle_quantum_correlation` on the same matrix, its search is reused.
     """
-    rho, (_, dir_a, dir_b) = _validated_search(rho)
-    chi = dephase_in_product_basis(rho, dir_a, dir_b)
-    s_chi = float(shannon_bits(np.linalg.eigvalsh(chi)))
-    s_pi = float(shannon_bits(np.linalg.eigvalsh(closest_product_state(chi))))
-    return max(s_pi - s_chi, 0.0)
+    _, (best, marginals) = _validated_search(rho)
+    return max(marginals - best, 0.0)
 
 
 #: the pairwise exchanges q_a += step, q_b -= step of the pattern search, in move order
@@ -214,12 +205,15 @@ def _kl_bits(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
         return (lam[support] * np.log2(lam[support] / q[:, support])).sum(axis=1)
 
 
+@functools.lru_cache(maxsize=1)
 def _separable_grid(n: int) -> np.ndarray:
-    """Points [i, j, k, n - i - j - k] / n with no entry above 1/2, in (i, j, k) order."""
+    """Read-only points [i, j, k, n - i - j - k] / n with no entry above 1/2, in (i, j, k) order."""
     i, j, k = np.indices((n + 1,) * 3).reshape(3, -1)
     counts = np.stack([i, j, k, n - i - j - k], axis=1)[i + j + k <= n]
     points = counts / n
-    return points[~(points.max(axis=1) > 0.5 + 1e-12)]
+    points = points[~(points.max(axis=1) > 0.5 + 1e-12)]
+    points.flags.writeable = False
+    return points
 
 
 def oracle_ree_bell(spectrum) -> float:

@@ -22,10 +22,8 @@ EIGENVALUE_FLOOR = -1e-10
 SUPPORT_EIGENVALUE_TOL = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-10
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+#: sigma_x, sigma_y, sigma_z
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
 def shannon_bits(p: np.ndarray, axis=None) -> np.ndarray | float:
@@ -136,48 +134,3 @@ def eigenvalues_sorted(state) -> np.ndarray:
     if np.any(total <= 0.0):
         raise InvalidStateError("eigenvalues sum to zero")
     return w / total
-
-
-def partial_trace(state, keep: str) -> np.ndarray:
-    """Reduced 2x2 state of subsystem "A" (first qubit) or "B" (second)."""
-    rho = validate_state(state)
-    if rho.shape != (4, 4):
-        raise InvalidStateError("partial trace requires a two-qubit state")
-    r = rho.reshape(2, 2, 2, 2)
-    key = str(keep).upper()
-    if key == "A":
-        return np.einsum("abcb->ac", r)
-    if key == "B":
-        return np.einsum("abad->bd", r)
-    raise InvalidStateError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def bloch_projectors(direction) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-1 projectors (I +/- n.sigma)/2 onto the eigenbasis along a unit Bloch vector."""
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise InvalidStateError(f"not a unit Bloch direction: {direction}")
-    base = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    eye = np.eye(2, dtype=complex)
-    return (eye + base) / 2.0, (eye - base) / 2.0
-
-
-def dephase_in_product_basis(state, basis_a, basis_b) -> np.ndarray:
-    """Zero all coherences of a two-qubit state in the given product eigenbasis.
-
-    basis_a and basis_b are unit Bloch directions defining the local bases.
-    The output is the classical (product-basis diagonal) state obtained by
-    projecting onto the four product projectors; it is the closest classical
-    state to the input for that fixed basis.
-    """
-    rho = validate_state(state)
-    if rho.shape != (4, 4):
-        raise InvalidStateError("dephasing requires a two-qubit state")
-    pa = bloch_projectors(basis_a)
-    pb = bloch_projectors(basis_b)
-    out = np.zeros((4, 4), dtype=complex)
-    for qa in pa:
-        for qb in pb:
-            proj = np.kron(qa, qb)
-            out += proj @ rho @ proj
-    return out

@@ -340,8 +340,13 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     TomographyInputError unless records is nonempty with one seed each and
     resamples is an integer in [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
     """
-    # resamples % 1 is NaN for NaN and inf, and exact for an int too large for a float
-    if not (resamples % 1 == 0 and 2 <= resamples <= MAX_TOMO_RESAMPLES):
+    # resamples % 1 is NaN for NaN and inf, exact for an int too large for a float,
+    # and a TypeError for a non-number; an array is not one number
+    try:
+        valid = np.ndim(resamples) == 0 and resamples % 1 == 0 and 2 <= resamples <= MAX_TOMO_RESAMPLES
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
         raise TomographyInputError(
             f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples}")
     resamples = int(resamples)

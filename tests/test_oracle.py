@@ -12,18 +12,26 @@ from belldyn.correlations import (
     ree_bell,
 )
 from belldyn.errors import BelldynError, NonConvergenceError, OracleInputError
-from belldyn.qstate import validate_bell_spectrum
+from belldyn.qstate import shannon_bits, validate_bell_spectrum
 from belldyn.oracle import (
-    closest_product_state,
     oracle_classical_correlation,
     oracle_quantum_correlation,
     oracle_ree_bell,
 )
 from belldyn.dephasing import evolve_state
 
-from conftest import random_bell_spectrum, random_unitary
+from conftest import random_bell_spectrum, random_density_matrix, random_unitary
 
 INITIAL = np.array([0.8035, 0.1965, 0.0, 0.0])
+
+X_AXIS = np.array([[1.0, 0.0, 0.0]])
+Z_AXIS = np.array([[0.0, 0.0, 1.0]])
+
+PHI_PLUS = np.zeros((4, 4), dtype=complex)
+PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
+
+HH = np.zeros((4, 4), dtype=complex)
+HH[0, 0] = 1.0
 
 
 @pytest.fixture
@@ -43,19 +51,84 @@ def search_constants(monkeypatch):
     oracle._minimizing_basis.cache_clear()
 
 
-def test_closest_product_state_mixed():
-    np.testing.assert_allclose(closest_product_state(np.eye(4) / 4.0), np.eye(4) / 4.0, atol=1e-12)
+def _unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def test_closest_product_state_already_product():
-    hh = np.zeros((4, 4), dtype=complex)
-    hh[0, 0] = 1.0
-    np.testing.assert_allclose(closest_product_state(hh), hh, atol=1e-12)
+def _evolved_with_random_phases():
+    rng = np.random.default_rng(9)
+    states = []
+    for _ in range(10):
+        ka = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        kb = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        states.append((evolve_state(ka, kb), _unit_rows(rng, 8), _unit_rows(rng, 8)))
+    return states
 
 
-def test_closest_product_state_dephased_is_mixed():
-    rho = evolve_state(0.4 * np.exp(0.3j), 0.9 * np.exp(-1.1j))
-    np.testing.assert_allclose(closest_product_state(rho), np.eye(4) / 4.0, atol=1e-12)
+def _random_states():
+    rng = np.random.default_rng(10)
+    return [(random_density_matrix(rng), _unit_rows(rng, 8), _unit_rows(rng, 8)) for _ in range(10)]
+
+
+#: case -> (states with direction rows for each side, expected populations at the
+#: first direction pair, population entropy H(p), marginal entropies H(p_A) + H(p_B));
+#: None skips a check
+POPULATION_CASES = {
+    "phi_plus_zz": (lambda: [(PHI_PLUS, Z_AXIS, Z_AXIS)], [0.5, 0.0, 0.0, 0.5], 1.0, 2.0),
+    # (|H D> + |V A>)/sqrt2 in the H/V x D/A product basis keeps only the two
+    # populated rails; in the D/A x D/A basis all four populations are equal
+    "evolved_zx": (lambda: [(evolve_state(1.0, 1.0), Z_AXIS, X_AXIS)], [0.5, 0.0, 0.0, 0.5], 1.0, 2.0),
+    "evolved_xx": (lambda: [(evolve_state(1.0, 1.0), X_AXIS, X_AXIS)], [0.25] * 4, 2.0, 2.0),
+    "mixed_zz": (lambda: [(np.eye(4) / 4.0, Z_AXIS, Z_AXIS)], [0.25] * 4, 2.0, 2.0),
+    "hh_zz": (lambda: [(HH, Z_AXIS, Z_AXIS)], [1.0, 0.0, 0.0, 0.0], 0.0, 0.0),
+    # the marginals of an evolved state are I/2, so maximally mixed in every basis
+    "evolved_random_phases": (_evolved_with_random_phases, None, None, 2.0),
+    "random_states": (_random_states, None, None, None),
+}
+
+
+@pytest.mark.parametrize("case", POPULATION_CASES)
+def test_population_kernel(case):
+    make_states, populations, entropy, marginals = POPULATION_CASES[case]
+    for rho, dirs_a, dirs_b in make_states():
+        probs = oracle._populations(*oracle._pauli_components(rho), dirs_a, dirs_b)
+        assert probs.shape == (4, len(dirs_a), len(dirs_b))
+        assert np.all(probs >= 0.0)
+        np.testing.assert_allclose(probs.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        if populations is not None:
+            np.testing.assert_allclose(probs[:, 0, 0], populations, atol=1e-12)
+        if entropy is not None:
+            np.testing.assert_allclose(oracle._entropy(probs), entropy, atol=1e-12)
+        if marginals is not None:
+            np.testing.assert_allclose(oracle._marginal_entropy(probs), marginals, atol=1e-12)
+
+
+#: case -> (states with direction rows for each side, expected product of the
+#: marginal populations p_A (x) p_B at every direction pair; None expects p itself)
+PRODUCT_OF_MARGINALS_CASES = {
+    "mixed": (lambda: [(np.eye(4) / 4.0, _unit_rows(np.random.default_rng(11), 8),
+                        _unit_rows(np.random.default_rng(12), 8))], [0.25] * 4),
+    "already_product": (lambda: [(HH, Z_AXIS, Z_AXIS)], None),
+    "dephased_is_mixed": (lambda: [(evolve_state(0.4 * np.exp(0.3j), 0.9 * np.exp(-1.1j)),
+                                    _unit_rows(np.random.default_rng(13), 8),
+                                    _unit_rows(np.random.default_rng(14), 8))], [0.25] * 4),
+}
+
+
+@pytest.mark.parametrize("case", PRODUCT_OF_MARGINALS_CASES)
+def test_product_of_marginal_populations(case):
+    # the closest product state to a state diagonal in a product basis is the
+    # product of its marginals, with populations p_A (x) p_B in that basis
+    make_states, expected = PRODUCT_OF_MARGINALS_CASES[case]
+    for rho, dirs_a, dirs_b in make_states():
+        p = oracle._populations(*oracle._pauli_components(rho), dirs_a, dirs_b)
+        p_a = np.stack([p[0] + p[1], p[2] + p[3]])
+        p_b = np.stack([p[0] + p[2], p[1] + p[3]])
+        product = np.einsum("i...,j...->ij...", p_a, p_b).reshape(p.shape)
+        want = p if expected is None else np.broadcast_to(
+            np.reshape(expected, (4, 1, 1)), p.shape)
+        np.testing.assert_allclose(product, want, atol=1e-12)
 
 
 def test_quantum_oracle_mixed_state():
@@ -137,6 +210,20 @@ def test_quantum_oracle_nonconvergence_when_capped(search_constants):
         oracle_quantum_correlation(rho)
 
 
+def test_oracles_on_classical_states_with_unequal_marginals():
+    # a locally rotated diagonal state is classical, with C its populations'
+    # mutual information; unlike a Bell-diagonal state its marginals are not I/2
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        p = rng.dirichlet(np.ones(4))
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rho = u @ np.diag(p).astype(complex) @ u.conj().T
+        mutual = (shannon_bits([p[0] + p[1], p[2] + p[3]])
+                  + shannon_bits([p[0] + p[2], p[1] + p[3]]) - shannon_bits(p))
+        assert oracle_classical_correlation(rho) == pytest.approx(mutual, abs=2e-3)
+        assert oracle_quantum_correlation(rho) == pytest.approx(0.0, abs=2e-3)
+
+
 def test_ree_oracle_examples():
     assert oracle_ree_bell([0.5, 0.5, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-9)
     assert oracle_ree_bell([1.0, 0.0, 0.0, 0.0]) == pytest.approx(1.0, abs=1e-3)
@@ -162,6 +249,13 @@ def test_ree_oracle_separable_region_is_exactly_zero():
             continue
         found += 1
         assert oracle_ree_bell(lam) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_separable_grid_is_built_once_per_resolution_and_read_only():
+    points = oracle._separable_grid(oracle._RESOLUTION)
+    assert oracle._separable_grid(oracle._RESOLUTION) is points
+    with pytest.raises(ValueError):
+        points[0, 0] = 1.0
 
 
 def test_grid_spec_determinism():
@@ -231,10 +325,6 @@ def test_cache_keeps_one_read_only_entry_and_no_failed_search(search_constants, 
         oracle_quantum_correlation(_random_rotated_state(rng))
     assert oracle._minimizing_basis.cache_info().currsize == 1
     rho = _random_rotated_state(rng)
-    _, (_, dir_a, dir_b) = oracle._validated_search(rho)
-    for direction in (dir_a, dir_b):
-        with pytest.raises(ValueError):
-            direction[0] = 0.0
     assert oracle_classical_correlation(rho) == oracle_classical_correlation(rho.copy())
 
 

@@ -15,7 +15,9 @@ REMOVED = {
                           "kappa_numeric", "MIN_SAMPLES_PER_PERIOD"),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
                        "NormalizationError", "CountsRangeError"),
-    "belldyn.oracle": ("GridSpec", "SimplexGridSpec"),
+    "belldyn.oracle": ("GridSpec", "SimplexGridSpec", "closest_product_state"),
+    "belldyn.qstate": ("dephase_in_product_basis", "partial_trace", "bloch_projectors",
+                       "SIGMA_X", "SIGMA_Y", "SIGMA_Z"),
 }
 
 

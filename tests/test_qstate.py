@@ -10,9 +10,7 @@ from belldyn.errors import (
     NonHermitianError,
 )
 from belldyn.qstate import (
-    dephase_in_product_basis,
     eigenvalues_sorted,
-    partial_trace,
     relative_entropy,
     shannon_bits,
     validate_bell_spectrum,
@@ -25,9 +23,6 @@ from conftest import random_density_matrix
 
 # independent high-precision evaluations, frozen
 S_INITIAL_SPECTRUM = 0.714872622780333  # -sum p log2 p at {0.8035, 0.1965, 0, 0}
-
-X_AXIS = np.array([1.0, 0.0, 0.0])
-Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
@@ -160,70 +155,6 @@ def test_eigenvalues_sorted_rejects_non_hermitian():
     bad[2, 0] = 1e-3
     with pytest.raises(NonHermitianError):
         eigenvalues_sorted(bad)
-
-
-def test_partial_trace_mixed():
-    np.testing.assert_allclose(partial_trace(np.eye(4) / 4.0, "A"), np.eye(2) / 2.0, atol=1e-12)
-
-
-def test_partial_trace_product():
-    hh = np.zeros((4, 4), dtype=complex)
-    hh[0, 0] = 1.0
-    np.testing.assert_allclose(partial_trace(hh, "B"), np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_partial_trace_dephased_marginals_are_mixed():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        ka = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        kb = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rho = evolve_state(ka, kb)
-        np.testing.assert_allclose(partial_trace(rho, "A"), np.eye(2) / 2.0, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(rho, "B"), np.eye(2) / 2.0, atol=1e-12)
-
-
-def test_partial_trace_rejects_bad_subsystem():
-    with pytest.raises(InvalidStateError):
-        partial_trace(np.eye(4) / 4.0, "C")
-
-
-def test_dephase_idempotent_and_trace_preserving():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        rho = random_density_matrix(rng)
-        v = rng.normal(size=3)
-        a = v / np.linalg.norm(v)
-        v = rng.normal(size=3)
-        b = v / np.linalg.norm(v)
-        chi = dephase_in_product_basis(rho, a, b)
-        np.testing.assert_allclose(chi, dephase_in_product_basis(chi, a, b), atol=1e-12)
-        assert np.trace(chi).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dephase_bell_state_in_hv_basis():
-    chi = dephase_in_product_basis(PHI_PLUS, Z_AXIS, Z_AXIS)
-    np.testing.assert_allclose(chi, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-12)
-
-
-def test_dephase_entangled_state_in_its_schmidt_basis():
-    # (|H D> + |V A>)/sqrt2 dephased in the H/V x D/A product basis keeps
-    # only the two populated rails: a rank-2 classical state of entropy 1
-    rho = evolve_state(1.0, 1.0)
-    chi = dephase_in_product_basis(rho, Z_AXIS, X_AXIS)
-    assert von_neumann_entropy(chi) == pytest.approx(1.0, abs=1e-12)
-    assert eigenvalues_sorted(chi)[1] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_dephase_entangled_state_in_diagonal_basis_is_mixed():
-    # in the D/A x D/A basis all four populations are equal
-    rho = evolve_state(1.0, 1.0)
-    chi = dephase_in_product_basis(rho, X_AXIS, X_AXIS)
-    assert von_neumann_entropy(chi) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_dephase_rejects_non_unit_direction():
-    with pytest.raises(InvalidStateError):
-        dephase_in_product_basis(np.eye(4) / 4.0, np.array([1.0, 1.0, 0.0]), Z_AXIS)
 
 
 def test_validate_bell_spectrum_requires_order():

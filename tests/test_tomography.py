@@ -343,7 +343,8 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
     with pytest.raises(TomographyInputError, match="16 values"):
         TomographyRecord(counts=np.ones(8), total_per_setting=1.0)
     rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
-    for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, 2.5, float("nan"), float("inf")):
+    for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, 2.5, float("nan"), float("inf"), "3", None, [3],
+                np.array([3]), np.array([3, 4])):
         with pytest.raises(TomographyInputError, match="resamples"):
             error_bars(rec, bad, 0)
     assert error_bars(rec, 2.0, 0) == error_bars(rec, 2, 0)
