@@ -12,16 +12,12 @@ reproduces statistical scatter and error bars.
 
 from .correlations import (
     bell_correlations,
-    bell_diagonal_state,
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
-    correlations_from_kappas,
-    kappa_correlation,
     quantum_correlation_bell,
     ree_bell,
 )
 from .dephasing import (
-    LAMBDA0,
     SPEED_OF_LIGHT,
     GaussianComponent,
     MultiGaussian,
@@ -41,15 +37,12 @@ from .oracle import (
 )
 from .qstate import (
     eigenvalues_sorted,
-    relative_entropy,
     validate_bell_spectrum,
     validate_state,
-    von_neumann_entropy,
 )
 from .tomography import (
     STANDARD_PROJECTORS,
     TomographyRecord,
-    error_bars,
     reconstruct,
     record_to_csv,
     simulate_counts,
@@ -59,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianComponent",
-    "LAMBDA0",
     "MultiGaussian",
     "SPEED_OF_LIGHT",
     "STANDARD_PROJECTORS",
@@ -67,16 +59,12 @@ __all__ = [
     "TomographyRecord",
     "angular_frequency",
     "bell_correlations",
-    "bell_diagonal_state",
     "bell_eigenvalues_from_kappas",
     "classical_correlation_bell",
-    "correlations_from_kappas",
     "effective_retardation",
     "eigenvalues_sorted",
-    "error_bars",
     "evolve_state",
     "find_crossing",
-    "kappa_correlation",
     "kappa_gaussian",
     "oracle_classical_correlation",
     "oracle_quantum_correlation",
@@ -85,11 +73,9 @@ __all__ = [
     "reconstruct",
     "record_to_csv",
     "ree_bell",
-    "relative_entropy",
     "sigma_from_fwhm",
     "simulate_counts",
     "sweep",
     "validate_bell_spectrum",
     "validate_state",
-    "von_neumann_entropy",
 ]

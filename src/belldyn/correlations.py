@@ -6,13 +6,11 @@ distance from that state to the closest product state, total mutual
 information the distance to the product of the marginals, and the
 entanglement measure the distance to the closest separable state. For
 Bell-diagonal states every one of these has a closed form in the four
-eigenvalues, and the quantum/classical pair reduces to a piecewise expression
-in the two decoherence parameters.
+eigenvalues, and `bell_eigenvalues_from_kappas` gives those from the two
+decoherence parameters.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -21,18 +19,6 @@ from .qstate import shannon_bits, validate_bell_spectrum
 
 KAPPA_TOL = 1e-9
 
-# Bell kets as columns: (|HH>+|VV>)/sqrt2, (|HH>-|VV>)/sqrt2,
-# (|HV>+|VH>)/sqrt2, (|HV>-|VH>)/sqrt2
-BELL_KETS = np.array(
-    [
-        [1.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 1.0],
-        [0.0, 0.0, 1.0, -1.0],
-        [1.0, -1.0, 0.0, 0.0],
-    ],
-    dtype=complex,
-) / math.sqrt(2.0)
-
 
 def _kappa_modulus(kappa, name):
     """|kappa| clipped to 1; InvalidKappaError naming `name` if NaN or above 1 + KAPPA_TOL."""
@@ -40,19 +26,6 @@ def _kappa_modulus(kappa, name):
     if not np.all(k <= 1.0 + KAPPA_TOL):
         raise InvalidKappaError(f"|{name}| must be at most 1, got {np.max(k)}")
     return np.minimum(k, 1.0)
-
-
-def kappa_correlation(kappa) -> float:
-    """(1/2)(1+k)log2(1+k) + (1/2)(1-k)log2(1-k) at k = |kappa|.
-
-    This is the common kernel of the quantum and classical branches; the
-    k -> 1 endpoint uses the 0 log 0 = 0 convention and evaluates to 1.
-    """
-    k = float(_kappa_modulus(kappa, "kappa"))
-    out = 0.5 * (1.0 + k) * math.log2(1.0 + k)
-    if k < 1.0:
-        out += 0.5 * (1.0 - k) * math.log2(1.0 - k)
-    return out
 
 
 def bell_correlations(spectra):
@@ -104,25 +77,3 @@ def bell_eigenvalues_from_kappas(kappa_a, kappa_b) -> np.ndarray:
          (1.0 - ka) * (1.0 - kb)],
         axis=-1,
     )
-
-
-def correlations_from_kappas(kappa_a, kappa_b) -> tuple[float, float, float, float]:
-    """(I, C, Q, REE) in bits from the two decoherence parameters, in `bell_correlations`' order.
-
-    This is the paper's piecewise form, independent of the spectrum route:
-    the quantum branch depends on min(|kappa_a|, |kappa_b|) and the classical
-    branch on the max; the two coincide when the moduli are equal. Complex
-    inputs contribute through their moduli only.
-    """
-    ka = float(_kappa_modulus(kappa_a, "kappa_a"))
-    kb = float(_kappa_modulus(kappa_b, "kappa_b"))
-    quantum = kappa_correlation(min(ka, kb))
-    classical = kappa_correlation(max(ka, kb))
-    ree = ree_bell(bell_eigenvalues_from_kappas(ka, kb))
-    return quantum + classical, classical, quantum, ree
-
-
-def bell_diagonal_state(spectrum) -> np.ndarray:
-    """4x4 density matrix diagonal in the Bell basis with the given spectrum."""
-    lam = validate_bell_spectrum(spectrum)
-    return (BELL_KETS * lam) @ BELL_KETS.conj().T

@@ -34,9 +34,6 @@ from .errors import (
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-#: default reporting wavelength, 0.78 um
-LAMBDA0 = 0.78e-6
-
 #: largest sweep grid; the presets use 401 points, and a grid beyond this is
 #: taken for a mistyped step or range rather than allocated
 MAX_SWEEP_POINTS = 100_000

@@ -41,10 +41,6 @@ class DephasingInputError(BelldynError, ValueError):
     negative retardation."""
 
 
-class OracleInputError(BelldynError, ValueError):
-    """An oracle was given a valid state that is not a two-qubit state."""
-
-
 class ConfigError(BelldynError):
     """Base class for experiment-config problems."""
 

@@ -11,7 +11,8 @@ entropies are kept for the last matrix searched, so the two oracles called on
 the same matrix share one search. The entanglement oracle minimizes the
 classical relative entropy over the separable Bell-diagonal simplex (all
 eigenvalues <= 1/2) by a coarse simplex grid followed by pattern refinement
-along pairwise-exchange directions.
+along pairwise-exchange directions. The two basis oracles take a two-qubit
+(4x4) state, and the entanglement oracle a sorted Bell-diagonal spectrum.
 
 Each basis grid, the coarse simplex grid and each round of exchange moves is
 evaluated as one array. Both searches are fixed by the module constants below,
@@ -26,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergenceError, OracleInputError
+from .errors import NonConvergenceError
 from .qstate import PAULIS, shannon_bits, validate_bell_spectrum, validate_state
 
 
@@ -107,12 +108,9 @@ def _validated_search(rho):
     """The validated two-qubit state and its basis search (H(p), H(p_A) + H(p_B)).
 
     This is the oracles' one input check; a matrix that is not a two-qubit
-    state raises InvalidStateError or OracleInputError. The search is keyed
-    by the matrix's bytes.
+    state raises InvalidStateError. The search is keyed by the matrix's bytes.
     """
     rho = validate_state(rho)
-    if rho.shape != (4, 4):
-        raise OracleInputError(f"the oracles expect a two-qubit state, got shape {rho.shape}")
     return rho, _minimizing_basis(rho.tobytes())
 
 

@@ -1,13 +1,12 @@
-"""Linear algebra and entropy computations for one- and two-qubit density matrices.
+"""Input checks, spectra and entropies of two-qubit density matrices.
 
-States are plain complex numpy arrays in the canonical polarization basis,
-{|HH>, |HV>, |VH>, |VV>} for two qubits and {|H>, |V>} for one. All entropies
-are in bits. Every function here is pure; nothing is mutated in place.
+States are 4x4 complex numpy arrays in the canonical polarization basis
+{|HH>, |HV>, |VH>, |VV>}; a Bell-diagonal state is given by its four sorted
+eigenvalues. Entropies are Shannon entropies of probability vectors, in bits.
+Every function here is pure; nothing is mutated in place.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,11 +15,6 @@ from .errors import InvalidSpectrumError, InvalidStateError, NonHermitianError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-
-# sigma-eigenvalues below SUPPORT_EIGENVALUE_TOL count as outside the support;
-# rho-weight above SUPPORT_WEIGHT_TOL on such a direction makes S(rho||sigma) infinite
-SUPPORT_EIGENVALUE_TOL = 1e-12
-SUPPORT_WEIGHT_TOL = 1e-10
 
 #: sigma_x, sigma_y, sigma_z
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -39,13 +33,14 @@ def shannon_bits(p: np.ndarray, axis=None) -> np.ndarray | float:
 
 
 def validate_state(matrix: np.ndarray) -> np.ndarray:
-    """Check hermiticity, unit trace, and positivity; return the matrix as complex.
+    """Check a two-qubit state's shape, hermiticity, unit trace and positivity; return it as complex.
 
-    Raises NonHermitianError or InvalidStateError when a tolerance is violated.
+    Raises InvalidStateError unless the matrix is 4x4, NonHermitianError or
+    InvalidStateError when a tolerance is violated.
     """
     rho = np.asarray(matrix, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
-        raise InvalidStateError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
+    if rho.shape != (4, 4):
+        raise InvalidStateError(f"expected a two-qubit (4x4) state, got shape {rho.shape}")
     if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
         raise NonHermitianError("matrix is not Hermitian within 1e-12")
     tr = np.trace(rho)
@@ -75,43 +70,6 @@ def validate_bell_spectrum(lambdas) -> np.ndarray:
         if np.any(bad):
             raise InvalidSpectrumError(f"eigenvalues {what}: {lam[bad][0]}")
     return np.clip(lam, 0.0, 1.0)
-
-
-def von_neumann_entropy(state) -> float:
-    """Entropy in bits of a density matrix or of a probability spectrum.
-
-    Accepts a 2x2 or 4x4 density matrix, or a 1-d probability vector
-    (e.g. a Bell-diagonal spectrum).
-    """
-    arr = np.asarray(state)
-    if arr.ndim == 1:
-        p = np.asarray(arr, dtype=float)
-        if p.min() < EIGENVALUE_FLOOR or abs(p.sum() - 1.0) > 1e-12:
-            raise InvalidSpectrumError(f"not a probability vector: {p}")
-        return float(shannon_bits(p))
-    rho = validate_state(arr)
-    return float(shannon_bits(np.linalg.eigvalsh(rho)))
-
-
-def relative_entropy(rho, sigma) -> float:
-    """S(rho||sigma) = -tr(rho log2 sigma) - S(rho), in bits.
-
-    Returns math.inf when the support of rho is not contained in the support
-    of sigma (sigma-eigenvalue below 1e-12 carrying rho-weight above 1e-10).
-    """
-    rho = validate_state(rho)
-    sig = validate_state(sigma)
-    if rho.shape != sig.shape:
-        raise InvalidStateError("state dimensions differ")
-    w, v = np.linalg.eigh(sig)
-    weights = np.einsum("ik,ij,jk->k", v.conj(), rho, v).real
-    unsupported = w < SUPPORT_EIGENVALUE_TOL
-    if np.any(weights[unsupported] > SUPPORT_WEIGHT_TOL):
-        return math.inf
-    supported = ~unsupported
-    cross = -float(np.sum(weights[supported] * np.log2(w[supported])))
-    s_rho = float(shannon_bits(np.linalg.eigvalsh(rho)))
-    return cross - s_rho
 
 
 def eigenvalues_sorted(state) -> np.ndarray:

@@ -14,7 +14,8 @@ as one row at a time, and a resample the bits of `reconstruct` of its counts.
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
 that a fixed seed reproduces outputs bit for bit; a record is 16 counts in that
-order plus the expected counts per setting.
+order plus the expected counts per setting. A seed is an integer >= 0 or a
+sequence of them, and a malformed size or seed raises TomographyInputError.
 """
 
 from __future__ import annotations
@@ -25,11 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import bell_correlations
-from .errors import (
-    InvalidStateError,
-    NonConvergenceError,
-    TomographyInputError,
-)
+from .errors import NonConvergenceError, TomographyInputError
 from .qstate import eigenvalues_sorted, validate_state
 
 KET = {
@@ -65,13 +62,33 @@ STANDARD_PROJECTORS = np.stack([_product_projector(label) for label in STANDARD_
 STANDARD_PROJECTORS.flags.writeable = False
 
 
+def _holds(test, value) -> bool:
+    """Whether value is one number that passes test; False for an array or a non-number.
+
+    A comparison or `value % 1` raises TypeError for a non-number and ValueError
+    for an array, and NaN fails every comparison.
+    """
+    try:
+        return np.ndim(value) == 0 and bool(test(value))
+    except (TypeError, ValueError):
+        return False
+
+
+def _seed_words(seed) -> list[int]:
+    """The words of an int or int-sequence seed; TomographyInputError unless each is an integer >= 0."""
+    words = list(seed) if np.iterable(seed) else [seed]
+    if not all(_holds(lambda w: w % 1 == 0 and w >= 0, word) for word in words):
+        raise TomographyInputError(f"seed words must be integers >= 0, got {seed}")
+    return [int(w) for w in words]
+
+
 @dataclass(frozen=True, eq=False)
 class TomographyRecord:
     """Counts of the 16 STANDARD_LABELS settings, in that order, at a common expected scale.
 
     counts holds 16 finite nonnegative values; exact expected counts
     (non-integer) are accepted so that noiseless studies stay exact.
-    total_per_setting is finite and positive.
+    total_per_setting is one finite positive number.
     """
 
     counts: np.ndarray
@@ -84,7 +101,7 @@ class TomographyRecord:
         ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
         if not ok.all():
             raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
-        if not 0.0 < self.total_per_setting < math.inf:
+        if not _holds(lambda n: 0.0 < n < math.inf, self.total_per_setting):
             raise TomographyInputError(
                 f"total_per_setting must be finite and positive, got {self.total_per_setting}")
         object.__setattr__(self, "counts", counts)
@@ -99,12 +116,6 @@ def record_to_csv(record: TomographyRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rng_from(seed, *extra) -> np.random.Generator:
-    """Generator from an int or int-sequence seed plus stream-splitting words."""
-    words = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
-    return np.random.default_rng(words + [int(e) for e in extra])
-
-
 def probabilities(rho) -> np.ndarray:
     """Born-rule probabilities tr(rho P) for every standard setting."""
     rho = np.asarray(rho, dtype=complex)
@@ -115,15 +126,16 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     """Draw Poisson counts with mean n_per_setting * tr(rho P) per setting.
 
     Deterministic for a fixed seed; seeds may be ints or sequences of ints so
-    that callers can derive independent substreams. Raises TomographyInputError
-    unless 1 <= n_per_setting <= MAX_TOMO_COUNTS.
+    that callers can derive independent substreams. rho must be a two-qubit
+    state (InvalidStateError otherwise). Raises TomographyInputError unless
+    n_per_setting is one number in [1, MAX_TOMO_COUNTS] and every seed word an
+    integer >= 0.
     """
     rho = validate_state(rho)
-    if rho.shape != (4, 4):
-        raise InvalidStateError("tomography expects a two-qubit state")
-    if not 1 <= n_per_setting <= MAX_TOMO_COUNTS:  # NaN fails too
+    if not _holds(lambda n: 1 <= n <= MAX_TOMO_COUNTS, n_per_setting):
         raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting}")
-    counts = _rng_from(seed).poisson(n_per_setting * probabilities(rho)).astype(float)
+    rng = np.random.default_rng(_seed_words(seed))
+    counts = rng.poisson(n_per_setting * probabilities(rho)).astype(float)
     return TomographyRecord(counts=counts, total_per_setting=float(n_per_setting))
 
 
@@ -337,32 +349,22 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     `state_quantities` call, each row with the bits it has alone. Returns two
     (len(records), 8) arrays in BOOTSTRAP_KEYS order: the point estimates'
     quantities and the resamples' standard deviations (ddof=1). Raises
-    TomographyInputError unless records is nonempty with one seed each and
-    resamples is an integer in [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
+    TomographyInputError unless records is nonempty with one seed each, every
+    seed word is an integer >= 0, and resamples is an integer in
+    [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
     """
-    # resamples % 1 is NaN for NaN and inf, exact for an int too large for a float,
-    # and a TypeError for a non-number; an array is not one number
-    try:
-        valid = np.ndim(resamples) == 0 and resamples % 1 == 0 and 2 <= resamples <= MAX_TOMO_RESAMPLES
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
+    # resamples % 1 is NaN for NaN and inf, and exact for an int too large for a float
+    if not _holds(lambda r: r % 1 == 0 and 2 <= r <= MAX_TOMO_RESAMPLES, resamples):
         raise TomographyInputError(
             f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples}")
     resamples = int(resamples)
     if not 0 < len(records) == len(seeds):
         raise TomographyInputError(f"need 1+ records, one seed each, got {len(seeds)} for {len(records)}")
+    words = [_seed_words(seed) for seed in seeds]
     freqs = np.stack([
-        np.stack([record.counts] + [_rng_from(seed, r).poisson(record.counts)
+        np.stack([record.counts] + [np.random.default_rng(row_words + [r]).poisson(record.counts)
                                     for r in range(resamples)]) / record.total_per_setting
-        for record, seed in zip(records, seeds)])
+        for record, row_words in zip(records, words)])
     quantities = state_quantities(_estimate(freqs.reshape(-1, 16))).reshape(len(freqs), 1 + resamples, -1)
     return quantities[:, 0], quantities[:, 1:].std(axis=1, ddof=1)
 
-
-def error_bars(record: TomographyRecord, resamples: int, seed) -> dict[str, float]:
-    """Bootstrap standard deviations of the BOOTSTRAP_KEYS of one record, by name.
-
-    The one-record call of `bootstrap`: resample r uses the substream (seed, r).
-    """
-    return dict(zip(BOOTSTRAP_KEYS, bootstrap([record], resamples, [seed])[1][0].tolist()))

@@ -8,10 +8,8 @@ import pytest
 
 from belldyn.cli import preset_config, to_sweep_config
 from belldyn.correlations import (
-    bell_diagonal_state,
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
-    correlations_from_kappas,
     quantum_correlation_bell,
     ree_bell,
 )
@@ -31,14 +29,16 @@ from belldyn.oracle import (
 )
 from belldyn.qstate import eigenvalues_sorted
 from belldyn.tomography import (
+    BOOTSTRAP_KEYS,
     TomographyRecord,
-    error_bars,
+    bootstrap,
     probabilities,
     reconstruct,
     simulate_counts,
 )
 
 from conftest import QuadratureSpectrum, random_bell_spectrum, random_density_matrix
+from reference import bell_diagonal_state, correlations_from_kappas
 
 LAM0 = 0.78e-6
 #: the 3 nm arm-a filter at 780 nm as a one-component mixture
@@ -240,9 +240,10 @@ def test_criterion_9_tomography():
     mean_fid = float(np.mean(fidelities))
 
     mixed = evolve_state(0.607, 0.385)
-    e3 = error_bars(simulate_counts(mixed, 10**3, 101), 400, 102)
-    e5 = error_bars(simulate_counts(mixed, 10**5, 102), 400, 103)
-    ratio = e3["lambda1"] / e5["lambda1"]
+    e3 = bootstrap([simulate_counts(mixed, 10**3, 101)], 400, [102])[1][0]
+    e5 = bootstrap([simulate_counts(mixed, 10**5, 102)], 400, [103])[1][0]
+    lambda1 = BOOTSTRAP_KEYS.index("lambda1")
+    ratio = e3[lambda1] / e5[lambda1]
 
     _report(
         9,

@@ -31,12 +31,11 @@ from belldyn.errors import (
     ConfigError,
     DephasingInputError,
     MissingKeyError,
-    OracleInputError,
     ParseError,
+    TomographyInputError,
     UnknownKeyError,
 )
-from belldyn.oracle import oracle_classical_correlation
-from belldyn.tomography import MAX_TOMO_RESAMPLES
+from belldyn.tomography import MAX_TOMO_RESAMPLES, simulate_counts
 
 CONFIG_TEXT = """\
 # custom experiment
@@ -294,7 +293,7 @@ def test_run_with_tomography_writes_noisy_csv(tmp_path):
 
 def _reference_write_noisy_csv(table, config, path):
     """The row-by-row noisy.csv writer that block reconstruction replaced:
-    one `reconstruct` and one `error_bars` call per sweep row."""
+    one `reconstruct` and one one-record `bootstrap` call per sweep row."""
     tomo = config.tomography
     keys = tomography.BOOTSTRAP_KEYS
     cells = np.empty((len(table["x_over_lambda0"]), len(keys), 2))
@@ -302,8 +301,7 @@ def _reference_write_noisy_csv(table, config, path):
         rho = dephasing.evolve_state(kappa_a, kappa_b)
         record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
         cells[i, :, 0] = tomography.state_quantities(tomography.reconstruct(record))
-        errs = tomography.error_bars(record, tomo.resamples, [tomo.seed, i, 1])
-        cells[i, :, 1] = [errs[name] for name in keys]
+        cells[i, :, 1] = tomography.bootstrap([record], tomo.resamples, [[tomo.seed, i, 1]])[1][0]
     header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
     belldyn.cli._write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
@@ -354,7 +352,7 @@ def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_row
 
 
 def test_main_tomo_demo_output_is_pinned(capsys):
-    # the bytes of the per-call reconstruct + error_bars demo
+    # the bytes of the per-call reconstruct + bootstrap demo
     assert main(["tomo-demo", "--kappa-a", "0.98", "--kappa-b", "0.99",
                  "--counts", "10000", "--seed", "3"]) == 0
     assert capsys.readouterr().out == (
@@ -486,7 +484,7 @@ def test_main_computation_error(capsys):
         (DephasingInputError, lambda: GaussianComponent(amplitude=1.0, center=math.nan, width=1.0)),
         (DephasingInputError, lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="all")),
         (DephasingInputError, lambda: effective_retardation([1.0, -1.0], (0.5,))),
-        (OracleInputError, lambda: oracle_classical_correlation(np.eye(2) / 2.0)),
+        (TomographyInputError, lambda: simulate_counts(np.eye(4) / 4, "3", 0)),
     ],
 )
 def test_library_value_errors_exit_2(monkeypatch, tmp_path, capsys, error, bad_call):

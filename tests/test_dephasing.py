@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from belldyn.dephasing import (
-    LAMBDA0,
     MAX_SWEEP_POINTS,
     SPEED_OF_LIGHT,
     GaussianComponent,
@@ -33,7 +32,7 @@ from belldyn.qstate import eigenvalues_sorted, validate_state
 
 from conftest import QuadratureSpectrum, gaussian_density, quadrature_kappa
 
-LAM0 = LAMBDA0
+LAM0 = 0.78e-6
 SIGMA_3NM = sigma_from_fwhm(3e-9, 780e-9)
 OMEGA_780 = angular_frequency(780e-9)
 

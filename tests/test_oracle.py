@@ -6,21 +6,22 @@ import pytest
 
 from belldyn import oracle
 from belldyn.correlations import (
-    bell_diagonal_state,
     classical_correlation_bell,
     quantum_correlation_bell,
     ree_bell,
 )
-from belldyn.errors import BelldynError, NonConvergenceError, OracleInputError
-from belldyn.qstate import shannon_bits, validate_bell_spectrum
+from belldyn.errors import InvalidStateError, NonConvergenceError
+from belldyn.qstate import shannon_bits, validate_bell_spectrum, validate_state
 from belldyn.oracle import (
     oracle_classical_correlation,
     oracle_quantum_correlation,
     oracle_ree_bell,
 )
 from belldyn.dephasing import evolve_state
+from belldyn.tomography import simulate_counts
 
 from conftest import random_bell_spectrum, random_density_matrix, random_unitary
+from reference import bell_diagonal_state
 
 INITIAL = np.array([0.8035, 0.1965, 0.0, 0.0])
 
@@ -269,14 +270,17 @@ def test_grid_spec_determinism():
     assert oracle_ree_bell(lam) == oracle_ree_bell(lam)
 
 
-def test_oracle_rejects_single_qubit_input():
-    with pytest.raises(ValueError):
-        oracle_quantum_correlation(np.eye(2) / 2.0)
-    for oracle_fn in (oracle_quantum_correlation, oracle_classical_correlation):
-        with pytest.raises(OracleInputError, match="two-qubit") as info:
-            oracle_fn(np.eye(2) / 2.0)
-        assert isinstance(info.value, BelldynError)
-        assert isinstance(info.value, ValueError)
+@pytest.mark.parametrize(
+    "takes_state",
+    [validate_state, oracle_quantum_correlation, oracle_classical_correlation,
+     lambda rho: simulate_counts(rho, 100, 0)],
+    ids=["validate_state", "oracle_quantum_correlation", "oracle_classical_correlation",
+         "simulate_counts"],
+)
+def test_single_qubit_state_is_rejected(takes_state):
+    # a valid one-qubit state: only its shape is wrong
+    with pytest.raises(InvalidStateError, match="4x4"):
+        takes_state(np.eye(2) / 2.0)
 
 
 def _random_rotated_state(rng, spectrum=(0.55, 0.25, 0.15, 0.05)):

@@ -8,16 +8,19 @@ import belldyn
 
 #: module -> names it no longer defines, as listed under "Removed names" in README
 REMOVED = {
-    "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS"),
+    "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS", "error_bars"),
     "belldyn.correlations": ("CorrelationSet", "correlations_from_spectrum",
-                             "total_mutual_information_bell", "closest_classical_bell"),
+                             "total_mutual_information_bell", "closest_classical_bell",
+                             "kappa_correlation", "correlations_from_kappas",
+                             "bell_diagonal_state", "BELL_KETS"),
     "belldyn.dephasing": ("kappa_multi_gaussian", "SingleGaussian", "SampledSpectrum",
-                          "kappa_numeric", "MIN_SAMPLES_PER_PERIOD"),
+                          "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0"),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
-                       "NormalizationError", "CountsRangeError"),
+                       "NormalizationError", "CountsRangeError", "OracleInputError"),
     "belldyn.oracle": ("GridSpec", "SimplexGridSpec", "closest_product_state"),
     "belldyn.qstate": ("dephase_in_product_basis", "partial_trace", "bloch_projectors",
-                       "SIGMA_X", "SIGMA_Y", "SIGMA_Z"),
+                       "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "relative_entropy",
+                       "von_neumann_entropy", "SUPPORT_EIGENVALUE_TOL", "SUPPORT_WEIGHT_TOL"),
 }
 
 

@@ -1,8 +1,5 @@
-import math
-
 import numpy as np
 import pytest
-from scipy.linalg import logm
 
 from belldyn.errors import (
     InvalidSpectrumError,
@@ -11,11 +8,9 @@ from belldyn.errors import (
 )
 from belldyn.qstate import (
     eigenvalues_sorted,
-    relative_entropy,
     shannon_bits,
     validate_bell_spectrum,
     validate_state,
-    von_neumann_entropy,
 )
 from belldyn.dephasing import evolve_state
 
@@ -24,41 +19,26 @@ from conftest import random_density_matrix
 # independent high-precision evaluations, frozen
 S_INITIAL_SPECTRUM = 0.714872622780333  # -sum p log2 p at {0.8035, 0.1965, 0, 0}
 
-PHI_PLUS = np.zeros((4, 4), dtype=complex)
-PHI_PLUS[np.ix_([0, 3], [0, 3])] = 0.5
-
 
 def test_entropy_pure_spectrum():
-    assert von_neumann_entropy(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
+    assert shannon_bits(np.array([1.0, 0.0, 0.0, 0.0])) == 0.0
 
 
 def test_entropy_maximally_mixed_spectrum():
-    assert von_neumann_entropy(np.array([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
+    assert shannon_bits(np.array([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_entropy_initial_state_spectrum():
     spectrum = np.array([0.8035, 0.1965, 0.0, 0.0])
-    assert von_neumann_entropy(spectrum) == pytest.approx(S_INITIAL_SPECTRUM, abs=1e-12)
-
-
-def test_entropy_matrix_matches_logm_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        rho = random_density_matrix(rng)
-        expected = -np.trace(rho @ logm(rho)).real / math.log(2.0)
-        assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-9)
+    assert shannon_bits(spectrum) == pytest.approx(S_INITIAL_SPECTRUM, abs=1e-12)
 
 
 def test_entropy_bounds():
+    # the spectra of random states have entropy between 0 and log2 of the dimension
     rng = np.random.default_rng(4)
     for _ in range(20):
-        assert 0.0 <= von_neumann_entropy(random_density_matrix(rng, dim=4)) <= 2.0
-        assert 0.0 <= von_neumann_entropy(random_density_matrix(rng, dim=2)) <= 1.0
-
-
-def test_entropy_rejects_bad_spectrum():
-    with pytest.raises(InvalidSpectrumError):
-        von_neumann_entropy(np.array([0.5, 0.2, 0.2, 0.2]))
+        assert 0.0 <= shannon_bits(np.linalg.eigvalsh(random_density_matrix(rng, dim=4))) <= 2.0
+        assert 0.0 <= shannon_bits(np.linalg.eigvalsh(random_density_matrix(rng, dim=2))) <= 1.0
 
 
 def test_validate_state_rejects_non_hermitian():
@@ -77,46 +57,6 @@ def test_validate_state_rejects_negative_eigenvalue():
     bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
     with pytest.raises(InvalidStateError):
         validate_state(bad)
-
-
-def test_relative_entropy_identity_is_zero():
-    rng = np.random.default_rng(5)
-    rho = random_density_matrix(rng)
-    assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_relative_entropy_bell_vs_mixed():
-    assert relative_entropy(PHI_PLUS, np.eye(4) / 4.0) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_relative_entropy_rank2_vs_mixed():
-    # Bell-diagonal {1/2, 1/2, 0, 0} state: 0.5 Phi+ + 0.5 Phi-
-    rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-    assert relative_entropy(rho, np.eye(4) / 4.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_relative_entropy_support_violation_is_infinite():
-    assert relative_entropy(np.eye(4) / 4.0, PHI_PLUS) == math.inf
-
-
-def test_relative_entropy_matches_logm_oracle():
-    rng = np.random.default_rng(6)
-    for _ in range(8):
-        rho = random_density_matrix(rng)
-        sigma = random_density_matrix(rng)
-        expected = np.trace(rho @ (logm(rho) - logm(sigma))).real / math.log(2.0)
-        assert relative_entropy(rho, sigma) == pytest.approx(expected, abs=1e-8)
-
-
-def test_relative_entropy_nonnegative_and_strict_for_distinct_states():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        rho = random_density_matrix(rng)
-        sigma = random_density_matrix(rng)
-        value = relative_entropy(rho, sigma)
-        assert value >= -1e-9
-        # generic random pairs are far apart, so the distance is strictly positive
-        assert value > 1e-6
 
 
 def test_eigenvalues_sorted_mixed():

@@ -24,7 +24,6 @@ from belldyn.tomography import (
     STANDARD_PROJECTORS,
     TomographyRecord,
     bootstrap,
-    error_bars,
     probabilities,
     reconstruct,
     record_to_csv,
@@ -32,6 +31,9 @@ from belldyn.tomography import (
 )
 
 from conftest import random_density_matrix
+
+
+LAMBDA1, REE = (BOOTSTRAP_KEYS.index(key) for key in ("lambda1", "REE"))
 
 
 def exact_record(rho, n=10**6):
@@ -166,11 +168,11 @@ def test_record_to_csv_format():
 
 def test_error_bars_deterministic():
     rec = simulate_counts(evolve_state(0.607, 0.385), 2000, 9)
-    a = error_bars(rec, 25, 17)
-    b = error_bars(rec, 25, 17)
-    assert a == b
-    c = error_bars(rec, 25, 18)
-    assert a != c
+    a = bootstrap([rec], 25, [17])[1][0]
+    b = bootstrap([rec], 25, [17])[1][0]
+    assert np.array_equal(a, b)
+    c = bootstrap([rec], 25, [18])[1][0]
+    assert not np.array_equal(a, c)
 
 
 def test_error_bars_match_per_record_reference():
@@ -183,8 +185,8 @@ def test_error_bars_match_per_record_reference():
         resampled = TomographyRecord(counts=counts, total_per_setting=record.total_per_setting)
         lam = eigenvalues_sorted(reconstruct(resampled))
         samples.append([*(float(v) for v in bell_correlations(lam)), *lam])
-    expected = dict(zip(BOOTSTRAP_KEYS, np.std(samples, axis=0, ddof=1).tolist()))
-    assert error_bars(record, resamples, seed) == expected
+    expected = np.std(samples, axis=0, ddof=1)
+    assert np.array_equal(bootstrap([record], resamples, [seed])[1][0], expected)
 
 
 def test_bootstrap_of_a_stack_matches_each_record_alone():
@@ -196,36 +198,36 @@ def test_bootstrap_of_a_stack_matches_each_record_alone():
     assert values.shape == errors.shape == (3, len(BOOTSTRAP_KEYS))
     for record, seed, value, error in zip(records, seeds, values, errors):
         assert np.array_equal(value, tomography.state_quantities(reconstruct(record)))
-        assert dict(zip(BOOTSTRAP_KEYS, error.tolist())) == error_bars(record, 9, seed)
+        assert np.array_equal(error, bootstrap([record], 9, [seed])[1][0])
 
 
 def test_error_bars_vanish_for_huge_counts():
     rec = exact_record(evolve_state(0.607, 0.385), n=10**8)
-    errs = error_bars(rec, 30, 5)
-    assert all(v < 1e-3 for v in errs.values())
+    errs = bootstrap([rec], 30, [5])[1][0]
+    assert np.all(errs < 1e-3)
 
 
 def test_error_bars_scale_with_shot_noise():
     # dominant-eigenvalue error bar scales as 1/sqrt(n); expected ratio 10
     rho = evolve_state(0.607, 0.385)
-    e3 = error_bars(simulate_counts(rho, 10**3, 101), 300, 102)
-    e5 = error_bars(simulate_counts(rho, 10**5, 102), 300, 103)
-    ratio = e3["lambda1"] / e5["lambda1"]
+    e3 = bootstrap([simulate_counts(rho, 10**3, 101)], 300, [102])[1][0]
+    e5 = bootstrap([simulate_counts(rho, 10**5, 102)], 300, [103])[1][0]
+    ratio = e3[LAMBDA1] / e5[LAMBDA1]
     assert 8.0 <= ratio <= 12.0
 
 
 def test_error_bars_ree_pinned_at_zero_for_separable_states():
     # largest eigenvalue 0.36, far below 1/2: every resample is separable
     rec = simulate_counts(evolve_state(0.2, 0.2), 10**4, 12)
-    errs = error_bars(rec, 50, 13)
-    assert errs["REE"] == 0.0
-    assert errs["lambda1"] > 0.0
+    errs = bootstrap([rec], 50, [13])[1][0]
+    assert errs[REE] == 0.0
+    assert errs[LAMBDA1] > 0.0
 
 
 def test_error_bars_requires_two_resamples():
     rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
     with pytest.raises(ValueError):
-        error_bars(rec, 1, 0)
+        bootstrap([rec], 1, [0])
 
 
 def test_simulate_counts_rejects_counts_out_of_range():
@@ -346,11 +348,26 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
     for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, 2.5, float("nan"), float("inf"), "3", None, [3],
                 np.array([3]), np.array([3, 4])):
         with pytest.raises(TomographyInputError, match="resamples"):
-            error_bars(rec, bad, 0)
-    assert error_bars(rec, 2.0, 0) == error_bars(rec, 2, 0)
+            bootstrap([rec], bad, [0])
+    assert np.array_equal(bootstrap([rec], 2.0, [0])[1], bootstrap([rec], 2, [0])[1])
     for records, seeds in (([], []), ([rec, rec], [1]), ([rec], [1, 2])):
         with pytest.raises(TomographyInputError, match="one seed each"):
             bootstrap(records, 3, seeds)
+    for bad in ("3", None, [3], np.array([3, 4])):
+        with pytest.raises(TomographyInputError, match="n_per_setting"):
+            simulate_counts(np.eye(4) / 4.0, bad, 0)
+    simulate_counts(np.eye(4) / 4.0, 2.5, 0)  # exact expected counts need not be integers
+    for bad in ("3", None):
+        with pytest.raises(TomographyInputError, match="total_per_setting"):
+            TomographyRecord(counts=np.ones(16), total_per_setting=bad)
+    # a seed word is an integer >= 0: 2.5 is not truncated to 2
+    for bad in ([2.5], 2.5, -1, [-1], None, "7", [1, [2]]):
+        with pytest.raises(TomographyInputError, match="seed"):
+            simulate_counts(np.eye(4) / 4.0, 100, bad)
+        with pytest.raises(TomographyInputError, match="seed"):
+            bootstrap([rec], 3, [bad])
+    assert np.array_equal(simulate_counts(np.eye(4) / 4.0, 100, [2.0]).counts,
+                          simulate_counts(np.eye(4) / 4.0, 100, np.int64(2)).counts)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
