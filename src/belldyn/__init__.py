@@ -19,9 +19,9 @@ from .correlations import (
 )
 from .dephasing import (
     SPEED_OF_LIGHT,
+    ExperimentConfig,
     GaussianComponent,
     MultiGaussian,
-    SweepConfig,
     angular_frequency,
     effective_retardation,
     evolve_state,
@@ -51,11 +51,11 @@ from .tomography import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ExperimentConfig",
     "GaussianComponent",
     "MultiGaussian",
     "SPEED_OF_LIGHT",
     "STANDARD_PROJECTORS",
-    "SweepConfig",
     "TomographyRecord",
     "angular_frequency",
     "bell_correlations",

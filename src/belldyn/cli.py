@@ -20,24 +20,14 @@ file.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dephasing, tomography
-from .dephasing import (
-    GaussianComponent,
-    MultiGaussian,
-    SweepConfig,
-    angular_frequency,
-    find_crossing,
-    sigma_from_fwhm,
-    sweep,
-    validate_echo_points,
-)
+from .dephasing import ExperimentConfig, find_crossing, sweep
 from .errors import (
     BelldynError,
     ConfigError,
@@ -46,7 +36,7 @@ from .errors import (
     ParseError,
     UnknownKeyError,
 )
-from .tomography import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES
+from .tomography import TomographySettings
 
 SWEEP_COLUMNS = (
     "x_over_lambda0", "kappa_a_abs", "kappa_b_abs",
@@ -60,69 +50,6 @@ Q_REVIVAL_THRESHOLD = 0.005
 #: Q values within this of the maximum count as one plateau; the revival peak
 #: is the first plateau point, so roundoff cannot move it along the plateau
 PLATEAU_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TomographySettings:
-    """Counts per setting (1 to MAX_TOMO_COUNTS), resamples (2 to MAX_TOMO_RESAMPLES) and seed
-    (>= 0), all integers."""
-
-    n_per_setting: int
-    resamples: int = 100
-    seed: int = 0
-    #: the names of the three values in error messages: config keys, or the flags that set them
-    keys: InitVar[tuple[str, str, str]] = ("tomo_counts", "tomo_resamples", "tomo_seed")
-
-    def __post_init__(self, keys):
-        for name, key, low, high in zip(("n_per_setting", "resamples", "seed"), keys,
-                                        (1, 2, 0), (MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, math.inf)):
-            value = getattr(self, name)
-            # value % 1 is NaN for NaN and inf, and exact for an int too large for a float
-            if not (value % 1 == 0 and low <= value <= high):
-                raise ConfigError(f"{key} must be an integer in [{low}, {high:g}], got {value}")
-            object.__setattr__(self, name, int(value))
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep experiment. Lengths are in units of lambda0.
-
-    spectrum_b is a tuple of (weight, center_nm, fwhm_nm) Gaussian components
-    for the arm-b frequency density; arm a carries a single Gaussian filter of
-    filter_a_fwhm_nm centered on lambda0.
-    """
-
-    name: str
-    x_a: float
-    filter_a_fwhm_nm: float
-    spectrum_b: tuple[tuple[float, float, float], ...]
-    x_b_max: float
-    step: float
-    echo_points: tuple[float, ...] = field(default_factory=tuple)
-    lambda0_nm: float = 780.0
-    tomography: TomographySettings | None = None
-
-    def __post_init__(self):
-        # every check is written so that NaN fails it
-        if not 0.0 < self.step < math.inf:
-            raise ConfigError(f"step must be finite and positive, got {self.step}")
-        if not self.step <= self.x_b_max < math.inf:
-            raise ConfigError(f"x_b_max ({self.x_b_max}) must be finite and at least step ({self.step})")
-        if not 0.0 <= self.x_a < math.inf:
-            raise ConfigError(f"x_a must be finite and nonnegative, got {self.x_a}")
-        if not (0.0 < self.filter_a_fwhm_nm < math.inf and 0.0 < self.lambda0_nm < math.inf):
-            raise ConfigError("filter_a and lambda0 must be finite and positive")
-        pts = validate_echo_points(self.echo_points)
-        if not self.spectrum_b:
-            raise ConfigError("spectrum_b needs at least one component")
-        comps = tuple(tuple(float(v) for v in c) for c in self.spectrum_b)
-        if not all(0.0 < v < math.inf for c in comps for v in c):
-            raise ConfigError("spectrum_b components need finite positive weight, center, and width")
-        total = sum(w for w, _, _ in comps)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"spectrum_b weights sum to {total}, not 1")
-        object.__setattr__(self, "echo_points", pts)
-        object.__setattr__(self, "spectrum_b", comps)
 
 
 _FP_COMPONENTS = ((0.37, 778.853, 0.85), (0.44, 780.160, 0.85), (0.19, 781.459, 0.85))
@@ -252,34 +179,6 @@ def _read_utf8(path) -> str:
 def parse_config(path) -> ExperimentConfig:
     """Parse a config file; built-in preset names need no file."""
     return parse_config_lines(_read_utf8(path).split("\n"), name_hint=Path(path).stem)
-
-
-def to_sweep_config(config: ExperimentConfig) -> SweepConfig:
-    """Convert a lambda0-unit experiment config into a meter-unit sweep config.
-
-    Both arms are Gaussian mixtures: arm a one component, the filter_a_fwhm_nm
-    filter centered on lambda0, and arm b the spectrum_b components. The
-    conversion is float64 arithmetic in which a value beyond the float range
-    overflows to inf or underflows to 0 silently, so it ends in the range
-    checks of GaussianComponent or SweepConfig.
-    """
-    with np.errstate(all="ignore"):
-        lam0 = np.float64(config.lambda0_nm) * 1e-9
-
-        def mixture(components) -> MultiGaussian:
-            weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
-            centers = angular_frequency(centers_nm * 1e-9)
-            widths = sigma_from_fwhm(fwhms_nm * 1e-9, lam0)
-            return MultiGaussian(tuple(map(GaussianComponent, weights, centers, widths)))
-
-        return SweepConfig(
-            x_a=config.x_a * lam0,
-            spectrum_a=mixture(((1.0, config.lambda0_nm, config.filter_a_fwhm_nm),)),
-            spectrum_b=mixture(config.spectrum_b),
-            x_b_max=config.x_b_max * lam0,
-            step=config.step * lam0,
-            echo_points=tuple(p * lam0 for p in config.echo_points),
-        )
 
 
 def _fmt(value: float) -> str:
@@ -416,27 +315,14 @@ def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path
     _write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
 
-def run(config: ExperimentConfig, out_dir, *, step: float | None = None,
-        seed: int | None = None) -> None:
+def run(config: ExperimentConfig, out_dir) -> None:
     """Run one experiment and write sweep.csv, landmarks.txt, and noisy.csv.
 
-    A step override may exceed x_b_max (degenerate single-point series); the
-    seed override only applies when tomography is configured.
+    noisy.csv is written only when tomography is configured.
     """
-    if seed is not None and config.tomography is not None:
-        # the override is the --seed flag, so its message names the flag
-        config = replace(config, tomography=replace(
-            config.tomography, seed=seed, keys=("tomo_counts", "tomo_resamples", "--seed")))
-    lambda0 = config.lambda0_nm * 1e-9
-    sweep_config = to_sweep_config(config)
-    if step is not None:
-        sweep_config = replace(sweep_config, step=step * lambda0)
+    table = sweep(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table = sweep(sweep_config)
-    table["x_over_lambda0"] = table["x_b"] / lambda0
-    table["kappa_a_abs"] = np.abs(table["kappa_a"])
-    table["kappa_b_abs"] = np.abs(table["kappa_b"])
     write_sweep_csv(table, out / "sweep.csv")
     write_landmarks(landmarks_from_series(table), out / "landmarks.txt")
     if config.tomography is not None:
@@ -453,7 +339,14 @@ def _cmd_run(args) -> int:
             f"{args.experiment!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
             "nor an existing config file"
         )
-    run(config, args.out, step=args.step, seed=args.seed)
+    if args.seed is not None and config.tomography is not None:
+        # the override is the --seed flag, so its message names the flag
+        config = replace(config, tomography=replace(
+            config.tomography, seed=args.seed, keys=("tomo_counts", "tomo_resamples", "--seed")))
+    if args.step is not None:
+        # checked as a config file's step is; beyond x_b_max it gives the one point 0
+        config = replace(config, step=args.step)
+    run(config, args.out)
     return 0
 
 

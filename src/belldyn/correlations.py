@@ -32,9 +32,10 @@ def bell_correlations(spectra):
     """Total, classical, quantum and entanglement correlations (I, C, Q, REE) in bits.
 
     `spectra` holds sorted spectra along its last axis; each result has the
-    leading shape. With chi the closest classical spectrum and l1 the largest
-    eigenvalue: I = 2 - S(rho), C = 2 - S(chi), Q = S(chi) - S(rho), and
-    REE = 1 - H(l1, 1 - l1) for l1 > 1/2, else zero (the state is separable).
+    leading shape, a numpy float64 for one spectrum. With chi the closest
+    classical spectrum and l1 the largest eigenvalue: I = 2 - S(rho),
+    C = 2 - S(chi), Q = S(chi) - S(rho), and REE = 1 - H(l1, 1 - l1) for
+    l1 > 1/2, else zero (the state is separable).
     """
     lam = validate_bell_spectrum(spectra)
     chi = np.repeat((lam[..., 0::2] + lam[..., 1::2]) / 2.0, 2, axis=-1)
@@ -42,7 +43,8 @@ def bell_correlations(spectra):
     zero = np.zeros_like(l1)
     binary = np.stack([l1, 1.0 - l1, zero, zero], axis=-1)
     s_rho, s_chi, h_l1 = shannon_bits(np.stack([lam, chi, binary]), axis=-1)
-    ree = np.where(l1 > 0.5, np.maximum(1.0 - h_l1, 0.0), 0.0)
+    # [()] makes the 0-d result of one spectrum a scalar, as the other three are
+    ree = np.where(l1 > 0.5, np.maximum(1.0 - h_l1, 0.0), 0.0)[()]
     return 2.0 - s_rho, 2.0 - s_chi, np.maximum(s_chi - s_rho, 0.0), ree
 
 

@@ -10,7 +10,10 @@ components' closed form `kappa_gaussian`. A polarization exchange (sigma_x)
 inserted at some retardation flips the sign of subsequent phase accrual, so
 later retardation unwinds earlier dephasing and produces correlation echoes.
 
-Every decoherence parameter and the echo schedule accept an array of
+An `ExperimentConfig` gives one experiment as the paper does, lengths in
+units of the central wavelength lambda0 and spectra in nm, and is checked
+once, where it is built; `sweep` converts it to meters and rad/s. Every
+decoherence parameter and the echo schedule accept an array of
 retardations, so a sweep is one column computation over the whole x grid: the
 two parameters give the Bell-diagonal eigenvalues and the correlation
 measures in closed form. The 4x4 density matrix of `evolve_state` is not on
@@ -31,6 +34,7 @@ from .errors import (
     DephasingInputError,
     ScheduleError,
 )
+from .tomography import TomographySettings, _holds
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -162,57 +166,113 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Retardation sweep: fixed arm-a retardation, arm-b spectrum swept to x_b_max.
+class ExperimentConfig:
+    """One sweep experiment: lengths in units of lambda0, spectra in nm.
 
-    All lengths in meters. echo_points lists the arm-b retardations at which a
+    Arm a carries a single Gaussian filter of filter_a_fwhm_nm centered on
+    lambda0 at the fixed retardation x_a. spectrum_b is a tuple of
+    (weight, center_nm, fwhm_nm) Gaussian components for the arm-b frequency
+    density, swept from 0 to x_b_max in steps of `step`; a step beyond x_b_max
+    gives the one point 0. echo_points lists the arm-b retardations at which a
     polarization exchange is applied, strictly increasing. Raises ConfigError
-    for a non-finite or negative length, a step that is not positive, or a
-    grid of more than MAX_SWEEP_POINTS points.
+    for a value that is not one number in range, a length that leaves the
+    float range in meters, or a grid of more than MAX_SWEEP_POINTS points.
     """
 
+    name: str
     x_a: float
-    spectrum_a: object
-    spectrum_b: object
+    filter_a_fwhm_nm: float
+    spectrum_b: tuple[tuple[float, float, float], ...]
     x_b_max: float
     step: float
     echo_points: tuple[float, ...] = field(default_factory=tuple)
+    lambda0_nm: float = 780.0
+    tomography: TomographySettings | None = None
 
     def __post_init__(self):
-        for name in ("x_a", "x_b_max"):
+        # every check is written so that NaN, an array and a non-number fail it
+        rules = {"nonnegative": lambda v: 0.0 <= v < math.inf,
+                 "positive": lambda v: 0.0 < v < math.inf}
+        lengths = (("x_a", "nonnegative"), ("x_b_max", "nonnegative"), ("step", "positive"))
+        for name, rule in lengths + (("filter_a_fwhm_nm", "positive"), ("lambda0_nm", "positive")):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
-        if not 0.0 < self.step < math.inf:
-            raise ConfigError(f"step must be finite and positive, got {self.step}")
-        # the grid has floor(x_b_max / step + 1e-9) + 1 points
-        if not self.x_b_max / self.step + 1e-9 < MAX_SWEEP_POINTS:
-            raise ConfigError(
-                f"x_b_max / step = {self.x_b_max / self.step:.6g} gives more than "
-                f"{MAX_SWEEP_POINTS} sweep points"
-            )
-        object.__setattr__(self, "echo_points", tuple(float(p) for p in self.echo_points))
+            if not _holds(rules[rule], value):
+                raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
+        pts = validate_echo_points(self.echo_points)
+        if not self.spectrum_b:
+            raise ConfigError("spectrum_b needs at least one component")
+        comps = tuple(tuple(float(v) for v in c) for c in self.spectrum_b)
+        if not all(0.0 < v < math.inf for c in comps for v in c):
+            raise ConfigError("spectrum_b components need finite positive weight, center, and width")
+        total = sum(w for w, _, _ in comps)
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"spectrum_b weights sum to {total}, not 1")
+        object.__setattr__(self, "echo_points", pts)
+        object.__setattr__(self, "spectrum_b", comps)
+        # the lengths in meters that `sweep` uses can overflow, and step can underflow
+        _, x_a, x_b_max, step, _ = self._meters()
+        for (name, rule), meters in zip(lengths, (x_a, x_b_max, step)):
+            if not rules[rule](meters):
+                raise ConfigError(f"{name} * lambda0 must be finite and {rule}, got {meters:g} m")
+        with np.errstate(over="ignore"):
+            ratio = x_b_max / step
+        if not ratio + 1e-9 < MAX_SWEEP_POINTS:  # the grid has floor(ratio + 1e-9) + 1 points
+            raise ConfigError(f"x_b_max / step = {ratio:.6g} gives more than {MAX_SWEEP_POINTS} "
+                              "sweep points")
+
+    def _meters(self):
+        """lambda0, x_a, x_b_max, step and the echo points in meters.
+
+        They are float64 products, in which a value beyond the float range
+        overflows to inf or underflows to 0 silently.
+        """
+        with np.errstate(all="ignore"):
+            lam0 = np.float64(self.lambda0_nm) * 1e-9
+            return (lam0, self.x_a * lam0, self.x_b_max * lam0, self.step * lam0,
+                    tuple(p * lam0 for p in self.echo_points))
+
+    def spectra(self) -> tuple[MultiGaussian, MultiGaussian]:
+        """The frequency densities of arms a and b as Gaussian mixtures in rad/s.
+
+        Arm a is one component, the filter_a_fwhm_nm filter centered on
+        lambda0, and arm b the spectrum_b components. A center or width beyond
+        the float range in rad/s ends in the range check of GaussianComponent.
+        """
+        lam0 = self._meters()[0]
+
+        def mixture(components) -> MultiGaussian:
+            with np.errstate(all="ignore"):
+                weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
+                centers = angular_frequency(centers_nm * 1e-9)
+                widths = sigma_from_fwhm(fwhms_nm * 1e-9, lam0)
+            return MultiGaussian(tuple(map(GaussianComponent, weights, centers, widths)))
+
+        return mixture(((1.0, self.lambda0_nm, self.filter_a_fwhm_nm),)), mixture(self.spectrum_b)
 
 
-def sweep(config: SweepConfig) -> dict[str, np.ndarray]:
+def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Evaluate the dephasing dynamics over the arm-b retardation grid.
 
-    The grid runs from 0 to x_b_max in steps of `step`. The echo schedule
-    maps it to effective retardations, where the arm-b spectrum gives
-    kappa_b; a negative effective retardation carries the conjugate phase.
-    kappa_a is fixed by the arm-a spectrum at x_a. Returns a column table of
-    equal-length 1-d arrays ordered by x_b: "x_b" (meters), the complex
-    "kappa_a" and "kappa_b", the sorted eigenvalues "lambda1".."lambda4", and
-    the correlations "I", "C", "Q", "REE" in bits.
+    The grid runs from 0 to x_b_max in steps of `step`, converted to meters.
+    The echo schedule maps it to effective retardations, where the arm-b
+    spectrum gives kappa_b; a negative effective retardation carries the
+    conjugate phase. kappa_a is fixed by the arm-a spectrum at x_a. Returns a
+    column table of equal-length 1-d arrays ordered by x_b: "x_b" (meters) and
+    "x_over_lambda0", the complex "kappa_a" and "kappa_b" and their moduli
+    "kappa_a_abs" and "kappa_b_abs", the sorted eigenvalues
+    "lambda1".."lambda4", and the correlations "I", "C", "Q", "REE" in bits.
     """
-    n_points = int(math.floor(config.x_b_max / config.step + 1e-9)) + 1
-    x_b = np.arange(n_points) * config.step
-    x_eff = effective_retardation(x_b, config.echo_points)
-    kappa_b = config.spectrum_b.kappa(np.abs(x_eff))
+    lam0, x_a, x_b_max, step, echo_points = config._meters()
+    spectrum_a, spectrum_b = config.spectra()
+    n_points = int(math.floor(x_b_max / step + 1e-9)) + 1
+    x_b = np.arange(n_points) * step
+    x_eff = effective_retardation(x_b, echo_points)
+    kappa_b = spectrum_b.kappa(np.abs(x_eff))
     kappa_b = np.where(x_eff < 0.0, np.conj(kappa_b), kappa_b)
-    kappa_a = np.full(n_points, config.spectrum_a.kappa(config.x_a), dtype=complex)
+    kappa_a = np.full(n_points, spectrum_a.kappa(x_a), dtype=complex)
     lam = bell_eigenvalues_from_kappas(kappa_a, kappa_b)
-    table = {"x_b": x_b, "kappa_a": kappa_a, "kappa_b": kappa_b}
+    table = {"x_b": x_b, "x_over_lambda0": x_b / lam0, "kappa_a": kappa_a, "kappa_b": kappa_b,
+             "kappa_a_abs": np.abs(kappa_a), "kappa_b_abs": np.abs(kappa_b)}
     table.update((f"lambda{j + 1}", lam[:, j]) for j in range(4))
     table.update(zip(("I", "C", "Q", "REE"), bell_correlations(lam)))
     return table

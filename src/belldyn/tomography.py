@@ -16,17 +16,19 @@ D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
 that a fixed seed reproduces outputs bit for bit; a record is 16 counts in that
 order plus the expected counts per setting. A seed is an integer >= 0 or a
 sequence of them, and a malformed size or seed raises TomographyInputError.
+`TomographySettings` holds the tomography of an experiment config, and its
+malformed values raise ConfigError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from .correlations import bell_correlations
-from .errors import NonConvergenceError, TomographyInputError
+from .errors import ConfigError, NonConvergenceError, TomographyInputError
 from .qstate import eigenvalues_sorted, validate_state
 
 KET = {
@@ -74,12 +76,40 @@ def _holds(test, value) -> bool:
         return False
 
 
+def _integer_in(value, low, high) -> bool:
+    """Whether value is one integer in [low, high]; 2.0 counts as 2.
+
+    value % 1 is NaN for NaN and inf, and exact for an int too large for a float.
+    """
+    return _holds(lambda v: v % 1 == 0 and low <= v <= high, value)
+
+
 def _seed_words(seed) -> list[int]:
     """The words of an int or int-sequence seed; TomographyInputError unless each is an integer >= 0."""
     words = list(seed) if np.iterable(seed) else [seed]
-    if not all(_holds(lambda w: w % 1 == 0 and w >= 0, word) for word in words):
-        raise TomographyInputError(f"seed words must be integers >= 0, got {seed}")
+    if not all(_integer_in(word, 0, math.inf) for word in words):
+        raise TomographyInputError(f"seed words must be integers >= 0, got {seed!r}")
     return [int(w) for w in words]
+
+
+@dataclass(frozen=True)
+class TomographySettings:
+    """Tomography of every sweep row: counts per setting (1 to MAX_TOMO_COUNTS), resamples
+    (2 to MAX_TOMO_RESAMPLES) and seed (>= 0), all integers; ConfigError otherwise."""
+
+    n_per_setting: int
+    resamples: int = 100
+    seed: int = 0
+    #: the names of the three values in error messages: config keys, or the flags that set them
+    keys: InitVar[tuple[str, str, str]] = ("tomo_counts", "tomo_resamples", "tomo_seed")
+
+    def __post_init__(self, keys):
+        for name, key, low, high in zip(("n_per_setting", "resamples", "seed"), keys,
+                                        (1, 2, 0), (MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, math.inf)):
+            value = getattr(self, name)
+            if not _integer_in(value, low, high):
+                raise ConfigError(f"{key} must be an integer in [{low}, {high:g}], got {value!r}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +133,7 @@ class TomographyRecord:
             raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
         if not _holds(lambda n: 0.0 < n < math.inf, self.total_per_setting):
             raise TomographyInputError(
-                f"total_per_setting must be finite and positive, got {self.total_per_setting}")
+                f"total_per_setting must be finite and positive, got {self.total_per_setting!r}")
         object.__setattr__(self, "counts", counts)
 
 
@@ -133,7 +163,7 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     """
     rho = validate_state(rho)
     if not _holds(lambda n: 1 <= n <= MAX_TOMO_COUNTS, n_per_setting):
-        raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting}")
+        raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting!r}")
     rng = np.random.default_rng(_seed_words(seed))
     counts = rng.poisson(n_per_setting * probabilities(rho)).astype(float)
     return TomographyRecord(counts=counts, total_per_setting=float(n_per_setting))
@@ -353,10 +383,9 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     seed word is an integer >= 0, and resamples is an integer in
     [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
     """
-    # resamples % 1 is NaN for NaN and inf, and exact for an int too large for a float
-    if not _holds(lambda r: r % 1 == 0 and 2 <= r <= MAX_TOMO_RESAMPLES, resamples):
+    if not _integer_in(resamples, 2, MAX_TOMO_RESAMPLES):
         raise TomographyInputError(
-            f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples}")
+            f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples!r}")
     resamples = int(resamples)
     if not 0 < len(records) == len(seeds):
         raise TomographyInputError(f"need 1+ records, one seed each, got {len(seeds)} for {len(records)}")

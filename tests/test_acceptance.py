@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from belldyn.cli import preset_config, to_sweep_config
+from belldyn.cli import preset_config
 from belldyn.correlations import (
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
@@ -56,15 +56,11 @@ def _report(number, checks):
 
 
 def _run_preset(name):
-    """The preset's sweep table, with x in lambda0 units and the two |kappa| added."""
+    """The preset's sweep table and the seconds it took."""
     config = preset_config(name)
     start = time.perf_counter()
-    series = sweep(to_sweep_config(config))
-    elapsed = time.perf_counter() - start
-    series["x_over_lambda0"] = series["x_b"] / (config.lambda0_nm * 1e-9)
-    series["kappa_a_abs"] = np.abs(series["kappa_a"])
-    series["kappa_b_abs"] = np.abs(series["kappa_b"])
-    return series, elapsed
+    series = sweep(config)
+    return series, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +285,7 @@ def test_criterion_10_structural_properties():
     # kappa(0) = 1 and |kappa| <= 1 for every spectral model kind
     # (one-component mixture, three-component mixture, trapezoid integral of a sampled density)
     single = FILTER_A
-    comps = to_sweep_config(preset_config("fig2a")).spectrum_b
+    comps = preset_config("fig2a").spectra()[1]
     sigma = single.components[0].width
     omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), 9001)
     density = np.exp(-4 * (omega - angular_frequency(780e-9)) ** 2 / sigma**2)

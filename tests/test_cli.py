@@ -1,4 +1,7 @@
+import hashlib
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ import pytest
 import belldyn.cli
 from belldyn import dephasing, tomography
 from belldyn.cli import (
-    ExperimentConfig,
     _first_local_min,
     PRESET_NAMES,
     SWEEP_COLUMNS,
@@ -17,10 +19,10 @@ from belldyn.cli import (
     preset_config,
     read_sweep_csv,
     run,
-    to_sweep_config,
 )
 from belldyn.dephasing import (
     MAX_SWEEP_POINTS,
+    ExperimentConfig,
     GaussianComponent,
     effective_retardation,
     find_crossing,
@@ -35,7 +37,7 @@ from belldyn.errors import (
     TomographyInputError,
     UnknownKeyError,
 )
-from belldyn.tomography import MAX_TOMO_RESAMPLES, simulate_counts
+from belldyn.tomography import MAX_TOMO_RESAMPLES, TomographySettings, simulate_counts
 
 CONFIG_TEXT = """\
 # custom experiment
@@ -141,14 +143,13 @@ def test_parse_config_unknown_section():
         parse_config_lines(["[spectrum_c]"])
 
 
+_EXPERIMENT = dict(name="bad", x_a=1.0, filter_a_fwhm_nm=3.0, spectrum_b=((1.0, 780.0, 0.85),),
+                   x_b_max=10.0, step=4.0)
+
+
 def test_config_validation():
     def make(**overrides):
-        kwargs = dict(
-            name="bad", x_a=1.0, filter_a_fwhm_nm=3.0,
-            spectrum_b=((1.0, 780.0, 0.85),), x_b_max=10.0, step=4.0,
-        )
-        kwargs.update(overrides)
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**{**_EXPERIMENT, **overrides})
 
     make()  # baseline is valid
     with pytest.raises(ConfigError):
@@ -163,6 +164,43 @@ def test_config_validation():
         make(spectrum_b=((0.6, 780.0, 0.85), (0.6, 781.0, 0.85)))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("x_a", "1"), ("x_a", None), ("step", None), ("step", "4"), ("x_b_max", [10.0]),
+     ("filter_a_fwhm_nm", "3"), ("lambda0_nm", np.array([780.0]))],
+)
+def test_experiment_config_rejects_a_non_number_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        ExperimentConfig(**{**_EXPERIMENT, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_per_setting", "3"), ("n_per_setting", None), ("n_per_setting", [3]),
+     ("resamples", "7"), ("seed", "7"), ("seed", None)],
+)
+def test_tomography_settings_reject_a_non_number_naming_the_field(field, value):
+    key = {"n_per_setting": "tomo_counts", "resamples": "tomo_resamples", "seed": "tomo_seed"}
+    message = f"^{key[field]} must be an integer .*, got {re.escape(repr(value))}$"
+    with pytest.raises(ConfigError, match=message):
+        TomographySettings(**{"n_per_setting": 100, field: value})
+
+
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        # step * lambda0 overflows to inf, and np.arange(n) * inf would hold 0 * inf
+        ({"step": 3.46e307, "lambda0_nm": 5.2e9}, "step"),
+        ({"step": 1e-320}, "step"),  # underflows to 0 m
+        ({"x_a": 1e308, "lambda0_nm": 1e10}, "x_a"),
+        ({"x_b_max": 1e308, "step": 1e306, "lambda0_nm": 1e10}, "x_b_max"),
+    ],
+)
+def test_experiment_config_rejects_lengths_beyond_the_float_range_in_meters(changes, field):
+    with pytest.raises(ConfigError, match=rf"^{field} \* lambda0 must be finite"):
+        ExperimentConfig(**{**_EXPERIMENT, **changes})
+
+
 def test_main_bad_spectrum_weights_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(
@@ -174,11 +212,11 @@ def test_main_bad_spectrum_weights_exit_code(tmp_path, capsys):
 
 
 def test_run_writes_outputs_and_is_deterministic(tmp_path):
-    cfg = preset_config("fig2a")
+    cfg = replace(preset_config("fig2a"), step=8.0)
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    run(cfg, out1, step=8.0)
-    run(cfg, out2, step=8.0)
+    run(cfg, out1)
+    run(cfg, out2)
     for name in ("sweep.csv", "landmarks.txt"):
         assert (out1 / name).is_file()
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -189,7 +227,7 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path):
 def test_run_landmarks_recomputable_from_csv(tmp_path):
     for preset in PRESET_NAMES:
         out = tmp_path / preset
-        run(preset_config(preset), out, step=2.0)
+        run(preset_config(preset), out)
         recomputed = landmarks_from_series(read_sweep_csv(out / "sweep.csv"))
         written = {}
         for line in (out / "landmarks.txt").read_text().splitlines():
@@ -235,7 +273,7 @@ def test_first_local_min_matches_pointwise_reference():
 
 
 def test_run_fig2a_landmark_values(tmp_path):
-    run(preset_config("fig2a"), tmp_path, step=2.0)
+    run(preset_config("fig2a"), tmp_path)
     landmarks = {}
     for line in (tmp_path / "landmarks.txt").read_text().splitlines():
         key, _, value = line.partition(" = ")
@@ -247,7 +285,7 @@ def test_run_fig2a_landmark_values(tmp_path):
 
 
 def test_run_fig3a_echo_landmark(tmp_path):
-    run(preset_config("fig3a"), tmp_path, step=4.0)
+    run(replace(preset_config("fig3a"), step=4.0), tmp_path)
     landmarks = {}
     for line in (tmp_path / "landmarks.txt").read_text().splitlines():
         key, _, value = line.partition(" = ")
@@ -259,9 +297,18 @@ def test_run_fig3a_echo_landmark(tmp_path):
 
 
 def test_run_single_point_when_step_override_exceeds_range(tmp_path):
-    run(preset_config("fig2a"), tmp_path, step=2000.0)
+    run(replace(preset_config("fig2a"), step=2000.0), tmp_path)
     series = read_sweep_csv(tmp_path / "sweep.csv")
     assert len(series["x_over_lambda0"]) == 1
+
+
+def test_config_step_beyond_x_b_max_writes_one_row(tmp_path):
+    cfg = tmp_path / "wide-step.cfg"
+    cfg.write_text("\n".join(_VALID_CONFIG).replace("step = 4", "step = 50") + "\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    series = read_sweep_csv(tmp_path / "out" / "sweep.csv")
+    assert list(series["x_over_lambda0"]) == [0.0]
+    assert (tmp_path / "out" / "sweep.csv").read_text().count("\n") == 2  # header + one row
 
 
 def test_run_with_tomography_writes_noisy_csv(tmp_path):
@@ -345,9 +392,7 @@ def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_row
     run(config, tmp_path)
     monkeypatch.setattr(tomography, "_estimate", estimate)
     assert len(batches) == -(-6 // max(1, belldyn.cli._BLOCK_ROWS // (1 + resamples)))
-    table = sweep(to_sweep_config(config))
-    table["x_over_lambda0"] = table["x_b"] / (config.lambda0_nm * 1e-9)
-    _reference_write_noisy_csv(table, config, tmp_path / "reference.csv")
+    _reference_write_noisy_csv(sweep(config), config, tmp_path / "reference.csv")
     assert (tmp_path / "noisy.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
@@ -372,20 +417,38 @@ def test_main_tomo_demo_output_is_pinned(capsys):
     )
 
 
+#: SHA-256 of the preset runs' (sweep.csv, landmarks.txt)
+PRESET_OUTPUT_SHA256 = {
+    "fig2a": ("a338c1bfa4ae43673949cee5f24b40a1fff3fa517b5091b765b43226fa449ec9",
+              "684d92946bedd4768da6d020a34ef39f78a94354e93a89e427028fad2e8d7a8a"),
+    "fig2b": ("945f5b6d2f39e7a3a9e44746d117b57bc220f62f576865c03941af919af8e848",
+              "e9289ed6d4a1528e2a7be151231597498c9ee9cd9f38bf783b5e25a07d71a44b"),
+    "fig3a": ("de88498cae2967a00cb90bd84e030369cc9145cf54125f68b779a1acc707d51e",
+              "92865d3e19c903f80ad8ace16f0cd54af751a35d587bc0d7543fd3db48708a4f"),
+    "fig3b": ("4a47a4ba04a155136f645943a0aae6f66c721848aa2457d749eea2008b2dda95",
+              "3e94bb588fa3f0a5dc73ccc8682a0e17da140df6536ce4be7236e3df2ff1237a"),
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_run_preset_outputs_are_pinned(tmp_path, preset):
+    # the bytes of the sweep path before the experiment config became sweep's input
+    assert main(["run", preset, "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("sweep.csv", "landmarks.txt"))
+    assert digests == PRESET_OUTPUT_SHA256[preset]
+
+
 def test_series_matches_sweep_output(tmp_path):
-    cfg = preset_config("fig2a")
-    table = sweep(to_sweep_config(cfg))
-    run(cfg, tmp_path)
+    table = sweep(preset_config("fig2a"))
+    run(preset_config("fig2a"), tmp_path)
     series = read_sweep_csv(tmp_path / "sweep.csv")
     assert len(series["x_over_lambda0"]) == 401
     assert series["kappa_b_abs"][0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(series["I"], series["Q"] + series["C"], atol=1e-8)
-    expected = dict(table, x_over_lambda0=table["x_b"] / (cfg.lambda0_nm * 1e-9),
-                    kappa_a_abs=np.abs(table["kappa_a"]), kappa_b_abs=np.abs(table["kappa_b"]))
     for name in SWEEP_COLUMNS:
         # the CSV keeps 9 significant digits
-        np.testing.assert_allclose(series[name], expected[name], rtol=1e-8, atol=1e-12,
-                                   err_msg=name)
+        np.testing.assert_allclose(series[name], table[name], rtol=1e-8, atol=1e-12, err_msg=name)
 
 
 def test_main_run_and_landmarks_roundtrip(tmp_path, capsys):

@@ -224,3 +224,13 @@ def test_bell_diagonal_state_spectrum_roundtrip():
 def test_spectrum_functions_reject_unsorted():
     with pytest.raises(InvalidSpectrumError):
         quantum_correlation_bell([0.1, 0.2, 0.3, 0.4])
+
+
+def test_bell_correlations_of_one_spectrum_are_four_scalars():
+    one = bell_correlations(bell_eigenvalues_from_kappas(0.607, 0.385))
+    assert [type(value) for value in one] == [np.float64] * 4
+    # REE is zero for a separable state as well, from the other branch
+    assert [type(value) for value in bell_correlations(np.full(4, 0.25))] == [np.float64] * 4
+    stack = bell_correlations(bell_eigenvalues_from_kappas(np.full((2, 3), 0.607), 0.385))
+    assert all(type(value) is np.ndarray and value.shape == (2, 3) for value in stack)
+    assert [float(value[1, 2]) for value in stack] == [float(value) for value in one]

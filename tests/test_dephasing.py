@@ -7,9 +7,9 @@ import pytest
 from belldyn.dephasing import (
     MAX_SWEEP_POINTS,
     SPEED_OF_LIGHT,
+    ExperimentConfig,
     GaussianComponent,
     MultiGaussian,
-    SweepConfig,
     angular_frequency,
     effective_retardation,
     evolve_state,
@@ -19,7 +19,7 @@ from belldyn.dephasing import (
     sweep,
     validate_echo_points,
 )
-from belldyn.correlations import bell_eigenvalues_from_kappas
+from belldyn.correlations import bell_correlations, bell_eigenvalues_from_kappas
 from belldyn.errors import (
     BelldynError,
     ConfigError,
@@ -36,15 +36,12 @@ LAM0 = 0.78e-6
 SIGMA_3NM = sigma_from_fwhm(3e-9, 780e-9)
 OMEGA_780 = angular_frequency(780e-9)
 
+#: the three-peak arm-b spectrum of the presets, as (weight, center_nm, fwhm_nm)
+FP_NM = ((0.37, 778.853, 0.85), (0.44, 780.160, 0.85), (0.19, 781.459, 0.85))
 FP_COMPONENTS = tuple(
     GaussianComponent(w, angular_frequency(c * 1e-9), sigma_from_fwhm(f * 1e-9, 780e-9))
-    for w, c, f in ((0.37, 778.853, 0.85), (0.44, 780.160, 0.85), (0.19, 781.459, 0.85))
+    for w, c, f in FP_NM
 )
-
-
-def _gaussian(sigma, omega0):
-    """A single Gaussian density as the one-component mixture."""
-    return MultiGaussian((GaussianComponent(1.0, omega0, sigma),))
 
 
 def _sampled_gaussian(n=6001, half_width=4.0, normalize=True):
@@ -265,70 +262,55 @@ def test_evolve_state_rejects_large_kappa():
         evolve_state(1.2, 0.5)
 
 
-def _fig_sweep_config(echo=(), x_max=800.0, step=2.0, fwhm_b_nm=0.85):
-    comps = tuple(
-        GaussianComponent(w, angular_frequency(c * 1e-9), sigma_from_fwhm(fwhm_b_nm * 1e-9, 780e-9))
-        for w, c in ((0.37, 778.853), (0.44, 780.160), (0.19, 781.459))
-    )
-    return SweepConfig(
-        x_a=117 * LAM0,
-        spectrum_a=_gaussian(SIGMA_3NM, OMEGA_780),
-        spectrum_b=MultiGaussian(comps),
-        x_b_max=x_max * LAM0,
-        step=step * LAM0,
-        echo_points=tuple(p * LAM0 for p in echo),
-    )
+def _fig_config(echo=(), x_max=800.0, step=2.0, spectrum_b=FP_NM):
+    """The presets' experiment, 3 nm arm-a filter at 117 lambda0, with the given grid."""
+    return ExperimentConfig(name="fig", x_a=117.0, filter_a_fwhm_nm=3.0, spectrum_b=spectrum_b,
+                            x_b_max=x_max, step=step, echo_points=echo)
 
 
 def test_sweep_constant_when_arm_b_untouched():
     # an essentially monochromatic arm-b spectrum keeps |kappa_b| at 1
-    config = SweepConfig(
-        x_a=117 * LAM0,
-        spectrum_a=_gaussian(SIGMA_3NM, OMEGA_780),
-        spectrum_b=_gaussian(1.0, OMEGA_780),
-        x_b_max=100 * LAM0,
-        step=10 * LAM0,
-    )
-    table = sweep(config)
+    table = sweep(_fig_config(x_max=100.0, step=10.0, spectrum_b=((1.0, 780.0, 1e-12),)))
     np.testing.assert_allclose(np.abs(table["kappa_b"]), 1.0, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(table["Q"], table["Q"][0], rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(table["C"], table["C"][0], rtol=0.0, atol=1e-12)
 
 
 def test_sweep_returns_equal_length_columns():
-    table = sweep(_fig_sweep_config(x_max=20.0, step=5.0))
-    assert set(table) == {"x_b", "kappa_a", "kappa_b", "lambda1", "lambda2", "lambda3",
-                          "lambda4", "I", "C", "Q", "REE"}
+    table = sweep(_fig_config(x_max=20.0, step=5.0))
+    assert set(table) == {"x_b", "x_over_lambda0", "kappa_a", "kappa_b", "kappa_a_abs",
+                          "kappa_b_abs", "lambda1", "lambda2", "lambda3", "lambda4",
+                          "I", "C", "Q", "REE"}
     assert all(col.shape == (5,) for col in table.values())
     assert table["kappa_a"].dtype == complex and table["kappa_b"].dtype == complex
 
 
 def test_sweep_single_point_when_step_exceeds_range():
-    table = sweep(_fig_sweep_config(x_max=10.0, step=40.0))
+    table = sweep(_fig_config(x_max=10.0, step=40.0))
     assert len(table["x_b"]) == 1
     assert table["x_b"][0] == 0.0
     assert abs(table["kappa_b"][0]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sweep_grid_and_ordering():
-    table = sweep(_fig_sweep_config(x_max=20.0, step=5.0))
+    table = sweep(_fig_config(x_max=20.0, step=5.0))
     np.testing.assert_allclose(table["x_b"] / LAM0, [0.0, 5.0, 10.0, 15.0, 20.0], rtol=1e-12)
 
 
 def test_sweep_total_equals_sum_of_parts():
-    table = sweep(_fig_sweep_config(x_max=300.0, step=10.0))
+    table = sweep(_fig_config(x_max=300.0, step=10.0))
     np.testing.assert_allclose(table["I"], table["Q"] + table["C"], rtol=0.0, atol=1e-9)
 
 
 def test_sweep_is_deterministic():
-    a = sweep(_fig_sweep_config(x_max=100.0, step=10.0))
-    b = sweep(_fig_sweep_config(x_max=100.0, step=10.0))
+    a = sweep(_fig_config(x_max=100.0, step=10.0))
+    b = sweep(_fig_config(x_max=100.0, step=10.0))
     for name in a:
         assert np.array_equal(a[name], b[name]), name
 
 
 def test_sweep_echo_symmetry_and_exact_revival():
-    table = sweep(_fig_sweep_config(echo=(200.0,), x_max=400.0, step=2.0))
+    table = sweep(_fig_config(echo=(200.0,), x_max=400.0, step=2.0))
     center = 100  # index of the exchange point at 200 lambda0
     for name in ("I", "C", "Q", "REE"):
         col = table[name]
@@ -341,14 +323,7 @@ def test_sweep_echo_symmetry_and_exact_revival():
 def test_sweep_markovian_case_never_revives():
     # a single-Gaussian arm-b spectrum gives strictly decaying |kappa_b|,
     # so the quantum branch is monotone after the transition
-    config = SweepConfig(
-        x_a=117 * LAM0,
-        spectrum_a=_gaussian(SIGMA_3NM, OMEGA_780),
-        spectrum_b=_gaussian(sigma_from_fwhm(0.85e-9, 780e-9), OMEGA_780),
-        x_b_max=900 * LAM0,
-        step=5 * LAM0,
-    )
-    table = sweep(config)
+    table = sweep(_fig_config(x_max=900.0, step=5.0, spectrum_b=((1.0, 780.0, 0.85),)))
     kb = np.abs(table["kappa_b"])
     ka = abs(table["kappa_a"][0])
     assert np.all(np.diff(kb) < 0.0)
@@ -357,19 +332,27 @@ def test_sweep_markovian_case_never_revives():
 
 
 def test_sweep_rejects_bad_schedule():
-    config = _fig_sweep_config(echo=(100.0, 100.0), x_max=50.0, step=10.0)
     with pytest.raises(ScheduleError):
-        sweep(config)
+        _fig_config(echo=(100.0, 100.0), x_max=50.0, step=10.0)
 
 
 def test_sweep_sampled_spectrum_matches_multi_gaussian():
-    # the FP spectrum sampled on a grid against its closed form; the echo at
-    # 100 lambda0 drives the effective retardation negative beyond 200
-    sampled = QuadratureSpectrum(*_sampled_fp())
-    closed = _fig_sweep_config(echo=(100.0,), x_max=300.0, step=5.0)
-    want = sweep(closed)
-    got = sweep(replace(closed, spectrum_b=sampled))
-    assert np.min(effective_retardation(got["x_b"], closed.echo_points)) < 0.0
+    # every column against the FP spectrum sampled on a grid and integrated by
+    # quadrature; the echo at 100 lambda0 drives the effective retardation
+    # negative beyond 200
+    got = sweep(_fig_config(echo=(100.0,), x_max=300.0, step=5.0))
+    x_b = np.arange(61) * 5.0 * LAM0
+    x_eff = effective_retardation(x_b, (100.0 * LAM0,))
+    assert np.min(x_eff) < 0.0
+    kappa_b = QuadratureSpectrum(*_sampled_fp()).kappa(np.abs(x_eff))
+    kappa_b = np.where(x_eff < 0.0, np.conj(kappa_b), kappa_b)
+    kappa_a = np.full(61, kappa_gaussian(117.0 * LAM0, SIGMA_3NM, OMEGA_780))
+    lam = bell_eigenvalues_from_kappas(kappa_a, kappa_b)
+    want = {"x_b": x_b, "x_over_lambda0": x_b / LAM0, "kappa_a": kappa_a, "kappa_b": kappa_b,
+            "kappa_a_abs": np.abs(kappa_a), "kappa_b_abs": np.abs(kappa_b)}
+    want.update((f"lambda{j + 1}", lam[:, j]) for j in range(4))
+    want.update(zip(("I", "C", "Q", "REE"), bell_correlations(lam)))
+    assert set(got) == set(want)
     for name in want:
         np.testing.assert_allclose(got[name], want[name], rtol=0.0, atol=1e-4, err_msg=name)
 
@@ -384,17 +367,17 @@ def test_sweep_sampled_spectrum_matches_multi_gaussian():
         {"x_b_max": math.nan},
         {"x_b_max": -1.0},
         {"x_a": math.inf},
-        {"x_b_max": MAX_SWEEP_POINTS * 2.0 * LAM0},  # MAX_SWEEP_POINTS + 1 points
+        {"x_b_max": MAX_SWEEP_POINTS * 2.0},  # MAX_SWEEP_POINTS + 1 points
     ],
 )
 def test_sweep_config_rejects_bad_grid(overrides):
     with pytest.raises(ConfigError):
-        replace(_fig_sweep_config(x_max=10.0, step=2.0), **overrides)
+        replace(_fig_config(x_max=10.0, step=2.0), **overrides)
 
 
 def test_sweep_config_accepts_grid_at_the_cap():
-    config = replace(_fig_sweep_config(step=2.0), x_b_max=(MAX_SWEEP_POINTS - 1) * 2.0 * LAM0)
-    assert math.floor(config.x_b_max / config.step + 1e-9) + 1 == MAX_SWEEP_POINTS
+    config = replace(_fig_config(step=2.0), x_b_max=(MAX_SWEEP_POINTS - 1) * 2.0)
+    assert len(sweep(config)["x_b"]) == MAX_SWEEP_POINTS
 
 
 def _loop_retardation(x, pts):

@@ -1,10 +1,12 @@
 """The public surface: `belldyn.__all__` resolves, and removed names stay removed."""
 
 import importlib
+import inspect
 
 import pytest
 
 import belldyn
+import belldyn.cli
 
 #: module -> names it no longer defines, as listed under "Removed names" in README
 REMOVED = {
@@ -14,7 +16,8 @@ REMOVED = {
                              "kappa_correlation", "correlations_from_kappas",
                              "bell_diagonal_state", "BELL_KETS"),
     "belldyn.dephasing": ("kappa_multi_gaussian", "SingleGaussian", "SampledSpectrum",
-                          "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0"),
+                          "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0", "SweepConfig"),
+    "belldyn.cli": ("to_sweep_config",),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
                        "NormalizationError", "CountsRangeError", "OracleInputError"),
     "belldyn.oracle": ("GridSpec", "SimplexGridSpec", "closest_product_state"),
@@ -38,3 +41,5 @@ def test_removed_names_are_gone():
                 getattr(belldyn, name)
             assert not hasattr(module, name), f"{module_name}.{name}"
     assert not hasattr(belldyn.TomographyRecord, "settings")
+    # --step and --seed are applied to the config before `run`
+    assert list(inspect.signature(belldyn.cli.run).parameters) == ["config", "out_dir"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import belldyn.tomography as tomography
-from belldyn.cli import preset_config, to_sweep_config
+from belldyn.cli import preset_config
 from belldyn.correlations import bell_correlations
 from belldyn.dephasing import evolve_state, sweep
 from belldyn.errors import (
@@ -285,7 +285,7 @@ def test_physical_inversion_is_returned_in_closed_form():
 def unphysical_records():
     """Records whose linear inversion has a negative eigenvalue: the rank-2 x = 0 state of
     the fig2a spectra and pure states, at 10^4 counts."""
-    table = sweep(to_sweep_config(preset_config("fig2a")))
+    table = sweep(preset_config("fig2a"))
     rng = np.random.default_rng(53)
     phases = np.exp(2j * np.pi * rng.uniform(size=(4, 2)))
     states = [evolve_state(table["kappa_a"][0], table["kappa_b"][0]), evolve_state(1.0, 1.0)]
@@ -368,6 +368,22 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
             bootstrap([rec], 3, [bad])
     assert np.array_equal(simulate_counts(np.eye(4) / 4.0, 100, [2.0]).counts,
                           simulate_counts(np.eye(4) / 4.0, 100, np.int64(2)).counts)
+
+
+def test_tomography_input_errors_show_the_rejected_value_as_written():
+    # "3" and "7" are strings, not the valid numbers 3 and 7
+    rho = np.eye(4) / 4.0
+    with pytest.raises(TomographyInputError, match="got '3'$"):
+        simulate_counts(rho, "3", 0)
+    with pytest.raises(TomographyInputError, match="got '7'$"):
+        simulate_counts(rho, 100, "7")
+    rec = simulate_counts(rho, 100, 0)
+    with pytest.raises(TomographyInputError, match="got '7'$"):
+        bootstrap([rec], 3, ["7"])
+    with pytest.raises(TomographyInputError, match="got '3'$"):
+        bootstrap([rec], "3", [0])
+    with pytest.raises(TomographyInputError, match="got '3'$"):
+        TomographyRecord(counts=np.ones(16), total_per_setting="3")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
