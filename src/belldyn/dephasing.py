@@ -113,11 +113,13 @@ class MultiGaussian:
 
 
 def validate_echo_points(points) -> tuple[float, ...]:
-    """The exchange schedule as floats; ScheduleError unless finite, nonnegative and increasing."""
-    pts = tuple(float(p) for p in points)
-    if any(not 0.0 <= p < math.inf for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
+    """The exchange schedule as floats; ScheduleError unless a sequence of finite,
+    nonnegative and strictly increasing numbers."""
+    pts = tuple(points) if np.iterable(points) else points
+    numbers = isinstance(pts, tuple) and all(_holds(lambda p: 0.0 <= p * 1.0 < math.inf, p) for p in pts)
+    if not numbers or any(b <= a for a, b in zip(pts, pts[1:])):
         raise ScheduleError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
-    return pts
+    return tuple(float(p) for p in pts)
 
 
 def effective_retardation(x, sigma_x_points):
@@ -190,20 +192,25 @@ class ExperimentConfig:
     tomography: TomographySettings | None = None
 
     def __post_init__(self):
-        # every check is written so that NaN, an array and a non-number fail it
-        rules = {"nonnegative": lambda v: 0.0 <= v < math.inf,
-                 "positive": lambda v: 0.0 < v < math.inf}
+        # every check is written so that NaN, an array and a non-number fail it: v * 1.0
+        # raises TypeError for "1" and OverflowError for an int beyond the float range
+        rules = {"nonnegative": lambda v: 0.0 <= v * 1.0 < math.inf,
+                 "positive": lambda v: 0.0 < v * 1.0 < math.inf}
         lengths = (("x_a", "nonnegative"), ("x_b_max", "nonnegative"), ("step", "positive"))
         for name, rule in lengths + (("filter_a_fwhm_nm", "positive"), ("lambda0_nm", "positive")):
             value = getattr(self, name)
             if not _holds(rules[rule], value):
                 raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
         pts = validate_echo_points(self.echo_points)
-        if not self.spectrum_b:
+        try:
+            comps = tuple(map(tuple, self.spectrum_b))
+        except TypeError:
+            comps = ((),)  # not a sequence of sequences: no valid component
+        if not comps:
             raise ConfigError("spectrum_b needs at least one component")
-        comps = tuple(tuple(float(v) for v in c) for c in self.spectrum_b)
-        if not all(0.0 < v < math.inf for c in comps for v in c):
+        if not all(len(c) == 3 and all(_holds(rules["positive"], v) for v in c) for c in comps):
             raise ConfigError("spectrum_b components need finite positive weight, center, and width")
+        comps = tuple(tuple(map(float, c)) for c in comps)
         total = sum(w for w, _, _ in comps)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"spectrum_b weights sum to {total}, not 1")

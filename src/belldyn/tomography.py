@@ -68,11 +68,12 @@ def _holds(test, value) -> bool:
     """Whether value is one number that passes test; False for an array or a non-number.
 
     A comparison or `value % 1` raises TypeError for a non-number and ValueError
-    for an array, and NaN fails every comparison.
+    for an array, float arithmetic raises OverflowError for an int beyond the
+    float range, and NaN fails every comparison.
     """
     try:
         return np.ndim(value) == 0 and bool(test(value))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -214,15 +215,17 @@ _STANDARD_INVERSE = np.linalg.inv(_STANDARD_MAP)
 #: barrier weight over the total frequency, one value per stage; the last one
 #: sets the order of the smallest eigenvalue of an estimate
 _BARRIER_STAGES = 1e-2 ** np.arange(1, 6)
-#: a stage is centred when the squared Newton decrement falls below this times t
+#: the last stage is centred when the squared Newton decrement falls below this times t
 _CENTRED = 1e-8
 #: below this squared decrement (times t) the full Newton step is taken, as in
-#: the quadratically convergent region of a self-concordant barrier
+#: the quadratically convergent region of a self-concordant barrier, and an
+#: intermediate stage counts as centred
 _FULL_STEP = 0.25
 #: sufficient decrease of the Armijo backtracking line search
 _ARMIJO = 0.25
-#: limits of one solve; over 1,500 test records a row took at most 44 steps (median 28)
-#: and a step at most 10 halvings
+#: limits of one solve; over 1,500 unphysical records (fig2a rows, near-pure and pure
+#: states, 10^3-10^5 counts) a row took at most 38 steps (median 20) and a step at
+#: most 6 halvings
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
 
@@ -293,7 +296,10 @@ def _barrier_solve(freqs, x, lowest):
     tangent (predictor) step follows the central path to the next t; a
     backtracking line search keeps every iterate positive definite. The start
     is the linear inversion shifted so that its smallest eigenvalue is the
-    first t. A row freezes once centred at the last t. Raises
+    first t. An intermediate stage only warm-starts the next, so a row leaves
+    it once its squared Newton decrement is at most _FULL_STEP * t, inside the
+    region where the full Newton step is taken; only the last stage is centred
+    to _CENTRED * t, and a row freezes there. Raises
     NonConvergenceError when a row needs more than _MAX_STEPS steps, or a
     step more than _MAX_HALVINGS halvings.
     """
@@ -310,8 +316,9 @@ def _barrier_solve(freqs, x, lowest):
         solution = np.linalg.solve(hess, np.stack([-grad, log_det_grad], axis=-1))
         newton, tangent = solution[..., 0], solution[..., 1]
         decrement = (-grad * newton).sum(axis=-1)
-        centred = decrement <= _CENTRED * t
-        finished = centred & (stage == len(_BARRIER_STAGES) - 1)
+        last = stage == len(_BARRIER_STAGES) - 1
+        centred = decrement <= np.where(last, _CENTRED, _FULL_STEP) * t
+        finished = centred & last
         if finished.any():
             out[rows[finished]] = x[finished]
             keep = ~finished
@@ -325,7 +332,7 @@ def _barrier_solve(freqs, x, lowest):
         stage = stage + centred
         t = scale * _BARRIER_STAGES[stage]
         step = np.where(centred[:, None], (t - t_old)[:, None] * tangent, newton)
-        full = centred | (decrement <= _FULL_STEP * t_old)
+        full = decrement <= _FULL_STEP * t_old  # every centred row too
         x, lik, logdet, w, v, q = _line_search(freqs, t, x, step, full, lik - t_old * logdet,
                                                decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")

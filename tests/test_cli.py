@@ -175,6 +175,40 @@ def test_experiment_config_rejects_a_non_number_naming_the_field(field, value):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("spectrum_b", ((1.0, None, 0.85),), "^spectrum_b components need finite positive"),
+        ("spectrum_b", (("1", "780", "0.85"),), "^spectrum_b components need finite positive"),
+        ("spectrum_b", ((1, 10**400, 1),), "^spectrum_b components need finite positive"),
+        ("spectrum_b", ((1.0, 780.0),), "^spectrum_b components need finite positive"),
+        ("spectrum_b", (1.0, 780.0, 0.85), "^spectrum_b components need finite positive"),
+        ("spectrum_b", None, "^spectrum_b components need finite positive"),
+        ("spectrum_b", (), "^spectrum_b needs at least one component"),
+        ("echo_points", (None,), "^echo points must be finite"),
+        ("echo_points", ("200",), "^echo points must be finite"),
+        ("echo_points", (10**400,), "^echo points must be finite"),
+        ("echo_points", 200.0, "^echo points must be finite"),
+        ("x_a", 10**400, "^x_a must be finite"),
+        ("x_b_max", 10**400, "^x_b_max must be finite"),
+        ("filter_a_fwhm_nm", 10**400, "^filter_a_fwhm_nm must be finite"),
+        ("lambda0_nm", 10**400, "^lambda0_nm must be finite"),
+    ],
+)
+def test_experiment_config_rejects_a_malformed_spectrum_schedule_or_huge_int(field, value, message):
+    # a library caller's value, which the config-file parser never produces
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**{**_EXPERIMENT, field: value})
+
+
+def test_experiment_config_stores_numeric_sequences_as_float_tuples():
+    config = ExperimentConfig(**{**_EXPERIMENT, "spectrum_b": np.array([[1, 780, 0.85]]),
+                                 "echo_points": [np.float32(2), 3]})
+    assert config.spectrum_b == ((1.0, 780.0, 0.85),)
+    assert config.echo_points == (2.0, 3.0)
+    assert all(type(v) is float for v in (*config.spectrum_b[0], *config.echo_points))
+
+
+@pytest.mark.parametrize(
     "field, value",
     [("n_per_setting", "3"), ("n_per_setting", None), ("n_per_setting", [3]),
      ("resamples", "7"), ("seed", "7"), ("seed", None)],

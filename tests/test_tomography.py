@@ -330,6 +330,38 @@ def test_estimate_of_a_row_does_not_depend_on_its_batch():
             assert np.array_equal(tomography._estimate(freqs[j:j + 1])[0], batch[j])
 
 
+def test_barrier_solve_centres_intermediate_stages_loosely(monkeypatch):
+    # one `_derivatives` call per Newton step; centring every stage to the final
+    # tolerance would take a median of 31.5 steps on these records, and at most 40
+    steps = []
+    derivatives = tomography._derivatives
+
+    def counting(*args):
+        steps[-1] += 1
+        return derivatives(*args)
+
+    monkeypatch.setattr(tomography, "_derivatives", counting)
+    for rec in unphysical_records():
+        steps.append(0)
+        reconstruct(rec)
+    assert np.median(steps) <= 22
+    assert max(steps) <= 27
+
+
+def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
+    records = unphysical_records()
+    freqs = np.stack([rec.counts / rec.total_per_setting for rec in records])
+    x = tomography._apply(tomography._STANDARD_INVERSE, freqs)
+    lowest = np.linalg.eigvalsh(tomography._matrices(x))[:, 0]
+    optimum = tomography._barrier_solve(freqs, x, lowest)
+    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
+    _, _, w, v, q = tomography._evaluate(freqs, optimum)
+    grad, hess, _ = tomography._derivatives(freqs, t, w, v, q)
+    newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
+    decrement = (-grad * newton).sum(axis=-1)
+    assert np.all(decrement <= tomography._CENTRED * t)
+
+
 def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
     rec = simulate_counts(evolve_state(1.0, 1.0), 10**4, 0)
     monkeypatch.setattr(tomography, "_MAX_STEPS", 3)
