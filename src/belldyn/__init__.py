@@ -10,6 +10,7 @@ minimizer validates the closed forms, and a simulated tomography pipeline
 reproduces statistical scatter and error bars.
 """
 
+from .config import ExperimentConfig
 from .correlations import (
     bell_correlations,
     bell_eigenvalues_from_kappas,
@@ -19,7 +20,6 @@ from .correlations import (
 )
 from .dephasing import (
     SPEED_OF_LIGHT,
-    ExperimentConfig,
     GaussianComponent,
     MultiGaussian,
     angular_frequency,

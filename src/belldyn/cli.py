@@ -10,11 +10,8 @@ extrema), and noisy.csv (tomography-reconstructed series with bootstrap error
 bars) when tomography is configured. Exit codes: 0 success, 1 usage error,
 2 computation error, 3 I/O error.
 
-Config files are plain text, one `key = value` per line with `#` comments,
-plus a `[spectrum_b]` section holding one
-`component = weight, center_nm, fwhm_nm` line per Gaussian. All lengths are
-in units of lambda0. Built-in presets fig2a, fig2b, fig3a, and fig3b need no
-file.
+A config file is `key = value` text in the format that `belldyn.config`
+describes; the built-in presets fig2a, fig2b, fig3a and fig3b need no file.
 """
 
 from __future__ import annotations
@@ -27,16 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dephasing, tomography
-from .dephasing import ExperimentConfig, find_crossing, sweep
-from .errors import (
-    BelldynError,
-    ConfigError,
-    CrossingNotFoundError,
-    MissingKeyError,
-    ParseError,
-    UnknownKeyError,
-)
-from .tomography import TomographySettings
+from .config import PRESETS, TOMO_KEYS, ExperimentConfig, TomographySettings, parse_config_lines
+from .dephasing import find_crossing, sweep
+from .errors import BelldynError, ConfigError, CrossingNotFoundError, ParseError
 
 SWEEP_COLUMNS = (
     "x_over_lambda0", "kappa_a_abs", "kappa_b_abs",
@@ -50,121 +40,6 @@ Q_REVIVAL_THRESHOLD = 0.005
 #: Q values within this of the maximum count as one plateau; the revival peak
 #: is the first plateau point, so roundoff cannot move it along the plateau
 PLATEAU_TOL = 1e-9
-
-
-_FP_COMPONENTS = ((0.37, 778.853, 0.85), (0.44, 780.160, 0.85), (0.19, 781.459, 0.85))
-
-
-def preset_config(name: str) -> ExperimentConfig:
-    """Built-in experiment presets covering the standard demonstration runs."""
-    base = dict(x_a=117.0, filter_a_fwhm_nm=3.0, x_b_max=800.0, step=2.0, lambda0_nm=780.0)
-    presets = {
-        "fig2a": ExperimentConfig(name="fig2a", spectrum_b=_FP_COMPONENTS, **base),
-        "fig2b": ExperimentConfig(
-            name="fig2b",
-            spectrum_b=tuple((w, c, 0.2) for w, c, _ in _FP_COMPONENTS),
-            **base,
-        ),
-        "fig3a": ExperimentConfig(
-            name="fig3a", spectrum_b=_FP_COMPONENTS, echo_points=(200.0,), **base
-        ),
-        "fig3b": ExperimentConfig(
-            name="fig3b", spectrum_b=_FP_COMPONENTS, echo_points=(400.0,), **base
-        ),
-    }
-    if name not in presets:
-        raise KeyError(name)
-    return presets[name]
-
-
-PRESET_NAMES = ("fig2a", "fig2b", "fig3a", "fig3b")
-
-_SCALAR_KEYS = {
-    "name", "x_a", "filter_a", "x_b_max", "step", "lambda0",
-    "echo_points", "tomo_counts", "tomo_resamples", "tomo_seed",
-}
-_REQUIRED_KEYS = ("x_a", "filter_a", "x_b_max", "step")
-
-
-def _parse_float(raw: str, lineno: int, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"line {lineno}: value for {key} is not a number: {raw!r}") from None
-
-
-def parse_config_lines(lines, name_hint: str = "custom") -> ExperimentConfig:
-    """Parse config text (iterable of lines) into an ExperimentConfig."""
-    values: dict[str, str] = {}
-    value_lines: dict[str, int] = {}
-    components: list[tuple[float, float, float]] = []
-    section = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section != "spectrum_b":
-                raise UnknownKeyError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {raw.rstrip()!r}")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        raw_value = raw_value.strip()
-        if section == "spectrum_b":
-            if key != "component":
-                raise UnknownKeyError(f"line {lineno}: unknown key {key!r} in [spectrum_b]")
-            parts = [p.strip() for p in raw_value.split(",")]
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: component needs 'weight, center_nm, fwhm_nm'")
-            components.append(tuple(_parse_float(p, lineno, "component") for p in parts))
-            continue
-        if key not in _SCALAR_KEYS:
-            raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = raw_value
-        value_lines[key] = lineno
-
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise MissingKeyError(f"missing required key {key!r}")
-    if not components:
-        raise MissingKeyError("missing [spectrum_b] section with at least one component")
-
-    echo: tuple[float, ...] = ()
-    if "echo_points" in values and values["echo_points"]:
-        lineno = value_lines["echo_points"]
-        echo = tuple(_parse_float(p.strip(), lineno, "echo_points")
-                     for p in values["echo_points"].split(",") if p.strip())
-
-    tomo = None
-    if "tomo_counts" in values:
-        lineno = value_lines["tomo_counts"]
-        tomo = TomographySettings(
-            n_per_setting=_parse_float(values["tomo_counts"], lineno, "tomo_counts"),
-            resamples=_parse_float(values.get("tomo_resamples", "100"),
-                                   value_lines.get("tomo_resamples", lineno), "tomo_resamples"),
-            seed=_parse_float(values.get("tomo_seed", "0"),
-                              value_lines.get("tomo_seed", lineno), "tomo_seed"),
-        )
-    elif "tomo_resamples" in values or "tomo_seed" in values:
-        raise MissingKeyError("tomo_resamples/tomo_seed need tomo_counts")
-
-    return ExperimentConfig(
-        name=values.get("name", name_hint),
-        x_a=_parse_float(values["x_a"], value_lines["x_a"], "x_a"),
-        filter_a_fwhm_nm=_parse_float(values["filter_a"], value_lines["filter_a"], "filter_a"),
-        spectrum_b=tuple(components),
-        x_b_max=_parse_float(values["x_b_max"], value_lines["x_b_max"], "x_b_max"),
-        step=_parse_float(values["step"], value_lines["step"], "step"),
-        echo_points=echo,
-        lambda0_nm=_parse_float(values.get("lambda0", "780"),
-                                value_lines.get("lambda0", 0), "lambda0"),
-        tomography=tomo,
-    )
 
 
 def _read_utf8(path) -> str:
@@ -330,19 +205,19 @@ def run(config: ExperimentConfig, out_dir) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.experiment in PRESET_NAMES:
-        config = preset_config(args.experiment)
+    if args.experiment in PRESETS:
+        config = PRESETS[args.experiment]
     elif Path(args.experiment).is_file():
         config = parse_config(args.experiment)
     else:
         raise _UsageError(
-            f"{args.experiment!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
+            f"{args.experiment!r} is neither a preset ({', '.join(PRESETS)}) "
             "nor an existing config file"
         )
     if args.seed is not None and config.tomography is not None:
         # the override is the --seed flag, so its message names the flag
         config = replace(config, tomography=replace(
-            config.tomography, seed=args.seed, keys=("tomo_counts", "tomo_resamples", "--seed")))
+            config.tomography, seed=args.seed, keys=(*TOMO_KEYS[:2], "--seed")))
     if args.step is not None:
         # checked as a config file's step is; beyond x_b_max it gives the one point 0
         config = replace(config, step=args.step)

@@ -10,9 +10,9 @@ components' closed form `kappa_gaussian`. A polarization exchange (sigma_x)
 inserted at some retardation flips the sign of subsequent phase accrual, so
 later retardation unwinds earlier dephasing and produces correlation echoes.
 
-An `ExperimentConfig` gives one experiment as the paper does, lengths in
-units of the central wavelength lambda0 and spectra in nm, and is checked
-once, where it is built; `sweep` converts it to meters and rad/s. Every
+An `ExperimentConfig` (see `belldyn.config`) gives one experiment as the
+paper does, lengths in units of the central wavelength lambda0 and spectra
+in nm; `spectra` and `sweep` convert it to rad/s and meters. Every
 decoherence parameter and the echo schedule accept an array of
 retardations, so a sweep is one column computation over the whole x grid: the
 two parameters give the Bell-diagonal eigenvalues and the correlation
@@ -23,24 +23,19 @@ that path; it serves tomography and the cross-check of the closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import validate_echo_points
 from .correlations import _kappa_modulus, bell_correlations, bell_eigenvalues_from_kappas
-from .errors import (
-    ConfigError,
-    CrossingNotFoundError,
-    DephasingInputError,
-    ScheduleError,
-)
-from .tomography import TomographySettings, _holds
+from .errors import CrossingNotFoundError, DephasingInputError
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-#: largest sweep grid; the presets use 401 points, and a grid beyond this is
-#: taken for a mistyped step or range rather than allocated
-MAX_SWEEP_POINTS = 100_000
 
 
 def angular_frequency(wavelength: float) -> float:
@@ -112,16 +107,6 @@ class MultiGaussian:
         return sum(c.amplitude * kappa_gaussian(x, c.width, c.center) for c in self.components)
 
 
-def validate_echo_points(points) -> tuple[float, ...]:
-    """The exchange schedule as floats; ScheduleError unless a sequence of finite,
-    nonnegative and strictly increasing numbers."""
-    pts = tuple(points) if np.iterable(points) else points
-    numbers = isinstance(pts, tuple) and all(_holds(lambda p: 0.0 <= p * 1.0 < math.inf, p) for p in pts)
-    if not numbers or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ScheduleError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
-    return tuple(float(p) for p in pts)
-
-
 def effective_retardation(x, sigma_x_points):
     """Net signed phase-accrual length after the polarization-exchange schedule.
 
@@ -167,94 +152,23 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep experiment: lengths in units of lambda0, spectra in nm.
+def spectra(config: ExperimentConfig) -> tuple[MultiGaussian, MultiGaussian]:
+    """The frequency densities of arms a and b as Gaussian mixtures in rad/s.
 
-    Arm a carries a single Gaussian filter of filter_a_fwhm_nm centered on
-    lambda0 at the fixed retardation x_a. spectrum_b is a tuple of
-    (weight, center_nm, fwhm_nm) Gaussian components for the arm-b frequency
-    density, swept from 0 to x_b_max in steps of `step`; a step beyond x_b_max
-    gives the one point 0. echo_points lists the arm-b retardations at which a
-    polarization exchange is applied, strictly increasing. Raises ConfigError
-    for a value that is not one number in range, a length that leaves the
-    float range in meters, or a grid of more than MAX_SWEEP_POINTS points.
+    Arm a is one component, the filter_a_fwhm_nm filter centered on lambda0,
+    and arm b the spectrum_b components. A center or width beyond the float
+    range in rad/s ends in the range check of GaussianComponent.
     """
+    lam0 = config.meters()[0]
 
-    name: str
-    x_a: float
-    filter_a_fwhm_nm: float
-    spectrum_b: tuple[tuple[float, float, float], ...]
-    x_b_max: float
-    step: float
-    echo_points: tuple[float, ...] = field(default_factory=tuple)
-    lambda0_nm: float = 780.0
-    tomography: TomographySettings | None = None
-
-    def __post_init__(self):
-        # every check is written so that NaN, an array and a non-number fail it: v * 1.0
-        # raises TypeError for "1" and OverflowError for an int beyond the float range
-        rules = {"nonnegative": lambda v: 0.0 <= v * 1.0 < math.inf,
-                 "positive": lambda v: 0.0 < v * 1.0 < math.inf}
-        lengths = (("x_a", "nonnegative"), ("x_b_max", "nonnegative"), ("step", "positive"))
-        for name, rule in lengths + (("filter_a_fwhm_nm", "positive"), ("lambda0_nm", "positive")):
-            value = getattr(self, name)
-            if not _holds(rules[rule], value):
-                raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
-        pts = validate_echo_points(self.echo_points)
-        try:
-            comps = tuple(map(tuple, self.spectrum_b))
-        except TypeError:
-            comps = ((),)  # not a sequence of sequences: no valid component
-        if not comps:
-            raise ConfigError("spectrum_b needs at least one component")
-        if not all(len(c) == 3 and all(_holds(rules["positive"], v) for v in c) for c in comps):
-            raise ConfigError("spectrum_b components need finite positive weight, center, and width")
-        comps = tuple(tuple(map(float, c)) for c in comps)
-        total = sum(w for w, _, _ in comps)
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"spectrum_b weights sum to {total}, not 1")
-        object.__setattr__(self, "echo_points", pts)
-        object.__setattr__(self, "spectrum_b", comps)
-        # the lengths in meters that `sweep` uses can overflow, and step can underflow
-        _, x_a, x_b_max, step, _ = self._meters()
-        for (name, rule), meters in zip(lengths, (x_a, x_b_max, step)):
-            if not rules[rule](meters):
-                raise ConfigError(f"{name} * lambda0 must be finite and {rule}, got {meters:g} m")
-        with np.errstate(over="ignore"):
-            ratio = x_b_max / step
-        if not ratio + 1e-9 < MAX_SWEEP_POINTS:  # the grid has floor(ratio + 1e-9) + 1 points
-            raise ConfigError(f"x_b_max / step = {ratio:.6g} gives more than {MAX_SWEEP_POINTS} "
-                              "sweep points")
-
-    def _meters(self):
-        """lambda0, x_a, x_b_max, step and the echo points in meters.
-
-        They are float64 products, in which a value beyond the float range
-        overflows to inf or underflows to 0 silently.
-        """
+    def mixture(components) -> MultiGaussian:
         with np.errstate(all="ignore"):
-            lam0 = np.float64(self.lambda0_nm) * 1e-9
-            return (lam0, self.x_a * lam0, self.x_b_max * lam0, self.step * lam0,
-                    tuple(p * lam0 for p in self.echo_points))
+            weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
+            centers = angular_frequency(centers_nm * 1e-9)
+            widths = sigma_from_fwhm(fwhms_nm * 1e-9, lam0)
+        return MultiGaussian(tuple(map(GaussianComponent, weights, centers, widths)))
 
-    def spectra(self) -> tuple[MultiGaussian, MultiGaussian]:
-        """The frequency densities of arms a and b as Gaussian mixtures in rad/s.
-
-        Arm a is one component, the filter_a_fwhm_nm filter centered on
-        lambda0, and arm b the spectrum_b components. A center or width beyond
-        the float range in rad/s ends in the range check of GaussianComponent.
-        """
-        lam0 = self._meters()[0]
-
-        def mixture(components) -> MultiGaussian:
-            with np.errstate(all="ignore"):
-                weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
-                centers = angular_frequency(centers_nm * 1e-9)
-                widths = sigma_from_fwhm(fwhms_nm * 1e-9, lam0)
-            return MultiGaussian(tuple(map(GaussianComponent, weights, centers, widths)))
-
-        return mixture(((1.0, self.lambda0_nm, self.filter_a_fwhm_nm),)), mixture(self.spectrum_b)
+    return mixture(((1.0, config.lambda0_nm, config.filter_a_fwhm_nm),)), mixture(config.spectrum_b)
 
 
 def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
@@ -269,8 +183,8 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     "kappa_a_abs" and "kappa_b_abs", the sorted eigenvalues
     "lambda1".."lambda4", and the correlations "I", "C", "Q", "REE" in bits.
     """
-    lam0, x_a, x_b_max, step, echo_points = config._meters()
-    spectrum_a, spectrum_b = config.spectra()
+    lam0, x_a, x_b_max, step, echo_points = config.meters()
+    spectrum_a, spectrum_b = spectra(config)
     n_points = int(math.floor(x_b_max / step + 1e-9)) + 1
     x_b = np.arange(n_points) * step
     x_eff = effective_retardation(x_b, echo_points)

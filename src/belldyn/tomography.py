@@ -16,19 +16,18 @@ D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
 that a fixed seed reproduces outputs bit for bit; a record is 16 counts in that
 order plus the expected counts per setting. A seed is an integer >= 0 or a
 sequence of them, and a malformed size or seed raises TomographyInputError.
-`TomographySettings` holds the tomography of an experiment config, and its
-malformed values raise ConfigError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in
 from .correlations import bell_correlations
-from .errors import ConfigError, NonConvergenceError, TomographyInputError
+from .errors import NonConvergenceError, TomographyInputError
 from .qstate import eigenvalues_sorted, validate_state
 
 KET = {
@@ -45,13 +44,6 @@ STANDARD_LABELS = (
     "LL", "LV", "VL", "VD",
 )
 
-#: largest counts per tomography setting: every count stays an exact integer in
-#: a float (below 2**53), far below numpy's Poisson limit of about 9.2e18
-MAX_TOMO_COUNTS = 10**15
-#: largest number of bootstrap resamples: every resample is a Generator and a
-#: row of the batched solve, so an unbounded size exhausts memory
-MAX_TOMO_RESAMPLES = 10**4
-
 
 def _product_projector(label: str) -> np.ndarray:
     ket = np.kron(KET[label[0]], KET[label[1]])
@@ -64,53 +56,12 @@ STANDARD_PROJECTORS = np.stack([_product_projector(label) for label in STANDARD_
 STANDARD_PROJECTORS.flags.writeable = False
 
 
-def _holds(test, value) -> bool:
-    """Whether value is one number that passes test; False for an array or a non-number.
-
-    A comparison or `value % 1` raises TypeError for a non-number and ValueError
-    for an array, float arithmetic raises OverflowError for an int beyond the
-    float range, and NaN fails every comparison.
-    """
-    try:
-        return np.ndim(value) == 0 and bool(test(value))
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _integer_in(value, low, high) -> bool:
-    """Whether value is one integer in [low, high]; 2.0 counts as 2.
-
-    value % 1 is NaN for NaN and inf, and exact for an int too large for a float.
-    """
-    return _holds(lambda v: v % 1 == 0 and low <= v <= high, value)
-
-
 def _seed_words(seed) -> list[int]:
     """The words of an int or int-sequence seed; TomographyInputError unless each is an integer >= 0."""
     words = list(seed) if np.iterable(seed) else [seed]
     if not all(_integer_in(word, 0, math.inf) for word in words):
         raise TomographyInputError(f"seed words must be integers >= 0, got {seed!r}")
     return [int(w) for w in words]
-
-
-@dataclass(frozen=True)
-class TomographySettings:
-    """Tomography of every sweep row: counts per setting (1 to MAX_TOMO_COUNTS), resamples
-    (2 to MAX_TOMO_RESAMPLES) and seed (>= 0), all integers; ConfigError otherwise."""
-
-    n_per_setting: int
-    resamples: int = 100
-    seed: int = 0
-    #: the names of the three values in error messages: config keys, or the flags that set them
-    keys: InitVar[tuple[str, str, str]] = ("tomo_counts", "tomo_resamples", "tomo_seed")
-
-    def __post_init__(self, keys):
-        for name, key, low, high in zip(("n_per_setting", "resamples", "seed"), keys,
-                                        (1, 2, 0), (MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, math.inf)):
-            value = getattr(self, name)
-            if not _integer_in(value, low, high):
-                raise ConfigError(f"{key} must be an integer in [{low}, {high:g}], got {value!r}")
-            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +83,7 @@ class TomographyRecord:
         ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
         if not ok.all():
             raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
-        if not _holds(lambda n: 0.0 < n < math.inf, self.total_per_setting):
+        if not _holds(lambda n: 0.0 < n * 1.0 < math.inf, self.total_per_setting):
             raise TomographyInputError(
                 f"total_per_setting must be finite and positive, got {self.total_per_setting!r}")
         object.__setattr__(self, "counts", counts)

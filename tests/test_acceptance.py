@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from belldyn.cli import preset_config
+from belldyn.config import PRESETS
 from belldyn.correlations import (
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
@@ -20,6 +20,7 @@ from belldyn.dephasing import (
     evolve_state,
     find_crossing,
     sigma_from_fwhm,
+    spectra,
     sweep,
 )
 from belldyn.oracle import (
@@ -57,7 +58,7 @@ def _report(number, checks):
 
 def _run_preset(name):
     """The preset's sweep table and the seconds it took."""
-    config = preset_config(name)
+    config = PRESETS[name]
     start = time.perf_counter()
     series = sweep(config)
     return series, time.perf_counter() - start
@@ -285,7 +286,7 @@ def test_criterion_10_structural_properties():
     # kappa(0) = 1 and |kappa| <= 1 for every spectral model kind
     # (one-component mixture, three-component mixture, trapezoid integral of a sampled density)
     single = FILTER_A
-    comps = preset_config("fig2a").spectra()[1]
+    comps = spectra(PRESETS["fig2a"])[1]
     sigma = single.components[0].width
     omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), 9001)
     density = np.exp(-4 * (omega - angular_frequency(780e-9)) ** 2 / sigma**2)

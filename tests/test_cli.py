@@ -10,19 +10,22 @@ import belldyn.cli
 from belldyn import dephasing, tomography
 from belldyn.cli import (
     _first_local_min,
-    PRESET_NAMES,
     SWEEP_COLUMNS,
     landmarks_from_series,
     main,
     parse_config,
-    parse_config_lines,
-    preset_config,
     read_sweep_csv,
     run,
 )
-from belldyn.dephasing import (
+from belldyn.config import (
     MAX_SWEEP_POINTS,
+    MAX_TOMO_RESAMPLES,
+    PRESETS,
     ExperimentConfig,
+    TomographySettings,
+    parse_config_lines,
+)
+from belldyn.dephasing import (
     GaussianComponent,
     effective_retardation,
     find_crossing,
@@ -37,7 +40,7 @@ from belldyn.errors import (
     TomographyInputError,
     UnknownKeyError,
 )
-from belldyn.tomography import MAX_TOMO_RESAMPLES, TomographySettings, simulate_counts
+from belldyn.tomography import simulate_counts
 
 CONFIG_TEXT = """\
 # custom experiment
@@ -57,7 +60,7 @@ component = 0.19, 781.459, 0.85
 
 
 def test_preset_fig2a():
-    cfg = preset_config("fig2a")
+    cfg = PRESETS["fig2a"]
     assert cfg.x_a == 117.0
     assert cfg.filter_a_fwhm_nm == 3.0
     assert cfg.echo_points == ()
@@ -70,15 +73,15 @@ def test_preset_fig2a():
 
 
 def test_preset_fig2b_narrow_filter():
-    cfg = preset_config("fig2b")
+    cfg = PRESETS["fig2b"]
     assert all(f == 0.2 for _, _, f in cfg.spectrum_b)
     assert [c for _, c, _ in cfg.spectrum_b] == [778.853, 780.160, 781.459]
 
 
 def test_preset_echo_points():
-    assert preset_config("fig3a").echo_points == (200.0,)
-    assert preset_config("fig3b").echo_points == (400.0,)
-    assert set(PRESET_NAMES) == {"fig2a", "fig2b", "fig3a", "fig3b"}
+    assert PRESETS["fig3a"].echo_points == (200.0,)
+    assert PRESETS["fig3b"].echo_points == (400.0,)
+    assert set(PRESETS) == {"fig2a", "fig2b", "fig3a", "fig3b"}
 
 
 def test_parse_config_file(tmp_path):
@@ -246,7 +249,7 @@ def test_main_bad_spectrum_weights_exit_code(tmp_path, capsys):
 
 
 def test_run_writes_outputs_and_is_deterministic(tmp_path):
-    cfg = replace(preset_config("fig2a"), step=8.0)
+    cfg = replace(PRESETS["fig2a"], step=8.0)
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     run(cfg, out1)
@@ -259,9 +262,9 @@ def test_run_writes_outputs_and_is_deterministic(tmp_path):
 
 
 def test_run_landmarks_recomputable_from_csv(tmp_path):
-    for preset in PRESET_NAMES:
+    for preset in PRESETS:
         out = tmp_path / preset
-        run(preset_config(preset), out)
+        run(PRESETS[preset], out)
         recomputed = landmarks_from_series(read_sweep_csv(out / "sweep.csv"))
         written = {}
         for line in (out / "landmarks.txt").read_text().splitlines():
@@ -307,7 +310,7 @@ def test_first_local_min_matches_pointwise_reference():
 
 
 def test_run_fig2a_landmark_values(tmp_path):
-    run(preset_config("fig2a"), tmp_path)
+    run(PRESETS["fig2a"], tmp_path)
     landmarks = {}
     for line in (tmp_path / "landmarks.txt").read_text().splitlines():
         key, _, value = line.partition(" = ")
@@ -319,7 +322,7 @@ def test_run_fig2a_landmark_values(tmp_path):
 
 
 def test_run_fig3a_echo_landmark(tmp_path):
-    run(replace(preset_config("fig3a"), step=4.0), tmp_path)
+    run(replace(PRESETS["fig3a"], step=4.0), tmp_path)
     landmarks = {}
     for line in (tmp_path / "landmarks.txt").read_text().splitlines():
         key, _, value = line.partition(" = ")
@@ -331,7 +334,7 @@ def test_run_fig3a_echo_landmark(tmp_path):
 
 
 def test_run_single_point_when_step_override_exceeds_range(tmp_path):
-    run(replace(preset_config("fig2a"), step=2000.0), tmp_path)
+    run(replace(PRESETS["fig2a"], step=2000.0), tmp_path)
     series = read_sweep_csv(tmp_path / "sweep.csv")
     assert len(series["x_over_lambda0"]) == 1
 
@@ -464,7 +467,7 @@ PRESET_OUTPUT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.parametrize("preset", PRESETS)
 def test_run_preset_outputs_are_pinned(tmp_path, preset):
     # the bytes of the sweep path before the experiment config became sweep's input
     assert main(["run", preset, "--out", str(tmp_path)]) == 0
@@ -474,8 +477,8 @@ def test_run_preset_outputs_are_pinned(tmp_path, preset):
 
 
 def test_series_matches_sweep_output(tmp_path):
-    table = sweep(preset_config("fig2a"))
-    run(preset_config("fig2a"), tmp_path)
+    table = sweep(PRESETS["fig2a"])
+    run(PRESETS["fig2a"], tmp_path)
     series = read_sweep_csv(tmp_path / "sweep.csv")
     assert len(series["x_over_lambda0"]) == 401
     assert series["kappa_b_abs"][0] == pytest.approx(1.0, abs=1e-12)
@@ -681,6 +684,10 @@ def test_tomography_settings_validation():
     assert parse_config_lines(
         ["tomo_counts = 5000.0", "tomo_resamples = 2"] + _VALID_CONFIG
     ).tomography.n_per_setting == 5000
+    # a key the text leaves out takes the dataclass default
+    config = parse_config_lines(["tomo_counts = 10"] + _VALID_CONFIG)
+    assert config.tomography == TomographySettings(10)
+    assert config.lambda0_nm == 780.0
     for bad in (["tomo_counts = 0"], ["tomo_counts = 2.9"], ["tomo_counts = inf"],
                 ["tomo_counts = 10", "tomo_resamples = 1"]):
         with pytest.raises(ConfigError, match="tomo_"):

@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from belldyn.config import MAX_SWEEP_POINTS, ExperimentConfig, validate_echo_points
 from belldyn.dephasing import (
-    MAX_SWEEP_POINTS,
     SPEED_OF_LIGHT,
-    ExperimentConfig,
     GaussianComponent,
     MultiGaussian,
     angular_frequency,
@@ -17,7 +16,6 @@ from belldyn.dephasing import (
     kappa_gaussian,
     sigma_from_fwhm,
     sweep,
-    validate_echo_points,
 )
 from belldyn.correlations import bell_correlations, bell_eigenvalues_from_kappas
 from belldyn.errors import (

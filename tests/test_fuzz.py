@@ -9,7 +9,8 @@ tomography block cannot run for minutes.
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from belldyn.cli import SWEEP_COLUMNS, main, parse_config_lines
+from belldyn.cli import SWEEP_COLUMNS, main
+from belldyn.config import parse_config_lines
 from belldyn.errors import ConfigError
 
 # derandomized, so that the suite gives the same verdict on every run

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import belldyn.tomography as tomography
-from belldyn.cli import preset_config
+from belldyn.config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, PRESETS
 from belldyn.correlations import bell_correlations
 from belldyn.dephasing import evolve_state, sweep
 from belldyn.errors import (
@@ -18,8 +18,6 @@ from belldyn.errors import (
 from belldyn.qstate import eigenvalues_sorted, validate_state
 from belldyn.tomography import (
     BOOTSTRAP_KEYS,
-    MAX_TOMO_COUNTS,
-    MAX_TOMO_RESAMPLES,
     STANDARD_LABELS,
     STANDARD_PROJECTORS,
     TomographyRecord,
@@ -285,7 +283,7 @@ def test_physical_inversion_is_returned_in_closed_form():
 def unphysical_records():
     """Records whose linear inversion has a negative eigenvalue: the rank-2 x = 0 state of
     the fig2a spectra and pure states, at 10^4 counts."""
-    table = sweep(preset_config("fig2a"))
+    table = sweep(PRESETS["fig2a"])
     rng = np.random.default_rng(53)
     phases = np.exp(2j * np.pi * rng.uniform(size=(4, 2)))
     states = [evolve_state(table["kappa_a"][0], table["kappa_b"][0]), evolve_state(1.0, 1.0)]
@@ -389,7 +387,7 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
         with pytest.raises(TomographyInputError, match="n_per_setting"):
             simulate_counts(np.eye(4) / 4.0, bad, 0)
     simulate_counts(np.eye(4) / 4.0, 2.5, 0)  # exact expected counts need not be integers
-    for bad in ("3", None):
+    for bad in ("3", None, 10**400):
         with pytest.raises(TomographyInputError, match="total_per_setting"):
             TomographyRecord(counts=np.ones(16), total_per_setting=bad)
     # a seed word is an integer >= 0: 2.5 is not truncated to 2
