@@ -20,7 +20,6 @@ from .correlations import (
 )
 from .dephasing import (
     SPEED_OF_LIGHT,
-    GaussianComponent,
     MultiGaussian,
     angular_frequency,
     effective_retardation,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentConfig",
-    "GaussianComponent",
     "MultiGaussian",
     "SPEED_OF_LIGHT",
     "STANDARD_PROJECTORS",

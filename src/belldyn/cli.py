@@ -56,10 +56,6 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_lines(_read_utf8(path).split("\n"), name_hint=Path(path).stem)
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
-
-
 def _write_csv(path, header, columns) -> None:
     """One row per element of the equal-length columns, each value to 9 significant digits.
 
@@ -155,10 +151,9 @@ def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
     return out
 
 
-def write_landmarks(landmarks: dict[str, float], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for key, value in landmarks.items():
-            handle.write(f"{key} = {_fmt(value)}\n")
+def format_landmarks(landmarks: dict[str, float]) -> str:
+    """The landmarks report, one `key = value` line each: landmarks.txt and `belldyn landmarks`."""
+    return "".join(f"{key} = {value:.9g}\n" for key, value in landmarks.items())
 
 
 #: largest tomography batch: point estimates plus resamples of whole sweep rows
@@ -199,7 +194,7 @@ def run(config: ExperimentConfig, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(table, out / "sweep.csv")
-    write_landmarks(landmarks_from_series(table), out / "landmarks.txt")
+    (out / "landmarks.txt").write_text(format_landmarks(landmarks_from_series(table)), encoding="utf-8")
     if config.tomography is not None:
         write_noisy_csv(table, config, out / "noisy.csv")
 
@@ -226,9 +221,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_landmarks(args) -> int:
-    series = read_sweep_csv(args.sweep_csv)
-    for key, value in landmarks_from_series(series).items():
-        print(f"{key} = {_fmt(value)}")
+    print(format_landmarks(landmarks_from_series(read_sweep_csv(args.sweep_csv))), end="")
     return 0
 
 

@@ -47,6 +47,16 @@ def _holds(test, value) -> bool:
         return False
 
 
+def _real_array(values) -> np.ndarray | None:
+    """A float copy of values if they are real numbers (bool, int or float), else None; a float
+    dtype alone would read the string "3" as 3 and raise ValueError for a ragged table."""
+    try:
+        array = np.asarray(values)
+    except ValueError:
+        return None
+    return array.astype(float) if array.dtype.kind in "biuf" else None
+
+
 def _integer_in(value, low, high) -> bool:
     """Whether value is one integer in [low, high]; 2.0 counts as 2.
 

@@ -3,12 +3,13 @@
 A birefringent element of retardation x (optical path-length difference, in
 meters) multiplies the polarization coherences of a photon by the decoherence
 parameter kappa(x) = integral f(omega) exp(i x omega / c) domega over its
-frequency density f. Every density is a Gaussian mixture, `MultiGaussian`:
-the continuous filter of arm a is one component and the discrete
-multi-peaked spectrum of arm b several, and kappa is the weighted sum of the
-components' closed form `kappa_gaussian`. A polarization exchange (sigma_x)
-inserted at some retardation flips the sign of subsequent phase accrual, so
-later retardation unwinds earlier dephasing and produces correlation echoes.
+frequency density f. Every density is a Gaussian mixture, `MultiGaussian`, a
+table of (amplitude, center, width) rows in rad/s: arm a's continuous filter
+is one row and arm b's discrete multi-peaked spectrum several, and kappa is
+the weighted sum of the rows' closed form `kappa_gaussian`. A polarization
+exchange (sigma_x) inserted at some retardation flips the sign of subsequent
+phase accrual, so later retardation unwinds earlier dephasing and produces
+correlation echoes; a negative net retardation gives the conjugate kappa.
 
 An `ExperimentConfig` (see `belldyn.config`) gives one experiment as the
 paper does, lengths in units of the central wavelength lambda0 and spectra
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import validate_echo_points
+from .config import _real_array, validate_echo_points
 from .correlations import _kappa_modulus, bell_correlations, bell_eigenvalues_from_kappas
 from .errors import CrossingNotFoundError, DephasingInputError
 
@@ -53,28 +54,13 @@ def sigma_from_fwhm(fwhm_wavelength: float, reference_wavelength: float) -> floa
     return 2.0 * math.pi * SPEED_OF_LIGHT * fwhm_wavelength / reference_wavelength**2
 
 
-@dataclass(frozen=True)
-class GaussianComponent:
-    """One Gaussian piece of a frequency density: weight, center and width in rad/s."""
-
-    amplitude: float
-    center: float
-    width: float
-
-    def __post_init__(self):
-        for name in ("amplitude", "center", "width"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise DephasingInputError(f"{name} must be finite and positive, got {value}")
-
-
 def kappa_gaussian(x, sigma: float, omega0: float):
     """Decoherence parameter of a single Gaussian density.
 
-    exp[-(x/c)^2 sigma^2 / 16 + i (x/c) omega0]; the modulus is monotone
-    non-increasing in the retardation x. x may be a scalar or an array. Where
-    the exponent overflows the value is its exact limit 0, whatever the phase;
-    where only the phase overflows, DephasingInputError names the range.
+    exp[-(x/c)^2 sigma^2 / 16 + i (x/c) omega0], so kappa(-x) = conj(kappa(x))
+    and the modulus is monotone non-increasing in |x|. x may be a scalar or an
+    array. Where the exponent overflows the value is its exact limit 0, whatever
+    the phase; where only the phase overflows, DephasingInputError names the range.
     """
     x = np.asarray(x, dtype=float)
     u = x / SPEED_OF_LIGHT
@@ -90,21 +76,30 @@ def kappa_gaussian(x, sigma: float, omega0: float):
     return np.where(exponent == -math.inf, 0j, kappa)[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiGaussian:
-    """Frequency density as a sum of Gaussian components whose amplitudes sum to 1."""
+    """Frequency density as a Gaussian mixture: a read-only (k, 3) float array of
+    (amplitude, center, width) rows in rad/s, k >= 1, finite and positive, amplitudes
+    summing to 1. kappa(-x) = conj(kappa(x)): a negative retardation gives the conjugate."""
 
-    components: tuple[GaussianComponent, ...]
+    components: np.ndarray
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
-        total = sum(c.amplitude for c in comps)
+        rows = _real_array(self.components)
+        if rows is None or rows.shape[1:] != (3,) or not len(rows):
+            raise DephasingInputError(f"components must be rows of 3 numbers, got {self.components!r}")
+        bad = np.flatnonzero(~((rows > 0.0) & (rows < math.inf)))  # NaN fails too
+        if bad.size:
+            name = ("amplitude", "center", "width")[bad[0] % 3]
+            raise DephasingInputError(f"{name} must be finite and positive, got {rows.flat[bad[0]]}")
+        total = sum(rows[:, 0].tolist())
         if abs(total - 1.0) > 1e-9:
             raise DephasingInputError(f"component amplitudes sum to {total}, not 1")
+        rows.flags.writeable = False
+        object.__setattr__(self, "components", rows)
 
     def kappa(self, x):
-        return sum(c.amplitude * kappa_gaussian(x, c.width, c.center) for c in self.components)
+        return sum(w * kappa_gaussian(x, width, center) for w, center, width in self.components)
 
 
 def effective_retardation(x, sigma_x_points):
@@ -115,19 +110,15 @@ def effective_retardation(x, sigma_x_points):
     x_s the result is x below x_s and 2 x_s - x beyond it. x may be a scalar
     or an array.
     """
-    pts = validate_echo_points(sigma_x_points)
+    pts = np.array((0.0, *validate_echo_points(sigma_x_points)))
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):  # NaN fails too
         raise DephasingInputError(f"retardation must be nonnegative, got {x.min()}")
-    net = np.zeros_like(x)
-    prev = np.zeros_like(x)
-    sign = np.ones_like(x)
-    for p in pts:
-        hit = p <= x
-        net = np.where(hit, net + sign * (p - prev), net)
-        prev = np.where(hit, p, prev)
-        sign = np.where(hit, -sign, sign)
-    return (net + sign * (x - prev))[()]
+    # from the k-th point (0 first) accrual has sign[k], after a net accrual of net[k]
+    sign = (-1.0) ** np.arange(len(pts))
+    net = np.concatenate(([0.0], np.cumsum(sign[:-1] * np.diff(pts))))
+    k = np.searchsorted(pts, x, side="right") - 1
+    return (net[k] + sign[k] * (x - pts[k]))[()]
 
 
 def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
@@ -155,18 +146,17 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
 def spectra(config: ExperimentConfig) -> tuple[MultiGaussian, MultiGaussian]:
     """The frequency densities of arms a and b as Gaussian mixtures in rad/s.
 
-    Arm a is one component, the filter_a_fwhm_nm filter centered on lambda0,
-    and arm b the spectrum_b components. A center or width beyond the float
-    range in rad/s ends in the range check of GaussianComponent.
+    Arm a is one row, the filter_a_fwhm_nm filter centered on lambda0,
+    and arm b one row per spectrum_b component. A center or width beyond the float
+    range in rad/s ends in the range check of MultiGaussian.
     """
     lam0 = config.meters()[0]
 
     def mixture(components) -> MultiGaussian:
+        weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
         with np.errstate(all="ignore"):
-            weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
-            centers = angular_frequency(centers_nm * 1e-9)
-            widths = sigma_from_fwhm(fwhms_nm * 1e-9, lam0)
-        return MultiGaussian(tuple(map(GaussianComponent, weights, centers, widths)))
+            return MultiGaussian(np.column_stack((weights, angular_frequency(centers_nm * 1e-9),
+                                                  sigma_from_fwhm(fwhms_nm * 1e-9, lam0))))
 
     return mixture(((1.0, config.lambda0_nm, config.filter_a_fwhm_nm),)), mixture(config.spectrum_b)
 
@@ -188,8 +178,7 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     n_points = int(math.floor(x_b_max / step + 1e-9)) + 1
     x_b = np.arange(n_points) * step
     x_eff = effective_retardation(x_b, echo_points)
-    kappa_b = spectrum_b.kappa(np.abs(x_eff))
-    kappa_b = np.where(x_eff < 0.0, np.conj(kappa_b), kappa_b)
+    kappa_b = spectrum_b.kappa(x_eff)
     kappa_a = np.full(n_points, spectrum_a.kappa(x_a), dtype=complex)
     lam = bell_eigenvalues_from_kappas(kappa_a, kappa_b)
     table = {"x_b": x_b, "x_over_lambda0": x_b / lam0, "kappa_a": kappa_a, "kappa_b": kappa_b,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in
+from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in, _real_array
 from .correlations import bell_correlations
 from .errors import NonConvergenceError, TomographyInputError
 from .qstate import eigenvalues_sorted, validate_state
@@ -68,7 +68,7 @@ def _seed_words(seed) -> list[int]:
 class TomographyRecord:
     """Counts of the 16 STANDARD_LABELS settings, in that order, at a common expected scale.
 
-    counts holds 16 finite nonnegative values; exact expected counts
+    counts holds 16 finite nonnegative real numbers; exact expected counts
     (non-integer) are accepted so that noiseless studies stay exact.
     total_per_setting is one finite positive number.
     """
@@ -77,9 +77,9 @@ class TomographyRecord:
     total_per_setting: float
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
-        if counts.shape != (len(STANDARD_LABELS),):
-            raise TomographyInputError(f"counts must be 16 values, got shape {counts.shape}")
+        counts = _real_array(self.counts)
+        if counts is None or counts.shape != (len(STANDARD_LABELS),):
+            raise TomographyInputError(f"counts must be 16 values, each a real number, got {self.counts!r}")
         ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
         if not ok.all():
             raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")

@@ -14,7 +14,6 @@ from belldyn.correlations import (
     ree_bell,
 )
 from belldyn.dephasing import (
-    GaussianComponent,
     MultiGaussian,
     angular_frequency,
     evolve_state,
@@ -43,9 +42,7 @@ from reference import bell_diagonal_state, correlations_from_kappas
 
 LAM0 = 0.78e-6
 #: the 3 nm arm-a filter at 780 nm as a one-component mixture
-FILTER_A = MultiGaussian(
-    (GaussianComponent(1.0, angular_frequency(780e-9), sigma_from_fwhm(3e-9, 780e-9)),)
-)
+FILTER_A = MultiGaussian([(1.0, angular_frequency(780e-9), sigma_from_fwhm(3e-9, 780e-9))])
 
 
 def _report(number, checks):
@@ -287,7 +284,7 @@ def test_criterion_10_structural_properties():
     # (one-component mixture, three-component mixture, trapezoid integral of a sampled density)
     single = FILTER_A
     comps = spectra(PRESETS["fig2a"])[1]
-    sigma = single.components[0].width
+    sigma = single.components[0, 2]
     omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), 9001)
     density = np.exp(-4 * (omega - angular_frequency(780e-9)) ** 2 / sigma**2)
     density /= np.trapezoid(density, omega)

@@ -11,6 +11,7 @@ from belldyn import dephasing, tomography
 from belldyn.cli import (
     _first_local_min,
     SWEEP_COLUMNS,
+    format_landmarks,
     landmarks_from_series,
     main,
     parse_config,
@@ -26,7 +27,7 @@ from belldyn.config import (
     parse_config_lines,
 )
 from belldyn.dephasing import (
-    GaussianComponent,
+    MultiGaussian,
     effective_retardation,
     find_crossing,
     sweep,
@@ -498,6 +499,10 @@ def test_main_run_and_landmarks_roundtrip(tmp_path, capsys):
         pairs = [line.partition(" = ") for line in text.splitlines()]
         return {k: float(v) for k, _, v in pairs}
 
+    # one formatter writes landmarks.txt and prints the report
+    assert printed == format_landmarks(landmarks_from_series(read_sweep_csv(out / "sweep.csv")))
+    assert (out / "landmarks.txt").read_text() == format_landmarks(
+        landmarks_from_series(sweep(replace(PRESETS["fig2a"], step=8.0))))
     recomputed = parse(printed)
     written = parse((out / "landmarks.txt").read_text())
     assert set(recomputed) == set(written)
@@ -580,8 +585,8 @@ def test_main_computation_error(capsys):
 @pytest.mark.parametrize(
     "error, bad_call",
     [
-        (DephasingInputError, lambda: GaussianComponent(amplitude=-1.0, center=1.0, width=1.0)),
-        (DephasingInputError, lambda: GaussianComponent(amplitude=1.0, center=math.nan, width=1.0)),
+        (DephasingInputError, lambda: MultiGaussian([(-1.0, 1.0, 1.0)])),
+        (DephasingInputError, lambda: MultiGaussian([(1.0, math.nan, 1.0)])),
         (DephasingInputError, lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="all")),
         (DephasingInputError, lambda: effective_retardation([1.0, -1.0], (0.5,))),
         (TomographyInputError, lambda: simulate_counts(np.eye(4) / 4, "3", 0)),

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldyn.config import MAX_SWEEP_POINTS, ExperimentConfig, validate_echo_points
 from belldyn.dephasing import (
     SPEED_OF_LIGHT,
-    GaussianComponent,
     MultiGaussian,
     angular_frequency,
     effective_retardation,
@@ -36,9 +37,8 @@ OMEGA_780 = angular_frequency(780e-9)
 
 #: the three-peak arm-b spectrum of the presets, as (weight, center_nm, fwhm_nm)
 FP_NM = ((0.37, 778.853, 0.85), (0.44, 780.160, 0.85), (0.19, 781.459, 0.85))
-FP_COMPONENTS = tuple(
-    GaussianComponent(w, angular_frequency(c * 1e-9), sigma_from_fwhm(f * 1e-9, 780e-9))
-    for w, c, f in FP_NM
+FP_COMPONENTS = np.array(
+    [(w, angular_frequency(c * 1e-9), sigma_from_fwhm(f * 1e-9, 780e-9)) for w, c, f in FP_NM]
 )
 
 
@@ -87,16 +87,13 @@ def test_kappa_multi_gaussian_at_zero():
 
 
 def test_kappa_multi_gaussian_single_component_reduction():
-    comp = GaussianComponent(1.0, OMEGA_780, SIGMA_3NM)
     for x in (0.0, 40 * LAM0, 333 * LAM0):
-        assert MultiGaussian([comp]).kappa(x) == kappa_gaussian(x, SIGMA_3NM, OMEGA_780)
+        assert MultiGaussian([(1.0, OMEGA_780, SIGMA_3NM)]).kappa(x) == kappa_gaussian(
+            x, SIGMA_3NM, OMEGA_780)
 
 
 def test_kappa_multi_gaussian_normalization_error():
-    bad = (
-        GaussianComponent(0.5, OMEGA_780, SIGMA_3NM),
-        GaussianComponent(0.4, OMEGA_780 * 1.001, SIGMA_3NM),
-    )
+    bad = ((0.5, OMEGA_780, SIGMA_3NM), (0.4, OMEGA_780 * 1.001, SIGMA_3NM))
     with pytest.raises(DephasingInputError, match="sum to"):
         MultiGaussian(bad)
 
@@ -130,7 +127,7 @@ def _sampled_fp(n=12001):
     """The FP spectrum's density on an n-point grid from 777 to 783 nm, normalized."""
     omega = np.linspace(angular_frequency(783e-9), angular_frequency(777e-9), n)
     density = sum(
-        c.amplitude * gaussian_density(omega, c.width, c.center) for c in FP_COMPONENTS
+        w * gaussian_density(omega, width, center) for w, center, width in FP_COMPONENTS
     )
     return omega, density / np.trapezoid(density, omega)
 
@@ -155,30 +152,42 @@ def test_kappa_gaussian_names_the_range_where_only_the_phase_overflows():
     # sigma 1e-300 keeps the envelope at 1 where (x/c) omega0 overflows; the
     # limit is c * max_float / omega0
     limit = SPEED_OF_LIGHT * (np.finfo(float).max / OMEGA_780)
-    for x in (1e308, np.array([0.0, -1e308])):
-        with pytest.raises(DephasingInputError) as info:
-            kappa_gaussian(x, 1e-300, OMEGA_780)
-        assert str(info.value) == ("retardation 1e+308 m is out of range: the phase "
-                                   f"(x/c)*omega0 overflows beyond {limit:.6g} m")
+    narrow = MultiGaussian([(1.0, OMEGA_780, 1e-300)])
+    for call in (lambda x: kappa_gaussian(x, 1e-300, OMEGA_780), narrow.kappa):
+        # the same |x| for +x and -x
+        for x in (1e308, -1e308, np.array([0.0, -1e308]), np.array([0.0, 1e308])):
+            with pytest.raises(DephasingInputError) as info:
+                call(x)
+            assert str(info.value) == ("retardation 1e+308 m is out of range: the phase "
+                                       f"(x/c)*omega0 overflows beyond {limit:.6g} m")
 
 
 @pytest.mark.parametrize(
     "bad_input",
     [
-        lambda: GaussianComponent(amplitude=0.0, center=1.0, width=1.0),
-        lambda: GaussianComponent(amplitude=1.0, center=1.0, width=-1.0),
+        lambda: MultiGaussian([(0.0, 1.0, 1.0)]),
+        lambda: MultiGaussian([(1.0, 1.0, -1.0)]),
         lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="middle"),
         lambda: find_crossing([0.0, 1.0], [0.0, 1.0, 2.0], 0.5),
         lambda: effective_retardation(-1.0, ()),
-        lambda: MultiGaussian((GaussianComponent(0.5, 1.0, 1.0),)),
-        lambda: GaussianComponent(amplitude=math.nan, center=1e15, width=1e12),
-        lambda: GaussianComponent(amplitude=1.0, center=math.nan, width=1e12),
-        lambda: GaussianComponent(amplitude=1.0, center=1e15, width=math.nan),
-        lambda: GaussianComponent(amplitude=math.inf, center=1e15, width=1e12),
-        lambda: GaussianComponent(amplitude=1.0, center=math.inf, width=1e12),
-        lambda: GaussianComponent(amplitude=1.0, center=1e15, width=math.inf),
-        lambda: GaussianComponent(amplitude=1.0, center=0.0, width=1e12),
-        lambda: GaussianComponent(amplitude=1.0, center=-1e15, width=1e12),
+        lambda: effective_retardation(math.nan, ()),
+        lambda: MultiGaussian([(0.5, 1.0, 1.0)]),
+        lambda: MultiGaussian([(math.nan, 1e15, 1e12)]),
+        lambda: MultiGaussian([(1.0, math.nan, 1e12)]),
+        lambda: MultiGaussian([(1.0, 1e15, math.nan)]),
+        lambda: MultiGaussian([(math.inf, 1e15, 1e12)]),
+        lambda: MultiGaussian([(1.0, math.inf, 1e12)]),
+        lambda: MultiGaussian([(1.0, 1e15, math.inf)]),
+        lambda: MultiGaussian([(1.0, 0.0, 1e12)]),
+        lambda: MultiGaussian([(1.0, -1e15, 1e12)]),
+        # the table shape: (k, 3) with k >= 1 rows of real numbers
+        lambda: MultiGaussian(np.ones((2, 2))),
+        lambda: MultiGaussian(np.empty((0, 3))),
+        lambda: MultiGaussian([]),
+        lambda: MultiGaussian((1.0, 1e15, 1e12)),
+        lambda: MultiGaussian([(1.0, 1e15, 1e12), (1.0, 1e15)]),
+        lambda: MultiGaussian([("1", "1e15", "1e12")]),
+        lambda: MultiGaussian([(1.0, None, 1e12)]),
     ],
 )
 def test_malformed_model_inputs_raise_dephasing_input_error(bad_input):
@@ -189,11 +198,45 @@ def test_malformed_model_inputs_raise_dephasing_input_error(bad_input):
 
 
 def test_gaussian_component_error_names_the_field():
-    good = {"amplitude": 1.0, "center": 1e15, "width": 1e12}
-    for name in good:
+    good = (1.0, 1e15, 1e12)
+    for field, name in enumerate(("amplitude", "center", "width")):
         for bad in (math.nan, math.inf, -math.inf, 0.0):
+            row = tuple(bad if i == field else v for i, v in enumerate(good))
             with pytest.raises(DephasingInputError, match=f"^{name} must be finite and positive"):
-                GaussianComponent(**{**good, name: bad})
+                MultiGaussian([row])
+    # several faults: the first in row order is named
+    with pytest.raises(DephasingInputError) as info:
+        MultiGaussian([(0.5, 1e15, 1e12), (0.5, 1e15, -1.0), (math.nan, 1e15, 1e12)])
+    assert str(info.value) == "width must be finite and positive, got -1.0"
+
+
+def test_multi_gaussian_components_are_a_read_only_copy():
+    rows = FP_COMPONENTS.copy()
+    spectrum = MultiGaussian(rows)
+    assert spectrum.components.shape == (3, 3) and spectrum.components.dtype == float
+    np.testing.assert_array_equal(spectrum.components, FP_COMPONENTS)
+    with pytest.raises(ValueError):
+        spectrum.components[0, 0] = 0.5
+    rows[0, 0] = 0.5  # the caller's array stays writable and detached
+    assert spectrum.components[0, 0] == FP_NM[0][0]
+
+
+#: one to four (amplitude, center, width) rows in rad/s around the optical band
+_ROWS = st.lists(
+    st.tuples(st.floats(0.01, 1.0), st.floats(1e14, 1e16), st.floats(1e9, 1e15)),
+    min_size=1, max_size=4,
+).map(lambda rows: [(w / sum(r[0] for r in rows), c, s) for w, c, s in rows])
+#: retardations (m) within the envelope, and past its overflow to exactly 0
+_RETARDATIONS = st.one_of(st.floats(0.0, 1e-2), st.floats(1e290, 1e300))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=_ROWS, x=_RETARDATIONS)
+def test_kappa_of_a_negative_retardation_is_the_exact_conjugate(rows, x):
+    spectrum = MultiGaussian(rows)
+    assert spectrum.kappa(-x) == np.conj(spectrum.kappa(x))
+    xs = np.array([x, 0.5 * x, 0.0])
+    np.testing.assert_array_equal(spectrum.kappa(-xs), np.conj(spectrum.kappa(xs)))
 
 
 def test_effective_retardation_no_exchange():
@@ -392,7 +435,7 @@ def _loop_retardation(x, pts):
 def test_effective_retardation_vectorized():
     rng = np.random.default_rng(35)
     xs = np.concatenate([[0.0, 1.0, 3.0], rng.uniform(0.0, 6.0, 40)])
-    for schedule in ((), (1.0,), (1.0, 3.0), (0.5, 2.0, 4.5)):
+    for schedule in ((), (1.0,), (1.0, 3.0), (0.5, 2.0, 4.5), (0.0, 3.0)):
         # same arithmetic per element, so equal to the last bit
         np.testing.assert_array_equal(
             effective_retardation(xs, schedule), [_loop_retardation(x, schedule) for x in xs]

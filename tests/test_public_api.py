@@ -2,8 +2,11 @@
 modules import one another in layers."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -20,8 +23,9 @@ REMOVED = {
                              "kappa_correlation", "correlations_from_kappas",
                              "bell_diagonal_state", "BELL_KETS"),
     "belldyn.dephasing": ("kappa_multi_gaussian", "SingleGaussian", "SampledSpectrum",
-                          "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0", "SweepConfig"),
-    "belldyn.cli": ("to_sweep_config",),
+                          "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0", "SweepConfig",
+                          "GaussianComponent"),
+    "belldyn.cli": ("to_sweep_config", "write_landmarks"),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
                        "NormalizationError", "CountsRangeError", "OracleInputError"),
     "belldyn.oracle": ("GridSpec", "SimplexGridSpec", "closest_product_state"),
@@ -39,6 +43,7 @@ MOVED = {
 }
 
 SOURCE = Path(belldyn.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -82,3 +87,15 @@ def test_config_is_the_bottom_layer_and_only_cli_imports_cli():
     assert imports["config"] == {"errors"}
     assert not imports["dephasing"] & {"tomography", "cli"}
     assert [name for name, modules in imports.items() if "cli" in modules] == []
+
+
+def test_readme_library_example_runs():
+    # the one python block of README's Library section, run as a user would paste it
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    lines = printed.getvalue().splitlines()
+    assert lines[2] == "101 1"
+    assert lines[-1].endswith(" True")  # kappa(-x) is the conjugate of kappa(x)

@@ -374,6 +374,10 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
         TomographyRecord(counts=-np.ones(16), total_per_setting=1.0)
     with pytest.raises(TomographyInputError, match="16 values"):
         TomographyRecord(counts=np.ones(8), total_per_setting=1.0)
+    # numpy would read "3" as 3.0, and end complex counts and "a" in bare TypeError/ValueError
+    for counts in (["3"] * 16, np.full(16, 3 + 1j), ["a"] * 16):
+        with pytest.raises(TomographyInputError, match="each a real number"):
+            TomographyRecord(counts=counts, total_per_setting=1.0)
     rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
     for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, 2.5, float("nan"), float("inf"), "3", None, [3],
                 np.array([3]), np.array([3, 4])):
