@@ -26,7 +26,7 @@ import numpy as np
 from . import dephasing, tomography
 from .config import PRESETS, TOMO_KEYS, ExperimentConfig, TomographySettings, parse_config_lines
 from .dephasing import find_crossing, sweep
-from .errors import BelldynError, ConfigError, CrossingNotFoundError, ParseError
+from .errors import BelldynError, ConfigError, ParseError
 
 SWEEP_COLUMNS = (
     "x_over_lambda0", "kappa_a_abs", "kappa_b_abs",
@@ -122,10 +122,9 @@ def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
     out: dict[str, float] = {"kappa_a_abs": level}
 
     def crossing(key, xs, ys, level, **options):
-        try:
-            out[key] = find_crossing(xs, ys, level, **options)
-        except CrossingNotFoundError:
-            pass
+        value = find_crossing(xs, ys, level, **options)
+        if value is not None:
+            out[key] = value
 
     crossing("sudden_transition_x", x, kb, level, rising=False)
     if "sudden_transition_x" in out:
@@ -205,11 +204,13 @@ def _cmd_run(args) -> int:
     elif Path(args.experiment).is_file():
         config = parse_config(args.experiment)
     else:
-        raise _UsageError(
+        raise ConfigError(
             f"{args.experiment!r} is neither a preset ({', '.join(PRESETS)}) "
             "nor an existing config file"
         )
-    if args.seed is not None and config.tomography is not None:
+    if args.seed is not None:
+        if config.tomography is None:
+            raise ConfigError("--seed must be given with a config that sets tomo_counts")
         # the override is the --seed flag, so its message names the flag
         config = replace(config, tomography=replace(
             config.tomography, seed=args.seed, keys=(*TOMO_KEYS[:2], "--seed")))
@@ -240,13 +241,9 @@ def _cmd_tomo_demo(args) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +276,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"belldyn: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

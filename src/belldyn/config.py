@@ -18,7 +18,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MissingKeyError, ParseError, ScheduleError, UnknownKeyError
+from .errors import ConfigError, ParseError
 
 #: largest sweep grid; the presets use 401 points, and a grid beyond this is
 #: taken for a mistyped step or range rather than allocated
@@ -66,12 +66,12 @@ def _integer_in(value, low, high) -> bool:
 
 
 def validate_echo_points(points) -> tuple[float, ...]:
-    """The exchange schedule as floats; ScheduleError unless a sequence of finite,
+    """The exchange schedule as floats; ConfigError unless a sequence of finite,
     nonnegative and strictly increasing numbers."""
     pts = tuple(points) if np.iterable(points) else points
     numbers = isinstance(pts, tuple) and all(_holds(lambda p: 0.0 <= p * 1.0 < math.inf, p) for p in pts)
     if not numbers or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ScheduleError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
+        raise ConfigError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
     return tuple(float(p) for p in pts)
 
 
@@ -216,7 +216,7 @@ def parse_config_lines(lines, name_hint: str = "custom") -> ExperimentConfig:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section != "spectrum_b":
-                raise UnknownKeyError(f"line {lineno}: unknown section [{section}]")
+                raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected 'key = value', got {raw.rstrip()!r}")
@@ -225,25 +225,25 @@ def parse_config_lines(lines, name_hint: str = "custom") -> ExperimentConfig:
         raw_value = raw_value.strip()
         if section == "spectrum_b":
             if key != "component":
-                raise UnknownKeyError(f"line {lineno}: unknown key {key!r} in [spectrum_b]")
+                raise ConfigError(f"line {lineno}: unknown key {key!r} in [spectrum_b]")
             parts = [p.strip() for p in raw_value.split(",")]
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: component needs 'weight, center_nm, fwhm_nm'")
             components.append(tuple(_parse_float(p, lineno, "component") for p in parts))
             continue
         if key not in _FIELDS:
-            raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
         values[key] = (lineno, raw_value)
 
     for key in ("x_a", "filter_a", "x_b_max", "step"):
         if key not in values:
-            raise MissingKeyError(f"missing required key {key!r}")
+            raise ConfigError(f"missing required key {key!r}")
     if not components:
-        raise MissingKeyError("missing [spectrum_b] section with at least one component")
+        raise ConfigError("missing [spectrum_b] section with at least one component")
     if TOMO_KEYS[0] not in values and not values.keys().isdisjoint(TOMO_KEYS):
-        raise MissingKeyError("tomo_resamples/tomo_seed need tomo_counts")
+        raise ConfigError("tomo_resamples/tomo_seed need tomo_counts")
 
     fields = {_FIELDS[key]: _parse_value(key, *values[key]) for key in _FIELDS if key in values}
     tomo = {_FIELDS[key]: fields.pop(_FIELDS[key]) for key in TOMO_KEYS if key in values}

@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidKappaError
+from .errors import InvalidStateError
 from .qstate import shannon_bits, validate_bell_spectrum
 
 KAPPA_TOL = 1e-9
 
 
 def _kappa_modulus(kappa, name):
-    """|kappa| clipped to 1; InvalidKappaError naming `name` if NaN or above 1 + KAPPA_TOL."""
+    """|kappa| clipped to 1; InvalidStateError naming `name` if NaN or above 1 + KAPPA_TOL."""
     k = np.abs(np.asarray(kappa))
     if not np.all(k <= 1.0 + KAPPA_TOL):
-        raise InvalidKappaError(f"|{name}| must be at most 1, got {np.max(k)}")
+        raise InvalidStateError(f"|{name}| must be at most 1, got {np.max(k)}")
     return np.minimum(k, 1.0)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import _real_array, validate_echo_points
 from .correlations import _kappa_modulus, bell_correlations, bell_eigenvalues_from_kappas
-from .errors import CrossingNotFoundError, DephasingInputError
+from .errors import DephasingInputError
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -189,13 +189,13 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
 
 
 def find_crossing(x, y, level: float, *, rising: bool | None = None,
-                  start: float | None = None, which: str = "first") -> float:
+                  start: float | None = None, which: str = "first") -> float | None:
     """Interpolated x where the series y crosses `level`.
 
     rising=True keeps upward crossings only, rising=False downward only,
     None keeps both. `start` discards crossings at x below it; `which`
-    selects the "first" or "last" match. Raises CrossingNotFoundError when
-    no sample pair brackets the level.
+    selects the "first" or "last" match. None when no sample pair brackets
+    the level.
     """
     if which not in ("first", "last"):
         raise DephasingInputError(f"which must be 'first' or 'last', got {which!r}")
@@ -211,5 +211,5 @@ def find_crossing(x, y, level: float, *, rising: bool | None = None,
     if start is not None:
         xc = xc[~(xc < start)]  # a NaN crossing is not below any start
     if not xc.size:
-        raise CrossingNotFoundError(f"series never crosses {level}")
+        return None
     return float(xc[0] if which == "first" else xc[-1])

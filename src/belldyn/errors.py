@@ -6,27 +6,14 @@ class BelldynError(Exception):
 
 
 class InvalidStateError(BelldynError):
-    """Density matrix violates hermiticity, trace, or positivity tolerances."""
-
-
-class NonHermitianError(InvalidStateError):
-    """Matrix is not Hermitian within tolerance."""
-
-
-class InvalidSpectrumError(InvalidStateError):
-    """Bell-diagonal spectrum is not a sorted probability vector."""
-
-
-class InvalidKappaError(BelldynError):
-    """Decoherence parameter magnitude exceeds 1."""
+    """A state that is not physical: a density matrix that is not square or 4x4, not Hermitian,
+    off unit trace or below the eigenvalue floor; a Bell spectrum that is not a sorted
+    probability 4-vector; or a decoherence parameter |kappa| above 1, which gives a negative
+    eigenvalue."""
 
 
 class NonConvergenceError(BelldynError):
     """Iterative refinement failed to reach the requested tolerance."""
-
-
-class CrossingNotFoundError(BelldynError):
-    """No sample pair brackets the requested level crossing."""
 
 
 class TomographyInputError(BelldynError, ValueError):
@@ -42,20 +29,10 @@ class DephasingInputError(BelldynError, ValueError):
 
 
 class ConfigError(BelldynError):
-    """Base class for experiment-config problems."""
-
-
-class ScheduleError(ConfigError):
-    """Polarization-exchange points are not finite, nonnegative and strictly increasing."""
+    """Malformed experiment config or command line: an unknown or missing key or section, a
+    value out of range, an exchange schedule that is not finite, nonnegative and strictly
+    increasing, or a bad `belldyn` argument."""
 
 
 class ParseError(ConfigError):
     """Malformed input text: a config line, a sweep.csv row, or bytes that are not UTF-8."""
-
-
-class UnknownKeyError(ConfigError):
-    """Config key is not recognized."""
-
-
-class MissingKeyError(ConfigError):
-    """Required config key is absent."""

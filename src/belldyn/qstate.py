@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidSpectrumError, InvalidStateError, NonHermitianError
+from .errors import InvalidStateError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -35,14 +35,13 @@ def shannon_bits(p: np.ndarray, axis=None) -> np.ndarray | float:
 def validate_state(matrix: np.ndarray) -> np.ndarray:
     """Check a two-qubit state's shape, hermiticity, unit trace and positivity; return it as complex.
 
-    Raises InvalidStateError unless the matrix is 4x4, NonHermitianError or
-    InvalidStateError when a tolerance is violated.
+    Raises InvalidStateError unless the matrix is 4x4 and within every tolerance.
     """
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a two-qubit (4x4) state, got shape {rho.shape}")
     if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
-        raise NonHermitianError("matrix is not Hermitian within 1e-12")
+        raise InvalidStateError("matrix is not Hermitian within 1e-12")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"trace {tr} deviates from 1 beyond 1e-12")
@@ -61,14 +60,14 @@ def validate_bell_spectrum(lambdas) -> np.ndarray:
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.ndim == 0 or lam.shape[-1] != 4:
-        raise InvalidSpectrumError(f"expected 4 eigenvalues, got shape {lam.shape}")
+        raise InvalidStateError(f"expected 4 eigenvalues, got shape {lam.shape}")
     for bad, what in (
         (~np.all((lam >= EIGENVALUE_FLOOR) & (lam <= 1.0 + 1e-12), axis=-1), "outside [0, 1]"),
         (~(np.abs(lam.sum(axis=-1) - 1.0) <= 1e-12), "not summing to 1 within 1e-12"),
         (np.any(np.diff(lam, axis=-1) > 1e-12, axis=-1), "not sorted non-increasing"),
     ):
         if np.any(bad):
-            raise InvalidSpectrumError(f"eigenvalues {what}: {lam[bad][0]}")
+            raise InvalidStateError(f"eigenvalues {what}: {lam[bad][0]}")
     return np.clip(lam, 0.0, 1.0)
 
 
@@ -83,7 +82,7 @@ def eigenvalues_sorted(state) -> np.ndarray:
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
     if not np.allclose(rho, rho.conj().swapaxes(-1, -2), rtol=0.0, atol=HERMITICITY_TOL):
-        raise NonHermitianError("matrix is not Hermitian within 1e-12")
+        raise InvalidStateError("matrix is not Hermitian within 1e-12")
     w = np.linalg.eigvalsh(rho)[..., ::-1]
     if w.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(f"eigenvalue {w.min()} below the {EIGENVALUE_FLOOR} floor")

@@ -68,8 +68,8 @@ def _seed_words(seed) -> list[int]:
 class TomographyRecord:
     """Counts of the 16 STANDARD_LABELS settings, in that order, at a common expected scale.
 
-    counts holds 16 finite nonnegative real numbers; exact expected counts
-    (non-integer) are accepted so that noiseless studies stay exact.
+    counts holds a read-only copy of 16 finite nonnegative real numbers; exact
+    expected counts (non-integer) are accepted so that noiseless studies stay exact.
     total_per_setting is one finite positive number.
     """
 
@@ -86,6 +86,7 @@ class TomographyRecord:
         if not _holds(lambda n: 0.0 < n * 1.0 < math.inf, self.total_per_setting):
             raise TomographyInputError(
                 f"total_per_setting must be finite and positive, got {self.total_per_setting!r}")
+        counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
 

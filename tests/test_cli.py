@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import belldyn.cli
+import belldyn.errors
 from belldyn import dephasing, tomography
 from belldyn.cli import (
     _first_local_min,
@@ -36,10 +37,8 @@ from belldyn.errors import (
     BelldynError,
     ConfigError,
     DephasingInputError,
-    MissingKeyError,
     ParseError,
     TomographyInputError,
-    UnknownKeyError,
 )
 from belldyn.tomography import simulate_counts
 
@@ -113,17 +112,17 @@ def test_parse_config_tomography_block():
 
 def test_parse_config_unknown_key_reports_line():
     lines = ["x_a = 1", "bogus = 2"]
-    with pytest.raises(UnknownKeyError, match="line 2"):
+    with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
         parse_config_lines(lines)
 
 
 def test_parse_config_missing_key():
-    with pytest.raises(MissingKeyError, match="filter_a"):
+    with pytest.raises(ConfigError, match="missing required key 'filter_a'"):
         parse_config_lines(["x_a = 117", "x_b_max = 10", "step = 1"])
 
 
 def test_parse_config_missing_spectrum():
-    with pytest.raises(MissingKeyError, match="spectrum_b"):
+    with pytest.raises(ConfigError, match=r"missing \[spectrum_b\] section"):
         parse_config_lines(["x_a = 117", "filter_a = 3", "x_b_max = 10", "step = 1"])
 
 
@@ -143,7 +142,7 @@ def test_parse_config_bad_component():
 
 
 def test_parse_config_unknown_section():
-    with pytest.raises(UnknownKeyError):
+    with pytest.raises(ConfigError, match=r"line 1: unknown section \[spectrum_c\]"):
         parse_config_lines(["[spectrum_c]"])
 
 
@@ -601,6 +600,24 @@ def test_library_value_errors_exit_2(monkeypatch, tmp_path, capsys, error, bad_c
     assert capsys.readouterr().err.startswith("belldyn: computation error: ")
 
 
+@pytest.mark.parametrize(
+    "error",
+    [cls for cls in vars(belldyn.errors).values() if isinstance(cls, type)],
+    ids=lambda cls: cls.__name__,
+)
+def test_main_maps_each_error_class_to_its_exit_code(monkeypatch, tmp_path, capsys, error):
+    def fail(config, out_dir):
+        raise error("the message")
+
+    monkeypatch.setattr(belldyn.cli, "run", fail)
+    code = main(["run", "fig2a", "--out", str(tmp_path / "out")])
+    if error in (ConfigError, ParseError):
+        assert (code, capsys.readouterr().err) == (1, "belldyn: error: the message\n")
+    else:
+        assert issubclass(error, BelldynError)
+        assert (code, capsys.readouterr().err) == (2, "belldyn: computation error: the message\n")
+
+
 _VALID_CONFIG = ["x_a = 117", "filter_a = 3", "x_b_max = 40", "step = 4",
                  "[spectrum_b]", "component = 1.0, 780.16, 0.85"]
 
@@ -644,6 +661,10 @@ _CSV_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
                      _with("tomo_counts = 100", "tomo_seed = -1"), id="seed-neg"),
         pytest.param(["run", "{cfg}", "--out", "{out}", "--seed", "-1"], _with("tomo_counts = 100"),
                      id="run-seed-neg"),
+        # a config without tomography has no seed to override
+        pytest.param(["run", "fig2a", "--out", "{out}", "--seed", "3"], None, id="run-seed-no-tomo"),
+        pytest.param(["run", "fig2a", "--out", "{out}", "--seed", "-1"], None,
+                     id="run-seed-neg-no-tomo"),
         pytest.param(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--counts", "0"], None,
                      id="demo-counts-0"),
         pytest.param(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4",

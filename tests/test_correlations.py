@@ -8,7 +8,7 @@ from belldyn.correlations import (
     quantum_correlation_bell,
     ree_bell,
 )
-from belldyn.errors import InvalidKappaError, InvalidSpectrumError
+from belldyn.errors import InvalidStateError
 from belldyn.qstate import eigenvalues_sorted, shannon_bits
 
 from conftest import random_bell_spectrum
@@ -130,9 +130,9 @@ def test_bell_eigenvalues_match_direct_diagonalization():
 
 
 def test_kappa_rejects_modulus_above_one():
-    with pytest.raises(InvalidKappaError):
+    with pytest.raises(InvalidStateError, match=r"\|kappa_a\| must be at most 1, got 1.1"):
         bell_eigenvalues_from_kappas(1.1, 0.5)
-    with pytest.raises(InvalidKappaError):
+    with pytest.raises(InvalidStateError, match=r"\|kappa\| must be at most 1"):
         kappa_correlation(1.0 + 1e-6)
 
 
@@ -222,7 +222,7 @@ def test_bell_diagonal_state_spectrum_roundtrip():
 
 
 def test_spectrum_functions_reject_unsorted():
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(InvalidStateError, match="not sorted non-increasing"):
         quantum_correlation_bell([0.1, 0.2, 0.3, 0.4])
 
 

@@ -1,5 +1,5 @@
-"""The public surface: `belldyn.__all__` resolves, removed names stay removed, and the
-modules import one another in layers."""
+"""The public surface: `belldyn.__all__` resolves, removed names stay removed, the
+modules import one another in layers, and every exception class lives in `belldyn.errors`."""
 
 import ast
 import contextlib
@@ -25,9 +25,12 @@ REMOVED = {
     "belldyn.dephasing": ("kappa_multi_gaussian", "SingleGaussian", "SampledSpectrum",
                           "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0", "SweepConfig",
                           "GaussianComponent"),
-    "belldyn.cli": ("to_sweep_config", "write_landmarks"),
+    "belldyn.cli": ("to_sweep_config", "write_landmarks", "_UsageError"),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
-                       "NormalizationError", "CountsRangeError", "OracleInputError"),
+                       "NormalizationError", "CountsRangeError", "OracleInputError",
+                       "NonHermitianError", "InvalidSpectrumError", "InvalidKappaError",
+                       "CrossingNotFoundError", "ScheduleError", "UnknownKeyError",
+                       "MissingKeyError"),
     "belldyn.oracle": ("GridSpec", "SimplexGridSpec", "closest_product_state"),
     "belldyn.qstate": ("dephase_in_product_basis", "partial_trace", "bloch_projectors",
                        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "relative_entropy",
@@ -87,6 +90,22 @@ def test_config_is_the_bottom_layer_and_only_cli_imports_cli():
     assert imports["config"] == {"errors"}
     assert not imports["dephasing"] & {"tomography", "cli"}
     assert [name for name, modules in imports.items() if "cli" in modules] == []
+
+
+def _exception_classes(path: Path) -> list[str]:
+    """The classes one source file defines whose bases name `Exception` or a `...Error`."""
+    return [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)]
+
+
+def test_errors_is_the_one_module_that_defines_exception_classes():
+    # each class is a distinction a caller makes: exit 1 (ConfigError) or exit 2 for `main`
+    defined = {path.stem: _exception_classes(path) for path in SOURCE.glob("*.py")}
+    assert defined.pop("errors") == [
+        "BelldynError", "InvalidStateError", "NonConvergenceError", "TomographyInputError",
+        "DephasingInputError", "ConfigError", "ParseError"]
+    assert {stem: names for stem, names in defined.items() if names} == {}
 
 
 def test_readme_library_example_runs():

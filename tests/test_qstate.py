@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from belldyn.errors import (
-    InvalidSpectrumError,
-    InvalidStateError,
-    NonHermitianError,
-)
+from belldyn.errors import InvalidStateError
 from belldyn.qstate import (
     eigenvalues_sorted,
     shannon_bits,
@@ -44,7 +40,7 @@ def test_entropy_bounds():
 def test_validate_state_rejects_non_hermitian():
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 0.1
-    with pytest.raises(NonHermitianError):
+    with pytest.raises(InvalidStateError, match="not Hermitian within 1e-12"):
         validate_state(bad)
 
 
@@ -93,17 +89,17 @@ def test_eigenvalues_sorted_clips_tiny_negatives():
 def test_eigenvalues_sorted_rejects_non_hermitian():
     bad = np.eye(4, dtype=complex)
     bad[2, 0] = 1e-3
-    with pytest.raises(NonHermitianError):
+    with pytest.raises(InvalidStateError, match="not Hermitian within 1e-12"):
         eigenvalues_sorted(bad)
 
 
 def test_validate_bell_spectrum_requires_order():
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(InvalidStateError, match="not sorted non-increasing"):
         validate_bell_spectrum([0.2, 0.5, 0.2, 0.1])
 
 
 def test_validate_bell_spectrum_requires_normalization():
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(InvalidStateError, match="not summing to 1 within 1e-12"):
         validate_bell_spectrum([0.5, 0.3, 0.1, 0.2])
 
 

@@ -429,3 +429,15 @@ def test_record_rejects_non_finite_input(bad):
     with pytest.raises(TomographyInputError, match="finite"):
         TomographyRecord(counts=counts, total_per_setting=400.0)
 
+
+
+def test_record_counts_are_a_read_only_copy():
+    # a checked record cannot be made invalid after its check
+    counts = np.full(16, 100.0)
+    record = TomographyRecord(counts=counts, total_per_setting=400.0)
+    with pytest.raises(ValueError, match="read-only"):
+        record.counts[0] = -5.0
+    with pytest.raises(ValueError, match="read-only"):
+        simulate_counts(np.eye(4) / 4.0, 100, 0).counts[1] = np.nan
+    counts[0] = 7.0  # the caller's array stays theirs and writable
+    assert record.counts[0] == 100.0
