@@ -17,6 +17,7 @@ describes; the built-in presets fig2a, fig2b, fig3a and fig3b need no file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -246,6 +247,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one parser per process, built on first use; parse_args keeps no state
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="belldyn", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -272,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"belldyn: error: {exc}", file=sys.stderr)

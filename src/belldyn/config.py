@@ -196,11 +196,16 @@ def _parse_float(raw: str, lineno: int, key: str) -> float:
 
 
 def _parse_value(key: str, lineno: int, raw: str):
-    """The value of one config key: the name as written, the echo points as floats, else a float."""
+    """The value of one config key: the name as written, the echo points as floats, else a number."""
     if key == "name":
         return raw
     if key == "echo_points":
         return tuple(_parse_float(p.strip(), lineno, key) for p in raw.split(",") if p.strip())
+    if key in TOMO_KEYS:
+        try:
+            return int(raw)  # exact: a float rounds a seed above 2**53
+        except ValueError:
+            pass  # 1e3 and 7.0 are integers too; TomographySettings checks the float
     return _parse_float(raw, lineno, key)
 
 

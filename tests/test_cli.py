@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import importlib.util
 import math
 import re
 from dataclasses import replace
@@ -718,6 +720,14 @@ def test_tomography_settings_validation():
                 ["tomo_counts = 10", "tomo_resamples = 1"]):
         with pytest.raises(ConfigError, match="tomo_"):
             parse_config_lines(bad + _VALID_CONFIG)
+    # an integer literal is read exactly; a float literal of an integer still counts
+    config = parse_config_lines(["tomo_counts = 1e3", "tomo_seed = 7.0"] + _VALID_CONFIG)
+    assert (config.tomography.n_per_setting, config.tomography.seed) == (1000, 7)
+    for bad in ("2.5", "-1"):  # the value as typed, as `run --seed -1` reports it
+        with pytest.raises(ConfigError, match=rf"^tomo_seed must be an integer in \[0, inf\], got {bad}$"):
+            parse_config_lines(["tomo_counts = 10", f"tomo_seed = {bad}"] + _VALID_CONFIG)
+    with pytest.raises(ParseError, match="^line 2: value for tomo_seed is not a number: 'abc'$"):
+        parse_config_lines(["tomo_counts = 10", "tomo_seed = abc"] + _VALID_CONFIG)
 
 
 def test_read_sweep_csv_missing_columns(tmp_path):
@@ -725,3 +735,105 @@ def test_read_sweep_csv_missing_columns(tmp_path):
     path.write_text("x_over_lambda0,Q\n0,0.1\n")
     with pytest.raises(ParseError, match="missing columns"):
         read_sweep_csv(path)
+
+
+def _tomo_config_file(tmp_path, seed="9"):
+    cfg = tmp_path / f"tomo-{seed}.cfg"
+    cfg.write_text(_with("tomo_counts = 500", "tomo_resamples = 2", f"tomo_seed = {seed}")
+                   .replace("step = 4", "step = 20"))
+    return cfg
+
+
+def _noisy_csv(out, *argv):
+    """The noisy.csv bytes of `belldyn run <argv> --out <out>`."""
+    assert main(["run", *argv, "--out", str(out)]) == 0
+    return (out / "noisy.csv").read_bytes()
+
+
+def test_config_tomo_seed_above_2_53_is_read_exactly(tmp_path):
+    seed = 2**53 + 1  # float(seed) == 2**53
+    assert parse_config(_tomo_config_file(tmp_path, seed)).tomography.seed == seed
+    from_file = _noisy_csv(tmp_path / "file", str(_tomo_config_file(tmp_path, seed)))
+    cfg = str(_tomo_config_file(tmp_path))
+    assert from_file == _noisy_csv(tmp_path / "flag", cfg, "--seed", str(seed))
+    assert from_file != _noisy_csv(tmp_path / "rounded", cfg, "--seed", str(2**53))
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The parsers built while the test runs, from an empty parser cache."""
+    built = []
+
+    class Counting(belldyn.cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    belldyn.cli.build_parser.cache_clear()
+    monkeypatch.setattr(belldyn.cli, "_Parser", Counting)
+    yield built
+    belldyn.cli.build_parser.cache_clear()
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys, parser_builds):
+    assert main(["run", "fig2a", "--out", str(tmp_path / "a"), "--step", "100"]) == 0
+    assert main(["landmarks", str(tmp_path / "a" / "sweep.csv")]) == 0
+    assert main(["run", "nosuchpreset", "--out", str(tmp_path / "b")]) == 1
+    assert main(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--counts", "100"]) == 0
+    capsys.readouterr()
+    assert len(parser_builds) == 4  # one tree: the parser and its three subcommands
+    assert belldyn.cli.build_parser() is belldyn.cli.build_parser() is parser_builds[0]
+
+
+def test_importing_the_cli_builds_no_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+    # a second copy of the module, executed afresh; sys.modules keeps the first
+    spec = importlib.util.find_spec("belldyn.cli")
+    fresh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fresh)
+    assert built == []
+    assert fresh.build_parser.cache_info().currsize == 0
+    fresh.build_parser()
+    assert len(built) == 4  # the parser and its three subcommands
+
+
+def test_a_usage_error_does_not_carry_into_the_next_call(tmp_path, capsys):
+    for bad in (["run", "fig2a"], ["run", "fig2a", "--out", str(tmp_path / "x"), "--step", "abc"],
+                ["bogus"], ["run", "fig2a", "--out", str(tmp_path / "x"), "--seed", "3"]):
+        assert main(bad) == 1
+        assert main(["run", "fig2a", "--out", str(tmp_path / "ok"), "--step", "100"]) == 0
+    assert capsys.readouterr().err.count("belldyn: error:") == 4
+
+
+def test_a_seed_override_does_not_carry_into_the_next_call(tmp_path):
+    cfg = str(_tomo_config_file(tmp_path))
+    own = _noisy_csv(tmp_path / "own", cfg)
+    assert _noisy_csv(tmp_path / "seed5", cfg, "--seed", "5") != own
+    assert _noisy_csv(tmp_path / "again", cfg) == own
+    assert _noisy_csv(tmp_path / "seed9", cfg, "--seed", "9") == own  # the config's own seed
+
+
+def test_a_step_override_does_not_carry_into_the_next_call(tmp_path):
+    assert main(["run", "fig2a", "--out", str(tmp_path / "coarse"), "--step", "100"]) == 0
+    assert main(["run", "fig2a", "--out", str(tmp_path / "default")]) == 0
+    run(PRESETS["fig2a"], tmp_path / "reference")
+    assert len(read_sweep_csv(tmp_path / "coarse" / "sweep.csv")["Q"]) == 9
+    assert ((tmp_path / "default" / "sweep.csv").read_bytes()
+            == (tmp_path / "reference" / "sweep.csv").read_bytes())
+
+
+def test_help_exits_0_and_prints_the_module_doc_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: belldyn [-h] {run,landmarks,tomo-demo} ...")
+        assert belldyn.cli.__doc__ in out
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--help"])
+    assert info.value.code == 0
+    assert "--step STEP" in capsys.readouterr().out

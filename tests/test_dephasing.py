@@ -266,6 +266,43 @@ def test_effective_retardation_schedule_errors():
         effective_retardation(1.0, (-1.0, 2.0))
 
 
+#: one to three optical (amplitude, center, width) rows in rad/s: centers within 2% of
+#: lambda0 = 780 nm, widths about 0.03 to 3 nm, so kappa decays over 10^-5 to 10^-3 m
+_OPTICAL_ROWS = st.lists(
+    st.tuples(st.floats(0.05, 1.0), st.floats(2.39e15, 2.44e15), st.floats(1e11, 1e13)),
+    min_size=1, max_size=3,
+).map(lambda rows: [(w / sum(r[0] for r in rows), c, s) for w, c, s in rows])
+#: grid points per exchange period in the dynamical-decoupling test
+_PERIOD_GRID = 400
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=_OPTICAL_ROWS, x_s=st.floats(0.0, 1e-2))
+def test_one_exchange_returns_kappa_to_1_at_twice_the_exchange_point(rows, x_s):
+    kappa = MultiGaussian(rows).kappa(effective_retardation(2 * x_s, (x_s,)))
+    assert abs(abs(kappa) - 1.0) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=_OPTICAL_ROWS, tau=st.floats(1e-6, 1e-3), n=st.integers(1, 8),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+       steps=st.lists(st.integers(0, 8 * _PERIOD_GRID), min_size=1, max_size=20))
+def test_exchanges_every_tau_keep_kappa_above_its_minimum_over_one_period(rows, tau, n,
+                                                                          fractions, steps):
+    """Dynamical decoupling: with exchanges at tau, 2 tau, ..., n tau the net retardation
+    of every x in [0, n tau] stays in [0, tau], so |kappa| never falls below its minimum there."""
+    schedule = tuple(tau * np.arange(1, n + 1))
+    x_eff = effective_retardation(n * tau * np.array(fractions), schedule)
+    roundoff = 1e-12 * n * tau
+    assert np.all((-roundoff <= x_eff) & (x_eff <= tau + roundoff))
+    # on the lattice of tau / _PERIOD_GRID every net retardation is a grid point of
+    # [0, tau] up to roundoff, so the grid minimum bounds |kappa| exactly
+    spectrum = MultiGaussian(rows)
+    floor = np.abs(spectrum.kappa(tau * np.arange(_PERIOD_GRID + 1) / _PERIOD_GRID)).min()
+    lattice = tau * (np.array(steps) % (n * _PERIOD_GRID + 1)) / _PERIOD_GRID
+    assert np.abs(spectrum.kappa(effective_retardation(lattice, schedule))).min() >= floor - 1e-9
+
+
 def test_evolve_state_pure_endpoint():
     psi = 0.5 * np.array([1.0, 1.0, 1.0, -1.0], dtype=complex)
     np.testing.assert_allclose(evolve_state(1.0, 1.0), np.outer(psi, psi.conj()), atol=1e-15)
