@@ -275,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # after printing --help; parse errors raise ConfigError
+            return exc.code
         return args.func(args)
     except ConfigError as exc:
         print(f"belldyn: error: {exc}", file=sys.stderr)

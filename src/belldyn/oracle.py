@@ -1,23 +1,27 @@
 """Brute-force relative-entropy minimizers that validate the analytic measures.
 
 The quantum-correlation oracle searches all product measurement bases (two
-Bloch directions) on a coarse grid with local refinement; for a fixed basis
-the closest classical state chi is the dephased input, so the objective
-reduces to the Shannon entropy H(p) of the four product-basis populations p.
-The closest product state to chi is the product of its marginals, so the
-classical-correlation oracle is the mutual information H(p_A) + H(p_B) - H(p)
-of the same searched populations. The search runs once per state: its two
-entropies are kept for the last matrix searched, so the two oracles called on
-the same matrix share one search. The entanglement oracle minimizes the
-classical relative entropy over the separable Bell-diagonal simplex (all
-eigenvalues <= 1/2) by a coarse simplex grid followed by pattern refinement
-along pairwise-exchange directions. The two basis oracles take a two-qubit
-(4x4) state, and the entanglement oracle a sorted Bell-diagonal spectrum.
+Bloch directions) for the least Shannon entropy H(p) of the four product-basis
+populations p: for a fixed basis the closest classical state chi is the
+dephased input, so H(p) - S(rho) is the relative entropy to it. The search
+starts from a coarse set of directions per side, one of each antipodal pair
+(a direction and its negative give the same basis), and refines each side on
+a small grid in the tangent plane at the best direction, which treats the
+poles like any other point. The closest product state to chi is the product of
+its marginals, so the classical-correlation oracle is the mutual information
+H(p_A) + H(p_B) - H(p) of the same searched populations. The search runs once
+per state: its two entropies are kept for the last matrix searched, so the two
+oracles called on the same matrix share one search. The entanglement oracle
+minimizes the classical relative entropy over the separable Bell-diagonal
+simplex (all eigenvalues <= 1/2) by a coarse simplex grid followed by pattern
+refinement along pairwise-exchange directions. The two basis oracles take a
+two-qubit (4x4) state, and the entanglement oracle a sorted Bell-diagonal
+spectrum.
 
-Each basis grid, the coarse simplex grid and each round of exchange moves is
-evaluated as one array. Both searches are fixed by the module constants below,
-so results are deterministic, with ties broken by the smallest flattened grid
-index or move index.
+Each set of direction pairs, the coarse simplex grid and each round of
+exchange moves is evaluated as one array. Both searches are fixed by the
+module constants below, so results are deterministic, with ties broken by the
+smallest flattened pair index or move index.
 """
 
 from __future__ import annotations
@@ -31,14 +35,18 @@ from .errors import NonConvergenceError
 from .qstate import PAULIS, shannon_bits, validate_bell_spectrum, validate_state
 
 
-#: the product-basis search: _N_PHI x _N_THETA directions per side, on the coarse
-#: grid and in each refinement round around the best point, whose window shrinks
-#: by _BASIS_SHRINK per round. At least _BASIS_REFINE_ROUNDS rounds run; rounds
-#: continue until one improves by no more than _BASIS_TOL, up to _BASIS_MAX_ROUNDS.
+#: the product-basis search. The coarse set is one direction of each +- pair of
+#: the _N_THETA x _N_PHI (theta, phi) grid, with the pole ring as one point, plus
+#: the x and y axes. Each refinement round grids, per side, the tangent plane at
+#: the best direction c: c + s e1 + t e2, normalized, for s and t on _WINDOW
+#: (odd) points over [-w, w], so c is a window row. w starts at one coarse cell
+#: and each round's w is the last round's grid step. At least _BASIS_REFINE_ROUNDS
+#: rounds run; rounds continue until one improves by no more than _BASIS_TOL, up
+#: to _BASIS_MAX_ROUNDS.
 _N_PHI = 24
 _N_THETA = 12
+_WINDOW = 7
 _BASIS_REFINE_ROUNDS = 3
-_BASIS_SHRINK = 4.0
 _BASIS_TOL = 1e-6
 _BASIS_MAX_ROUNDS = 50
 
@@ -62,13 +70,35 @@ def _pauli_components(rho: np.ndarray):
     return vec_a, vec_b, corr
 
 
-def _direction_grid(thetas: np.ndarray, phis: np.ndarray):
-    """Unit vectors for every (theta, phi) pair, flattened with theta-major order."""
-    t, p = np.meshgrid(thetas, phis, indexing="ij")
-    t = t.ravel()
-    p = p.ravel()
-    dirs = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=1)
-    return dirs, t, p
+def _coarse_directions() -> np.ndarray:
+    """Read-only coarse directions: the pole, the open upper-hemisphere rings theta-major, x, y."""
+    t, p = np.meshgrid(np.linspace(0.0, math.pi, _N_THETA)[1:_N_THETA // 2],
+                       np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False), indexing="ij")
+    rings = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
+    dirs = np.vstack([[0.0, 0.0, 1.0], rings.reshape(-1, 3), [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    dirs.flags.writeable = False
+    return dirs
+
+
+_COARSE = _coarse_directions()
+
+
+def _window(center: np.ndarray, w: float) -> np.ndarray:
+    """Unit directions center + s e1 + t e2, s-major, for s, t on _WINDOW points over [-w, w].
+
+    e1, e2 is the orthonormal frame of Duff et al. (JCGT 6(1), 2017), defined at
+    every unit center, both poles included; its sign choice flips at z = 0. The
+    middle row is the center.
+    """
+    x, y, z = center
+    sign = math.copysign(1.0, z)
+    a = -1.0 / (sign + z)
+    b = x * y * a
+    e1 = np.array([1.0 + sign * x * x * a, sign * b, -sign * x])
+    e2 = np.array([b, sign + y * y * a, -y])
+    steps = np.arange(-(_WINDOW // 2), _WINDOW // 2 + 1) * (w / (_WINDOW // 2))
+    dirs = (center + steps[:, None, None] * e1 + steps[None, :, None] * e2).reshape(-1, 3)
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
 #: signs of the a and b Bloch terms in the four product-basis populations
@@ -104,6 +134,18 @@ def _marginal_entropy(p: np.ndarray) -> np.ndarray:
     return _entropy(np.array([[p[0] + p[1], p[0] + p[2]], [p[2] + p[3], p[1] + p[3]]])).sum(axis=0)
 
 
+def _best_pair(components, dirs_a, dirs_b):
+    """The least population entropy over the direction pairs, its populations and its pair.
+
+    Ties go to the smallest flattened index. The populations are a copy, so no
+    population grid outlives its round.
+    """
+    probs = _populations(*components, dirs_a, dirs_b)
+    ent = _entropy(probs)
+    ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
+    return float(ent[ia, ib]), probs[:, ia, ib].copy(), dirs_a[ia], dirs_b[ib]
+
+
 def _validated_search(rho):
     """The validated two-qubit state and its basis search (H(p), H(p_A) + H(p_B)).
 
@@ -122,44 +164,17 @@ def _minimizing_basis(state: bytes) -> tuple[float, float]:
     populations p. Only the last state is kept; a search that raises
     NonConvergenceError is not kept.
     """
-    rho = np.frombuffer(state, dtype=complex).reshape(4, 4)
-    vec_a, vec_b, corr = _pauli_components(rho)
-    thetas = np.linspace(0.0, math.pi, _N_THETA)
-    phis = np.linspace(0.0, 2.0 * math.pi, _N_PHI, endpoint=False)
-    dirs, tgrid, pgrid = _direction_grid(thetas, phis)
-    probs = _populations(vec_a, vec_b, corr, dirs, dirs)
-    ent = _entropy(probs)
-    ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
-    # best_p is a copy, so no round's population grid outlives the round
-    best, best_p = float(ent[ia, ib]), probs[:, ia, ib].copy()
-    center_a = (tgrid[ia], pgrid[ia])
-    center_b = (tgrid[ib], pgrid[ib])
-
-    # round 1 re-grids a window of one full coarse cell around the best point;
-    # each later round shrinks the window by _BASIS_SHRINK
-    w_theta = math.pi / (_N_THETA - 1)
-    w_phi = 2.0 * math.pi / _N_PHI
+    components = _pauli_components(np.frombuffer(state, dtype=complex).reshape(4, 4))
+    best, best_p, center_a, center_b = _best_pair(components, _COARSE, _COARSE)
+    w = math.pi / (_N_THETA - 1)
     rounds = 0
     while True:
         rounds += 1
-        dirs_a, tg_a, pg_a = _direction_grid(
-            np.linspace(center_a[0] - w_theta, center_a[0] + w_theta, _N_THETA),
-            np.linspace(center_a[1] - w_phi, center_a[1] + w_phi, _N_PHI),
-        )
-        dirs_b, tg_b, pg_b = _direction_grid(
-            np.linspace(center_b[0] - w_theta, center_b[0] + w_theta, _N_THETA),
-            np.linspace(center_b[1] - w_phi, center_b[1] + w_phi, _N_PHI),
-        )
-        probs = _populations(vec_a, vec_b, corr, dirs_a, dirs_b)
-        ent = _entropy(probs)
-        ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
-        improvement = best - float(ent[ia, ib])
+        value, p, a, b = _best_pair(components, _window(center_a, w), _window(center_b, w))
+        improvement = best - value
         if improvement > 0.0:
-            best, best_p = float(ent[ia, ib]), probs[:, ia, ib].copy()
-            center_a = (tg_a[ia], pg_a[ia])
-            center_b = (tg_b[ib], pg_b[ib])
-        w_theta /= _BASIS_SHRINK
-        w_phi /= _BASIS_SHRINK
+            best, best_p, center_a, center_b = value, p, a, b
+        w /= _WINDOW // 2
         if rounds >= _BASIS_REFINE_ROUNDS and improvement <= _BASIS_TOL:
             break
         if rounds >= _BASIS_MAX_ROUNDS:

@@ -2,7 +2,10 @@ import argparse
 import hashlib
 import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -826,14 +829,20 @@ def test_a_step_override_does_not_carry_into_the_next_call(tmp_path):
 
 
 def test_help_exits_0_and_prints_the_module_doc_on_every_call(capsys):
+    # main returns help's exit code, as it returns every other outcome's
     for _ in range(2):
-        with pytest.raises(SystemExit) as info:
-            main(["--help"])
-        assert info.value.code == 0
+        assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: belldyn [-h] {run,landmarks,tomo-demo} ...")
         assert belldyn.cli.__doc__ in out
-    with pytest.raises(SystemExit) as info:
-        main(["run", "--help"])
-    assert info.value.code == 0
+    assert main(["run", "--help"]) == 0
     assert "--step STEP" in capsys.readouterr().out
+
+
+def test_help_from_the_shell_exits_0():
+    src = os.path.dirname(os.path.dirname(belldyn.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "belldyn.cli", "--help"], env=env,
+                          capture_output=True, text=True, check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: belldyn [-h]")

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from belldyn import oracle
 from belldyn.correlations import (
+    bell_correlations,
     classical_correlation_bell,
     quantum_correlation_bell,
     ree_bell,
@@ -196,6 +199,77 @@ def test_quantum_oracle_on_evolved_states_with_phases():
         assert oracle_quantum_correlation(rho) == pytest.approx(
             quantum_correlation_bell(lam), abs=1e-3
         )
+
+
+#: a Bell-diagonal state whose optimal basis is z x z, the pole of the (theta, phi) grid
+NEAR_POLE_SPECTRUM = np.array([0.6227, 0.3415, 0.0225, 0.0133])
+
+
+def _rotated_qubit(rho, side, theta, phi):
+    """rho with one qubit rotated by theta about (-sin phi, cos phi, 0): z tilts toward phi."""
+    axis = -math.sin(phi) * np.array([[0, 1], [1, 0]]) + math.cos(phi) * np.array([[0, -1j], [1j, 0]])
+    u = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * axis
+    u = np.kron(u, np.eye(2)) if side == "a" else np.kron(np.eye(2), u)
+    return u @ rho @ u.conj().T
+
+
+def test_basis_oracles_find_an_optimum_just_off_the_pole():
+    # an optimum a few degrees off the pole: a refinement window in (theta, phi)
+    # around a grid point next to the pole covers only a sliver of the cap there
+    _, c_true, q_true, _ = bell_correlations(NEAR_POLE_SPECTRUM)
+    rho = bell_diagonal_state(NEAR_POLE_SPECTRUM)
+    for side in "ab":
+        for theta in (0.06, 0.11):
+            for phi in (0.85, 1.5):
+                tilted = _rotated_qubit(rho, side, theta, phi)
+                assert oracle_quantum_correlation(tilted) == pytest.approx(q_true, abs=1e-3)
+                assert oracle_classical_correlation(tilted) == pytest.approx(c_true, abs=1e-3)
+
+
+def test_coarse_directions_hold_one_of_each_antipodal_pair_and_the_axes():
+    coarse = oracle._COARSE
+    assert not coarse.flags.writeable
+    np.testing.assert_allclose(np.linalg.norm(coarse, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    # no two rows are equal or opposite
+    dots = np.abs(coarse @ coarse.T)
+    np.fill_diagonal(dots, 0.0)
+    assert dots.max() < 1.0 - 1e-6
+    # every point of the (theta, phi) grid is a row or the negative of one
+    t, p = np.meshgrid(np.linspace(0.0, math.pi, oracle._N_THETA),
+                       np.linspace(0.0, 2.0 * math.pi, oracle._N_PHI, endpoint=False),
+                       indexing="ij")
+    grid = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1).reshape(-1, 3)
+    assert np.all(np.abs(grid @ coarse.T).max(axis=1) > 1.0 - 1e-12)
+    for axis in np.eye(3):
+        assert np.any(np.all(coarse == axis, axis=1))
+    assert len(coarse) == 123
+
+
+_UNIT_CENTERS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: math.hypot(*v) > 1e-3).map(lambda v: np.array(v) / math.hypot(*v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(center=_UNIT_CENTERS, w=st.floats(1e-9, math.pi / 11))
+@example(center=np.array([0.0, 0.0, 1.0]), w=math.pi / 11)
+@example(center=np.array([0.0, 0.0, -1.0]), w=math.pi / 11)
+@example(center=np.array([0.6, 0.8, 0.0]), w=math.pi / 11)
+@example(center=np.array([0.6, 0.8, -0.0]), w=math.pi / 11)
+@example(center=np.array([0.6, -0.8, 5e-324]), w=0.1)
+@example(center=np.array([0.6, -0.8, -5e-324]), w=0.1)
+@example(center=np.array([-0.8, 0.6, 1e-9]) / math.hypot(-0.8, 0.6, 1e-9), w=0.1)
+@example(center=np.array([-0.8, 0.6, -1e-9]) / math.hypot(-0.8, 0.6, 1e-9), w=0.1)
+def test_window_is_a_tangent_plane_grid_centred_on_its_direction(center, w):
+    dirs = oracle._window(center, w)
+    assert dirs.shape == (oracle._WINDOW ** 2, 3)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(dirs[len(dirs) // 2], center, rtol=0.0, atol=1e-15)
+    # row (s, t) normalizes c + s e1 + t e2 with e1, e2 orthonormal and normal to
+    # c, so its cosine to c is 1 / sqrt(1 + s^2 + t^2)
+    s, t = np.meshgrid(*[np.linspace(-w, w, oracle._WINDOW)] * 2, indexing="ij")
+    np.testing.assert_allclose(dirs @ center, 1.0 / np.sqrt(1.0 + s**2 + t**2).ravel(),
+                               rtol=0.0, atol=1e-14)
+    assert np.linalg.norm(dirs - center, axis=1).max() <= math.sqrt(2.0) * w + 1e-14
 
 
 #: search constants that stop the basis search after one round unless it has converged
