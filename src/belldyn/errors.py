@@ -6,8 +6,8 @@ class BelldynError(Exception):
 
 
 class InvalidStateError(BelldynError):
-    """A state that is not physical: a density matrix that is not square or 4x4, not Hermitian,
-    off unit trace or below the eigenvalue floor; a Bell spectrum that is not a sorted
+    """A state that is not physical: a density matrix that is not square or 4x4, not finite, not
+    Hermitian, off unit trace or below the eigenvalue floor; a Bell spectrum that is not a sorted
     probability 4-vector; or a decoherence parameter |kappa| above 1, which gives a negative
     eigenvalue."""
 
@@ -18,8 +18,8 @@ class NonConvergenceError(BelldynError):
 
 class TomographyInputError(BelldynError, ValueError):
     """Malformed tomography input: counts that are not 16 finite nonnegative values, a scale
-    that is not finite and positive, counts per setting outside [1, MAX_TOMO_COUNTS], or a
-    bootstrap size outside [2, MAX_TOMO_RESAMPLES]."""
+    that is not finite and positive or over which a count overflows, counts per setting outside
+    [1, MAX_TOMO_COUNTS], or a bootstrap size outside [2, MAX_TOMO_RESAMPLES]."""
 
 
 class DephasingInputError(BelldynError, ValueError):

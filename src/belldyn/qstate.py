@@ -35,12 +35,14 @@ def shannon_bits(p: np.ndarray, axis=None) -> np.ndarray | float:
 def validate_state(matrix: np.ndarray) -> np.ndarray:
     """Check a two-qubit state's shape, hermiticity, unit trace and positivity; return it as complex.
 
-    Raises InvalidStateError unless the matrix is 4x4 and within every tolerance.
+    Raises InvalidStateError unless the matrix is 4x4, finite and within every tolerance.
     """
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a two-qubit (4x4) state, got shape {rho.shape}")
-    if not np.allclose(rho, rho.conj().T, rtol=0.0, atol=HERMITICITY_TOL):
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("matrix has a non-finite entry")
+    if not np.abs(rho - rho.conj().T).max() <= HERMITICITY_TOL:
         raise InvalidStateError("matrix is not Hermitian within 1e-12")
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:

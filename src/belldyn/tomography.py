@@ -70,7 +70,7 @@ class TomographyRecord:
 
     counts holds a read-only copy of 16 finite nonnegative real numbers; exact
     expected counts (non-integer) are accepted so that noiseless studies stay exact.
-    total_per_setting is one finite positive number.
+    total_per_setting is one finite positive number, and each count over it is finite.
     """
 
     counts: np.ndarray
@@ -86,6 +86,9 @@ class TomographyRecord:
         if not _holds(lambda n: 0.0 < n * 1.0 < math.inf, self.total_per_setting):
             raise TomographyInputError(
                 f"total_per_setting must be finite and positive, got {self.total_per_setting!r}")
+        if not float(counts.max()) / float(self.total_per_setting) < math.inf:
+            raise TomographyInputError(
+                f"counts / total_per_setting must be finite, got {counts.max()} / {self.total_per_setting!r}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -175,8 +178,10 @@ _CENTRED = 1e-8
 _FULL_STEP = 0.25
 #: sufficient decrease of the Armijo backtracking line search
 _ARMIJO = 0.25
-#: limits of one solve; over 1,500 unphysical records (fig2a rows, near-pure and pure
-#: states, 10^3-10^5 counts) a row took at most 38 steps (median 20) and a step at
+#: the stage before the last is centred to this times t before the predictor enters the last
+_PRE_CENTRED = 1e-2
+#: limits of one solve; over 1,536 unphysical records (fig2a rows, near-pure and pure
+#: states, 10^3-10^5 counts) a row took at most 32 steps (median 17) and a step at
 #: most 6 halvings
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
@@ -189,39 +194,53 @@ def _evaluate(freqs, x):
     """
     w, v = np.linalg.eigh(_matrices(x))
     q = _apply(_STANDARD_MAP, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lik = (q - freqs * np.log(q)).sum(axis=-1)
-        logdet = np.log(w).sum(axis=-1)
-    return lik, logdet, w, v, q
+    return (q - freqs * np.log(q)).sum(axis=-1), np.log(w).sum(axis=-1), w, v, q
 
 
 def _derivatives(freqs, t, w, v, q):
-    """Gradient and Hessian of the barrier objective, and the gradient tr(rho^-1 B_j) of log det.
+    """Gradient and Hessian of the barrier objective, and the log-det pieces they are built from.
 
-    With rho = V diag(w) V^H and C_j = diag(w)^-1/2 V^H B_j V diag(w)^-1/2,
-    tr(rho^-1 B_j) = tr C_j and tr(rho^-1 B_i rho^-1 B_j) = tr(C_i C_j).
+    With rho = V diag(w) V^H, U = V diag(w)^-1/2 and C_j = U^H B_j U,
+    tr(rho^-1 B_j) = tr C_j and K_ij = tr(rho^-1 B_i rho^-1 B_j) = tr(C_i C_j).
+    Returns the gradient, the Hessian, tr C_j, K, and each C_j as a real row of
+    32 (its 16 entries, real and imaginary parts interleaved).
     """
     ratio = freqs / q
     grad = _apply(_STANDARD_MAP.T, 1.0 - ratio)
     hess = (_STANDARD_MAP.T * (ratio / q)[:, None, :]) @ _STANDARD_MAP
-    kron = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(-1, 16, 16)
-    root = 1.0 / np.sqrt(w)
-    c = (_BASIS @ kron) * (root[:, :, None] * root[:, None, :]).reshape(-1, 1, 16)
-    log_det_grad = c[..., ::5].real.sum(axis=-1)
-    log_det_hess = (c @ c.conj().swapaxes(1, 2)).real
+    u = v / np.sqrt(w)[:, None, :]
+    kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 16, 16)
+    c = (_BASIS @ kron).view(float)
+    log_det_grad = c[..., ::10].sum(axis=-1)
+    log_det_hess = c @ c.swapaxes(1, 2)
     return (grad - t[:, None] * log_det_grad, hess + t[:, None, None] * log_det_hess,
-            log_det_grad)
+            log_det_grad, log_det_hess, c)
+
+
+def _curvature(freqs, t, q, inverse, tangent, log_det_hess, c):
+    """The second derivative x'' = -H^-1 (2 K x' + D^3 phi[x', x']) of the central path x(t).
+
+    Differentiating H x' = tr(rho^-1 B) along the path gives it; with Y = U^H X' U
+    = sum_i x'_i C_i, D^3 phi[x', x']_j = A^T(-2 f (A x')^2 / q^3)_j - 2t tr(Y^2 C_j),
+    the first term taken as (f / q) (A x' / q)^2 so that q^3 cannot overflow.
+    """
+    dq = _apply(_STANDARD_MAP, tangent)
+    y = (tangent[:, None, :] @ c).view(complex).reshape(-1, 4, 4)
+    third = (_apply(_STANDARD_MAP.T, -2.0 * freqs / q * (dq / q) ** 2)
+             - 2.0 * t[:, None] * _apply(c, (y @ y).view(float).reshape(-1, 32)))
+    return -_apply(inverse, 2.0 * _apply(log_det_hess, tangent) + third)
 
 
 def _line_search(freqs, t, x, step, full, current, decrement):
     """Per row, the first of x + step, x + step/2, ... that is positive definite and,
     unless `full`, lowers the objective (`current` at x) by the Armijo fraction of
     the squared decrement; returns it with its `_evaluate` terms."""
+    drop = _ARMIJO * decrement
 
     def accepted(trial, rows, alpha):
         lik, logdet, w = trial[1], trial[2], trial[3]
         value = lik - t[rows] * logdet
-        armijo = value <= current[rows] - _ARMIJO * alpha * decrement[rows]
+        armijo = value <= current[rows] - alpha * drop[rows]
         return (w[:, 0] > 0.0) & np.isfinite(value) & (full[rows] | armijo)
 
     point = x + step
@@ -244,14 +263,15 @@ def _barrier_solve(freqs, x, lowest):
     """Unnormalized extended-likelihood optimum for rows whose linear inversion is unphysical.
 
     Minimizes sum_k (q_k - f_k log q_k) - t log det rho by Newton's method over
-    the decreasing t of _BARRIER_STAGES (times sum_k f_k). Between stages a
-    tangent (predictor) step follows the central path to the next t; a
+    the decreasing t of _BARRIER_STAGES (times sum_k f_k). A centred row moves
+    to the next t along the central path x(t), by dt x' + dt^2 x'' / 2 with x'
+    and x'' (`_curvature`) from the step's one inverse of the Newton matrix; a
     backtracking line search keeps every iterate positive definite. The start
     is the linear inversion shifted so that its smallest eigenvalue is the
     first t. An intermediate stage only warm-starts the next, so a row leaves
-    it once its squared Newton decrement is at most _FULL_STEP * t, inside the
-    region where the full Newton step is taken; only the last stage is centred
-    to _CENTRED * t, and a row freezes there. Raises
+    it once its squared Newton decrement is at most _FULL_STEP * t (where the
+    full Newton step is taken), or _PRE_CENTRED * t before the last stage; the
+    last stage is centred to _CENTRED * t, and a row freezes there. Raises
     NonConvergenceError when a row needs more than _MAX_STEPS steps, or a
     step more than _MAX_HALVINGS halvings.
     """
@@ -259,34 +279,40 @@ def _barrier_solve(freqs, x, lowest):
     rows = np.arange(len(x))
     scale = freqs.sum(axis=-1)
     stage = np.zeros(len(x), dtype=int)
+    tolerance = np.array([_FULL_STEP] * (len(_BARRIER_STAGES) - 2) + [_PRE_CENTRED, _CENTRED])
     t = scale * _BARRIER_STAGES[0]
     x = x.copy()
     x[:, :4] += (t - lowest)[:, None]
-    lik, logdet, w, v, q = _evaluate(freqs, x)
-    for _ in range(_MAX_STEPS):
-        grad, hess, log_det_grad = _derivatives(freqs, t, w, v, q)
-        solution = np.linalg.solve(hess, np.stack([-grad, log_det_grad], axis=-1))
-        newton, tangent = solution[..., 0], solution[..., 1]
-        decrement = (-grad * newton).sum(axis=-1)
-        last = stage == len(_BARRIER_STAGES) - 1
-        centred = decrement <= np.where(last, _CENTRED, _FULL_STEP) * t
-        finished = centred & last
-        if finished.any():
-            out[rows[finished]] = x[finished]
-            keep = ~finished
-            if not keep.any():
-                return out
-            (rows, freqs, scale, stage, t, x, lik, logdet, w, v, q, centred, newton, tangent,
-             decrement) = (a[keep] for a in (rows, freqs, scale, stage, t, x, lik, logdet, w, v, q,
-                                             centred, newton, tangent, decrement))
-        # a centred row moves to the next t along the tangent dx/dt = H^-1 tr(rho^-1 B)
-        t_old = t
-        stage = stage + centred
-        t = scale * _BARRIER_STAGES[stage]
-        step = np.where(centred[:, None], (t - t_old)[:, None] * tangent, newton)
-        full = decrement <= _FULL_STEP * t_old  # every centred row too
-        x, lik, logdet, w, v, q = _line_search(freqs, t, x, step, full, lik - t_old * logdet,
-                                               decrement)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lik, logdet, w, v, q = _evaluate(freqs, x)
+        for _ in range(_MAX_STEPS):
+            grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, w, v, q)
+            inverse = np.linalg.inv(hess)
+            step = _apply(inverse, -grad)
+            decrement = (-grad * step).sum(axis=-1)
+            centred = decrement <= tolerance[stage] * t
+            last = stage == len(_BARRIER_STAGES) - 1
+            moving = centred & ~last
+            if moving.any():
+                dt = (scale * _BARRIER_STAGES[stage + moving] - t)[:, None]
+                tangent = _apply(inverse, log_det_grad)
+                curvature = _curvature(freqs, t, q, inverse, tangent, log_det_hess, c)
+                step = np.where(moving[:, None], dt * (tangent + 0.5 * dt * curvature), step)
+            finished = centred & last
+            if finished.any():
+                out[rows[finished]] = x[finished]
+                keep = ~finished
+                if not keep.any():
+                    return out
+                (rows, freqs, scale, stage, t, x, lik, logdet, w, v, q, centred, step, decrement) = (
+                    a[keep] for a in (rows, freqs, scale, stage, t, x, lik, logdet, w, v, q, centred,
+                                      step, decrement))
+            t_old = t
+            stage = stage + centred
+            t = scale * _BARRIER_STAGES[stage]
+            full = decrement <= _FULL_STEP * t_old  # every centred row too
+            x, lik, logdet, w, v, q = _line_search(freqs, t, x, step, full, lik - t_old * logdet,
+                                                   decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 

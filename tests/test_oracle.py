@@ -344,17 +344,31 @@ def test_grid_spec_determinism():
     assert oracle_ree_bell(lam) == oracle_ree_bell(lam)
 
 
-@pytest.mark.parametrize(
+TAKES_STATE = pytest.mark.parametrize(
     "takes_state",
     [validate_state, oracle_quantum_correlation, oracle_classical_correlation,
      lambda rho: simulate_counts(rho, 100, 0)],
     ids=["validate_state", "oracle_quantum_correlation", "oracle_classical_correlation",
          "simulate_counts"],
 )
+
+
+@TAKES_STATE
 def test_single_qubit_state_is_rejected(takes_state):
     # a valid one-qubit state: only its shape is wrong
     with pytest.raises(InvalidStateError, match="4x4"):
         takes_state(np.eye(2) / 2.0)
+
+
+@TAKES_STATE
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_non_finite_state_is_rejected(takes_state, bad):
+    # an infinite pair matches its conjugate transpose entry for entry; neither it nor
+    # NaN may reach the eigensolver
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = rho[3, 0] = bad
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        takes_state(rho)
 
 
 def _random_rotated_state(rng, spectrum=(0.55, 0.25, 0.15, 0.05)):

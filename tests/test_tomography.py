@@ -328,22 +328,67 @@ def test_estimate_of_a_row_does_not_depend_on_its_batch():
             assert np.array_equal(tomography._estimate(freqs[j:j + 1])[0], batch[j])
 
 
-def test_barrier_solve_centres_intermediate_stages_loosely(monkeypatch):
-    # one `_derivatives` call per Newton step; centring every stage to the final
-    # tolerance would take a median of 31.5 steps on these records, and at most 40
-    steps = []
-    derivatives = tomography._derivatives
+def test_barrier_solve_takes_few_newton_steps_and_evaluations(monkeypatch):
+    # one `_derivatives` call per Newton step and one `_evaluate` call per trial point;
+    # the second-order predictor takes a median of 17 steps (at most 22) and 22.5
+    # evaluations (at most 30) on these records, a first-order one 21 (25) and 32 (40),
+    # and centring every stage to the final tolerance 31.5 steps (40)
+    steps, evaluations = [], []
+    derivatives, evaluate = tomography._derivatives, tomography._evaluate
 
-    def counting(*args):
+    def counting_steps(*args):
         steps[-1] += 1
         return derivatives(*args)
 
-    monkeypatch.setattr(tomography, "_derivatives", counting)
+    def counting_evaluations(*args):
+        evaluations[-1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(tomography, "_derivatives", counting_steps)
+    monkeypatch.setattr(tomography, "_evaluate", counting_evaluations)
     for rec in unphysical_records():
         steps.append(0)
+        evaluations.append(0)
         reconstruct(rec)
-    assert np.median(steps) <= 22
-    assert max(steps) <= 27
+    assert np.median(steps) <= 18
+    assert max(steps) <= 23
+    assert np.median(evaluations) <= 25
+    assert max(evaluations) <= 32
+
+
+def test_estimates_of_a_mixed_batch_do_not_depend_on_the_batch():
+    # pure, rank-2 and random-phase rows change stage at different steps, so the
+    # predictor runs on some rows of a batch while others take Newton steps
+    freqs = np.stack([rec.counts / rec.total_per_setting for rec in unphysical_records()])
+    batch = tomography._estimate(freqs)
+    for row, estimate in zip(freqs, batch):
+        assert np.array_equal(tomography._estimate(row[None])[0], estimate)
+
+
+def test_curvature_matches_central_differences_of_the_newton_matrix():
+    # along the central path H x' = tr(rho^-1 B), so H x'' = -(2 K x' + dH/ds x') with
+    # dH/ds the derivative of the Newton matrix along x + s x'
+    rng = np.random.default_rng(55)
+    rhos = [random_density_matrix(rng) for _ in range(8)]
+    x = (tomography._BASIS.conj() @ np.stack(rhos).reshape(-1, 16).T).real.T
+    freqs = rng.uniform(0.05, 0.5, size=(len(x), 16))
+    t = rng.uniform(1e-4, 1e-1, size=len(x))
+
+    def derivatives(point):
+        _, _, w, v, q = tomography._evaluate(freqs, point)
+        return w, q, tomography._derivatives(freqs, t, w, v, q)
+
+    w, q, (_, hess, log_det_grad, log_det_hess, c) = derivatives(x)
+    inverse = np.linalg.inv(hess)
+    tangent = tomography._apply(inverse, log_det_grad)
+    h = 1e-4 * w[:, :1] / np.abs(tangent).max(axis=-1, keepdims=True)  # x +- h x' stays interior
+    dhess = derivatives(x + h * tangent)[2][1] - derivatives(x - h * tangent)[2][1]
+    third = (dhess @ tangent[..., None])[..., 0] / (2.0 * h)
+    expected = -np.linalg.solve(hess, 2.0 * log_det_hess @ tangent[..., None] + third[..., None])[..., 0]
+    curvature = tomography._curvature(freqs, t, q, inverse, tangent, log_det_hess, c)
+    scale = np.abs(expected).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(curvature - expected) <= 1e-6 * scale)
+    assert np.all(scale > 0.0)
 
 
 def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
@@ -354,7 +399,7 @@ def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
     optimum = tomography._barrier_solve(freqs, x, lowest)
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
     _, _, w, v, q = tomography._evaluate(freqs, optimum)
-    grad, hess, _ = tomography._derivatives(freqs, t, w, v, q)
+    grad, hess, *_ = tomography._derivatives(freqs, t, w, v, q)
     newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
     decrement = (-grad * newton).sum(axis=-1)
     assert np.all(decrement <= tomography._CENTRED * t)
@@ -429,6 +474,12 @@ def test_record_rejects_non_finite_input(bad):
     with pytest.raises(TomographyInputError, match="finite"):
         TomographyRecord(counts=counts, total_per_setting=400.0)
 
+
+def test_record_rejects_counts_whose_frequencies_overflow():
+    # each number is finite, their ratio is not; the solver would end in a bare LinAlgError
+    with pytest.raises(TomographyInputError, match="counts / total_per_setting must be finite"):
+        TomographyRecord(counts=np.full(16, 1e300), total_per_setting=1e-10)
+    assert TomographyRecord(counts=np.full(16, 1e300), total_per_setting=1e-8).counts[0] == 1e300
 
 
 def test_record_counts_are_a_read_only_copy():
