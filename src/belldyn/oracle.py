@@ -18,9 +18,12 @@ refinement along pairwise-exchange directions. The two basis oracles take a
 two-qubit (4x4) state, and the entanglement oracle a sorted Bell-diagonal
 spectrum.
 
-Each set of direction pairs, the coarse simplex grid and each round of
-exchange moves is evaluated as one array. Both searches are fixed by the
-module constants below, so results are deterministic, with ties broken by the
+The direction pairs are evaluated in blocks of one window's rows of the first
+side against all of the second, so no state refaults its temporaries: the
+largest population grid is (4, 49, 123), small enough that the allocator keeps
+it for the next state. The coarse simplex grid and each round of exchange
+moves are evaluated as one array. Both searches are fixed by the module
+constants below, so results are deterministic, with ties broken by the
 smallest flattened pair index or move index.
 """
 
@@ -137,13 +140,22 @@ def _marginal_entropy(p: np.ndarray) -> np.ndarray:
 def _best_pair(components, dirs_a, dirs_b):
     """The least population entropy over the direction pairs, its populations and its pair.
 
-    Ties go to the smallest flattened index. The populations are a copy, so no
-    population grid outlives its round.
+    dirs_a is taken in blocks of one window's rows, so the largest population
+    grid is (4, _WINDOW ** 2, len(dirs_b)), small enough that the allocator
+    keeps it for the next block and state; a window is one block. Each block
+    is evaluated as one array, and a later block wins only if strictly lower,
+    so ties go to the smallest flattened index. The populations are a copy, so
+    no population grid outlives its block.
     """
-    probs = _populations(*components, dirs_a, dirs_b)
-    ent = _entropy(probs)
-    ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
-    return float(ent[ia, ib]), probs[:, ia, ib].copy(), dirs_a[ia], dirs_b[ib]
+    best = None
+    for start in range(0, len(dirs_a), _WINDOW ** 2):
+        block = dirs_a[start:start + _WINDOW ** 2]
+        probs = _populations(*components, block, dirs_b)
+        ent = _entropy(probs)
+        ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
+        if best is None or ent[ia, ib] < best[0]:
+            best = float(ent[ia, ib]), probs[:, ia, ib].copy(), block[ia], dirs_b[ib]
+    return best
 
 
 def _validated_search(rho):
@@ -211,11 +223,11 @@ _EXCHANGES = np.array([np.eye(4)[a] - np.eye(4)[b] for a in range(4) for b in ra
 def _kl_bits(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Classical relative entropy sum lam log2(lam/q) of each row of q; +inf off its support.
 
-    Terms with lam = 0 are left out.
+    lam holds only the nonzero eigenvalues and q the same columns, so terms
+    with lam = 0 are left out. A zero q divides by zero: callers ignore that
+    warning.
     """
-    support = lam > 0.0
-    with np.errstate(divide="ignore"):
-        return (lam[support] * np.log2(lam[support] / q[:, support])).sum(axis=1)
+    return (lam * np.log2(lam / q)).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -232,32 +244,35 @@ def _separable_grid(n: int) -> np.ndarray:
 def oracle_ree_bell(spectrum) -> float:
     """Minimum relative entropy to the separable Bell-diagonal set, in bits."""
     lam = validate_bell_spectrum(spectrum)
+    support = lam > 0.0
+    lam = lam[support]
     points = _separable_grid(_RESOLUTION)
-    values = _kl_bits(lam, points)
-    first = int(np.argmin(values))
-    best, best_q = float(values[first]), points[first]
+    with np.errstate(divide="ignore"):
+        values = _kl_bits(lam, points[:, support])
+        first = int(np.argmin(values))
+        best, best_q = float(values[first]), points[first]
 
-    step = 1.0 / _RESOLUTION
-    rounds = 0
-    while True:
-        rounds += 1
-        round_gain = 0.0
+        step = 1.0 / _RESOLUTION
+        rounds = 0
         while True:
-            moves = best_q + step * _EXCHANGES
-            feasible = ~((moves.min(axis=1) < -1e-12) | (moves.max(axis=1) > 0.5 + 1e-12))
-            moves = np.clip(moves[feasible], 0.0, 0.5)
-            moves /= moves.sum(axis=1, keepdims=True)
-            values = _kl_bits(lam, moves)
-            if not np.any(values < best):
+            rounds += 1
+            round_gain = 0.0
+            while True:
+                moves = best_q + step * _EXCHANGES
+                moves = moves[(moves.min(axis=1) >= -1e-12) & (moves.max(axis=1) <= 0.5 + 1e-12)]
+                np.clip(moves, 0.0, 0.5, out=moves)
+                moves /= moves.sum(axis=1, keepdims=True)
+                values = _kl_bits(lam, moves[:, support])
+                first = int(np.argmin(values))
+                if not values[first] < best:
+                    break
+                round_gain += best - float(values[first])
+                best, best_q = float(values[first]), moves[first]
+            step /= _SIMPLEX_SHRINK
+            if rounds >= _SIMPLEX_REFINE_ROUNDS and round_gain <= _SIMPLEX_TOL:
                 break
-            first = int(np.argmin(values))
-            round_gain += best - float(values[first])
-            best, best_q = float(values[first]), moves[first]
-        step /= _SIMPLEX_SHRINK
-        if rounds >= _SIMPLEX_REFINE_ROUNDS and round_gain <= _SIMPLEX_TOL:
-            break
-        if rounds >= _SIMPLEX_MAX_ROUNDS:
-            raise NonConvergenceError(
-                f"simplex refinement still improving by {round_gain} after {rounds} rounds"
-            )
+            if rounds >= _SIMPLEX_MAX_ROUNDS:
+                raise NonConvergenceError(
+                    f"simplex refinement still improving by {round_gain} after {rounds} rounds"
+                )
     return max(best, 0.0)

@@ -78,11 +78,13 @@ def eigenvalues_sorted(state) -> np.ndarray:
 
     The eigenvalues lie along the last axis. Negative values above the -1e-10
     floor are clipped to zero and each vector renormalized to unit sum;
-    values below the floor raise InvalidStateError.
+    a non-finite entry or values below the floor raise InvalidStateError.
     """
     rho = np.asarray(state, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("matrix has a non-finite entry")
     if not np.allclose(rho, rho.conj().swapaxes(-1, -2), rtol=0.0, atol=HERMITICITY_TOL):
         raise InvalidStateError("matrix is not Hermitian within 1e-12")
     w = np.linalg.eigvalsh(rho)[..., ::-1]

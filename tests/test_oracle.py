@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,66 @@ def test_window_is_a_tangent_plane_grid_centred_on_its_direction(center, w):
     np.testing.assert_allclose(dirs @ center, 1.0 / np.sqrt(1.0 + s**2 + t**2).ravel(),
                                rtol=0.0, atol=1e-14)
     assert np.linalg.norm(dirs - center, axis=1).max() <= math.sqrt(2.0) * w + 1e-14
+
+
+def _whole_grid_best_pair(components, dirs_a, dirs_b):
+    """_best_pair as one array over every direction pair: the reference for its blocks."""
+    probs = oracle._populations(*components, dirs_a, dirs_b)
+    ent = oracle._entropy(probs)
+    ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
+    return float(ent[ia, ib]), probs[:, ia, ib].copy(), dirs_a[ia], dirs_b[ib]
+
+
+def _werner(p):
+    return p * PHI_PLUS + (1.0 - p) * np.eye(4) / 4.0
+
+
+def _best_pair_states():
+    rng = np.random.default_rng(33)
+    # states where many direction pairs tie, so the first flattened index must win
+    states = [np.eye(4) / 4.0, PHI_PLUS, HH, _werner(0.3), _werner(0.8),
+              bell_diagonal_state([0.4, 0.4, 0.1, 0.1])]
+    states += [bell_diagonal_state(random_bell_spectrum(rng)) for _ in range(8)]
+    states += [random_density_matrix(rng) for _ in range(8)]
+    return states
+
+
+def _window_pairs():
+    rng = np.random.default_rng(34)
+    return [(oracle._window(a, w), oracle._window(b, w))
+            for a, b, w in zip(_unit_rows(rng, 4), _unit_rows(rng, 4), (math.pi / 11, 0.1, 1e-3, 1e-6))]
+
+
+@pytest.mark.parametrize("grid", ["coarse", "window"])
+def test_blocked_best_pair_matches_the_whole_grid_bit_for_bit(grid):
+    pairs = [(oracle._COARSE, oracle._COARSE)] if grid == "coarse" else _window_pairs()
+    for rho in _best_pair_states():
+        components = oracle._pauli_components(rho)
+        for dirs_a, dirs_b in pairs:
+            value, p, a, b = oracle._best_pair(components, dirs_a, dirs_b)
+            want_value, want_p, want_a, want_b = _whole_grid_best_pair(components, dirs_a, dirs_b)
+            assert value == want_value
+            for got, want in ((p, want_p), (a, want_a), (b, want_b)):
+                assert np.array_equal(got, want)
+    # every pair of I/4 ties: the first of each side wins
+    for dirs_a, dirs_b in pairs:
+        _, _, a, b = oracle._best_pair(oracle._pauli_components(np.eye(4) / 4.0), dirs_a, dirs_b)
+        assert np.array_equal(a, dirs_a[0]) and np.array_equal(b, dirs_b[0])
+
+
+def test_one_basis_search_never_holds_a_whole_coarse_population_grid():
+    # a whole coarse (4, 123, 123) float64 grid is 484 KiB, and its populations and
+    # logs live at once; allocation sizes are deterministic, so the traced peak is too
+    rho = _random_rotated_state(np.random.default_rng(35))
+    oracle_quantum_correlation(np.eye(4) / 4.0)
+    oracle._minimizing_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle_quantum_correlation(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 768 * 1024
 
 
 #: search constants that stop the basis search after one round unless it has converged

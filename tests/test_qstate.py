@@ -93,6 +93,18 @@ def test_eigenvalues_sorted_rejects_non_hermitian():
         eigenvalues_sorted(bad)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_eigenvalues_sorted_rejects_a_non_finite_entry(bad):
+    # an infinite pair matches its conjugate transpose within any tolerance, so
+    # only a finiteness check keeps it from the eigensolver
+    rho = np.eye(4, dtype=complex) / 4.0
+    rho[0, 3] = rho[3, 0] = bad
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        eigenvalues_sorted(rho)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        eigenvalues_sorted(np.stack([np.eye(4) / 4.0, rho]))
+
+
 def test_validate_bell_spectrum_requires_order():
     with pytest.raises(InvalidStateError, match="not sorted non-increasing"):
         validate_bell_spectrum([0.2, 0.5, 0.2, 0.1])
