@@ -156,31 +156,23 @@ def format_landmarks(landmarks: dict[str, float]) -> str:
     return "".join(f"{key} = {value:.9g}\n" for key, value in landmarks.items())
 
 
-#: largest tomography batch: point estimates plus resamples of whole sweep rows
-_BLOCK_ROWS = 256
-
-
 def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path) -> None:
     """Tomography-reconstructed series with bootstrap error bars.
 
     Per sweep-table row: simulate counts from the evolved state, reconstruct, and
     evaluate the correlation measures on the reconstructed spectrum; errors
     come from the parametric bootstrap. Substreams derive from (seed, index).
-    Rows go to `tomography.bootstrap` in blocks of at most _BLOCK_ROWS estimates (one
-    row if larger): memory stays bounded, and the bits are those of one row at a time.
+    All rows go to one `tomography.bootstrap` call, which bounds its own memory.
     """
     tomo = config.tomography
     keys = tomography.BOOTSTRAP_KEYS
+    rows = range(len(table["x_over_lambda0"]))
+    records = [tomography.simulate_counts(
+        dephasing.evolve_state(table["kappa_a"][i], table["kappa_b"][i]),
+        tomo.n_per_setting, [tomo.seed, i, 0]) for i in rows]
     # per row, each value followed by its error, in BOOTSTRAP_KEYS order
-    cells = np.empty((len(table["x_over_lambda0"]), len(keys), 2))
-    block = max(1, _BLOCK_ROWS // (1 + tomo.resamples))
-    for start in range(0, len(cells), block):
-        index = range(start, min(start + block, len(cells)))
-        records = [tomography.simulate_counts(
-            dephasing.evolve_state(table["kappa_a"][i], table["kappa_b"][i]),
-            tomo.n_per_setting, [tomo.seed, i, 0]) for i in index]
-        cells[index, :, 0], cells[index, :, 1] = tomography.bootstrap(
-            records, tomo.resamples, [[tomo.seed, i, 1] for i in index])
+    cells = np.stack(tomography.bootstrap(records, tomo.resamples, [[tomo.seed, i, 1] for i in rows]),
+                     axis=-1)
     header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
     _write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 

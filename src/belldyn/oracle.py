@@ -9,9 +9,10 @@ starts from a coarse set of directions per side, one of each antipodal pair
 a small grid in the tangent plane at the best direction, which treats the
 poles like any other point. The closest product state to chi is the product of
 its marginals, so the classical-correlation oracle is the mutual information
-H(p_A) + H(p_B) - H(p) of the same searched populations. The search runs once
-per state: its two entropies are kept for the last matrix searched, so the two
-oracles called on the same matrix share one search. The entanglement oracle
+H(p_A) + H(p_B) - H(p) of the same searched populations. The state check and
+the search run once per state: the last matrix searched, keyed by its shape and
+bytes, keeps its two entropies and S(rho), so the two oracles called on the same
+matrix share one `validate_state` call and one search. The entanglement oracle
 minimizes the classical relative entropy over the separable Bell-diagonal
 simplex (all eigenvalues <= 1/2) by a coarse simplex grid followed by pattern
 refinement along pairwise-exchange directions. The two basis oracles take a
@@ -158,25 +159,18 @@ def _best_pair(components, dirs_a, dirs_b):
     return best
 
 
-def _validated_search(rho):
-    """The validated two-qubit state and its basis search (H(p), H(p_A) + H(p_B)).
-
-    This is the oracles' one input check; a matrix that is not a two-qubit
-    state raises InvalidStateError. The search is keyed by the matrix's bytes.
-    """
-    rho = validate_state(rho)
-    return rho, _minimizing_basis(rho.tobytes())
-
-
 @functools.lru_cache(maxsize=1)
-def _minimizing_basis(state: bytes) -> tuple[float, float]:
-    """Search the product bases for the least population entropy H(p).
+def _minimizing_basis(shape: tuple[int, ...], state: bytes) -> tuple[float, float, float]:
+    """Validate a complex matrix given by its shape and bytes and search its product bases.
 
-    Returns H(p) and the marginal entropies H(p_A) + H(p_B) of the same
-    populations p. Only the last state is kept; a search that raises
-    NonConvergenceError is not kept.
+    Returns the least population entropy H(p), the marginal entropies
+    H(p_A) + H(p_B) of the same populations p, and S(rho). This is the oracles'
+    one input check: a matrix that is not a two-qubit state raises
+    InvalidStateError. Only the last state is kept; a call that raises is not
+    kept.
     """
-    components = _pauli_components(np.frombuffer(state, dtype=complex).reshape(4, 4))
+    rho = validate_state(np.frombuffer(state, dtype=complex).reshape(shape))
+    components = _pauli_components(rho)
     best, best_p, center_a, center_b = _best_pair(components, _COARSE, _COARSE)
     w = math.pi / (_N_THETA - 1)
     rounds = 0
@@ -193,13 +187,13 @@ def _minimizing_basis(state: bytes) -> tuple[float, float]:
             raise NonConvergenceError(
                 f"basis refinement still improving by {improvement} after {rounds} rounds"
             )
-    return best, float(_marginal_entropy(best_p))
+    return best, float(_marginal_entropy(best_p)), float(shannon_bits(np.linalg.eigvalsh(rho)))
 
 
 def oracle_quantum_correlation(rho) -> float:
     """Minimum of S(rho || dephased rho) over product bases, in bits."""
-    rho, (best, _) = _validated_search(rho)
-    s_rho = float(shannon_bits(np.linalg.eigvalsh(rho)))
+    rho = np.asarray(rho, dtype=complex)
+    best, _, s_rho = _minimizing_basis(rho.shape, rho.tobytes())
     return max(best - s_rho, 0.0)
 
 
@@ -212,7 +206,8 @@ def oracle_classical_correlation(rho) -> float:
     information of the populations. The basis is searched once per matrix:
     after `oracle_quantum_correlation` on the same matrix, its search is reused.
     """
-    _, (best, marginals) = _validated_search(rho)
+    rho = np.asarray(rho, dtype=complex)
+    best, marginals, _ = _minimizing_basis(rho.shape, rho.tobytes())
     return max(marginals - best, 0.0)
 
 

@@ -33,23 +33,17 @@ def shannon_bits(p: np.ndarray, axis=None) -> np.ndarray | float:
 
 
 def validate_state(matrix: np.ndarray) -> np.ndarray:
-    """Check a two-qubit state's shape, hermiticity, unit trace and positivity; return it as complex.
+    """Check a two-qubit state's shape, hermiticity, positivity and unit trace; return it as complex.
 
-    Raises InvalidStateError unless the matrix is 4x4, finite and within every tolerance.
+    Raises InvalidStateError unless it is 4x4, passes `eigenvalues_sorted` and has trace 1.
     """
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a two-qubit (4x4) state, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise InvalidStateError("matrix has a non-finite entry")
-    if not np.abs(rho - rho.conj().T).max() <= HERMITICITY_TOL:
-        raise InvalidStateError("matrix is not Hermitian within 1e-12")
+    eigenvalues_sorted(rho)
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"trace {tr} deviates from 1 beyond 1e-12")
-    w = np.linalg.eigvalsh(rho)
-    if w.min() < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"eigenvalue {w.min()} below the {EIGENVALUE_FLOOR} floor")
     return rho
 
 
@@ -76,20 +70,23 @@ def validate_bell_spectrum(lambdas) -> np.ndarray:
 def eigenvalues_sorted(state) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, or of each of a stack, non-increasing.
 
-    The eigenvalues lie along the last axis. Negative values above the -1e-10
-    floor are clipped to zero and each vector renormalized to unit sum;
-    a non-finite entry or values below the floor raise InvalidStateError.
+    This is the package's one state check. The eigenvalues lie along the last
+    axis. Negative values above the -1e-10 floor are clipped to zero and each
+    vector renormalized to unit sum; a non-finite entry, an entry of rho - rho^H
+    beyond 1e-12, values below the floor or a zero sum raise InvalidStateError.
+    An empty stack gives an empty stack of vectors.
     """
     rho = np.asarray(state, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
     if not np.isfinite(rho).all():
         raise InvalidStateError("matrix has a non-finite entry")
-    if not np.allclose(rho, rho.conj().swapaxes(-1, -2), rtol=0.0, atol=HERMITICITY_TOL):
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= HERMITICITY_TOL:
         raise InvalidStateError("matrix is not Hermitian within 1e-12")
     w = np.linalg.eigvalsh(rho)[..., ::-1]
-    if w.min() < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"eigenvalue {w.min()} below the {EIGENVALUE_FLOOR} floor")
+    lowest = w.min(initial=0.0)
+    if lowest < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"eigenvalue {lowest} below the {EIGENVALUE_FLOOR} floor")
     w = np.clip(w, 0.0, None)
     total = w.sum(axis=-1, keepdims=True)
     if np.any(total <= 0.0):

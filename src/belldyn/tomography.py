@@ -7,9 +7,9 @@ to trace 1 (see `reconstruct`): a physical linear inversion is that maximum
 in closed form, and an unphysical one goes to a log-det barrier Newton solve.
 Statistical errors come from a parametric bootstrap that resamples the
 observed counts. `bootstrap` solves the point estimates and resamples of many
-records as one batch, and a run reconstructs its sweep rows in such blocks;
-each row's arithmetic is independent of the batch, so it gives the same bits
-as one row at a time, and a resample the bits of `reconstruct` of its counts.
+records in blocks of bounded size; each row's arithmetic is independent of the
+batch, so it gives the same bits as one row at a time, and a resample the bits
+of `reconstruct` of its counts.
 
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
@@ -318,6 +318,10 @@ def _barrier_solve(freqs, x, lowest):
 
 def _estimate(freqs) -> np.ndarray:
     """Normalized extended-likelihood estimates, one per row of freqs; see `reconstruct`."""
+    # the estimator is scale-equivariant: at unit peak, any finite scale of a row solves alike
+    # (a row's total can overflow where its peak cannot)
+    peak = freqs.max(axis=-1, keepdims=True)
+    freqs = freqs / np.where(peak > 0.0, peak, 1.0)
     x = _apply(_STANDARD_INVERSE, freqs)
     lowest = np.linalg.eigvalsh(_matrices(x))[:, 0]
     unphysical = lowest < 0.0
@@ -346,6 +350,9 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
 
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
 
+#: largest `bootstrap` batch: point estimates plus resamples of whole records
+_BLOCK_ROWS = 256
+
 
 def state_quantities(states) -> np.ndarray:
     """The BOOTSTRAP_KEYS of a state, or of each of a stack of states.
@@ -360,13 +367,14 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Point estimates and parametric-bootstrap standard deviations of a stack of records.
 
     Resample r of record i redraws every count from Poisson(observed count) with
-    the substream (seeds[i], r). All estimates are rows of one `_estimate` and one
-    `state_quantities` call, each row with the bits it has alone. Returns two
-    (len(records), 8) arrays in BOOTSTRAP_KEYS order: the point estimates'
-    quantities and the resamples' standard deviations (ddof=1). Raises
-    TomographyInputError unless records is nonempty with one seed each, every
-    seed word is an integer >= 0, and resamples is an integer in
-    [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
+    the substream (seeds[i], r). Records are solved in blocks of at most
+    _BLOCK_ROWS estimates (one record if larger), so memory stays bounded; the
+    estimates of a block are rows of one `_estimate` and one `state_quantities`
+    call, each row with the bits it has alone. Returns two (len(records), 8)
+    arrays in BOOTSTRAP_KEYS order: the point estimates' quantities and the
+    resamples' standard deviations (ddof=1). Raises TomographyInputError unless
+    records is nonempty with one seed each, every seed word is an integer >= 0,
+    and resamples is an integer in [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
     """
     if not _integer_in(resamples, 2, MAX_TOMO_RESAMPLES):
         raise TomographyInputError(
@@ -375,10 +383,14 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < len(records) == len(seeds):
         raise TomographyInputError(f"need 1+ records, one seed each, got {len(seeds)} for {len(records)}")
     words = [_seed_words(seed) for seed in seeds]
-    freqs = np.stack([
-        np.stack([record.counts] + [np.random.default_rng(row_words + [r]).poisson(record.counts)
-                                    for r in range(resamples)]) / record.total_per_setting
-        for record, row_words in zip(records, words)])
-    quantities = state_quantities(_estimate(freqs.reshape(-1, 16))).reshape(len(freqs), 1 + resamples, -1)
-    return quantities[:, 0], quantities[:, 1:].std(axis=1, ddof=1)
-
+    block = max(1, _BLOCK_ROWS // (1 + resamples))
+    out = np.empty((2, len(records), len(BOOTSTRAP_KEYS)))
+    for start in range(0, len(records), block):
+        freqs = np.stack([
+            np.stack([record.counts] + [np.random.default_rng(row_words + [r]).poisson(record.counts)
+                                        for r in range(resamples)]) / record.total_per_setting
+            for record, row_words in zip(records[start:start + block], words[start:start + block])])
+        quantities = state_quantities(_estimate(freqs.reshape(-1, 16))).reshape(len(freqs), 1 + resamples, -1)
+        out[0, start:start + block] = quantities[:, 0]
+        out[1, start:start + block] = quantities[:, 1:].std(axis=1, ddof=1)
+    return out[0], out[1]

@@ -419,8 +419,8 @@ def _tomography_config(resamples, seed=5):
 )
 def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_rows, resamples):
     if block_rows is not None:
-        monkeypatch.setattr(belldyn.cli, "_BLOCK_ROWS", block_rows)
-    limit = max(belldyn.cli._BLOCK_ROWS, 1 + resamples)
+        monkeypatch.setattr(tomography, "_BLOCK_ROWS", block_rows)
+    limit = max(tomography._BLOCK_ROWS, 1 + resamples)
     batches = []
     estimate = tomography._estimate
 
@@ -433,7 +433,7 @@ def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_row
     monkeypatch.setattr(tomography, "_estimate", spy)
     run(config, tmp_path)
     monkeypatch.setattr(tomography, "_estimate", estimate)
-    assert len(batches) == -(-6 // max(1, belldyn.cli._BLOCK_ROWS // (1 + resamples)))
+    assert len(batches) == -(-6 // max(1, tomography._BLOCK_ROWS // (1 + resamples)))
     _reference_write_noisy_csv(sweep(config), config, tmp_path / "reference.csv")
     assert (tmp_path / "noisy.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 

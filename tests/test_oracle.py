@@ -452,6 +452,30 @@ def test_cached_basis_gives_the_same_bits_as_a_fresh_search():
         assert (q_cached, c_cached) == (q_fresh, c_fresh)
 
 
+def test_q_then_c_on_one_matrix_checks_it_once(monkeypatch):
+    calls = []
+
+    def spy(matrix):
+        calls.append(matrix)
+        return validate_state(matrix)
+
+    monkeypatch.setattr(oracle, "validate_state", spy)
+    rho = _random_rotated_state(np.random.default_rng(30))
+    oracle._minimizing_basis.cache_clear()
+    oracle_quantum_correlation(rho)
+    oracle_classical_correlation(rho)
+    assert len(calls) == 1
+
+
+def test_the_same_bytes_in_another_shape_are_not_a_state():
+    # the cache key holds the shape: a (2, 8) view of a searched state still fails
+    rho = _random_rotated_state(np.random.default_rng(31))
+    oracle_quantum_correlation(rho)
+    for takes_state in (oracle_quantum_correlation, oracle_classical_correlation):
+        with pytest.raises(InvalidStateError, match="4x4"):
+            takes_state(rho.reshape(2, 8))
+
+
 def test_a_new_grid_or_a_matrix_one_ulp_away_searches_again():
     rng = np.random.default_rng(28)
     rho = _random_rotated_state(rng)

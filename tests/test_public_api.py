@@ -1,5 +1,6 @@
 """The public surface: `belldyn.__all__` resolves, removed names stay removed, the
-modules import one another in layers, and every exception class lives in `belldyn.errors`."""
+modules import one another in layers, every exception class lives in `belldyn.errors`,
+and every belldyn name the benchmark uses resolves."""
 
 import ast
 import contextlib
@@ -47,6 +48,9 @@ MOVED = {
 
 SOURCE = Path(belldyn.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+#: the benchmark's files that call into belldyn
+PERFBENCH = [Path(__file__).resolve().parents[1] / "perfbench" / name
+             for name in ("workloads.py", "run.py", "worker.py")]
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -118,3 +122,43 @@ def test_readme_library_example_runs():
     lines = printed.getvalue().splitlines()
     assert lines[2] == "101 1"
     assert lines[-1].endswith(" True")  # kappa(-x) is the conjugate of kappa(x)
+
+
+def _dotted(node) -> str | None:
+    """`a.b.c` for a chain of attribute lookups on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + parts[::-1]) if isinstance(node, ast.Name) else None
+
+
+def _belldyn_names(source: str) -> set[str]:
+    """The dotted belldyn names that Python source imports or looks up, also in `-c` code."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(_dotted(node))
+        elif isinstance(node, (ast.List, ast.Tuple)):
+            for flag, code in zip(node.elts, node.elts[1:]):
+                if (isinstance(flag, ast.Constant) and flag.value == "-c"
+                        and isinstance(code, ast.Constant)):
+                    names |= _belldyn_names(code.value)
+    return {name for name in names if name and name.split(".")[0] == "belldyn"}
+
+
+def test_every_belldyn_name_the_benchmark_uses_resolves():
+    # the benchmark runs these files against the source; a moved name would fail
+    # every one of its ops there, not here
+    used = set().union(*(_belldyn_names(path.read_text(encoding="utf-8")) for path in PERFBENCH))
+    assert {"belldyn.cli.main", "belldyn.reconstruct", "belldyn.oracle_ree_bell"} <= used
+    for name in sorted(used):
+        parts = name.split(".")
+        target = importlib.import_module(parts[0])
+        for depth, part in enumerate(parts[1:], start=2):
+            target = (getattr(target, part) if hasattr(target, part)
+                      else importlib.import_module(".".join(parts[:depth])))

@@ -105,6 +105,20 @@ def test_eigenvalues_sorted_rejects_a_non_finite_entry(bad):
         eigenvalues_sorted(np.stack([np.eye(4) / 4.0, rho]))
 
 
+def test_eigenvalues_sorted_of_an_empty_stack_is_an_empty_stack():
+    w = eigenvalues_sorted(np.empty((0, 4, 4)))
+    assert w.shape == (0, 4)
+
+
+def test_validate_state_checks_the_spectrum_before_the_trace():
+    # the one check: a matrix with no positive eigenvalue fails on its spectrum,
+    # also where its trace is off too
+    with pytest.raises(InvalidStateError, match="eigenvalues sum to zero"):
+        validate_state(np.zeros((4, 4)))
+    with pytest.raises(InvalidStateError, match="below the"):
+        validate_state(np.diag([2.0, -0.5, 0.0, 0.0]))
+
+
 def test_validate_bell_spectrum_requires_order():
     with pytest.raises(InvalidStateError, match="not sorted non-increasing"):
         validate_bell_spectrum([0.2, 0.5, 0.2, 0.1])

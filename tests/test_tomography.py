@@ -127,6 +127,18 @@ def test_reconstruct_all_zero_counts_gives_mixed_state():
     np.testing.assert_allclose(reconstruct(rec), np.eye(4) / 4.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale, total", [(1e-300, 1e4), (1e160, 1e4), (1e170, 1e4), (1e300, 1e4),
+                                          (3e304, 1.0)])
+def test_reconstruct_does_not_depend_on_the_scale_of_the_counts(scale, total):
+    # the estimator is scale-equivariant; solved as given, these records ended in
+    # LinAlgError (1e-300, 1e300, 3e304) and NonConvergenceError (1e170); at 3e304
+    # over 1 the frequencies' sum overflows, so a division by it would give I/4
+    for rho in (evolve_state(1.0, 1.0), evolve_state(0.607, 0.385)):
+        record = simulate_counts(rho, 10**4, 0)
+        scaled = TomographyRecord(counts=record.counts * scale, total_per_setting=total)
+        np.testing.assert_allclose(reconstruct(scaled), reconstruct(record), rtol=0.0, atol=1e-12)
+
+
 def test_reconstruct_fidelity_with_noise():
     psi = 0.5 * np.array([1.0, 1.0, 1.0, -1.0], dtype=complex)
     rho = evolve_state(1.0, 1.0)
