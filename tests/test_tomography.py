@@ -211,6 +211,26 @@ def test_bootstrap_of_a_stack_matches_each_record_alone():
         assert np.array_equal(error, bootstrap([record], 9, [seed])[1][0])
 
 
+@pytest.mark.parametrize("kappa_a, kappa_b", [(0.607, 0.3), (0.8, 0.5)])
+def test_error_bars_are_calibrated_against_repeated_experiments(kappa_a, kappa_b):
+    # E = 200 simulated experiments of 10^4 counts per setting, each bootstrapped with
+    # R = 20 resamples. For Gaussian estimates, the bounds are 4 standard errors:
+    # - the spread across experiments, an sd of E values, has relative error
+    #   1/sqrt(2(E-1)) = 0.050; a bootstrap sd has 1/sqrt(2(R-1)) = 0.162, so the median
+    #   of E of them has sqrt(pi/2) 0.162/sqrt(E) = 0.014; their ratio has 0.052, 4x 0.21;
+    # - the 1-sd coverage is a binomial fraction of E: sqrt(0.683 0.317/E) = 0.033, 4x 0.13.
+    # Interior states only: beside a kink or a boundary (C at |kappa_a| = |kappa_b|,
+    # lambda4 at kappa_b = 0) the estimates are biased by about 1 sd or more.
+    experiments, resamples, seed = 200, 20, 7
+    rho = evolve_state(kappa_a, kappa_b)
+    records = [simulate_counts(rho, 10**4, [seed, e, 0]) for e in range(experiments)]
+    values, errors = bootstrap(records, resamples, [[seed, e, 1] for e in range(experiments)])
+    ratio = np.median(errors, axis=0) / values.std(axis=0, ddof=1)
+    coverage = (np.abs(values - tomography.state_quantities(rho)) <= errors).mean(axis=0)
+    assert np.all(np.abs(ratio - 1.0) <= 0.21), dict(zip(BOOTSTRAP_KEYS, ratio))
+    assert np.all(np.abs(coverage - 0.683) <= 0.13), dict(zip(BOOTSTRAP_KEYS, coverage))
+
+
 def test_error_bars_vanish_for_huge_counts():
     rec = exact_record(evolve_state(0.607, 0.385), n=10**8)
     errs = bootstrap([rec], 30, [5])[1][0]
