@@ -161,8 +161,9 @@ def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path
 
     Per sweep-table row: simulate counts from the evolved state, reconstruct, and
     evaluate the correlation measures on the reconstructed spectrum; errors
-    come from the parametric bootstrap. Substreams derive from (seed, index).
-    All rows go to one `tomography.bootstrap` call, which bounds its own memory.
+    come from the parametric bootstrap. Row i draws its counts from the seed words
+    [seed, i, 0] and its resamples from [seed, i, 1], in one `tomography.bootstrap`
+    call for all rows, which bounds its own memory.
     """
     tomo = config.tomography
     keys = tomography.BOOTSTRAP_KEYS
@@ -226,7 +227,8 @@ def _cmd_tomo_demo(args) -> int:
     record = tomography.simulate_counts(rho, tomo.n_per_setting, tomo.seed)
     print(tomography.record_to_csv(record), end="")
     true = tomography.state_quantities(rho)
-    (reconstructed,), (errs,) = tomography.bootstrap([record], tomo.resamples, [tomo.seed + 1])
+    # [seed, 1], not seed + 1: SeedSequence pads with zeros, so [s + 1] would be demo seed s + 1's counts
+    (reconstructed,), (errs,) = tomography.bootstrap([record], tomo.resamples, [[tomo.seed, 1]])
     print()
     print(f"{'quantity':8s} {'true':>12s} {'reconstructed':>14s} {'error':>10s}")
     for name, t, rec, err in zip(tomography.BOOTSTRAP_KEYS, true, reconstructed, errs):

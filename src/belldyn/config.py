@@ -26,8 +26,8 @@ MAX_SWEEP_POINTS = 100_000
 #: largest counts per tomography setting: every count stays an exact integer in
 #: a float (below 2**53), far below numpy's Poisson limit of about 9.2e18
 MAX_TOMO_COUNTS = 10**15
-#: largest number of bootstrap resamples: every resample is a Generator and a
-#: row of the batched solve, so an unbounded size exhausts memory
+#: largest number of bootstrap resamples: every resample is a row of the count
+#: draw and of the batched solve, so an unbounded size exhausts memory
 MAX_TOMO_RESAMPLES = 10**4
 
 #: the config keys of TomographySettings' three values, in field order

@@ -126,11 +126,13 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
 
     Starting from the maximally entangled state (|HH>+|HV>+|VH>-|VV>)/2, the
     coherences pick up kappa_a and kappa_b factors from the two arms. The
-    eigenvalues depend only on the moduli of the two parameters.
+    eigenvalues depend only on the moduli of the two parameters. A modulus up to
+    1 + KAPPA_TOL is clipped to 1, phase kept, as bell_eigenvalues_from_kappas clips.
     """
     ka, kb = complex(kappa_a), complex(kappa_b)
     _kappa_modulus(ka, "kappa_a")
     _kappa_modulus(kb, "kappa_b")
+    ka, kb = (k / abs(k) if abs(k) > 1.0 else k for k in (ka, kb))
     kac, kbc = ka.conjugate(), kb.conjugate()
     return 0.25 * np.array(
         [

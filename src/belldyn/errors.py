@@ -17,9 +17,9 @@ class NonConvergenceError(BelldynError):
 
 
 class TomographyInputError(BelldynError, ValueError):
-    """Malformed tomography input: counts that are not 16 finite nonnegative values, a scale
-    that is not finite and positive or over which a count overflows, counts per setting outside
-    [1, MAX_TOMO_COUNTS], or a bootstrap size outside [2, MAX_TOMO_RESAMPLES]."""
+    """Malformed tomography input: counts that are not 16 finite nonnegative values, counts per
+    setting outside [1, MAX_TOMO_COUNTS], a bootstrap size outside [2, MAX_TOMO_RESAMPLES], or a
+    seed word that is not an integer >= 0."""
 
 
 class DephasingInputError(BelldynError, ValueError):

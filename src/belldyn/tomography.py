@@ -6,16 +6,17 @@ projectors. Reconstruction has one estimator, the maximum of the extended
 to trace 1 (see `reconstruct`): a physical linear inversion is that maximum
 in closed form, and an unphysical one goes to a log-det barrier Newton solve.
 Statistical errors come from a parametric bootstrap that resamples the
-observed counts. `bootstrap` solves the point estimates and resamples of many
-records in blocks of bounded size; each row's arithmetic is independent of the
-batch, so it gives the same bits as one row at a time, and a resample the bits
-of `reconstruct` of its counts.
+observed counts, all of a record's resamples from one Generator. `bootstrap`
+solves the point estimates and resamples of many records in blocks of bounded
+size; each row's arithmetic is independent of the batch, so it gives the same
+bits as one row at a time, and a resample the bits of `reconstruct` of its
+counts.
 
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
 that a fixed seed reproduces outputs bit for bit; a record is 16 counts in that
-order plus the expected counts per setting. A seed is an integer >= 0 or a
-sequence of them, and a malformed size or seed raises TomographyInputError.
+order. A seed is an integer >= 0 or a sequence of them, and a malformed size
+or seed raises TomographyInputError.
 """
 
 from __future__ import annotations
@@ -66,15 +67,13 @@ def _seed_words(seed) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class TomographyRecord:
-    """Counts of the 16 STANDARD_LABELS settings, in that order, at a common expected scale.
+    """Counts of the 16 STANDARD_LABELS settings, in that order.
 
     counts holds a read-only copy of 16 finite nonnegative real numbers; exact
     expected counts (non-integer) are accepted so that noiseless studies stay exact.
-    total_per_setting is one finite positive number, and each count over it is finite.
     """
 
     counts: np.ndarray
-    total_per_setting: float
 
     def __post_init__(self):
         counts = _real_array(self.counts)
@@ -83,12 +82,6 @@ class TomographyRecord:
         ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
         if not ok.all():
             raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
-        if not _holds(lambda n: 0.0 < n * 1.0 < math.inf, self.total_per_setting):
-            raise TomographyInputError(
-                f"total_per_setting must be finite and positive, got {self.total_per_setting!r}")
-        if not float(counts.max()) / float(self.total_per_setting) < math.inf:
-            raise TomographyInputError(
-                f"counts / total_per_setting must be finite, got {counts.max()} / {self.total_per_setting!r}")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -122,7 +115,7 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
         raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting!r}")
     rng = np.random.default_rng(_seed_words(seed))
     counts = rng.poisson(n_per_setting * probabilities(rho)).astype(float)
-    return TomographyRecord(counts=counts, total_per_setting=float(n_per_setting))
+    return TomographyRecord(counts)
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -316,12 +309,12 @@ def _barrier_solve(freqs, x, lowest):
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 
-def _estimate(freqs) -> np.ndarray:
-    """Normalized extended-likelihood estimates, one per row of freqs; see `reconstruct`."""
+def _estimate(counts) -> np.ndarray:
+    """Normalized extended-likelihood estimates, one per row of counts; see `reconstruct`."""
     # the estimator is scale-equivariant: at unit peak, any finite scale of a row solves alike
     # (a row's total can overflow where its peak cannot)
-    peak = freqs.max(axis=-1, keepdims=True)
-    freqs = freqs / np.where(peak > 0.0, peak, 1.0)
+    peak = counts.max(axis=-1, keepdims=True)
+    freqs = counts / np.where(peak > 0.0, peak, 1.0)
     x = _apply(_STANDARD_INVERSE, freqs)
     lowest = np.linalg.eigvalsh(_matrices(x))[:, 0]
     unphysical = lowest < 0.0
@@ -335,8 +328,8 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     """Reconstruct a density matrix: the extended-likelihood optimum, normalized.
 
     The estimator maximizes the extended (free-trace) Poisson likelihood
-    sum_k (n_k log q_k - N q_k), q_k = tr(P_k rho), over rho >= 0 and
-    normalizes the trace (James et al., PRA 64 052312, 2001):
+    sum_k (n_k log q_k - q_k), q_k = tr(P_k rho), over rho >= 0 of any trace
+    and normalizes the trace (James et al., PRA 64 052312, 2001):
     - a linear inversion whose eigenvalues are all >= 0 reproduces every
       observed frequency and is the optimum, returned as rho_lin / tr rho_lin;
     - otherwise a log-det barrier Newton solve (`_barrier_solve`) gives an
@@ -345,7 +338,7 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     Exact (noiseless) counts of a full-rank state reproduce it. Raises
     NonConvergenceError if the solve fails.
     """
-    return _estimate(record.counts[None] / record.total_per_setting)[0]
+    return _estimate(record.counts[None])[0]
 
 
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
@@ -366,15 +359,16 @@ def state_quantities(states) -> np.ndarray:
 def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """Point estimates and parametric-bootstrap standard deviations of a stack of records.
 
-    Resample r of record i redraws every count from Poisson(observed count) with
-    the substream (seeds[i], r). Records are solved in blocks of at most
-    _BLOCK_ROWS estimates (one record if larger), so memory stays bounded; the
-    estimates of a block are rows of one `_estimate` and one `state_quantities`
-    call, each row with the bits it has alone. Returns two (len(records), 8)
-    arrays in BOOTSTRAP_KEYS order: the point estimates' quantities and the
-    resamples' standard deviations (ddof=1). Raises TomographyInputError unless
-    records is nonempty with one seed each, every seed word is an integer >= 0,
-    and resamples is an integer in [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
+    Record i's resamples redraw every count from Poisson(observed count): one
+    (resamples, 16) draw from the Generator seeded with seeds[i]. Records are
+    solved in blocks of at most _BLOCK_ROWS estimates (one record if larger), so
+    memory stays bounded; the estimates of a block are rows of one `_estimate`
+    and one `state_quantities` call, each row with the bits it has alone.
+    Returns two (len(records), 8) arrays in BOOTSTRAP_KEYS order: the point
+    estimates' quantities and the resamples' standard deviations (ddof=1).
+    Raises TomographyInputError unless records is nonempty with one seed each,
+    every seed word is an integer >= 0, and resamples is an integer in
+    [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
     """
     if not _integer_in(resamples, 2, MAX_TOMO_RESAMPLES):
         raise TomographyInputError(
@@ -386,11 +380,10 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     block = max(1, _BLOCK_ROWS // (1 + resamples))
     out = np.empty((2, len(records), len(BOOTSTRAP_KEYS)))
     for start in range(0, len(records), block):
-        freqs = np.stack([
-            np.stack([record.counts] + [np.random.default_rng(row_words + [r]).poisson(record.counts)
-                                        for r in range(resamples)]) / record.total_per_setting
-            for record, row_words in zip(records[start:start + block], words[start:start + block])])
-        quantities = state_quantities(_estimate(freqs.reshape(-1, 16))).reshape(len(freqs), 1 + resamples, -1)
+        counts = np.stack([
+            np.vstack([record.counts, np.random.default_rng(seed).poisson(record.counts, (resamples, 16))])
+            for record, seed in zip(records[start:start + block], words[start:start + block])])
+        quantities = state_quantities(_estimate(counts.reshape(-1, 16))).reshape(len(counts), 1 + resamples, -1)
         out[0, start:start + block] = quantities[:, 0]
         out[1, start:start + block] = quantities[:, 1:].std(axis=1, ddof=1)
     return out[0], out[1]

@@ -221,7 +221,7 @@ def test_criterion_9_tomography():
     roundtrip_err = 0.0
     for _ in range(20):
         rho = random_density_matrix(rng)
-        record = TomographyRecord(counts=10**6 * probabilities(rho), total_per_setting=1e6)
+        record = TomographyRecord(10**6 * probabilities(rho))
         roundtrip_err = max(roundtrip_err, float(np.abs(reconstruct(record) - rho).max()))
 
     psi = 0.5 * np.array([1.0, 1.0, 1.0, -1.0], dtype=complex)

@@ -448,13 +448,13 @@ def test_main_tomo_demo_output_is_pinned(capsys):
         "DD,2529\nDL,2470\nLH,2572\nLD,2496\nLL,4900\nLV,2523\nVL,2454\nVD,22\n"
         "\n"
         "quantity         true  reconstructed      error\n"
-        "I            1.873792       1.900106   0.036428\n"
-        "C            0.954585       0.980749   0.013403\n"
-        "Q            0.919207       0.919358   0.033168\n"
-        "REE          0.887941       0.907446   0.034388\n"
-        "lambda1      0.985050       0.988192   0.005750\n"
-        "lambda2      0.009950       0.009981   0.005502\n"
-        "lambda3      0.004950       0.001827   0.001409\n"
+        "I            1.873792       1.900106   0.036140\n"
+        "C            0.954585       0.980749   0.014385\n"
+        "Q            0.919207       0.919358   0.033873\n"
+        "REE          0.887941       0.907446   0.034260\n"
+        "lambda1      0.985050       0.988192   0.005733\n"
+        "lambda2      0.009950       0.009981   0.005613\n"
+        "lambda3      0.004950       0.001827   0.001542\n"
         "lambda4      0.000050       0.000000   0.000000\n"
     )
 
@@ -513,6 +513,44 @@ def test_main_run_and_landmarks_roundtrip(tmp_path, capsys):
     for key, value in written.items():
         # csv stores 9 significant digits, so recomputation differs in the tail
         assert recomputed[key] == pytest.approx(value, abs=1e-5), key
+
+
+def test_tomo_demo_seeds_of_adjacent_demos_are_distinct(monkeypatch, capsys):
+    # SeedSequence pads its words with zeros, so seed + 1 for the resamples would be the
+    # next demo seed's count stream
+    seeds = []
+    simulate, resample = tomography.simulate_counts, tomography.bootstrap
+
+    def simulate_spy(rho, n, seed):
+        seeds.append(seed)
+        return simulate(rho, n, seed)
+
+    def bootstrap_spy(records, resamples, row_seeds):
+        seeds.extend(row_seeds)
+        return resample(records, resamples, row_seeds)
+
+    monkeypatch.setattr(tomography, "simulate_counts", simulate_spy)
+    monkeypatch.setattr(tomography, "bootstrap", bootstrap_spy)
+    for seed in ("3", "4"):
+        assert main(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--counts", "100",
+                     "--seed", seed]) == 0
+    capsys.readouterr()
+    states = {tuple(np.random.SeedSequence(tomography._seed_words(seed)).generate_state(4))
+              for seed in seeds}
+    assert len(seeds) == len(states) == 4
+
+
+def test_run_accepts_kappa_within_the_tolerance_above_1(tmp_path, capsys):
+    # the weights sum to 1 + 9e-10, within the config's tolerance, so |kappa_b| at x = 0
+    # exceeds 1 by about as much; the 4x4 state is built at |kappa_b| = 1
+    cfg = tmp_path / "tolerance.cfg"
+    cfg.write_text("x_a = 5000\nfilter_a = 3.0\nx_b_max = 10\nstep = 2\n"
+                   "tomo_counts = 1000\ntomo_resamples = 2\ntomo_seed = 1\n[spectrum_b]\n"
+                   "component = 0.5000000009, 778.853, 0.85\ncomponent = 0.5, 780.160, 0.85\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_sweep_csv(tmp_path / "out" / "sweep.csv")["kappa_b_abs"][0] == 1.0
+    assert len((tmp_path / "out" / "noisy.csv").read_text().splitlines()) == 7
 
 
 def test_main_tomo_demo(capsys):

@@ -336,6 +336,16 @@ def test_evolve_state_eigenvalues_ignore_phases():
         np.testing.assert_allclose(lams, bell_eigenvalues_from_kappas(ka, kb), atol=1e-10)
 
 
+def test_evolve_state_clips_a_modulus_within_the_tolerance_to_1():
+    # from the unclipped kappa the state has the eigenvalue -2.25e-10, below the -1e-10 floor
+    validate_state(evolve_state(1 + 9e-10, 0))
+    kappa = (1 + 9e-10) * np.exp(0.3j)
+    rho = evolve_state(0.6, kappa)
+    assert np.angle(rho[1, 0]) == pytest.approx(0.3, abs=1e-15)
+    np.testing.assert_allclose(eigenvalues_sorted(rho), bell_eigenvalues_from_kappas(0.6, 1.0),
+                               rtol=0.0, atol=1e-12)
+
+
 def test_evolve_state_rejects_large_kappa():
     with pytest.raises(InvalidStateError, match=r"\|kappa_a\| must be at most 1, got 1.2"):
         evolve_state(1.2, 0.5)
