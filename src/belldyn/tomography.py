@@ -6,11 +6,10 @@ projectors. Reconstruction has one estimator, the maximum of the extended
 to trace 1 (see `reconstruct`): a physical linear inversion is that maximum
 in closed form, and an unphysical one goes to a log-det barrier Newton solve.
 Statistical errors come from a parametric bootstrap that resamples the
-observed counts, all of a record's resamples from one Generator. `bootstrap`
-solves the point estimates and resamples of many records in blocks of bounded
-size; each row's arithmetic is independent of the batch, so it gives the same
-bits as one row at a time, and a resample the bits of `reconstruct` of its
-counts.
+observed counts. `bootstrap` solves the point estimates and resamples of many
+records in blocks of bounded size; each row's arithmetic is independent of the
+batch, so it gives the same bits as one row at a time, and a resample the bits
+of `reconstruct` of its counts.
 
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
