@@ -25,7 +25,6 @@ from .dephasing import (
     effective_retardation,
     evolve_state,
     find_crossing,
-    kappa_gaussian,
     sigma_from_fwhm,
     sweep,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "eigenvalues_sorted",
     "evolve_state",
     "find_crossing",
-    "kappa_gaussian",
     "oracle_classical_correlation",
     "oracle_quantum_correlation",
     "oracle_ree_bell",

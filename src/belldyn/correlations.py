@@ -5,9 +5,9 @@ the distance to the closest classical state, classical correlation the
 distance from that state to the closest product state, total mutual
 information the distance to the product of the marginals, and the
 entanglement measure the distance to the closest separable state. For
-Bell-diagonal states every one of these has a closed form in the four
-eigenvalues, and `bell_eigenvalues_from_kappas` gives those from the two
-decoherence parameters.
+Bell-diagonal states each is a sum of pair relative entropies in the four
+eigenvalues (`bell_correlations`), and `bell_eigenvalues_from_kappas` gives
+those from the two decoherence parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidStateError
-from .qstate import shannon_bits, validate_bell_spectrum
+from .qstate import validate_bell_spectrum
 
 KAPPA_TOL = 1e-9
 
@@ -28,24 +28,32 @@ def _kappa_modulus(kappa, name):
     return np.minimum(k, 1.0)
 
 
+def _pair_bits(a, b):
+    """(a + b)(1 - h(a / (a + b))) bits, h the binary entropy: the relative entropy of
+    weights a, b >= 0 to their average. As (a + b)(d atanh d + log1p(-d^2) / 2) / ln 2,
+    d = |a - b| / (a + b), it does not cancel as d -> 0; d = 1 gives a + b, a + b = 0 gives 0."""
+    total = a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.abs(a - b) / total
+        bits = total * (d * np.arctanh(d) + 0.5 * np.log1p(-d * d)) / np.log(2.0)
+    return np.where(d < 1.0, bits, total)
+
+
 def bell_correlations(spectra):
     """Total, classical, quantum and entanglement correlations (I, C, Q, REE) in bits.
 
-    `spectra` holds sorted spectra along its last axis; each result has the
-    leading shape, a numpy float64 for one spectrum. With chi the closest
-    classical spectrum and l1 the largest eigenvalue: I = 2 - S(rho),
-    C = 2 - S(chi), Q = S(chi) - S(rho), and REE = 1 - H(l1, 1 - l1) for
-    l1 > 1/2, else zero (the state is separable).
+    `spectra` holds sorted spectra along its last axis; each result has the leading
+    shape, a numpy float64 for one spectrum. With pair = `_pair_bits` and chi the
+    closest classical spectrum: C = pair(l1 + l2, l3 + l4) = 2 - S(chi),
+    Q = pair(l1, l2) + pair(l3, l4) = S(chi) - S(rho), I = C + Q = 2 - S(rho), and
+    REE = pair(l1, 1 - l1) = 1 - H(l1, 1 - l1) for l1 > 1/2, else zero (separable).
     """
-    lam = validate_bell_spectrum(spectra)
-    chi = np.repeat((lam[..., 0::2] + lam[..., 1::2]) / 2.0, 2, axis=-1)
-    l1 = lam[..., 0]
-    zero = np.zeros_like(l1)
-    binary = np.stack([l1, 1.0 - l1, zero, zero], axis=-1)
-    s_rho, s_chi, h_l1 = shannon_bits(np.stack([lam, chi, binary]), axis=-1)
+    l1, l2, l3, l4 = np.moveaxis(validate_bell_spectrum(spectra), -1, 0)
+    classical, q12, q34, ree = _pair_bits(np.stack([l1 + l2, l1, l3, l1]),
+                                          np.stack([l3 + l4, l2, l4, 1.0 - l1]))
+    quantum = q12 + q34
     # [()] makes the 0-d result of one spectrum a scalar, as the other three are
-    ree = np.where(l1 > 0.5, np.maximum(1.0 - h_l1, 0.0), 0.0)[()]
-    return 2.0 - s_rho, 2.0 - s_chi, np.maximum(s_chi - s_rho, 0.0), ree
+    return classical + quantum, classical, quantum, np.where(l1 > 0.5, ree, 0.0)[()]
 
 
 def quantum_correlation_bell(spectrum) -> float:
@@ -59,10 +67,8 @@ def classical_correlation_bell(spectrum) -> float:
 
 
 def ree_bell(spectrum) -> float:
-    """Relative entropy of entanglement of a Bell-diagonal spectrum.
-
-    1 - H(l1, 1 - l1) for largest eigenvalue l1 > 1/2, zero otherwise.
-    """
+    """Relative entropy of entanglement of a Bell-diagonal spectrum: pair(l1, 1 - l1)
+    = 1 - H(l1, 1 - l1) for largest eigenvalue l1 > 1/2, zero otherwise."""
     return float(bell_correlations(spectrum)[3])
 
 

@@ -5,10 +5,10 @@ meters) multiplies the polarization coherences of a photon by the decoherence
 parameter kappa(x) = integral f(omega) exp(i x omega / c) domega over its
 frequency density f. Every density is a Gaussian mixture, `MultiGaussian`, a
 table of (amplitude, center, width) rows in rad/s: arm a's continuous filter
-is one row and arm b's discrete multi-peaked spectrum several, and kappa is
-the weighted sum of the rows' closed form `kappa_gaussian`. A polarization
-exchange (sigma_x) inserted at some retardation flips the sign of subsequent
-phase accrual, so later retardation unwinds earlier dephasing and produces
+is one row and arm b's discrete multi-peaked spectrum several, and kappa is the
+weighted sum of the rows' closed forms, in one broadcast. A polarization exchange
+(sigma_x) inserted at some retardation flips the sign of subsequent phase
+accrual, so later retardation unwinds earlier dephasing and produces
 correlation echoes; a negative net retardation gives the conjugate kappa.
 
 An `ExperimentConfig` (see `belldyn.config`) gives one experiment as the
@@ -54,28 +54,6 @@ def sigma_from_fwhm(fwhm_wavelength: float, reference_wavelength: float) -> floa
     return 2.0 * math.pi * SPEED_OF_LIGHT * fwhm_wavelength / reference_wavelength**2
 
 
-def kappa_gaussian(x, sigma: float, omega0: float):
-    """Decoherence parameter of a single Gaussian density.
-
-    exp[-(x/c)^2 sigma^2 / 16 + i (x/c) omega0], so kappa(-x) = conj(kappa(x))
-    and the modulus is monotone non-increasing in |x|. x may be a scalar or an
-    array. Where the exponent overflows the value is its exact limit 0, whatever
-    the phase; where only the phase overflows, DephasingInputError names the range.
-    """
-    x = np.asarray(x, dtype=float)
-    u = x / SPEED_OF_LIGHT
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponent = -(u * sigma) ** 2 / 16.0
-        phase = u * omega0
-        kappa = np.exp(exponent + 1j * phase)
-    undefined = (exponent > -math.inf) & ~np.isfinite(phase)
-    if undefined.any():
-        limit = SPEED_OF_LIGHT * (np.finfo(float).max / omega0)
-        raise DephasingInputError(f"retardation {abs(x[undefined][0]):.6g} m is out of range: "
-                                  f"the phase (x/c)*omega0 overflows beyond {limit:.6g} m")
-    return np.where(exponent == -math.inf, 0j, kappa)[()]
-
-
 @dataclass(frozen=True, eq=False)
 class MultiGaussian:
     """Frequency density as a Gaussian mixture: a read-only (k, 3) float array of
@@ -99,7 +77,24 @@ class MultiGaussian:
         object.__setattr__(self, "components", rows)
 
     def kappa(self, x):
-        return sum(w * kappa_gaussian(x, width, center) for w, center, width in self.components)
+        """Sum over rows of amplitude * exp[-(x/c)^2 width^2 / 16 + i (x/c) center] at
+        retardations x (m). A row whose exponent overflows adds its exact limit 0; where
+        only a phase overflows, or x is NaN, DephasingInputError names the retardation."""
+        x = np.asarray(x, dtype=float)
+        if np.isnan(x).any():
+            raise DephasingInputError("retardation must be a number, got nan")
+        weight, center, width = self.components.T
+        u = x[..., None] / SPEED_OF_LIGHT
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponent = -(u * width) ** 2 / 16.0
+            phase = u * center
+            terms = np.exp(exponent + 1j * phase)
+        undefined = ((exponent > -math.inf) & ~np.isfinite(phase)).any(axis=-1)
+        if undefined.any():
+            limit = SPEED_OF_LIGHT * (np.finfo(float).max / center.max())
+            raise DephasingInputError(f"retardation {abs(x[undefined][0]):.6g} m is out of range: "
+                                      f"the phase (x/c)*omega0 overflows beyond {limit:.6g} m")
+        return (weight * np.where(exponent == -math.inf, 0j, terms)).sum(axis=-1)[()]
 
 
 def effective_retardation(x, sigma_x_points):

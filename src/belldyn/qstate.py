@@ -20,16 +20,15 @@ EIGENVALUE_FLOOR = -1e-10
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 
-def shannon_bits(p: np.ndarray, axis=None) -> np.ndarray | float:
-    """Shannon entropy -sum p log2 p with the 0 log 0 = 0 convention.
+def shannon_bits(p: np.ndarray) -> float:
+    """Shannon entropy -sum p log2 p of one probability vector, with 0 log 0 = 0.
 
-    Negative roundoff is clipped to zero before taking logs. Works on any
-    array shape; `axis` selects the probability axis.
+    Negative roundoff is clipped to zero before taking logs.
     """
     p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=axis)
+    return -terms.sum()
 
 
 def validate_state(matrix: np.ndarray) -> np.ndarray:

@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -201,12 +204,54 @@ def test_branch_continuity_at_equal_kappas():
     assert lo_classical == pytest.approx(hi_classical, abs=1e-9)
 
 
+def _spectra_summing_to_one():
+    """Sorted spectra whose float entries sum to exactly 1, each pair to a power of 2.
+
+    l1 = 1/2 + 10^-k with l2 = 1 - l1 (l1 ~ l2, zero l3 and l4), the same l1 with
+    l3 = 1/8 + 10^-k ~ l4, and fixed spectra with zeros and with l1 = 1/2.
+    """
+    spectra = [(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), (0.25,) * 4, (0.5, 0.25, 0.25, 0.0),
+               (0.75, 0.125, 0.125, 0.0), (0.4, 0.625 - 0.4, 0.2, 0.375 - 0.2)]
+    for k in range(1, 9):
+        l1 = 0.5 + 10.0**-k
+        spectra.append((l1, 1.0 - l1, 0.0, 0.0))
+        if k >= 2:
+            l3 = 0.125 + 10.0**-k
+            spectra.append((l1, 0.75 - l1, l3, 0.25 - l3))
+    assert all(sum(map(Fraction, spectrum)) == 1 for spectrum in spectra)
+    return np.array(spectra)
+
+
+def _measures_to_40_digits(spectrum):
+    """I, C, Q, REE as differences of Shannon entropies, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        lam = [mpmath.mpf(float(v)) for v in spectrum]
+        chi = [(lam[0] + lam[1]) / 2] * 2 + [(lam[2] + lam[3]) / 2] * 2
+
+        def entropy(p):
+            return -mpmath.fsum(v * mpmath.log(v, 2) for v in p if v > 0)
+
+        ree = 1 - entropy([lam[0], 1 - lam[0]]) if lam[0] > 0.5 else 0
+        return 2 - entropy(lam), 2 - entropy(chi), entropy(chi) - entropy(lam), ree
+
+
+def test_measures_match_a_40_digit_reference():
+    # near l1 = 1/2 and between near-equal eigenvalues the entropy differences
+    # cancel in float; 1e-35 absorbs the 40-digit rounding of an exact zero
+    spectra = _spectra_summing_to_one()
+    got = np.column_stack(bell_correlations(spectra))
+    for spectrum, row in zip(spectra, got):
+        want = _measures_to_40_digits(spectrum)
+        for name, value, exact in zip(("I", "C", "Q", "REE"), row, want):
+            assert abs(value - exact) <= 1e-14 * abs(exact) + 1e-35, (name, spectrum, value)
+
+
 def test_total_is_sum_of_parts():
     rng = np.random.default_rng(14)
-    for _ in range(50):
-        lam = random_bell_spectrum(rng)
+    spectra = [random_bell_spectrum(rng) for _ in range(50)] + list(_spectra_summing_to_one())
+    for lam in spectra:
         total, classical, quantum, ree = (float(v) for v in bell_correlations(lam))
-        assert total == pytest.approx(quantum + classical, abs=1e-9)
+        assert total == quantum + classical
         assert quantum >= 0.0 and classical >= 0.0 and ree >= 0.0
         assert total <= 2.0 + 1e-12
         assert ree <= 1.0 + 1e-12

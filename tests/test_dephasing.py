@@ -14,7 +14,6 @@ from belldyn.dephasing import (
     effective_retardation,
     evolve_state,
     find_crossing,
-    kappa_gaussian,
     sigma_from_fwhm,
     sweep,
 )
@@ -41,6 +40,8 @@ FP_NM = ((0.37, 778.853, 0.85), (0.44, 780.160, 0.85), (0.19, 781.459, 0.85))
 FP_COMPONENTS = np.array(
     [(w, angular_frequency(c * 1e-9), sigma_from_fwhm(f * 1e-9, 780e-9)) for w, c, f in FP_NM]
 )
+#: arm a's 3 nm filter at 780 nm: a single Gaussian is a one-row mixture
+FILTER_3NM = MultiGaussian([(1.0, OMEGA_780, SIGMA_3NM)])
 
 
 def _sampled_gaussian(n=6001, half_width=4.0, normalize=True):
@@ -52,45 +53,37 @@ def _sampled_gaussian(n=6001, half_width=4.0, normalize=True):
     return omega, density / np.trapezoid(density, omega) if normalize else density
 
 
-def test_kappa_gaussian_at_zero():
-    assert kappa_gaussian(0.0, SIGMA_3NM, OMEGA_780) == 1.0 + 0.0j
+def test_gaussian_kappa_at_zero():
+    assert FILTER_3NM.kappa(0.0) == 1.0 + 0.0j
 
 
-def test_kappa_gaussian_half_exponent():
-    # (x/c)^2 sigma^2 / 16 = 1/2 at x = c and sigma = sqrt(8)
-    k = kappa_gaussian(SPEED_OF_LIGHT, math.sqrt(8.0), 0.0)
-    assert k == pytest.approx(math.exp(-0.5), abs=1e-12)
+def test_gaussian_kappa_half_exponent():
+    # (x/c)^2 sigma^2 / 16 = 1/2 at x = c and sigma = sqrt(8); the center only turns the phase
+    k = MultiGaussian([(1.0, 1.0, math.sqrt(8.0))]).kappa(SPEED_OF_LIGHT)
+    assert abs(k) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
 
-def test_kappa_gaussian_matches_quadrature():
+def test_gaussian_kappa_matches_quadrature():
     rng = np.random.default_rng(30)
     for _ in range(12):
         x = rng.uniform(0.0, 250.0) * LAM0
-        closed = kappa_gaussian(x, SIGMA_3NM, OMEGA_780)
+        closed = FILTER_3NM.kappa(x)
         numeric = quadrature_kappa(x, *_sampled_gaussian(20001, 5.0, normalize=False))
         assert abs(closed - numeric) < 1e-6
 
 
-def test_kappa_gaussian_filter_calibration():
+def test_gaussian_kappa_filter_calibration():
     # 3 nm filter at 117 lambda0 of retardation
-    k = kappa_gaussian(117 * LAM0, SIGMA_3NM, OMEGA_780)
-    assert abs(k) == pytest.approx(0.607, abs=0.010)
+    assert abs(FILTER_3NM.kappa(117 * LAM0)) == pytest.approx(0.607, abs=0.010)
 
 
-def test_kappa_gaussian_modulus_monotone():
-    xs = np.linspace(0.0, 400.0, 200) * LAM0
-    mods = [abs(kappa_gaussian(x, SIGMA_3NM, OMEGA_780)) for x in xs]
+def test_gaussian_kappa_modulus_monotone():
+    mods = np.abs(FILTER_3NM.kappa(np.linspace(0.0, 400.0, 200) * LAM0))
     assert np.all(np.diff(mods) <= 0.0)
 
 
 def test_kappa_multi_gaussian_at_zero():
     assert MultiGaussian(FP_COMPONENTS).kappa(0.0) == 1.0 + 0.0j
-
-
-def test_kappa_multi_gaussian_single_component_reduction():
-    for x in (0.0, 40 * LAM0, 333 * LAM0):
-        assert MultiGaussian([(1.0, OMEGA_780, SIGMA_3NM)]).kappa(x) == kappa_gaussian(
-            x, SIGMA_3NM, OMEGA_780)
 
 
 def test_kappa_multi_gaussian_normalization_error():
@@ -113,7 +106,7 @@ def test_kappa_modulus_bounded():
 
 def test_kappa_quadrature_at_zero():
     numeric = quadrature_kappa(0.0, *_sampled_gaussian())
-    assert abs(numeric - kappa_gaussian(0.0, SIGMA_3NM, OMEGA_780)) < 1e-6
+    assert abs(numeric - FILTER_3NM.kappa(0.0)) < 1e-6
 
 
 def test_kappa_quadrature_matches_closed_form():
@@ -121,7 +114,7 @@ def test_kappa_quadrature_matches_closed_form():
     rng = np.random.default_rng(31)
     for _ in range(20):
         x = rng.uniform(0.0, 300.0) * LAM0
-        assert abs(quadrature_kappa(x, *grid) - kappa_gaussian(x, SIGMA_3NM, OMEGA_780)) < 1e-4
+        assert abs(quadrature_kappa(x, *grid) - FILTER_3NM.kappa(x)) < 1e-4
 
 
 def _sampled_fp(n=12001):
@@ -141,26 +134,30 @@ def test_kappa_quadrature_matches_multi_gaussian():
         assert abs(quadrature_kappa(x, *grid) - MultiGaussian(FP_COMPONENTS).kappa(x)) < 1e-4
 
 
-def test_kappa_gaussian_is_zero_past_envelope_overflow():
+def test_kappa_is_zero_past_envelope_overflow():
     # (x/c)^2 sigma^2 overflows: the envelope's exact limit 0, with no numpy warning
-    assert kappa_gaussian(1e300, SIGMA_3NM, OMEGA_780) == 0.0
-    got = kappa_gaussian(np.array([0.0, 1e300, 1e306]), SIGMA_3NM, OMEGA_780)
-    np.testing.assert_array_equal(got, [1.0, 0.0, 0.0])
+    assert FILTER_3NM.kappa(1e300) == 0.0
+    np.testing.assert_array_equal(FILTER_3NM.kappa(np.array([0.0, 1e300, 1e306])), [1.0, 0.0, 0.0])
     assert MultiGaussian(FP_COMPONENTS).kappa(1e308) == 0.0
 
 
-def test_kappa_gaussian_names_the_range_where_only_the_phase_overflows():
-    # sigma 1e-300 keeps the envelope at 1 where (x/c) omega0 overflows; the
+def test_kappa_names_the_range_where_only_the_phase_overflows():
+    # width 1e-300 keeps the envelope at 1 where (x/c) omega0 overflows; the
     # limit is c * max_float / omega0
     limit = SPEED_OF_LIGHT * (np.finfo(float).max / OMEGA_780)
     narrow = MultiGaussian([(1.0, OMEGA_780, 1e-300)])
-    for call in (lambda x: kappa_gaussian(x, 1e-300, OMEGA_780), narrow.kappa):
-        # the same |x| for +x and -x
-        for x in (1e308, -1e308, np.array([0.0, -1e308]), np.array([0.0, 1e308])):
-            with pytest.raises(DephasingInputError) as info:
-                call(x)
-            assert str(info.value) == ("retardation 1e+308 m is out of range: the phase "
-                                       f"(x/c)*omega0 overflows beyond {limit:.6g} m")
+    # the same |x| for +x and -x
+    for x in (1e308, -1e308, np.array([0.0, -1e308]), np.array([0.0, 1e308])):
+        with pytest.raises(DephasingInputError) as info:
+            narrow.kappa(x)
+        assert str(info.value) == ("retardation 1e+308 m is out of range: the phase "
+                                   f"(x/c)*omega0 overflows beyond {limit:.6g} m")
+
+
+def test_kappa_rejects_a_nan_retardation():
+    for x in (math.nan, np.array([0.0, math.nan])):
+        with pytest.raises(DephasingInputError, match="retardation must be a number, got nan"):
+            MultiGaussian(FP_COMPONENTS).kappa(x)
 
 
 @pytest.mark.parametrize(
@@ -435,7 +432,7 @@ def test_sweep_sampled_spectrum_matches_multi_gaussian():
     assert np.min(x_eff) < 0.0
     kappa_b = QuadratureSpectrum(*_sampled_fp()).kappa(np.abs(x_eff))
     kappa_b = np.where(x_eff < 0.0, np.conj(kappa_b), kappa_b)
-    kappa_a = np.full(61, kappa_gaussian(117.0 * LAM0, SIGMA_3NM, OMEGA_780))
+    kappa_a = np.full(61, FILTER_3NM.kappa(117.0 * LAM0))
     lam = bell_eigenvalues_from_kappas(kappa_a, kappa_b)
     want = {"x_b": x_b, "x_over_lambda0": x_b / LAM0, "kappa_a": kappa_a, "kappa_b": kappa_b,
             "kappa_a_abs": np.abs(kappa_a), "kappa_b_abs": np.abs(kappa_b)}

@@ -25,7 +25,7 @@ REMOVED = {
                              "bell_diagonal_state", "BELL_KETS"),
     "belldyn.dephasing": ("kappa_multi_gaussian", "SingleGaussian", "SampledSpectrum",
                           "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0", "SweepConfig",
-                          "GaussianComponent"),
+                          "GaussianComponent", "kappa_gaussian"),
     "belldyn.cli": ("to_sweep_config", "write_landmarks", "_UsageError"),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
                        "NormalizationError", "CountsRangeError", "OracleInputError",

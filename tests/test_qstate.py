@@ -127,8 +127,3 @@ def test_validate_bell_spectrum_requires_order():
 def test_validate_bell_spectrum_requires_normalization():
     with pytest.raises(InvalidStateError, match="not summing to 1 within 1e-12"):
         validate_bell_spectrum([0.5, 0.3, 0.1, 0.2])
-
-
-def test_shannon_bits_vectorized():
-    p = np.array([[0.5, 0.25], [0.5, 0.25], [0.0, 0.25], [0.0, 0.25]])
-    np.testing.assert_allclose(shannon_bits(p, axis=0), [1.0, 2.0], atol=1e-12)
