@@ -77,12 +77,17 @@ def write_sweep_csv(series: dict[str, np.ndarray], path) -> None:
 def read_sweep_csv(path) -> dict[str, np.ndarray]:
     """SWEEP_COLUMNS of a sweep.csv by header name.
 
-    Malformed or non-UTF-8 text, and a NaN or infinite cell, raise ParseError.
+    Malformed or non-UTF-8 text, a header that names a column twice, and a NaN
+    or infinite cell, raise ParseError.
     """
     header, _, body = _read_utf8(path).partition("\n")
     if not body.strip():
         raise ParseError(f"{path}: empty sweep file")
-    index = {name: i for i, name in enumerate(header.split(","))}
+    names = header.split(",")
+    index = {name: i for i, name in enumerate(names)}
+    duplicated = dict.fromkeys(name for i, name in enumerate(names) if index[name] != i)
+    if duplicated:
+        raise ParseError(f"{path}: duplicated columns {', '.join(duplicated)}")
     missing = [name for name in SWEEP_COLUMNS if name not in index]
     if missing:
         raise ParseError(f"{path}: missing columns {', '.join(missing)}")

@@ -127,36 +127,17 @@ def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (matrix @ vectors[..., None])[..., 0]
 
 
-def _hermitian_basis() -> np.ndarray:
-    """Orthonormal Hermitian basis of the 4x4 matrices, one flattened matrix per row.
-
-    The 4 diagonal units, then (E_ab + E_ba)/sqrt2 and i(E_ab - E_ba)/sqrt2
-    for the 6 pairs a > b; a state's 16 real coordinates x give
-    rho = sum_j x_j B_j, and tr rho = x_0 + x_1 + x_2 + x_3.
-    """
-    basis = np.zeros((16, 4, 4), dtype=complex)
-    basis[range(4), range(4), range(4)] = 1.0
-    rows, cols = np.tril_indices(4, -1)
-    pair = np.arange(6)
-    basis[4 + pair, rows, cols] = basis[4 + pair, cols, rows] = 1.0 / math.sqrt(2.0)
-    basis[10 + pair, rows, cols] = 1j / math.sqrt(2.0)
-    basis[10 + pair, cols, rows] = -1j / math.sqrt(2.0)
-    return basis.reshape(16, 16)
-
-
-_BASIS = _hermitian_basis()
+#: the dual frame of STANDARD_PROJECTORS, one flattened matrix D_k per row with
+#: tr(P_j D_k) = delta_jk, symmetrized once so that each D_k is exactly Hermitian:
+#: a state's 16 real coordinates are its probabilities x_k = tr(P_k rho), and
+#: rho = sum_k x_k D_k (the settings are informationally complete)
+_DUAL = np.linalg.inv(STANDARD_PROJECTORS.reshape(16, 16)).T.reshape(16, 4, 4)  # each D_k transposed
+_DUAL = (0.5 * (_DUAL.swapaxes(1, 2) + _DUAL.conj())).reshape(16, 16)
 
 
 def _matrices(x: np.ndarray) -> np.ndarray:
-    """The 4x4 Hermitian matrices with coordinates x, one per row."""
-    return _apply(_BASIS.T, x).reshape(-1, 4, 4)
-
-
-#: the real map from the coordinates of rho to the probabilities tr(P_k rho) of the
-#: standard settings, and its inverse (the 16 settings are informationally
-#: complete, so the system is square and of full rank)
-_STANDARD_MAP = (STANDARD_PROJECTORS.reshape(16, 16) @ _BASIS.conj().T).real
-_STANDARD_INVERSE = np.linalg.inv(_STANDARD_MAP)
+    """The 4x4 Hermitian matrices sum_k x_k D_k, one per row of coordinates x."""
+    return _apply(_DUAL.T, x).reshape(-1, 4, 4)
 
 
 #: barrier weight over the total frequency, one value per stage; the last one
@@ -180,45 +161,43 @@ _MAX_HALVINGS = 60
 
 
 def _evaluate(freqs, x):
-    """Likelihood term, log det rho, and the pieces the derivatives reuse, at coordinates x.
+    """Likelihood term, log det rho, and the eigenpairs the derivatives reuse, at coordinates x.
 
     A point where rho is not positive definite gives NaN or infinite terms.
     """
     w, v = np.linalg.eigh(_matrices(x))
-    q = _apply(_STANDARD_MAP, x)
-    return (q - freqs * np.log(q)).sum(axis=-1), np.log(w).sum(axis=-1), w, v, q
+    return (x - freqs * np.log(x)).sum(axis=-1), np.log(w).sum(axis=-1), w, v
 
 
-def _derivatives(freqs, t, w, v, q):
+def _derivatives(freqs, t, w, v, x):
     """Gradient and Hessian of the barrier objective, and the log-det pieces they are built from.
 
-    With rho = V diag(w) V^H, U = V diag(w)^-1/2 and C_j = U^H B_j U,
-    tr(rho^-1 B_j) = tr C_j and K_ij = tr(rho^-1 B_i rho^-1 B_j) = tr(C_i C_j).
-    Returns the gradient, the Hessian, tr C_j, K, and each C_j as a real row of
-    32 (its 16 entries, real and imaginary parts interleaved).
+    With rho = V diag(w) V^H, U = V diag(w)^-1/2 and C_j = U^H D_j U,
+    tr(rho^-1 D_j) = tr C_j and K_ij = tr(rho^-1 D_i rho^-1 D_j) = tr(C_i C_j);
+    the likelihood term's Hessian is diagonal, f / x^2. Returns the gradient,
+    the Hessian, tr C_j, K, and each C_j as a real row of 32 (its 16 entries,
+    real and imaginary parts interleaved).
     """
-    ratio = freqs / q
-    grad = _apply(_STANDARD_MAP.T, 1.0 - ratio)
-    hess = (_STANDARD_MAP.T * (ratio / q)[:, None, :]) @ _STANDARD_MAP
     u = v / np.sqrt(w)[:, None, :]
     kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 16, 16)
-    c = (_BASIS @ kron).view(float)
+    c = (_DUAL @ kron).view(float)
     log_det_grad = c[..., ::10].sum(axis=-1)
     log_det_hess = c @ c.swapaxes(1, 2)
-    return (grad - t[:, None] * log_det_grad, hess + t[:, None, None] * log_det_hess,
-            log_det_grad, log_det_hess, c)
+    ratio = freqs / x
+    hess = t[:, None, None] * log_det_hess
+    hess[:, range(16), range(16)] += ratio / x
+    return 1.0 - ratio - t[:, None] * log_det_grad, hess, log_det_grad, log_det_hess, c
 
 
-def _curvature(freqs, t, q, inverse, tangent, log_det_hess, c):
+def _curvature(freqs, t, x, inverse, tangent, log_det_hess, c):
     """The second derivative x'' = -H^-1 (2 K x' + D^3 phi[x', x']) of the central path x(t).
 
-    Differentiating H x' = tr(rho^-1 B) along the path gives it; with Y = U^H X' U
-    = sum_i x'_i C_i, D^3 phi[x', x']_j = A^T(-2 f (A x')^2 / q^3)_j - 2t tr(Y^2 C_j),
-    the first term taken as (f / q) (A x' / q)^2 so that q^3 cannot overflow.
+    Differentiating H x' = tr(rho^-1 D) along the path gives it; with Y = U^H X' U
+    = sum_i x'_i C_i, D^3 phi[x', x']_j = -2 f_j x'_j^2 / x_j^3 - 2t tr(Y^2 C_j),
+    the first term taken as (f / x) (x' / x)^2 so that x^3 cannot overflow.
     """
-    dq = _apply(_STANDARD_MAP, tangent)
     y = (tangent[:, None, :] @ c).view(complex).reshape(-1, 4, 4)
-    third = (_apply(_STANDARD_MAP.T, -2.0 * freqs / q * (dq / q) ** 2)
+    third = (-2.0 * freqs / x * (tangent / x) ** 2
              - 2.0 * t[:, None] * _apply(c, (y @ y).view(float).reshape(-1, 32)))
     return -_apply(inverse, 2.0 * _apply(log_det_hess, tangent) + third)
 
@@ -251,34 +230,36 @@ def _line_search(freqs, t, x, step, full, current, decrement):
     raise NonConvergenceError(f"barrier line search found no acceptable step in {_MAX_HALVINGS} halvings")
 
 
-def _barrier_solve(freqs, x, lowest):
+def _barrier_solve(freqs, lowest):
     """Unnormalized extended-likelihood optimum for rows whose linear inversion is unphysical.
 
-    Minimizes sum_k (q_k - f_k log q_k) - t log det rho by Newton's method over
-    the decreasing t of _BARRIER_STAGES (times sum_k f_k). A centred row moves
-    to the next t along the central path x(t), by dt x' + dt^2 x'' / 2 with x'
-    and x'' (`_curvature`) from the step's one inverse of the Newton matrix; a
+    In the coordinates x_k = tr(P_k rho), where the linear inversion is the
+    frequencies f and has the smallest eigenvalue `lowest`, minimizes
+    sum_k (x_k - f_k log x_k) - t log det rho by Newton's method over the
+    decreasing t of _BARRIER_STAGES (times sum_k f_k). A centred row moves to
+    the next t along the central path x(t), by dt x' + dt^2 x'' / 2 with x' and
+    x'' (`_curvature`) from the step's one inverse of the Newton matrix; a
     backtracking line search keeps every iterate positive definite. The start
-    is the linear inversion shifted so that its smallest eigenvalue is the
-    first t. An intermediate stage only warm-starts the next, so a row leaves
-    it once its squared Newton decrement is at most _FULL_STEP * t (where the
-    full Newton step is taken), or _PRE_CENTRED * t before the last stage; the
-    last stage is centred to _CENTRED * t, and a row freezes there. Raises
-    NonConvergenceError when a row needs more than _MAX_STEPS steps, or a
-    step more than _MAX_HALVINGS halvings.
+    is the linear inversion plus (t - lowest) I, that is t - lowest added to
+    every x_k, so that its smallest eigenvalue is the first t. An intermediate
+    stage only warm-starts the next, so a row leaves it once its squared Newton
+    decrement is at most _FULL_STEP * t (where the full Newton step is taken),
+    or _PRE_CENTRED * t before the last stage; the last stage is centred to
+    _CENTRED * t, and a row freezes there. Raises NonConvergenceError when a
+    row needs more than _MAX_STEPS steps, or a step more than _MAX_HALVINGS
+    halvings.
     """
-    out = np.empty_like(x)
-    rows = np.arange(len(x))
+    out = np.empty_like(freqs)
+    rows = np.arange(len(freqs))
     scale = freqs.sum(axis=-1)
-    stage = np.zeros(len(x), dtype=int)
+    stage = np.zeros(len(freqs), dtype=int)
     tolerance = np.array([_FULL_STEP] * (len(_BARRIER_STAGES) - 2) + [_PRE_CENTRED, _CENTRED])
     t = scale * _BARRIER_STAGES[0]
-    x = x.copy()
-    x[:, :4] += (t - lowest)[:, None]
+    x = freqs + (t - lowest)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        lik, logdet, w, v, q = _evaluate(freqs, x)
+        lik, logdet, w, v = _evaluate(freqs, x)
         for _ in range(_MAX_STEPS):
-            grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, w, v, q)
+            grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, w, v, x)
             inverse = np.linalg.inv(hess)
             step = _apply(inverse, -grad)
             decrement = (-grad * step).sum(axis=-1)
@@ -288,7 +269,7 @@ def _barrier_solve(freqs, x, lowest):
             if moving.any():
                 dt = (scale * _BARRIER_STAGES[stage + moving] - t)[:, None]
                 tangent = _apply(inverse, log_det_grad)
-                curvature = _curvature(freqs, t, q, inverse, tangent, log_det_hess, c)
+                curvature = _curvature(freqs, t, x, inverse, tangent, log_det_hess, c)
                 step = np.where(moving[:, None], dt * (tangent + 0.5 * dt * curvature), step)
             finished = centred & last
             if finished.any():
@@ -296,15 +277,14 @@ def _barrier_solve(freqs, x, lowest):
                 keep = ~finished
                 if not keep.any():
                     return out
-                (rows, freqs, scale, stage, t, x, lik, logdet, w, v, q, centred, step, decrement) = (
-                    a[keep] for a in (rows, freqs, scale, stage, t, x, lik, logdet, w, v, q, centred,
-                                      step, decrement))
+                (rows, freqs, scale, stage, t, x, lik, logdet, w, v, centred, step, decrement) = (
+                    a[keep] for a in (rows, freqs, scale, stage, t, x, lik, logdet, w, v, centred, step,
+                                      decrement))
             t_old = t
             stage = stage + centred
             t = scale * _BARRIER_STAGES[stage]
             full = decrement <= _FULL_STEP * t_old  # every centred row too
-            x, lik, logdet, w, v, q = _line_search(freqs, t, x, step, full, lik - t_old * logdet,
-                                                   decrement)
+            x, lik, logdet, w, v = _line_search(freqs, t, x, step, full, lik - t_old * logdet, decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 
@@ -313,13 +293,12 @@ def _estimate(counts) -> np.ndarray:
     # the estimator is scale-equivariant: at unit peak, any finite scale of a row solves alike
     # (a row's total can overflow where its peak cannot)
     peak = counts.max(axis=-1, keepdims=True)
-    freqs = counts / np.where(peak > 0.0, peak, 1.0)
-    x = _apply(_STANDARD_INVERSE, freqs)
+    x = counts / np.where(peak > 0.0, peak, 1.0)  # unit-peak frequencies: the linear inversion
     lowest = np.linalg.eigvalsh(_matrices(x))[:, 0]
     unphysical = lowest < 0.0
     if unphysical.any():
-        x[unphysical] = _barrier_solve(freqs[unphysical], x[unphysical], lowest[unphysical])
-    x[~freqs.any(axis=-1), :4] = 0.25  # no counts: the maximally mixed state, by rule
+        x[unphysical] = _barrier_solve(x[unphysical], lowest[unphysical])
+    x[~counts.any(axis=-1)] = 0.25  # no counts: the maximally mixed state, by rule
     return _matrices(x / x[:, :4].sum(axis=-1, keepdims=True))
 
 
@@ -349,7 +328,11 @@ _BLOCK_ROWS = 256
 def state_quantities(states) -> np.ndarray:
     """The BOOTSTRAP_KEYS of a state, or of each of a stack of states.
 
-    I, C, Q, REE in bits, then the sorted eigenvalues, along the last axis.
+    I, C, Q, REE in bits, then the sorted eigenvalues, along the last axis. The
+    measures are the Bell-diagonal formulas on the sorted spectrum, not those of
+    the state unless it is Bell-diagonal up to local unitaries: on estimates at
+    10^4 counts, plug-in Q minus the oracle's has per-state medians of -2.2e-3
+    to +7.9e-4 and reaches 1.3e-2 (about one bootstrap sd); C's gap is as large.
     """
     lam = eigenvalues_sorted(states)
     return np.concatenate([np.stack(bell_correlations(lam), axis=-1), lam], axis=-1)

@@ -1,11 +1,14 @@
 """Acceptance suite: every numbered criterion as one test, each printing a
 pass/fail line with the measured values at its stated tolerance."""
 
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from belldyn.cli import landmarks_from_series
 from belldyn.config import PRESETS
 from belldyn.correlations import (
     bell_eigenvalues_from_kappas,
@@ -147,6 +150,35 @@ def test_criterion_5_revival(fig2a):
              f"spread {c_spread:.2e}, value {c_value:.4f}"),
         ],
     )
+
+
+def _g(k):
+    """C and Q of a Bell-diagonal state with correlation moduli k and 1, in bits."""
+    return ((1.0 + k) * np.log1p(k) + (1.0 - k) * np.log1p(-k)) / (2.0 * math.log(2.0))
+
+
+@pytest.mark.parametrize("step, bound", [(2.0, 0.01), (0.5, 1e-3)])
+def test_criterion_5_q_threshold_is_a_kappa_b_threshold(step, bound):
+    # from the sudden transition on, |kappa_b| < |kappa_a| and Q = g(|kappa_b|), so the
+    # revival start (the last rise of Q through 0.005 before the peak) is the last rise
+    # of |kappa_b| through k* = g^-1(0.005), up to the grid's linear interpolation:
+    # the two differ by 5.5e-3 lam0 at step 2, 3.6e-4 at step 0.5 and 8.9e-7 at step 0.05
+    low, high = 0.0, 1.0
+    for _ in range(60):
+        middle = 0.5 * (low + high)
+        low, high = (middle, high) if _g(middle) < 0.005 else (low, middle)
+    k_star = 0.5 * (low + high)
+    assert abs(k_star - 0.0832073) <= 1e-7
+    series = sweep(replace(PRESETS["fig2a"], step=step))
+    landmarks = landmarks_from_series(series)
+    x, kb = series["x_over_lambda0"], series["kappa_b_abs"]
+    peak = int(np.flatnonzero(x == landmarks["q_revival_peak_x"])[0])
+    after = (x >= landmarks["sudden_transition_x"]) & (x <= x[peak])
+    assert kb[after].max() < series["kappa_a_abs"][0]
+    np.testing.assert_allclose(series["Q"][after], _g(kb[after]), rtol=0.0, atol=1e-12)
+    kb_rise = find_crossing(x[: peak + 1], kb[: peak + 1], k_star, rising=True,
+                            start=landmarks["sudden_transition_x"], which="last")
+    assert abs(landmarks["q_revival_start_x"] - kb_rise) < bound
 
 
 def test_criterion_6_narrow_filter_revival(fig2b):

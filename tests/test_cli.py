@@ -778,6 +778,15 @@ def test_read_sweep_csv_missing_columns(tmp_path):
         read_sweep_csv(path)
 
 
+def test_read_sweep_csv_names_a_duplicated_column(tmp_path):
+    # 12 header fields and 12 values per row: every SWEEP_COLUMNS name is there, REE twice
+    path = tmp_path / "twice.csv"
+    path.write_text(",".join(SWEEP_COLUMNS + ("REE",)) + "\n" + ",".join(["0"] * 12) + "\n")
+    with pytest.raises(ParseError, match=r"twice\.csv: duplicated columns REE$"):
+        read_sweep_csv(path)
+    assert main(["landmarks", str(path)]) == 1
+
+
 def _tomo_config_file(tmp_path, seed="9"):
     cfg = tmp_path / f"tomo-{seed}.cfg"
     cfg.write_text(_with("tomo_counts = 500", "tomo_resamples = 2", f"tomo_seed = {seed}")

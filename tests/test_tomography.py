@@ -65,6 +65,23 @@ def test_standard_basis_set_spans_operator_space():
     assert np.linalg.matrix_rank(system, tol=1e-10) == 16
 
 
+def test_dual_frame_coordinates_are_the_setting_probabilities():
+    dual = tomography._DUAL.reshape(16, 4, 4)
+    np.testing.assert_allclose(np.einsum("jab,kba->jk", STANDARD_PROJECTORS, dual), np.eye(16),
+                               rtol=0.0, atol=1e-15)
+    assert np.array_equal(dual, dual.conj().swapaxes(1, 2))
+    # P_HH + P_HV + P_VH + P_VV = I, so tr rho is the sum of those four coordinates,
+    # which is what `_estimate` normalizes by
+    four = [float(set(label) <= set("HV")) for label in STANDARD_LABELS]
+    assert four == [1.0] * 4 + [0.0] * 12
+    np.testing.assert_allclose(np.trace(dual, axis1=1, axis2=2), four, rtol=0.0, atol=1e-15)
+    rng = np.random.default_rng(56)
+    for rank in (1, 2, 4):
+        rhos = np.stack([random_density_matrix(rng, rank=rank) for _ in range(20)])
+        x = np.stack([probabilities(rho) for rho in rhos])
+        np.testing.assert_allclose(tomography._matrices(x), rhos, rtol=0.0, atol=1e-14)
+
+
 def test_probabilities_trivial_cases():
     hh = np.zeros((4, 4), dtype=complex)
     hh[0, 0] = 1.0
@@ -399,26 +416,25 @@ def test_estimates_of_a_mixed_batch_do_not_depend_on_the_batch():
 
 
 def test_curvature_matches_central_differences_of_the_newton_matrix():
-    # along the central path H x' = tr(rho^-1 B), so H x'' = -(2 K x' + dH/ds x') with
+    # along the central path H x' = tr(rho^-1 D), so H x'' = -(2 K x' + dH/ds x') with
     # dH/ds the derivative of the Newton matrix along x + s x'
     rng = np.random.default_rng(55)
-    rhos = [random_density_matrix(rng) for _ in range(8)]
-    x = (tomography._BASIS.conj() @ np.stack(rhos).reshape(-1, 16).T).real.T
+    x = np.stack([probabilities(random_density_matrix(rng)) for _ in range(8)])
     freqs = rng.uniform(0.05, 0.5, size=(len(x), 16))
     t = rng.uniform(1e-4, 1e-1, size=len(x))
 
     def derivatives(point):
-        _, _, w, v, q = tomography._evaluate(freqs, point)
-        return w, q, tomography._derivatives(freqs, t, w, v, q)
+        _, _, w, v = tomography._evaluate(freqs, point)
+        return w, tomography._derivatives(freqs, t, w, v, point)
 
-    w, q, (_, hess, log_det_grad, log_det_hess, c) = derivatives(x)
+    w, (_, hess, log_det_grad, log_det_hess, c) = derivatives(x)
     inverse = np.linalg.inv(hess)
     tangent = tomography._apply(inverse, log_det_grad)
     h = 1e-4 * w[:, :1] / np.abs(tangent).max(axis=-1, keepdims=True)  # x +- h x' stays interior
-    dhess = derivatives(x + h * tangent)[2][1] - derivatives(x - h * tangent)[2][1]
+    dhess = derivatives(x + h * tangent)[1][1] - derivatives(x - h * tangent)[1][1]
     third = (dhess @ tangent[..., None])[..., 0] / (2.0 * h)
     expected = -np.linalg.solve(hess, 2.0 * log_det_hess @ tangent[..., None] + third[..., None])[..., 0]
-    curvature = tomography._curvature(freqs, t, q, inverse, tangent, log_det_hess, c)
+    curvature = tomography._curvature(freqs, t, x, inverse, tangent, log_det_hess, c)
     scale = np.abs(expected).max(axis=-1, keepdims=True)
     assert np.all(np.abs(curvature - expected) <= 1e-6 * scale)
     assert np.all(scale > 0.0)
@@ -427,12 +443,11 @@ def test_curvature_matches_central_differences_of_the_newton_matrix():
 def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
     records = unphysical_records()
     freqs = np.stack([rec.counts for rec in records]) / 1e4
-    x = tomography._apply(tomography._STANDARD_INVERSE, freqs)
-    lowest = np.linalg.eigvalsh(tomography._matrices(x))[:, 0]
-    optimum = tomography._barrier_solve(freqs, x, lowest)
+    lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]  # of the linear inversion
+    optimum = tomography._barrier_solve(freqs, lowest)
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    _, _, w, v, q = tomography._evaluate(freqs, optimum)
-    grad, hess, *_ = tomography._derivatives(freqs, t, w, v, q)
+    _, _, w, v = tomography._evaluate(freqs, optimum)
+    grad, hess, *_ = tomography._derivatives(freqs, t, w, v, optimum)
     newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
     decrement = (-grad * newton).sum(axis=-1)
     assert np.all(decrement <= tomography._CENTRED * t)
