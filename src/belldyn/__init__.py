@@ -24,7 +24,6 @@ from .dephasing import (
     angular_frequency,
     effective_retardation,
     evolve_state,
-    find_crossing,
     sigma_from_fwhm,
     sweep,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "effective_retardation",
     "eigenvalues_sorted",
     "evolve_state",
-    "find_crossing",
     "oracle_classical_correlation",
     "oracle_quantum_correlation",
     "oracle_ree_bell",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dephasing, tomography
 from .config import PRESETS, TOMO_KEYS, ExperimentConfig, TomographySettings, parse_config_lines
-from .dephasing import find_crossing, sweep
+from .dephasing import landmarks_from_series, sweep
 from .errors import BelldynError, ConfigError, ParseError
 
 SWEEP_COLUMNS = (
@@ -35,18 +35,11 @@ SWEEP_COLUMNS = (
     "I", "C", "Q", "REE",
 )
 
-#: threshold used for the quantum-correlation revival-start landmark
-Q_REVIVAL_THRESHOLD = 0.005
-
-#: Q values within this of the maximum count as one plateau; the revival peak
-#: is the first plateau point, so roundoff cannot move it along the plateau
-PLATEAU_TOL = 1e-9
-
 
 def _read_utf8(path) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise ParseError."""
+    """A text file's contents less a leading byte-order mark; non-UTF-8 bytes raise ParseError."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -100,60 +93,6 @@ def read_sweep_csv(path) -> dict[str, np.ndarray]:
     if not np.isfinite(data).all():
         raise ParseError(f"{path}: a cell is NaN or infinite")
     return {name: data[:, index[name]] for name in SWEEP_COLUMNS}
-
-
-def _first_local_min(x: np.ndarray, y: np.ndarray, start: float) -> int | None:
-    """Index of the first interior point beyond `start` that no neighbour undercuts."""
-    inner = y[1:-1]
-    hits = np.flatnonzero(~(x[1:-1] <= start) & (inner <= y[:-2]) & (inner <= y[2:]))
-    return int(hits[0]) + 1 if hits.size else None
-
-
-def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
-    """Crossings and extrema of a sweep series, every value derived from the columns.
-
-    Emitted when present: the sudden classical-to-quantum transition (|kappa_b|
-    falls through |kappa_a|), the reverse revival transition, entanglement
-    death and revival (largest eigenvalue through 1/2), the quantum-correlation
-    dip and revival peak after the transition, the revival start (last rise of
-    Q through the 0.005 threshold before the peak), and the echo point where
-    |kappa_b| returns to 1.
-    """
-    x = series["x_over_lambda0"]
-    ka = series["kappa_a_abs"]
-    kb = series["kappa_b_abs"]
-    lam1 = series["lambda1"]
-    q = series["Q"]
-    level = float(ka[0])
-    out: dict[str, float] = {"kappa_a_abs": level}
-
-    def crossing(key, xs, ys, level, **options):
-        value = find_crossing(xs, ys, level, **options)
-        if value is not None:
-            out[key] = value
-
-    crossing("sudden_transition_x", x, kb, level, rising=False)
-    if "sudden_transition_x" in out:
-        crossing("revival_transition_x", x, kb, level, rising=True,
-                 start=out["sudden_transition_x"])
-    crossing("ree_death_x", x, lam1, 0.5, rising=False)
-    if "ree_death_x" in out:
-        crossing("ree_revival_x", x, lam1, 0.5, rising=True, start=out["ree_death_x"])
-    if "sudden_transition_x" in out:
-        dip = _first_local_min(x, q, out["sudden_transition_x"])
-        if dip is not None:
-            out["q_dip_x"] = float(x[dip])
-            out["q_dip"] = float(q[dip])
-            after = q[dip:]
-            peak = dip + int(np.argmax(after >= after.max() - PLATEAU_TOL))
-            out["q_revival_peak_x"] = float(x[peak])
-            out["q_revival_peak"] = float(q[peak])
-            crossing("q_revival_start_x", x[: peak + 1], q[: peak + 1], Q_REVIVAL_THRESHOLD,
-                     rising=True, start=out["sudden_transition_x"], which="last")
-    echo_hits = np.where((x > 0.0) & (kb >= 1.0 - 1e-9))[0]
-    if echo_hits.size:
-        out["echo_x"] = float(x[echo_hits[0]])
-    return out
 
 
 def format_landmarks(landmarks: dict[str, float]) -> str:

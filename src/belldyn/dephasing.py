@@ -19,6 +19,10 @@ retardations, so a sweep is one column computation over the whole x grid: the
 two parameters give the Bell-diagonal eigenvalues and the correlation
 measures in closed form. The 4x4 density matrix of `evolve_state` is not on
 that path; it serves tomography and the cross-check of the closed forms.
+
+`landmarks_from_series` reads the paper's observables off that table, or off its
+columns read back from a sweep.csv: the sudden transition, entanglement death and
+revival, the quantum-correlation dip, revival peak and start, and the echo.
 """
 
 from __future__ import annotations
@@ -185,28 +189,73 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     return table
 
 
-def find_crossing(x, y, level: float, *, rising: bool | None = None,
-                  start: float | None = None, which: str = "first") -> float | None:
-    """Interpolated x where the series y crosses `level`.
+#: threshold used for the quantum-correlation revival-start landmark
+Q_REVIVAL_THRESHOLD = 0.005
 
-    rising=True keeps upward crossings only, rising=False downward only,
-    None keeps both. `start` discards crossings at x below it; `which`
-    selects the "first" or "last" match. None when no sample pair brackets
-    the level.
-    """
-    if which not in ("first", "last"):
-        raise DephasingInputError(f"which must be 'first' or 'last', got {which!r}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DephasingInputError("x and y must be matching 1-d arrays")
+#: Q values within this of the maximum count as one plateau; the revival peak
+#: is the first plateau point, so roundoff cannot move it along the plateau
+PLATEAU_TOL = 1e-9
+
+
+def _crossing(x, y, level, rising, start=-math.inf, last=False):
+    """Interpolated x where the column y crosses `level` upward (rising) or downward: the first
+    crossing at or beyond `start`, or the last; None when no sample pair brackets the level."""
     y0, y1 = y[:-1], y[1:]
-    up = (y0 < level) & (level <= y1)
-    down = (y0 > level) & (level >= y1)
-    i = np.flatnonzero({True: up, False: down, None: up | down}[rising])
+    i = np.flatnonzero((y0 < level) & (level <= y1) if rising else (y0 > level) & (level >= y1))
     xc = x[i] + (level - y[i]) * (x[i + 1] - x[i]) / (y[i + 1] - y[i])
-    if start is not None:
-        xc = xc[~(xc < start)]  # a NaN crossing is not below any start
-    if not xc.size:
-        return None
-    return float(xc[0] if which == "first" else xc[-1])
+    xc = xc[~(xc < start)]  # a NaN crossing is not below any start
+    return float(xc[-1 if last else 0]) if xc.size else None
+
+
+def _first_local_min(x: np.ndarray, y: np.ndarray, start: float) -> int | None:
+    """Index of the first interior point beyond `start` that no neighbour undercuts."""
+    inner = y[1:-1]
+    hits = np.flatnonzero(~(x[1:-1] <= start) & (inner <= y[:-2]) & (inner <= y[2:]))
+    return int(hits[0]) + 1 if hits.size else None
+
+
+def landmarks_from_series(series: dict[str, np.ndarray]) -> dict[str, float]:
+    """Crossings and extrema of a sweep series, every value derived from the columns.
+
+    Emitted when present: the sudden classical-to-quantum transition (|kappa_b|
+    falls through |kappa_a|), the reverse revival transition, entanglement
+    death and revival (largest eigenvalue through 1/2), the quantum-correlation
+    dip and revival peak after the transition, the revival start (last rise of
+    Q through the 0.005 threshold before the peak), and the echo point where
+    |kappa_b| returns to 1.
+    """
+    x = series["x_over_lambda0"]
+    ka = series["kappa_a_abs"]
+    kb = series["kappa_b_abs"]
+    lam1 = series["lambda1"]
+    q = series["Q"]
+    level = float(ka[0])
+    out: dict[str, float] = {"kappa_a_abs": level}
+
+    def crossing(key, xs, ys, level, **options):
+        value = _crossing(xs, ys, level, **options)
+        if value is not None:
+            out[key] = value
+
+    crossing("sudden_transition_x", x, kb, level, rising=False)
+    if "sudden_transition_x" in out:
+        crossing("revival_transition_x", x, kb, level, rising=True,
+                 start=out["sudden_transition_x"])
+    crossing("ree_death_x", x, lam1, 0.5, rising=False)
+    if "ree_death_x" in out:
+        crossing("ree_revival_x", x, lam1, 0.5, rising=True, start=out["ree_death_x"])
+    if "sudden_transition_x" in out:
+        dip = _first_local_min(x, q, out["sudden_transition_x"])
+        if dip is not None:
+            out["q_dip_x"] = float(x[dip])
+            out["q_dip"] = float(q[dip])
+            after = q[dip:]
+            peak = dip + int(np.argmax(after >= after.max() - PLATEAU_TOL))
+            out["q_revival_peak_x"] = float(x[peak])
+            out["q_revival_peak"] = float(q[peak])
+            crossing("q_revival_start_x", x[: peak + 1], q[: peak + 1], Q_REVIVAL_THRESHOLD,
+                     rising=True, start=out["sudden_transition_x"], last=True)
+    echo_hits = np.where((x > 0.0) & (kb >= 1.0 - 1e-9))[0]
+    if echo_hits.size:
+        out["echo_x"] = float(x[echo_hits[0]])
+    return out

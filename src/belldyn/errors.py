@@ -24,8 +24,7 @@ class TomographyInputError(BelldynError, ValueError):
 
 class DephasingInputError(BelldynError, ValueError):
     """Malformed dephasing-model input: a Gaussian amplitude, center or width that is not finite
-    and positive, mixture amplitudes that do not sum to 1, bad `find_crossing` arguments, or a
-    negative retardation."""
+    and positive, mixture amplitudes that do not sum to 1, or a negative retardation."""
 
 
 class ConfigError(BelldynError):

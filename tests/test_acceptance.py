@@ -8,7 +8,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from belldyn.cli import landmarks_from_series
 from belldyn.config import PRESETS
 from belldyn.correlations import (
     bell_eigenvalues_from_kappas,
@@ -18,9 +17,10 @@ from belldyn.correlations import (
 )
 from belldyn.dephasing import (
     MultiGaussian,
+    _crossing,
     angular_frequency,
     evolve_state,
-    find_crossing,
+    landmarks_from_series,
     sigma_from_fwhm,
     spectra,
     sweep,
@@ -94,7 +94,7 @@ def test_criterion_2_initial_correlations():
 def test_criterion_3_sudden_transition(fig2a):
     series, elapsed = fig2a
     level = series["kappa_a_abs"][0]
-    crossing = find_crossing(series["x_over_lambda0"], series["kappa_b_abs"], level, rising=False)
+    crossing = _crossing(series["x_over_lambda0"], series["kappa_b_abs"], level, rising=False)
     _report(
         3,
         [
@@ -108,8 +108,8 @@ def test_criterion_4_ree_sudden_death(fig2a):
     series, _ = fig2a
     # equivalent locators: largest eigenvalue falling through 1/2, and the
     # REE series itself reaching zero
-    death = find_crossing(series["x_over_lambda0"], series["lambda1"], 0.5, rising=False)
-    death_ree = find_crossing(series["x_over_lambda0"], series["REE"], 0.0, rising=False)
+    death = _crossing(series["x_over_lambda0"], series["lambda1"], 0.5, rising=False)
+    death_ree = _crossing(series["x_over_lambda0"], series["REE"], 0.0, rising=False)
     _report(
         4,
         [
@@ -128,11 +128,11 @@ def test_criterion_5_revival(fig2a):
 
     # last upward crossing of the 0.005 threshold before the revival peak
     level = series["kappa_a_abs"][0]
-    transition = find_crossing(x, series["kappa_b_abs"], level, rising=False)
+    transition = _crossing(x, series["kappa_b_abs"], level, rising=False)
     peak_index = int(np.argmax(np.where(x >= 400.0, series["Q"], -1.0)))
-    q_rise = find_crossing(
+    q_rise = _crossing(
         x[: peak_index + 1], series["Q"][: peak_index + 1], 0.005,
-        rising=True, start=transition, which="last",
+        rising=True, start=transition, last=True,
     )
 
     plateau = (x >= 130.0) & (x <= 800.0)
@@ -157,17 +157,22 @@ def _g(k):
     return ((1.0 + k) * np.log1p(k) + (1.0 - k) * np.log1p(-k)) / (2.0 * math.log(2.0))
 
 
+def _g_inverse(level):
+    """The modulus k in [0, 1] where g(k) = level, by bisection."""
+    low, high = 0.0, 1.0
+    for _ in range(60):
+        middle = 0.5 * (low + high)
+        low, high = (middle, high) if _g(middle) < level else (low, middle)
+    return 0.5 * (low + high)
+
+
 @pytest.mark.parametrize("step, bound", [(2.0, 0.01), (0.5, 1e-3)])
 def test_criterion_5_q_threshold_is_a_kappa_b_threshold(step, bound):
     # from the sudden transition on, |kappa_b| < |kappa_a| and Q = g(|kappa_b|), so the
     # revival start (the last rise of Q through 0.005 before the peak) is the last rise
     # of |kappa_b| through k* = g^-1(0.005), up to the grid's linear interpolation:
     # the two differ by 5.5e-3 lam0 at step 2, 3.6e-4 at step 0.5 and 8.9e-7 at step 0.05
-    low, high = 0.0, 1.0
-    for _ in range(60):
-        middle = 0.5 * (low + high)
-        low, high = (middle, high) if _g(middle) < 0.005 else (low, middle)
-    k_star = 0.5 * (low + high)
+    k_star = _g_inverse(0.005)
     assert abs(k_star - 0.0832073) <= 1e-7
     series = sweep(replace(PRESETS["fig2a"], step=step))
     landmarks = landmarks_from_series(series)
@@ -176,9 +181,21 @@ def test_criterion_5_q_threshold_is_a_kappa_b_threshold(step, bound):
     after = (x >= landmarks["sudden_transition_x"]) & (x <= x[peak])
     assert kb[after].max() < series["kappa_a_abs"][0]
     np.testing.assert_allclose(series["Q"][after], _g(kb[after]), rtol=0.0, atol=1e-12)
-    kb_rise = find_crossing(x[: peak + 1], kb[: peak + 1], k_star, rising=True,
-                            start=landmarks["sudden_transition_x"], which="last")
+    kb_rise = _crossing(x[: peak + 1], kb[: peak + 1], k_star, rising=True,
+                        start=landmarks["sudden_transition_x"], last=True)
     assert abs(landmarks["q_revival_start_x"] - kb_rise) < bound
+
+
+def test_criterion_5_beat_floor_straddles_the_threshold():
+    # over 240-370 lam0 the three arm-b components cancel incompletely and |kappa_b|
+    # beats on a floor that straddles k* = g^-1(0.005), so Q wanders about 0.005 there
+    # and its last rise before the revival peak is at 365.3 lam0, short of [400, 470]
+    series = sweep(replace(PRESETS["fig2a"], step=0.05))
+    x, kb = series["x_over_lambda0"], series["kappa_b_abs"]
+    floor = kb[(x >= 240.0) & (x <= 370.0)]
+    assert floor.min() < _g_inverse(0.005) < floor.max()
+    np.testing.assert_allclose([floor.min(), floor.max()], [0.07519, 0.09259], rtol=0.0, atol=5e-6)
+    assert abs(landmarks_from_series(series)["q_revival_start_x"] - 365.303) < 1e-3
 
 
 def test_criterion_6_narrow_filter_revival(fig2b):
@@ -187,8 +204,8 @@ def test_criterion_6_narrow_filter_revival(fig2b):
     window = (x >= 400.0) & (x <= 700.0)
     kb_max = float(series["kappa_b_abs"][window].max())
     level = series["kappa_a_abs"][0]
-    transition = find_crossing(x, series["kappa_b_abs"], level, rising=False)
-    recross = find_crossing(x, series["kappa_b_abs"], level, rising=True, start=transition)
+    transition = _crossing(x, series["kappa_b_abs"], level, rising=False)
+    recross = _crossing(x, series["kappa_b_abs"], level, rising=True, start=transition)
     _report(
         6,
         [

@@ -15,10 +15,8 @@ import belldyn.cli
 import belldyn.errors
 from belldyn import dephasing, tomography
 from belldyn.cli import (
-    _first_local_min,
     SWEEP_COLUMNS,
     format_landmarks,
-    landmarks_from_series,
     main,
     parse_config,
     read_sweep_csv,
@@ -34,8 +32,9 @@ from belldyn.config import (
 )
 from belldyn.dephasing import (
     MultiGaussian,
+    _first_local_min,
     effective_retardation,
-    find_crossing,
+    landmarks_from_series,
     sweep,
 )
 from belldyn.errors import (
@@ -629,7 +628,6 @@ def test_main_computation_error(capsys):
     [
         (DephasingInputError, lambda: MultiGaussian([(-1.0, 1.0, 1.0)])),
         (DephasingInputError, lambda: MultiGaussian([(1.0, math.nan, 1.0)])),
-        (DephasingInputError, lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="all")),
         (DephasingInputError, lambda: effective_retardation([1.0, -1.0], (0.5,))),
         (TomographyInputError, lambda: simulate_counts(np.eye(4) / 4, "3", 0)),
     ],
@@ -785,6 +783,37 @@ def test_read_sweep_csv_names_a_duplicated_column(tmp_path):
     with pytest.raises(ParseError, match=r"twice\.csv: duplicated columns REE$"):
         read_sweep_csv(path)
     assert main(["landmarks", str(path)]) == 1
+
+
+#: the bytes an editor that saves "UTF-8 with BOM" puts first
+BOM = b"\xef\xbb\xbf"
+
+
+def test_a_config_saved_with_a_byte_order_mark_runs_as_without_it(tmp_path, capsys):
+    for name, prefix in (("plain", b""), ("bom", BOM)):
+        (tmp_path / f"{name}.cfg").write_bytes(prefix + CONFIG_TEXT.encode())
+        assert main(["run", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name)]) == 0
+    assert ((tmp_path / "bom" / "sweep.csv").read_bytes()
+            == (tmp_path / "plain" / "sweep.csv").read_bytes())
+    # after the mark, bytes that are not UTF-8 are still rejected
+    (tmp_path / "bad.cfg").write_bytes(BOM + b"\xff" + CONFIG_TEXT.encode())
+    assert main(["run", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err.startswith("belldyn: error: ")
+
+
+def test_a_sweep_csv_saved_with_a_byte_order_mark_gives_the_same_landmarks(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "fig2a", "--out", str(out), "--step", "8"]) == 0
+    csv = (out / "sweep.csv").read_bytes()
+    (tmp_path / "bom.csv").write_bytes(BOM + csv)
+    (tmp_path / "bad.csv").write_bytes(BOM + csv.replace(b"\n", b"\xff\n", 1))
+    printed = []
+    for path in (out / "sweep.csv", tmp_path / "bom.csv"):
+        assert main(["landmarks", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[1] == printed[0] != ""
+    assert main(["landmarks", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().err.startswith("belldyn: error: ")
 
 
 def _tomo_config_file(tmp_path, seed="9"):

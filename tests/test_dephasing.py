@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belldyn.config import MAX_SWEEP_POINTS, ExperimentConfig, validate_echo_points
+from belldyn.config import MAX_SWEEP_POINTS, PRESETS, ExperimentConfig, validate_echo_points
 from belldyn.dephasing import (
     SPEED_OF_LIGHT,
     MultiGaussian,
+    _crossing,
     angular_frequency,
     effective_retardation,
     evolve_state,
-    find_crossing,
+    landmarks_from_series,
     sigma_from_fwhm,
     sweep,
 )
@@ -165,8 +166,6 @@ def test_kappa_rejects_a_nan_retardation():
     [
         lambda: MultiGaussian([(0.0, 1.0, 1.0)]),
         lambda: MultiGaussian([(1.0, 1.0, -1.0)]),
-        lambda: find_crossing([0.0, 1.0], [0.0, 1.0], 0.5, which="middle"),
-        lambda: find_crossing([0.0, 1.0], [0.0, 1.0, 2.0], 0.5),
         lambda: effective_retardation(-1.0, ()),
         lambda: effective_retardation(math.nan, ()),
         lambda: MultiGaussian([(0.5, 1.0, 1.0)]),
@@ -490,42 +489,42 @@ def test_effective_retardation_vectorized():
 def test_find_crossing_linear_interpolation():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     y = np.array([0.0, 1.0, 2.0, 3.0])
-    assert find_crossing(x, y, 1.5) == pytest.approx(1.5, abs=1e-12)
+    assert _crossing(x, y, 1.5, rising=True) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_find_crossing_direction_filters():
     x = np.arange(5.0)
     y = np.array([0.0, 2.0, 0.0, 2.0, 0.0])
-    assert find_crossing(x, y, 1.0, rising=True) == pytest.approx(0.5)
-    assert find_crossing(x, y, 1.0, rising=False) == pytest.approx(1.5)
-    assert find_crossing(x, y, 1.0, rising=True, which="last") == pytest.approx(2.5)
+    assert _crossing(x, y, 1.0, rising=True) == pytest.approx(0.5)
+    assert _crossing(x, y, 1.0, rising=False) == pytest.approx(1.5)
+    assert _crossing(x, y, 1.0, rising=True, last=True) == pytest.approx(2.5)
 
 
 def test_find_crossing_start_filter():
     x = np.arange(5.0)
     y = np.array([0.0, 2.0, 0.0, 2.0, 0.0])
-    assert find_crossing(x, y, 1.0, rising=True, start=1.0) == pytest.approx(2.5)
+    assert _crossing(x, y, 1.0, rising=True, start=1.0) == pytest.approx(2.5)
 
 
 def test_find_crossing_level_touch_counts_once():
     x = np.arange(4.0)
     y = np.array([2.0, 1.0, 0.0, 0.0])
-    assert find_crossing(x, y, 0.0, rising=False) == pytest.approx(2.0)
+    assert _crossing(x, y, 0.0, rising=False) == pytest.approx(2.0)
 
 
 def test_find_crossing_not_found():
     x = np.arange(4.0)
     y = np.ones(4)
-    assert find_crossing(x, y, 2.0) is None
+    assert _crossing(x, y, 2.0, rising=True) is None
+    assert _crossing(x, y, 2.0, rising=False) is None
 
 
 def _loop_crossings(x, y, level, rising):
-    """Every bracketing pair's interpolated crossing, one pair at a time."""
+    """Every bracketing pair's interpolated crossing in one direction, one pair at a time."""
     out = []
     for i in range(x.size - 1):
         y0, y1 = y[i], y[i + 1]
-        up, down = y0 < level <= y1, y0 > level >= y1
-        if {True: up, False: down, None: up or down}[rising]:
+        if (y0 < level <= y1) if rising else (y0 > level >= y1):
             out.append(x[i] + (level - y0) * (x[i + 1] - x[i]) / (y1 - y0))
     return out
 
@@ -536,21 +535,34 @@ def test_find_crossing_matches_pairwise_reference():
     # a coarse random walk, so that samples often sit exactly on the level or repeat
     y = np.round(np.cumsum(rng.normal(size=60)), 1)
     found = 0
-    for level in (0.0, 0.5, float(y[7])):
-        for rising in (True, False, None):
-            for start in (None, x[20] + 0.3):
-                expected = [c for c in _loop_crossings(x, y, level, rising)
-                            if start is None or c >= start]
-                for which, pick in (("first", 0), ("last", -1)):
+    for level in (0.0, 0.5, float(y[7]), float(y[14]), float(y[29])):
+        for rising in (True, False):
+            for start in (-math.inf, x[20] + 0.3):
+                expected = [c for c in _loop_crossings(x, y, level, rising) if c >= start]
+                for last in (False, True):
                     if not expected:
-                        assert find_crossing(x, y, level, rising=rising, start=start,
-                                             which=which) is None
+                        assert _crossing(x, y, level, rising, start, last) is None
                         continue
                     # same arithmetic per pair, so equal to the last bit
-                    assert find_crossing(x, y, level, rising=rising, start=start,
-                                         which=which) == expected[pick]
+                    assert _crossing(x, y, level, rising, start, last) == expected[-1 if last else 0]
                     found += 1
     assert found >= 30
+
+
+@pytest.mark.parametrize("step", [2.0, 0.5])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_entanglement_death_and_revival_are_kappa_b_crossings(preset, step):
+    # lambda1 = (1 + |kappa_a|)(1 + |kappa_b|)/4 is linear in |kappa_b|, so it falls and
+    # rises through 1/2 where |kappa_b| crosses (1 - |kappa_a|)/(1 + |kappa_a|), and the
+    # grid interpolates both series to the same x: 4e-14 lam0 apart on fig2a at step 2
+    series = sweep(replace(PRESETS[preset], step=step))
+    landmarks = landmarks_from_series(series)
+    x, kb, ka = series["x_over_lambda0"], series["kappa_b_abs"], series["kappa_a_abs"][0]
+    level = (1.0 - ka) / (1.0 + ka)
+    death = _crossing(x, kb, level, rising=False)
+    revival = _crossing(x, kb, level, rising=True, start=death)
+    assert abs(landmarks["ree_death_x"] - death) <= 1e-9
+    assert abs(landmarks["ree_revival_x"] - revival) <= 1e-9
 
 
 def test_validate_echo_points_is_the_one_schedule_check():

@@ -1,6 +1,6 @@
 """The public surface: `belldyn.__all__` resolves, removed names stay removed, the
 modules import one another in layers, every exception class lives in `belldyn.errors`,
-and every belldyn name the benchmark uses resolves."""
+and every belldyn name the benchmark uses or traces resolves."""
 
 import ast
 import contextlib
@@ -25,7 +25,7 @@ REMOVED = {
                              "bell_diagonal_state", "BELL_KETS"),
     "belldyn.dephasing": ("kappa_multi_gaussian", "SingleGaussian", "SampledSpectrum",
                           "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0", "SweepConfig",
-                          "GaussianComponent", "kappa_gaussian"),
+                          "GaussianComponent", "kappa_gaussian", "find_crossing"),
     "belldyn.cli": ("to_sweep_config", "write_landmarks", "_UsageError"),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
                        "NormalizationError", "CountsRangeError", "OracleInputError",
@@ -38,12 +38,15 @@ REMOVED = {
                        "von_neumann_entropy", "SUPPORT_EIGENVALUE_TOL", "SUPPORT_WEIGHT_TOL"),
 }
 
-#: module -> names gone from it since `belldyn.config` took them over (the presets are
-#: `config.PRESETS`); `belldyn.ExperimentConfig` still resolves, so these are not in REMOVED
+#: module -> names gone from it since another module took them over: `belldyn.config` the
+#: configs and presets (`config.PRESETS`), `belldyn.dephasing` the landmark rules.
+#: `belldyn.ExperimentConfig` and `belldyn.cli.landmarks_from_series` still resolve, so
+#: these are not in REMOVED
 MOVED = {
     "belldyn.dephasing": ("ExperimentConfig", "MAX_SWEEP_POINTS"),
     "belldyn.tomography": ("TomographySettings",),
-    "belldyn.cli": ("preset_config", "PRESET_NAMES"),
+    "belldyn.cli": ("preset_config", "PRESET_NAMES", "Q_REVIVAL_THRESHOLD", "PLATEAU_TOL",
+                    "_first_local_min"),
 }
 
 SOURCE = Path(belldyn.__file__).parent
@@ -51,6 +54,18 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 #: the benchmark's files that call into belldyn
 PERFBENCH = [Path(__file__).resolve().parents[1] / "perfbench" / name
              for name in ("workloads.py", "run.py", "worker.py")]
+#: the tracer that wraps belldyn's functions for the benchmark's per-layer metrics
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+#: the tracer targets whose functions or classes are already gone from belldyn; the
+#: tracer reports them absent, and no other target may join them
+STALE_TARGETS = {
+    "belldyn.cli.series_from_points",
+    "belldyn.dephasing.SingleGaussian.kappa",
+    "belldyn.dephasing.SampledSpectrum.kappa",
+    "belldyn.correlations.correlations_from_spectrum",
+    "belldyn.tomography.minimize",
+    "belldyn.tomography.error_bars",
+}
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -87,6 +102,7 @@ def test_moved_names_are_gone_from_their_old_modules():
         for name in names:
             assert not hasattr(module, name), f"{module_name}.{name}"
     assert belldyn.ExperimentConfig is belldyn.config.ExperimentConfig
+    assert belldyn.cli.landmarks_from_series is belldyn.dephasing.landmarks_from_series
 
 
 def test_config_is_the_bottom_layer_and_only_cli_imports_cli():
@@ -162,3 +178,27 @@ def test_every_belldyn_name_the_benchmark_uses_resolves():
         for depth, part in enumerate(parts[1:], start=2):
             target = (getattr(target, part) if hasattr(target, part)
                       else importlib.import_module(".".join(parts[:depth])))
+
+
+def _tracer_targets() -> dict:
+    """The tracer's TARGETS, span name -> (module, attribute paths), read without importing it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS in {TRACER}")
+
+
+def test_every_tracer_target_resolves_but_the_stale_ones():
+    # a target that does not resolve is reported absent, not failed, so a moved
+    # function would silently drop its per-layer metrics from every run
+    unresolved = set()
+    for module_name, paths in _tracer_targets().values():
+        module = importlib.import_module(module_name)
+        for path in paths:
+            owner_name, _, attr = path.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            # the tracer patches a class attribute only where the class itself defines it
+            found = owner is not None and (attr in vars(owner) if owner_name else hasattr(owner, attr))
+            if not found:
+                unresolved.add(f"{module_name}.{path}")
+    assert unresolved <= STALE_TARGETS
