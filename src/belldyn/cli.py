@@ -38,9 +38,9 @@ SWEEP_COLUMNS = (
 
 def _read_utf8(path) -> str:
     """A text file's contents less a leading byte-order mark; non-UTF-8 bytes raise ParseError."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+    try:  # "utf-8", not "utf-8-sig": a bad byte's offset then counts the mark's 3 bytes
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

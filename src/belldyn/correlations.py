@@ -4,10 +4,10 @@ All measures are relative-entropy distances in bits: quantum correlation is
 the distance to the closest classical state, classical correlation the
 distance from that state to the closest product state, total mutual
 information the distance to the product of the marginals, and the
-entanglement measure the distance to the closest separable state. For
-Bell-diagonal states each is a sum of pair relative entropies in the four
-eigenvalues (`bell_correlations`), and `bell_eigenvalues_from_kappas` gives
-those from the two decoherence parameters.
+entanglement measure the distance to the closest separable state. One kernel,
+`_bits`, gives them all, from a spectrum (`bell_correlations`) or, on the
+dephased family, from the two |kappa| (`dephasing.sweep`);
+`bell_eigenvalues_from_kappas` gives the spectrum from the two parameters.
 """
 
 from __future__ import annotations
@@ -28,32 +28,31 @@ def _kappa_modulus(kappa, name):
     return np.minimum(k, 1.0)
 
 
-def _pair_bits(a, b):
-    """(a + b)(1 - h(a / (a + b))) bits, h the binary entropy: the relative entropy of
-    weights a, b >= 0 to their average. As (a + b)(d atanh d + log1p(-d^2) / 2) / ln 2,
-    d = |a - b| / (a + b), it does not cancel as d -> 0; d = 1 gives a + b, a + b = 0 gives 0."""
-    total = a + b
+def _bits(d):
+    """1 - h((1 + d) / 2) bits, h the binary entropy, as (d atanh d + log1p(-d^2) / 2) / ln 2,
+    which does not cancel as d -> 0; 1 for d >= 1, and 0 for d <= 0 or NaN."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.abs(a - b) / total
-        bits = total * (d * np.arctanh(d) + 0.5 * np.log1p(-d * d)) / np.log(2.0)
-    return np.where(d < 1.0, bits, total)
+        bits = (d * np.arctanh(d) + 0.5 * np.log1p(-d * d)) / np.log(2.0)
+    return np.where(d >= 1.0, 1.0, np.where(d > 0.0, bits, 0.0))
 
 
 def bell_correlations(spectra):
     """Total, classical, quantum and entanglement correlations (I, C, Q, REE) in bits.
 
     `spectra` holds sorted spectra along its last axis; each result has the leading
-    shape, a numpy float64 for one spectrum. With pair = `_pair_bits` and chi the
-    closest classical spectrum: C = pair(l1 + l2, l3 + l4) = 2 - S(chi),
-    Q = pair(l1, l2) + pair(l3, l4) = S(chi) - S(rho), I = C + Q = 2 - S(rho), and
-    REE = pair(l1, 1 - l1) = 1 - H(l1, 1 - l1) for l1 > 1/2, else zero (separable).
+    shape, a numpy float64 for one spectrum. With pair(a, b) = (a + b) `_bits`(|a - b| /
+    (a + b)), the relative entropy of weights a, b to their average, and chi the closest
+    classical spectrum: C = pair(l1 + l2, l3 + l4) = 2 - S(chi), Q = pair(l1, l2) +
+    pair(l3, l4) = S(chi) - S(rho), I = C + Q = 2 - S(rho), and REE = pair(l1, 1 - l1)
+    = `_bits`(2 l1 - 1) = 1 - H(l1, 1 - l1) for l1 > 1/2, else zero (separable).
     """
     l1, l2, l3, l4 = np.moveaxis(validate_bell_spectrum(spectra), -1, 0)
-    classical, q12, q34, ree = _pair_bits(np.stack([l1 + l2, l1, l3, l1]),
-                                          np.stack([l3 + l4, l2, l4, 1.0 - l1]))
+    a, b = np.stack([l1 + l2, l1, l3]), np.stack([l3 + l4, l2, l4])
+    with np.errstate(invalid="ignore"):  # a + b = 0 gives d = NaN, so zero bits
+        classical, q12, q34 = (a + b) * _bits(np.abs(a - b) / (a + b))
     quantum = q12 + q34
     # [()] makes the 0-d result of one spectrum a scalar, as the other three are
-    return classical + quantum, classical, quantum, np.where(l1 > 0.5, ree, 0.0)[()]
+    return classical + quantum, classical, quantum, _bits(2.0 * l1 - 1.0)[()]
 
 
 def quantum_correlation_bell(spectrum) -> float:
@@ -67,8 +66,7 @@ def classical_correlation_bell(spectrum) -> float:
 
 
 def ree_bell(spectrum) -> float:
-    """Relative entropy of entanglement of a Bell-diagonal spectrum: pair(l1, 1 - l1)
-    = 1 - H(l1, 1 - l1) for largest eigenvalue l1 > 1/2, zero otherwise."""
+    """Relative entropy of entanglement 1 - H(l1, 1 - l1) for l1 > 1/2, zero otherwise."""
     return float(bell_correlations(spectrum)[3])
 
 

@@ -16,8 +16,8 @@ paper does, lengths in units of the central wavelength lambda0 and spectra
 in nm; `spectra` and `sweep` convert it to rad/s and meters. Every
 decoherence parameter and the echo schedule accept an array of
 retardations, so a sweep is one column computation over the whole x grid: the
-two parameters give the Bell-diagonal eigenvalues and the correlation
-measures in closed form. The 4x4 density matrix of `evolve_state` is not on
+two moduli give the Bell-diagonal eigenvalues, and C and Q are `_bits` of the
+larger and the smaller one. The 4x4 density matrix of `evolve_state` is not on
 that path; it serves tomography and the cross-check of the closed forms.
 
 `landmarks_from_series` reads the paper's observables off that table, or off its
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import _real_array, validate_echo_points
-from .correlations import _kappa_modulus, bell_correlations, bell_eigenvalues_from_kappas
+from .correlations import _bits, _kappa_modulus, bell_eigenvalues_from_kappas
 from .errors import DephasingInputError
 
 if TYPE_CHECKING:
@@ -171,8 +171,8 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     conjugate phase. kappa_a is fixed by the arm-a spectrum at x_a. Returns a
     column table of equal-length 1-d arrays ordered by x_b: "x_b" (meters) and
     "x_over_lambda0", the complex "kappa_a" and "kappa_b" and their moduli
-    "kappa_a_abs" and "kappa_b_abs", the sorted eigenvalues
-    "lambda1".."lambda4", and the correlations "I", "C", "Q", "REE" in bits.
+    "kappa_a_abs" and "kappa_b_abs", the sorted eigenvalues "lambda1".."lambda4", and
+    "I", "C", "Q" (from the two moduli) and "REE" (from lambda1) in bits.
     """
     lam0, x_a, x_b_max, step, echo_points = config.meters()
     spectrum_a, spectrum_b = spectra(config)
@@ -182,10 +182,12 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     kappa_b = spectrum_b.kappa(x_eff)
     kappa_a = np.full(n_points, spectrum_a.kappa(x_a), dtype=complex)
     lam = bell_eigenvalues_from_kappas(kappa_a, kappa_b)
+    ka, kb = np.abs(kappa_a), np.abs(kappa_b)
     table = {"x_b": x_b, "x_over_lambda0": x_b / lam0, "kappa_a": kappa_a, "kappa_b": kappa_b,
-             "kappa_a_abs": np.abs(kappa_a), "kappa_b_abs": np.abs(kappa_b)}
+             "kappa_a_abs": ka, "kappa_b_abs": kb}
     table.update((f"lambda{j + 1}", lam[:, j]) for j in range(4))
-    table.update(zip(("I", "C", "Q", "REE"), bell_correlations(lam)))
+    classical, quantum = _bits(np.maximum(ka, kb)), _bits(np.minimum(ka, kb))
+    table.update(I=classical + quantum, C=classical, Q=quantum, REE=_bits(2.0 * lam[:, 0] - 1.0))
     return table
 
 

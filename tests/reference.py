@@ -2,8 +2,10 @@
 
 The paper's piecewise expression of the correlations in the two decoherence
 parameters, and the 4x4 Bell-diagonal density matrix of a spectrum. Neither
-is on an engine path: a sweep goes through `bell_eigenvalues_from_kappas`
-and `bell_correlations`.
+is on an engine path. `sweep` takes the same piecewise C and Q, but from the
+two moduli through `correlations._bits`, which does not cancel as a modulus
+goes to 0 as the log2 form here does; `bell_correlations` takes all four
+measures from a spectrum, and REE here comes from that route (`ree_bell`).
 """
 
 import math

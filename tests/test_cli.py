@@ -790,15 +790,19 @@ BOM = b"\xef\xbb\xbf"
 
 
 def test_a_config_saved_with_a_byte_order_mark_runs_as_without_it(tmp_path, capsys):
-    for name, prefix in (("plain", b""), ("bom", BOM)):
-        (tmp_path / f"{name}.cfg").write_bytes(prefix + CONFIG_TEXT.encode())
+    # and one saved with CRLF line ends, which text mode reads as LF
+    for name, text in (("plain", CONFIG_TEXT.encode()), ("bom", BOM + CONFIG_TEXT.encode()),
+                       ("crlf", CONFIG_TEXT.replace("\n", "\r\n").encode())):
+        (tmp_path / f"{name}.cfg").write_bytes(text)
         assert main(["run", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name)]) == 0
-    assert ((tmp_path / "bom" / "sweep.csv").read_bytes()
-            == (tmp_path / "plain" / "sweep.csv").read_bytes())
-    # after the mark, bytes that are not UTF-8 are still rejected
-    (tmp_path / "bad.cfg").write_bytes(BOM + b"\xff" + CONFIG_TEXT.encode())
+    for name in ("bom", "crlf"):
+        assert ((tmp_path / name / "sweep.csv").read_bytes()
+                == (tmp_path / "plain" / "sweep.csv").read_bytes())
+    # after the mark, bytes that are not UTF-8 are still rejected, at their offset in the file
+    (tmp_path / "bad.cfg").write_bytes(BOM + b"abc\xff" + CONFIG_TEXT.encode())
     assert main(["run", str(tmp_path / "bad.cfg"), "--out", str(tmp_path / "bad")]) == 1
-    assert capsys.readouterr().err.startswith("belldyn: error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("belldyn: error: ") and err.endswith(" at byte 6)\n")
 
 
 def test_a_sweep_csv_saved_with_a_byte_order_mark_gives_the_same_landmarks(tmp_path, capsys):
@@ -806,14 +810,16 @@ def test_a_sweep_csv_saved_with_a_byte_order_mark_gives_the_same_landmarks(tmp_p
     assert main(["run", "fig2a", "--out", str(out), "--step", "8"]) == 0
     csv = (out / "sweep.csv").read_bytes()
     (tmp_path / "bom.csv").write_bytes(BOM + csv)
+    (tmp_path / "crlf.csv").write_bytes(csv.replace(b"\n", b"\r\n"))
     (tmp_path / "bad.csv").write_bytes(BOM + csv.replace(b"\n", b"\xff\n", 1))
     printed = []
-    for path in (out / "sweep.csv", tmp_path / "bom.csv"):
+    for path in (out / "sweep.csv", tmp_path / "bom.csv", tmp_path / "crlf.csv"):
         assert main(["landmarks", str(path)]) == 0
         printed.append(capsys.readouterr().out)
-    assert printed[1] == printed[0] != ""
+    assert printed[2] == printed[1] == printed[0] != ""
     assert main(["landmarks", str(tmp_path / "bad.csv")]) == 1
-    assert capsys.readouterr().err.startswith("belldyn: error: ")
+    err, bad_byte = capsys.readouterr().err, len(BOM) + csv.index(b"\n")
+    assert err.startswith("belldyn: error: ") and err.endswith(f" at byte {bad_byte})\n")
 
 
 def _tomo_config_file(tmp_path, seed="9"):

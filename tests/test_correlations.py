@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from belldyn.correlations import (
+    _bits,
     bell_correlations,
     bell_eigenvalues_from_kappas,
     classical_correlation_bell,
@@ -244,6 +245,12 @@ def test_measures_match_a_40_digit_reference():
         want = _measures_to_40_digits(spectrum)
         for name, value, exact in zip(("I", "C", "Q", "REE"), row, want):
             assert abs(value - exact) <= 1e-14 * abs(exact) + 1e-35, (name, spectrum, value)
+    # the kernel alone, 1 - h((1 + d) / 2), where its entropy form cancels to d^2 / (2 ln 2)
+    for d in 10.0 ** -np.arange(1, 13):
+        with mpmath.workdps(40):
+            p = (1 + mpmath.mpf(d)) / 2
+            exact = 1 + p * mpmath.log(p, 2) + (1 - p) * mpmath.log(1 - p, 2)
+            assert abs(float(_bits(d)) - exact) <= 1e-14 * exact, d
 
 
 def test_total_is_sum_of_parts():

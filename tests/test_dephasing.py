@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -563,6 +564,43 @@ def test_entanglement_death_and_revival_are_kappa_b_crossings(preset, step):
     revival = _crossing(x, kb, level, rising=True, start=death)
     assert abs(landmarks["ree_death_x"] - death) <= 1e-9
     assert abs(landmarks["ree_revival_x"] - revival) <= 1e-9
+
+
+@pytest.mark.parametrize("step", [2.0, 0.5])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_sweep_measures_match_the_spectrum_route(preset, step):
+    # sweep takes C and Q from the two moduli and REE from lambda1; bell_correlations
+    # takes all four from the eigenvalues: 2.7e-15 apart at most
+    series = sweep(replace(PRESETS[preset], step=step))
+    lam = bell_eigenvalues_from_kappas(series["kappa_a"], series["kappa_b"])
+    for name, want in zip(("I", "C", "Q", "REE"), bell_correlations(lam)):
+        np.testing.assert_allclose(series[name], want, rtol=0.0, atol=1e-14, err_msg=name)
+    assert np.array_equal(series["I"], series["C"] + series["Q"])
+
+
+def _g_to_40_digits(k):
+    """g(k) = ((1 + k) ln(1 + k) + (1 - k) ln(1 - k)) / (2 ln 2) bits of the float k, at the
+    working precision; g(1) = 1."""
+    k = mpmath.mpf(float(k))
+    if k == 1:
+        return k
+    return ((1 + k) * mpmath.log1p(k) + (1 - k) * mpmath.log1p(-k)) / (2 * mpmath.log(2))
+
+
+@pytest.mark.parametrize("preset", ["fig2a", "fig3a"])
+def test_long_sweeps_print_every_correlation_digit_right(preset):
+    # to 3000 lam0 |kappa_b| falls as low as 4e-12; the eigenvalues near 1/4 carry it to
+    # only about 1e-17 absolute, so Q from them printed 317 (fig2a) and 117 (fig3a) wrong cells
+    series = sweep(replace(PRESETS[preset], x_b_max=3000.0))
+    columns = [series[name] for name in ("kappa_a_abs", "kappa_b_abs", "I", "C", "Q")]
+    assert len(columns[0]) == 1501
+    wrong = []
+    with mpmath.workdps(40):
+        for row, (ka, kb, *cells) in enumerate(zip(*columns)):
+            c, q = _g_to_40_digits(max(ka, kb)), _g_to_40_digits(min(ka, kb))
+            wrong += [(row, name) for name, cell, want in zip("ICQ", cells, (c + q, c, q))
+                      if "%.9g" % cell != "%.9g" % float(want)]
+    assert wrong == []
 
 
 def test_validate_echo_points_is_the_one_schedule_check():

@@ -1,6 +1,6 @@
 """The public surface: `belldyn.__all__` resolves, removed names stay removed, the
 modules import one another in layers, every exception class lives in `belldyn.errors`,
-and every belldyn name the benchmark uses or traces resolves."""
+and every belldyn name the benchmark and its tests use or trace resolves."""
 
 import ast
 import contextlib
@@ -54,6 +54,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 #: the benchmark's files that call into belldyn
 PERFBENCH = [Path(__file__).resolve().parents[1] / "perfbench" / name
              for name in ("workloads.py", "run.py", "worker.py")]
+#: the benchmark's own tests, which also call into belldyn (the float wrappers among others)
+PERFBENCH_TESTS = Path(__file__).resolve().parents[1] / "perfbench" / "tests" / "test_perfbench.py"
+#: the names those tests use that are already gone from belldyn; no other may join them
+STALE_TEST_NAMES = {"belldyn.dephasing.eigenvalues_sorted"}
 #: the tracer that wraps belldyn's functions for the benchmark's per-layer metrics
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 #: the tracer targets whose functions or classes are already gone from belldyn; the
@@ -167,17 +171,28 @@ def _belldyn_names(source: str) -> set[str]:
     return {name for name in names if name and name.split(".")[0] == "belldyn"}
 
 
+def _resolves(name: str) -> bool:
+    """Whether a dotted belldyn name is an attribute or a module, part by part."""
+    parts = name.split(".")
+    target = importlib.import_module(parts[0])
+    for depth, part in enumerate(parts[1:], start=2):
+        try:
+            target = (getattr(target, part) if hasattr(target, part)
+                      else importlib.import_module(".".join(parts[:depth])))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
 def test_every_belldyn_name_the_benchmark_uses_resolves():
     # the benchmark runs these files against the source; a moved name would fail
     # every one of its ops there, not here
     used = set().union(*(_belldyn_names(path.read_text(encoding="utf-8")) for path in PERFBENCH))
     assert {"belldyn.cli.main", "belldyn.reconstruct", "belldyn.oracle_ree_bell"} <= used
-    for name in sorted(used):
-        parts = name.split(".")
-        target = importlib.import_module(parts[0])
-        for depth, part in enumerate(parts[1:], start=2):
-            target = (getattr(target, part) if hasattr(target, part)
-                      else importlib.import_module(".".join(parts[:depth])))
+    assert [name for name in sorted(used) if not _resolves(name)] == []
+    # its tests call more of belldyn, the float wrappers among them
+    tested = _belldyn_names(PERFBENCH_TESTS.read_text(encoding="utf-8"))
+    assert tested and {name for name in tested if not _resolves(name)} <= STALE_TEST_NAMES
 
 
 def _tracer_targets() -> dict:
