@@ -32,15 +32,12 @@ def shannon_bits(p: np.ndarray) -> float:
 
 
 def validate_state(matrix: np.ndarray) -> np.ndarray:
-    """Check a two-qubit state's shape, hermiticity, positivity and unit trace; return it as complex.
-
-    Raises InvalidStateError unless it is 4x4, passes `eigenvalues_sorted` and has trace 1.
-    """
+    """The matrix as complex; InvalidStateError unless a 4x4 state: `eigenvalues_sorted`'s checks and trace 1."""
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a two-qubit (4x4) state, got shape {rho.shape}")
-    eigenvalues_sorted(rho)
-    tr = np.trace(rho)
+    _checked_eigenvalues(rho)
+    tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"trace {tr} deviates from 1 beyond 1e-12")
     return rho
@@ -66,6 +63,24 @@ def validate_bell_spectrum(lambdas) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
+def _checked_eigenvalues(state) -> np.ndarray:
+    """The ascending eigenvalues of a matrix or stack that passes `eigenvalues_sorted`'s checks."""
+    rho = np.asarray(state, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("matrix has a non-finite entry")
+    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= HERMITICITY_TOL:
+        raise InvalidStateError("matrix is not Hermitian within 1e-12")
+    w = np.linalg.eigvalsh(rho)
+    lowest = w.min(initial=0.0)
+    if lowest < EIGENVALUE_FLOOR:
+        raise InvalidStateError(f"eigenvalue {lowest} below the {EIGENVALUE_FLOOR} floor")
+    if (w.max(axis=-1, initial=0.0) <= 0.0).any():  # no positive eigenvalue: a zero sum once clipped
+        raise InvalidStateError("eigenvalues sum to zero")
+    return w
+
+
 def eigenvalues_sorted(state) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, or of each of a stack, non-increasing.
 
@@ -75,19 +90,5 @@ def eigenvalues_sorted(state) -> np.ndarray:
     beyond 1e-12, values below the floor or a zero sum raise InvalidStateError.
     An empty stack gives an empty stack of vectors.
     """
-    rho = np.asarray(state, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise InvalidStateError("matrix has a non-finite entry")
-    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= HERMITICITY_TOL:
-        raise InvalidStateError("matrix is not Hermitian within 1e-12")
-    w = np.linalg.eigvalsh(rho)[..., ::-1]
-    lowest = w.min(initial=0.0)
-    if lowest < EIGENVALUE_FLOOR:
-        raise InvalidStateError(f"eigenvalue {lowest} below the {EIGENVALUE_FLOOR} floor")
-    w = np.clip(w, 0.0, None)
-    total = w.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
-        raise InvalidStateError("eigenvalues sum to zero")
-    return w / total
+    w = np.clip(_checked_eigenvalues(state)[..., ::-1], 0.0, None)
+    return w / w.sum(axis=-1, keepdims=True)

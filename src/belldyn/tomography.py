@@ -160,13 +160,10 @@ _MAX_STEPS = 200
 _MAX_HALVINGS = 60
 
 
-def _evaluate(freqs, x):
-    """Likelihood term, log det rho, and the eigenpairs the derivatives reuse, at coordinates x.
-
-    A point where rho is not positive definite gives NaN or infinite terms.
-    """
+def _evaluate(freqs, t, x):
+    """The barrier objective at x (NaN or infinite unless rho > 0), and the eigenpairs the derivatives reuse."""
     w, v = np.linalg.eigh(_matrices(x))
-    return (x - freqs * np.log(x)).sum(axis=-1), np.log(w).sum(axis=-1), w, v
+    return (x - freqs * np.log(x)).sum(axis=-1) - t * np.log(w).sum(axis=-1), w, v
 
 
 def _derivatives(freqs, t, w, v, x):
@@ -185,7 +182,7 @@ def _derivatives(freqs, t, w, v, x):
     log_det_hess = c @ c.swapaxes(1, 2)
     ratio = freqs / x
     hess = t[:, None, None] * log_det_hess
-    hess[:, range(16), range(16)] += ratio / x
+    hess.reshape(-1, 256)[:, ::17] += ratio / x  # the diagonal, as a strided view
     return 1.0 - ratio - t[:, None] * log_det_grad, hess, log_det_grad, log_det_hess, c
 
 
@@ -208,25 +205,25 @@ def _line_search(freqs, t, x, step, full, current, decrement):
     the squared decrement; returns it with its `_evaluate` terms."""
     drop = _ARMIJO * decrement
 
-    def accepted(trial, rows, alpha):
-        lik, logdet, w = trial[1], trial[2], trial[3]
-        value = lik - t[rows] * logdet
-        armijo = value <= current[rows] - alpha * drop[rows]
-        return (w[:, 0] > 0.0) & np.isfinite(value) & (full[rows] | armijo)
+    def accepted(trial, bound, full):  # trial = [point, objective, w, v]
+        return (trial[2][:, 0] > 0.0) & np.isfinite(trial[1]) & (full | (trial[1] <= bound))
 
     point = x + step
-    result = [point, *_evaluate(freqs, point)]
-    pending = np.flatnonzero(~accepted(result, slice(None), 1.0))
+    result = [point, *_evaluate(freqs, t, point)]
+    ok = accepted(result, current - drop, full)
+    if ok.all():
+        return result
+    pending = np.flatnonzero(~ok)
     for halving in range(1, _MAX_HALVINGS + 1):
-        if not pending.size:
-            return result
         alpha = 0.5 ** halving
         point = x[pending] + alpha * step[pending]
-        trial = [point, *_evaluate(freqs[pending], point)]
-        ok = accepted(trial, pending, alpha)
+        trial = [point, *_evaluate(freqs[pending], t[pending], point)]
+        ok = accepted(trial, current[pending] - alpha * drop[pending], full[pending])
         for whole, part in zip(result, trial):
             whole[pending[ok]] = part[ok]
         pending = pending[~ok]
+        if not pending.size:
+            return result
     raise NonConvergenceError(f"barrier line search found no acceptable step in {_MAX_HALVINGS} halvings")
 
 
@@ -256,35 +253,37 @@ def _barrier_solve(freqs, lowest):
     tolerance = np.array([_FULL_STEP] * (len(_BARRIER_STAGES) - 2) + [_PRE_CENTRED, _CENTRED])
     t = scale * _BARRIER_STAGES[0]
     x = freqs + (t - lowest)[:, None]
+    bound = tolerance[stage] * t  # a row's stage is centred once its squared decrement is at most this
     with np.errstate(divide="ignore", invalid="ignore"):
-        lik, logdet, w, v = _evaluate(freqs, x)
+        current, w, v = _evaluate(freqs, t, x)
         for _ in range(_MAX_STEPS):
             grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, w, v, x)
             inverse = np.linalg.inv(hess)
-            step = _apply(inverse, -grad)
-            decrement = (-grad * step).sum(axis=-1)
-            centred = decrement <= tolerance[stage] * t
-            last = stage == len(_BARRIER_STAGES) - 1
-            moving = centred & ~last
-            if moving.any():
-                dt = (scale * _BARRIER_STAGES[stage + moving] - t)[:, None]
-                tangent = _apply(inverse, log_det_grad)
-                curvature = _curvature(freqs, t, x, inverse, tangent, log_det_hess, c)
-                step = np.where(moving[:, None], dt * (tangent + 0.5 * dt * curvature), step)
-            finished = centred & last
-            if finished.any():
-                out[rows[finished]] = x[finished]
-                keep = ~finished
-                if not keep.any():
-                    return out
-                (rows, freqs, scale, stage, t, x, lik, logdet, w, v, centred, step, decrement) = (
-                    a[keep] for a in (rows, freqs, scale, stage, t, x, lik, logdet, w, v, centred, step,
-                                      decrement))
-            t_old = t
-            stage = stage + centred
-            t = scale * _BARRIER_STAGES[stage]
-            full = decrement <= _FULL_STEP * t_old  # every centred row too
-            x, lik, logdet, w, v = _line_search(freqs, t, x, step, full, lik - t_old * logdet, decrement)
+            descent = -grad
+            step = _apply(inverse, descent)
+            decrement = (descent * step).sum(axis=-1)
+            full = decrement <= _FULL_STEP * t  # every centred row too
+            centred = decrement <= bound
+            if centred.any():
+                moving = centred & (stage < len(_BARRIER_STAGES) - 1)
+                if moving.any():
+                    dt = (scale * _BARRIER_STAGES[stage + moving] - t)[:, None]
+                    tangent = _apply(inverse, log_det_grad)
+                    curvature = _curvature(freqs, t, x, inverse, tangent, log_det_hess, c)
+                    step = np.where(moving[:, None], dt * (tangent + 0.5 * dt * curvature), step)
+                finished = centred & ~moving
+                if finished.any():
+                    out[rows[finished]] = x[finished]
+                    keep = ~finished
+                    if not keep.any():
+                        return out
+                    rows, freqs, scale, stage, x, w, v, centred, step, decrement, full, current = (
+                        a[keep] for a in (rows, freqs, scale, stage, x, w, v, centred, step, decrement, full,
+                                          current))
+                stage = stage + centred
+                t = scale * _BARRIER_STAGES[stage]
+                bound = tolerance[stage] * t
+            x, current, w, v = _line_search(freqs, t, x, step, full, current, decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 

@@ -471,6 +471,16 @@ PRESET_OUTPUT_SHA256 = {
 }
 
 
+#: SHA-256 of (sweep.csv, landmarks.txt, noisy.csv) of a fig2a run to 120 lambda0 at
+#: step 60 with tomography at 10^4 counts, 20 resamples and seed 7; its x = 0 row
+#: reconstructs through the barrier solve
+TOMOGRAPHY_OUTPUT_SHA256 = (
+    "43f234578ea1ba8d837e04cc0050db546d8cfc9525149438939ae6ea962153f0",
+    "6b85d31172848ece16b16d0fac2b9c730d2869781ebb0b3bd41bc61bddda40c8",
+    "b055570f2af2ac407c01525fb6c9c13f9dbe1201e267e4347d970652a8c15fdd",
+)
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_run_preset_outputs_are_pinned(tmp_path, preset):
     # the bytes of the sweep path before the experiment config became sweep's input
@@ -478,6 +488,16 @@ def test_run_preset_outputs_are_pinned(tmp_path, preset):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("sweep.csv", "landmarks.txt"))
     assert digests == PRESET_OUTPUT_SHA256[preset]
+
+
+def test_run_tomography_outputs_are_pinned(tmp_path):
+    # every printed digit of the estimator, down to the 9th of noisy.csv
+    config = replace(PRESETS["fig2a"], x_b_max=120.0, step=60.0,
+                     tomography=TomographySettings(n_per_setting=10**4, resamples=20, seed=7))
+    run(config, tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("sweep.csv", "landmarks.txt", "noisy.csv"))
+    assert digests == TOMOGRAPHY_OUTPUT_SHA256
 
 
 def test_series_matches_sweep_output(tmp_path):

@@ -424,7 +424,7 @@ def test_curvature_matches_central_differences_of_the_newton_matrix():
     t = rng.uniform(1e-4, 1e-1, size=len(x))
 
     def derivatives(point):
-        _, _, w, v = tomography._evaluate(freqs, point)
+        _, w, v = tomography._evaluate(freqs, t, point)
         return w, tomography._derivatives(freqs, t, w, v, point)
 
     w, (_, hess, log_det_grad, log_det_hess, c) = derivatives(x)
@@ -446,7 +446,7 @@ def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
     lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]  # of the linear inversion
     optimum = tomography._barrier_solve(freqs, lowest)
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    _, _, w, v = tomography._evaluate(freqs, optimum)
+    _, w, v = tomography._evaluate(freqs, t, optimum)
     grad, hess, *_ = tomography._derivatives(freqs, t, w, v, optimum)
     newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
     decrement = (-grad * newton).sum(axis=-1)
@@ -458,6 +458,38 @@ def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
     monkeypatch.setattr(tomography, "_MAX_STEPS", 3)
     with pytest.raises(NonConvergenceError):
         reconstruct(rec)
+
+
+def test_line_search_halves_rejected_steps_and_raises_past_its_limit(monkeypatch):
+    # a solve evaluates its start and the first trial of every step but the last, so it
+    # makes one `_evaluate` call per Newton step and one per halving: every record here
+    # halves some step, so the mixed-batch test solves halved rows beside unhalved ones
+    records = unphysical_records()
+    steps, evaluations = [], []
+    derivatives, evaluate = tomography._derivatives, tomography._evaluate
+
+    def counting_steps(*args):
+        steps[-1] += 1
+        return derivatives(*args)
+
+    def counting_evaluations(*args):
+        evaluations[-1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(tomography, "_derivatives", counting_steps)
+    monkeypatch.setattr(tomography, "_evaluate", counting_evaluations)
+    for rec in records:
+        steps.append(0)
+        evaluations.append(0)
+        reconstruct(rec)
+        assert evaluations[-1] > steps[-1]
+    # records[1] halves no step more than once
+    estimate = reconstruct(records[1])
+    monkeypatch.setattr(tomography, "_MAX_HALVINGS", 1)
+    assert np.array_equal(reconstruct(records[1]), estimate)
+    monkeypatch.setattr(tomography, "_MAX_HALVINGS", 0)
+    with pytest.raises(NonConvergenceError, match="line search"):
+        reconstruct(records[1])
 
 
 def test_tomography_input_errors_are_belldyn_and_value_errors():
