@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dephasing, tomography
+from . import tomography
 from .config import PRESETS, TOMO_KEYS, ExperimentConfig, TomographySettings, parse_config_lines
+from .correlations import bell_correlations, bell_eigenvalues_from_kappas
 from .dephasing import landmarks_from_series, sweep
 from .errors import BelldynError, ConfigError, ParseError
 
@@ -103,21 +104,19 @@ def format_landmarks(landmarks: dict[str, float]) -> str:
 def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path) -> None:
     """Tomography-reconstructed series with bootstrap error bars.
 
-    Per sweep-table row: simulate counts from the evolved state, reconstruct, and
-    evaluate the correlation measures on the reconstructed spectrum; errors
-    come from the parametric bootstrap. Row i draws its counts from the seed words
-    [seed, i, 0] and its resamples from [seed, i, 1], in one `tomography.bootstrap`
-    call for all rows, which bounds its own memory.
+    Per sweep-table row: simulate counts from the setting probabilities, linear in
+    the row's two kappas, reconstruct, and evaluate the correlation measures on the
+    reconstructed spectrum; errors come from the parametric bootstrap. Row i draws
+    its counts from the seed words [seed, i, 0] and its resamples from [seed, i, 1],
+    in one `tomography.bootstrap` call for all rows, which bounds its own memory.
     """
     tomo = config.tomography
     keys = tomography.BOOTSTRAP_KEYS
-    rows = range(len(table["x_over_lambda0"]))
-    records = [tomography.simulate_counts(
-        dephasing.evolve_state(table["kappa_a"][i], table["kappa_b"][i]),
-        tomo.n_per_setting, [tomo.seed, i, 0]) for i in rows]
+    probabilities = tomography._dephased_probabilities(table["kappa_a"], table["kappa_b"])
+    rows = range(len(probabilities))
+    counts = np.stack([tomography._draw(probabilities[i], tomo.n_per_setting, [tomo.seed, i, 0]) for i in rows])
     # per row, each value followed by its error, in BOOTSTRAP_KEYS order
-    cells = np.stack(tomography.bootstrap(records, tomo.resamples, [[tomo.seed, i, 1] for i in rows]),
-                     axis=-1)
+    cells = np.stack(tomography.bootstrap(counts, tomo.resamples, [[tomo.seed, i, 1] for i in rows]), axis=-1)
     header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
     _write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
@@ -167,10 +166,11 @@ def _cmd_landmarks(args) -> int:
 def _cmd_tomo_demo(args) -> int:
     tomo = TomographySettings(n_per_setting=args.counts, seed=args.seed,
                               keys=("--counts", "resamples", "--seed"))
-    rho = dephasing.evolve_state(args.kappa_a, args.kappa_b)
-    record = tomography.simulate_counts(rho, tomo.n_per_setting, tomo.seed)
+    spectrum = bell_eigenvalues_from_kappas(args.kappa_a, args.kappa_b)  # checks both kappas
+    record = tomography.TomographyRecord(tomography._draw(
+        tomography._dephased_probabilities(args.kappa_a, args.kappa_b)[0], tomo.n_per_setting, [tomo.seed]))
     print(tomography.record_to_csv(record), end="")
-    true = tomography.state_quantities(rho)
+    true = [*bell_correlations(spectrum), *spectrum]
     # [seed, 1], not seed + 1: SeedSequence pads with zeros, so [s + 1] would be demo seed s + 1's counts
     (reconstructed,), (errs,) = tomography.bootstrap([record], tomo.resamples, [[tomo.seed, 1]])
     print()

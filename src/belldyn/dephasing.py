@@ -17,8 +17,8 @@ in nm; `spectra` and `sweep` convert it to rad/s and meters. Every
 decoherence parameter and the echo schedule accept an array of
 retardations, so a sweep is one column computation over the whole x grid: the
 two moduli give the Bell-diagonal eigenvalues, and C and Q are `_bits` of the
-larger and the smaller one. The 4x4 density matrix of `evolve_state` is not on
-that path; it serves tomography and the cross-check of the closed forms.
+larger and the smaller one. The 4x4 density matrix of `evolve_state` is on no
+run path: tests cross-check the closed forms and the tomography counts with it.
 
 `landmarks_from_series` reads the paper's observables off that table, or off its
 columns read back from a sweep.csv: the sudden transition, entanglement death and

@@ -100,6 +100,28 @@ def probabilities(rho) -> np.ndarray:
     return np.clip(np.einsum("kij,ji->k", STANDARD_PROJECTORS, rho).real, 0.0, 1.0)
 
 
+#: (row, column, sign) of kappa_a, kappa_b, kappa_a kappa_b and kappa_a kappa_b* below the diagonal of
+#: 4 `dephasing.evolve_state`; with F = Re, Im of those, tr(P_k rho) = (1 + sum_j A_kj F_j) / 4, z at (r, c)
+#: giving A 2 Re, 2 Im of P_k[r, c]: 0, +-1/2 or +-1 once rounded (products of 1/sqrt2 miss by an ulp)
+_KAPPA_SLOTS = ((2, 0, 1), (3, 1, -1)), ((1, 0, 1), (3, 2, -1)), ((3, 0, -1),), ((2, 1, 1),)
+_LINEAR_FORMS = np.round(4.0 * np.stack([sum(s * STANDARD_PROJECTORS[:, r, c] for r, c, s in slots)
+                                         for slots in _KAPPA_SLOTS], axis=-1)).view(float) / 2.0
+
+
+def _dephased_probabilities(kappa_a, kappa_b) -> np.ndarray:
+    """`probabilities` of `evolve_state(a, b)` without the 4x4 matrix, one row per pair of checked
+    kappas; a modulus above 1 is clipped to 1, phase kept, as `evolve_state` clips."""
+    kappas = np.asarray((kappa_a, kappa_b), dtype=complex).reshape(2, -1)
+    ka, kb = kappas / np.maximum(np.abs(kappas), 1.0)
+    features = np.stack([ka, kb, ka * kb, ka * kb.conj()], axis=-1).view(float)
+    return np.clip(0.25 * (1.0 + _apply(_LINEAR_FORMS, features)), 0.0, 1.0)
+
+
+def _draw(probabilities, n_per_setting, words) -> np.ndarray:
+    """Poisson counts with means n_per_setting * probabilities, from the Generator seeded with words."""
+    return np.random.default_rng(words).poisson(n_per_setting * probabilities).astype(float)
+
+
 def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     """Draw Poisson counts with mean n_per_setting * tr(rho P) per setting.
 
@@ -112,9 +134,7 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     rho = validate_state(rho)
     if not _holds(lambda n: 1 <= n <= MAX_TOMO_COUNTS, n_per_setting):
         raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting!r}")
-    rng = np.random.default_rng(_seed_words(seed))
-    counts = rng.poisson(n_per_setting * probabilities(rho)).astype(float)
-    return TomographyRecord(counts)
+    return TomographyRecord(_draw(probabilities(rho), n_per_setting, _seed_words(seed)))
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -143,7 +163,7 @@ def _matrices(x: np.ndarray) -> np.ndarray:
 #: barrier weight over the total frequency, one value per stage; the last one
 #: sets the order of the smallest eigenvalue of an estimate
 _BARRIER_STAGES = 1e-2 ** np.arange(1, 6)
-#: the last stage is centred when the squared Newton decrement falls below this times t
+#: an estimate is centred: its squared Newton decrement in the last stage is at most this times t
 _CENTRED = 1e-8
 #: below this squared decrement (times t) the full Newton step is taken, as in
 #: the quadratically convergent region of a self-concordant barrier, and an
@@ -153,9 +173,9 @@ _FULL_STEP = 0.25
 _ARMIJO = 0.25
 #: the stage before the last is centred to this times t before the predictor enters the last
 _PRE_CENTRED = 1e-2
-#: limits of one solve; over 1,536 unphysical records (fig2a rows, near-pure and pure
-#: states, 10^3-10^5 counts) a row took at most 32 steps (median 17) and a step at
-#: most 6 halvings
+#: limits of one solve; a row took at most 33 steps (median 17) over 1,651 unphysical
+#: near-pure records at 10^2-10^15 counts, and a step at most 6 halvings over 1,536
+#: (fig2a rows, near-pure and pure states, 10^3-10^5 counts)
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
 
@@ -178,7 +198,7 @@ def _derivatives(freqs, t, w, v, x):
     u = v / np.sqrt(w)[:, None, :]
     kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 16, 16)
     c = (_DUAL @ kron).view(float)
-    log_det_grad = c[..., ::10].sum(axis=-1)
+    log_det_grad = c[..., 0] + c[..., 10] + c[..., 20] + c[..., 30]
     log_det_hess = c @ c.swapaxes(1, 2)
     ratio = freqs / x
     hess = t[:, None, None] * log_det_hess
@@ -231,26 +251,30 @@ def _barrier_solve(freqs, lowest):
     """Unnormalized extended-likelihood optimum for rows whose linear inversion is unphysical.
 
     In the coordinates x_k = tr(P_k rho), where the linear inversion is the
-    frequencies f and has the smallest eigenvalue `lowest`, minimizes
-    sum_k (x_k - f_k log x_k) - t log det rho by Newton's method over the
-    decreasing t of _BARRIER_STAGES (times sum_k f_k). A centred row moves to
-    the next t along the central path x(t), by dt x' + dt^2 x'' / 2 with x' and
-    x'' (`_curvature`) from the step's one inverse of the Newton matrix; a
-    backtracking line search keeps every iterate positive definite. The start
-    is the linear inversion plus (t - lowest) I, that is t - lowest added to
-    every x_k, so that its smallest eigenvalue is the first t. An intermediate
-    stage only warm-starts the next, so a row leaves it once its squared Newton
-    decrement is at most _FULL_STEP * t (where the full Newton step is taken),
-    or _PRE_CENTRED * t before the last stage; the last stage is centred to
-    _CENTRED * t, and a row freezes there. Raises NonConvergenceError when a
-    row needs more than _MAX_STEPS steps, or a step more than _MAX_HALVINGS
-    halvings.
+    frequencies f with smallest eigenvalue `lowest`, minimizes sum_k (x_k -
+    f_k log x_k) - t log det rho by Newton's method over the decreasing t of
+    _BARRIER_STAGES (times sum_k f_k), from x = f + t - lowest (smallest
+    eigenvalue the first t). A centred row moves to the next t along the
+    central path x(t), by dt x' + dt^2 x'' / 2 with x' and x'' (`_curvature`)
+    from the step's one inverse of the Newton matrix; a backtracking line
+    search keeps every iterate positive definite. A row leaves an intermediate
+    stage, which only warm-starts the next, once its squared Newton decrement d
+    is at most _FULL_STEP * t (the full step is taken there), or _PRE_CENTRED * t
+    before the last. A last-stage row returns x plus its Newton step once
+    d <= d* min(t, f_min), f_min its least positive f and d* = (c / (1 + c))^2,
+    c = _CENTRED^(1/4): over min(t, f_min) the objective is self-concordant, so
+    sqrt(d+) <= (sqrt(d) / (1 - sqrt(d)))^2 (Boyd and Vandenberghe, 9.6.4) puts
+    that point within _CENTRED * t. Raises NonConvergenceError when a row needs
+    more than _MAX_STEPS steps, or a step more than _MAX_HALVINGS halvings.
     """
     out = np.empty_like(freqs)
     rows = np.arange(len(freqs))
     scale = freqs.sum(axis=-1)
+    # min(t, f_min) of the last stage
+    reach = np.minimum(scale * _BARRIER_STAGES[-1], np.where(freqs > 0.0, freqs, np.inf).min(axis=-1))
     stage = np.zeros(len(freqs), dtype=int)
-    tolerance = np.array([_FULL_STEP] * (len(_BARRIER_STAGES) - 2) + [_PRE_CENTRED, _CENTRED])
+    tolerance = np.array([_FULL_STEP] * (len(_BARRIER_STAGES) - 2)
+                         + [_PRE_CENTRED, (_CENTRED ** 0.25 / (1.0 + _CENTRED ** 0.25)) ** 2])
     t = scale * _BARRIER_STAGES[0]
     x = freqs + (t - lowest)[:, None]
     bound = tolerance[stage] * t  # a row's stage is centred once its squared decrement is at most this
@@ -273,16 +297,16 @@ def _barrier_solve(freqs, lowest):
                     step = np.where(moving[:, None], dt * (tangent + 0.5 * dt * curvature), step)
                 finished = centred & ~moving
                 if finished.any():
-                    out[rows[finished]] = x[finished]
+                    out[rows[finished]] = x[finished] + step[finished]
                     keep = ~finished
                     if not keep.any():
                         return out
-                    rows, freqs, scale, stage, x, w, v, centred, step, decrement, full, current = (
-                        a[keep] for a in (rows, freqs, scale, stage, x, w, v, centred, step, decrement, full,
-                                          current))
+                    rows, freqs, reach, scale, stage, x, w, v, centred, step, decrement, full, current = (
+                        a[keep] for a in (rows, freqs, reach, scale, stage, x, w, v, centred, step,
+                                          decrement, full, current))
                 stage = stage + centred
                 t = scale * _BARRIER_STAGES[stage]
-                bound = tolerance[stage] * t
+                bound = tolerance[stage] * np.where(stage == len(_BARRIER_STAGES) - 1, reach, t)
             x, current, w, v = _line_search(freqs, t, x, step, full, current, decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
@@ -338,7 +362,7 @@ def state_quantities(states) -> np.ndarray:
 
 
 def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Point estimates and parametric-bootstrap standard deviations of a stack of records.
+    """Point estimates and parametric-bootstrap standard deviations of records, or of rows of counts.
 
     Record i's resamples redraw every count from Poisson(observed count): one
     (resamples, 16) draw from the Generator seeded with seeds[i]. Records are
@@ -358,12 +382,12 @@ def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < len(records) == len(seeds):
         raise TomographyInputError(f"need 1+ records, one seed each, got {len(seeds)} for {len(records)}")
     words = [_seed_words(seed) for seed in seeds]
+    rows = records if isinstance(records, np.ndarray) else np.stack([record.counts for record in records])
     block = max(1, _BLOCK_ROWS // (1 + resamples))
     out = np.empty((2, len(records), len(BOOTSTRAP_KEYS)))
     for start in range(0, len(records), block):
-        counts = np.stack([
-            np.vstack([record.counts, np.random.default_rng(seed).poisson(record.counts, (resamples, 16))])
-            for record, seed in zip(records[start:start + block], words[start:start + block])])
+        counts = np.stack([np.vstack([row, np.random.default_rng(seed).poisson(row, (resamples, 16))])
+                           for row, seed in zip(rows[start:start + block], words[start:start + block])])
         quantities = state_quantities(_estimate(counts.reshape(-1, 16))).reshape(len(counts), 1 + resamples, -1)
         out[0, start:start + block] = quantities[:, 0]
         out[1, start:start + block] = quantities[:, 1:].std(axis=1, ddof=1)

@@ -437,6 +437,26 @@ def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_row
     assert (tmp_path / "noisy.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_run_draws_the_counts_simulate_counts_draws_from_each_state(monkeypatch, tmp_path, preset):
+    # `write_noisy_csv` draws each row's counts from linear forms of the row's two kappas, not
+    # from its 4x4 state; every count is the one `simulate_counts` draws from that state
+    drawn = []
+
+    def capture(counts, resamples, seeds):
+        drawn.append(counts)
+        return np.zeros((len(counts), 8)), np.zeros((len(counts), 8))
+
+    monkeypatch.setattr(tomography, "bootstrap", capture)
+    table = sweep(PRESETS[preset])
+    states = [dephasing.evolve_state(a, b) for a, b in zip(table["kappa_a"], table["kappa_b"])]
+    for seed in range(5):
+        config = replace(PRESETS[preset], tomography=TomographySettings(10**4, 2, seed))
+        belldyn.cli.write_noisy_csv(table, config, tmp_path / "noisy.csv")
+        expected = [simulate_counts(rho, 10**4, [seed, i, 0]).counts for i, rho in enumerate(states)]
+        assert np.array_equal(drawn[-1], expected)
+
+
 def test_main_tomo_demo_output_is_pinned(capsys):
     # the bytes of the per-call reconstruct + bootstrap demo
     assert main(["tomo-demo", "--kappa-a", "0.98", "--kappa-b", "0.99",
@@ -538,17 +558,17 @@ def test_tomo_demo_seeds_of_adjacent_demos_are_distinct(monkeypatch, capsys):
     # SeedSequence pads its words with zeros, so seed + 1 for the resamples would be the
     # next demo seed's count stream
     seeds = []
-    simulate, resample = tomography.simulate_counts, tomography.bootstrap
+    draw, resample = tomography._draw, tomography.bootstrap
 
-    def simulate_spy(rho, n, seed):
+    def draw_spy(probabilities, n, seed):
         seeds.append(seed)
-        return simulate(rho, n, seed)
+        return draw(probabilities, n, seed)
 
     def bootstrap_spy(records, resamples, row_seeds):
         seeds.extend(row_seeds)
         return resample(records, resamples, row_seeds)
 
-    monkeypatch.setattr(tomography, "simulate_counts", simulate_spy)
+    monkeypatch.setattr(tomography, "_draw", draw_spy)
     monkeypatch.setattr(tomography, "bootstrap", bootstrap_spy)
     for seed in ("3", "4"):
         assert main(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--counts", "100",
