@@ -102,22 +102,13 @@ def format_landmarks(landmarks: dict[str, float]) -> str:
 
 
 def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path) -> None:
-    """Tomography-reconstructed series with bootstrap error bars.
-
-    Per sweep-table row: simulate counts from the setting probabilities, linear in
-    the row's two kappas, reconstruct, and evaluate the correlation measures on the
-    reconstructed spectrum; errors come from the parametric bootstrap. Row i draws
-    its counts from the seed words [seed, i, 0] and its resamples from [seed, i, 1],
-    in one `tomography.bootstrap` call for all rows, which bounds its own memory.
-    """
+    """Tomography-reconstructed series with bootstrap error bars, from one
+    `tomography.simulate_dephased` call over all sweep-table rows, row i with the seed prefix [seed, i]."""
     tomo = config.tomography
-    keys = tomography.BOOTSTRAP_KEYS
-    probabilities = tomography._dephased_probabilities(table["kappa_a"], table["kappa_b"])
-    rows = range(len(probabilities))
-    counts = np.stack([tomography._draw(probabilities[i], tomo.n_per_setting, [tomo.seed, i, 0]) for i in rows])
-    # per row, each value followed by its error, in BOOTSTRAP_KEYS order
-    cells = np.stack(tomography.bootstrap(counts, tomo.resamples, [[tomo.seed, i, 1] for i in rows]), axis=-1)
-    header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
+    words = [[tomo.seed, i] for i in range(len(table["kappa_a"]))]
+    _, values, errors = tomography.simulate_dephased(table["kappa_a"], table["kappa_b"], tomo, words)
+    cells = np.stack((values, errors), axis=-1)  # per row, each value followed by its error
+    header = ["x_over_lambda0"] + [f"{k}{suffix}" for k in tomography.BOOTSTRAP_KEYS for suffix in ("", "_err")]
     _write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
 
@@ -166,16 +157,11 @@ def _cmd_landmarks(args) -> int:
 def _cmd_tomo_demo(args) -> int:
     tomo = TomographySettings(n_per_setting=args.counts, seed=args.seed,
                               keys=("--counts", "resamples", "--seed"))
-    spectrum = bell_eigenvalues_from_kappas(args.kappa_a, args.kappa_b)  # checks both kappas
-    record = tomography.TomographyRecord(tomography._draw(
-        tomography._dephased_probabilities(args.kappa_a, args.kappa_b)[0], tomo.n_per_setting, [tomo.seed]))
-    print(tomography.record_to_csv(record), end="")
-    true = [*bell_correlations(spectrum), *spectrum]
-    # [seed, 1], not seed + 1: SeedSequence pads with zeros, so [s + 1] would be demo seed s + 1's counts
-    (reconstructed,), (errs,) = tomography.bootstrap([record], tomo.resamples, [[tomo.seed, 1]])
-    print()
-    print(f"{'quantity':8s} {'true':>12s} {'reconstructed':>14s} {'error':>10s}")
-    for name, t, rec, err in zip(tomography.BOOTSTRAP_KEYS, true, reconstructed, errs):
+    lam = bell_eigenvalues_from_kappas(args.kappa_a, args.kappa_b)  # checks both kappas
+    (counts,), (values,), (errs,) = tomography.simulate_dephased(args.kappa_a, args.kappa_b, tomo, [[tomo.seed]])
+    print(tomography.record_to_csv(tomography.TomographyRecord(counts)), end="")
+    print(f"\n{'quantity':8s} {'true':>12s} {'reconstructed':>14s} {'error':>10s}")
+    for name, t, rec, err in zip(tomography.BOOTSTRAP_KEYS, [*bell_correlations(lam), *lam], values, errs):
         print(f"{name:8s} {t:12.6f} {rec:14.6f} {err:10.6f}")
     return 0
 

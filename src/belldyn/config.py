@@ -75,6 +75,12 @@ def validate_echo_points(points) -> tuple[float, ...]:
     return tuple(float(p) for p in pts)
 
 
+def _grid_points(x_b_max, step):
+    """floor(x_b_max / step + 1e-9) + 1, the points 0, step, ... up to x_b_max; inf if the ratio overflows."""
+    ratio = float(x_b_max) / float(step) + 1e-9  # a float quotient overflows to inf silently
+    return math.floor(ratio) + 1 if ratio < math.inf else ratio
+
+
 @dataclass(frozen=True)
 class TomographySettings:
     """Tomography of every sweep row: counts per setting (1 to MAX_TOMO_COUNTS), resamples
@@ -149,11 +155,8 @@ class ExperimentConfig:
         for (name, rule), meters in zip(lengths, (x_a, x_b_max, step)):
             if not rules[rule](meters):
                 raise ConfigError(f"{name} * lambda0 must be finite and {rule}, got {meters:g} m")
-        with np.errstate(over="ignore"):
-            ratio = x_b_max / step
-        if not ratio + 1e-9 < MAX_SWEEP_POINTS:  # the grid has floor(ratio + 1e-9) + 1 points
-            raise ConfigError(f"x_b_max / step = {ratio:.6g} gives more than {MAX_SWEEP_POINTS} "
-                              "sweep points")
+        if not (points := _grid_points(x_b_max, step)) <= MAX_SWEEP_POINTS:
+            raise ConfigError(f"x_b_max / step gives {points:.6g} sweep points, more than {MAX_SWEEP_POINTS}")
 
     def meters(self):
         """lambda0, x_a, x_b_max, step and the echo points in meters.

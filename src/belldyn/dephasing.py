@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import _real_array, validate_echo_points
+from .config import _grid_points, _real_array, validate_echo_points
 from .correlations import _bits, _kappa_modulus, bell_eigenvalues_from_kappas
 from .errors import DephasingInputError
 
@@ -176,7 +176,7 @@ def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:
     """
     lam0, x_a, x_b_max, step, echo_points = config.meters()
     spectrum_a, spectrum_b = spectra(config)
-    n_points = int(math.floor(x_b_max / step + 1e-9)) + 1
+    n_points = _grid_points(x_b_max, step)
     x_b = np.arange(n_points) * step
     x_eff = effective_retardation(x_b, echo_points)
     kappa_b = spectrum_b.kappa(x_eff)

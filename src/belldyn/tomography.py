@@ -1,21 +1,22 @@
 """Simulated two-photon state tomography with Poisson counting noise.
 
 The forward model draws independent Poisson coincidence counts for 16 product
-projectors. Reconstruction has one estimator, the maximum of the extended
-(free-trace) Poisson likelihood over positive semidefinite states, normalized
-to trace 1 (see `reconstruct`): a physical linear inversion is that maximum
-in closed form, and an unphysical one goes to a log-det barrier Newton solve.
-Statistical errors come from a parametric bootstrap that resamples the
-observed counts. `bootstrap` solves the point estimates and resamples of many
-records in blocks of bounded size; each row's arithmetic is independent of the
-batch, so it gives the same bits as one row at a time, and a resample the bits
-of `reconstruct` of its counts.
+projectors, from a state (`simulate_counts`) or from the two kappas
+(`simulate_dephased`, which `run` and `tomo-demo` share). Reconstruction has one
+estimator, the maximum of the extended (free-trace) Poisson likelihood over
+positive semidefinite states, normalized to trace 1 (see `reconstruct`): a
+physical linear inversion is that maximum in closed form, and an unphysical one
+goes to a log-det barrier Newton solve. Statistical errors come from a
+parametric bootstrap that resamples the observed counts. `bootstrap` solves the
+point estimates and resamples of many rows of counts in blocks of bounded size;
+each row's arithmetic is independent of the batch, so it gives the same bits as
+one row at a time, and a resample the bits of `reconstruct` of its counts.
 
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
 that a fixed seed reproduces outputs bit for bit; a record is 16 counts in that
-order. A seed is an integer >= 0 or a sequence of them, and a malformed size
-or seed raises TomographyInputError.
+order. A seed is an integer >= 0 or a sequence of them, and a malformed size,
+seed or count raises TomographyInputError.
 """
 
 from __future__ import annotations
@@ -75,14 +76,20 @@ class TomographyRecord:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = _real_array(self.counts)
-        if counts is None or counts.shape != (len(STANDARD_LABELS),):
-            raise TomographyInputError(f"counts must be 16 values, each a real number, got {self.counts!r}")
-        ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
-        if not ok.all():
-            raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _checked_counts(self.counts, 1))
+
+
+def _checked_counts(values, ndim: int) -> np.ndarray:
+    """Read-only float copy of 16 finite nonnegative counts or (ndim 2) rows of them; else TomographyInputError."""
+    counts = _real_array(values)
+    if counts is None or counts.ndim != ndim or counts.shape[-1] != len(STANDARD_LABELS):
+        raise TomographyInputError(f"counts must be 16 values per row, each a real number, got {values!r}")
+    ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
+    if not ok.all():
+        raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}"
+                                   + f" in row {np.argwhere(~ok)[0, 0]}" * (ndim == 2))
+    counts.flags.writeable = False
+    return counts
 
 
 def record_to_csv(record: TomographyRecord) -> str:
@@ -117,9 +124,9 @@ def _dephased_probabilities(kappa_a, kappa_b) -> np.ndarray:
     return np.clip(0.25 * (1.0 + _apply(_LINEAR_FORMS, features)), 0.0, 1.0)
 
 
-def _draw(probabilities, n_per_setting, words) -> np.ndarray:
-    """Poisson counts with means n_per_setting * probabilities, from the Generator seeded with words."""
-    return np.random.default_rng(words).poisson(n_per_setting * probabilities).astype(float)
+def _draw(means, words, size=None) -> np.ndarray:
+    """Poisson counts with the given means (size draws of them, if given), from the Generator seeded with words."""
+    return np.random.default_rng(words).poisson(means, size).astype(float)
 
 
 def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
@@ -134,7 +141,7 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     rho = validate_state(rho)
     if not _holds(lambda n: 1 <= n <= MAX_TOMO_COUNTS, n_per_setting):
         raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting!r}")
-    return TomographyRecord(_draw(probabilities(rho), n_per_setting, _seed_words(seed)))
+    return TomographyRecord(_draw(n_per_setting * probabilities(rho), _seed_words(seed)))
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -361,34 +368,43 @@ def state_quantities(states) -> np.ndarray:
     return np.concatenate([np.stack(bell_correlations(lam), axis=-1), lam], axis=-1)
 
 
-def bootstrap(records, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Point estimates and parametric-bootstrap standard deviations of records, or of rows of counts.
+def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Point estimates and parametric-bootstrap standard deviations of an (n, 16) array-like of counts.
 
-    Record i's resamples redraw every count from Poisson(observed count): one
-    (resamples, 16) draw from the Generator seeded with seeds[i]. Records are
-    solved in blocks of at most _BLOCK_ROWS estimates (one record if larger), so
-    memory stays bounded; the estimates of a block are rows of one `_estimate`
-    and one `state_quantities` call, each row with the bits it has alone.
-    Returns two (len(records), 8) arrays in BOOTSTRAP_KEYS order: the point
-    estimates' quantities and the resamples' standard deviations (ddof=1).
-    Raises TomographyInputError unless records is nonempty with one seed each,
-    every seed word is an integer >= 0, and resamples is an integer in
-    [2, MAX_TOMO_RESAMPLES]; 2.0 counts as 2.
+    Row i, checked as a `TomographyRecord`'s counts, is resampled from Poisson(observed count): one
+    (resamples, 16) draw from the Generator seeded with seeds[i]. Rows are solved in blocks of at
+    most _BLOCK_ROWS estimates (one row if larger), each a row of one `_estimate` call. Returns two
+    (n, 8) arrays in BOOTSTRAP_KEYS order: the point estimates' quantities and the resamples'
+    standard deviations (ddof=1). Raises TomographyInputError unless there are rows, one seed
+    each, of integer words >= 0, resamples is an integer in [2, MAX_TOMO_RESAMPLES] (2.0 counts as
+    2), and numpy can draw from every count.
     """
     if not _integer_in(resamples, 2, MAX_TOMO_RESAMPLES):
-        raise TomographyInputError(
-            f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples!r}")
+        raise TomographyInputError(f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples!r}")
     resamples = int(resamples)
-    if not 0 < len(records) == len(seeds):
-        raise TomographyInputError(f"need 1+ records, one seed each, got {len(seeds)} for {len(records)}")
+    if not 0 < len(counts) == len(seeds):
+        raise TomographyInputError(f"need 1+ rows of counts, one seed each, got {len(seeds)} for {len(counts)}")
     words = [_seed_words(seed) for seed in seeds]
-    rows = records if isinstance(records, np.ndarray) else np.stack([record.counts for record in records])
+    counts = _checked_counts(counts, 2)
     block = max(1, _BLOCK_ROWS // (1 + resamples))
-    out = np.empty((2, len(records), len(BOOTSTRAP_KEYS)))
-    for start in range(0, len(records), block):
-        counts = np.stack([np.vstack([row, np.random.default_rng(seed).poisson(row, (resamples, 16))])
-                           for row, seed in zip(rows[start:start + block], words[start:start + block])])
-        quantities = state_quantities(_estimate(counts.reshape(-1, 16))).reshape(len(counts), 1 + resamples, -1)
+    out = np.empty((2, len(counts), len(BOOTSTRAP_KEYS)))
+    for start in range(0, len(counts), block):
+        batch = np.repeat(counts[start:start + block, None], 1 + resamples, axis=1)
+        for i, rows in enumerate(batch, start):  # a row and its resamples
+            try:
+                rows[1:] = _draw(rows[0], words[i], (resamples, 16))
+            except ValueError:  # numpy's bound on a Poisson mean
+                raise TomographyInputError(f"counts too large to resample in row {i}") from None
+        quantities = state_quantities(_estimate(batch.reshape(-1, 16))).reshape(len(batch), 1 + resamples, -1)
         out[0, start:start + block] = quantities[:, 0]
         out[1, start:start + block] = quantities[:, 1:].std(axis=1, ddof=1)
     return out[0], out[1]
+
+
+def simulate_dephased(kappa_a, kappa_b, tomo, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The counts, values and errors of tomography of `evolve_state` of each pair of checked kappas, per
+    `config.TomographySettings`: row i's counts, linear in its kappas, are those `simulate_counts` draws
+    from its state with seed words [*words[i], 0], and `bootstrap` resamples them from [*words[i], 1]."""
+    means = tomo.n_per_setting * _dephased_probabilities(kappa_a, kappa_b)
+    counts = np.stack([_draw(row, [*prefix, 0]) for row, prefix in zip(means, words, strict=True)])
+    return (counts, *bootstrap(counts, tomo.resamples, [[*prefix, 1] for prefix in words]))

@@ -283,8 +283,8 @@ def test_criterion_9_tomography():
     mean_fid = float(np.mean(fidelities))
 
     mixed = evolve_state(0.607, 0.385)
-    e3 = bootstrap([simulate_counts(mixed, 10**3, 101)], 400, [102])[1][0]
-    e5 = bootstrap([simulate_counts(mixed, 10**5, 102)], 400, [103])[1][0]
+    e3 = bootstrap([simulate_counts(mixed, 10**3, 101).counts], 400, [102])[1][0]
+    e5 = bootstrap([simulate_counts(mixed, 10**5, 102).counts], 400, [103])[1][0]
     lambda1 = BOOTSTRAP_KEYS.index("lambda1")
     ratio = e3[lambda1] / e5[lambda1]
 

@@ -389,7 +389,7 @@ def _reference_write_noisy_csv(table, config, path):
         rho = dephasing.evolve_state(kappa_a, kappa_b)
         record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
         cells[i, :, 0] = tomography.state_quantities(tomography.reconstruct(record))
-        cells[i, :, 1] = tomography.bootstrap([record], tomo.resamples, [[tomo.seed, i, 1]])[1][0]
+        cells[i, :, 1] = tomography.bootstrap([record.counts], tomo.resamples, [[tomo.seed, i, 1]])[1][0]
     header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
     belldyn.cli._write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
@@ -439,8 +439,8 @@ def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_row
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_run_draws_the_counts_simulate_counts_draws_from_each_state(monkeypatch, tmp_path, preset):
-    # `write_noisy_csv` draws each row's counts from linear forms of the row's two kappas, not
-    # from its 4x4 state; every count is the one `simulate_counts` draws from that state
+    # `tomography.simulate_dephased` draws each row's counts from linear forms of the row's two
+    # kappas, not from its 4x4 state; every count is the one `simulate_counts` draws from that state
     drawn = []
 
     def capture(counts, resamples, seeds):
@@ -455,6 +455,20 @@ def test_run_draws_the_counts_simulate_counts_draws_from_each_state(monkeypatch,
         belldyn.cli.write_noisy_csv(table, config, tmp_path / "noisy.csv")
         expected = [simulate_counts(rho, 10**4, [seed, i, 0]).counts for i, rho in enumerate(states)]
         assert np.array_equal(drawn[-1], expected)
+
+
+@pytest.mark.parametrize("kappa_a, kappa_b, counts, seed",
+                         [(0.98, 0.99, 10**4, 3), (0.607, -0.385, 2000, 0), (1.0, 0.0, 50, 2**40)])
+def test_tomo_demo_prints_the_counts_simulate_counts_draws_from_the_state(capsys, kappa_a, kappa_b,
+                                                                         counts, seed):
+    # the demo and `run` share one seed rule: the demo's prefix is [seed], so its counts come
+    # from [seed, 0], the same stream as [seed] since SeedSequence pads its words with zeros
+    assert main(["tomo-demo", "--kappa-a", str(kappa_a), "--kappa-b", str(kappa_b),
+                 "--counts", str(counts), "--seed", str(seed)]) == 0
+    printed = capsys.readouterr().out.split("\n\n")[0].splitlines()[1:]
+    expected = simulate_counts(dephasing.evolve_state(kappa_a, kappa_b), counts, [seed])
+    assert printed == [f"{label},{int(count)}" for label, count in zip(tomography.STANDARD_LABELS,
+                                                                         expected.counts)]
 
 
 def test_main_tomo_demo_output_is_pinned(capsys):
@@ -556,20 +570,15 @@ def test_main_run_and_landmarks_roundtrip(tmp_path, capsys):
 
 def test_tomo_demo_seeds_of_adjacent_demos_are_distinct(monkeypatch, capsys):
     # SeedSequence pads its words with zeros, so seed + 1 for the resamples would be the
-    # next demo seed's count stream
+    # next demo seed's count stream; `_draw` makes both the counts and the resamples
     seeds = []
-    draw, resample = tomography._draw, tomography.bootstrap
+    draw = tomography._draw
 
-    def draw_spy(probabilities, n, seed):
-        seeds.append(seed)
-        return draw(probabilities, n, seed)
-
-    def bootstrap_spy(records, resamples, row_seeds):
-        seeds.extend(row_seeds)
-        return resample(records, resamples, row_seeds)
+    def draw_spy(means, words, size=None):
+        seeds.append(words)
+        return draw(means, words, size)
 
     monkeypatch.setattr(tomography, "_draw", draw_spy)
-    monkeypatch.setattr(tomography, "bootstrap", bootstrap_spy)
     for seed in ("3", "4"):
         assert main(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4", "--counts", "100",
                      "--seed", seed]) == 0

@@ -454,6 +454,7 @@ def test_sweep_sampled_spectrum_matches_multi_gaussian():
         {"x_b_max": -1.0},
         {"x_a": math.inf},
         {"x_b_max": MAX_SWEEP_POINTS * 2.0},  # MAX_SWEEP_POINTS + 1 points
+        {"x_b_max": 1e300, "step": 1e-300},  # x_b_max / step overflows to inf
     ],
 )
 def test_sweep_config_rejects_bad_grid(overrides):

@@ -116,6 +116,34 @@ def test_config_is_the_bottom_layer_and_only_cli_imports_cli():
     assert [name for name, modules in imports.items() if "cli" in modules] == []
 
 
+def _private_names_of_other_modules(source: str) -> list[str]:
+    """The `_`-prefixed names of belldyn modules that one module's source imports or looks up:
+    `from .x import _y`, and `x._y` where `from . import x` bound x."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("belldyn")):
+            private += [f"{node.module or '.'}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            name = _dotted(node)
+            if name and (name.split(".")[0] in modules or name.startswith("belldyn.")):
+                private.append(name)
+    return private
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    # cli only parses, reads, formats and writes: what it needs of the layers below is public
+    assert _private_names_of_other_modules((SOURCE / "cli.py").read_text(encoding="utf-8")) == []
+    # the check sees both forms of use
+    assert _private_names_of_other_modules(
+        "from . import tomography\nfrom .config import _holds\ntomography._draw(1)\n"
+        "import belldyn.qstate\nbelldyn.qstate._checked_eigenvalues(1)\n") == [
+        "config._holds", "tomography._draw", "belldyn.qstate._checked_eigenvalues"]
+
+
 def _exception_classes(path: Path) -> list[str]:
     """The classes one source file defines whose bases name `Exception` or a `...Error`."""
     return [node.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

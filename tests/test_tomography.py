@@ -249,10 +249,10 @@ def test_record_to_csv_format():
 
 def test_error_bars_deterministic():
     rec = simulate_counts(evolve_state(0.607, 0.385), 2000, 9)
-    a = bootstrap([rec], 25, [17])[1][0]
-    b = bootstrap([rec], 25, [17])[1][0]
+    a = bootstrap([rec.counts], 25, [17])[1][0]
+    b = bootstrap([rec.counts], 25, [17])[1][0]
     assert np.array_equal(a, b)
-    c = bootstrap([rec], 25, [18])[1][0]
+    c = bootstrap([rec.counts], 25, [18])[1][0]
     assert not np.array_equal(a, c)
 
 
@@ -267,7 +267,7 @@ def test_error_bars_match_per_record_reference():
         lam = eigenvalues_sorted(reconstruct(TomographyRecord(rng.poisson(record.counts))))
         samples.append([*(float(v) for v in bell_correlations(lam)), *lam])
     expected = np.std(samples, axis=0, ddof=1)
-    assert np.array_equal(bootstrap([record], resamples, [seed])[1][0], expected)
+    assert np.array_equal(bootstrap([record.counts], resamples, [seed])[1][0], expected)
 
 
 def test_bootstrap_of_a_stack_matches_each_record_alone():
@@ -275,11 +275,11 @@ def test_bootstrap_of_a_stack_matches_each_record_alone():
     states = [evolve_state(1.0, 1.0), evolve_state(0.607, 1.0), evolve_state(0.607, 0.385)]
     records = [simulate_counts(rho, 2000, [3, i]) for i, rho in enumerate(states)]
     seeds = [[3, i, 1] for i in range(len(records))]
-    values, errors = bootstrap(records, 9, seeds)
+    values, errors = bootstrap([record.counts for record in records], 9, seeds)
     assert values.shape == errors.shape == (3, len(BOOTSTRAP_KEYS))
     for record, seed, value, error in zip(records, seeds, values, errors):
         assert np.array_equal(value, tomography.state_quantities(reconstruct(record)))
-        assert np.array_equal(error, bootstrap([record], 9, [seed])[1][0])
+        assert np.array_equal(error, bootstrap([record.counts], 9, [seed])[1][0])
 
 
 @pytest.mark.parametrize("kappa_a, kappa_b", [(0.607, 0.3), (0.8, 0.5)])
@@ -295,7 +295,8 @@ def test_error_bars_are_calibrated_against_repeated_experiments(kappa_a, kappa_b
     experiments, resamples, seed = 200, 20, 7
     rho = evolve_state(kappa_a, kappa_b)
     records = [simulate_counts(rho, 10**4, [seed, e, 0]) for e in range(experiments)]
-    values, errors = bootstrap(records, resamples, [[seed, e, 1] for e in range(experiments)])
+    values, errors = bootstrap([record.counts for record in records], resamples,
+                               [[seed, e, 1] for e in range(experiments)])
     ratio = np.median(errors, axis=0) / values.std(axis=0, ddof=1)
     coverage = (np.abs(values - tomography.state_quantities(rho)) <= errors).mean(axis=0)
     assert np.all(np.abs(ratio - 1.0) <= 0.21), dict(zip(BOOTSTRAP_KEYS, ratio))
@@ -304,15 +305,15 @@ def test_error_bars_are_calibrated_against_repeated_experiments(kappa_a, kappa_b
 
 def test_error_bars_vanish_for_huge_counts():
     rec = exact_record(evolve_state(0.607, 0.385), n=10**8)
-    errs = bootstrap([rec], 30, [5])[1][0]
+    errs = bootstrap([rec.counts], 30, [5])[1][0]
     assert np.all(errs < 1e-3)
 
 
 def test_error_bars_scale_with_shot_noise():
     # dominant-eigenvalue error bar scales as 1/sqrt(n); expected ratio 10
     rho = evolve_state(0.607, 0.385)
-    e3 = bootstrap([simulate_counts(rho, 10**3, 101)], 300, [102])[1][0]
-    e5 = bootstrap([simulate_counts(rho, 10**5, 102)], 300, [103])[1][0]
+    e3 = bootstrap([simulate_counts(rho, 10**3, 101).counts], 300, [102])[1][0]
+    e5 = bootstrap([simulate_counts(rho, 10**5, 102).counts], 300, [103])[1][0]
     ratio = e3[LAMBDA1] / e5[LAMBDA1]
     assert 8.0 <= ratio <= 12.0
 
@@ -320,7 +321,7 @@ def test_error_bars_scale_with_shot_noise():
 def test_error_bars_ree_pinned_at_zero_for_separable_states():
     # largest eigenvalue 0.36, far below 1/2: every resample is separable
     rec = simulate_counts(evolve_state(0.2, 0.2), 10**4, 12)
-    errs = bootstrap([rec], 50, [13])[1][0]
+    errs = bootstrap([rec.counts], 50, [13])[1][0]
     assert errs[REE] == 0.0
     assert errs[LAMBDA1] > 0.0
 
@@ -328,7 +329,7 @@ def test_error_bars_ree_pinned_at_zero_for_separable_states():
 def test_error_bars_requires_two_resamples():
     rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
     with pytest.raises(ValueError):
-        bootstrap([rec], 1, [0])
+        bootstrap([rec.counts], 1, [0])
 
 
 def test_simulate_counts_rejects_counts_out_of_range():
@@ -600,9 +601,9 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
     for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, 2.5, float("nan"), float("inf"), "3", None, [3],
                 np.array([3]), np.array([3, 4])):
         with pytest.raises(TomographyInputError, match="resamples"):
-            bootstrap([rec], bad, [0])
-    assert np.array_equal(bootstrap([rec], 2.0, [0])[1], bootstrap([rec], 2, [0])[1])
-    for records, seeds in (([], []), ([rec, rec], [1]), ([rec], [1, 2])):
+            bootstrap([rec.counts], bad, [0])
+    assert np.array_equal(bootstrap([rec.counts], 2.0, [0])[1], bootstrap([rec.counts], 2, [0])[1])
+    for records, seeds in (([], []), ([rec.counts, rec.counts], [1]), ([rec.counts], [1, 2])):
         with pytest.raises(TomographyInputError, match="one seed each"):
             bootstrap(records, 3, seeds)
     for bad in ("3", None, [3], np.array([3, 4])):
@@ -614,9 +615,36 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
         with pytest.raises(TomographyInputError, match="seed"):
             simulate_counts(np.eye(4) / 4.0, 100, bad)
         with pytest.raises(TomographyInputError, match="seed"):
-            bootstrap([rec], 3, [bad])
+            bootstrap([rec.counts], 3, [bad])
     assert np.array_equal(simulate_counts(np.eye(4) / 4.0, 100, [2.0]).counts,
                           simulate_counts(np.eye(4) / 4.0, 100, np.int64(2)).counts)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (-1.0, "nonnegative, got -1.0 in row 1"),
+    (float("nan"), "nonnegative, got nan in row 1"),
+    (1e19, "too large to resample in row 1"),  # numpy's Poisson limit; reconstruct solves it
+])
+def test_bootstrap_checks_its_count_rows(bad, match):
+    counts = np.full((2, 16), 100.0)
+    counts[1, 3] = bad
+    with pytest.raises(TomographyInputError, match=match):
+        bootstrap(counts, 3, [0, 1])
+    with pytest.raises(TomographyInputError, match="16 values per row"):
+        bootstrap(np.full((1, 15), 100.0), 3, [0])
+
+
+def test_bootstrap_takes_a_list_of_count_lists_as_its_array():
+    counts = simulate_counts(evolve_state(0.607, 0.385), 2000, 9).counts
+    rows = [counts.tolist(), (counts + 1.0).tolist()]
+    expected = bootstrap(np.array(rows), 5, [1, 2])
+    got = bootstrap(rows, 5, [1, 2])
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    huge = np.full(16, 1e19)
+    assert np.isfinite(reconstruct(TomographyRecord(huge))).all()
+    # a record is not a row of counts: its counts are
+    with pytest.raises(TomographyInputError, match="each a real number"):
+        bootstrap([TomographyRecord(counts)], 5, [1])
 
 
 def test_tomography_input_errors_show_the_rejected_value_as_written():
@@ -628,9 +656,9 @@ def test_tomography_input_errors_show_the_rejected_value_as_written():
         simulate_counts(rho, 100, "7")
     rec = simulate_counts(rho, 100, 0)
     with pytest.raises(TomographyInputError, match="got '7'$"):
-        bootstrap([rec], 3, ["7"])
+        bootstrap([rec.counts], 3, ["7"])
     with pytest.raises(TomographyInputError, match="got '3'$"):
-        bootstrap([rec], "3", [0])
+        bootstrap([rec.counts], "3", [0])
     with pytest.raises(TomographyInputError, match="got '3'$"):
         TomographyRecord("3")
 
