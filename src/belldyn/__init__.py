@@ -18,46 +18,24 @@ from .correlations import (
     quantum_correlation_bell,
     ree_bell,
 )
-from .dephasing import (
-    SPEED_OF_LIGHT,
-    MultiGaussian,
-    angular_frequency,
-    effective_retardation,
-    evolve_state,
-    sigma_from_fwhm,
-    sweep,
-)
+from .dephasing import MultiGaussian, evolve_state, sweep
 from .oracle import (
     oracle_classical_correlation,
     oracle_quantum_correlation,
     oracle_ree_bell,
 )
-from .qstate import (
-    eigenvalues_sorted,
-    validate_bell_spectrum,
-    validate_state,
-)
-from .tomography import (
-    STANDARD_PROJECTORS,
-    TomographyRecord,
-    reconstruct,
-    record_to_csv,
-    simulate_counts,
-)
+from .qstate import eigenvalues_sorted
+from .tomography import TomographyRecord, reconstruct, simulate_counts
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentConfig",
     "MultiGaussian",
-    "SPEED_OF_LIGHT",
-    "STANDARD_PROJECTORS",
     "TomographyRecord",
-    "angular_frequency",
     "bell_correlations",
     "bell_eigenvalues_from_kappas",
     "classical_correlation_bell",
-    "effective_retardation",
     "eigenvalues_sorted",
     "evolve_state",
     "oracle_classical_correlation",
@@ -65,11 +43,7 @@ __all__ = [
     "oracle_ree_bell",
     "quantum_correlation_bell",
     "reconstruct",
-    "record_to_csv",
     "ree_bell",
-    "sigma_from_fwhm",
     "simulate_counts",
     "sweep",
-    "validate_bell_spectrum",
-    "validate_state",
 ]

@@ -7,8 +7,9 @@ Commands:
 
 `run` writes sweep.csv (the full series), landmarks.txt (crossings and
 extrema), and noisy.csv (tomography-reconstructed series with bootstrap error
-bars) when tomography is configured. Exit codes: 0 success, 1 usage error,
-2 computation error, 3 I/O error.
+bars) when tomography is configured; `tomo-demo` prints its counts as
+`setting,count` lines. This module owns all of these text formats. Exit
+codes: 0 success, 1 usage or config error, 2 computation error, 3 I/O error.
 
 A config file is `key = value` text in the format that `belldyn.config`
 describes; the built-in presets fig2a, fig2b, fig3a and fig3b need no file.
@@ -157,9 +158,11 @@ def _cmd_landmarks(args) -> int:
 def _cmd_tomo_demo(args) -> int:
     tomo = TomographySettings(n_per_setting=args.counts, seed=args.seed,
                               keys=("--counts", "resamples", "--seed"))
-    lam = bell_eigenvalues_from_kappas(args.kappa_a, args.kappa_b)  # checks both kappas
+    lam = bell_eigenvalues_from_kappas(args.kappa_a, args.kappa_b)
     (counts,), (values,), (errs,) = tomography.simulate_dephased(args.kappa_a, args.kappa_b, tomo, [[tomo.seed]])
-    print(tomography.record_to_csv(tomography.TomographyRecord(counts)), end="")
+    print("setting,count")
+    for label, count in zip(tomography.STANDARD_LABELS, counts):  # drawn counts are integers
+        print(f"{label},{int(count)}")
     print(f"\n{'quantity':8s} {'true':>12s} {'reconstructed':>14s} {'error':>10s}")
     for name, t, rec, err in zip(tomography.BOOTSTRAP_KEYS, [*bell_correlations(lam), *lam], values, errs):
         print(f"{name:8s} {t:12.6f} {rec:14.6f} {err:10.6f}")

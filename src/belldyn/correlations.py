@@ -20,12 +20,17 @@ from .qstate import validate_bell_spectrum
 KAPPA_TOL = 1e-9
 
 
-def _kappa_modulus(kappa, name):
-    """|kappa| clipped to 1; InvalidStateError naming `name` if NaN or above 1 + KAPPA_TOL."""
-    k = np.abs(np.asarray(kappa))
-    if not np.all(k <= 1.0 + KAPPA_TOL):
-        raise InvalidStateError(f"|{name}| must be at most 1, got {np.max(k)}")
-    return np.minimum(k, 1.0)
+def _checked_kappa(kappa, name):
+    """The one rule for a decoherence parameter: (kappa, |kappa|) as complex and float arrays,
+    a modulus in (1, 1 + KAPPA_TOL] clipped to 1 with the phase kept (the modulus to exactly 1);
+    InvalidStateError naming `name` if NaN or above 1 + KAPPA_TOL."""
+    k = np.asarray(kappa, dtype=complex)
+    modulus = np.abs(k)
+    if not (modulus <= 1.0).all():  # NaN too
+        if not (modulus <= 1.0 + KAPPA_TOL).all():
+            raise InvalidStateError(f"|{name}| must be at most 1, got {np.max(modulus)}")
+        k, modulus = k / np.maximum(modulus, 1.0), np.minimum(modulus, 1.0)
+    return k, modulus
 
 
 def _bits(d):
@@ -75,8 +80,8 @@ def bell_eigenvalues_from_kappas(kappa_a, kappa_b) -> np.ndarray:
 
     The parameters broadcast; the eigenvalues, largest first, fill a new last axis.
     """
-    ka = _kappa_modulus(kappa_a, "kappa_a")
-    kb = _kappa_modulus(kappa_b, "kappa_b")
+    _, ka = _checked_kappa(kappa_a, "kappa_a")
+    _, kb = _checked_kappa(kappa_b, "kappa_b")
     hi, lo = np.maximum(ka, kb), np.minimum(ka, kb)
     return 0.25 * np.stack(
         [(1.0 + ka) * (1.0 + kb), (1.0 + hi) * (1.0 - lo), (1.0 - hi) * (1.0 + lo),

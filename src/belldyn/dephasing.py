@@ -34,8 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import _grid_points, _real_array, validate_echo_points
-from .correlations import _bits, _kappa_modulus, bell_eigenvalues_from_kappas
-from .errors import DephasingInputError
+from .correlations import _bits, _checked_kappa, bell_eigenvalues_from_kappas
+from .errors import ConfigError, DephasingInputError
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -125,13 +125,11 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
 
     Starting from the maximally entangled state (|HH>+|HV>+|VH>-|VV>)/2, the
     coherences pick up kappa_a and kappa_b factors from the two arms. The
-    eigenvalues depend only on the moduli of the two parameters. A modulus up to
-    1 + KAPPA_TOL is clipped to 1, phase kept, as bell_eigenvalues_from_kappas clips.
+    eigenvalues depend only on the moduli of the two parameters. Each kappa is
+    checked and clipped by `correlations._checked_kappa`, as on every route.
     """
-    ka, kb = complex(kappa_a), complex(kappa_b)
-    _kappa_modulus(ka, "kappa_a")
-    _kappa_modulus(kb, "kappa_b")
-    ka, kb = (k / abs(k) if abs(k) > 1.0 else k for k in (ka, kb))
+    ka = complex(_checked_kappa(kappa_a, "kappa_a")[0])
+    kb = complex(_checked_kappa(kappa_b, "kappa_b")[0])
     kac, kbc = ka.conjugate(), kb.conjugate()
     return 0.25 * np.array(
         [
@@ -147,19 +145,33 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
 def spectra(config: ExperimentConfig) -> tuple[MultiGaussian, MultiGaussian]:
     """The frequency densities of arms a and b as Gaussian mixtures in rad/s.
 
-    Arm a is one row, the filter_a_fwhm_nm filter centered on lambda0,
-    and arm b one row per spectrum_b component. A center or width beyond the float
-    range in rad/s ends in the range check of MultiGaussian.
+    Arm a is one row, the filter_a_fwhm_nm filter centered on lambda0, and arm b
+    one row per spectrum_b component; every width is 2 pi c FWHM / lambda0^2. The
+    nm values of a checked config can still leave the float range in rad/s: a
+    center or width that comes out 0, infinite or NaN raises ConfigError naming
+    its config key, lambda0 for arm a's center and for a width that 1 nm of FWHM
+    already takes out of range, filter_a for arm a's width, and the spectrum_b
+    component otherwise.
     """
     lam0 = config.meters()[0]
-
-    def mixture(components) -> MultiGaussian:
-        weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
-        with np.errstate(all="ignore"):
-            return MultiGaussian(np.column_stack((weights, angular_frequency(centers_nm * 1e-9),
-                                                  sigma_from_fwhm(fwhms_nm * 1e-9, lam0))))
-
-    return mixture(((1.0, config.lambda0_nm, config.filter_a_fwhm_nm),)), mixture(config.spectrum_b)
+    components = ((1.0, config.lambda0_nm, config.filter_a_fwhm_nm), *config.spectrum_b)
+    weights, centers_nm, fwhms_nm = np.array(components, dtype=float).T
+    with np.errstate(all="ignore"):
+        rows = np.column_stack((weights, angular_frequency(centers_nm * 1e-9),
+                                sigma_from_fwhm(fwhms_nm * 1e-9, lam0)))
+        bad = np.flatnonzero(~((rows[:, 1:] > 0.0) & (rows[:, 1:] < math.inf)))  # NaN fails too
+        per_nm_in_range = 0.0 < sigma_from_fwhm(1e-9, lam0) < math.inf
+    if bad.size:
+        row, column = divmod(int(bad[0]), 2)
+        if column and not per_nm_in_range:
+            key = "lambda0"
+        elif row == 0:
+            key = ("lambda0", "filter_a")[column]
+        else:
+            key = f"spectrum_b component {row}"
+        raise ConfigError(f"{key} gives a {('center', 'width')[column]} of "
+                          f"{rows[row, 1 + column]:g} rad/s, outside the float range")
+    return MultiGaussian(rows[:1]), MultiGaussian(rows[1:])
 
 
 def sweep(config: ExperimentConfig) -> dict[str, np.ndarray]:

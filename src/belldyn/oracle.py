@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import NonConvergenceError
-from .qstate import PAULIS, shannon_bits, validate_bell_spectrum, validate_state
+from .qstate import shannon_bits, validate_bell_spectrum, validate_state
 
 
 #: the product-basis search. The coarse set is one direction of each +- pair of
@@ -64,13 +64,16 @@ _SIMPLEX_SHRINK = 4.0
 _SIMPLEX_TOL = 1e-9
 _SIMPLEX_MAX_ROUNDS = 60
 
+#: sigma_x, sigma_y, sigma_z
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+
 
 def _pauli_components(rho: np.ndarray):
     """Local Bloch vectors and the 3x3 correlation matrix of a two-qubit state."""
     r = rho.reshape(2, 2, 2, 2)
-    vec_a = np.einsum("abcb,ica->i", r, PAULIS).real
-    vec_b = np.einsum("abad,jdb->j", r, PAULIS).real
-    corr = np.einsum("abcd,ica,jdb->ij", r, PAULIS, PAULIS).real
+    vec_a = np.einsum("abcb,ica->i", r, _PAULIS).real
+    vec_b = np.einsum("abad,jdb->j", r, _PAULIS).real
+    corr = np.einsum("abcd,ica,jdb->ij", r, _PAULIS, _PAULIS).real
     return vec_a, vec_b, corr
 
 

@@ -16,10 +16,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 
-#: sigma_x, sigma_y, sigma_z
-PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
-
-
 def shannon_bits(p: np.ndarray) -> float:
     """Shannon entropy -sum p log2 p of one probability vector, with 0 log 0 = 0.
 

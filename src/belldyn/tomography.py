@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in, _real_array
-from .correlations import bell_correlations
+from .correlations import _checked_kappa, bell_correlations
 from .errors import NonConvergenceError, TomographyInputError
 from .qstate import eigenvalues_sorted, validate_state
 
-KET = {
+_KET = {
     "H": np.array([1.0, 0.0], dtype=complex),
     "V": np.array([0.0, 1.0], dtype=complex),
     "D": np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
@@ -47,7 +47,7 @@ STANDARD_LABELS = (
 
 
 def _product_projector(label: str) -> np.ndarray:
-    ket = np.kron(KET[label[0]], KET[label[1]])
+    ket = np.kron(_KET[label[0]], _KET[label[1]])
     return np.outer(ket, ket.conj())
 
 
@@ -92,15 +92,6 @@ def _checked_counts(values, ndim: int) -> np.ndarray:
     return counts
 
 
-def record_to_csv(record: TomographyRecord) -> str:
-    """Serialize a record as 'setting,count' rows (the CLI wire format)."""
-    lines = ["setting,count"]
-    for label, count in zip(STANDARD_LABELS, record.counts):
-        value = f"{int(count)}" if float(count).is_integer() else f"{count:.9g}"
-        lines.append(f"{label},{value}")
-    return "\n".join(lines) + "\n"
-
-
 def probabilities(rho) -> np.ndarray:
     """Born-rule probabilities tr(rho P) for every standard setting."""
     rho = np.asarray(rho, dtype=complex)
@@ -116,10 +107,10 @@ _LINEAR_FORMS = np.round(4.0 * np.stack([sum(s * STANDARD_PROJECTORS[:, r, c] fo
 
 
 def _dephased_probabilities(kappa_a, kappa_b) -> np.ndarray:
-    """`probabilities` of `evolve_state(a, b)` without the 4x4 matrix, one row per pair of checked
-    kappas; a modulus above 1 is clipped to 1, phase kept, as `evolve_state` clips."""
-    kappas = np.asarray((kappa_a, kappa_b), dtype=complex).reshape(2, -1)
-    ka, kb = kappas / np.maximum(np.abs(kappas), 1.0)
+    """`probabilities` of `evolve_state(a, b)` without the 4x4 matrix, one row per pair of kappas,
+    each checked and clipped by `correlations._checked_kappa` as `evolve_state` does."""
+    kappas = _checked_kappa(kappa_a, "kappa_a")[0], _checked_kappa(kappa_b, "kappa_b")[0]
+    ka, kb = np.asarray(kappas).reshape(2, -1)
     features = np.stack([ka, kb, ka * kb, ka * kb.conj()], axis=-1).view(float)
     return np.clip(0.25 * (1.0 + _apply(_LINEAR_FORMS, features)), 0.0, 1.0)
 
@@ -404,7 +395,8 @@ def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
 def simulate_dephased(kappa_a, kappa_b, tomo, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The counts, values and errors of tomography of `evolve_state` of each pair of checked kappas, per
     `config.TomographySettings`: row i's counts, linear in its kappas, are those `simulate_counts` draws
-    from its state with seed words [*words[i], 0], and `bootstrap` resamples them from [*words[i], 1]."""
+    from its state with seed words [*words[i], 0], and `bootstrap` resamples them from [*words[i], 1].
+    A NaN kappa, or one above modulus 1 + KAPPA_TOL, raises InvalidStateError, as `evolve_state` does."""
     means = tomo.n_per_setting * _dephased_probabilities(kappa_a, kappa_b)
     counts = np.stack([_draw(row, [*prefix, 0]) for row, prefix in zip(means, words, strict=True)])
     return (counts, *bootstrap(counts, tomo.resamples, [[*prefix, 1] for prefix in words]))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from belldyn.correlations import _kappa_modulus, bell_eigenvalues_from_kappas, ree_bell
+from belldyn.correlations import _checked_kappa, bell_eigenvalues_from_kappas, ree_bell
 from belldyn.qstate import validate_bell_spectrum
 
 # Bell kets as columns: (|HH>+|VV>)/sqrt2, (|HH>-|VV>)/sqrt2,
@@ -34,7 +34,7 @@ def kappa_correlation(kappa) -> float:
     This is the common kernel of the quantum and classical branches; the
     k -> 1 endpoint uses the 0 log 0 = 0 convention and evaluates to 1.
     """
-    k = float(_kappa_modulus(kappa, "kappa"))
+    k = float(_checked_kappa(kappa, "kappa")[1])
     out = 0.5 * (1.0 + k) * math.log2(1.0 + k)
     if k < 1.0:
         out += 0.5 * (1.0 - k) * math.log2(1.0 - k)
@@ -49,8 +49,8 @@ def correlations_from_kappas(kappa_a, kappa_b) -> tuple[float, float, float, flo
     branch on the max; the two coincide when the moduli are equal. Complex
     inputs contribute through their moduli only.
     """
-    ka = float(_kappa_modulus(kappa_a, "kappa_a"))
-    kb = float(_kappa_modulus(kappa_b, "kappa_b"))
+    ka = float(_checked_kappa(kappa_a, "kappa_a")[1])
+    kb = float(_checked_kappa(kappa_b, "kappa_b")[1])
     quantum = kappa_correlation(min(ka, kb))
     classical = kappa_correlation(max(ka, kb))
     ree = ree_bell(bell_eigenvalues_from_kappas(ka, kb))

@@ -471,6 +471,18 @@ def test_tomo_demo_prints_the_counts_simulate_counts_draws_from_the_state(capsys
                                                                          expected.counts)]
 
 
+def test_tomo_demo_prints_its_counts_as_setting_count_lines(capsys):
+    # drawn counts are integers, printed whole: 12 digits here, where %.9g would round them
+    assert main(["tomo-demo", "--kappa-a", "0.6", "--kappa-b", "0.4",
+                 "--counts", str(10**12), "--seed", "5"]) == 0
+    block = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    assert block[0] == "setting,count"
+    labels, counts = zip(*(line.split(",") for line in block[1:]))
+    assert labels == tomography.STANDARD_LABELS
+    assert all(count.isdigit() for count in counts)
+    assert max(map(len, counts)) == 12
+
+
 def test_main_tomo_demo_output_is_pinned(capsys):
     # the bytes of the per-call reconstruct + bootstrap demo
     assert main(["tomo-demo", "--kappa-a", "0.98", "--kappa-b", "0.99",
@@ -633,16 +645,23 @@ def test_main_io_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "changes, code, outcome",
     [
-        # lambda0^2 underflows to 0, so the arm-a width overflows
-        pytest.param({"lambda0": "1e-200"}, 2, "width must be finite and positive, got inf",
-                     id="lambda0-tiny"),
+        # lambda0^2 underflows to 0, so the arm-a width overflows: a config error
+        pytest.param({"lambda0": "1e-200"}, 1,
+                     "lambda0 gives a width of inf rad/s, outside the float range", id="lambda0-tiny"),
+        # lambda0^2 overflows, so every width underflows to 0
+        pytest.param({"lambda0": "1e300", "x_a": "0", "x_b_max": "0"}, 1,
+                     "lambda0 gives a width of 0 rad/s, outside the float range", id="lambda0-huge"),
+        pytest.param({"filter_a": "1e300"}, 1,
+                     "filter_a gives a width of inf rad/s, outside the float range", id="filter_a-huge"),
         # past the overflow of the exponent a Gaussian envelope is its exact limit 0
         pytest.param({"x_a": "1e300"}, 0, "kappa_a_abs", id="x_a-huge"),
         pytest.param({"x_b_max": "1e308", "step": "1e306"}, 0, "kappa_b_abs", id="x_b-huge"),
-        pytest.param({"component": "1.0, 1e-300, 0.85"}, 2,
-                     "center must be finite and positive, got inf", id="center-tiny"),
-        pytest.param({"component": "1.0, 780.16, 1e300"}, 2,
-                     "width must be finite and positive, got inf", id="fwhm-huge"),
+        pytest.param({"component": "1.0, 1e-300, 0.85"}, 1,
+                     "spectrum_b component 1 gives a center of inf rad/s, outside the float range",
+                     id="center-tiny"),
+        pytest.param({"component": "1.0, 780.16, 1e300"}, 1,
+                     "spectrum_b component 1 gives a width of inf rad/s, outside the float range",
+                     id="fwhm-huge"),
         # a width of 1e-310 nm keeps the envelope finite where the phase overflows
         pytest.param({"x_b_max": "1e308", "step": "1e306", "component": "1.0, 780.16, 1e-310"},
                      2, "retardation 2.262e+301 m is out of range: the phase (x/c)*omega0 "
@@ -659,7 +678,7 @@ def test_run_on_values_at_the_float_range_ends_cleanly(tmp_path, capsys, changes
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     if code:
-        assert err == f"belldyn: computation error: {outcome}\n"
+        assert err == f"belldyn: {('error', 'computation error')[code - 1]}: {outcome}\n"
     else:
         # no warning either: the suite would have raised it
         assert err == ""

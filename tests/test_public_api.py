@@ -18,7 +18,7 @@ import belldyn.config
 
 #: module -> names it no longer defines, as listed under "Removed names" in README
 REMOVED = {
-    "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS", "error_bars"),
+    "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS", "error_bars", "record_to_csv", "KET"),
     "belldyn.correlations": ("CorrelationSet", "correlations_from_spectrum",
                              "total_mutual_information_bell", "closest_classical_bell",
                              "kappa_correlation", "correlations_from_kappas",
@@ -35,7 +35,24 @@ REMOVED = {
     "belldyn.oracle": ("GridSpec", "SimplexGridSpec", "closest_product_state"),
     "belldyn.qstate": ("dephase_in_product_basis", "partial_trace", "bloch_projectors",
                        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "relative_entropy",
-                       "von_neumann_entropy", "SUPPORT_EIGENVALUE_TOL", "SUPPORT_WEIGHT_TOL"),
+                       "von_neumann_entropy", "SUPPORT_EIGENVALUE_TOL", "SUPPORT_WEIGHT_TOL",
+                       "PAULIS"),
+}
+
+#: `belldyn.__all__`: the names that callers outside the package use
+PUBLIC = [
+    "ExperimentConfig", "MultiGaussian", "TomographyRecord", "bell_correlations",
+    "bell_eigenvalues_from_kappas", "classical_correlation_bell", "eigenvalues_sorted", "evolve_state",
+    "oracle_classical_correlation", "oracle_quantum_correlation", "oracle_ree_bell",
+    "quantum_correlation_bell", "reconstruct", "ree_bell", "simulate_counts", "sweep",
+]
+
+#: module -> names the package no longer exports, since no caller outside the package uses
+#: them; each stays in its module
+UNEXPORTED = {
+    "belldyn.dephasing": ("SPEED_OF_LIGHT", "angular_frequency", "sigma_from_fwhm", "effective_retardation"),
+    "belldyn.tomography": ("STANDARD_PROJECTORS",),
+    "belldyn.qstate": ("validate_state", "validate_bell_spectrum"),
 }
 
 #: module -> names gone from it since another module took them over: `belldyn.config` the
@@ -85,6 +102,16 @@ def test_all_has_no_duplicates_and_every_name_resolves():
     assert len(belldyn.__all__) == len(set(belldyn.__all__))
     for name in belldyn.__all__:
         assert getattr(belldyn, name) is not None, name
+
+
+def test_all_is_the_names_callers_use():
+    assert sorted(belldyn.__all__) == PUBLIC
+    for module_name, names in UNEXPORTED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(belldyn, name)
+            assert hasattr(module, name), f"{module_name}.{name}"
 
 
 def test_removed_names_are_gone():
@@ -158,6 +185,15 @@ def test_errors_is_the_one_module_that_defines_exception_classes():
         "BelldynError", "InvalidStateError", "NonConvergenceError", "TomographyInputError",
         "DephasingInputError", "ConfigError", "ParseError"]
     assert {stem: names for stem, names in defined.items() if names} == {}
+
+
+def test_every_removed_name_is_listed_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\nRemoved names")
+    paragraph = text[start:text.index("\n\n", start + 1)]
+    # a name is listed as `name`, `module.name` or `Class.name`
+    listed = {token.rpartition(".")[2] for token in re.findall(r"`([\w.]+)`", paragraph)}
+    assert [name for names in REMOVED.values() for name in names if name not in listed] == []
 
 
 def test_readme_library_example_runs():

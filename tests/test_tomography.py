@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 import belldyn.tomography as tomography
-from belldyn.config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, PRESETS
+from belldyn.config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, PRESETS, TomographySettings
 from belldyn.correlations import bell_correlations
 from belldyn.dephasing import evolve_state, sweep
 from belldyn.errors import (
     BelldynError,
+    InvalidStateError,
     NonConvergenceError,
     TomographyInputError,
 )
@@ -27,7 +29,6 @@ from belldyn.tomography import (
     bootstrap,
     probabilities,
     reconstruct,
-    record_to_csv,
     simulate_counts,
 )
 
@@ -147,6 +148,30 @@ def test_dephased_probabilities_match_the_state_route():
         assert np.array_equal(tomography._dephased_probabilities(a, b)[0] == 0.0, zeros)
 
 
+def test_simulate_dephased_checks_and_clips_each_kappa_as_evolve_state_does(monkeypatch):
+    tomo = TomographySettings(n_per_setting=100, resamples=2, seed=0)
+    for bad in (math.nan, 5.0, 1 + 2e-9):
+        for name, pair in (("kappa_a", (bad, 0.5)), ("kappa_b", (0.5, bad))):
+            with pytest.raises(InvalidStateError, match=rf"^\|{name}\| must be at most 1"):
+                tomography.simulate_dephased(*pair, tomo, [[0]])
+            with pytest.raises(InvalidStateError, match=rf"^\|{name}\| must be at most 1"):
+                evolve_state(*pair)
+    counts, _, _ = tomography.simulate_dephased(1 + 5e-10, (1 + 5e-10) * 1j, tomo, [[0]])
+    assert counts.shape == (1, 16)
+    # a kappa in the clip band (1, 1 + 1e-9] reaches the dephased route's linear forms as the
+    # very complex value that evolve_state puts in its matrix
+    rng = np.random.default_rng(61)
+    modulus = 1 + rng.uniform(0.0, 1e-9, (2, 400))
+    kappa_a, kappa_b = modulus * np.exp(2j * np.pi * rng.uniform(size=(2, 400)))
+    features, apply = [], tomography._apply
+    monkeypatch.setattr(tomography, "_apply", lambda forms, rows: features.append(rows) or apply(forms, rows))
+    tomography._dephased_probabilities(kappa_a, kappa_b)
+    ka, kb = features[0].view(complex)[:, :2].T
+    for i in range(400):
+        rho = evolve_state(kappa_a[i], kappa_b[i])
+        assert (ka[i], kb[i]) == (4 * rho[2, 0], 4 * rho[1, 0])
+
+
 def test_simulate_counts_deterministic_for_seed():
     rho = evolve_state(0.6, 0.4)
     a = simulate_counts(rho, 5000, 42)
@@ -233,18 +258,6 @@ def test_reconstruct_error_decreases_with_counts():
             [trace_distance(reconstruct(simulate_counts(rho, n, s)), rho) for s in range(20)]
         )
     assert dist[10**5] < dist[10**3]
-
-
-def test_record_to_csv_format():
-    rho = np.eye(4, dtype=complex) / 4.0
-    rec = simulate_counts(rho, 100, 0)
-    text = record_to_csv(rec)
-    lines = text.strip().split("\n")
-    assert lines[0] == "setting,count"
-    assert len(lines) == 17
-    label, count = lines[1].split(",")
-    assert label == "HH"
-    assert count == str(int(rec.counts[0]))
 
 
 def test_error_bars_deterministic():
