@@ -103,11 +103,9 @@ def format_landmarks(landmarks: dict[str, float]) -> str:
 
 
 def write_noisy_csv(table: dict[str, np.ndarray], config: ExperimentConfig, path) -> None:
-    """Tomography-reconstructed series with bootstrap error bars, from one
-    `tomography.simulate_dephased` call over all sweep-table rows, row i with the seed prefix [seed, i]."""
-    tomo = config.tomography
-    words = [[tomo.seed, i] for i in range(len(table["kappa_a"]))]
-    _, values, errors = tomography.simulate_dephased(table["kappa_a"], table["kappa_b"], tomo, words)
+    """Tomography-reconstructed series with bootstrap error bars, from one `tomography.simulate_dephased`
+    call over all sweep-table rows, which seeds row i from the prefix [tomo_seed, i]."""
+    _, values, errors = tomography.simulate_dephased(table["kappa_a"], table["kappa_b"], config.tomography)
     cells = np.stack((values, errors), axis=-1)  # per row, each value followed by its error
     header = ["x_over_lambda0"] + [f"{k}{suffix}" for k in tomography.BOOTSTRAP_KEYS for suffix in ("", "_err")]
     _write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
@@ -159,7 +157,7 @@ def _cmd_tomo_demo(args) -> int:
     tomo = TomographySettings(n_per_setting=args.counts, seed=args.seed,
                               keys=("--counts", "resamples", "--seed"))
     lam = bell_eigenvalues_from_kappas(args.kappa_a, args.kappa_b)
-    (counts,), (values,), (errs,) = tomography.simulate_dephased(args.kappa_a, args.kappa_b, tomo, [[tomo.seed]])
+    (counts,), (values,), (errs,) = tomography.simulate_dephased(args.kappa_a, args.kappa_b, tomo)
     print("setting,count")
     for label, count in zip(tomography.STANDARD_LABELS, counts):  # drawn counts are integers
         print(f"{label},{int(count)}")

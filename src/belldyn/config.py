@@ -151,8 +151,9 @@ class ExperimentConfig:
         object.__setattr__(self, "echo_points", pts)
         object.__setattr__(self, "spectrum_b", comps)
         # the lengths in meters that `sweep` uses can overflow, and step can underflow
-        _, x_a, x_b_max, step, _ = self.meters()
-        for (name, rule), meters in zip(lengths, (x_a, x_b_max, step)):
+        _, x_a, x_b_max, step, echo = self.meters()
+        checks = [*zip(lengths, (x_a, x_b_max, step)), *((("echo_points", "nonnegative"), p) for p in echo)]
+        for (name, rule), meters in checks:
             if not rules[rule](meters):
                 raise ConfigError(f"{name} * lambda0 must be finite and {rule}, got {meters:g} m")
         if not (points := _grid_points(x_b_max, step)) <= MAX_SWEEP_POINTS:

@@ -23,8 +23,11 @@ KAPPA_TOL = 1e-9
 def _checked_kappa(kappa, name):
     """The one rule for a decoherence parameter: (kappa, |kappa|) as complex and float arrays,
     a modulus in (1, 1 + KAPPA_TOL] clipped to 1 with the phase kept (the modulus to exactly 1);
-    InvalidStateError naming `name` if NaN or above 1 + KAPPA_TOL."""
-    k = np.asarray(kappa, dtype=complex)
+    InvalidStateError naming `name` if not numbers, NaN or above 1 + KAPPA_TOL."""
+    try:
+        k = np.asarray(kappa, dtype=complex)
+    except (TypeError, ValueError):  # "x", a ragged list: numpy's message names no parameter
+        raise InvalidStateError(f"{name} must be a number or an array of numbers, got {kappa!r}") from None
     modulus = np.abs(k)
     if not (modulus <= 1.0).all():  # NaN too
         if not (modulus <= 1.0 + KAPPA_TOL).all():

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import _grid_points, _real_array, validate_echo_points
 from .correlations import _bits, _checked_kappa, bell_eigenvalues_from_kappas
-from .errors import ConfigError, DephasingInputError
+from .errors import ConfigError, DephasingInputError, InvalidStateError
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -126,10 +126,14 @@ def evolve_state(kappa_a: complex, kappa_b: complex) -> np.ndarray:
     Starting from the maximally entangled state (|HH>+|HV>+|VH>-|VV>)/2, the
     coherences pick up kappa_a and kappa_b factors from the two arms. The
     eigenvalues depend only on the moduli of the two parameters. Each kappa is
-    checked and clipped by `correlations._checked_kappa`, as on every route.
+    one number, checked and clipped by `correlations._checked_kappa`, as on
+    every route; InvalidStateError naming it otherwise.
     """
-    ka = complex(_checked_kappa(kappa_a, "kappa_a")[0])
-    kb = complex(_checked_kappa(kappa_b, "kappa_b")[0])
+    ka, kb = _checked_kappa(kappa_a, "kappa_a")[0], _checked_kappa(kappa_b, "kappa_b")[0]
+    for name, k in (("kappa_a", ka), ("kappa_b", kb)):
+        if k.ndim:  # complex() takes only a 0-d array
+            raise InvalidStateError(f"{name} must be one number, got shape {k.shape}")
+    ka, kb = complex(ka), complex(kb)
     kac, kbc = ka.conjugate(), kb.conjugate()
     return 0.25 * np.array(
         [

@@ -107,11 +107,17 @@ _LINEAR_FORMS = np.round(4.0 * np.stack([sum(s * STANDARD_PROJECTORS[:, r, c] fo
 
 
 def _dephased_probabilities(kappa_a, kappa_b) -> np.ndarray:
-    """`probabilities` of `evolve_state(a, b)` without the 4x4 matrix, one row per pair of kappas,
-    each checked and clipped by `correlations._checked_kappa` as `evolve_state` does."""
+    """`probabilities` of `evolve_state(a, b)` without the 4x4 matrix, one row per pair of the broadcast
+    kappas (C order), each checked and clipped by `correlations._checked_kappa` as `evolve_state` does."""
     kappas = _checked_kappa(kappa_a, "kappa_a")[0], _checked_kappa(kappa_b, "kappa_b")[0]
-    ka, kb = np.asarray(kappas).reshape(2, -1)
-    features = np.stack([ka, kb, ka * kb, ka * kb.conj()], axis=-1).view(float)
+    try:
+        ka, kb = np.broadcast_arrays(*kappas)
+    except ValueError:  # numpy's message names neither kappa
+        ka = np.empty(0)
+    if not ka.size:
+        raise TomographyInputError("kappa_a and kappa_b must broadcast to 1+ pairs, got shapes "
+                                   f"{kappas[0].shape} and {kappas[1].shape}")
+    features = np.stack([ka, kb, ka * kb, ka * kb.conj()], axis=-1).reshape(-1, 4).view(float)
     return np.clip(0.25 * (1.0 + _apply(_LINEAR_FORMS, features)), 0.0, 1.0)
 
 
@@ -373,10 +379,15 @@ def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     if not _integer_in(resamples, 2, MAX_TOMO_RESAMPLES):
         raise TomographyInputError(f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples!r}")
     resamples = int(resamples)
-    if not 0 < len(counts) == len(seeds):
-        raise TomographyInputError(f"need 1+ rows of counts, one seed each, got {len(seeds)} for {len(counts)}")
-    words = [_seed_words(seed) for seed in seeds]
+    try:
+        words = [_seed_words(seed) for seed in seeds]
+    except TypeError:  # seeds is not a sequence
+        words = []
+    if not words:
+        raise TomographyInputError(f"need 1+ rows of counts, one seed each, got seeds {seeds!r}")
     counts = _checked_counts(counts, 2)
+    if len(counts) != len(words):
+        raise TomographyInputError(f"need 1+ rows of counts, one seed each, got {len(words)} for {len(counts)}")
     block = max(1, _BLOCK_ROWS // (1 + resamples))
     out = np.empty((2, len(counts), len(BOOTSTRAP_KEYS)))
     for start in range(0, len(counts), block):
@@ -392,11 +403,14 @@ def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def simulate_dephased(kappa_a, kappa_b, tomo, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The counts, values and errors of tomography of `evolve_state` of each pair of checked kappas, per
-    `config.TomographySettings`: row i's counts, linear in its kappas, are those `simulate_counts` draws
-    from its state with seed words [*words[i], 0], and `bootstrap` resamples them from [*words[i], 1].
-    A NaN kappa, or one above modulus 1 + KAPPA_TOL, raises InvalidStateError, as `evolve_state` does."""
+def simulate_dephased(kappa_a, kappa_b, tomo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (n, 16) counts and (n, 8) values and errors of tomography of `evolve_state` of each pair of the
+    broadcast kappas (C order), per `config.TomographySettings`. Row i's seed prefix is [tomo.seed] for one
+    pair of numbers, else [tomo.seed, i]; its counts, linear in its kappas, are those `simulate_counts` draws
+    from its state with seed words [*prefix, 0], and `bootstrap` resamples them from [*prefix, 1]. A bad
+    kappa raises InvalidStateError, as in `evolve_state`; a pair that gives no rows, TomographyInputError."""
     means = tomo.n_per_setting * _dephased_probabilities(kappa_a, kappa_b)
-    counts = np.stack([_draw(row, [*prefix, 0]) for row, prefix in zip(means, words, strict=True)])
-    return (counts, *bootstrap(counts, tomo.resamples, [[*prefix, 1] for prefix in words]))
+    one_pair = np.ndim(kappa_a) == np.ndim(kappa_b) == 0  # else a series, even of one row
+    prefixes = [[tomo.seed]] if one_pair else [[tomo.seed, i] for i in range(len(means))]
+    counts = np.stack([_draw(row, [*prefix, 0]) for row, prefix in zip(means, prefixes)])
+    return (counts, *bootstrap(counts, tomo.resamples, [[*prefix, 1] for prefix in prefixes]))

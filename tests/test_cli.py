@@ -235,6 +235,7 @@ def test_tomography_settings_reject_a_non_number_naming_the_field(field, value):
         ({"step": 1e-320}, "step"),  # underflows to 0 m
         ({"x_a": 1e308, "lambda0_nm": 1e10}, "x_a"),
         ({"x_b_max": 1e308, "step": 1e306, "lambda0_nm": 1e10}, "x_b_max"),
+        ({"echo_points": (100.0, 1e300), "lambda0_nm": 1e20}, "echo_points"),
     ],
 )
 def test_experiment_config_rejects_lengths_beyond_the_float_range_in_meters(changes, field):
@@ -754,6 +755,9 @@ _CSV_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
                      id="echo-nan"),
         pytest.param(["run", "{cfg}", "--out", "{out}"], _with("echo_points = 5, 5"),
                      id="echo-repeated"),
+        # checked in meters with the other lengths, so the message names the key
+        pytest.param(["run", "{cfg}", "--out", "{out}"], _with("lambda0 = 1e20", "echo_points = 1e300"),
+                     id="echo-beyond-meters"),
         pytest.param(["run", "{cfg}", "--out", "{out}"], b"\xff" + _with().encode(),
                      id="config-not-utf8"),
         pytest.param(["run", "{cfg}", "--out", "{out}"], _with("tomo_counts = 0"), id="counts-0"),
@@ -813,6 +817,8 @@ def test_main_rejects_bad_input_with_exit_1(tmp_path, capsys, argv, config_text)
     if argv[-2] in ("--counts", "--seed"):
         # the message names the flag the user typed, not its config key
         assert err.startswith(f"belldyn: error: {argv[-2]} must be")
+    if config_text is not None and b"echo_points = 1e300" in config_text:
+        assert err == "belldyn: error: echo_points * lambda0 must be finite and nonnegative, got inf m\n"
 
 
 def test_tomography_settings_validation():

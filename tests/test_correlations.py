@@ -140,6 +140,20 @@ def test_kappa_rejects_modulus_above_one():
         kappa_correlation(1.0 + 1e-6)
 
 
+
+@pytest.mark.parametrize("kappa_a, kappa_b, name", [
+    ("x", 0.5, "kappa_a"), (0.5, "x", "kappa_b"), ([0.5, "x"], 0.5, "kappa_a"),
+    ([[0.5], [0.5, 0.4]], 0.5, "kappa_a"), (0.5, object(), "kappa_b"),
+])
+def test_kappa_that_is_not_numbers_is_an_invalid_state_naming_it(kappa_a, kappa_b, name):
+    # numpy alone ends these in a bare ValueError or TypeError that names no parameter
+    from belldyn.dephasing import evolve_state
+
+    for route in (bell_eigenvalues_from_kappas, evolve_state):
+        with pytest.raises(InvalidStateError, match=rf"^{name} must be a number or an array of numbers, got "):
+            route(kappa_a, kappa_b)
+
+
 def test_kappa_correlation_endpoint():
     assert kappa_correlation(1.0) == 1.0
     assert kappa_correlation(0.0) == 0.0

@@ -348,6 +348,16 @@ def test_evolve_state_rejects_large_kappa():
         evolve_state(1.2, 0.5)
 
 
+
+def test_evolve_state_takes_one_number_per_kappa():
+    # one state per call: complex() takes only a 0-d array, and numpy's TypeError names no parameter
+    with pytest.raises(InvalidStateError, match=r"^kappa_a must be one number, got shape \(2,\)$"):
+        evolve_state([0.5, 0.4], 0.5)
+    with pytest.raises(InvalidStateError, match=r"^kappa_b must be one number, got shape \(1, 1\)$"):
+        evolve_state(0.5, [[0.4]])
+    assert np.array_equal(evolve_state(np.array(0.5), np.float64(0.4)), evolve_state(0.5, 0.4))
+
+
 def _fig_config(echo=(), x_max=800.0, step=2.0, spectrum_b=FP_NM):
     """The presets' experiment, 3 nm arm-a filter at 117 lambda0, with the given grid."""
     return ExperimentConfig(name="fig", x_a=117.0, filter_a_fwhm_nm=3.0, spectrum_b=spectrum_b,

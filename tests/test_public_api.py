@@ -15,6 +15,7 @@ import pytest
 import belldyn
 import belldyn.cli
 import belldyn.config
+import belldyn.tomography
 
 #: module -> names it no longer defines, as listed under "Removed names" in README
 REMOVED = {
@@ -125,6 +126,9 @@ def test_removed_names_are_gone():
     assert not hasattr(belldyn.ExperimentConfig, "spectra")  # dephasing.spectra(config)
     # --step and --seed are applied to the config before `run`
     assert list(inspect.signature(belldyn.cli.run).parameters) == ["config", "out_dir"]
+    # every row's seed words come from tomo.seed and the kappas' shape, not from the caller
+    assert list(inspect.signature(belldyn.tomography.simulate_dephased).parameters) == [
+        "kappa_a", "kappa_b", "tomo"]
 
 
 def test_moved_names_are_gone_from_their_old_modules():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from belldyn.correlations import bell_correlations
 from belldyn.errors import InvalidStateError
 from belldyn.qstate import (
     eigenvalues_sorted,
@@ -127,3 +128,14 @@ def test_validate_bell_spectrum_requires_order():
 def test_validate_bell_spectrum_requires_normalization():
     with pytest.raises(InvalidStateError, match="not summing to 1 within 1e-12"):
         validate_bell_spectrum([0.5, 0.3, 0.1, 0.2])
+
+
+def test_shape_checks_reject_what_is_not_a_spectrum_or_a_square_matrix():
+    with pytest.raises(InvalidStateError, match=r"^expected 4 eigenvalues, got shape \(3,\)$"):
+        bell_correlations(np.ones(3) / 3)
+    with pytest.raises(InvalidStateError, match=r"^expected 4 eigenvalues, got shape \(\)$"):
+        validate_bell_spectrum(1.0)
+    with pytest.raises(InvalidStateError, match=r"^expected a square matrix, got shape \(4, 3\)$"):
+        eigenvalues_sorted(np.ones((4, 3)))
+    with pytest.raises(InvalidStateError, match=r"^expected a square matrix, got shape \(4,\)$"):
+        eigenvalues_sorted(np.ones(4))

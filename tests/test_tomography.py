@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import belldyn.tomography as tomography
 from belldyn.config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, PRESETS, TomographySettings
@@ -153,10 +156,10 @@ def test_simulate_dephased_checks_and_clips_each_kappa_as_evolve_state_does(monk
     for bad in (math.nan, 5.0, 1 + 2e-9):
         for name, pair in (("kappa_a", (bad, 0.5)), ("kappa_b", (0.5, bad))):
             with pytest.raises(InvalidStateError, match=rf"^\|{name}\| must be at most 1"):
-                tomography.simulate_dephased(*pair, tomo, [[0]])
+                tomography.simulate_dephased(*pair, tomo)
             with pytest.raises(InvalidStateError, match=rf"^\|{name}\| must be at most 1"):
                 evolve_state(*pair)
-    counts, _, _ = tomography.simulate_dephased(1 + 5e-10, (1 + 5e-10) * 1j, tomo, [[0]])
+    counts, _, _ = tomography.simulate_dephased(1 + 5e-10, (1 + 5e-10) * 1j, tomo)
     assert counts.shape == (1, 16)
     # a kappa in the clip band (1, 1 + 1e-9] reaches the dephased route's linear forms as the
     # very complex value that evolve_state puts in its matrix
@@ -170,6 +173,46 @@ def test_simulate_dephased_checks_and_clips_each_kappa_as_evolve_state_does(monk
     for i in range(400):
         rho = evolve_state(kappa_a[i], kappa_b[i])
         assert (ka[i], kb[i]) == (4 * rho[2, 0], 4 * rho[1, 0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=2, max_side=3),
+       seed=st.integers(0, 2**32))
+def test_simulate_dephased_seeds_each_row_from_the_settings_seed(shapes, seed):
+    # a pair of numbers is one state with prefix [seed]; any other shape is a series whose
+    # row i, in C order, has prefix [seed, i]; counts come from [*prefix, 0], resamples from [*prefix, 1]
+    rng = np.random.default_rng(seed)
+    kappa_a, kappa_b = (rng.uniform(0.0, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+                        for shape in shapes.input_shapes)  # 0-d shapes give numbers
+    tomo = TomographySettings(n_per_setting=200, resamples=2, seed=seed)
+    counts, values, errors = tomography.simulate_dephased(kappa_a, kappa_b, tomo)
+    pairs = np.broadcast_arrays(kappa_a, kappa_b)
+    prefixes = [[seed]] if shapes.result_shape == () else [[seed, i] for i in range(pairs[0].size)]
+    assert counts.shape == (len(prefixes), 16) and values.shape == errors.shape == (len(prefixes), 8)
+    for i, (ka, kb, prefix) in enumerate(zip(pairs[0].ravel(), pairs[1].ravel(), prefixes)):
+        assert np.array_equal(counts[i], simulate_counts(evolve_state(ka, kb), 200, [*prefix, 0]).counts)
+        point, spread = bootstrap([counts[i]], 2, [[*prefix, 1]])
+        assert np.array_equal(values[i], point[0]) and np.array_equal(errors[i], spread[0])
+
+
+def test_simulate_dephased_broadcasts_its_kappas_and_rejects_pairs_without_rows():
+    tomo = TomographySettings(n_per_setting=100, resamples=2, seed=4)
+    scalar = tomography.simulate_dephased([0.5, 0.6, 0.7], 0.5, tomo)
+    column = tomography.simulate_dephased([0.5, 0.6, 0.7], [0.5] * 3, tomo)
+    assert all(np.array_equal(a, b) for a, b in zip(scalar, column))
+    # a length-1 series is not one state: its row's prefix is [seed, 0], not [seed]. The counts
+    # cannot tell: SeedSequence pads its words with zeros, so [4, 0, 0] and [4, 0] are one stream.
+    # The resamples can: [4, 0, 1] against [4, 1]
+    series = tomography.simulate_dephased([0.5], 0.4, tomo)
+    single = tomography.simulate_dephased(0.5, 0.4, tomo)
+    assert np.array_equal(series[0], single[0])
+    assert np.array_equal(series[2], bootstrap(series[0], 2, [[4, 0, 1]])[1])
+    assert np.array_equal(single[2], bootstrap(single[0], 2, [[4, 1]])[1])
+    assert not np.array_equal(series[2], single[2])
+    message = "^kappa_a and kappa_b must broadcast to 1[+] pairs, got shapes"
+    for pair in (([0.5, 0.6], [0.5, 0.6, 0.7]), ([], 0.5), (0.5, np.ones((2, 0))), (np.ones((2, 3)), [1, 0])):
+        with pytest.raises(TomographyInputError, match=message):
+            tomography.simulate_dephased(*pair, tomo)
 
 
 def test_simulate_counts_deterministic_for_seed():
@@ -616,9 +659,12 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
         with pytest.raises(TomographyInputError, match="resamples"):
             bootstrap([rec.counts], bad, [0])
     assert np.array_equal(bootstrap([rec.counts], 2.0, [0])[1], bootstrap([rec.counts], 2, [0])[1])
-    for records, seeds in (([], []), ([rec.counts, rec.counts], [1]), ([rec.counts], [1, 2])):
+    for records, seeds in (([], []), ([rec.counts, rec.counts], [1]), ([rec.counts], [1, 2]),
+                           ([[1] * 16], None)):
         with pytest.raises(TomographyInputError, match="one seed each"):
             bootstrap(records, 3, seeds)
+    with pytest.raises(TomographyInputError, match="16 values per row"):
+        bootstrap(5, 3, [0])  # counts without a length are checked before their rows are counted
     for bad in ("3", None, [3], np.array([3, 4])):
         with pytest.raises(TomographyInputError, match="n_per_setting"):
             simulate_counts(np.eye(4) / 4.0, bad, 0)
