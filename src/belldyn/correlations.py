@@ -23,9 +23,13 @@ KAPPA_TOL = 1e-9
 def _checked_kappa(kappa, name):
     """The one rule for a decoherence parameter: (kappa, |kappa|) as complex and float arrays,
     a modulus in (1, 1 + KAPPA_TOL] clipped to 1 with the phase kept (the modulus to exactly 1);
-    InvalidStateError naming `name` if not numbers, NaN or above 1 + KAPPA_TOL."""
+    InvalidStateError naming `name` if not numbers (text too, which numpy would parse), NaN or above
+    1 + KAPPA_TOL."""
     try:
-        k = np.asarray(kappa, dtype=complex)
+        k = np.asarray(kappa)
+        if k.dtype.kind in "US" or k.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in k.flat):
+            raise TypeError
+        k = k.astype(complex, copy=False)
     except (TypeError, ValueError):  # "x", a ragged list: numpy's message names no parameter
         raise InvalidStateError(f"{name} must be a number or an array of numbers, got {kappa!r}") from None
     modulus = np.abs(k)
@@ -81,10 +85,16 @@ def ree_bell(spectrum) -> float:
 def bell_eigenvalues_from_kappas(kappa_a, kappa_b) -> np.ndarray:
     """Sorted eigenvalues (1 +/- |kappa_a|)(1 +/- |kappa_b|)/4 of the dephased state.
 
-    The parameters broadcast; the eigenvalues, largest first, fill a new last axis.
+    The parameters broadcast (InvalidStateError naming both shapes if they do not); the
+    eigenvalues, largest first, fill a new last axis.
     """
     _, ka = _checked_kappa(kappa_a, "kappa_a")
     _, kb = _checked_kappa(kappa_b, "kappa_b")
+    try:
+        np.broadcast_shapes(ka.shape, kb.shape)
+    except ValueError:  # numpy's message names neither kappa
+        raise InvalidStateError(f"kappa_a and kappa_b must broadcast together, got shapes {ka.shape} and "
+                                f"{kb.shape}") from None
     hi, lo = np.maximum(ka, kb), np.minimum(ka, kb)
     return 0.25 * np.stack(
         [(1.0 + ka) * (1.0 + kb), (1.0 + hi) * (1.0 - lo), (1.0 - hi) * (1.0 + lo),

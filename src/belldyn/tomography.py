@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in, _real_array
 from .correlations import _checked_kappa, bell_correlations
@@ -182,11 +183,17 @@ _PRE_CENTRED = 1e-2
 #: (fig2a rows, near-pure and pure states, 10^3-10^5 counts)
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
+#: the LAPACK gufuncs behind np.linalg.eigh and np.linalg.inv, called directly about 1.2 and 1 times
+#: per Newton step: the wrappers' dtype dispatch, errstate and result wrapping cost a third to half
+#: of a 1-row call. Same routines and dtypes, so the same bits; a failed factorization gives NaN
+#: rows, not LinAlgError, which the line search rejects, ending in NonConvergenceError
+_eigh = _umath_linalg.eigh_lo
+_inv = _umath_linalg.inv
 
 
 def _evaluate(freqs, t, x):
     """The barrier objective at x (NaN or infinite unless rho > 0), and the eigenpairs the derivatives reuse."""
-    w, v = np.linalg.eigh(_matrices(x))
+    w, v = _eigh(_matrices(x), signature="D->dD")
     return (x - freqs * np.log(x)).sum(axis=-1) - t * np.log(w).sum(axis=-1), w, v
 
 
@@ -282,11 +289,13 @@ def _barrier_solve(freqs, lowest):
     t = scale * _BARRIER_STAGES[0]
     x = freqs + (t - lowest)[:, None]
     bound = tolerance[stage] * t  # a row's stage is centred once its squared decrement is at most this
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # as in numpy's linalg wrappers, a LAPACK call's floating-point flags warn of nothing: an unusable
+    # result is NaN or infinite, and the line search rejects it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         current, w, v = _evaluate(freqs, t, x)
         for _ in range(_MAX_STEPS):
             grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, w, v, x)
-            inverse = np.linalg.inv(hess)
+            inverse = _inv(hess, signature="d->d")
             descent = -grad
             step = _apply(inverse, descent)
             decrement = (descent * step).sum(axis=-1)

@@ -144,14 +144,40 @@ def test_kappa_rejects_modulus_above_one():
 @pytest.mark.parametrize("kappa_a, kappa_b, name", [
     ("x", 0.5, "kappa_a"), (0.5, "x", "kappa_b"), ([0.5, "x"], 0.5, "kappa_a"),
     ([[0.5], [0.5, 0.4]], 0.5, "kappa_a"), (0.5, object(), "kappa_b"),
+    # text numpy would parse as a number, also inside arrays
+    ("0.5", b"0.4", "kappa_a"), (0.5, b"0.4", "kappa_b"), (np.str_("0.5"), 0.4, "kappa_a"),
+    ([0.5, b"0.4"], 0.5, "kappa_a"), (0.5, [["0.4"]], "kappa_b"),
+    (np.array([0.5, "0.4"], dtype=object), 0.5, "kappa_a"), ([Fraction(1, 2), b"0.5"], 0.5, "kappa_a"),
 ])
 def test_kappa_that_is_not_numbers_is_an_invalid_state_naming_it(kappa_a, kappa_b, name):
-    # numpy alone ends these in a bare ValueError or TypeError that names no parameter
+    # numpy alone ends these in a bare ValueError or TypeError that names no parameter, or reads the text
+    from belldyn.config import TomographySettings
     from belldyn.dephasing import evolve_state
+    from belldyn.tomography import simulate_dephased
 
-    for route in (bell_eigenvalues_from_kappas, evolve_state):
+    tomo = TomographySettings(n_per_setting=100, resamples=2, seed=0)
+    for route in (bell_eigenvalues_from_kappas, evolve_state, lambda a, b: simulate_dephased(a, b, tomo)):
         with pytest.raises(InvalidStateError, match=rf"^{name} must be a number or an array of numbers, got "):
             route(kappa_a, kappa_b)
+
+
+def test_kappa_as_a_number_like_object_still_converts():
+    from belldyn.config import TomographySettings
+    from belldyn.tomography import simulate_dephased
+
+    assert np.array_equal(bell_eigenvalues_from_kappas(Fraction(1, 2), [Fraction(2, 5), 0.3]),
+                          bell_eigenvalues_from_kappas(0.5, [0.4, 0.3]))
+    tomo = TomographySettings(n_per_setting=100, resamples=2, seed=0)
+    assert np.array_equal(simulate_dephased(Fraction(1, 2), 0.4, tomo)[0], simulate_dephased(0.5, 0.4, tomo)[0])
+
+
+def test_kappas_that_do_not_broadcast_are_an_invalid_state_naming_both_shapes():
+    # numpy alone ends these in a bare ValueError that names neither kappa
+    for pair, shapes in ((([0.5, 0.6], [0.1, 0.2, 0.3]), r"\(2,\) and \(3,\)"),
+                         ((np.ones((2, 3)), [1.0, 0.0]), r"\(2, 3\) and \(2,\)")):
+        with pytest.raises(InvalidStateError,
+                           match=rf"^kappa_a and kappa_b must broadcast together, got shapes {shapes}$"):
+            bell_eigenvalues_from_kappas(*pair)
 
 
 def test_kappa_correlation_endpoint():

@@ -1,9 +1,11 @@
+import copy
 import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import belldyn.tomography as tomography
+from belldyn.cli import main
 from belldyn.config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, PRESETS, TomographySettings
 from belldyn.correlations import bell_correlations
 from belldyn.dephasing import evolve_state, sweep
@@ -608,6 +611,60 @@ def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
     monkeypatch.setattr(tomography, "_MAX_STEPS", 3)
     with pytest.raises(NonConvergenceError):
         reconstruct(rec)
+
+
+@pytest.mark.parametrize("newton_matrix", [lambda hess: np.full_like(hess, math.nan), np.zeros_like],
+                         ids=["nan", "singular"])
+def test_a_newton_matrix_lapack_cannot_invert_ends_in_non_convergence(monkeypatch, capsys, newton_matrix):
+    # the direct LAPACK call gives NaN rows for it instead of numpy's LinAlgError, which `main`
+    # would not catch; the line search rejects every NaN trial, so the solve raises
+    # NonConvergenceError, with no numpy warning and no NaN estimate
+    derivatives = tomography._derivatives
+
+    def broken(*args):
+        grad, hess, *rest = derivatives(*args)
+        return (grad, newton_matrix(hess), *rest)
+
+    monkeypatch.setattr(tomography, "_derivatives", broken)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError):
+            reconstruct(simulate_counts(evolve_state(1.0, 1.0), 10**4, 0))
+        assert main(["tomo-demo", "--kappa-a", "1", "--kappa-b", "1"]) == 2
+    assert capsys.readouterr().err.startswith("belldyn: computation error: barrier line search")
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeypatch):
+    # `_evaluate` and the Newton step call numpy's private LAPACK gufuncs, skipping the public
+    # wrappers' per-call cost: a numpy whose gufuncs stop matching np.linalg.eigh and
+    # np.linalg.inv fails here by name, not only through the SHA-256 pins of the outputs
+    calls = {"_eigh": [], "_inv": []}
+
+    def recording(name, gufunc):
+        def call(a, signature):  # copies: the line search writes accepted trials into its arrays
+            result = gufunc(a, signature=signature)
+            calls[name].append(copy.deepcopy((a, result)))
+            return result
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(tomography, name, recording(name, getattr(tomography, name)))
+    records = unphysical_records()
+    for rows in (1, 9):
+        for made in calls.values():
+            made.clear()
+        tomography._estimate(np.stack([rec.counts for rec in records[:rows]]))
+        assert len(calls["_eigh"][0][0]) == len(calls["_inv"][0][0]) == rows  # every row, first
+        assert len(calls["_eigh"]) > len(calls["_inv"]) >= 10
+        for matrices, (w, v) in calls["_eigh"]:
+            expected = np.linalg.eigh(matrices)
+            assert _same_bits(w, expected.eigenvalues) and _same_bits(v, expected.eigenvectors)
+        for hess, inverse in calls["_inv"]:
+            assert _same_bits(inverse, np.linalg.inv(hess))
 
 
 def test_line_search_halves_rejected_steps_and_raises_past_its_limit(monkeypatch):
