@@ -40,6 +40,17 @@ def _checked_kappa(kappa, name):
     return k, modulus
 
 
+def _checked_pair(kappa_a, kappa_b):
+    """`_checked_kappa` of both kappas, broadcast together: kappa_a, kappa_b, |kappa_a|, |kappa_b|;
+    InvalidStateError naming both shapes if they do not broadcast."""
+    (ka, ma), (kb, mb) = _checked_kappa(kappa_a, "kappa_a"), _checked_kappa(kappa_b, "kappa_b")
+    try:
+        return np.broadcast_arrays(ka, kb, ma, mb)
+    except ValueError:  # numpy's message names neither kappa
+        raise InvalidStateError(f"kappa_a and kappa_b must broadcast together, got shapes {ka.shape} and "
+                                f"{kb.shape}") from None
+
+
 def _bits(d):
     """1 - h((1 + d) / 2) bits, h the binary entropy, as (d atanh d + log1p(-d^2) / 2) / ln 2,
     which does not cancel as d -> 0; 1 for d >= 1, and 0 for d <= 0 or NaN."""
@@ -88,13 +99,7 @@ def bell_eigenvalues_from_kappas(kappa_a, kappa_b) -> np.ndarray:
     The parameters broadcast (InvalidStateError naming both shapes if they do not); the
     eigenvalues, largest first, fill a new last axis.
     """
-    _, ka = _checked_kappa(kappa_a, "kappa_a")
-    _, kb = _checked_kappa(kappa_b, "kappa_b")
-    try:
-        np.broadcast_shapes(ka.shape, kb.shape)
-    except ValueError:  # numpy's message names neither kappa
-        raise InvalidStateError(f"kappa_a and kappa_b must broadcast together, got shapes {ka.shape} and "
-                                f"{kb.shape}") from None
+    ka, kb = _checked_pair(kappa_a, kappa_b)[2:]
     hi, lo = np.maximum(ka, kb), np.minimum(ka, kb)
     return 0.25 * np.stack(
         [(1.0 + ka) * (1.0 + kb), (1.0 + hi) * (1.0 - lo), (1.0 - hi) * (1.0 + lo),

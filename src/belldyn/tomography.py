@@ -10,7 +10,7 @@ goes to a log-det barrier Newton solve. Statistical errors come from a
 parametric bootstrap that resamples the observed counts. `bootstrap` solves the
 point estimates and resamples of many rows of counts in blocks of bounded size;
 each row's arithmetic is independent of the batch, so it gives the same bits as
-one row at a time, and a resample the bits of `reconstruct` of its counts.
+one row at a time, and its quantities come from the spectrum the estimator computed.
 
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
@@ -28,9 +28,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in, _real_array
-from .correlations import _checked_kappa, bell_correlations
+from .correlations import _checked_pair, bell_correlations
 from .errors import NonConvergenceError, TomographyInputError
-from .qstate import eigenvalues_sorted, validate_state
+from .qstate import validate_state
 
 _KET = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -108,16 +108,13 @@ _LINEAR_FORMS = np.round(4.0 * np.stack([sum(s * STANDARD_PROJECTORS[:, r, c] fo
 
 
 def _dephased_probabilities(kappa_a, kappa_b) -> np.ndarray:
-    """`probabilities` of `evolve_state(a, b)` without the 4x4 matrix, one row per pair of the broadcast
-    kappas (C order), each checked and clipped by `correlations._checked_kappa` as `evolve_state` does."""
-    kappas = _checked_kappa(kappa_a, "kappa_a")[0], _checked_kappa(kappa_b, "kappa_b")[0]
-    try:
-        ka, kb = np.broadcast_arrays(*kappas)
-    except ValueError:  # numpy's message names neither kappa
-        ka = np.empty(0)
+    """`probabilities` of `evolve_state(a, b)` without the 4x4 matrix, one row per pair of the kappas
+    broadcast by `correlations._checked_pair` (C order), each checked and clipped as `evolve_state` does;
+    TomographyInputError if they broadcast to no pairs."""
+    ka, kb = _checked_pair(kappa_a, kappa_b)[:2]
     if not ka.size:
         raise TomographyInputError("kappa_a and kappa_b must broadcast to 1+ pairs, got shapes "
-                                   f"{kappas[0].shape} and {kappas[1].shape}")
+                                   f"{np.shape(kappa_a)} and {np.shape(kappa_b)}")
     features = np.stack([ka, kb, ka * kb, ka * kb.conj()], axis=-1).reshape(-1, 4).view(float)
     return np.clip(0.25 * (1.0 + _apply(_LINEAR_FORMS, features)), 0.0, 1.0)
 
@@ -324,18 +321,22 @@ def _barrier_solve(freqs, lowest):
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 
-def _estimate(counts) -> np.ndarray:
-    """Normalized extended-likelihood estimates, one per row of counts; see `reconstruct`."""
+def _estimate(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized extended-likelihood estimates of rows of counts (see `reconstruct`): each row's 16
+    coordinates and its spectrum, largest first, both divided by the trace."""
     # the estimator is scale-equivariant: at unit peak, any finite scale of a row solves alike
     # (a row's total can overflow where its peak cannot)
     peak = counts.max(axis=-1, keepdims=True)
     x = counts / np.where(peak > 0.0, peak, 1.0)  # unit-peak frequencies: the linear inversion
-    lowest = np.linalg.eigvalsh(_matrices(x))[:, 0]
-    unphysical = lowest < 0.0
+    spectra = np.linalg.eigvalsh(_matrices(x))[:, ::-1]
+    unphysical = spectra[:, 3] < 0.0
     if unphysical.any():
-        x[unphysical] = _barrier_solve(x[unphysical], lowest[unphysical])
-    x[~counts.any(axis=-1)] = 0.25  # no counts: the maximally mixed state, by rule
-    return _matrices(x / x[:, :4].sum(axis=-1, keepdims=True))
+        x[unphysical] = _barrier_solve(x[unphysical], spectra[unphysical, 3])
+        spectra[unphysical] = np.linalg.eigvalsh(_matrices(x[unphysical]))[:, ::-1]
+    empty = ~counts.any(axis=-1)
+    x[empty] = spectra[empty] = 0.25  # no counts: the maximally mixed state, by rule
+    trace = x[:, :4].sum(axis=-1, keepdims=True)
+    return x / trace, spectra / trace
 
 
 def reconstruct(record: TomographyRecord) -> np.ndarray:
@@ -352,26 +353,13 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     Exact (noiseless) counts of a full-rank state reproduce it. Raises
     NonConvergenceError if the solve fails.
     """
-    return _estimate(record.counts[None])[0]
+    return _matrices(_estimate(record.counts[None])[0])[0]
 
 
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
 
 #: largest `bootstrap` batch: point estimates plus resamples of whole records
 _BLOCK_ROWS = 256
-
-
-def state_quantities(states) -> np.ndarray:
-    """The BOOTSTRAP_KEYS of a state, or of each of a stack of states.
-
-    I, C, Q, REE in bits, then the sorted eigenvalues, along the last axis. The
-    measures are the Bell-diagonal formulas on the sorted spectrum, not those of
-    the state unless it is Bell-diagonal up to local unitaries: on estimates at
-    10^4 counts, plug-in Q minus the oracle's has per-state medians of -2.2e-3
-    to +7.9e-4 and reaches 1.3e-2 (about one bootstrap sd); C's gap is as large.
-    """
-    lam = eigenvalues_sorted(states)
-    return np.concatenate([np.stack(bell_correlations(lam), axis=-1), lam], axis=-1)
 
 
 def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -381,9 +369,12 @@ def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     (resamples, 16) draw from the Generator seeded with seeds[i]. Rows are solved in blocks of at
     most _BLOCK_ROWS estimates (one row if larger), each a row of one `_estimate` call. Returns two
     (n, 8) arrays in BOOTSTRAP_KEYS order: the point estimates' quantities and the resamples'
-    standard deviations (ddof=1). Raises TomographyInputError unless there are rows, one seed
-    each, of integer words >= 0, resamples is an integer in [2, MAX_TOMO_RESAMPLES] (2.0 counts as
-    2), and numpy can draw from every count.
+    standard deviations (ddof=1). An estimate's quantities are `bell_correlations` of the spectrum
+    `_estimate` gives it, then that spectrum: measures of the state only if it is Bell-diagonal up to local
+    unitaries: at 10^4 counts, plug-in Q minus the oracle's has per-state medians of -2.2e-3 to
+    +7.9e-4 and reaches 1.3e-2 (about one bootstrap sd); C's gap is as large. Raises
+    TomographyInputError unless there are rows, one seed each, of integer words >= 0, resamples
+    is an integer in [2, MAX_TOMO_RESAMPLES] (2.0 counts as 2), and numpy can draw from every count.
     """
     if not _integer_in(resamples, 2, MAX_TOMO_RESAMPLES):
         raise TomographyInputError(f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples!r}")
@@ -406,7 +397,8 @@ def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
                 rows[1:] = _draw(rows[0], words[i], (resamples, 16))
             except ValueError:  # numpy's bound on a Poisson mean
                 raise TomographyInputError(f"counts too large to resample in row {i}") from None
-        quantities = state_quantities(_estimate(batch.reshape(-1, 16))).reshape(len(batch), 1 + resamples, -1)
+        spectra = _estimate(batch.reshape(-1, 16))[1]
+        quantities = np.column_stack([*bell_correlations(spectra), spectra]).reshape(*batch.shape[:2], -1)
         out[0, start:start + block] = quantities[:, 0]
         out[1, start:start + block] = quantities[:, 1:].std(axis=1, ddof=1)
     return out[0], out[1]
@@ -417,7 +409,8 @@ def simulate_dephased(kappa_a, kappa_b, tomo) -> tuple[np.ndarray, np.ndarray, n
     broadcast kappas (C order), per `config.TomographySettings`. Row i's seed prefix is [tomo.seed] for one
     pair of numbers, else [tomo.seed, i]; its counts, linear in its kappas, are those `simulate_counts` draws
     from its state with seed words [*prefix, 0], and `bootstrap` resamples them from [*prefix, 1]. A bad
-    kappa raises InvalidStateError, as in `evolve_state`; a pair that gives no rows, TomographyInputError."""
+    kappa, or a pair that does not broadcast, raises InvalidStateError as in `bell_eigenvalues_from_kappas`;
+    a pair that broadcasts to no rows, TomographyInputError."""
     means = tomo.n_per_setting * _dephased_probabilities(kappa_a, kappa_b)
     one_pair = np.ndim(kappa_a) == np.ndim(kappa_b) == 0  # else a series, even of one row
     prefixes = [[tomo.seed]] if one_pair else [[tomo.seed, i] for i in range(len(means))]

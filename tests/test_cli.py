@@ -13,7 +13,7 @@ import pytest
 
 import belldyn.cli
 import belldyn.errors
-from belldyn import dephasing, tomography
+from belldyn import dephasing, qstate, tomography
 from belldyn.cli import (
     SWEEP_COLUMNS,
     format_landmarks,
@@ -30,6 +30,7 @@ from belldyn.config import (
     TomographySettings,
     parse_config_lines,
 )
+from belldyn.correlations import bell_correlations
 from belldyn.dephasing import (
     MultiGaussian,
     _first_local_min,
@@ -381,15 +382,16 @@ def test_run_with_tomography_writes_noisy_csv(tmp_path):
 
 
 def _reference_write_noisy_csv(table, config, path):
-    """The row-by-row noisy.csv writer that block reconstruction replaced:
-    one `reconstruct` and one one-record `bootstrap` call per sweep row."""
+    """The row-by-row noisy.csv writer that block reconstruction replaced: one
+    one-row `_estimate` and one one-record `bootstrap` call per sweep row."""
     tomo = config.tomography
     keys = tomography.BOOTSTRAP_KEYS
     cells = np.empty((len(table["x_over_lambda0"]), len(keys), 2))
     for i, (kappa_a, kappa_b) in enumerate(zip(table["kappa_a"], table["kappa_b"])):
         rho = dephasing.evolve_state(kappa_a, kappa_b)
         record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
-        cells[i, :, 0] = tomography.state_quantities(tomography.reconstruct(record))
+        spectrum = tomography._estimate(record.counts[None])[1][0]
+        cells[i, :, 0] = [*bell_correlations(spectrum), *spectrum]
         cells[i, :, 1] = tomography.bootstrap([record.counts], tomo.resamples, [[tomo.seed, i, 1]])[1][0]
     header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
     belldyn.cli._write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
@@ -436,6 +438,35 @@ def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_row
     assert len(batches) == -(-6 // max(1, tomography._BLOCK_ROWS // (1 + resamples)))
     _reference_write_noisy_csv(sweep(config), config, tmp_path / "reference.csv")
     assert (tmp_path / "noisy.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_run_and_tomo_demo_make_no_state_check(monkeypatch, tmp_path, capsys):
+    # the estimator reports the spectrum it computed: neither `eigenvalues_sorted` nor its checks
+    # run on the tomography path, under any module's name for them
+    cfg = tmp_path / "tomography.cfg"
+    cfg.write_text("x_a = 117\nfilter_a = 3.0\nx_b_max = 120\nstep = 60\ntomo_counts = 10000\n"
+                   "tomo_resamples = 20\ntomo_seed = 7\n[spectrum_b]\ncomponent = 0.37, 778.853, 0.85\n"
+                   "component = 0.44, 780.160, 0.85\ncomponent = 0.19, 781.459, 0.85\n")
+    demo = ["tomo-demo", "--kappa-a", "0.98", "--kappa-b", "0.99", "--counts", "10000", "--seed", "3"]
+
+    def outputs(out):
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert main(demo) == 0
+        files = [(out / name).read_bytes() for name in ("sweep.csv", "landmarks.txt", "noisy.csv")]
+        return files, capsys.readouterr()
+
+    expected = outputs(tmp_path / "checked")
+    assert expected[1].err == ""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a state check ran on the tomography path")
+
+    originals = [getattr(qstate, name) for name in ("eigenvalues_sorted", "_checked_eigenvalues")]
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "belldyn"]:
+        for name, value in vars(module).copy().items():
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, name, forbidden)
+    assert outputs(tmp_path / "unchecked") == expected
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -524,7 +555,7 @@ PRESET_OUTPUT_SHA256 = {
 TOMOGRAPHY_OUTPUT_SHA256 = (
     "43f234578ea1ba8d837e04cc0050db546d8cfc9525149438939ae6ea962153f0",
     "6b85d31172848ece16b16d0fac2b9c730d2869781ebb0b3bd41bc61bddda40c8",
-    "b055570f2af2ac407c01525fb6c9c13f9dbe1201e267e4347d970652a8c15fdd",
+    "3477459376dab41ed3458c6fad684168ea6121e1211bd0accccd5b2dd08a78a7",
 )
 
 

@@ -19,7 +19,8 @@ import belldyn.tomography
 
 #: module -> names it no longer defines, as listed under "Removed names" in README
 REMOVED = {
-    "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS", "error_bars", "record_to_csv", "KET"),
+    "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS", "error_bars", "record_to_csv", "KET",
+                           "state_quantities"),
     "belldyn.correlations": ("CorrelationSet", "correlations_from_spectrum",
                              "total_mutual_information_bell", "closest_classical_bell",
                              "kappa_correlation", "correlations_from_kappas",

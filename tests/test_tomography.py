@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 import belldyn.tomography as tomography
 from belldyn.cli import main
 from belldyn.config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, PRESETS, TomographySettings
-from belldyn.correlations import bell_correlations
+from belldyn.correlations import bell_correlations, bell_eigenvalues_from_kappas
 from belldyn.dephasing import evolve_state, sweep
 from belldyn.errors import (
     BelldynError,
@@ -212,10 +212,22 @@ def test_simulate_dephased_broadcasts_its_kappas_and_rejects_pairs_without_rows(
     assert np.array_equal(series[2], bootstrap(series[0], 2, [[4, 0, 1]])[1])
     assert np.array_equal(single[2], bootstrap(single[0], 2, [[4, 1]])[1])
     assert not np.array_equal(series[2], single[2])
-    message = "^kappa_a and kappa_b must broadcast to 1[+] pairs, got shapes"
-    for pair in (([0.5, 0.6], [0.5, 0.6, 0.7]), ([], 0.5), (0.5, np.ones((2, 0))), (np.ones((2, 3)), [1, 0])):
-        with pytest.raises(TomographyInputError, match=message):
+    # kappas that broadcast to no pair give no rows to simulate
+    for pair, shapes in ((([], 0.5), r"\(0,\) and \(\)"), ((0.5, np.ones((2, 0))), r"\(\) and \(2, 0\)")):
+        with pytest.raises(TomographyInputError,
+                           match=rf"^kappa_a and kappa_b must broadcast to 1[+] pairs, got shapes {shapes}$"):
             tomography.simulate_dephased(*pair, tomo)
+
+
+def test_simulate_dephased_rejects_kappas_that_do_not_broadcast_as_the_spectrum_does():
+    # one pair check, `correlations._checked_pair`, on both routes that take a pair of kappas
+    tomo = TomographySettings(n_per_setting=100, resamples=2, seed=4)
+    for pair, shapes in ((([0.5, 0.6], [0.5, 0.6, 0.7]), r"\(2,\) and \(3,\)"),
+                         ((np.ones((2, 3)), [1, 0]), r"\(2, 3\) and \(2,\)")):
+        for route in (bell_eigenvalues_from_kappas, lambda a, b: tomography.simulate_dephased(a, b, tomo)):
+            with pytest.raises(InvalidStateError,
+                               match=rf"^kappa_a and kappa_b must broadcast together, got shapes {shapes}$"):
+                route(*pair)
 
 
 def test_simulate_counts_deterministic_for_seed():
@@ -315,16 +327,23 @@ def test_error_bars_deterministic():
     assert not np.array_equal(a, c)
 
 
+def quantities(spectrum):
+    """The BOOTSTRAP_KEYS of one spectrum: `bell_correlations` of it, then the spectrum."""
+    return np.array([*bell_correlations(spectrum), *spectrum])
+
+
+def estimated_spectrum(counts):
+    """The spectrum that a one-row `_estimate` call gives a record's counts."""
+    return tomography._estimate(TomographyRecord(counts).counts[None])[1][0]
+
+
 def test_error_bars_match_per_record_reference():
-    # each resample through the public per-record path: a new record, reconstruct, spectrum;
+    # each resample through the per-record path: a new record and its one-row estimate;
     # the resamples are successive draws from the record's one Generator
     record = simulate_counts(evolve_state(0.607, 0.385), 2000, 9)
     seed, resamples = 17, 6
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(resamples):
-        lam = eigenvalues_sorted(reconstruct(TomographyRecord(rng.poisson(record.counts))))
-        samples.append([*(float(v) for v in bell_correlations(lam)), *lam])
+    samples = [quantities(estimated_spectrum(rng.poisson(record.counts))) for _ in range(resamples)]
     expected = np.std(samples, axis=0, ddof=1)
     assert np.array_equal(bootstrap([record.counts], resamples, [seed])[1][0], expected)
 
@@ -337,7 +356,7 @@ def test_bootstrap_of_a_stack_matches_each_record_alone():
     values, errors = bootstrap([record.counts for record in records], 9, seeds)
     assert values.shape == errors.shape == (3, len(BOOTSTRAP_KEYS))
     for record, seed, value, error in zip(records, seeds, values, errors):
-        assert np.array_equal(value, tomography.state_quantities(reconstruct(record)))
+        assert np.array_equal(value, quantities(estimated_spectrum(record.counts)))
         assert np.array_equal(error, bootstrap([record.counts], 9, [seed])[1][0])
 
 
@@ -357,7 +376,7 @@ def test_error_bars_are_calibrated_against_repeated_experiments(kappa_a, kappa_b
     values, errors = bootstrap([record.counts for record in records], resamples,
                                [[seed, e, 1] for e in range(experiments)])
     ratio = np.median(errors, axis=0) / values.std(axis=0, ddof=1)
-    coverage = (np.abs(values - tomography.state_quantities(rho)) <= errors).mean(axis=0)
+    coverage = (np.abs(values - quantities(eigenvalues_sorted(rho))) <= errors).mean(axis=0)
     assert np.all(np.abs(ratio - 1.0) <= 0.21), dict(zip(BOOTSTRAP_KEYS, ratio))
     assert np.all(np.abs(coverage - 0.683) <= 0.13), dict(zip(BOOTSTRAP_KEYS, coverage))
 
@@ -487,9 +506,10 @@ def test_estimate_of_a_row_does_not_depend_on_its_batch():
     for trial in range(6):
         rho = pure if trial % 2 else evolve_state(0.607, rng.uniform(0.2, 1.0))
         freqs = np.stack([simulate_counts(rho, 10**4, [trial, j]).counts for j in range(8)]) / 1e4
-        batch = tomography._estimate(freqs)
+        batch = tomography._estimate(freqs)  # coordinates and spectra
         for j in range(8):
-            assert np.array_equal(tomography._estimate(freqs[j:j + 1])[0], batch[j])
+            alone = tomography._estimate(freqs[j:j + 1])
+            assert all(np.array_equal(a[0], b[j]) for a, b in zip(alone, batch))
 
 
 def test_barrier_solve_takes_few_newton_steps_and_evaluations(monkeypatch):
@@ -525,9 +545,38 @@ def test_estimates_of_a_mixed_batch_do_not_depend_on_the_batch():
     # pure, rank-2 and random-phase rows change stage at different steps, so the
     # predictor runs on some rows of a batch while others take Newton steps
     counts = np.stack([rec.counts for rec in unphysical_records()])
-    batch = tomography._estimate(counts)
-    for row, estimate in zip(counts, batch):
-        assert np.array_equal(tomography._estimate(row[None])[0], estimate)
+    batch = tomography._estimate(counts)  # coordinates and spectra
+    for j, row in enumerate(counts):
+        alone = tomography._estimate(row[None])
+        assert all(np.array_equal(a[0], b[j]) for a, b in zip(alone, batch))
+
+
+def test_estimated_spectra_are_those_of_the_reconstructed_states():
+    # `bootstrap` reads each estimate's spectrum off `_estimate` (the eigenvalues of its linear
+    # inversion, or of its barrier optimum, over its trace) instead of diagonalizing the
+    # normalized matrix `reconstruct` returns: the two spectra differ in the last bits only (up
+    # to 7 ulp of lambda1 here). The measures' slope in the spectrum reaches about 12 bits per
+    # unit of lambda1 (REE at lambda1 = 0.9998, the pure-state records), so the measures differ
+    # by up to 1.5e-14 (REE; I 9.1e-15)
+    rng = np.random.default_rng(62)
+    records = unphysical_records()
+    for _ in range(20):  # near-pure states
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        rho = 0.98 * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real + 0.005 * np.eye(4)
+        records.append(simulate_counts(rho, 10**4, [62, len(records)]))
+    mixed = [simulate_counts(random_density_matrix(rng), 10**4, [62, i]) for i in range(20)]
+    physical = [rec for rec in mixed if is_physical(linear_inversion(rec))]
+    assert len(physical) >= 10
+    records += physical + [TomographyRecord(np.zeros(16))]
+    counts = np.stack([rec.counts for rec in records])
+    spectra = tomography._estimate(counts)[1]
+    values = bootstrap(counts, 2, list(range(len(counts))))[0]
+    for record, spectrum, value in zip(records, spectra, values):
+        expected = eigenvalues_sorted(reconstruct(record))
+        assert np.abs(spectrum - expected).max() <= 1e-15
+        assert np.array_equal(value[4:], spectrum)
+        assert np.abs(value[:4] - bell_correlations(expected)).max() <= 3e-14
+    assert np.array_equal(spectra[-1], [0.25] * 4)
 
 
 def test_curvature_matches_central_differences_of_the_newton_matrix():
