@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tomography
 from .config import PRESETS, TOMO_KEYS, ExperimentConfig, TomographySettings, parse_config_lines
-from .correlations import bell_correlations, bell_eigenvalues_from_kappas
+from .correlations import bell_eigenvalues_from_kappas, unchecked_bell_correlations
 from .dephasing import landmarks_from_series, sweep
 from .errors import BelldynError, ConfigError, ParseError
 
@@ -162,7 +162,8 @@ def _cmd_tomo_demo(args) -> int:
     for label, count in zip(tomography.STANDARD_LABELS, counts):  # drawn counts are integers
         print(f"{label},{int(count)}")
     print(f"\n{'quantity':8s} {'true':>12s} {'reconstructed':>14s} {'error':>10s}")
-    for name, t, rec, err in zip(tomography.BOOTSTRAP_KEYS, [*bell_correlations(lam), *lam], values, errs):
+    true = [*unchecked_bell_correlations(lam), *lam]  # lam is a sorted probability vector by construction
+    for name, t, rec, err in zip(tomography.BOOTSTRAP_KEYS, true, values, errs):
         print(f"{name:8s} {t:12.6f} {rec:14.6f} {err:10.6f}")
     return 0
 

@@ -69,7 +69,12 @@ def bell_correlations(spectra):
     pair(l3, l4) = S(chi) - S(rho), I = C + Q = 2 - S(rho), and REE = pair(l1, 1 - l1)
     = `_bits`(2 l1 - 1) = 1 - H(l1, 1 - l1) for l1 > 1/2, else zero (separable).
     """
-    l1, l2, l3, l4 = np.moveaxis(validate_bell_spectrum(spectra), -1, 0)
+    return unchecked_bell_correlations(validate_bell_spectrum(spectra))
+
+
+def unchecked_bell_correlations(spectra):
+    """`bell_correlations` of spectra that need no check: each a probability vector, non-increasing."""
+    l1, l2, l3, l4 = np.moveaxis(spectra, -1, 0)
     a, b = np.stack([l1 + l2, l1, l3]), np.stack([l3 + l4, l2, l4])
     with np.errstate(invalid="ignore"):  # a + b = 0 gives d = NaN, so zero bits
         classical, q12, q34 = (a + b) * _bits(np.abs(a - b) / (a + b))

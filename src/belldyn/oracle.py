@@ -22,10 +22,16 @@ spectrum.
 The direction pairs are evaluated in blocks of one window's rows of the first
 side against all of the second, so no state refaults its temporaries: the
 largest population grid is (4, 49, 123), small enough that the allocator keeps
-it for the next state. The coarse simplex grid and each round of exchange
-moves are evaluated as one array. Both searches are fixed by the module
-constants below, so results are deterministic, with ties broken by the
-smallest flattened pair index or move index.
+it for the next state. The inner loops are bound by numpy's per-call cost, so
+each takes few calls: the populations' 1/4 is folded into the Pauli
+components once per state (a power of two scales exactly), clips are in-place
+np.maximum and np.minimum (which differ from np.clip only on -0.0, and no
+population or move is -0.0), and a window's frame is Python float arithmetic.
+The coarse simplex grid is evaluated as one array, and so is each exchange
+step, over its feasible moves only: a move changes two entries, so its bounds
+are read off those two. Both searches are fixed by the module constants below,
+so results are deterministic, with ties broken by the smallest flattened pair
+index or move index.
 """
 
 from __future__ import annotations
@@ -69,8 +75,12 @@ _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], d
 
 
 def _pauli_components(rho: np.ndarray):
-    """Local Bloch vectors and the 3x3 correlation matrix of a two-qubit state."""
-    r = rho.reshape(2, 2, 2, 2)
+    """A quarter of the local Bloch vectors and of the 3x3 correlation matrix of a two-qubit state.
+
+    A power of two scales every product and sum exactly, so the populations
+    built from the quarters have the bits of the whole sums divided by 4.
+    """
+    r = 0.25 * rho.reshape(2, 2, 2, 2)
     vec_a = np.einsum("abcb,ica->i", r, _PAULIS).real
     vec_b = np.einsum("abad,jdb->j", r, _PAULIS).real
     corr = np.einsum("abcd,ica,jdb->ij", r, _PAULIS, _PAULIS).real
@@ -97,7 +107,7 @@ def _window(center: np.ndarray, w: float) -> np.ndarray:
     every unit center, both poles included; its sign choice flips at z = 0. The
     middle row is the center.
     """
-    x, y, z = center
+    x, y, z = center.tolist()
     sign = math.copysign(1.0, z)
     a = -1.0 / (sign + z)
     b = x * y * a
@@ -105,7 +115,8 @@ def _window(center: np.ndarray, w: float) -> np.ndarray:
     e2 = np.array([b, sign + y * y * a, -y])
     steps = np.arange(-(_WINDOW // 2), _WINDOW // 2 + 1) * (w / (_WINDOW // 2))
     dirs = (center + steps[:, None, None] * e1 + steps[None, :, None] * e2).reshape(-1, 3)
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=1, keepdims=True))  # np.linalg.norm's arithmetic
+    return dirs
 
 
 #: signs of the a and b Bloch terms in the four product-basis populations
@@ -117,15 +128,15 @@ def _populations(vec_a, vec_b, corr, dirs_a, dirs_b) -> np.ndarray:
     """The four product-basis populations for every direction pair, shape (4, len(a), len(b)).
 
     The populations (1 + sa a.r_a + sb b.r_b + sa sb a.T.b) / 4 of the sign
-    pairs (+,+), (+,-), (-,+), (-,-) are built in one broadcast and clipped
-    to [0, 1].
+    pairs (+,+), (+,-), (-,+), (-,-) are built in one broadcast from the
+    quarter components of `_pauli_components` and clipped to [0, 1].
     """
     cross = dirs_a @ corr @ dirs_b.T
-    probs = (1.0 + _SIGNS_A * (dirs_a @ vec_a)[:, None]) + _SIGNS_B * (dirs_b @ vec_b)
+    probs = (0.25 + _SIGNS_A * (dirs_a @ vec_a)[:, None]) + _SIGNS_B * (dirs_b @ vec_b)
     probs[::3] += cross
     probs[1:3] -= cross
-    probs *= 0.25
-    return np.clip(probs, 0.0, 1.0, out=probs)
+    np.maximum(probs, 0.0, out=probs)
+    return np.minimum(probs, 1.0, out=probs)
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
@@ -133,7 +144,7 @@ def _entropy(probs: np.ndarray) -> np.ndarray:
     logs = np.maximum(probs, np.finfo(float).tiny)
     np.log2(logs, out=logs)
     logs *= probs
-    return -logs.sum(axis=0)
+    return -np.add.reduce(logs, axis=0)
 
 
 def _marginal_entropy(p: np.ndarray) -> np.ndarray:
@@ -156,7 +167,7 @@ def _best_pair(components, dirs_a, dirs_b):
         block = dirs_a[start:start + _WINDOW ** 2]
         probs = _populations(*components, block, dirs_b)
         ent = _entropy(probs)
-        ia, ib = np.unravel_index(np.argmin(ent), ent.shape)
+        ia, ib = divmod(int(ent.argmin()), len(dirs_b))
         if best is None or ent[ia, ib] < best[0]:
             best = float(ent[ia, ib]), probs[:, ia, ib].copy(), block[ia], dirs_b[ib]
     return best
@@ -214,8 +225,10 @@ def oracle_classical_correlation(rho) -> float:
     return max(marginals - best, 0.0)
 
 
-#: the pairwise exchanges q_a += step, q_b -= step of the pattern search, in move order
-_EXCHANGES = np.array([np.eye(4)[a] - np.eye(4)[b] for a in range(4) for b in range(4) if a != b])
+#: the pairwise exchanges q_a += step, q_b -= step of the pattern search, in move order: their (a, b)
+#: and their directions
+_PAIRS = [(a, b) for a in range(4) for b in range(4) if a != b]
+_EXCHANGES = np.array([np.eye(4)[a] - np.eye(4)[b] for a, b in _PAIRS])
 
 
 def _kl_bits(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -225,7 +238,10 @@ def _kl_bits(lam: np.ndarray, q: np.ndarray) -> np.ndarray:
     with lam = 0 are left out. A zero q divides by zero: callers ignore that
     warning.
     """
-    return (lam * np.log2(lam / q)).sum(axis=1)
+    terms = lam / q
+    np.log2(terms, out=terms)
+    terms *= lam
+    return np.add.reduce(terms, axis=1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -242,12 +258,12 @@ def _separable_grid(n: int) -> np.ndarray:
 def oracle_ree_bell(spectrum) -> float:
     """Minimum relative entropy to the separable Bell-diagonal set, in bits."""
     lam = validate_bell_spectrum(spectrum)
-    support = lam > 0.0
+    support = np.flatnonzero(lam > 0.0)  # ndarray.take is the cheapest selection of few entries
     lam = lam[support]
     points = _separable_grid(_RESOLUTION)
     with np.errstate(divide="ignore"):
-        values = _kl_bits(lam, points[:, support])
-        first = int(np.argmin(values))
+        values = _kl_bits(lam, points.take(support, axis=1))
+        first = int(values.argmin())
         best, best_q = float(values[first]), points[first]
 
         step = 1.0 / _RESOLUTION
@@ -255,13 +271,18 @@ def oracle_ree_bell(spectrum) -> float:
         while True:
             rounds += 1
             round_gain = 0.0
+            deltas = step * _EXCHANGES
             while True:
-                moves = best_q + step * _EXCHANGES
-                moves = moves[(moves.min(axis=1) >= -1e-12) & (moves.max(axis=1) <= 0.5 + 1e-12)]
-                np.clip(moves, 0.0, 0.5, out=moves)
-                moves /= moves.sum(axis=1, keepdims=True)
-                values = _kl_bits(lam, moves[:, support])
-                first = int(np.argmin(values))
+                # a move is feasible if its entries lie in [-1e-12, 0.5 + 1e-12]; it changes only
+                # entries a and b, and every entry of best_q lies in [0, 0.5 + 1e-12]
+                q = best_q.tolist()
+                moves = best_q + deltas.take([m for m, (a, b) in enumerate(_PAIRS)
+                                              if q[a] + step <= 0.5 + 1e-12 and q[b] - step >= -1e-12], axis=0)
+                np.maximum(moves, 0.0, out=moves)
+                np.minimum(moves, 0.5, out=moves)
+                moves /= np.add.reduce(moves, axis=1, keepdims=True)
+                values = _kl_bits(lam, moves.take(support, axis=1))
+                first = int(values.argmin())
                 if not values[first] < best:
                     break
                 round_gain += best - float(values[first])

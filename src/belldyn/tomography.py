@@ -28,7 +28,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in, _real_array
-from .correlations import _checked_pair, bell_correlations
+from .correlations import _checked_pair, unchecked_bell_correlations
 from .errors import NonConvergenceError, TomographyInputError
 from .qstate import validate_state
 
@@ -321,9 +321,10 @@ def _barrier_solve(freqs, lowest):
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 
-def _estimate(counts) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized extended-likelihood estimates of rows of counts (see `reconstruct`): each row's 16
-    coordinates and its spectrum, largest first, both divided by the trace."""
+def _solve(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Extended-likelihood estimates of rows of counts (see `reconstruct`), unnormalized: each row's 16
+    coordinates, its linear inversion's spectrum, largest first, and whether the barrier solve replaced
+    that inversion (the row's spectrum is then the inversion's, not the estimate's)."""
     # the estimator is scale-equivariant: at unit peak, any finite scale of a row solves alike
     # (a row's total can overflow where its peak cannot)
     peak = counts.max(axis=-1, keepdims=True)
@@ -332,9 +333,17 @@ def _estimate(counts) -> tuple[np.ndarray, np.ndarray]:
     unphysical = spectra[:, 3] < 0.0
     if unphysical.any():
         x[unphysical] = _barrier_solve(x[unphysical], spectra[unphysical, 3])
-        spectra[unphysical] = np.linalg.eigvalsh(_matrices(x[unphysical]))[:, ::-1]
     empty = ~counts.any(axis=-1)
     x[empty] = spectra[empty] = 0.25  # no counts: the maximally mixed state, by rule
+    return x, spectra, unphysical
+
+
+def _estimate(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized extended-likelihood estimates of rows of counts (see `reconstruct`): each row's 16
+    coordinates and its spectrum, largest first, both divided by the trace."""
+    x, spectra, unphysical = _solve(counts)
+    if unphysical.any():
+        spectra[unphysical] = np.linalg.eigvalsh(_matrices(x[unphysical]))[:, ::-1]
     trace = x[:, :4].sum(axis=-1, keepdims=True)
     return x / trace, spectra / trace
 
@@ -353,7 +362,8 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     Exact (noiseless) counts of a full-rank state reproduce it. Raises
     NonConvergenceError if the solve fails.
     """
-    return _matrices(_estimate(record.counts[None])[0])[0]
+    x = _solve(record.counts[None])[0]
+    return _matrices(x / x[:, :4].sum(axis=-1, keepdims=True))[0]
 
 
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
@@ -369,10 +379,11 @@ def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     (resamples, 16) draw from the Generator seeded with seeds[i]. Rows are solved in blocks of at
     most _BLOCK_ROWS estimates (one row if larger), each a row of one `_estimate` call. Returns two
     (n, 8) arrays in BOOTSTRAP_KEYS order: the point estimates' quantities and the resamples'
-    standard deviations (ddof=1). An estimate's quantities are `bell_correlations` of the spectrum
-    `_estimate` gives it, then that spectrum: measures of the state only if it is Bell-diagonal up to local
-    unitaries: at 10^4 counts, plug-in Q minus the oracle's has per-state medians of -2.2e-3 to
-    +7.9e-4 and reaches 1.3e-2 (about one bootstrap sd); C's gap is as large. Raises
+    standard deviations (ddof=1). An estimate's quantities are `unchecked_bell_correlations` of the
+    spectrum `_estimate` gives it (a sorted probability vector by construction), then that spectrum:
+    measures of the state only if it is Bell-diagonal up to local unitaries: at 10^4 counts, plug-in
+    Q minus the oracle's has per-state medians of -2.2e-3 to +7.9e-4 and reaches 1.3e-2 (about one
+    bootstrap sd); C's gap is as large. Raises
     TomographyInputError unless there are rows, one seed each, of integer words >= 0, resamples
     is an integer in [2, MAX_TOMO_RESAMPLES] (2.0 counts as 2), and numpy can draw from every count.
     """
@@ -398,7 +409,8 @@ def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
             except ValueError:  # numpy's bound on a Poisson mean
                 raise TomographyInputError(f"counts too large to resample in row {i}") from None
         spectra = _estimate(batch.reshape(-1, 16))[1]
-        quantities = np.column_stack([*bell_correlations(spectra), spectra]).reshape(*batch.shape[:2], -1)
+        quantities = np.column_stack([*unchecked_bell_correlations(spectra), spectra])
+        quantities = quantities.reshape(*batch.shape[:2], -1)
         out[0, start:start + block] = quantities[:, 0]
         out[1, start:start + block] = quantities[:, 1:].std(axis=1, ddof=1)
     return out[0], out[1]

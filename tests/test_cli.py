@@ -441,8 +441,9 @@ def test_noisy_csv_in_blocks_matches_row_by_row(monkeypatch, tmp_path, block_row
 
 
 def test_run_and_tomo_demo_make_no_state_check(monkeypatch, tmp_path, capsys):
-    # the estimator reports the spectrum it computed: neither `eigenvalues_sorted` nor its checks
-    # run on the tomography path, under any module's name for them
+    # the estimator reports the spectrum it computed, and its spectra and the true ones are
+    # probability vectors by construction: neither `eigenvalues_sorted`, its checks nor
+    # `validate_bell_spectrum` run on the tomography path, under any module's name for them
     cfg = tmp_path / "tomography.cfg"
     cfg.write_text("x_a = 117\nfilter_a = 3.0\nx_b_max = 120\nstep = 60\ntomo_counts = 10000\n"
                    "tomo_resamples = 20\ntomo_seed = 7\n[spectrum_b]\ncomponent = 0.37, 778.853, 0.85\n"
@@ -461,7 +462,8 @@ def test_run_and_tomo_demo_make_no_state_check(monkeypatch, tmp_path, capsys):
     def forbidden(*args, **kwargs):
         raise AssertionError("a state check ran on the tomography path")
 
-    originals = [getattr(qstate, name) for name in ("eigenvalues_sorted", "_checked_eigenvalues")]
+    originals = [getattr(qstate, name)
+                 for name in ("eigenvalues_sorted", "_checked_eigenvalues", "validate_bell_spectrum")]
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "belldyn"]:
         for name, value in vars(module).copy().items():
             if any(value is original for original in originals):

@@ -15,7 +15,7 @@ from belldyn.correlations import (
     ree_bell,
 )
 from belldyn.errors import InvalidStateError, NonConvergenceError
-from belldyn.qstate import shannon_bits, validate_bell_spectrum, validate_state
+from belldyn.qstate import eigenvalues_sorted, shannon_bits, validate_bell_spectrum, validate_state
 from belldyn.oracle import (
     oracle_classical_correlation,
     oracle_quantum_correlation,
@@ -614,3 +614,60 @@ def test_ree_oracle_nonconvergence(search_constants):
         oracle_ree_bell([0.6, 0.25, 0.1, 0.05])
     with pytest.raises(NonConvergenceError, match="still improving"):
         _reference_ree_bell([0.6, 0.25, 0.1, 0.05])
+
+
+def _pinned_states():
+    """20 fixed states: Dirichlet Bell-diagonal (the last three locally rotated), general mixed,
+    pure, and Bell-diagonal with zero eigenvalues."""
+    rng = np.random.default_rng(37)
+    states = []
+    for i in range(6):
+        rho = bell_diagonal_state(random_bell_spectrum(rng))
+        if i >= 3:
+            u = np.kron(random_unitary(rng), random_unitary(rng))
+            rho = u @ rho @ u.conj().T
+        states.append(rho)
+    states += [random_density_matrix(rng, rank=rank) for rank in (4, 4, 3, 2, 2)]
+    states += [random_density_matrix(rng, rank=1) for _ in range(4)]
+    for spectrum in ([0.7, 0.3, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.5, 0.3, 0.2, 0.0],
+                     [0.45, 0.35, 0.2, 0.0], [0.5, 0.5, 0.0, 0.0]):
+        states.append(bell_diagonal_state(spectrum))
+    return states
+
+
+#: Q, C and REE (of the sorted spectrum) that the oracles gave each of `_pinned_states()` before
+#: their loops were rewritten in fewer numpy calls; bit for bit on the machine that recorded them
+PINNED_ORACLE_VALUES = [
+    (0.08957291908251763, 0.17968458904591023, 1.1672793602362099e-11),
+    (0.028693813958602377, 0.5134232246116537, 0.003963732730361443),
+    (0.1661330342677112, 0.24312598623242332, 1.2192734912393156e-09),
+    (0.36206914943609236, 0.5665548286059656, 0.1909888267740785),
+    (0.13176418900968434, 0.3281288781787719, 0.018094218180457686),
+    (0.2069713005016709, 0.2118283282665181, 0.0070798779144099905),
+    (0.42912794102938223, 0.510748116300344, 0.14265435498552873),
+    (0.23727724672273443, 0.19769900361893855, 0.014627287918299325),
+    (0.37032385175917004, 0.3859782800918903, 0.0744921594348248),
+    (0.43459130501620247, 0.1811278689919863, 0.5238760335047025),
+    (0.30654260792532395, 0.6819402807255801, 0.13451604163229633),
+    (0.11096877940612505, 0.11096864603176165, 0.9999999999999923),
+    (0.3283188930915334, 0.32831879592916935, 0.9999999999999932),
+    (0.2166915479573239, 0.21669152033720723, 0.9999999999999867),
+    (0.6620210220264702, 0.6619943168297584, 0.9999999999999966),
+    (0.11870910076931329, 0.999999999999994, 0.11870910076930732),
+    (0.9999999999999997, 1.0, 1.0),
+    (0.23645279766002814, 0.27807190511263746, 0.0),
+    (0.20904047336920106, 0.27807190511263746, 0.0),
+    (5.995204332975845e-15, 0.999999999999994, 0.0),
+]
+
+
+def test_oracles_reach_their_pinned_values_on_fixed_states():
+    # the searches are fixed, so only roundoff may move a value: another BLAS or LAPACK
+    # kernel may round the states and the searches' products differently
+    states = _pinned_states()
+    assert len(states) == len(PINNED_ORACLE_VALUES)
+    for rho, expected in zip(states, PINNED_ORACLE_VALUES):
+        oracle._minimizing_basis.cache_clear()
+        got = (oracle_quantum_correlation(rho), oracle_classical_correlation(rho),
+               oracle_ree_bell(eigenvalues_sorted(rho)))
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)

@@ -485,6 +485,22 @@ def test_unphysical_estimates_have_unit_trace_and_full_rank():
         assert np.linalg.eigvalsh(rho).min() > 0.0
 
 
+def test_reconstruct_of_an_unphysical_record_diagonalizes_only_its_linear_inversion(monkeypatch):
+    # the linear inversion's spectrum decides whether the barrier solves; only `bootstrap`
+    # reads the spectrum of the barrier's optimum, so `reconstruct` does not compute it
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrices):
+        sizes.append(len(matrices))
+        return eigvalsh(matrices)
+
+    record = unphysical_records()[0]
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    reconstruct(record)
+    assert sizes == [1]
+
+
 def test_unphysical_estimates_satisfy_optimality_conditions():
     # at the unnormalized optimum rho* (sum_k q_k = sum_k f_k), the KKT conditions of
     # max sum_k (n_k log q_k - s q_k) over rho >= 0 read M >= 0 and tr(M rho*) = 0 with
