@@ -18,7 +18,7 @@ from .correlations import (
     quantum_correlation_bell,
     ree_bell,
 )
-from .dephasing import MultiGaussian, evolve_state, sweep
+from .dephasing import evolve_state, sweep
 from .oracle import (
     oracle_classical_correlation,
     oracle_quantum_correlation,
@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExperimentConfig",
-    "MultiGaussian",
     "TomographyRecord",
     "bell_correlations",
     "bell_eigenvalues_from_kappas",

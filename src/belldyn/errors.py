@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each raised somewhere in it: `cli.main` exits 1 on
+a ConfigError and 2 on any other. The dephasing model trusts its checked `ExperimentConfig`."""
 
 
 class BelldynError(Exception):
@@ -22,15 +23,11 @@ class TomographyInputError(BelldynError, ValueError):
     seed word that is not an integer >= 0."""
 
 
-class DephasingInputError(BelldynError, ValueError):
-    """Malformed dephasing-model input: a Gaussian amplitude, center or width that is not finite
-    and positive, mixture amplitudes that do not sum to 1, or a negative retardation."""
-
-
 class ConfigError(BelldynError):
     """Malformed experiment config or command line: an unknown or missing key or section, a
     value out of range, an exchange schedule that is not finite, nonnegative and strictly
-    increasing, or a bad `belldyn` argument."""
+    increasing, a spectrum that leaves the float range in rad/s or whose phase overflows on
+    the sweep grid, or a bad `belldyn` argument."""
 
 
 class ParseError(ConfigError):

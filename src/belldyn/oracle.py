@@ -11,8 +11,9 @@ poles like any other point. The closest product state to chi is the product of
 its marginals, so the classical-correlation oracle is the mutual information
 H(p_A) + H(p_B) - H(p) of the same searched populations. The state check and
 the search run once per state: the last matrix searched, keyed by its shape and
-bytes, keeps its two entropies and S(rho), so the two oracles called on the same
-matrix share one `validate_state` call and one search. The entanglement oracle
+bytes, keeps its two entropies and S(rho), taken from the eigenvalues of the
+state check, so the two oracles called on the same matrix share one
+`validate_state` call and one search. The entanglement oracle
 minimizes the classical relative entropy over the separable Bell-diagonal
 simplex (all eigenvalues <= 1/2) by a coarse simplex grid followed by pattern
 refinement along pairwise-exchange directions. The two basis oracles take a
@@ -183,7 +184,7 @@ def _minimizing_basis(shape: tuple[int, ...], state: bytes) -> tuple[float, floa
     InvalidStateError. Only the last state is kept; a call that raises is not
     kept.
     """
-    rho = validate_state(np.frombuffer(state, dtype=complex).reshape(shape))
+    rho, eigenvalues = validate_state(np.frombuffer(state, dtype=complex).reshape(shape))
     components = _pauli_components(rho)
     best, best_p, center_a, center_b = _best_pair(components, _COARSE, _COARSE)
     w = math.pi / (_N_THETA - 1)
@@ -201,7 +202,7 @@ def _minimizing_basis(shape: tuple[int, ...], state: bytes) -> tuple[float, floa
             raise NonConvergenceError(
                 f"basis refinement still improving by {improvement} after {rounds} rounds"
             )
-    return best, float(_marginal_entropy(best_p)), float(shannon_bits(np.linalg.eigvalsh(rho)))
+    return best, float(_marginal_entropy(best_p)), float(shannon_bits(eigenvalues))
 
 
 def oracle_quantum_correlation(rho) -> float:

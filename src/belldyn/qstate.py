@@ -27,16 +27,17 @@ def shannon_bits(p: np.ndarray) -> float:
     return -terms.sum()
 
 
-def validate_state(matrix: np.ndarray) -> np.ndarray:
-    """The matrix as complex; InvalidStateError unless a 4x4 state: `eigenvalues_sorted`'s checks and trace 1."""
+def validate_state(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The matrix as complex and its ascending eigenvalues, unclipped; InvalidStateError unless
+    a 4x4 state: `eigenvalues_sorted`'s checks and trace 1."""
     rho = np.asarray(matrix, dtype=complex)
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a two-qubit (4x4) state, got shape {rho.shape}")
-    _checked_eigenvalues(rho)
+    w = _checked_eigenvalues(rho)
     tr = rho.trace()
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"trace {tr} deviates from 1 beyond 1e-12")
-    return rho
+    return rho, w
 
 
 def validate_bell_spectrum(lambdas) -> np.ndarray:

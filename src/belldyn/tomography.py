@@ -133,7 +133,7 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
     n_per_setting is one number in [1, MAX_TOMO_COUNTS] and every seed word an
     integer >= 0.
     """
-    rho = validate_state(rho)
+    rho = validate_state(rho)[0]
     if not _holds(lambda n: 1 <= n <= MAX_TOMO_COUNTS, n_per_setting):
         raise TomographyInputError(f"n_per_setting must be in [1, {MAX_TOMO_COUNTS:g}], got {n_per_setting!r}")
     return TomographyRecord(_draw(n_per_setting * probabilities(rho), _seed_words(seed)))

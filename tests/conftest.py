@@ -28,7 +28,7 @@ def random_bell_spectrum(rng):
 
 def gaussian_density(omega, sigma, omega0):
     """Normalized Gaussian frequency density whose decoherence parameter is
-    `MultiGaussian([(1.0, omega0, sigma)]).kappa`."""
+    `MultiGaussian(np.array([(1.0, omega0, sigma)])).kappa`."""
     return (2.0 / (math.sqrt(math.pi) * sigma)) * np.exp(-4.0 * (omega - omega0) ** 2 / sigma**2)
 
 

@@ -45,7 +45,7 @@ from reference import bell_diagonal_state, correlations_from_kappas
 
 LAM0 = 0.78e-6
 #: the 3 nm arm-a filter at 780 nm as a one-component mixture
-FILTER_A = MultiGaussian([(1.0, angular_frequency(780e-9), sigma_from_fwhm(3e-9, 780e-9))])
+FILTER_A = MultiGaussian(np.array([(1.0, angular_frequency(780e-9), sigma_from_fwhm(3e-9, 780e-9))]))
 
 
 def _report(number, checks):

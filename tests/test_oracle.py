@@ -467,6 +467,23 @@ def test_q_then_c_on_one_matrix_checks_it_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_q_then_c_on_one_matrix_solves_its_eigenvalues_once(monkeypatch):
+    # S(rho) comes from the eigenvalues of the state check, not from a second eigensolve
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return eigvalsh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rho = _random_rotated_state(np.random.default_rng(30))
+    oracle._minimizing_basis.cache_clear()
+    oracle_quantum_correlation(rho)
+    oracle_classical_correlation(rho)
+    assert len(calls) == 1
+
+
 def test_the_same_bytes_in_another_shape_are_not_a_state():
     # the cache key holds the shape: a (2, 8) view of a searched state still fails
     rho = _random_rotated_state(np.random.default_rng(31))

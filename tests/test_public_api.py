@@ -33,7 +33,7 @@ REMOVED = {
                        "NormalizationError", "CountsRangeError", "OracleInputError",
                        "NonHermitianError", "InvalidSpectrumError", "InvalidKappaError",
                        "CrossingNotFoundError", "ScheduleError", "UnknownKeyError",
-                       "MissingKeyError"),
+                       "MissingKeyError", "DephasingInputError"),
     "belldyn.oracle": ("GridSpec", "SimplexGridSpec", "closest_product_state"),
     "belldyn.qstate": ("dephase_in_product_basis", "partial_trace", "bloch_projectors",
                        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "relative_entropy",
@@ -43,7 +43,7 @@ REMOVED = {
 
 #: `belldyn.__all__`: the names that callers outside the package use
 PUBLIC = [
-    "ExperimentConfig", "MultiGaussian", "TomographyRecord", "bell_correlations",
+    "ExperimentConfig", "TomographyRecord", "bell_correlations",
     "bell_eigenvalues_from_kappas", "classical_correlation_bell", "eigenvalues_sorted", "evolve_state",
     "oracle_classical_correlation", "oracle_quantum_correlation", "oracle_ree_bell",
     "quantum_correlation_bell", "reconstruct", "ree_bell", "simulate_counts", "sweep",
@@ -52,7 +52,8 @@ PUBLIC = [
 #: module -> names the package no longer exports, since no caller outside the package uses
 #: them; each stays in its module
 UNEXPORTED = {
-    "belldyn.dephasing": ("SPEED_OF_LIGHT", "angular_frequency", "sigma_from_fwhm", "effective_retardation"),
+    "belldyn.dephasing": ("SPEED_OF_LIGHT", "angular_frequency", "sigma_from_fwhm", "effective_retardation",
+                          "MultiGaussian"),
     "belldyn.tomography": ("STANDARD_PROJECTORS",),
     "belldyn.qstate": ("validate_state", "validate_bell_spectrum"),
 }
@@ -108,6 +109,8 @@ def test_all_has_no_duplicates_and_every_name_resolves():
 
 def test_all_is_the_names_callers_use():
     assert sorted(belldyn.__all__) == PUBLIC
+    counts = re.findall(r"`belldyn\.__all__` holds the (\d+) names", README.read_text(encoding="utf-8"))
+    assert counts == [str(len(PUBLIC))]
     for module_name, names in UNEXPORTED.items():
         module = importlib.import_module(module_name)
         for name in names:
@@ -183,13 +186,26 @@ def _exception_classes(path: Path) -> list[str]:
             and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)]
 
 
+def _raised_names(path: Path) -> set[str]:
+    """The names that one source file's `raise` statements raise: `raise X(...)`, `raise X` or `raise m.X`."""
+    raised = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(ast.unparse(exc).rpartition(".")[2])
+    return raised
+
+
 def test_errors_is_the_one_module_that_defines_exception_classes():
     # each class is a distinction a caller makes: exit 1 (ConfigError) or exit 2 for `main`
     defined = {path.stem: _exception_classes(path) for path in SOURCE.glob("*.py")}
-    assert defined.pop("errors") == [
-        "BelldynError", "InvalidStateError", "NonConvergenceError", "TomographyInputError",
-        "DephasingInputError", "ConfigError", "ParseError"]
+    classes = defined.pop("errors")
+    assert classes == ["BelldynError", "InvalidStateError", "NonConvergenceError",
+                       "TomographyInputError", "ConfigError", "ParseError"]
     assert {stem: names for stem, names in defined.items() if names} == {}
+    # and each but the base class is raised somewhere in the package
+    raised = set().union(*(_raised_names(path) for path in SOURCE.glob("*.py")))
+    assert [name for name in classes[1:] if name not in raised] == []
 
 
 def test_every_removed_name_is_listed_in_the_readme():
@@ -210,7 +226,7 @@ def test_readme_library_example_runs():
         exec(compile(blocks[0], "README.md", "exec"), {})
     lines = printed.getvalue().splitlines()
     assert lines[2] == "101 1"
-    assert lines[-1].endswith(" True")  # kappa(-x) is the conjugate of kappa(x)
+    assert lines[-1].endswith(" True")  # C stays frozen after the sudden transition on fig2a
 
 
 def _dotted(node) -> str | None:
