@@ -33,7 +33,7 @@ from belldyn.config import (
 from belldyn.correlations import bell_correlations
 from belldyn.dephasing import _first_local_min, landmarks_from_series, sweep
 from belldyn.errors import BelldynError, ConfigError, ParseError, TomographyInputError
-from belldyn.tomography import simulate_counts
+from belldyn.tomography import bootstrap, simulate_counts
 
 CONFIG_TEXT = """\
 # custom experiment
@@ -735,10 +735,18 @@ def test_main_computation_error(capsys):
         assert capsys.readouterr().err.startswith("belldyn: computation error: |kappa_a|")
 
 
-def test_library_value_errors_exit_2(monkeypatch, tmp_path, capsys):
-    def bad_call():
-        return simulate_counts(np.eye(4) / 4, "3", 0)
-
+@pytest.mark.parametrize(
+    "bad_call",
+    [
+        pytest.param(lambda: simulate_counts(np.eye(4) / 4, "3", 0), id="counts-text"),
+        pytest.param(lambda: simulate_counts(np.eye(4) / 4, 0, 0), id="counts-zero"),
+        pytest.param(lambda: simulate_counts(np.eye(4) / 4, 10, -1), id="seed-negative"),
+        pytest.param(lambda: bootstrap(np.ones((1, 16)), 1, [0]), id="resamples-one"),
+        pytest.param(lambda: bootstrap(np.ones((1, 15)), 10, [0]), id="record-of-15"),
+    ],
+)
+def test_library_value_errors_exit_2(monkeypatch, tmp_path, capsys, bad_call):
+    # a library value error raised below `run`, not by the config, is a computation error
     with pytest.raises(TomographyInputError) as info:
         bad_call()
     assert isinstance(info.value, BelldynError) and isinstance(info.value, ValueError)

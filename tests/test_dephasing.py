@@ -146,6 +146,43 @@ def test_kappa_names_the_range_where_only_the_phase_overflows():
                                    f"(x/c)*omega0 overflows beyond {limit:.6g} m")
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # a weight, center or width that is zero, negative, NaN or infinite
+        pytest.param({"spectrum_b": ((0.0, 780.0, 0.85),)}, id="zero-weight"),
+        pytest.param({"spectrum_b": ((1.0, 780.0, -1.0),)}, id="negative-width"),
+        pytest.param({"spectrum_b": ((math.nan, 780.0, 0.85),)}, id="nan-weight"),
+        pytest.param({"spectrum_b": ((1.0, math.nan, 0.85),)}, id="nan-center"),
+        pytest.param({"spectrum_b": ((1.0, 780.0, math.nan),)}, id="nan-width"),
+        pytest.param({"spectrum_b": ((math.inf, 780.0, 0.85),)}, id="inf-weight"),
+        pytest.param({"spectrum_b": ((1.0, math.inf, 0.85),)}, id="inf-center"),
+        pytest.param({"spectrum_b": ((1.0, 780.0, math.inf),)}, id="inf-width"),
+        pytest.param({"spectrum_b": ((1.0, 0.0, 0.85),)}, id="zero-center"),
+        pytest.param({"spectrum_b": ((1.0, -780.0, 0.85),)}, id="negative-center"),
+        pytest.param({"spectrum_b": ((0.5, 780.0, 0.85),)}, id="weights-off-1"),
+        # a retardation below 0 or NaN, on arm b's grid or at arm a
+        pytest.param({"x_b_max": -1.0}, id="negative-x_b_max"),
+        pytest.param({"x_b_max": math.nan}, id="nan-x_b_max"),
+        pytest.param({"step": math.nan}, id="nan-step"),
+        pytest.param({"x_a": math.nan}, id="nan-x_a"),
+        # the table shape: k >= 1 rows of three real numbers
+        pytest.param({"spectrum_b": np.ones((2, 2))}, id="rows-of-2"),
+        pytest.param({"spectrum_b": np.empty((0, 3))}, id="empty-array"),
+        pytest.param({"spectrum_b": []}, id="empty-list"),
+        pytest.param({"spectrum_b": (1.0, 780.0, 0.85)}, id="flat-row"),
+        pytest.param({"spectrum_b": ((1.0, 780.0, 0.85), (1.0, 780.0))}, id="ragged"),
+        pytest.param({"spectrum_b": (("1", "780", "0.85"),)}, id="strings"),
+        pytest.param({"spectrum_b": ((1.0, None, 0.85),)}, id="none"),
+    ],
+)
+def test_malformed_model_inputs_are_config_errors(changes):
+    # the model trusts its checked config: each malformed input that `MultiGaussian`,
+    # `kappa` or `effective_retardation` once rejected is rejected by the config instead
+    with pytest.raises(ConfigError):
+        replace(PRESETS["fig2a"], **changes)
+
+
 def test_multi_gaussian_components_are_a_read_only_copy():
     # `spectra` builds every mixture from a checked config, as one fresh array per call
     arm_a, arm_b = spectra(PRESETS["fig2a"])

@@ -56,6 +56,18 @@ def test_validate_state_rejects_negative_eigenvalue():
         validate_state(bad)
 
 
+def test_validate_state_returns_the_matrix_and_its_unclipped_eigenvalues():
+    # the check's own eigensolve, handed back so that a caller needs no second one
+    rho = random_density_matrix(np.random.default_rng(5))
+    checked, w = validate_state(rho.real)
+    assert checked.dtype == complex
+    np.testing.assert_array_equal(checked, rho.real)
+    np.testing.assert_array_equal(w, np.linalg.eigvalsh(rho.real.astype(complex)))
+    # roundoff above the floor stays negative, in ascending order
+    w = validate_state(np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]))[1]
+    np.testing.assert_array_equal(w, [-5e-11, 0.0, 0.0, 1.0 + 5e-11])
+
+
 def test_eigenvalues_sorted_mixed():
     np.testing.assert_allclose(eigenvalues_sorted(np.eye(4) / 4.0), [0.25] * 4, atol=1e-12)
 
