@@ -19,8 +19,8 @@ class NonConvergenceError(BelldynError):
 
 class TomographyInputError(BelldynError, ValueError):
     """Malformed tomography input: counts that are not 16 finite nonnegative values, counts per
-    setting outside [1, MAX_TOMO_COUNTS], a bootstrap size outside [2, MAX_TOMO_RESAMPLES], or a
-    seed word that is not an integer >= 0."""
+    setting outside [1, MAX_TOMO_COUNTS], a seed word that is not an integer >= 0, or two kappas
+    that broadcast to no pair."""
 
 
 class ConfigError(BelldynError):

@@ -7,7 +7,7 @@ estimator, the maximum of the extended (free-trace) Poisson likelihood over
 positive semidefinite states, normalized to trace 1 (see `reconstruct`): a
 physical linear inversion is that maximum in closed form, and an unphysical one
 goes to a log-det barrier Newton solve. Statistical errors come from a
-parametric bootstrap that resamples the observed counts. `bootstrap` solves the
+parametric bootstrap that resamples the observed counts. `_bootstrap` solves the
 point estimates and resamples of many rows of counts in blocks of bounded size;
 each row's arithmetic is independent of the batch, so it gives the same bits as
 one row at a time, and its quantities come from the spectrum the estimator computed.
@@ -15,8 +15,8 @@ one row at a time, and its quantities come from the spectrum the estimator compu
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
 that a fixed seed reproduces outputs bit for bit; a record is 16 counts in that
-order. A seed is an integer >= 0 or a sequence of them, and a malformed size,
-seed or count raises TomographyInputError.
+order. A seed of `simulate_counts` is an integer >= 0 or a sequence of them, and
+a malformed size, seed or count raises TomographyInputError.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, _holds, _integer_in, _real_array
+from .config import MAX_TOMO_COUNTS, _holds, _integer_in, _real_array
 from .correlations import _checked_pair, unchecked_bell_correlations
 from .errors import NonConvergenceError, TomographyInputError
 from .qstate import validate_state
@@ -77,18 +77,17 @@ class TomographyRecord:
     counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _checked_counts(self.counts, 1))
+        object.__setattr__(self, "counts", _checked_counts(self.counts))
 
 
-def _checked_counts(values, ndim: int) -> np.ndarray:
-    """Read-only float copy of 16 finite nonnegative counts or (ndim 2) rows of them; else TomographyInputError."""
+def _checked_counts(values) -> np.ndarray:
+    """Read-only float copy of 16 finite nonnegative counts; else TomographyInputError."""
     counts = _real_array(values)
-    if counts is None or counts.ndim != ndim or counts.shape[-1] != len(STANDARD_LABELS):
-        raise TomographyInputError(f"counts must be 16 values per row, each a real number, got {values!r}")
+    if counts is None or counts.shape != (len(STANDARD_LABELS),):
+        raise TomographyInputError(f"counts must be 16 values, each a real number, got {values!r}")
     ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
     if not ok.all():
-        raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}"
-                                   + f" in row {np.argwhere(~ok)[0, 0]}" * (ndim == 2))
+        raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
     counts.flags.writeable = False
     return counts
 
@@ -368,46 +367,31 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
 
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")
 
-#: largest `bootstrap` batch: point estimates plus resamples of whole records
+#: largest `_bootstrap` batch: point estimates plus resamples of whole records
 _BLOCK_ROWS = 256
 
 
-def bootstrap(counts, resamples: int, seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Point estimates and parametric-bootstrap standard deviations of an (n, 16) array-like of counts.
+def _bootstrap(counts, resamples, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Point estimates and parametric-bootstrap standard deviations of an (n, 16) float array of counts.
 
-    Row i, checked as a `TomographyRecord`'s counts, is resampled from Poisson(observed count): one
-    (resamples, 16) draw from the Generator seeded with seeds[i]. Rows are solved in blocks of at
-    most _BLOCK_ROWS estimates (one row if larger), each a row of one `_estimate` call. Returns two
-    (n, 8) arrays in BOOTSTRAP_KEYS order: the point estimates' quantities and the resamples'
-    standard deviations (ddof=1). An estimate's quantities are `unchecked_bell_correlations` of the
-    spectrum `_estimate` gives it (a sorted probability vector by construction), then that spectrum:
-    measures of the state only if it is Bell-diagonal up to local unitaries: at 10^4 counts, plug-in
-    Q minus the oracle's has per-state medians of -2.2e-3 to +7.9e-4 and reaches 1.3e-2 (about one
-    bootstrap sd); C's gap is as large. Raises
-    TomographyInputError unless there are rows, one seed each, of integer words >= 0, resamples
-    is an integer in [2, MAX_TOMO_RESAMPLES] (2.0 counts as 2), and numpy can draw from every count.
+    Trusts `simulate_dephased`, its one caller: n >= 1 rows of finite nonnegative counts below numpy's
+    Poisson limit, as its draws are, resamples an int in [2, MAX_TOMO_RESAMPLES] (`TomographySettings`
+    checks it) and one list of integer seed words >= 0 per row. Row i is resampled from Poisson(observed
+    count): one (resamples, 16) draw from the Generator seeded with seeds[i]. Rows are solved in blocks
+    of at most _BLOCK_ROWS estimates (one row if larger), each a row of one `_estimate` call. Returns two
+    (n, 8) arrays in BOOTSTRAP_KEYS order: the point estimates' quantities and the resamples' standard
+    deviations (ddof=1). An estimate's quantities are `unchecked_bell_correlations` of the spectrum
+    `_estimate` gives it (a sorted probability vector by construction), then that spectrum: measures of
+    the state only if it is Bell-diagonal up to local unitaries: at 10^4 counts, plug-in Q minus the
+    oracle's has per-state medians of -2.2e-3 to +7.9e-4 and reaches 1.3e-2 (about one bootstrap sd);
+    C's gap is as large.
     """
-    if not _integer_in(resamples, 2, MAX_TOMO_RESAMPLES):
-        raise TomographyInputError(f"resamples must be an integer in [2, {MAX_TOMO_RESAMPLES}], got {resamples!r}")
-    resamples = int(resamples)
-    try:
-        words = [_seed_words(seed) for seed in seeds]
-    except TypeError:  # seeds is not a sequence
-        words = []
-    if not words:
-        raise TomographyInputError(f"need 1+ rows of counts, one seed each, got seeds {seeds!r}")
-    counts = _checked_counts(counts, 2)
-    if len(counts) != len(words):
-        raise TomographyInputError(f"need 1+ rows of counts, one seed each, got {len(words)} for {len(counts)}")
     block = max(1, _BLOCK_ROWS // (1 + resamples))
     out = np.empty((2, len(counts), len(BOOTSTRAP_KEYS)))
     for start in range(0, len(counts), block):
         batch = np.repeat(counts[start:start + block, None], 1 + resamples, axis=1)
         for i, rows in enumerate(batch, start):  # a row and its resamples
-            try:
-                rows[1:] = _draw(rows[0], words[i], (resamples, 16))
-            except ValueError:  # numpy's bound on a Poisson mean
-                raise TomographyInputError(f"counts too large to resample in row {i}") from None
+            rows[1:] = _draw(rows[0], seeds[i], (resamples, 16))
         spectra = _estimate(batch.reshape(-1, 16))[1]
         quantities = np.column_stack([*unchecked_bell_correlations(spectra), spectra])
         quantities = quantities.reshape(*batch.shape[:2], -1)
@@ -420,11 +404,11 @@ def simulate_dephased(kappa_a, kappa_b, tomo) -> tuple[np.ndarray, np.ndarray, n
     """The (n, 16) counts and (n, 8) values and errors of tomography of `evolve_state` of each pair of the
     broadcast kappas (C order), per `config.TomographySettings`. Row i's seed prefix is [tomo.seed] for one
     pair of numbers, else [tomo.seed, i]; its counts, linear in its kappas, are those `simulate_counts` draws
-    from its state with seed words [*prefix, 0], and `bootstrap` resamples them from [*prefix, 1]. A bad
+    from its state with seed words [*prefix, 0], and `_bootstrap` resamples them from [*prefix, 1]. A bad
     kappa, or a pair that does not broadcast, raises InvalidStateError as in `bell_eigenvalues_from_kappas`;
     a pair that broadcasts to no rows, TomographyInputError."""
     means = tomo.n_per_setting * _dephased_probabilities(kappa_a, kappa_b)
     one_pair = np.ndim(kappa_a) == np.ndim(kappa_b) == 0  # else a series, even of one row
     prefixes = [[tomo.seed]] if one_pair else [[tomo.seed, i] for i in range(len(means))]
     counts = np.stack([_draw(row, [*prefix, 0]) for row, prefix in zip(means, prefixes)])
-    return (counts, *bootstrap(counts, tomo.resamples, [[*prefix, 1] for prefix in prefixes]))
+    return (counts, *_bootstrap(counts, tomo.resamples, [[*prefix, 1] for prefix in prefixes]))

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from belldyn import tomography
 from belldyn.config import PRESETS
 from belldyn.correlations import (
     bell_eigenvalues_from_kappas,
@@ -34,7 +35,6 @@ from belldyn.qstate import eigenvalues_sorted
 from belldyn.tomography import (
     BOOTSTRAP_KEYS,
     TomographyRecord,
-    bootstrap,
     probabilities,
     reconstruct,
     simulate_counts,
@@ -283,8 +283,8 @@ def test_criterion_9_tomography():
     mean_fid = float(np.mean(fidelities))
 
     mixed = evolve_state(0.607, 0.385)
-    e3 = bootstrap([simulate_counts(mixed, 10**3, 101).counts], 400, [102])[1][0]
-    e5 = bootstrap([simulate_counts(mixed, 10**5, 102).counts], 400, [103])[1][0]
+    e3 = tomography._bootstrap(simulate_counts(mixed, 10**3, 101).counts[None], 400, [[102]])[1][0]
+    e5 = tomography._bootstrap(simulate_counts(mixed, 10**5, 102).counts[None], 400, [[103]])[1][0]
     lambda1 = BOOTSTRAP_KEYS.index("lambda1")
     ratio = e3[lambda1] / e5[lambda1]
 

@@ -33,7 +33,7 @@ from belldyn.config import (
 from belldyn.correlations import bell_correlations
 from belldyn.dephasing import _first_local_min, landmarks_from_series, sweep
 from belldyn.errors import BelldynError, ConfigError, ParseError, TomographyInputError
-from belldyn.tomography import bootstrap, simulate_counts
+from belldyn.tomography import TomographyRecord, simulate_counts
 
 CONFIG_TEXT = """\
 # custom experiment
@@ -204,16 +204,31 @@ def test_experiment_config_stores_numeric_sequences_as_float_tuples():
     assert all(type(v) is float for v in (*config.spectrum_b[0], *config.echo_points))
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("n_per_setting", "3"), ("n_per_setting", None), ("n_per_setting", [3]),
-     ("resamples", "7"), ("seed", "7"), ("seed", None)],
-)
-def test_tomography_settings_reject_a_non_number_naming_the_field(field, value):
+def _assert_tomography_settings_reject(field, value):
     key = {"n_per_setting": "tomo_counts", "resamples": "tomo_resamples", "seed": "tomo_seed"}
     message = f"^{key[field]} must be an integer .*, got {re.escape(repr(value))}$"
     with pytest.raises(ConfigError, match=message):
         TomographySettings(**{"n_per_setting": 100, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_per_setting", "3"), ("n_per_setting", None), ("n_per_setting", [3]),
+     ("resamples", "7"), ("resamples", "3"), ("resamples", None), ("resamples", [3]),
+     ("resamples", np.array([3])), ("resamples", np.array([3, 4])), ("seed", "7"), ("seed", None)],
+)
+def test_tomography_settings_reject_a_non_number_naming_the_field(field, value):
+    _assert_tomography_settings_reject(field, value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("resamples", 1), ("resamples", MAX_TOMO_RESAMPLES + 1), ("resamples", 1e12), ("resamples", 2.5),
+     ("resamples", float("nan")), ("resamples", float("inf")), ("seed", 2.5), ("seed", -1)],
+)
+def test_tomography_settings_reject_a_number_out_of_range_naming_the_field(field, value):
+    # the one check of the bootstrap size and seed: `tomography._bootstrap` trusts them
+    _assert_tomography_settings_reject(field, value)
 
 
 @pytest.mark.parametrize(
@@ -371,7 +386,7 @@ def test_run_with_tomography_writes_noisy_csv(tmp_path):
 
 def _reference_write_noisy_csv(table, config, path):
     """The row-by-row noisy.csv writer that block reconstruction replaced: one
-    one-row `_estimate` and one one-record `bootstrap` call per sweep row."""
+    one-row `_estimate` and one one-record `_bootstrap` call per sweep row."""
     tomo = config.tomography
     keys = tomography.BOOTSTRAP_KEYS
     cells = np.empty((len(table["x_over_lambda0"]), len(keys), 2))
@@ -380,7 +395,7 @@ def _reference_write_noisy_csv(table, config, path):
         record = tomography.simulate_counts(rho, tomo.n_per_setting, [tomo.seed, i, 0])
         spectrum = tomography._estimate(record.counts[None])[1][0]
         cells[i, :, 0] = [*bell_correlations(spectrum), *spectrum]
-        cells[i, :, 1] = tomography.bootstrap([record.counts], tomo.resamples, [[tomo.seed, i, 1]])[1][0]
+        cells[i, :, 1] = tomography._bootstrap(record.counts[None], tomo.resamples, [[tomo.seed, i, 1]])[1][0]
     header = ["x_over_lambda0"] + [f"{name}{suffix}" for name in keys for suffix in ("", "_err")]
     belldyn.cli._write_csv(path, header, [table["x_over_lambda0"], cells.reshape(len(cells), -1)])
 
@@ -439,7 +454,9 @@ def _replace_everywhere(monkeypatch, originals, replacement):
 def test_run_and_tomo_demo_make_no_state_check(monkeypatch, tmp_path, capsys):
     # the estimator reports the spectrum it computed, and its spectra and the true ones are
     # probability vectors by construction: neither `eigenvalues_sorted`, its checks nor
-    # `validate_bell_spectrum` run on the tomography path, under any module's name for them
+    # `validate_bell_spectrum` run on the tomography path, under any module's name for them.
+    # The bootstrap trusts `simulate_dephased`'s seed words and drawn counts: no seed-word or
+    # count check runs either
     cfg = tmp_path / "tomography.cfg"
     cfg.write_text("x_a = 117\nfilter_a = 3.0\nx_b_max = 120\nstep = 60\ntomo_counts = 10000\n"
                    "tomo_resamples = 20\ntomo_seed = 7\n[spectrum_b]\ncomponent = 0.37, 778.853, 0.85\n"
@@ -456,10 +473,11 @@ def test_run_and_tomo_demo_make_no_state_check(monkeypatch, tmp_path, capsys):
     assert expected[1].err == ""
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a state check ran on the tomography path")
+        raise AssertionError("a state, seed or count check ran on the tomography path")
 
     originals = [getattr(qstate, name)
                  for name in ("eigenvalues_sorted", "_checked_eigenvalues", "validate_bell_spectrum")]
+    originals += [tomography._seed_words, tomography._checked_counts]
     _replace_everywhere(monkeypatch, originals, forbidden)
     assert outputs(tmp_path / "unchecked") == expected
 
@@ -490,7 +508,7 @@ def test_run_draws_the_counts_simulate_counts_draws_from_each_state(monkeypatch,
         drawn.append(counts)
         return np.zeros((len(counts), 8)), np.zeros((len(counts), 8))
 
-    monkeypatch.setattr(tomography, "bootstrap", capture)
+    monkeypatch.setattr(tomography, "_bootstrap", capture)
     table = sweep(PRESETS[preset])
     states = [dephasing.evolve_state(a, b) for a, b in zip(table["kappa_a"], table["kappa_b"])]
     for seed in range(5):
@@ -741,8 +759,9 @@ def test_main_computation_error(capsys):
         pytest.param(lambda: simulate_counts(np.eye(4) / 4, "3", 0), id="counts-text"),
         pytest.param(lambda: simulate_counts(np.eye(4) / 4, 0, 0), id="counts-zero"),
         pytest.param(lambda: simulate_counts(np.eye(4) / 4, 10, -1), id="seed-negative"),
-        pytest.param(lambda: bootstrap(np.ones((1, 16)), 1, [0]), id="resamples-one"),
-        pytest.param(lambda: bootstrap(np.ones((1, 15)), 10, [0]), id="record-of-15"),
+        pytest.param(lambda: TomographyRecord(np.ones(15)), id="record-of-15"),
+        pytest.param(lambda: tomography.simulate_dephased(np.zeros(0), 0.5, TomographySettings(100)),
+                     id="kappas-without-a-pair"),
     ],
 )
 def test_library_value_errors_exit_2(monkeypatch, tmp_path, capsys, bad_call):
@@ -881,6 +900,7 @@ def test_tomography_settings_validation():
     # an integer literal is read exactly; a float literal of an integer still counts
     config = parse_config_lines(["tomo_counts = 1e3", "tomo_seed = 7.0"] + _VALID_CONFIG)
     assert (config.tomography.n_per_setting, config.tomography.seed) == (1000, 7)
+    assert TomographySettings(10, resamples=2.0) == TomographySettings(10, resamples=2)
     for bad in ("2.5", "-1"):  # the value as typed, as `run --seed -1` reports it
         with pytest.raises(ConfigError, match=rf"^tomo_seed must be an integer in \[0, inf\], got {bad}$"):
             parse_config_lines(["tomo_counts = 10", f"tomo_seed = {bad}"] + _VALID_CONFIG)

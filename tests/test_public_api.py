@@ -20,7 +20,7 @@ import belldyn.tomography
 #: module -> names it no longer defines, as listed under "Removed names" in README
 REMOVED = {
     "belldyn.tomography": ("ProjectorSetting", "STANDARD_SETTINGS", "error_bars", "record_to_csv", "KET",
-                           "state_quantities"),
+                           "state_quantities", "bootstrap"),
     "belldyn.correlations": ("CorrelationSet", "correlations_from_spectrum",
                              "total_mutual_information_bell", "closest_classical_bell",
                              "kappa_correlation", "correlations_from_kappas",
@@ -208,13 +208,31 @@ def test_errors_is_the_one_module_that_defines_exception_classes():
     assert [name for name in classes[1:] if name not in raised] == []
 
 
+def _stale_references(text: str) -> list[str]:
+    """The references of text to a REMOVED name: `module.name`, with or without `belldyn.` in front,
+    and the bare name in backticks, unless text says it lives in a test file (`name` in `tests/...`)."""
+    stale = []
+    for module_name, names in REMOVED.items():
+        for name in names:
+            qualified = rf"(?<![\w.])(?:belldyn\.)?{module_name.split('.')[-1]}\.{name}\b"
+            bare = rf"`{name}\b(?![\w.])(?!` in `tests/)"
+            stale += [match.group() for match in re.finditer(f"{qualified}|{bare}", text)]
+    return stale
+
+
 def test_every_removed_name_is_listed_in_the_readme():
     text = README.read_text(encoding="utf-8")
     start = text.index("\nRemoved names")
-    paragraph = text[start:text.index("\n\n", start + 1)]
+    end = text.index("\n\n", start + 1)
+    paragraph = text[start:end]
     # a name is listed as `name`, `module.name` or `Class.name`
     listed = {token.rpartition(".")[2] for token in re.findall(r"`([\w.]+)`", paragraph)}
     assert [name for names in REMOVED.values() for name in names if name not in listed] == []
+    # and only there: elsewhere the README names no removed name by its module or in backticks
+    assert _stale_references(text[:start] + text[end:]) == []
+    assert _stale_references("`tomography._bootstrap`, `correlations_from_kappas` in `tests/reference.py`") == []
+    assert _stale_references("`belldyn.tomography.bootstrap`, tomography.bootstrap, `bootstrap(`") == [
+        "belldyn.tomography.bootstrap", "tomography.bootstrap", "`bootstrap"]
 
 
 def test_readme_library_example_runs():

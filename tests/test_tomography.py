@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import belldyn.tomography as tomography
 from belldyn.cli import main
-from belldyn.config import MAX_TOMO_COUNTS, MAX_TOMO_RESAMPLES, PRESETS, TomographySettings
+from belldyn.config import MAX_TOMO_COUNTS, PRESETS, TomographySettings
 from belldyn.correlations import bell_correlations, bell_eigenvalues_from_kappas
 from belldyn.dephasing import evolve_state, sweep
 from belldyn.errors import (
@@ -32,7 +32,6 @@ from belldyn.tomography import (
     STANDARD_LABELS,
     STANDARD_PROJECTORS,
     TomographyRecord,
-    bootstrap,
     probabilities,
     reconstruct,
     simulate_counts,
@@ -194,7 +193,7 @@ def test_simulate_dephased_seeds_each_row_from_the_settings_seed(shapes, seed):
     assert counts.shape == (len(prefixes), 16) and values.shape == errors.shape == (len(prefixes), 8)
     for i, (ka, kb, prefix) in enumerate(zip(pairs[0].ravel(), pairs[1].ravel(), prefixes)):
         assert np.array_equal(counts[i], simulate_counts(evolve_state(ka, kb), 200, [*prefix, 0]).counts)
-        point, spread = bootstrap([counts[i]], 2, [[*prefix, 1]])
+        point, spread = tomography._bootstrap(counts[i][None], 2, [[*prefix, 1]])
         assert np.array_equal(values[i], point[0]) and np.array_equal(errors[i], spread[0])
 
 
@@ -209,8 +208,8 @@ def test_simulate_dephased_broadcasts_its_kappas_and_rejects_pairs_without_rows(
     series = tomography.simulate_dephased([0.5], 0.4, tomo)
     single = tomography.simulate_dephased(0.5, 0.4, tomo)
     assert np.array_equal(series[0], single[0])
-    assert np.array_equal(series[2], bootstrap(series[0], 2, [[4, 0, 1]])[1])
-    assert np.array_equal(single[2], bootstrap(single[0], 2, [[4, 1]])[1])
+    assert np.array_equal(series[2], tomography._bootstrap(series[0], 2, [[4, 0, 1]])[1])
+    assert np.array_equal(single[2], tomography._bootstrap(single[0], 2, [[4, 1]])[1])
     assert not np.array_equal(series[2], single[2])
     # kappas that broadcast to no pair give no rows to simulate
     for pair, shapes in ((([], 0.5), r"\(0,\) and \(\)"), ((0.5, np.ones((2, 0))), r"\(\) and \(2, 0\)")):
@@ -320,10 +319,10 @@ def test_reconstruct_error_decreases_with_counts():
 
 def test_error_bars_deterministic():
     rec = simulate_counts(evolve_state(0.607, 0.385), 2000, 9)
-    a = bootstrap([rec.counts], 25, [17])[1][0]
-    b = bootstrap([rec.counts], 25, [17])[1][0]
+    a = tomography._bootstrap(rec.counts[None], 25, [[17]])[1][0]
+    b = tomography._bootstrap(rec.counts[None], 25, [[17]])[1][0]
     assert np.array_equal(a, b)
-    c = bootstrap([rec.counts], 25, [18])[1][0]
+    c = tomography._bootstrap(rec.counts[None], 25, [[18]])[1][0]
     assert not np.array_equal(a, c)
 
 
@@ -345,7 +344,7 @@ def test_error_bars_match_per_record_reference():
     rng = np.random.default_rng(seed)
     samples = [quantities(estimated_spectrum(rng.poisson(record.counts))) for _ in range(resamples)]
     expected = np.std(samples, axis=0, ddof=1)
-    assert np.array_equal(bootstrap([record.counts], resamples, [seed])[1][0], expected)
+    assert np.array_equal(tomography._bootstrap(record.counts[None], resamples, [[seed]])[1][0], expected)
 
 
 def test_bootstrap_of_a_stack_matches_each_record_alone():
@@ -353,11 +352,11 @@ def test_bootstrap_of_a_stack_matches_each_record_alone():
     states = [evolve_state(1.0, 1.0), evolve_state(0.607, 1.0), evolve_state(0.607, 0.385)]
     records = [simulate_counts(rho, 2000, [3, i]) for i, rho in enumerate(states)]
     seeds = [[3, i, 1] for i in range(len(records))]
-    values, errors = bootstrap([record.counts for record in records], 9, seeds)
+    values, errors = tomography._bootstrap(np.stack([record.counts for record in records]), 9, seeds)
     assert values.shape == errors.shape == (3, len(BOOTSTRAP_KEYS))
     for record, seed, value, error in zip(records, seeds, values, errors):
         assert np.array_equal(value, quantities(estimated_spectrum(record.counts)))
-        assert np.array_equal(error, bootstrap([record.counts], 9, [seed])[1][0])
+        assert np.array_equal(error, tomography._bootstrap(record.counts[None], 9, [seed])[1][0])
 
 
 @pytest.mark.parametrize("kappa_a, kappa_b", [(0.607, 0.3), (0.8, 0.5)])
@@ -373,8 +372,8 @@ def test_error_bars_are_calibrated_against_repeated_experiments(kappa_a, kappa_b
     experiments, resamples, seed = 200, 20, 7
     rho = evolve_state(kappa_a, kappa_b)
     records = [simulate_counts(rho, 10**4, [seed, e, 0]) for e in range(experiments)]
-    values, errors = bootstrap([record.counts for record in records], resamples,
-                               [[seed, e, 1] for e in range(experiments)])
+    values, errors = tomography._bootstrap(np.stack([record.counts for record in records]), resamples,
+                                           [[seed, e, 1] for e in range(experiments)])
     ratio = np.median(errors, axis=0) / values.std(axis=0, ddof=1)
     coverage = (np.abs(values - quantities(eigenvalues_sorted(rho))) <= errors).mean(axis=0)
     assert np.all(np.abs(ratio - 1.0) <= 0.21), dict(zip(BOOTSTRAP_KEYS, ratio))
@@ -383,15 +382,15 @@ def test_error_bars_are_calibrated_against_repeated_experiments(kappa_a, kappa_b
 
 def test_error_bars_vanish_for_huge_counts():
     rec = exact_record(evolve_state(0.607, 0.385), n=10**8)
-    errs = bootstrap([rec.counts], 30, [5])[1][0]
+    errs = tomography._bootstrap(rec.counts[None], 30, [[5]])[1][0]
     assert np.all(errs < 1e-3)
 
 
 def test_error_bars_scale_with_shot_noise():
     # dominant-eigenvalue error bar scales as 1/sqrt(n); expected ratio 10
     rho = evolve_state(0.607, 0.385)
-    e3 = bootstrap([simulate_counts(rho, 10**3, 101).counts], 300, [102])[1][0]
-    e5 = bootstrap([simulate_counts(rho, 10**5, 102).counts], 300, [103])[1][0]
+    e3 = tomography._bootstrap(simulate_counts(rho, 10**3, 101).counts[None], 300, [[102]])[1][0]
+    e5 = tomography._bootstrap(simulate_counts(rho, 10**5, 102).counts[None], 300, [[103]])[1][0]
     ratio = e3[LAMBDA1] / e5[LAMBDA1]
     assert 8.0 <= ratio <= 12.0
 
@@ -399,15 +398,9 @@ def test_error_bars_scale_with_shot_noise():
 def test_error_bars_ree_pinned_at_zero_for_separable_states():
     # largest eigenvalue 0.36, far below 1/2: every resample is separable
     rec = simulate_counts(evolve_state(0.2, 0.2), 10**4, 12)
-    errs = bootstrap([rec.counts], 50, [13])[1][0]
+    errs = tomography._bootstrap(rec.counts[None], 50, [[13]])[1][0]
     assert errs[REE] == 0.0
     assert errs[LAMBDA1] > 0.0
-
-
-def test_error_bars_requires_two_resamples():
-    rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
-    with pytest.raises(ValueError):
-        bootstrap([rec.counts], 1, [0])
 
 
 def test_simulate_counts_rejects_counts_out_of_range():
@@ -486,7 +479,7 @@ def test_unphysical_estimates_have_unit_trace_and_full_rank():
 
 
 def test_reconstruct_of_an_unphysical_record_diagonalizes_only_its_linear_inversion(monkeypatch):
-    # the linear inversion's spectrum decides whether the barrier solves; only `bootstrap`
+    # the linear inversion's spectrum decides whether the barrier solves; only `_bootstrap`
     # reads the spectrum of the barrier's optimum, so `reconstruct` does not compute it
     sizes = []
     eigvalsh = np.linalg.eigvalsh
@@ -568,7 +561,7 @@ def test_estimates_of_a_mixed_batch_do_not_depend_on_the_batch():
 
 
 def test_estimated_spectra_are_those_of_the_reconstructed_states():
-    # `bootstrap` reads each estimate's spectrum off `_estimate` (the eigenvalues of its linear
+    # `_bootstrap` reads each estimate's spectrum off `_estimate` (the eigenvalues of its linear
     # inversion, or of its barrier optimum, over its trace) instead of diagonalizing the
     # normalized matrix `reconstruct` returns: the two spectra differ in the last bits only (up
     # to 7 ulp of lambda1 here). The measures' slope in the spectrum reaches about 12 bits per
@@ -586,7 +579,7 @@ def test_estimated_spectra_are_those_of_the_reconstructed_states():
     records += physical + [TomographyRecord(np.zeros(16))]
     counts = np.stack([rec.counts for rec in records])
     spectra = tomography._estimate(counts)[1]
-    values = bootstrap(counts, 2, list(range(len(counts))))[0]
+    values = tomography._bootstrap(counts, 2, [[i] for i in range(len(counts))])[0]
     for record, spectrum, value in zip(records, spectra, values):
         expected = eigenvalues_sorted(reconstruct(record))
         assert np.abs(spectrum - expected).max() <= 1e-15
@@ -775,18 +768,6 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
     for counts in (["3"] * 16, np.full(16, 3 + 1j), ["a"] * 16):
         with pytest.raises(TomographyInputError, match="each a real number"):
             TomographyRecord(counts)
-    rec = simulate_counts(np.eye(4) / 4.0, 100, 0)
-    for bad in (1, MAX_TOMO_RESAMPLES + 1, 1e12, 2.5, float("nan"), float("inf"), "3", None, [3],
-                np.array([3]), np.array([3, 4])):
-        with pytest.raises(TomographyInputError, match="resamples"):
-            bootstrap([rec.counts], bad, [0])
-    assert np.array_equal(bootstrap([rec.counts], 2.0, [0])[1], bootstrap([rec.counts], 2, [0])[1])
-    for records, seeds in (([], []), ([rec.counts, rec.counts], [1]), ([rec.counts], [1, 2]),
-                           ([[1] * 16], None)):
-        with pytest.raises(TomographyInputError, match="one seed each"):
-            bootstrap(records, 3, seeds)
-    with pytest.raises(TomographyInputError, match="16 values per row"):
-        bootstrap(5, 3, [0])  # counts without a length are checked before their rows are counted
     for bad in ("3", None, [3], np.array([3, 4])):
         with pytest.raises(TomographyInputError, match="n_per_setting"):
             simulate_counts(np.eye(4) / 4.0, bad, 0)
@@ -795,37 +776,8 @@ def test_tomography_input_errors_are_belldyn_and_value_errors():
     for bad in ([2.5], 2.5, -1, [-1], None, "7", [1, [2]]):
         with pytest.raises(TomographyInputError, match="seed"):
             simulate_counts(np.eye(4) / 4.0, 100, bad)
-        with pytest.raises(TomographyInputError, match="seed"):
-            bootstrap([rec.counts], 3, [bad])
     assert np.array_equal(simulate_counts(np.eye(4) / 4.0, 100, [2.0]).counts,
                           simulate_counts(np.eye(4) / 4.0, 100, np.int64(2)).counts)
-
-
-@pytest.mark.parametrize("bad, match", [
-    (-1.0, "nonnegative, got -1.0 in row 1"),
-    (float("nan"), "nonnegative, got nan in row 1"),
-    (1e19, "too large to resample in row 1"),  # numpy's Poisson limit; reconstruct solves it
-])
-def test_bootstrap_checks_its_count_rows(bad, match):
-    counts = np.full((2, 16), 100.0)
-    counts[1, 3] = bad
-    with pytest.raises(TomographyInputError, match=match):
-        bootstrap(counts, 3, [0, 1])
-    with pytest.raises(TomographyInputError, match="16 values per row"):
-        bootstrap(np.full((1, 15), 100.0), 3, [0])
-
-
-def test_bootstrap_takes_a_list_of_count_lists_as_its_array():
-    counts = simulate_counts(evolve_state(0.607, 0.385), 2000, 9).counts
-    rows = [counts.tolist(), (counts + 1.0).tolist()]
-    expected = bootstrap(np.array(rows), 5, [1, 2])
-    got = bootstrap(rows, 5, [1, 2])
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-    huge = np.full(16, 1e19)
-    assert np.isfinite(reconstruct(TomographyRecord(huge))).all()
-    # a record is not a row of counts: its counts are
-    with pytest.raises(TomographyInputError, match="each a real number"):
-        bootstrap([TomographyRecord(counts)], 5, [1])
 
 
 def test_tomography_input_errors_show_the_rejected_value_as_written():
@@ -835,11 +787,6 @@ def test_tomography_input_errors_show_the_rejected_value_as_written():
         simulate_counts(rho, "3", 0)
     with pytest.raises(TomographyInputError, match="got '7'$"):
         simulate_counts(rho, 100, "7")
-    rec = simulate_counts(rho, 100, 0)
-    with pytest.raises(TomographyInputError, match="got '7'$"):
-        bootstrap([rec.counts], 3, ["7"])
-    with pytest.raises(TomographyInputError, match="got '3'$"):
-        bootstrap([rec.counts], "3", [0])
     with pytest.raises(TomographyInputError, match="got '3'$"):
         TomographyRecord("3")
 
