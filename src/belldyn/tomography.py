@@ -139,11 +139,12 @@ def simulate_counts(rho, n_per_setting: int, seed) -> TomographyRecord:
 
 
 def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """matrix @ v for every row v of vectors.
+    """matrix @ v for every row v of the 2-d (rows x n) vectors; matrix is one matrix or one per row.
 
     Each row is its own matrix-vector product, so a row gives the same bits
-    alone and inside a batch (a stacked product would switch BLAS kernels
-    with the batch size).
+    alone, as a (1, n) batch, and inside a larger batch (a stacked product
+    would switch BLAS kernels with the batch size). A 1-d row would take
+    numpy's plain matrix-vector path instead, and other bits.
     """
     return (matrix @ vectors[..., None])[..., 0]
 
@@ -179,31 +180,40 @@ _PRE_CENTRED = 1e-2
 #: (fig2a rows, near-pure and pure states, 10^3-10^5 counts)
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
-#: the LAPACK gufuncs behind np.linalg.eigh and np.linalg.inv, called directly about 1.2 and 1 times
-#: per Newton step: the wrappers' dtype dispatch, errstate and result wrapping cost a third to half
-#: of a 1-row call. Same routines and dtypes, so the same bits; a failed factorization gives NaN
+#: the LAPACK gufuncs behind np.linalg.cholesky, np.linalg.inv and np.linalg.solve, called directly
+#: in every Newton step: the wrappers' dtype dispatch, errstate and result wrapping cost a third to
+#: half of a 1-row call. Same routines and dtypes, so the same bits; a failed factorization gives NaN
 #: rows, not LinAlgError, which the line search rejects, ending in NonConvergenceError
-_eigh = _umath_linalg.eigh_lo
+_cholesky = _umath_linalg.cholesky_lo
 _inv = _umath_linalg.inv
+_lu_solve = _umath_linalg.solve1
 
 
 def _evaluate(freqs, t, x):
-    """The barrier objective at x (NaN or infinite unless rho > 0), and the eigenpairs the derivatives reuse."""
-    w, v = _eigh(_matrices(x), signature="D->dD")
-    return (x - freqs * np.log(x)).sum(axis=-1) - t * np.log(w).sum(axis=-1), w, v
+    """The barrier objective at x (NaN or infinite unless rho > 0), and rho's Cholesky factor L.
+
+    rho = L L^H with L lower triangular, so log det rho = 2 sum_i log L_ii; the derivatives
+    reuse L. LAPACK factors rho only if it is positive definite; otherwise L, and with it the
+    objective, is NaN.
+    """
+    factor = _cholesky(_matrices(x), signature="D->D")
+    log_det = 2.0 * np.log(factor.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
+    return (x - freqs * np.log(x)).sum(axis=-1) - t * log_det, factor
 
 
-def _derivatives(freqs, t, w, v, x):
+def _derivatives(freqs, t, factor, x):
     """Gradient and Hessian of the barrier objective, and the log-det pieces they are built from.
 
-    With rho = V diag(w) V^H, U = V diag(w)^-1/2 and C_j = U^H D_j U,
-    tr(rho^-1 D_j) = tr C_j and K_ij = tr(rho^-1 D_i rho^-1 D_j) = tr(C_i C_j);
-    the likelihood term's Hessian is diagonal, f / x^2. Returns the gradient,
-    the Hessian, tr C_j, K, and each C_j as a real row of 32 (its 16 entries,
-    real and imaginary parts interleaved).
+    With rho = L L^H (`_evaluate`), U = L^-H and C_j = U^H D_j U,
+    tr(rho^-1 D_j) = tr C_j and K_ij = tr(rho^-1 D_i rho^-1 D_j) = tr(C_i C_j):
+    both hold for any U with U U^H = rho^-1, and the inverse of the 4x4
+    triangular factor gives one without a diagonalization. The likelihood
+    term's Hessian is diagonal, f / x^2. Returns the gradient, the Hessian,
+    tr C_j, K, and each C_j as a real row of 32 (its 16 entries, real and
+    imaginary parts interleaved).
     """
-    u = v / np.sqrt(w)[:, None, :]
-    kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 16, 16)
+    u_conj = _inv(factor, signature="D->D").swapaxes(1, 2)  # (L^-1)^T, the conjugate of U
+    kron = (u_conj[:, :, None, :, None] * u_conj.conj()[:, None, :, None, :]).reshape(-1, 16, 16)
     c = (_DUAL @ kron).view(float)
     log_det_grad = c[..., 0] + c[..., 10] + c[..., 20] + c[..., 30]
     log_det_hess = c @ c.swapaxes(1, 2)
@@ -213,17 +223,18 @@ def _derivatives(freqs, t, w, v, x):
     return 1.0 - ratio - t[:, None] * log_det_grad, hess, log_det_grad, log_det_hess, c
 
 
-def _curvature(freqs, t, x, inverse, tangent, log_det_hess, c):
+def _curvature(freqs, t, x, hess, tangent, log_det_hess, c):
     """The second derivative x'' = -H^-1 (2 K x' + D^3 phi[x', x']) of the central path x(t).
 
     Differentiating H x' = tr(rho^-1 D) along the path gives it; with Y = U^H X' U
     = sum_i x'_i C_i, D^3 phi[x', x']_j = -2 f_j x'_j^2 / x_j^3 - 2t tr(Y^2 C_j),
-    the first term taken as (f / x) (x' / x)^2 so that x^3 cannot overflow.
+    the first term taken as (f / x) (x' / x)^2 so that x^3 cannot overflow. H^-1
+    is applied by an LU solve with the Newton matrix H, which is never inverted.
     """
     y = (tangent[:, None, :] @ c).view(complex).reshape(-1, 4, 4)
     third = (-2.0 * freqs / x * (tangent / x) ** 2
              - 2.0 * t[:, None] * _apply(c, (y @ y).view(float).reshape(-1, 32)))
-    return -_apply(inverse, 2.0 * _apply(log_det_hess, tangent) + third)
+    return -_lu_solve(hess, 2.0 * _apply(log_det_hess, tangent) + third, signature="dd->d")
 
 
 def _line_search(freqs, t, x, step, full, current, decrement):
@@ -232,8 +243,8 @@ def _line_search(freqs, t, x, step, full, current, decrement):
     the squared decrement; returns it with its `_evaluate` terms."""
     drop = _ARMIJO * decrement
 
-    def accepted(trial, bound, full):  # trial = [point, objective, w, v]
-        return (trial[2][:, 0] > 0.0) & np.isfinite(trial[1]) & (full | (trial[1] <= bound))
+    def accepted(trial, bound, full):  # trial = [point, objective, factor]; NaN unless rho > 0
+        return np.isfinite(trial[1]) & (full | (trial[1] <= bound))
 
     point = x + step
     result = [point, *_evaluate(freqs, t, point)]
@@ -263,8 +274,9 @@ def _barrier_solve(freqs, lowest):
     _BARRIER_STAGES (times sum_k f_k), from x = f + t - lowest (smallest
     eigenvalue the first t). A centred row moves to the next t along the
     central path x(t), by dt x' + dt^2 x'' / 2 with x' and x'' (`_curvature`)
-    from the step's one inverse of the Newton matrix; a backtracking line
-    search keeps every iterate positive definite. A row leaves an intermediate
+    solved, like the Newton step, by LU from the Newton matrix, which is never
+    inverted; a backtracking line search keeps every iterate positive definite
+    (one LAPACK can Cholesky-factor, `_evaluate`). A row leaves an intermediate
     stage, which only warm-starts the next, once its squared Newton decrement d
     is at most _FULL_STEP * t (the full step is taken there), or _PRE_CENTRED * t
     before the last. A last-stage row returns x plus its Newton step once
@@ -288,35 +300,35 @@ def _barrier_solve(freqs, lowest):
     # as in numpy's linalg wrappers, a LAPACK call's floating-point flags warn of nothing: an unusable
     # result is NaN or infinite, and the line search rejects it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        current, w, v = _evaluate(freqs, t, x)
+        current, factor = _evaluate(freqs, t, x)
         for _ in range(_MAX_STEPS):
-            grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, w, v, x)
-            inverse = _inv(hess, signature="d->d")
+            grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, factor, x)
             descent = -grad
-            step = _apply(inverse, descent)
+            step = _lu_solve(hess, descent, signature="dd->d")
             decrement = (descent * step).sum(axis=-1)
             full = decrement <= _FULL_STEP * t  # every centred row too
             centred = decrement <= bound
             if centred.any():
                 moving = centred & (stage < len(_BARRIER_STAGES) - 1)
                 if moving.any():
-                    dt = (scale * _BARRIER_STAGES[stage + moving] - t)[:, None]
-                    tangent = _apply(inverse, log_det_grad)
-                    curvature = _curvature(freqs, t, x, inverse, tangent, log_det_hess, c)
-                    step = np.where(moving[:, None], dt * (tangent + 0.5 * dt * curvature), step)
+                    m = np.flatnonzero(moving)  # the predictor runs on these rows only
+                    dt = (scale[m] * _BARRIER_STAGES[stage[m] + 1] - t[m])[:, None]
+                    tangent = _lu_solve(hess[m], log_det_grad[m], signature="dd->d")
+                    curvature = _curvature(freqs[m], t[m], x[m], hess[m], tangent, log_det_hess[m], c[m])
+                    step[m] = dt * (tangent + 0.5 * dt * curvature)
                 finished = centred & ~moving
                 if finished.any():
                     out[rows[finished]] = x[finished] + step[finished]
                     keep = ~finished
                     if not keep.any():
                         return out
-                    rows, freqs, reach, scale, stage, x, w, v, centred, step, decrement, full, current = (
-                        a[keep] for a in (rows, freqs, reach, scale, stage, x, w, v, centred, step,
+                    rows, freqs, reach, scale, stage, x, factor, centred, step, decrement, full, current = (
+                        a[keep] for a in (rows, freqs, reach, scale, stage, x, factor, centred, step,
                                           decrement, full, current))
                 stage = stage + centred
                 t = scale * _BARRIER_STAGES[stage]
                 bound = tolerance[stage] * np.where(stage == len(_BARRIER_STAGES) - 1, reach, t)
-            x, current, w, v = _line_search(freqs, t, x, step, full, current, decrement)
+            x, current, factor = _line_search(freqs, t, x, step, full, current, decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 

@@ -597,17 +597,17 @@ def test_curvature_matches_central_differences_of_the_newton_matrix():
     t = rng.uniform(1e-4, 1e-1, size=len(x))
 
     def derivatives(point):
-        _, w, v = tomography._evaluate(freqs, t, point)
-        return w, tomography._derivatives(freqs, t, w, v, point)
+        factor = tomography._evaluate(freqs, t, point)[1]
+        return tomography._derivatives(freqs, t, factor, point)
 
-    w, (_, hess, log_det_grad, log_det_hess, c) = derivatives(x)
-    inverse = np.linalg.inv(hess)
-    tangent = tomography._apply(inverse, log_det_grad)
-    h = 1e-4 * w[:, :1] / np.abs(tangent).max(axis=-1, keepdims=True)  # x +- h x' stays interior
-    dhess = derivatives(x + h * tangent)[1][1] - derivatives(x - h * tangent)[1][1]
+    _, hess, log_det_grad, log_det_hess, c = derivatives(x)
+    tangent = tomography._lu_solve(hess, log_det_grad, signature="dd->d")
+    lowest = np.linalg.eigvalsh(tomography._matrices(x))[:, :1]
+    h = 1e-4 * lowest / np.abs(tangent).max(axis=-1, keepdims=True)  # x +- h x' stays interior
+    dhess = derivatives(x + h * tangent)[1] - derivatives(x - h * tangent)[1]
     third = (dhess @ tangent[..., None])[..., 0] / (2.0 * h)
     expected = -np.linalg.solve(hess, 2.0 * log_det_hess @ tangent[..., None] + third[..., None])[..., 0]
-    curvature = tomography._curvature(freqs, t, x, inverse, tangent, log_det_hess, c)
+    curvature = tomography._curvature(freqs, t, x, hess, tangent, log_det_hess, c)
     scale = np.abs(expected).max(axis=-1, keepdims=True)
     assert np.all(np.abs(curvature - expected) <= 1e-6 * scale)
     assert np.all(scale > 0.0)
@@ -619,8 +619,30 @@ def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
     lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]  # of the linear inversion
     optimum = tomography._barrier_solve(freqs, lowest)
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    _, w, v = tomography._evaluate(freqs, t, optimum)
-    grad, hess, *_ = tomography._derivatives(freqs, t, w, v, optimum)
+    factor = tomography._evaluate(freqs, t, optimum)[1]
+    grad, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
+    newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
+    decrement = (-grad * newton).sum(axis=-1)
+    assert np.all(decrement <= tomography._CENTRED * t)
+
+
+def test_barrier_estimates_are_centred_by_derivatives_from_an_eigendecomposition():
+    # the same centring bound, with the gradient and Newton matrix rebuilt here from
+    # np.linalg.eigh, U = V diag(w)^-1/2, instead of `_derivatives`' Cholesky factor:
+    # a wrong factor or inverse in `_derivatives` cannot pass by checking itself
+    counts = np.stack([rec.counts for rec in unphysical_records()])
+    x, _, unphysical = tomography._solve(counts)
+    assert unphysical.all()
+    freqs = counts / counts.max(axis=-1, keepdims=True)  # the unit-peak frequencies `_solve` uses
+    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
+    w, v = np.linalg.eigh(tomography._matrices(x))
+    assert w.min() > 0.0
+    u = v / np.sqrt(w)[:, None, :]
+    dual = tomography._DUAL.reshape(16, 4, 4)  # rho = sum_k x_k D_k
+    c = np.einsum("rai,kab,rbj->rkij", u.conj(), dual, u)  # C_k = U^H D_k U
+    grad = 1.0 - freqs / x - t[:, None] * np.einsum("rkii->rk", c).real
+    hess = t[:, None, None] * np.einsum("rkij,rlji->rkl", c, c).real + np.einsum(
+        "rk,kl->rkl", freqs / x ** 2, np.eye(16))
     newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
     decrement = (-grad * newton).sum(axis=-1)
     assert np.all(decrement <= tomography._CENTRED * t)
@@ -658,8 +680,8 @@ def test_barrier_solve_returns_centred_full_rank_estimates_after_its_last_newton
     assert (smallest < t).sum() >= 100  # rows where min(1, f_min / t) binds
     optimum = tomography._barrier_solve(freqs, lowest)
     assert np.linalg.eigvalsh(tomography._matrices(optimum))[:, 0].min() > 0.0
-    _, w, v = tomography._evaluate(freqs, t, optimum)
-    grad, hess, *_ = tomography._derivatives(freqs, t, w, v, optimum)
+    factor = tomography._evaluate(freqs, t, optimum)[1]
+    grad, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
     newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
     assert np.all((-grad * newton).sum(axis=-1) <= tomography._CENTRED * t)
 
@@ -696,16 +718,27 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_apply_gives_a_row_alone_the_bits_it_has_in_a_batch():
+    # `_apply` takes 2-d vectors, so a (1, n) row runs the same stacked product as inside a batch
+    rng = np.random.default_rng(63)
+    vectors = rng.normal(size=(9, 16))
+    for matrix in (tomography._DUAL.T, rng.normal(size=(9, 16, 16))):  # one matrix, one per row
+        batch = tomography._apply(matrix, vectors)
+        for j in range(9):
+            alone = tomography._apply(matrix if matrix.ndim == 2 else matrix[j:j + 1], vectors[j:j + 1])
+            assert _same_bits(alone, batch[j:j + 1])
+
+
 def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeypatch):
     # `_evaluate` and the Newton step call numpy's private LAPACK gufuncs, skipping the public
-    # wrappers' per-call cost: a numpy whose gufuncs stop matching np.linalg.eigh and
-    # np.linalg.inv fails here by name, not only through the SHA-256 pins of the outputs
-    calls = {"_eigh": [], "_inv": []}
+    # wrappers' per-call cost: a numpy whose gufuncs stop matching np.linalg.cholesky,
+    # np.linalg.inv and np.linalg.solve fails here by name, not only through the SHA-256 pins
+    calls = {"_cholesky": [], "_inv": [], "_lu_solve": []}
 
     def recording(name, gufunc):
-        def call(a, signature):  # copies: the line search writes accepted trials into its arrays
-            result = gufunc(a, signature=signature)
-            calls[name].append(copy.deepcopy((a, result)))
+        def call(*args, signature):  # copies: the line search writes accepted trials into its arrays
+            result = gufunc(*args, signature=signature)
+            calls[name].append(copy.deepcopy((args, result)))
             return result
         return call
 
@@ -716,13 +749,21 @@ def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeyp
         for made in calls.values():
             made.clear()
         tomography._estimate(np.stack([rec.counts for rec in records[:rows]]))
-        assert len(calls["_eigh"][0][0]) == len(calls["_inv"][0][0]) == rows  # every row, first
-        assert len(calls["_eigh"]) > len(calls["_inv"]) >= 10
-        for matrices, (w, v) in calls["_eigh"]:
-            expected = np.linalg.eigh(matrices)
-            assert _same_bits(w, expected.eigenvalues) and _same_bits(v, expected.eigenvectors)
-        for hess, inverse in calls["_inv"]:
-            assert _same_bits(inverse, np.linalg.inv(hess))
+        # every row, first
+        assert {len(made[0][0][0]) for made in calls.values()} == {rows}
+        assert len(calls["_cholesky"]) > len(calls["_inv"]) >= 10  # a trial point per step, and halvings
+        assert len(calls["_lu_solve"]) > len(calls["_inv"])  # a Newton step per step, and the predictor's
+        for (matrices,), factor in calls["_cholesky"]:
+            ok = np.isfinite(factor).all(axis=(1, 2))  # LAPACK factored these; the others are all NaN
+            assert np.isnan(factor[~ok]).all()
+            assert _same_bits(factor[ok], np.linalg.cholesky(matrices[ok]))
+            for matrix in matrices[~ok]:
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(matrix)
+        for (factor,), inverse in calls["_inv"]:
+            assert _same_bits(inverse, np.linalg.inv(factor))
+        for (hess, rhs), solution in calls["_lu_solve"]:
+            assert _same_bits(solution, np.linalg.solve(hess, rhs[..., None])[..., 0])
 
 
 def test_line_search_halves_rejected_steps_and_raises_past_its_limit(monkeypatch):
