@@ -162,8 +162,9 @@ def _matrices(x: np.ndarray) -> np.ndarray:
     return _apply(_DUAL.T, x).reshape(-1, 4, 4)
 
 
-#: barrier weight over the total frequency, one value per stage; the last one
-#: sets the order of the smallest eigenvalue of an estimate
+#: barrier weight over the total frequency, one value per stage; the last, t, puts an estimate
+#: within its duality gap, about 4t, of the optimum. Its smallest eigenvalue is about t over the
+#: boundary's multiplier: normalized, 4.0e-10 to 1.9e-5 over the step-2 fig2a run's barrier rows
 _BARRIER_STAGES = 1e-2 ** np.arange(1, 6)
 #: an estimate is centred: its squared Newton decrement in the last stage is at most this times t
 _CENTRED = 1e-8
@@ -196,9 +197,9 @@ def _evaluate(freqs, t, x):
     reuse L. LAPACK factors rho only if it is positive definite; otherwise L, and with it the
     objective, is NaN.
     """
-    factor = _cholesky(_matrices(x), signature="D->D")
-    log_det = 2.0 * np.log(factor.diagonal(axis1=1, axis2=2).real).sum(axis=-1)
-    return (x - freqs * np.log(x)).sum(axis=-1) - t * log_det, factor
+    factor = _cholesky((_DUAL.T @ x[:, :, None]).reshape(-1, 4, 4), signature="D->D")  # `_matrices(x)`, inlined
+    log_det = 2.0 * np.add.reduce(np.log(factor.diagonal(axis1=1, axis2=2).real), -1)
+    return np.add.reduce(x - freqs * np.log(x), -1) - t * log_det, factor
 
 
 def _derivatives(freqs, t, factor, x):
@@ -215,6 +216,8 @@ def _derivatives(freqs, t, factor, x):
     u_conj = _inv(factor, signature="D->D").swapaxes(1, 2)  # (L^-1)^T, the conjugate of U
     kron = (u_conj[:, :, None, :, None] * u_conj.conj()[:, None, :, None, :]).reshape(-1, 16, 16)
     c = (_DUAL @ kron).view(float)
+    # np.add.reduce(c[..., ::10], -1) gives the same bits but runs one inner loop per output:
+    # 27 us against 7.5 us for these adds at 64 rows (2-vCPU Xeon, numpy 2.4)
     log_det_grad = c[..., 0] + c[..., 10] + c[..., 20] + c[..., 30]
     log_det_hess = c @ c.swapaxes(1, 2)
     ratio = freqs / x
@@ -240,29 +243,26 @@ def _curvature(freqs, t, x, hess, tangent, log_det_hess, c):
 def _line_search(freqs, t, x, step, full, current, decrement):
     """Per row, the first of x + step, x + step/2, ... that is positive definite and,
     unless `full`, lowers the objective (`current` at x) by the Armijo fraction of
-    the squared decrement; returns it with its `_evaluate` terms."""
+    the squared decrement; returns it with its `_evaluate` terms. A halving evaluates
+    the rows still pending, through a view of the whole batch when that is all of them."""
     drop = _ARMIJO * decrement
-
-    def accepted(trial, bound, full):  # trial = [point, objective, factor]; NaN unless rho > 0
-        return np.isfinite(trial[1]) & (full | (trial[1] <= bound))
-
     point = x + step
-    result = [point, *_evaluate(freqs, t, point)]
-    ok = accepted(result, current - drop, full)
-    if ok.all():
-        return result
-    pending = np.flatnonzero(~ok)
-    for halving in range(1, _MAX_HALVINGS + 1):
+    result = [point, *_evaluate(freqs, t, point)]  # [point, objective, factor]; NaN unless rho > 0
+    ok = np.isfinite(result[1]) & (full | (result[1] <= current - drop))
+    pending, halving = (~ok).nonzero()[0], 0
+    while pending.size:
+        halving += 1
+        if halving > _MAX_HALVINGS:
+            raise NonConvergenceError(f"barrier line search found no acceptable step in {_MAX_HALVINGS} halvings")
         alpha = 0.5 ** halving
-        point = x[pending] + alpha * step[pending]
-        trial = [point, *_evaluate(freqs[pending], t[pending], point)]
-        ok = accepted(trial, current[pending] - alpha * drop[pending], full[pending])
+        rows = pending if len(pending) < len(x) else slice(None)
+        point = x[rows] + alpha * step[rows]
+        trial = [point, *_evaluate(freqs[rows], t[rows], point)]
+        ok = np.isfinite(trial[1]) & (full[rows] | (trial[1] <= current[rows] - alpha * drop[rows]))
         for whole, part in zip(result, trial):
-            whole[pending[ok]] = part[ok]
+            whole[rows] = part  # a rejected row is overwritten by a later halving
         pending = pending[~ok]
-        if not pending.size:
-            return result
-    raise NonConvergenceError(f"barrier line search found no acceptable step in {_MAX_HALVINGS} halvings")
+    return result
 
 
 def _barrier_solve(freqs, lowest):
@@ -275,8 +275,9 @@ def _barrier_solve(freqs, lowest):
     eigenvalue the first t). A centred row moves to the next t along the
     central path x(t), by dt x' + dt^2 x'' / 2 with x' and x'' (`_curvature`)
     solved, like the Newton step, by LU from the Newton matrix, which is never
-    inverted; a backtracking line search keeps every iterate positive definite
-    (one LAPACK can Cholesky-factor, `_evaluate`). A row leaves an intermediate
+    inverted, on those rows only (a view of the batch when that is all of them);
+    a backtracking line search keeps every iterate positive definite (one LAPACK
+    can Cholesky-factor, `_evaluate`). A row leaves an intermediate
     stage, which only warm-starts the next, once its squared Newton decrement d
     is at most _FULL_STEP * t (the full step is taken there), or _PRE_CENTRED * t
     before the last. A last-stage row returns x plus its Newton step once
@@ -297,6 +298,7 @@ def _barrier_solve(freqs, lowest):
     t = scale * _BARRIER_STAGES[0]
     x = freqs + (t - lowest)[:, None]
     bound = tolerance[stage] * t  # a row's stage is centred once its squared decrement is at most this
+    full_bound = _FULL_STEP * t  # the full Newton step is taken at a squared decrement up to this
     # as in numpy's linalg wrappers, a LAPACK call's floating-point flags warn of nothing: an unusable
     # result is NaN or infinite, and the line search rejects it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -305,13 +307,14 @@ def _barrier_solve(freqs, lowest):
             grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, factor, x)
             descent = -grad
             step = _lu_solve(hess, descent, signature="dd->d")
-            decrement = (descent * step).sum(axis=-1)
-            full = decrement <= _FULL_STEP * t  # every centred row too
+            decrement = np.add.reduce(descent * step, -1)
+            full = decrement <= full_bound  # every centred row too
             centred = decrement <= bound
             if centred.any():
                 moving = centred & (stage < len(_BARRIER_STAGES) - 1)
                 if moving.any():
-                    m = np.flatnonzero(moving)  # the predictor runs on these rows only
+                    # the predictor runs on these rows only, as a view of the batch when that is all of them
+                    m = slice(None) if moving.all() else moving.nonzero()[0]
                     dt = (scale[m] * _BARRIER_STAGES[stage[m] + 1] - t[m])[:, None]
                     tangent = _lu_solve(hess[m], log_det_grad[m], signature="dd->d")
                     curvature = _curvature(freqs[m], t[m], x[m], hess[m], tangent, log_det_hess[m], c[m])
@@ -328,6 +331,7 @@ def _barrier_solve(freqs, lowest):
                 stage = stage + centred
                 t = scale * _BARRIER_STAGES[stage]
                 bound = tolerance[stage] * np.where(stage == len(_BARRIER_STAGES) - 1, reach, t)
+                full_bound = _FULL_STEP * t
             x, current, factor = _line_search(freqs, t, x, step, full, current, decrement)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
@@ -368,7 +372,10 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     - a linear inversion whose eigenvalues are all >= 0 reproduces every
       observed frequency and is the optimum, returned as rho_lin / tr rho_lin;
     - otherwise a log-det barrier Newton solve (`_barrier_solve`) gives an
-      estimate of full rank, its smallest eigenvalue of the order of 1e-10;
+      estimate of full rank whose objective is within its duality gap (about
+      4e-10 times the sum of the unit-peak frequencies) of the optimum's; its
+      smallest eigenvalue, normalized, is 4.0e-10 to 1.9e-5 (median 2.7e-8)
+      over the 2,791 barrier rows of a step-2 fig2a run at 10^4 counts;
     - a record with no counts gives the maximally mixed state I/4.
     Exact (noiseless) counts of a full-rank state reproduce it. Raises
     NonConvergenceError if the solve fails.

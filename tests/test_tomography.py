@@ -509,6 +509,26 @@ def test_unphysical_estimates_satisfy_optimality_conditions():
         assert abs(np.trace(m @ optimum)) <= 1e-7
 
 
+def test_barrier_estimates_carry_the_duality_gap_certificate_of_their_last_stage():
+    # rho maximizes the extended likelihood over rho >= 0 if and only if G = sum_k (1 - f_k / q_k) P_k,
+    # q_k = tr(P_k rho), has G >= 0 and tr(G rho) = 0 (KKT); a centred point of the last barrier
+    # stage has G ~ t rho^-1, so tr(G rho) ~ 4t, and its objective is within that gap of the
+    # optimum's (Boyd and Vandenberghe, 11.6). Checked on the estimate's own matrix, not with the
+    # solver's derivatives, to bounds far above any BLAS kernel's rounding: here lambda_min(G)
+    # >= 3.6e-10 and tr(G rho) / t reads 3.99993 to 4.0000004 at unit peak
+    counts = np.stack([rec.counts for rec in unphysical_records()])
+    x, _, unphysical = tomography._solve(counts)
+    assert unphysical.all()
+    freqs = counts / counts.max(axis=-1, keepdims=True)  # the unit-peak frequencies `_solve` uses
+    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
+    rho = tomography._matrices(x)
+    q = np.einsum("kij,rji->rk", STANDARD_PROJECTORS, rho).real
+    g = np.einsum("rk,kij->rij", 1.0 - freqs / q, STANDARD_PROJECTORS)
+    assert np.linalg.eigvalsh(g)[:, 0].min() >= -1e-12
+    gap = np.einsum("rij,rji->r", g, rho).real
+    assert np.all(np.abs(gap / t - 4.0) <= 1e-3)
+
+
 def test_estimate_of_a_row_does_not_depend_on_its_batch():
     rng = np.random.default_rng(54)
     pure = evolve_state(1.0, 1.0)
