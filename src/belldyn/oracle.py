@@ -120,20 +120,29 @@ def _window(center: np.ndarray, w: float) -> np.ndarray:
     return dirs
 
 
-#: signs of the a and b Bloch terms in the four product-basis populations
-_SIGNS_A = np.array([1.0, 1.0, -1.0, -1.0])[:, None, None]
-_SIGNS_B = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]
+#: signs of the a and the b Bloch terms: the first two axes of a population grid, before its reshape
+_SIGNS_A = np.array([1.0, -1.0])[:, None, None]
+_SIGNS_B = np.array([1.0, -1.0])[:, None]
 
 
 def _populations(vec_a, vec_b, corr, dirs_a, dirs_b) -> np.ndarray:
     """The four product-basis populations for every direction pair, shape (4, len(a), len(b)).
 
     The populations (1 + sa a.r_a + sb b.r_b + sa sb a.T.b) / 4 of the sign
-    pairs (+,+), (+,-), (-,+), (-,-) are built in one broadcast from the
-    quarter components of `_pauli_components` and clipped to [0, 1].
+    pairs (+,+), (+,-), (-,+), (-,-) are built from the quarter components of
+    `_pauli_components` and clipped to [0, 1]. Their outer sums x + y, x = 1/4 +
+    sa a.r_a and y = sb b.r_b, are one batched matmul of the rows [x, 1] against
+    the columns [1, y]: each entry is x*1 + 1*y, two exact products and one
+    rounded sum. Only signed zeros could make that depend on the kernel's order of
+    adding, or on its starting from +0, and x is never -0.0 (a rounded sum is -0.0
+    only if both terms are), so every entry has the bits of x + y.
     """
     cross = dirs_a @ corr @ dirs_b.T
-    probs = (0.25 + _SIGNS_A * (dirs_a @ vec_a)[:, None]) + _SIGNS_B * (dirs_b @ vec_b)
+    rows = np.ones((2, 1, len(dirs_a), 2))
+    rows[..., 0] = 0.25 + _SIGNS_A * (dirs_a @ vec_a)
+    cols = np.ones((1, 2, 2, len(dirs_b)))
+    cols[:, :, 1] = _SIGNS_B * (dirs_b @ vec_b)
+    probs = (rows @ cols).reshape(4, len(dirs_a), len(dirs_b))
     probs[::3] += cross
     probs[1:3] -= cross
     np.maximum(probs, 0.0, out=probs)

@@ -181,63 +181,70 @@ _PRE_CENTRED = 1e-2
 #: (fig2a rows, near-pure and pure states, 10^3-10^5 counts)
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
-#: the LAPACK gufuncs behind np.linalg.cholesky, np.linalg.inv and np.linalg.solve, called directly
-#: in every Newton step: the wrappers' dtype dispatch, errstate and result wrapping cost a third to
-#: half of a 1-row call. Same routines and dtypes, so the same bits; a failed factorization gives NaN
-#: rows, not LinAlgError, which the line search rejects, ending in NonConvergenceError
+#: the LAPACK gufuncs behind np.linalg.cholesky, np.linalg.inv, np.linalg.solve and np.linalg.eigvalsh,
+#: called directly in every Newton step and spectrum: the wrappers' dtype dispatch, errstate and result
+#: wrapping cost a third to half of a 1-row call. Same routines and dtypes, so the same bits; a failed
+#: factorization, solve or eigensolve gives NaN rows, not LinAlgError: the line search rejects them, and
+#: `_solve` sends a NaN spectrum's row to the barrier, so each ends in NonConvergenceError
 _cholesky = _umath_linalg.cholesky_lo
 _inv = _umath_linalg.inv
 _lu_solve = _umath_linalg.solve1
+_eigvalsh = _umath_linalg.eigvalsh_lo
+#: picks tr C_j out of C_j's real row of 32 (`_derivatives`): the real parts of its diagonal, at 0, 10, 20, 30
+_TRACE = np.zeros(32)
+_TRACE[::10] = 1.0
 
 
 def _evaluate(freqs, t, x):
     """The barrier objective at x (NaN or infinite unless rho > 0), and rho's Cholesky factor L.
 
-    rho = L L^H with L lower triangular, so log det rho = 2 sum_i log L_ii; the derivatives
-    reuse L. LAPACK factors rho only if it is positive definite; otherwise L, and with it the
-    objective, is NaN.
+    rho = L L^H with L lower triangular, so log det rho is one log of (prod_i L_ii)^2; the
+    derivatives reuse L. LAPACK factors rho only if it is positive definite; otherwise L, and
+    with it the objective, is NaN. A product that underflowed to 0 would make the objective
+    +inf, which the line search rejects too; at unit peak det rho is far from either limit.
     """
     factor = _cholesky((_DUAL.T @ x[:, :, None]).reshape(-1, 4, 4), signature="D->D")  # `_matrices(x)`, inlined
-    log_det = 2.0 * np.add.reduce(np.log(factor.diagonal(axis1=1, axis2=2).real), -1)
-    return np.add.reduce(x - freqs * np.log(x), -1) - t * log_det, factor
+    root_det = np.multiply.reduce(factor.reshape(-1, 16)[:, ::5].real, -1)  # prod_i L_ii
+    return np.add.reduce(x - freqs * np.log(x), -1) - t * np.log(root_det * root_det), factor
 
 
 def _derivatives(freqs, t, factor, x):
-    """Gradient and Hessian of the barrier objective, and the log-det pieces they are built from.
+    """Descent (minus the gradient) and Hessian of the barrier objective, and the pieces they are built from.
 
     With rho = L L^H (`_evaluate`), U = L^-H and C_j = U^H D_j U,
     tr(rho^-1 D_j) = tr C_j and K_ij = tr(rho^-1 D_i rho^-1 D_j) = tr(C_i C_j):
     both hold for any U with U U^H = rho^-1, and the inverse of the 4x4
-    triangular factor gives one without a diagonalization. The likelihood
-    term's Hessian is diagonal, f / x^2. Returns the gradient, the Hessian,
-    tr C_j, K, and each C_j as a real row of 32 (its 16 entries, real and
-    imaginary parts interleaved).
+    triangular factor gives one without a diagonalization. Each C_j is a real
+    row of 32 (its 16 entries, real and imaginary parts interleaved), so the
+    tr C_j are one stacked product with `_TRACE` and K one with the C's own
+    transpose. The likelihood term's Hessian is diagonal, f / x^2. Returns the
+    descent, the Hessian, tr C_j, K, the C_j as rows and f / x.
     """
     u_conj = _inv(factor, signature="D->D").swapaxes(1, 2)  # (L^-1)^T, the conjugate of U
     kron = (u_conj[:, :, None, :, None] * u_conj.conj()[:, None, :, None, :]).reshape(-1, 16, 16)
     c = (_DUAL @ kron).view(float)
-    # np.add.reduce(c[..., ::10], -1) gives the same bits but runs one inner loop per output:
-    # 27 us against 7.5 us for these adds at 64 rows (2-vCPU Xeon, numpy 2.4)
-    log_det_grad = c[..., 0] + c[..., 10] + c[..., 20] + c[..., 30]
+    log_det_grad = c @ _TRACE
     log_det_hess = c @ c.swapaxes(1, 2)
     ratio = freqs / x
     hess = t[:, None, None] * log_det_hess
     hess.reshape(-1, 256)[:, ::17] += ratio / x  # the diagonal, as a strided view
-    return 1.0 - ratio - t[:, None] * log_det_grad, hess, log_det_grad, log_det_hess, c
+    return ratio - 1.0 + t[:, None] * log_det_grad, hess, log_det_grad, log_det_hess, c, ratio
 
 
-def _curvature(freqs, t, x, hess, tangent, log_det_hess, c):
-    """The second derivative x'' = -H^-1 (2 K x' + D^3 phi[x', x']) of the central path x(t).
+def _curvature(ratio, t, x, hess, tangent, log_det_hess, c):
+    """x'' / 2, half the second derivative x'' = -H^-1 (2 K x' + D^3 phi[x', x']) of the central path x(t).
 
     Differentiating H x' = tr(rho^-1 D) along the path gives it; with Y = U^H X' U
-    = sum_i x'_i C_i, D^3 phi[x', x']_j = -2 f_j x'_j^2 / x_j^3 - 2t tr(Y^2 C_j),
-    the first term taken as (f / x) (x' / x)^2 so that x^3 cannot overflow. H^-1
-    is applied by an LU solve with the Newton matrix H, which is never inverted.
+    = sum_i x'_i C_i, D^3 phi[x', x']_j = -2 f_j x'_j^2 / x_j^3 - 2t tr(Y^2 C_j), so
+    x'' / 2 = -H^-1 (K x' - (f / x) (x' / x)^2 - t tr(Y^2 C)) from the f / x (`ratio`)
+    of `_derivatives`, with no x^3 to overflow (halving is exact, so these are the bits of
+    x'' halved). H^-1 is applied by an LU solve with the Newton matrix H, which is never
+    inverted.
     """
     y = (tangent[:, None, :] @ c).view(complex).reshape(-1, 4, 4)
-    third = (-2.0 * freqs / x * (tangent / x) ** 2
-             - 2.0 * t[:, None] * _apply(c, (y @ y).view(float).reshape(-1, 32)))
-    return -_lu_solve(hess, 2.0 * _apply(log_det_hess, tangent) + third, signature="dd->d")
+    rhs = _apply(log_det_hess, tangent) - (ratio * (tangent / x) ** 2
+                                           + t[:, None] * _apply(c, (y @ y).view(float).reshape(-1, 32)))
+    return -_lu_solve(hess, rhs, signature="dd->d")
 
 
 def _line_search(freqs, t, x, step, full, current, decrement):
@@ -273,7 +280,7 @@ def _barrier_solve(freqs, lowest):
     f_k log x_k) - t log det rho by Newton's method over the decreasing t of
     _BARRIER_STAGES (times sum_k f_k), from x = f + t - lowest (smallest
     eigenvalue the first t). A centred row moves to the next t along the
-    central path x(t), by dt x' + dt^2 x'' / 2 with x' and x'' (`_curvature`)
+    central path x(t), by dt x' + dt^2 x'' / 2 with x' and x'' / 2 (`_curvature`)
     solved, like the Newton step, by LU from the Newton matrix, which is never
     inverted, on those rows only (a view of the batch when that is all of them);
     a backtracking line search keeps every iterate positive definite (one LAPACK
@@ -304,26 +311,25 @@ def _barrier_solve(freqs, lowest):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         current, factor = _evaluate(freqs, t, x)
         for _ in range(_MAX_STEPS):
-            grad, hess, log_det_grad, log_det_hess, c = _derivatives(freqs, t, factor, x)
-            descent = -grad
+            descent, hess, log_det_grad, log_det_hess, c, ratio = _derivatives(freqs, t, factor, x)
             step = _lu_solve(hess, descent, signature="dd->d")
             decrement = np.add.reduce(descent * step, -1)
             full = decrement <= full_bound  # every centred row too
             centred = decrement <= bound
-            if centred.any():
+            if np.logical_or.reduce(centred):
                 moving = centred & (stage < len(_BARRIER_STAGES) - 1)
-                if moving.any():
+                if np.logical_or.reduce(moving):
                     # the predictor runs on these rows only, as a view of the batch when that is all of them
-                    m = slice(None) if moving.all() else moving.nonzero()[0]
+                    m = slice(None) if np.logical_and.reduce(moving) else moving.nonzero()[0]
                     dt = (scale[m] * _BARRIER_STAGES[stage[m] + 1] - t[m])[:, None]
                     tangent = _lu_solve(hess[m], log_det_grad[m], signature="dd->d")
-                    curvature = _curvature(freqs[m], t[m], x[m], hess[m], tangent, log_det_hess[m], c[m])
-                    step[m] = dt * (tangent + 0.5 * dt * curvature)
+                    half_curvature = _curvature(ratio[m], t[m], x[m], hess[m], tangent, log_det_hess[m], c[m])
+                    step[m] = dt * (tangent + dt * half_curvature)
                 finished = centred & ~moving
-                if finished.any():
+                if np.logical_or.reduce(finished):
                     out[rows[finished]] = x[finished] + step[finished]
                     keep = ~finished
-                    if not keep.any():
+                    if not np.logical_or.reduce(keep):
                         return out
                     rows, freqs, reach, scale, stage, x, factor, centred, step, decrement, full, current = (
                         a[keep] for a in (rows, freqs, reach, scale, stage, x, factor, centred, step,
@@ -344,8 +350,8 @@ def _solve(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # (a row's total can overflow where its peak cannot)
     peak = counts.max(axis=-1, keepdims=True)
     x = counts / np.where(peak > 0.0, peak, 1.0)  # unit-peak frequencies: the linear inversion
-    spectra = np.linalg.eigvalsh(_matrices(x))[:, ::-1]
-    unphysical = spectra[:, 3] < 0.0
+    spectra = _eigvalsh(_matrices(x), signature="D->d")[:, ::-1]
+    unphysical = ~(spectra[:, 3] >= 0.0)  # NaN too, a spectrum LAPACK failed on: the barrier then raises
     if unphysical.any():
         x[unphysical] = _barrier_solve(x[unphysical], spectra[unphysical, 3])
     empty = ~counts.any(axis=-1)
@@ -358,7 +364,7 @@ def _estimate(counts) -> tuple[np.ndarray, np.ndarray]:
     coordinates and its spectrum, largest first, both divided by the trace."""
     x, spectra, unphysical = _solve(counts)
     if unphysical.any():
-        spectra[unphysical] = np.linalg.eigvalsh(_matrices(x[unphysical]))[:, ::-1]
+        spectra[unphysical] = _eigvalsh(_matrices(x[unphysical]), signature="D->d")[:, ::-1]
     trace = x[:, :4].sum(axis=-1, keepdims=True)
     return x / trace, spectra / trace
 

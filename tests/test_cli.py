@@ -584,7 +584,7 @@ PRESET_OUTPUT_SHA256 = {
 TOMOGRAPHY_OUTPUT_SHA256 = (
     "43f234578ea1ba8d837e04cc0050db546d8cfc9525149438939ae6ea962153f0",
     "6b85d31172848ece16b16d0fac2b9c730d2869781ebb0b3bd41bc61bddda40c8",
-    "14f65960b57f165cf25313ec9408ac72a37bcfccb24a6cbf76c35cc16fcc957a",
+    "70463e4044c84ef498d09e512c50d65b64351d142c13a0166a6322e1bb6baa33",
 )
 
 

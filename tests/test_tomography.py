@@ -482,14 +482,14 @@ def test_reconstruct_of_an_unphysical_record_diagonalizes_only_its_linear_invers
     # the linear inversion's spectrum decides whether the barrier solves; only `_bootstrap`
     # reads the spectrum of the barrier's optimum, so `reconstruct` does not compute it
     sizes = []
-    eigvalsh = np.linalg.eigvalsh
+    eigvalsh = tomography._eigvalsh
 
-    def counting(matrices):
+    def counting(matrices, signature):
         sizes.append(len(matrices))
-        return eigvalsh(matrices)
+        return eigvalsh(matrices, signature=signature)
 
     record = unphysical_records()[0]
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(tomography, "_eigvalsh", counting)
     reconstruct(record)
     assert sizes == [1]
 
@@ -620,14 +620,14 @@ def test_curvature_matches_central_differences_of_the_newton_matrix():
         factor = tomography._evaluate(freqs, t, point)[1]
         return tomography._derivatives(freqs, t, factor, point)
 
-    _, hess, log_det_grad, log_det_hess, c = derivatives(x)
+    _, hess, log_det_grad, log_det_hess, c, ratio = derivatives(x)
     tangent = tomography._lu_solve(hess, log_det_grad, signature="dd->d")
     lowest = np.linalg.eigvalsh(tomography._matrices(x))[:, :1]
     h = 1e-4 * lowest / np.abs(tangent).max(axis=-1, keepdims=True)  # x +- h x' stays interior
     dhess = derivatives(x + h * tangent)[1] - derivatives(x - h * tangent)[1]
     third = (dhess @ tangent[..., None])[..., 0] / (2.0 * h)
     expected = -np.linalg.solve(hess, 2.0 * log_det_hess @ tangent[..., None] + third[..., None])[..., 0]
-    curvature = tomography._curvature(freqs, t, x, hess, tangent, log_det_hess, c)
+    curvature = 2.0 * tomography._curvature(ratio, t, x, hess, tangent, log_det_hess, c)  # of x'' / 2
     scale = np.abs(expected).max(axis=-1, keepdims=True)
     assert np.all(np.abs(curvature - expected) <= 1e-6 * scale)
     assert np.all(scale > 0.0)
@@ -640,9 +640,9 @@ def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
     optimum = tomography._barrier_solve(freqs, lowest)
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
     factor = tomography._evaluate(freqs, t, optimum)[1]
-    grad, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
-    newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
-    decrement = (-grad * newton).sum(axis=-1)
+    descent, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
+    newton = np.linalg.solve(hess, descent[..., None])[..., 0]
+    decrement = (descent * newton).sum(axis=-1)
     assert np.all(decrement <= tomography._CENTRED * t)
 
 
@@ -701,9 +701,9 @@ def test_barrier_solve_returns_centred_full_rank_estimates_after_its_last_newton
     optimum = tomography._barrier_solve(freqs, lowest)
     assert np.linalg.eigvalsh(tomography._matrices(optimum))[:, 0].min() > 0.0
     factor = tomography._evaluate(freqs, t, optimum)[1]
-    grad, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
-    newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
-    assert np.all((-grad * newton).sum(axis=-1) <= tomography._CENTRED * t)
+    descent, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
+    newton = np.linalg.solve(hess, descent[..., None])[..., 0]
+    assert np.all((descent * newton).sum(axis=-1) <= tomography._CENTRED * t)
 
 
 def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
@@ -722,8 +722,8 @@ def test_a_newton_matrix_lapack_cannot_invert_ends_in_non_convergence(monkeypatc
     derivatives = tomography._derivatives
 
     def broken(*args):
-        grad, hess, *rest = derivatives(*args)
-        return (grad, newton_matrix(hess), *rest)
+        descent, hess, *rest = derivatives(*args)
+        return (descent, newton_matrix(hess), *rest)
 
     monkeypatch.setattr(tomography, "_derivatives", broken)
     with warnings.catch_warnings():
@@ -750,10 +750,11 @@ def test_apply_gives_a_row_alone_the_bits_it_has_in_a_batch():
 
 
 def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeypatch):
-    # `_evaluate` and the Newton step call numpy's private LAPACK gufuncs, skipping the public
-    # wrappers' per-call cost: a numpy whose gufuncs stop matching np.linalg.cholesky,
-    # np.linalg.inv and np.linalg.solve fails here by name, not only through the SHA-256 pins
-    calls = {"_cholesky": [], "_inv": [], "_lu_solve": []}
+    # `_evaluate`, the Newton step and the spectra call numpy's private LAPACK gufuncs, skipping
+    # the public wrappers' per-call cost: a numpy whose gufuncs stop matching np.linalg.cholesky,
+    # np.linalg.inv, np.linalg.solve and np.linalg.eigvalsh fails here by name, not only through
+    # the SHA-256 pins
+    calls = {"_cholesky": [], "_inv": [], "_lu_solve": [], "_eigvalsh": []}
 
     def recording(name, gufunc):
         def call(*args, signature):  # copies: the line search writes accepted trials into its arrays
@@ -773,6 +774,7 @@ def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeyp
         assert {len(made[0][0][0]) for made in calls.values()} == {rows}
         assert len(calls["_cholesky"]) > len(calls["_inv"]) >= 10  # a trial point per step, and halvings
         assert len(calls["_lu_solve"]) > len(calls["_inv"])  # a Newton step per step, and the predictor's
+        assert len(calls["_eigvalsh"]) == 2  # of the linear inversions (`_solve`), then of the estimates
         for (matrices,), factor in calls["_cholesky"]:
             ok = np.isfinite(factor).all(axis=(1, 2))  # LAPACK factored these; the others are all NaN
             assert np.isnan(factor[~ok]).all()
@@ -784,6 +786,49 @@ def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeyp
             assert _same_bits(inverse, np.linalg.inv(factor))
         for (hess, rhs), solution in calls["_lu_solve"]:
             assert _same_bits(solution, np.linalg.solve(hess, rhs[..., None])[..., 0])
+        for (matrices,), spectra in calls["_eigvalsh"]:
+            assert _same_bits(spectra, np.linalg.eigvalsh(matrices))
+
+
+def test_a_spectrum_lapack_cannot_compute_ends_in_non_convergence(monkeypatch):
+    # the direct LAPACK call gives a NaN spectrum where np.linalg.eigvalsh would raise LinAlgError,
+    # which `main` would not catch; `_solve` hands such a row to the barrier, which rejects every
+    # NaN trial and raises NonConvergenceError
+    record = simulate_counts(evolve_state(0.607, 0.2), 10**4, 0)
+    monkeypatch.setattr(tomography, "_eigvalsh", lambda matrices, signature: np.full(matrices.shape[:-1], math.nan))
+    with pytest.raises(NonConvergenceError):
+        reconstruct(record)
+
+
+def test_evaluate_takes_log_det_as_one_log_of_the_squared_diagonal_product(monkeypatch):
+    # `_evaluate` takes log det rho as one log of (prod_i L_ii)^2: on every point the barrier
+    # evaluates, its objective matches one built from np.linalg.slogdet, and a point LAPACK
+    # factors gets a finite objective, so the product neither underflows nor overflows; checked
+    # on `unphysical_records()` and on a pure-state record at 10^15 counts with a setting at 0
+    evaluate, points = tomography._evaluate, []
+
+    def recording(freqs, t, x):
+        objective, factor = evaluate(freqs, t, x)
+        points.append(copy.deepcopy((freqs, t, x, objective, factor)))
+        return objective, factor
+
+    records = unphysical_records()
+    counts = np.round(1e15 * probabilities(evolve_state(1.0, 1.0)))
+    counts[0] = 0.0
+    records.append(TomographyRecord(counts))
+    monkeypatch.setattr(tomography, "_evaluate", recording)
+    for record in records:
+        reconstruct(record)
+    factored = 0
+    for freqs, t, x, objective, factor in points:
+        ok = np.isfinite(factor).all(axis=(1, 2))
+        assert np.array_equal(np.isfinite(objective), ok)
+        sign, log_det = np.linalg.slogdet(tomography._matrices(x[ok]))
+        assert np.all(sign.real > 0.0)  # a complex sign of modulus 1: LU leaves it up to 2e-11 off 1 here
+        expected = np.sum(x[ok] - freqs[ok] * np.log(x[ok]), axis=-1) - t[ok] * log_det
+        assert np.all(np.abs(objective[ok] - expected) <= 1e-12 * np.abs(expected))  # 1.5e-16 here
+        factored += ok.sum()
+    assert factored >= 400  # 416 factored rows; log det rho reaches -61 here, far from the limits
 
 
 def test_line_search_halves_rejected_steps_and_raises_past_its_limit(monkeypatch):
