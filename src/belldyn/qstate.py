@@ -81,11 +81,13 @@ def _checked_eigenvalues(state) -> np.ndarray:
 def eigenvalues_sorted(state) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, or of each of a stack, non-increasing.
 
-    This is the package's one state check. The eigenvalues lie along the last
-    axis. Negative values above the -1e-10 floor are clipped to zero and each
-    vector renormalized to unit sum; a non-finite entry, an entry of rho - rho^H
-    beyond 1e-12, values below the floor or a zero sum raise InvalidStateError.
-    An empty stack gives an empty stack of vectors.
+    The eigenvalues lie along the last axis. Negative values above the -1e-10
+    floor are clipped to zero and each vector renormalized to unit sum; a
+    non-finite entry, an entry of rho - rho^H beyond 1e-12, values below the
+    floor or a zero sum raise InvalidStateError. An empty stack gives an empty
+    stack of vectors. No run path calls it: `simulate_counts` and the oracles
+    check a state with `validate_state`, which shares these checks
+    (`_checked_eigenvalues`).
     """
     w = np.clip(_checked_eigenvalues(state)[..., ::-1], 0.0, None)
     return w / w.sum(axis=-1, keepdims=True)

@@ -6,11 +6,12 @@ projectors, from a state (`simulate_counts`) or from the two kappas
 estimator, the maximum of the extended (free-trace) Poisson likelihood over
 positive semidefinite states, normalized to trace 1 (see `reconstruct`): a
 physical linear inversion is that maximum in closed form, and an unphysical one
-goes to a log-det barrier Newton solve. Statistical errors come from a
-parametric bootstrap that resamples the observed counts. `_bootstrap` solves the
-point estimates and resamples of many rows of counts in blocks of bounded size;
-each row's arithmetic is independent of the batch, so it gives the same bits as
-one row at a time, and its quantities come from the spectrum the estimator computed.
+goes to a log-det barrier Newton solve, whose steps back off only to keep the
+state positive definite. Statistical errors come from a parametric bootstrap
+that resamples the observed counts. `_bootstrap` solves the point estimates and
+resamples of many rows of counts in blocks of bounded size; each row's
+arithmetic is independent of the batch, so it gives the same bits as one row at
+a time, and its quantities come from the spectrum the estimator computed.
 
 The 16 settings are the products of {H, V, D, L} per side, with
 D = (H+V)/sqrt2 and L = (H+iV)/sqrt2, in the fixed order of STANDARD_LABELS so
@@ -168,17 +169,14 @@ def _matrices(x: np.ndarray) -> np.ndarray:
 _BARRIER_STAGES = 1e-2 ** np.arange(1, 6)
 #: an estimate is centred: its squared Newton decrement in the last stage is at most this times t
 _CENTRED = 1e-8
-#: below this squared decrement (times t) the full Newton step is taken, as in
-#: the quadratically convergent region of a self-concordant barrier, and an
-#: intermediate stage counts as centred
+#: an intermediate stage is centred once its squared Newton decrement is at most this times t: the
+#: quadratically convergent region of a self-concordant barrier, where full Newton steps converge
 _FULL_STEP = 0.25
-#: sufficient decrease of the Armijo backtracking line search
-_ARMIJO = 0.25
 #: the stage before the last is centred to this times t before the predictor enters the last
 _PRE_CENTRED = 1e-2
-#: limits of one solve; a row took at most 33 steps (median 17) over 1,651 unphysical
-#: near-pure records at 10^2-10^15 counts, and a step at most 6 halvings over 1,536
-#: (fig2a rows, near-pure and pure states, 10^3-10^5 counts)
+#: limits of one solve; a row took at most 35 steps (median 18) and a step at most 7 halvings
+#: over 1,651 unphysical near-pure records at 10^2-10^15 counts, and at most 42 steps (median 20)
+#: over 12,000 random unphysical records of ranks 1-4 at 10^1-10^15 counts
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
 #: the LAPACK gufuncs behind np.linalg.cholesky, np.linalg.inv, np.linalg.solve and np.linalg.eigvalsh,
@@ -195,23 +193,16 @@ _TRACE = np.zeros(32)
 _TRACE[::10] = 1.0
 
 
-def _evaluate(freqs, t, x):
-    """The barrier objective at x (NaN or infinite unless rho > 0), and rho's Cholesky factor L.
-
-    rho = L L^H with L lower triangular, so log det rho is one log of (prod_i L_ii)^2; the
-    derivatives reuse L. LAPACK factors rho only if it is positive definite; otherwise L, and
-    with it the objective, is NaN. A product that underflowed to 0 would make the objective
-    +inf, which the line search rejects too; at unit peak det rho is far from either limit.
-    """
-    factor = _cholesky((_DUAL.T @ x[:, :, None]).reshape(-1, 4, 4), signature="D->D")  # `_matrices(x)`, inlined
-    root_det = np.multiply.reduce(factor.reshape(-1, 16)[:, ::5].real, -1)  # prod_i L_ii
-    return np.add.reduce(x - freqs * np.log(x), -1) - t * np.log(root_det * root_det), factor
+def _factor(x):
+    """The Cholesky factor L of rho = sum_k x_k D_k = L L^H, lower triangular, one per row of
+    coordinates x. LAPACK factors rho only if it is positive definite; otherwise L is NaN."""
+    return _cholesky((_DUAL.T @ x[:, :, None]).reshape(-1, 4, 4), signature="D->D")
 
 
 def _derivatives(freqs, t, factor, x):
     """Descent (minus the gradient) and Hessian of the barrier objective, and the pieces they are built from.
 
-    With rho = L L^H (`_evaluate`), U = L^-H and C_j = U^H D_j U,
+    With rho = L L^H (`_factor`), U = L^-H and C_j = U^H D_j U,
     tr(rho^-1 D_j) = tr C_j and K_ij = tr(rho^-1 D_i rho^-1 D_j) = tr(C_i C_j):
     both hold for any U with U U^H = rho^-1, and the inverse of the 4x4
     triangular factor gives one without a diagonalization. Each C_j is a real
@@ -247,29 +238,24 @@ def _curvature(ratio, t, x, hess, tangent, log_det_hess, c):
     return -_lu_solve(hess, rhs, signature="dd->d")
 
 
-def _line_search(freqs, t, x, step, full, current, decrement):
-    """Per row, the first of x + step, x + step/2, ... that is positive definite and,
-    unless `full`, lowers the objective (`current` at x) by the Armijo fraction of
-    the squared decrement; returns it with its `_evaluate` terms. A halving evaluates
-    the rows still pending, through a view of the whole batch when that is all of them."""
-    drop = _ARMIJO * decrement
+def _line_search(x, step):
+    """Per row, the first of x + step, x + step/2, ... at which rho is positive definite (its
+    `_factor` is finite), and that factor. No objective is evaluated: full steps whose squared
+    decrement is at most _FULL_STEP * t converge quadratically (Boyd and Vandenberghe, 9.6.4),
+    and _MAX_STEPS bounds a row elsewhere. rho > 0 keeps every x_k = tr(P_k rho) > 0. A halving
+    factors the rows still pending, through a view of the whole batch when that is all of them."""
     point = x + step
-    result = [point, *_evaluate(freqs, t, point)]  # [point, objective, factor]; NaN unless rho > 0
-    ok = np.isfinite(result[1]) & (full | (result[1] <= current - drop))
-    pending, halving = (~ok).nonzero()[0], 0
+    factor = _factor(point)
+    pending, halving = (~np.isfinite(factor).all(axis=(1, 2))).nonzero()[0], 0
     while pending.size:
         halving += 1
         if halving > _MAX_HALVINGS:
             raise NonConvergenceError(f"barrier line search found no acceptable step in {_MAX_HALVINGS} halvings")
-        alpha = 0.5 ** halving
         rows = pending if len(pending) < len(x) else slice(None)
-        point = x[rows] + alpha * step[rows]
-        trial = [point, *_evaluate(freqs[rows], t[rows], point)]
-        ok = np.isfinite(trial[1]) & (full[rows] | (trial[1] <= current[rows] - alpha * drop[rows]))
-        for whole, part in zip(result, trial):
-            whole[rows] = part  # a rejected row is overwritten by a later halving
-        pending = pending[~ok]
-    return result
+        point[rows] = trial = x[rows] + 0.5 ** halving * step[rows]
+        factor[rows] = trial_factor = _factor(trial)  # a rejected row is overwritten by a later halving
+        pending = pending[~np.isfinite(trial_factor).all(axis=(1, 2))]
+    return point, factor
 
 
 def _barrier_solve(freqs, lowest):
@@ -282,17 +268,17 @@ def _barrier_solve(freqs, lowest):
     eigenvalue the first t). A centred row moves to the next t along the
     central path x(t), by dt x' + dt^2 x'' / 2 with x' and x'' / 2 (`_curvature`)
     solved, like the Newton step, by LU from the Newton matrix, which is never
-    inverted, on those rows only (a view of the batch when that is all of them);
-    a backtracking line search keeps every iterate positive definite (one LAPACK
-    can Cholesky-factor, `_evaluate`). A row leaves an intermediate
-    stage, which only warm-starts the next, once its squared Newton decrement d
-    is at most _FULL_STEP * t (the full step is taken there), or _PRE_CENTRED * t
-    before the last. A last-stage row returns x plus its Newton step once
-    d <= d* min(t, f_min), f_min its least positive f and d* = (c / (1 + c))^2,
-    c = _CENTRED^(1/4): over min(t, f_min) the objective is self-concordant, so
-    sqrt(d+) <= (sqrt(d) / (1 - sqrt(d)))^2 (Boyd and Vandenberghe, 9.6.4) puts
-    that point within _CENTRED * t. Raises NonConvergenceError when a row needs
-    more than _MAX_STEPS steps, or a step more than _MAX_HALVINGS halvings.
+    inverted, on those rows only (a view of the batch when that is all of them).
+    A step is halved only until rho is positive definite (`_line_search`); the
+    objective itself is never evaluated. A row leaves an intermediate stage,
+    which only warm-starts the next, once its squared Newton decrement d is at
+    most _FULL_STEP * t, or _PRE_CENTRED * t before the last. A last-stage row
+    returns x plus its Newton step once d <= d* min(t, f_min), f_min its least
+    positive f and d* = (c / (1 + c))^2, c = _CENTRED^(1/4): over min(t, f_min)
+    the objective is self-concordant, so sqrt(d+) <= (sqrt(d) / (1 - sqrt(d)))^2
+    (Boyd and Vandenberghe, 9.6.4) puts that point within _CENTRED * t. Raises
+    NonConvergenceError when a row needs more than _MAX_STEPS steps, or a step
+    more than _MAX_HALVINGS halvings.
     """
     out = np.empty_like(freqs)
     rows = np.arange(len(freqs))
@@ -305,16 +291,14 @@ def _barrier_solve(freqs, lowest):
     t = scale * _BARRIER_STAGES[0]
     x = freqs + (t - lowest)[:, None]
     bound = tolerance[stage] * t  # a row's stage is centred once its squared decrement is at most this
-    full_bound = _FULL_STEP * t  # the full Newton step is taken at a squared decrement up to this
     # as in numpy's linalg wrappers, a LAPACK call's floating-point flags warn of nothing: an unusable
     # result is NaN or infinite, and the line search rejects it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        current, factor = _evaluate(freqs, t, x)
+        factor = _factor(x)
         for _ in range(_MAX_STEPS):
             descent, hess, log_det_grad, log_det_hess, c, ratio = _derivatives(freqs, t, factor, x)
             step = _lu_solve(hess, descent, signature="dd->d")
             decrement = np.add.reduce(descent * step, -1)
-            full = decrement <= full_bound  # every centred row too
             centred = decrement <= bound
             if np.logical_or.reduce(centred):
                 moving = centred & (stage < len(_BARRIER_STAGES) - 1)
@@ -331,14 +315,12 @@ def _barrier_solve(freqs, lowest):
                     keep = ~finished
                     if not np.logical_or.reduce(keep):
                         return out
-                    rows, freqs, reach, scale, stage, x, factor, centred, step, decrement, full, current = (
-                        a[keep] for a in (rows, freqs, reach, scale, stage, x, factor, centred, step,
-                                          decrement, full, current))
+                    rows, freqs, reach, scale, stage, x, factor, centred, step = (
+                        a[keep] for a in (rows, freqs, reach, scale, stage, x, factor, centred, step))
                 stage = stage + centred
                 t = scale * _BARRIER_STAGES[stage]
                 bound = tolerance[stage] * np.where(stage == len(_BARRIER_STAGES) - 1, reach, t)
-                full_bound = _FULL_STEP * t
-            x, current, factor = _line_search(freqs, t, x, step, full, current, decrement)
+            x, factor = _line_search(x, step)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
 

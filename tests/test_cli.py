@@ -584,7 +584,7 @@ PRESET_OUTPUT_SHA256 = {
 TOMOGRAPHY_OUTPUT_SHA256 = (
     "43f234578ea1ba8d837e04cc0050db546d8cfc9525149438939ae6ea962153f0",
     "6b85d31172848ece16b16d0fac2b9c730d2869781ebb0b3bd41bc61bddda40c8",
-    "70463e4044c84ef498d09e512c50d65b64351d142c13a0166a6322e1bb6baa33",
+    "5e8c774350784461698202df1a5e4eafa8b587f2d3fa21747c3411c0a52e5c3a",
 )
 
 

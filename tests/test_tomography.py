@@ -515,7 +515,7 @@ def test_barrier_estimates_carry_the_duality_gap_certificate_of_their_last_stage
     # stage has G ~ t rho^-1, so tr(G rho) ~ 4t, and its objective is within that gap of the
     # optimum's (Boyd and Vandenberghe, 11.6). Checked on the estimate's own matrix, not with the
     # solver's derivatives, to bounds far above any BLAS kernel's rounding: here lambda_min(G)
-    # >= 3.6e-10 and tr(G rho) / t reads 3.99993 to 4.0000004 at unit peak
+    # >= 3.6e-10 and tr(G rho) / t reads 3.99993 to 4.000001 at unit peak
     counts = np.stack([rec.counts for rec in unphysical_records()])
     x, _, unphysical = tomography._solve(counts)
     assert unphysical.all()
@@ -542,13 +542,14 @@ def test_estimate_of_a_row_does_not_depend_on_its_batch():
 
 
 def test_barrier_solve_takes_few_newton_steps_and_evaluations(monkeypatch):
-    # one `_derivatives` call per Newton step and one `_evaluate` call per trial point;
-    # the second-order predictor takes a median of 16 steps (at most 21) and 22
-    # evaluations (at most 29) on these records; with a last stage that stopped only
+    # one `_derivatives` call per Newton step and one `_factor` call per trial point;
+    # the second-order predictor takes a median of 17 steps (at most 22) and 22
+    # factorizations (at most 29) on these records, against 16 (21) steps with an Armijo
+    # test on the steps outside the quadratic region; with a last stage that stopped only
     # once centred, a first-order one took 21 (25) steps and 32 (40) evaluations, and
     # centring every stage to the final tolerance 31.5 steps (40)
     steps, evaluations = [], []
-    derivatives, evaluate = tomography._derivatives, tomography._evaluate
+    derivatives, factor = tomography._derivatives, tomography._factor
 
     def counting_steps(*args):
         steps[-1] += 1
@@ -556,10 +557,10 @@ def test_barrier_solve_takes_few_newton_steps_and_evaluations(monkeypatch):
 
     def counting_evaluations(*args):
         evaluations[-1] += 1
-        return evaluate(*args)
+        return factor(*args)
 
     monkeypatch.setattr(tomography, "_derivatives", counting_steps)
-    monkeypatch.setattr(tomography, "_evaluate", counting_evaluations)
+    monkeypatch.setattr(tomography, "_factor", counting_evaluations)
     for rec in unphysical_records():
         steps.append(0)
         evaluations.append(0)
@@ -586,7 +587,7 @@ def test_estimated_spectra_are_those_of_the_reconstructed_states():
     # normalized matrix `reconstruct` returns: the two spectra differ in the last bits only (up
     # to 7 ulp of lambda1 here). The measures' slope in the spectrum reaches about 12 bits per
     # unit of lambda1 (REE at lambda1 = 0.9998, the pure-state records), so the measures differ
-    # by up to 1.5e-14 (REE; I 9.1e-15)
+    # by up to 1.0e-14 (I; REE 8.3e-15)
     rng = np.random.default_rng(62)
     records = unphysical_records()
     for _ in range(20):  # near-pure states
@@ -617,7 +618,7 @@ def test_curvature_matches_central_differences_of_the_newton_matrix():
     t = rng.uniform(1e-4, 1e-1, size=len(x))
 
     def derivatives(point):
-        factor = tomography._evaluate(freqs, t, point)[1]
+        factor = tomography._factor(point)
         return tomography._derivatives(freqs, t, factor, point)
 
     _, hess, log_det_grad, log_det_hess, c, ratio = derivatives(x)
@@ -639,7 +640,7 @@ def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
     lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]  # of the linear inversion
     optimum = tomography._barrier_solve(freqs, lowest)
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    factor = tomography._evaluate(freqs, t, optimum)[1]
+    factor = tomography._factor(optimum)
     descent, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
     newton = np.linalg.solve(hess, descent[..., None])[..., 0]
     decrement = (descent * newton).sum(axis=-1)
@@ -691,7 +692,7 @@ def stop_rule_rows():
 
 def test_barrier_solve_returns_centred_full_rank_estimates_after_its_last_newton_step():
     # a last-stage row returns x plus the Newton step it computed, once the decrement bound
-    # guarantees that point is centred: over these 1,651 rows the worst reads 9.2e-9 t (7.2e-9 t
+    # guarantees that point is centred: over these 1,651 rows the worst reads 9.2e-9 t (7.6e-9 t
     # where f_min < 1e-6), and the bound loosened 4x gives 1.5e-7 t
     freqs, lowest = stop_rule_rows()
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
@@ -700,10 +701,59 @@ def test_barrier_solve_returns_centred_full_rank_estimates_after_its_last_newton
     assert (smallest < t).sum() >= 100  # rows where min(1, f_min / t) binds
     optimum = tomography._barrier_solve(freqs, lowest)
     assert np.linalg.eigvalsh(tomography._matrices(optimum))[:, 0].min() > 0.0
-    factor = tomography._evaluate(freqs, t, optimum)[1]
+    factor = tomography._factor(optimum)
     descent, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
     newton = np.linalg.solve(hess, descent[..., None])[..., 0]
     assert np.all((descent * newton).sum(axis=-1) <= tomography._CENTRED * t)
+
+
+def random_unphysical_rows(seed, candidates):
+    """Unit-peak frequencies of the unphysical ones of `candidates` random records, with the smallest
+    eigenvalue of their linear inversion: states of rank 1-4 with eigenvalue weights spanning 8 decades,
+    10^1-10^15 counts at the peak, and in about a fifth of the records 1-4 settings held at 0-2 counts."""
+    rng = np.random.default_rng(seed)
+    rank = rng.integers(1, 5, candidates)
+    g = rng.normal(size=(candidates, 4, 4)) + 1j * rng.normal(size=(candidates, 4, 4))
+    weights = 10 ** rng.uniform(-8, 0, (candidates, 4)) * (np.arange(4) < rank[:, None])
+    p = np.einsum("kij,rji->rk", STANDARD_PROJECTORS, (g * weights[:, None, :]) @ g.conj().swapaxes(1, 2)).real
+    means = 10 ** rng.uniform(1, 15, (candidates, 1)) * p.clip(0.0) / p.max(axis=-1, keepdims=True)
+    counts = np.where(means < 1e12, rng.poisson(np.minimum(means, 1e12)), np.round(means))
+    held = rng.integers(1, 5, candidates) * (rng.uniform(size=candidates) < 0.2)
+    mask = rng.permuted(np.tile(np.arange(16), (candidates, 1)), axis=1) < held[:, None]
+    counts[mask] = rng.integers(0, 3, mask.sum())
+    freqs = counts / counts.max(axis=-1, keepdims=True)
+    lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]
+    return freqs[lowest < 0.0], lowest[lowest < 0.0]
+
+
+def test_barrier_solve_converges_on_random_unphysical_rows_in_one_batch(monkeypatch):
+    # a step backs off only to keep rho positive definite, with no descent test: every row of a
+    # 2,000-row batch must still converge to a full-rank estimate with the last stage's duality-gap
+    # certificate (see test_barrier_estimates_carry_the_duality_gap_certificate_of_their_last_stage).
+    # The batch takes as many Newton iterations as its slowest row: 40 here (38 with an Armijo
+    # test on steps outside the quadratic region); the bound leaves a margin of 8, 20%
+    freqs, lowest = random_unphysical_rows(43, 2400)
+    assert len(freqs) >= 2000
+    assert (freqs == 0.0).any(axis=-1).sum() >= 100  # settings held at 0 counts
+    iterations = []
+    derivatives = tomography._derivatives
+
+    def counting(*args):
+        iterations.append(len(args[-1]))
+        return derivatives(*args)
+
+    monkeypatch.setattr(tomography, "_derivatives", counting)
+    x = tomography._barrier_solve(freqs, lowest)
+    assert len(iterations) <= 48
+    assert np.all(x > 0.0)
+    rho = tomography._matrices(x)
+    assert np.isfinite(np.linalg.cholesky(rho)).all()  # LinAlgError unless every rho is positive definite
+    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
+    q = np.einsum("kij,rji->rk", STANDARD_PROJECTORS, rho).real
+    g = np.einsum("rk,kij->rij", 1.0 - freqs / q, STANDARD_PROJECTORS)
+    assert np.linalg.eigvalsh(g)[:, 0].min() >= -1e-12
+    gap = np.einsum("rij,rji->r", g, rho).real
+    assert np.all(np.abs(gap / t - 4.0) <= 1e-3)
 
 
 def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
@@ -750,7 +800,7 @@ def test_apply_gives_a_row_alone_the_bits_it_has_in_a_batch():
 
 
 def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeypatch):
-    # `_evaluate`, the Newton step and the spectra call numpy's private LAPACK gufuncs, skipping
+    # `_factor`, the Newton step and the spectra call numpy's private LAPACK gufuncs, skipping
     # the public wrappers' per-call cost: a numpy whose gufuncs stop matching np.linalg.cholesky,
     # np.linalg.inv, np.linalg.solve and np.linalg.eigvalsh fails here by name, not only through
     # the SHA-256 pins
@@ -800,44 +850,13 @@ def test_a_spectrum_lapack_cannot_compute_ends_in_non_convergence(monkeypatch):
         reconstruct(record)
 
 
-def test_evaluate_takes_log_det_as_one_log_of_the_squared_diagonal_product(monkeypatch):
-    # `_evaluate` takes log det rho as one log of (prod_i L_ii)^2: on every point the barrier
-    # evaluates, its objective matches one built from np.linalg.slogdet, and a point LAPACK
-    # factors gets a finite objective, so the product neither underflows nor overflows; checked
-    # on `unphysical_records()` and on a pure-state record at 10^15 counts with a setting at 0
-    evaluate, points = tomography._evaluate, []
-
-    def recording(freqs, t, x):
-        objective, factor = evaluate(freqs, t, x)
-        points.append(copy.deepcopy((freqs, t, x, objective, factor)))
-        return objective, factor
-
-    records = unphysical_records()
-    counts = np.round(1e15 * probabilities(evolve_state(1.0, 1.0)))
-    counts[0] = 0.0
-    records.append(TomographyRecord(counts))
-    monkeypatch.setattr(tomography, "_evaluate", recording)
-    for record in records:
-        reconstruct(record)
-    factored = 0
-    for freqs, t, x, objective, factor in points:
-        ok = np.isfinite(factor).all(axis=(1, 2))
-        assert np.array_equal(np.isfinite(objective), ok)
-        sign, log_det = np.linalg.slogdet(tomography._matrices(x[ok]))
-        assert np.all(sign.real > 0.0)  # a complex sign of modulus 1: LU leaves it up to 2e-11 off 1 here
-        expected = np.sum(x[ok] - freqs[ok] * np.log(x[ok]), axis=-1) - t[ok] * log_det
-        assert np.all(np.abs(objective[ok] - expected) <= 1e-12 * np.abs(expected))  # 1.5e-16 here
-        factored += ok.sum()
-    assert factored >= 400  # 416 factored rows; log det rho reaches -61 here, far from the limits
-
-
 def test_line_search_halves_rejected_steps_and_raises_past_its_limit(monkeypatch):
-    # a solve evaluates its start and the first trial of every step but the last, so it
-    # makes one `_evaluate` call per Newton step and one per halving: every record here
+    # a solve factors its start and the first trial of every step but the last, so it
+    # makes one `_factor` call per Newton step and one per halving: every record here
     # halves some step, so the mixed-batch test solves halved rows beside unhalved ones
     records = unphysical_records()
     steps, evaluations = [], []
-    derivatives, evaluate = tomography._derivatives, tomography._evaluate
+    derivatives, factor = tomography._derivatives, tomography._factor
 
     def counting_steps(*args):
         steps[-1] += 1
@@ -845,10 +864,10 @@ def test_line_search_halves_rejected_steps_and_raises_past_its_limit(monkeypatch
 
     def counting_evaluations(*args):
         evaluations[-1] += 1
-        return evaluate(*args)
+        return factor(*args)
 
     monkeypatch.setattr(tomography, "_derivatives", counting_steps)
-    monkeypatch.setattr(tomography, "_evaluate", counting_evaluations)
+    monkeypatch.setattr(tomography, "_factor", counting_evaluations)
     for rec in records:
         steps.append(0)
         evaluations.append(0)
