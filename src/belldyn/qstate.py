@@ -9,12 +9,18 @@ Every function here is pure; nothing is mutated in place.
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InvalidStateError
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+#: the LAPACK gufunc behind np.linalg.eigvalsh, called directly by the state check and the estimator
+#: (same routine and dtype, so the same bits, without the wrapper's per-call cost); an eigensolve
+#: LAPACK fails on gives NaN, not LinAlgError, and each caller rejects a NaN spectrum
+_eigvalsh = _umath_linalg.eigvalsh_lo
+
 
 def shannon_bits(p: np.ndarray) -> float:
     """Shannon entropy -sum p log2 p of one probability vector, with 0 log 0 = 0.
@@ -65,15 +71,15 @@ def _checked_eigenvalues(state) -> np.ndarray:
     rho = np.asarray(state, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
+    if np.count_nonzero(np.isfinite(rho)) < rho.size:
         raise InvalidStateError("matrix has a non-finite entry")
-    if not np.abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0) <= HERMITICITY_TOL:
+    if not np.maximum.reduce(np.abs(rho - rho.conj().swapaxes(-1, -2)), axis=None, initial=0.0) <= HERMITICITY_TOL:
         raise InvalidStateError("matrix is not Hermitian within 1e-12")
-    w = np.linalg.eigvalsh(rho)
-    lowest = w.min(initial=0.0)
-    if lowest < EIGENVALUE_FLOOR:
+    w = _eigvalsh(rho, signature="D->d")
+    lowest = np.minimum.reduce(w, axis=None, initial=0.0)
+    if not lowest >= EIGENVALUE_FLOOR:  # NaN too: a spectrum LAPACK failed on
         raise InvalidStateError(f"eigenvalue {lowest} below the {EIGENVALUE_FLOOR} floor")
-    if (w.max(axis=-1, initial=0.0) <= 0.0).any():  # no positive eigenvalue: a zero sum once clipped
+    if np.count_nonzero(np.maximum.reduce(w, axis=-1, initial=0.0) <= 0.0):  # no positive eigenvalue: a zero sum once clipped
         raise InvalidStateError("eigenvalues sum to zero")
     return w
 
@@ -84,10 +90,10 @@ def eigenvalues_sorted(state) -> np.ndarray:
     The eigenvalues lie along the last axis. Negative values above the -1e-10
     floor are clipped to zero and each vector renormalized to unit sum; a
     non-finite entry, an entry of rho - rho^H beyond 1e-12, values below the
-    floor or a zero sum raise InvalidStateError. An empty stack gives an empty
-    stack of vectors. No run path calls it: `simulate_counts` and the oracles
-    check a state with `validate_state`, which shares these checks
-    (`_checked_eigenvalues`).
+    floor (or NaN, from an eigensolve LAPACK failed on) or a zero sum raise
+    InvalidStateError. An empty stack gives an empty stack of vectors. No run
+    path calls it: `simulate_counts` and the oracles check a state with
+    `validate_state`, which shares these checks (`_checked_eigenvalues`).
     """
     w = np.clip(_checked_eigenvalues(state)[..., ::-1], 0.0, None)
     return w / w.sum(axis=-1, keepdims=True)

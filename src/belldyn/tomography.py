@@ -31,7 +31,7 @@ from numpy.linalg import _umath_linalg
 from .config import MAX_TOMO_COUNTS, _holds, _integer_in, _real_array
 from .correlations import _checked_pair, unchecked_bell_correlations
 from .errors import NonConvergenceError, TomographyInputError
-from .qstate import validate_state
+from .qstate import _eigvalsh, validate_state
 
 _KET = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -87,7 +87,7 @@ def _checked_counts(values) -> np.ndarray:
     if counts is None or counts.shape != (len(STANDARD_LABELS),):
         raise TomographyInputError(f"counts must be 16 values, each a real number, got {values!r}")
     ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
-    if not ok.all():
+    if np.count_nonzero(ok) < len(ok):
         raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
     counts.flags.writeable = False
     return counts
@@ -156,11 +156,13 @@ def _apply(matrix: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 #: rho = sum_k x_k D_k (the settings are informationally complete)
 _DUAL = np.linalg.inv(STANDARD_PROJECTORS.reshape(16, 16)).T.reshape(16, 4, 4)  # each D_k transposed
 _DUAL = (0.5 * (_DUAL.swapaxes(1, 2) + _DUAL.conj())).reshape(16, 16)
+#: rho = _DUAL_T @ x: `_DUAL.T`, the same transposed view of `_DUAL` for every product, built once
+_DUAL_T = _DUAL.T
 
 
 def _matrices(x: np.ndarray) -> np.ndarray:
     """The 4x4 Hermitian matrices sum_k x_k D_k, one per row of coordinates x."""
-    return _apply(_DUAL.T, x).reshape(-1, 4, 4)
+    return _apply(_DUAL_T, x).reshape(-1, 4, 4)
 
 
 #: barrier weight over the total frequency, one value per stage; the last, t, puts an estimate
@@ -174,20 +176,22 @@ _CENTRED = 1e-8
 _FULL_STEP = 0.25
 #: the stage before the last is centred to this times t before the predictor enters the last
 _PRE_CENTRED = 1e-2
+#: each stage's bound on the squared decrement, over t (over min(t, f_min) in the last; `_barrier_solve`)
+_TOLERANCE = np.array([_FULL_STEP] * (len(_BARRIER_STAGES) - 2)
+                      + [_PRE_CENTRED, (_CENTRED ** 0.25 / (1.0 + _CENTRED ** 0.25)) ** 2])
 #: limits of one solve; a row took at most 35 steps (median 18) and a step at most 7 halvings
 #: over 1,651 unphysical near-pure records at 10^2-10^15 counts, and at most 42 steps (median 20)
 #: over 12,000 random unphysical records of ranks 1-4 at 10^1-10^15 counts
 _MAX_STEPS = 200
 _MAX_HALVINGS = 60
-#: the LAPACK gufuncs behind np.linalg.cholesky, np.linalg.inv, np.linalg.solve and np.linalg.eigvalsh,
-#: called directly in every Newton step and spectrum: the wrappers' dtype dispatch, errstate and result
-#: wrapping cost a third to half of a 1-row call. Same routines and dtypes, so the same bits; a failed
-#: factorization, solve or eigensolve gives NaN rows, not LinAlgError: the line search rejects them, and
-#: `_solve` sends a NaN spectrum's row to the barrier, so each ends in NonConvergenceError
+#: the LAPACK gufuncs behind np.linalg.cholesky, np.linalg.inv and np.linalg.solve (and, from `qstate`,
+#: np.linalg.eigvalsh), called directly in every Newton step and spectrum: the wrappers' dtype dispatch,
+#: errstate and result wrapping cost a third to half of a 1-row call. Same routines and dtypes, so the
+#: same bits; a failed factorization, solve or eigensolve gives NaN rows, not LinAlgError: the line search
+#: rejects them, and `_solve` sends a NaN spectrum's row to the barrier, so each ends in NonConvergenceError
 _cholesky = _umath_linalg.cholesky_lo
 _inv = _umath_linalg.inv
 _lu_solve = _umath_linalg.solve1
-_eigvalsh = _umath_linalg.eigvalsh_lo
 #: picks tr C_j out of C_j's real row of 32 (`_derivatives`): the real parts of its diagonal, at 0, 10, 20, 30
 _TRACE = np.zeros(32)
 _TRACE[::10] = 1.0
@@ -196,11 +200,12 @@ _TRACE[::10] = 1.0
 def _factor(x):
     """The Cholesky factor L of rho = sum_k x_k D_k = L L^H, lower triangular, one per row of
     coordinates x. LAPACK factors rho only if it is positive definite; otherwise L is NaN."""
-    return _cholesky((_DUAL.T @ x[:, :, None]).reshape(-1, 4, 4), signature="D->D")
+    return _cholesky((_DUAL_T @ x[:, :, None]).reshape(-1, 4, 4), signature="D->D")
 
 
 def _derivatives(freqs, t, factor, x):
-    """Descent (minus the gradient) and Hessian of the barrier objective, and the pieces they are built from.
+    """Descent (minus the gradient) and Hessian of the barrier objective, and the pieces they are built from;
+    t is each row's barrier weight, as a column (rows x 1).
 
     With rho = L L^H (`_factor`), U = L^-H and C_j = U^H D_j U,
     tr(rho^-1 D_j) = tr C_j and K_ij = tr(rho^-1 D_i rho^-1 D_j) = tr(C_i C_j):
@@ -217,9 +222,9 @@ def _derivatives(freqs, t, factor, x):
     log_det_grad = c @ _TRACE
     log_det_hess = c @ c.swapaxes(1, 2)
     ratio = freqs / x
-    hess = t[:, None, None] * log_det_hess
+    hess = t[..., None] * log_det_hess
     hess.reshape(-1, 256)[:, ::17] += ratio / x  # the diagonal, as a strided view
-    return ratio - 1.0 + t[:, None] * log_det_grad, hess, log_det_grad, log_det_hess, c, ratio
+    return ratio - 1.0 + t * log_det_grad, hess, log_det_grad, log_det_hess, c, ratio
 
 
 def _curvature(ratio, t, x, hess, tangent, log_det_hess, c):
@@ -229,12 +234,12 @@ def _curvature(ratio, t, x, hess, tangent, log_det_hess, c):
     = sum_i x'_i C_i, D^3 phi[x', x']_j = -2 f_j x'_j^2 / x_j^3 - 2t tr(Y^2 C_j), so
     x'' / 2 = -H^-1 (K x' - (f / x) (x' / x)^2 - t tr(Y^2 C)) from the f / x (`ratio`)
     of `_derivatives`, with no x^3 to overflow (halving is exact, so these are the bits of
-    x'' halved). H^-1 is applied by an LU solve with the Newton matrix H, which is never
-    inverted.
+    x'' halved); t is a column, as `_derivatives` takes it. H^-1 is applied by an LU solve
+    with the Newton matrix H, which is never inverted.
     """
     y = (tangent[:, None, :] @ c).view(complex).reshape(-1, 4, 4)
     rhs = _apply(log_det_hess, tangent) - (ratio * (tangent / x) ** 2
-                                           + t[:, None] * _apply(c, (y @ y).view(float).reshape(-1, 32)))
+                                           + t * _apply(c, (y @ y).view(float).reshape(-1, 32)))
     return -_lu_solve(hess, rhs, signature="dd->d")
 
 
@@ -245,16 +250,16 @@ def _line_search(x, step):
     and _MAX_STEPS bounds a row elsewhere. rho > 0 keeps every x_k = tr(P_k rho) > 0. A halving
     factors the rows still pending, through a view of the whole batch when that is all of them."""
     point = x + step
-    factor = _factor(point)
-    pending, halving = (~np.isfinite(factor).all(axis=(1, 2))).nonzero()[0], 0
-    while pending.size:
+    factor = trial_factor = _factor(point)
+    halving = 0
+    while np.count_nonzero(np.isfinite(trial_factor)) < trial_factor.size:  # a trial LAPACK could not factor
         halving += 1
         if halving > _MAX_HALVINGS:
             raise NonConvergenceError(f"barrier line search found no acceptable step in {_MAX_HALVINGS} halvings")
+        pending = (~np.logical_and.reduce(np.isfinite(factor), axis=(1, 2))).nonzero()[0]
         rows = pending if len(pending) < len(x) else slice(None)
         point[rows] = trial = x[rows] + 0.5 ** halving * step[rows]
         factor[rows] = trial_factor = _factor(trial)  # a rejected row is overwritten by a later halving
-        pending = pending[~np.isfinite(trial_factor).all(axis=(1, 2))]
     return point, factor
 
 
@@ -282,15 +287,13 @@ def _barrier_solve(freqs, lowest):
     """
     out = np.empty_like(freqs)
     rows = np.arange(len(freqs))
-    scale = freqs.sum(axis=-1)
+    scale = np.add.reduce(freqs, -1)
     # min(t, f_min) of the last stage
-    reach = np.minimum(scale * _BARRIER_STAGES[-1], np.where(freqs > 0.0, freqs, np.inf).min(axis=-1))
+    reach = np.minimum(scale * _BARRIER_STAGES[-1], np.minimum.reduce(np.where(freqs > 0.0, freqs, np.inf), -1))
     stage = np.zeros(len(freqs), dtype=int)
-    tolerance = np.array([_FULL_STEP] * (len(_BARRIER_STAGES) - 2)
-                         + [_PRE_CENTRED, (_CENTRED ** 0.25 / (1.0 + _CENTRED ** 0.25)) ** 2])
-    t = scale * _BARRIER_STAGES[0]
-    x = freqs + (t - lowest)[:, None]
-    bound = tolerance[stage] * t  # a row's stage is centred once its squared decrement is at most this
+    t = (scale * _BARRIER_STAGES[0])[:, None]  # a column, as `_derivatives` and `_curvature` take it
+    x = freqs + (t - lowest[:, None])
+    bound = _TOLERANCE[stage] * t[:, 0]  # a row's stage is centred once its squared decrement is at most this
     # as in numpy's linalg wrappers, a LAPACK call's floating-point flags warn of nothing: an unusable
     # result is NaN or infinite, and the line search rejects it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -300,26 +303,29 @@ def _barrier_solve(freqs, lowest):
             step = _lu_solve(hess, descent, signature="dd->d")
             decrement = np.add.reduce(descent * step, -1)
             centred = decrement <= bound
-            if np.logical_or.reduce(centred):
+            if np.count_nonzero(centred):
                 moving = centred & (stage < len(_BARRIER_STAGES) - 1)
-                if np.logical_or.reduce(moving):
+                movers = np.count_nonzero(moving)
+                if movers:
                     # the predictor runs on these rows only, as a view of the batch when that is all of them
-                    m = slice(None) if np.logical_and.reduce(moving) else moving.nonzero()[0]
-                    dt = (scale[m] * _BARRIER_STAGES[stage[m] + 1] - t[m])[:, None]
-                    tangent = _lu_solve(hess[m], log_det_grad[m], signature="dd->d")
-                    half_curvature = _curvature(ratio[m], t[m], x[m], hess[m], tangent, log_det_hess[m], c[m])
+                    m = slice(None) if movers == len(moving) else moving.nonzero()[0]
+                    dt = (scale[m] * _BARRIER_STAGES[stage[m] + 1])[:, None] - t[m]
+                    newton = hess[m]
+                    tangent = _lu_solve(newton, log_det_grad[m], signature="dd->d")
+                    half_curvature = _curvature(ratio[m], t[m], x[m], newton, tangent, log_det_hess[m], c[m])
                     step[m] = dt * (tangent + dt * half_curvature)
                 finished = centred & ~moving
-                if np.logical_or.reduce(finished):
+                done = np.count_nonzero(finished)
+                if done:
                     out[rows[finished]] = x[finished] + step[finished]
-                    keep = ~finished
-                    if not np.logical_or.reduce(keep):
+                    if done == len(finished):
                         return out
+                    keep = ~finished
                     rows, freqs, reach, scale, stage, x, factor, centred, step = (
                         a[keep] for a in (rows, freqs, reach, scale, stage, x, factor, centred, step))
                 stage = stage + centred
-                t = scale * _BARRIER_STAGES[stage]
-                bound = tolerance[stage] * np.where(stage == len(_BARRIER_STAGES) - 1, reach, t)
+                t = (scale * _BARRIER_STAGES[stage])[:, None]
+                bound = _TOLERANCE[stage] * np.where(stage == len(_BARRIER_STAGES) - 1, reach, t[:, 0])
             x, factor = _line_search(x, step)
     raise NonConvergenceError(f"barrier Newton solve not converged in {_MAX_STEPS} steps")
 
@@ -330,14 +336,16 @@ def _solve(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that inversion (the row's spectrum is then the inversion's, not the estimate's)."""
     # the estimator is scale-equivariant: at unit peak, any finite scale of a row solves alike
     # (a row's total can overflow where its peak cannot)
-    peak = counts.max(axis=-1, keepdims=True)
-    x = counts / np.where(peak > 0.0, peak, 1.0)  # unit-peak frequencies: the linear inversion
+    peak = np.maximum.reduce(counts, -1, keepdims=True)
+    counted = peak > 0.0  # a row of nonnegative counts has none unless its peak is positive
+    x = counts / np.where(counted, peak, 1.0)  # unit-peak frequencies: the linear inversion
     spectra = _eigvalsh(_matrices(x), signature="D->d")[:, ::-1]
     unphysical = ~(spectra[:, 3] >= 0.0)  # NaN too, a spectrum LAPACK failed on: the barrier then raises
-    if unphysical.any():
+    if np.count_nonzero(unphysical):
         x[unphysical] = _barrier_solve(x[unphysical], spectra[unphysical, 3])
-    empty = ~counts.any(axis=-1)
-    x[empty] = spectra[empty] = 0.25  # no counts: the maximally mixed state, by rule
+    if np.count_nonzero(counted) < len(counted):
+        empty = ~counted[:, 0]
+        x[empty] = spectra[empty] = 0.25  # no counts: the maximally mixed state, by rule
     return x, spectra, unphysical
 
 
@@ -345,9 +353,9 @@ def _estimate(counts) -> tuple[np.ndarray, np.ndarray]:
     """Normalized extended-likelihood estimates of rows of counts (see `reconstruct`): each row's 16
     coordinates and its spectrum, largest first, both divided by the trace."""
     x, spectra, unphysical = _solve(counts)
-    if unphysical.any():
+    if np.count_nonzero(unphysical):
         spectra[unphysical] = _eigvalsh(_matrices(x[unphysical]), signature="D->d")[:, ::-1]
-    trace = x[:, :4].sum(axis=-1, keepdims=True)
+    trace = np.add.reduce(x[:, :4], -1, keepdims=True)
     return x / trace, spectra / trace
 
 
@@ -369,7 +377,7 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     NonConvergenceError if the solve fails.
     """
     x = _solve(record.counts[None])[0]
-    return _matrices(x / x[:, :4].sum(axis=-1, keepdims=True))[0]
+    return _matrices(x / np.add.reduce(x[:, :4], -1, keepdims=True))[0]
 
 
 BOOTSTRAP_KEYS = ("I", "C", "Q", "REE", "lambda1", "lambda2", "lambda3", "lambda4")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from belldyn import oracle
+from belldyn import oracle, qstate
 from belldyn.correlations import (
     bell_correlations,
     classical_correlation_bell,
@@ -468,15 +468,18 @@ def test_q_then_c_on_one_matrix_checks_it_once(monkeypatch):
 
 
 def test_q_then_c_on_one_matrix_solves_its_eigenvalues_once(monkeypatch):
-    # S(rho) comes from the eigenvalues of the state check, not from a second eigensolve
+    # S(rho) comes from the eigenvalues of the state check, not from a second eigensolve; the
+    # check calls the LAPACK gufunc `qstate._eigvalsh`, so both it and the public wrapper are counted
     calls = []
-    eigvalsh = np.linalg.eigvalsh
 
-    def spy(matrix, *args, **kwargs):
-        calls.append(matrix)
-        return eigvalsh(matrix, *args, **kwargs)
+    def spying(eigvalsh):
+        def spy(matrix, *args, **kwargs):
+            calls.append(matrix)
+            return eigvalsh(matrix, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spying(np.linalg.eigvalsh))
+    monkeypatch.setattr(qstate, "_eigvalsh", spying(qstate._eigvalsh))
     rho = _random_rotated_state(np.random.default_rng(30))
     oracle._minimizing_basis.cache_clear()
     oracle_quantum_correlation(rho)

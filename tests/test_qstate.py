@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from belldyn import oracle, qstate
 from belldyn.correlations import bell_correlations
 from belldyn.errors import InvalidStateError
 from belldyn.qstate import (
@@ -10,6 +13,7 @@ from belldyn.qstate import (
     validate_state,
 )
 from belldyn.dephasing import evolve_state
+from belldyn.tomography import simulate_counts
 
 from conftest import random_density_matrix
 
@@ -66,6 +70,43 @@ def test_validate_state_returns_the_matrix_and_its_unclipped_eigenvalues():
     # roundoff above the floor stays negative, in ascending order
     w = validate_state(np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]))[1]
     np.testing.assert_array_equal(w, [-5e-11, 0.0, 0.0, 1.0 + 5e-11])
+
+
+def test_the_state_check_gives_the_bits_of_numpys_public_eigvalsh(monkeypatch):
+    # the check calls the LAPACK gufunc behind np.linalg.eigvalsh directly; a numpy whose gufunc
+    # stopped matching the wrapper would fail here by name, on pure, near-pure and mixed states
+    rng = np.random.default_rng(44)
+    phases = np.exp(2j * np.pi * rng.uniform(size=(6, 2)))
+    states = [evolve_state(1.0, 1.0), evolve_state(1.0, -1.0)]  # pure
+    states += [evolve_state(*(rng.uniform(0.95, 1.0, 2) * p)) for p in phases]  # near-pure, |kappa| >= 0.95
+    states += [random_density_matrix(rng, rank=rank) for rank in (1, 2, 3, 4, 4)]  # pure to mixed
+    calls = []
+    eigvalsh = qstate._eigvalsh
+
+    def recording(matrix, signature):
+        calls.append(eigvalsh(matrix, signature=signature))
+        return calls[-1]
+
+    monkeypatch.setattr(qstate, "_eigvalsh", recording)
+    for rho in states:
+        w = validate_state(rho)[1]
+        assert len(calls) == 1 and calls.pop() is w  # the check's one eigensolve is the direct call
+        public = np.linalg.eigvalsh(rho)
+        assert w.dtype == public.dtype and w.tobytes() == public.tobytes()
+
+
+def test_a_spectrum_lapack_cannot_compute_fails_the_state_check(monkeypatch):
+    # the direct gufunc gives NaN where np.linalg.eigvalsh would raise LinAlgError; NaN fails
+    # the floor test, so such a state is rejected where it enters, not passed on
+    rho = evolve_state(0.607, 0.385)
+    monkeypatch.setattr(qstate, "_eigvalsh", lambda matrix, signature: np.full(matrix.shape[:-1], math.nan))
+    oracle._minimizing_basis.cache_clear()
+    with pytest.raises(InvalidStateError, match="below the"):
+        simulate_counts(rho, 10**4, 0)
+    with pytest.raises(InvalidStateError, match="below the"):
+        oracle.oracle_quantum_correlation(rho)
+    with pytest.raises(InvalidStateError, match="below the"):
+        eigenvalues_sorted(np.stack([rho, rho]))
 
 
 def test_eigenvalues_sorted_mixed():

@@ -619,7 +619,7 @@ def test_curvature_matches_central_differences_of_the_newton_matrix():
 
     def derivatives(point):
         factor = tomography._factor(point)
-        return tomography._derivatives(freqs, t, factor, point)
+        return tomography._derivatives(freqs, t[:, None], factor, point)
 
     _, hess, log_det_grad, log_det_hess, c, ratio = derivatives(x)
     tangent = tomography._lu_solve(hess, log_det_grad, signature="dd->d")
@@ -628,7 +628,7 @@ def test_curvature_matches_central_differences_of_the_newton_matrix():
     dhess = derivatives(x + h * tangent)[1] - derivatives(x - h * tangent)[1]
     third = (dhess @ tangent[..., None])[..., 0] / (2.0 * h)
     expected = -np.linalg.solve(hess, 2.0 * log_det_hess @ tangent[..., None] + third[..., None])[..., 0]
-    curvature = 2.0 * tomography._curvature(ratio, t, x, hess, tangent, log_det_hess, c)  # of x'' / 2
+    curvature = 2.0 * tomography._curvature(ratio, t[:, None], x, hess, tangent, log_det_hess, c)  # of x'' / 2
     scale = np.abs(expected).max(axis=-1, keepdims=True)
     assert np.all(np.abs(curvature - expected) <= 1e-6 * scale)
     assert np.all(scale > 0.0)
@@ -641,7 +641,7 @@ def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
     optimum = tomography._barrier_solve(freqs, lowest)
     t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
     factor = tomography._factor(optimum)
-    descent, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
+    descent, hess, *_ = tomography._derivatives(freqs, t[:, None], factor, optimum)
     newton = np.linalg.solve(hess, descent[..., None])[..., 0]
     decrement = (descent * newton).sum(axis=-1)
     assert np.all(decrement <= tomography._CENTRED * t)
@@ -702,7 +702,7 @@ def test_barrier_solve_returns_centred_full_rank_estimates_after_its_last_newton
     optimum = tomography._barrier_solve(freqs, lowest)
     assert np.linalg.eigvalsh(tomography._matrices(optimum))[:, 0].min() > 0.0
     factor = tomography._factor(optimum)
-    descent, hess, *_ = tomography._derivatives(freqs, t, factor, optimum)
+    descent, hess, *_ = tomography._derivatives(freqs, t[:, None], factor, optimum)
     newton = np.linalg.solve(hess, descent[..., None])[..., 0]
     assert np.all((descent * newton).sum(axis=-1) <= tomography._CENTRED * t)
 
