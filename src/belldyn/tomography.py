@@ -417,13 +417,11 @@ def _bootstrap(counts, resamples, seeds) -> tuple[np.ndarray, np.ndarray]:
 
 def simulate_dephased(kappa_a, kappa_b, tomo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (n, 16) counts and (n, 8) values and errors of tomography of `evolve_state` of each pair of the
-    broadcast kappas (C order), per `config.TomographySettings`. Row i's seed prefix is [tomo.seed] for one
-    pair of numbers, else [tomo.seed, i]; its counts, linear in its kappas, are those `simulate_counts` draws
-    from its state with seed words [*prefix, 0], and `_bootstrap` resamples them from [*prefix, 1]. A bad
-    kappa, or a pair that does not broadcast, raises InvalidStateError as in `bell_eigenvalues_from_kappas`;
-    a pair that broadcasts to no rows, TomographyInputError."""
+    broadcast kappas (C order), per `config.TomographySettings`; a pair of numbers is one row. Row i's
+    counts, linear in its kappas, are those `simulate_counts` draws from its state with seed words
+    [tomo.seed, i, 0], and `_bootstrap` resamples them from [tomo.seed, i, 1]. A bad kappa, or a pair that
+    does not broadcast, raises InvalidStateError as in `bell_eigenvalues_from_kappas`; a pair that
+    broadcasts to no rows, TomographyInputError."""
     means = tomo.n_per_setting * _dephased_probabilities(kappa_a, kappa_b)
-    one_pair = np.ndim(kappa_a) == np.ndim(kappa_b) == 0  # else a series, even of one row
-    prefixes = [[tomo.seed]] if one_pair else [[tomo.seed, i] for i in range(len(means))]
-    counts = np.stack([_draw(row, [*prefix, 0]) for row, prefix in zip(means, prefixes)])
-    return (counts, *_bootstrap(counts, tomo.resamples, [[*prefix, 1] for prefix in prefixes]))
+    counts = np.stack([_draw(row, [tomo.seed, i, 0]) for i, row in enumerate(means)])
+    return (counts, *_bootstrap(counts, tomo.resamples, [[tomo.seed, i, 1] for i in range(len(means))]))

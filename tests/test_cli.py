@@ -519,17 +519,34 @@ def test_run_draws_the_counts_simulate_counts_draws_from_each_state(monkeypatch,
 
 
 @pytest.mark.parametrize("kappa_a, kappa_b, counts, seed",
-                         [(0.98, 0.99, 10**4, 3), (0.607, -0.385, 2000, 0), (1.0, 0.0, 50, 2**40)])
+                         [(0.98, 0.99, 10**4, 3), (0.607, -0.385, 2000, 0), (1.0, 0.0, 50, 2**40),
+                          (0.3, 0.9, 5000, 2**64 + 1)])
 def test_tomo_demo_prints_the_counts_simulate_counts_draws_from_the_state(capsys, kappa_a, kappa_b,
                                                                          counts, seed):
-    # the demo and `run` share one seed rule: the demo's prefix is [seed], so its counts come
-    # from [seed, 0], the same stream as [seed] since SeedSequence pads its words with zeros
+    # the demo and `run` share one seed rule: the demo is row 0, so its counts come from the
+    # seed words [seed, 0, 0] at any seed, 2**64 + 1 (more than two 32-bit words) included
     assert main(["tomo-demo", "--kappa-a", str(kappa_a), "--kappa-b", str(kappa_b),
                  "--counts", str(counts), "--seed", str(seed)]) == 0
     printed = capsys.readouterr().out.split("\n\n")[0].splitlines()[1:]
-    expected = simulate_counts(dephasing.evolve_state(kappa_a, kappa_b), counts, [seed])
+    expected = simulate_counts(dephasing.evolve_state(kappa_a, kappa_b), counts, [seed, 0, 0])
     assert printed == [f"{label},{int(count)}" for label, count in zip(tomography.STANDARD_LABELS,
                                                                          expected.counts)]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**40, 2**64 + 1])
+def test_tomo_demo_prints_row_0_of_the_one_pair_series(capsys, seed):
+    # one seed rule for every row: the demo's counts, estimates and errors are those of
+    # `simulate_dephased` of the one-element series under the demo's settings
+    assert main(["tomo-demo", "--kappa-a", "0.98", "--kappa-b", "0.99",
+                 "--counts", "2000", "--seed", str(seed)]) == 0
+    block, table = capsys.readouterr().out.split("\n\n")
+    tomo = TomographySettings(n_per_setting=2000, seed=seed)
+    (counts,), (values,), (errors,) = tomography.simulate_dephased([0.98], [0.99], tomo)
+    assert block.splitlines()[1:] == [f"{label},{int(count)}"
+                                      for label, count in zip(tomography.STANDARD_LABELS, counts)]
+    rows = [line.split() for line in table.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(tomography.BOOTSTRAP_KEYS)
+    assert [row[2:] for row in rows] == [[f"{v:.6f}", f"{e:.6f}"] for v, e in zip(values, errors)]
 
 
 def test_tomo_demo_prints_its_counts_as_setting_count_lines(capsys):
@@ -554,13 +571,13 @@ def test_main_tomo_demo_output_is_pinned(capsys):
         "DD,2529\nDL,2470\nLH,2572\nLD,2496\nLL,4900\nLV,2523\nVL,2454\nVD,22\n"
         "\n"
         "quantity         true  reconstructed      error\n"
-        "I            1.873792       1.900106   0.036140\n"
-        "C            0.954585       0.980749   0.014385\n"
-        "Q            0.919207       0.919358   0.033873\n"
-        "REE          0.887941       0.907446   0.034260\n"
-        "lambda1      0.985050       0.988192   0.005733\n"
-        "lambda2      0.009950       0.009981   0.005613\n"
-        "lambda3      0.004950       0.001827   0.001542\n"
+        "I            1.873792       1.900106   0.033351\n"
+        "C            0.954585       0.980749   0.011966\n"
+        "Q            0.919207       0.919358   0.031494\n"
+        "REE          0.887941       0.907446   0.031964\n"
+        "lambda1      0.985050       0.988192   0.005244\n"
+        "lambda2      0.009950       0.009981   0.005142\n"
+        "lambda3      0.004950       0.001827   0.001247\n"
         "lambda4      0.000050       0.000000   0.000000\n"
     )
 

@@ -181,15 +181,15 @@ def test_simulate_dephased_checks_and_clips_each_kappa_as_evolve_state_does(monk
 @given(shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=2, max_side=3),
        seed=st.integers(0, 2**32))
 def test_simulate_dephased_seeds_each_row_from_the_settings_seed(shapes, seed):
-    # a pair of numbers is one state with prefix [seed]; any other shape is a series whose
-    # row i, in C order, has prefix [seed, i]; counts come from [*prefix, 0], resamples from [*prefix, 1]
+    # row i, in C order, has prefix [seed, i], a pair of numbers being one row; counts come
+    # from [*prefix, 0], resamples from [*prefix, 1]
     rng = np.random.default_rng(seed)
     kappa_a, kappa_b = (rng.uniform(0.0, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
                         for shape in shapes.input_shapes)  # 0-d shapes give numbers
     tomo = TomographySettings(n_per_setting=200, resamples=2, seed=seed)
     counts, values, errors = tomography.simulate_dephased(kappa_a, kappa_b, tomo)
     pairs = np.broadcast_arrays(kappa_a, kappa_b)
-    prefixes = [[seed]] if shapes.result_shape == () else [[seed, i] for i in range(pairs[0].size)]
+    prefixes = [[seed, i] for i in range(pairs[0].size)]
     assert counts.shape == (len(prefixes), 16) and values.shape == errors.shape == (len(prefixes), 8)
     for i, (ka, kb, prefix) in enumerate(zip(pairs[0].ravel(), pairs[1].ravel(), prefixes)):
         assert np.array_equal(counts[i], simulate_counts(evolve_state(ka, kb), 200, [*prefix, 0]).counts)
@@ -202,15 +202,11 @@ def test_simulate_dephased_broadcasts_its_kappas_and_rejects_pairs_without_rows(
     scalar = tomography.simulate_dephased([0.5, 0.6, 0.7], 0.5, tomo)
     column = tomography.simulate_dephased([0.5, 0.6, 0.7], [0.5] * 3, tomo)
     assert all(np.array_equal(a, b) for a, b in zip(scalar, column))
-    # a length-1 series is not one state: its row's prefix is [seed, 0], not [seed]. The counts
-    # cannot tell: SeedSequence pads its words with zeros, so [4, 0, 0] and [4, 0] are one stream.
-    # The resamples can: [4, 0, 1] against [4, 1]
+    # a pair of numbers is the length-1 series: one row, with prefix [seed, 0]
     series = tomography.simulate_dephased([0.5], 0.4, tomo)
     single = tomography.simulate_dephased(0.5, 0.4, tomo)
-    assert np.array_equal(series[0], single[0])
-    assert np.array_equal(series[2], tomography._bootstrap(series[0], 2, [[4, 0, 1]])[1])
-    assert np.array_equal(single[2], tomography._bootstrap(single[0], 2, [[4, 1]])[1])
-    assert not np.array_equal(series[2], single[2])
+    assert all(np.array_equal(a, b) for a, b in zip(series, single))
+    assert np.array_equal(single[2], tomography._bootstrap(single[0], 2, [[4, 0, 1]])[1])
     # kappas that broadcast to no pair give no rows to simulate
     for pair, shapes in ((([], 0.5), r"\(0,\) and \(\)"), ((0.5, np.ones((2, 0))), r"\(\) and \(2, 0\)")):
         with pytest.raises(TomographyInputError,
