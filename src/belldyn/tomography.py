@@ -165,10 +165,11 @@ def _matrices(x: np.ndarray) -> np.ndarray:
     return _apply(_DUAL_T, x).reshape(-1, 4, 4)
 
 
-#: barrier weight over the total frequency, one value per stage; the last, t, puts an estimate
-#: within its duality gap, about 4t, of the optimum. Its smallest eigenvalue is about t over the
-#: boundary's multiplier: normalized, 4.0e-10 to 1.9e-5 over the step-2 fig2a run's barrier rows
+#: barrier weight over the total frequency, per stage; the last, t, leaves an estimate's smallest eigenvalue
+#: about t over the boundary's multiplier: normalized, 4.0e-10 to 1.9e-5 over the step-2 fig2a run's barrier rows
 _BARRIER_STAGES = 1e-2 ** np.arange(1, 6)
+#: a barrier estimate's duality gap tr(G rho) over the sum of its unit-peak frequencies (`_solve`): 4t
+_GAP = 4.0 * _BARRIER_STAGES[-1]
 #: an estimate is centred: its squared Newton decrement in the last stage is at most this times t
 _CENTRED = 1e-8
 #: an intermediate stage is centred once its squared Newton decrement is at most this times t: the
@@ -264,7 +265,8 @@ def _line_search(x, step):
 
 
 def _barrier_solve(freqs, lowest):
-    """Unnormalized extended-likelihood optimum for rows whose linear inversion is unphysical.
+    """Unnormalized extended-likelihood optima, and the Newton steps each took (its return included),
+    for rows whose linear inversion is unphysical.
 
     In the coordinates x_k = tr(P_k rho), where the linear inversion is the
     frequencies f with smallest eigenvalue `lowest`, minimizes sum_k (x_k -
@@ -286,6 +288,7 @@ def _barrier_solve(freqs, lowest):
     more than _MAX_HALVINGS halvings.
     """
     out = np.empty_like(freqs)
+    steps = np.empty(len(freqs), dtype=int)
     rows = np.arange(len(freqs))
     scale = np.add.reduce(freqs, -1)
     # min(t, f_min) of the last stage
@@ -298,7 +301,7 @@ def _barrier_solve(freqs, lowest):
     # result is NaN or infinite, and the line search rejects it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factor = _factor(x)
-        for _ in range(_MAX_STEPS):
+        for taken in range(1, _MAX_STEPS + 1):  # Newton steps, this one included
             descent, hess, log_det_grad, log_det_hess, c, ratio = _derivatives(freqs, t, factor, x)
             step = _lu_solve(hess, descent, signature="dd->d")
             decrement = np.add.reduce(descent * step, -1)
@@ -318,8 +321,9 @@ def _barrier_solve(freqs, lowest):
                 done = np.count_nonzero(finished)
                 if done:
                     out[rows[finished]] = x[finished] + step[finished]
+                    steps[rows[finished]] = taken
                     if done == len(finished):
-                        return out
+                        return out, steps
                     keep = ~finished
                     rows, freqs, reach, scale, stage, x, factor, centred, step = (
                         a[keep] for a in (rows, freqs, reach, scale, stage, x, factor, centred, step))
@@ -332,8 +336,8 @@ def _barrier_solve(freqs, lowest):
 
 def _solve(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Extended-likelihood estimates of rows of counts (see `reconstruct`), unnormalized: each row's 16
-    coordinates, its linear inversion's spectrum, largest first, and whether the barrier solve replaced
-    that inversion (the row's spectrum is then the inversion's, not the estimate's)."""
+    coordinates, its linear inversion's spectrum, largest first, and the barrier solve's Newton steps (0 if
+    that inversion is the estimate; else the spectrum is not the estimate's, and `_GAP` states its gap)."""
     # the estimator is scale-equivariant: at unit peak, any finite scale of a row solves alike
     # (a row's total can overflow where its peak cannot)
     peak = np.maximum.reduce(counts, -1, keepdims=True)
@@ -341,20 +345,21 @@ def _solve(counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = counts / np.where(counted, peak, 1.0)  # unit-peak frequencies: the linear inversion
     spectra = _eigvalsh(_matrices(x), signature="D->d")[:, ::-1]
     unphysical = ~(spectra[:, 3] >= 0.0)  # NaN too, a spectrum LAPACK failed on: the barrier then raises
+    steps = np.zeros(len(x), dtype=int)
     if np.count_nonzero(unphysical):
-        x[unphysical] = _barrier_solve(x[unphysical], spectra[unphysical, 3])
+        x[unphysical], steps[unphysical] = _barrier_solve(x[unphysical], spectra[unphysical, 3])
     if np.count_nonzero(counted) < len(counted):
         empty = ~counted[:, 0]
         x[empty] = spectra[empty] = 0.25  # no counts: the maximally mixed state, by rule
-    return x, spectra, unphysical
+    return x, spectra, steps
 
 
 def _estimate(counts) -> tuple[np.ndarray, np.ndarray]:
     """Normalized extended-likelihood estimates of rows of counts (see `reconstruct`): each row's 16
     coordinates and its spectrum, largest first, both divided by the trace."""
-    x, spectra, unphysical = _solve(counts)
-    if np.count_nonzero(unphysical):
-        spectra[unphysical] = _eigvalsh(_matrices(x[unphysical]), signature="D->d")[:, ::-1]
+    x, spectra, steps = _solve(counts)
+    if np.count_nonzero(steps):
+        spectra[steps > 0] = _eigvalsh(_matrices(x[steps > 0]), signature="D->d")[:, ::-1]
     trace = np.add.reduce(x[:, :4], -1, keepdims=True)
     return x / trace, spectra / trace
 
@@ -368,8 +373,8 @@ def reconstruct(record: TomographyRecord) -> np.ndarray:
     - a linear inversion whose eigenvalues are all >= 0 reproduces every
       observed frequency and is the optimum, returned as rho_lin / tr rho_lin;
     - otherwise a log-det barrier Newton solve (`_barrier_solve`) gives an
-      estimate of full rank whose objective is within its duality gap (about
-      4e-10 times the sum of the unit-peak frequencies) of the optimum's; its
+      estimate of full rank whose objective is within its duality gap (_GAP,
+      4e-10, times the sum of the unit-peak frequencies) of the optimum's; its
       smallest eigenvalue, normalized, is 4.0e-10 to 1.9e-5 (median 2.7e-8)
       over the 2,791 barrier rows of a step-2 fig2a run at 10^4 counts;
     - a record with no counts gives the maximally mixed state I/4.

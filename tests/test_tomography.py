@@ -1,11 +1,9 @@
-import copy
 import dataclasses
 import itertools
 import math
 import os
 import subprocess
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import belldyn.tomography as tomography
-from belldyn.cli import main
 from belldyn.config import MAX_TOMO_COUNTS, PRESETS, TomographySettings
 from belldyn.correlations import bell_correlations, bell_eigenvalues_from_kappas
 from belldyn.dephasing import evolve_state, sweep
@@ -505,26 +502,6 @@ def test_unphysical_estimates_satisfy_optimality_conditions():
         assert abs(np.trace(m @ optimum)) <= 1e-7
 
 
-def test_barrier_estimates_carry_the_duality_gap_certificate_of_their_last_stage():
-    # rho maximizes the extended likelihood over rho >= 0 if and only if G = sum_k (1 - f_k / q_k) P_k,
-    # q_k = tr(P_k rho), has G >= 0 and tr(G rho) = 0 (KKT); a centred point of the last barrier
-    # stage has G ~ t rho^-1, so tr(G rho) ~ 4t, and its objective is within that gap of the
-    # optimum's (Boyd and Vandenberghe, 11.6). Checked on the estimate's own matrix, not with the
-    # solver's derivatives, to bounds far above any BLAS kernel's rounding: here lambda_min(G)
-    # >= 3.6e-10 and tr(G rho) / t reads 3.99993 to 4.000001 at unit peak
-    counts = np.stack([rec.counts for rec in unphysical_records()])
-    x, _, unphysical = tomography._solve(counts)
-    assert unphysical.all()
-    freqs = counts / counts.max(axis=-1, keepdims=True)  # the unit-peak frequencies `_solve` uses
-    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    rho = tomography._matrices(x)
-    q = np.einsum("kij,rji->rk", STANDARD_PROJECTORS, rho).real
-    g = np.einsum("rk,kij->rij", 1.0 - freqs / q, STANDARD_PROJECTORS)
-    assert np.linalg.eigvalsh(g)[:, 0].min() >= -1e-12
-    gap = np.einsum("rij,rji->r", g, rho).real
-    assert np.all(np.abs(gap / t - 4.0) <= 1e-3)
-
-
 def test_estimate_of_a_row_does_not_depend_on_its_batch():
     rng = np.random.default_rng(54)
     pure = evolve_state(1.0, 1.0)
@@ -537,44 +514,16 @@ def test_estimate_of_a_row_does_not_depend_on_its_batch():
             assert all(np.array_equal(a[0], b[j]) for a, b in zip(alone, batch))
 
 
-def test_barrier_solve_takes_few_newton_steps_and_evaluations(monkeypatch):
-    # one `_derivatives` call per Newton step and one `_factor` call per trial point;
-    # the second-order predictor takes a median of 17 steps (at most 22) and 22
-    # factorizations (at most 29) on these records, against 16 (21) steps with an Armijo
-    # test on the steps outside the quadratic region; with a last stage that stopped only
-    # once centred, a first-order one took 21 (25) steps and 32 (40) evaluations, and
-    # centring every stage to the final tolerance 31.5 steps (40)
-    steps, evaluations = [], []
-    derivatives, factor = tomography._derivatives, tomography._factor
-
-    def counting_steps(*args):
-        steps[-1] += 1
-        return derivatives(*args)
-
-    def counting_evaluations(*args):
-        evaluations[-1] += 1
-        return factor(*args)
-
-    monkeypatch.setattr(tomography, "_derivatives", counting_steps)
-    monkeypatch.setattr(tomography, "_factor", counting_evaluations)
-    for rec in unphysical_records():
-        steps.append(0)
-        evaluations.append(0)
-        reconstruct(rec)
-    assert np.median(steps) <= 17
-    assert max(steps) <= 22
-    assert np.median(evaluations) <= 24
-    assert max(evaluations) <= 31
-
-
 def test_estimates_of_a_mixed_batch_do_not_depend_on_the_batch():
     # pure, rank-2 and random-phase rows change stage at different steps, so the
-    # predictor runs on some rows of a batch while others take Newton steps
+    # predictor runs on some rows of a batch while others take Newton steps; `_solve`'s
+    # step count of a row is the row's own too
     counts = np.stack([rec.counts for rec in unphysical_records()])
-    batch = tomography._estimate(counts)  # coordinates and spectra
-    for j, row in enumerate(counts):
-        alone = tomography._estimate(row[None])
-        assert all(np.array_equal(a[0], b[j]) for a, b in zip(alone, batch))
+    for solve in (tomography._solve, tomography._estimate):
+        batch = solve(counts)
+        for j, row in enumerate(counts):
+            alone = solve(row[None])
+            assert all(np.array_equal(a[0], b[j]) for a, b in zip(alone, batch))
 
 
 def test_estimated_spectra_are_those_of_the_reconstructed_states():
@@ -605,108 +554,10 @@ def test_estimated_spectra_are_those_of_the_reconstructed_states():
     assert np.array_equal(spectra[-1], [0.25] * 4)
 
 
-def test_curvature_matches_central_differences_of_the_newton_matrix():
-    # along the central path H x' = tr(rho^-1 D), so H x'' = -(2 K x' + dH/ds x') with
-    # dH/ds the derivative of the Newton matrix along x + s x'
-    rng = np.random.default_rng(55)
-    x = np.stack([probabilities(random_density_matrix(rng)) for _ in range(8)])
-    freqs = rng.uniform(0.05, 0.5, size=(len(x), 16))
-    t = rng.uniform(1e-4, 1e-1, size=len(x))
-
-    def derivatives(point):
-        factor = tomography._factor(point)
-        return tomography._derivatives(freqs, t[:, None], factor, point)
-
-    _, hess, log_det_grad, log_det_hess, c, ratio = derivatives(x)
-    tangent = tomography._lu_solve(hess, log_det_grad, signature="dd->d")
-    lowest = np.linalg.eigvalsh(tomography._matrices(x))[:, :1]
-    h = 1e-4 * lowest / np.abs(tangent).max(axis=-1, keepdims=True)  # x +- h x' stays interior
-    dhess = derivatives(x + h * tangent)[1] - derivatives(x - h * tangent)[1]
-    third = (dhess @ tangent[..., None])[..., 0] / (2.0 * h)
-    expected = -np.linalg.solve(hess, 2.0 * log_det_hess @ tangent[..., None] + third[..., None])[..., 0]
-    curvature = 2.0 * tomography._curvature(ratio, t[:, None], x, hess, tangent, log_det_hess, c)  # of x'' / 2
-    scale = np.abs(expected).max(axis=-1, keepdims=True)
-    assert np.all(np.abs(curvature - expected) <= 1e-6 * scale)
-    assert np.all(scale > 0.0)
-
-
-def test_barrier_solve_centres_the_last_stage_to_the_final_tolerance():
-    records = unphysical_records()
-    freqs = np.stack([rec.counts for rec in records]) / 1e4
-    lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]  # of the linear inversion
-    optimum = tomography._barrier_solve(freqs, lowest)
-    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    factor = tomography._factor(optimum)
-    descent, hess, *_ = tomography._derivatives(freqs, t[:, None], factor, optimum)
-    newton = np.linalg.solve(hess, descent[..., None])[..., 0]
-    decrement = (descent * newton).sum(axis=-1)
-    assert np.all(decrement <= tomography._CENTRED * t)
-
-
-def test_barrier_estimates_are_centred_by_derivatives_from_an_eigendecomposition():
-    # the same centring bound, with the gradient and Newton matrix rebuilt here from
-    # np.linalg.eigh, U = V diag(w)^-1/2, instead of `_derivatives`' Cholesky factor:
-    # a wrong factor or inverse in `_derivatives` cannot pass by checking itself
-    counts = np.stack([rec.counts for rec in unphysical_records()])
-    x, _, unphysical = tomography._solve(counts)
-    assert unphysical.all()
-    freqs = counts / counts.max(axis=-1, keepdims=True)  # the unit-peak frequencies `_solve` uses
-    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    w, v = np.linalg.eigh(tomography._matrices(x))
-    assert w.min() > 0.0
-    u = v / np.sqrt(w)[:, None, :]
-    dual = tomography._DUAL.reshape(16, 4, 4)  # rho = sum_k x_k D_k
-    c = np.einsum("rai,kab,rbj->rkij", u.conj(), dual, u)  # C_k = U^H D_k U
-    grad = 1.0 - freqs / x - t[:, None] * np.einsum("rkii->rk", c).real
-    hess = t[:, None, None] * np.einsum("rkij,rlji->rkl", c, c).real + np.einsum(
-        "rk,kl->rkl", freqs / x ** 2, np.eye(16))
-    newton = np.linalg.solve(hess, -grad[..., None])[..., 0]
-    decrement = (-grad * newton).sum(axis=-1)
-    assert np.all(decrement <= tomography._CENTRED * t)
-
-
-def stop_rule_rows():
-    """Unit-peak frequencies of unphysical records, with the smallest eigenvalue of their linear
-    inversion: near-pure states at 10^2-10^5 counts, then at 10^6-10^15 counts with three
-    settings at 0-3 counts, where f_min / t falls below 1 in the last stage."""
-    rng = np.random.default_rng(61)
-    rows = []
-    for big in [False] * 1400 + [True] * 400:
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        mix = rng.uniform(0.0, 0.05)
-        rho = (1.0 - mix) * np.outer(psi, psi.conj()) / np.vdot(psi, psi).real + mix * np.eye(4) / 4.0
-        if big:
-            counts = np.round(10 ** rng.uniform(6, 15) * probabilities(rho))
-            counts[rng.choice(16, 3, replace=False)] = rng.integers(0, 4, 3)
-        else:
-            counts = rng.poisson(10 ** rng.uniform(2, 5) * probabilities(rho)).astype(float)
-        rows.append(counts / counts.max())
-    freqs = np.stack(rows)
-    lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]
-    return freqs[lowest < 0.0], lowest[lowest < 0.0]
-
-
-def test_barrier_solve_returns_centred_full_rank_estimates_after_its_last_newton_step():
-    # a last-stage row returns x plus the Newton step it computed, once the decrement bound
-    # guarantees that point is centred: over these 1,651 rows the worst reads 9.2e-9 t (7.6e-9 t
-    # where f_min < 1e-6), and the bound loosened 4x gives 1.5e-7 t
-    freqs, lowest = stop_rule_rows()
-    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    smallest = np.where(freqs > 0.0, freqs, np.inf).min(axis=-1)
-    assert len(freqs) >= 1000
-    assert (smallest < t).sum() >= 100  # rows where min(1, f_min / t) binds
-    optimum = tomography._barrier_solve(freqs, lowest)
-    assert np.linalg.eigvalsh(tomography._matrices(optimum))[:, 0].min() > 0.0
-    factor = tomography._factor(optimum)
-    descent, hess, *_ = tomography._derivatives(freqs, t[:, None], factor, optimum)
-    newton = np.linalg.solve(hess, descent[..., None])[..., 0]
-    assert np.all((descent * newton).sum(axis=-1) <= tomography._CENTRED * t)
-
-
 def random_unphysical_rows(seed, candidates):
-    """Unit-peak frequencies of the unphysical ones of `candidates` random records, with the smallest
-    eigenvalue of their linear inversion: states of rank 1-4 with eigenvalue weights spanning 8 decades,
-    10^1-10^15 counts at the peak, and in about a fifth of the records 1-4 settings held at 0-2 counts."""
+    """Unit-peak frequencies of the unphysical ones of `candidates` random records: states of rank 1-4
+    with eigenvalue weights spanning 8 decades, 10^1-10^15 counts at the peak, and in about a fifth of
+    the records 1-4 settings held at 0-2 counts."""
     rng = np.random.default_rng(seed)
     rank = rng.integers(1, 5, candidates)
     g = rng.normal(size=(candidates, 4, 4)) + 1j * rng.normal(size=(candidates, 4, 4))
@@ -718,66 +569,43 @@ def random_unphysical_rows(seed, candidates):
     mask = rng.permuted(np.tile(np.arange(16), (candidates, 1)), axis=1) < held[:, None]
     counts[mask] = rng.integers(0, 3, mask.sum())
     freqs = counts / counts.max(axis=-1, keepdims=True)
-    lowest = np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0]
-    return freqs[lowest < 0.0], lowest[lowest < 0.0]
+    return freqs[np.linalg.eigvalsh(tomography._matrices(freqs))[:, 0] < 0.0]
 
 
-def test_barrier_solve_converges_on_random_unphysical_rows_in_one_batch(monkeypatch):
-    # a step backs off only to keep rho positive definite, with no descent test: every row of a
-    # 2,000-row batch must still converge to a full-rank estimate with the last stage's duality-gap
-    # certificate (see test_barrier_estimates_carry_the_duality_gap_certificate_of_their_last_stage).
-    # The batch takes as many Newton iterations as its slowest row: 40 here (38 with an Armijo
-    # test on steps outside the quadratic region); the bound leaves a margin of 8, 20%
-    freqs, lowest = random_unphysical_rows(43, 2400)
-    assert len(freqs) >= 2000
-    assert (freqs == 0.0).any(axis=-1).sum() >= 100  # settings held at 0 counts
-    iterations = []
-    derivatives = tomography._derivatives
-
-    def counting(*args):
-        iterations.append(len(args[-1]))
-        return derivatives(*args)
-
-    monkeypatch.setattr(tomography, "_derivatives", counting)
-    x = tomography._barrier_solve(freqs, lowest)
-    assert len(iterations) <= 48
-    assert np.all(x > 0.0)
-    rho = tomography._matrices(x)
-    assert np.isfinite(np.linalg.cholesky(rho)).all()  # LinAlgError unless every rho is positive definite
-    t = freqs.sum(axis=-1) * tomography._BARRIER_STAGES[-1]
-    q = np.einsum("kij,rji->rk", STANDARD_PROJECTORS, rho).real
-    g = np.einsum("rk,kij->rij", 1.0 - freqs / q, STANDARD_PROJECTORS)
-    assert np.linalg.eigvalsh(g)[:, 0].min() >= -1e-12
-    gap = np.einsum("rij,rji->r", g, rho).real
-    assert np.all(np.abs(gap / t - 4.0) <= 1e-3)
+def test_barrier_estimates_carry_the_duality_gap_certificate_that_solve_states():
+    # rho maximizes the extended likelihood over rho >= 0 if and only if G = sum_k (1 - f_k / q_k) P_k,
+    # q_k = tr(P_k rho), has G >= 0 and tr(G rho) = 0 (KKT). `_solve` states its barrier rows' gap tr(G rho),
+    # over the sum of their unit-peak frequencies, as `_GAP`, about 4t at the last barrier weight t, where
+    # G ~ t rho^-1 (Boyd and Vandenberghe, 11.6). Checked on the estimate's own matrix, to bounds far above
+    # any BLAS kernel's rounding, also on 2,000 random rows in one batch, whose steps back off only to keep
+    # rho positive definite: lambda_min(G) >= 1.8e-10, and tr(G rho) / t reads 3.99988 to 4.000015
+    random = random_unphysical_rows(43, 2400)
+    assert len(random) >= 2000
+    assert (random == 0.0).any(axis=-1).sum() >= 100  # settings held at 0 counts
+    for counts in (np.stack([rec.counts for rec in unphysical_records()]), random):
+        x, _, steps = tomography._solve(counts)
+        assert np.all(steps > 0) and np.all(x > 0.0)
+        rho = tomography._matrices(x)
+        assert np.isfinite(np.linalg.cholesky(rho)).all()  # LinAlgError unless every rho is positive definite
+        freqs = counts / counts.max(axis=-1, keepdims=True)  # the unit-peak frequencies `_solve` uses
+        q = np.einsum("kij,rji->rk", STANDARD_PROJECTORS, rho).real
+        g = np.einsum("rk,kij->rij", 1.0 - freqs / q, STANDARD_PROJECTORS)
+        assert np.linalg.eigvalsh(g)[:, 0].min() >= -1e-12
+        gap = np.einsum("rij,rji->r", g, rho).real / (freqs.sum(axis=-1) * tomography._GAP)
+        assert np.all(np.abs(gap - 1.0) <= 2.5e-4)  # tr(G rho) / t within 1e-3 of 4
 
 
-def test_barrier_solve_raises_when_it_cannot_converge(monkeypatch):
-    rec = simulate_counts(evolve_state(1.0, 1.0), 10**4, 0)
-    monkeypatch.setattr(tomography, "_MAX_STEPS", 3)
-    with pytest.raises(NonConvergenceError):
-        reconstruct(rec)
-
-
-@pytest.mark.parametrize("newton_matrix", [lambda hess: np.full_like(hess, math.nan), np.zeros_like],
-                         ids=["nan", "singular"])
-def test_a_newton_matrix_lapack_cannot_invert_ends_in_non_convergence(monkeypatch, capsys, newton_matrix):
-    # the direct LAPACK call gives NaN rows for it instead of numpy's LinAlgError, which `main`
-    # would not catch; the line search rejects every NaN trial, so the solve raises
-    # NonConvergenceError, with no numpy warning and no NaN estimate
-    derivatives = tomography._derivatives
-
-    def broken(*args):
-        descent, hess, *rest = derivatives(*args)
-        return (descent, newton_matrix(hess), *rest)
-
-    monkeypatch.setattr(tomography, "_derivatives", broken)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError):
-            reconstruct(simulate_counts(evolve_state(1.0, 1.0), 10**4, 0))
-        assert main(["tomo-demo", "--kappa-a", "1", "--kappa-b", "1"]) == 2
-    assert capsys.readouterr().err.startswith("belldyn: computation error: barrier line search")
+def test_solve_takes_few_newton_steps_per_row():
+    # `_solve` counts a row's Newton steps, the same in any batch (see the mixed-batch test). On the records
+    # the second-order predictor takes a median of 17 (at most 22: no margin), against 16 (21) with an Armijo
+    # test outside the quadratic region; a first-order one whose last stage stopped only once centred took
+    # 21 (25), and centring every stage to the final tolerance 31.5 (40). A batch takes as many iterations as
+    # its slowest row: on the random rows the median row takes 20 steps, p99 30 and the slowest 40 (38 with
+    # the Armijo test), so 48 leaves a margin of 8, 20%
+    steps = tomography._solve(np.stack([rec.counts for rec in unphysical_records()]))[2]
+    assert np.median(steps) <= 17
+    assert steps.max() <= 22
+    assert tomography._solve(random_unphysical_rows(43, 2400))[2].max() <= 48
 
 
 def _same_bits(a, b) -> bool:
@@ -795,47 +623,6 @@ def test_apply_gives_a_row_alone_the_bits_it_has_in_a_batch():
             assert _same_bits(alone, batch[j:j + 1])
 
 
-def test_newton_step_lapack_calls_give_numpys_public_results_bit_for_bit(monkeypatch):
-    # `_factor`, the Newton step and the spectra call numpy's private LAPACK gufuncs, skipping
-    # the public wrappers' per-call cost: a numpy whose gufuncs stop matching np.linalg.cholesky,
-    # np.linalg.inv, np.linalg.solve and np.linalg.eigvalsh fails here by name, not only through
-    # the SHA-256 pins
-    calls = {"_cholesky": [], "_inv": [], "_lu_solve": [], "_eigvalsh": []}
-
-    def recording(name, gufunc):
-        def call(*args, signature):  # copies: the line search writes accepted trials into its arrays
-            result = gufunc(*args, signature=signature)
-            calls[name].append(copy.deepcopy((args, result)))
-            return result
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(tomography, name, recording(name, getattr(tomography, name)))
-    records = unphysical_records()
-    for rows in (1, 9):
-        for made in calls.values():
-            made.clear()
-        tomography._estimate(np.stack([rec.counts for rec in records[:rows]]))
-        # every row, first
-        assert {len(made[0][0][0]) for made in calls.values()} == {rows}
-        assert len(calls["_cholesky"]) > len(calls["_inv"]) >= 10  # a trial point per step, and halvings
-        assert len(calls["_lu_solve"]) > len(calls["_inv"])  # a Newton step per step, and the predictor's
-        assert len(calls["_eigvalsh"]) == 2  # of the linear inversions (`_solve`), then of the estimates
-        for (matrices,), factor in calls["_cholesky"]:
-            ok = np.isfinite(factor).all(axis=(1, 2))  # LAPACK factored these; the others are all NaN
-            assert np.isnan(factor[~ok]).all()
-            assert _same_bits(factor[ok], np.linalg.cholesky(matrices[ok]))
-            for matrix in matrices[~ok]:
-                with pytest.raises(np.linalg.LinAlgError):
-                    np.linalg.cholesky(matrix)
-        for (factor,), inverse in calls["_inv"]:
-            assert _same_bits(inverse, np.linalg.inv(factor))
-        for (hess, rhs), solution in calls["_lu_solve"]:
-            assert _same_bits(solution, np.linalg.solve(hess, rhs[..., None])[..., 0])
-        for (matrices,), spectra in calls["_eigvalsh"]:
-            assert _same_bits(spectra, np.linalg.eigvalsh(matrices))
-
-
 def test_a_spectrum_lapack_cannot_compute_ends_in_non_convergence(monkeypatch):
     # the direct LAPACK call gives a NaN spectrum where np.linalg.eigvalsh would raise LinAlgError,
     # which `main` would not catch; `_solve` hands such a row to the barrier, which rejects every
@@ -844,38 +631,6 @@ def test_a_spectrum_lapack_cannot_compute_ends_in_non_convergence(monkeypatch):
     monkeypatch.setattr(tomography, "_eigvalsh", lambda matrices, signature: np.full(matrices.shape[:-1], math.nan))
     with pytest.raises(NonConvergenceError):
         reconstruct(record)
-
-
-def test_line_search_halves_rejected_steps_and_raises_past_its_limit(monkeypatch):
-    # a solve factors its start and the first trial of every step but the last, so it
-    # makes one `_factor` call per Newton step and one per halving: every record here
-    # halves some step, so the mixed-batch test solves halved rows beside unhalved ones
-    records = unphysical_records()
-    steps, evaluations = [], []
-    derivatives, factor = tomography._derivatives, tomography._factor
-
-    def counting_steps(*args):
-        steps[-1] += 1
-        return derivatives(*args)
-
-    def counting_evaluations(*args):
-        evaluations[-1] += 1
-        return factor(*args)
-
-    monkeypatch.setattr(tomography, "_derivatives", counting_steps)
-    monkeypatch.setattr(tomography, "_factor", counting_evaluations)
-    for rec in records:
-        steps.append(0)
-        evaluations.append(0)
-        reconstruct(rec)
-        assert evaluations[-1] > steps[-1]
-    # records[1] halves no step more than once
-    estimate = reconstruct(records[1])
-    monkeypatch.setattr(tomography, "_MAX_HALVINGS", 1)
-    assert np.array_equal(reconstruct(records[1]), estimate)
-    monkeypatch.setattr(tomography, "_MAX_HALVINGS", 0)
-    with pytest.raises(NonConvergenceError, match="line search"):
-        reconstruct(records[1])
 
 
 def test_tomography_input_errors_are_belldyn_and_value_errors():
