@@ -47,16 +47,6 @@ def _holds(test, value) -> bool:
         return False
 
 
-def _real_array(values) -> np.ndarray | None:
-    """A float copy of values if they are real numbers (bool, int or float), else None; a float
-    dtype alone would read the string "3" as 3 and raise ValueError for a ragged table."""
-    try:
-        array = np.asarray(values)
-    except ValueError:
-        return None
-    return array.astype(float) if array.dtype.kind in "biuf" else None
-
-
 def _integer_in(value, low, high) -> bool:
     """Whether value is one integer in [low, high]; 2.0 counts as 2.
 
@@ -65,14 +55,28 @@ def _integer_in(value, low, high) -> bool:
     return _holds(lambda v: v % 1 == 0 and low <= v <= high, value)
 
 
+def _numbers(values, dtype, error, message) -> np.ndarray:
+    """values as an array of dtype, float or complex, by the one rule of what counts as numbers at every
+    checking entry point: bool, int, float, complex where dtype is, and number-like objects such as Fraction
+    are numbers; text and bytes (even where numpy would parse them), a ragged table and a Python int beyond
+    the float range are not, and raise error(f"{message}, got {values!r}"), the repr built only then."""
+    kinds, excluded = ("biuf", (str, bytes, complex, np.complexfloating)) if dtype is float else ("biufc", (str, bytes))
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind in kinds or array.dtype == object and not any(isinstance(v, excluded) for v in array.flat):
+            return array.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):  # a ragged table, a non-number, an int beyond the float range
+        pass
+    raise error(f"{message}, got {values!r}")
+
+
 def validate_echo_points(points) -> tuple[float, ...]:
-    """The exchange schedule as floats; ConfigError unless a sequence of finite,
-    nonnegative and strictly increasing numbers."""
-    pts = tuple(points) if np.iterable(points) else points
-    numbers = isinstance(pts, tuple) and all(_holds(lambda p: 0.0 <= p * 1.0 < math.inf, p) for p in pts)
-    if not numbers or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ConfigError(f"echo points must be finite, nonnegative and strictly increasing: {pts}")
-    return tuple(float(p) for p in pts)
+    """The exchange schedule as floats; ConfigError unless numbers, finite, nonnegative and strictly increasing."""
+    message = "echo points must be finite, nonnegative and strictly increasing"
+    pts = _numbers(points, float, ConfigError, message)
+    if pts.ndim != 1 or not np.all((pts >= 0.0) & (pts < math.inf)) or not np.all(np.diff(pts) > 0.0):
+        raise ConfigError(f"{message}, got {points!r}")
+    return tuple(pts.tolist())
 
 
 def _grid_points(x_b_max, step):
@@ -126,30 +130,24 @@ class ExperimentConfig:
     tomography: TomographySettings | None = None
 
     def __post_init__(self):
-        # every check is written so that NaN, an array and a non-number fail it: v * 1.0
-        # raises TypeError for "1" and OverflowError for an int beyond the float range
-        rules = {"nonnegative": lambda v: 0.0 <= v * 1.0 < math.inf,
-                 "positive": lambda v: 0.0 < v * 1.0 < math.inf}
+        rules = {"nonnegative": lambda v: 0.0 <= v < math.inf, "positive": lambda v: 0.0 < v < math.inf}
         lengths = (("x_a", "nonnegative"), ("x_b_max", "nonnegative"), ("step", "positive"))
         for name, rule in lengths + (("filter_a_fwhm_nm", "positive"), ("lambda0_nm", "positive")):
-            value = getattr(self, name)
-            if not _holds(rules[rule], value):
-                raise ConfigError(f"{name} must be finite and {rule}, got {value!r}")
-        pts = validate_echo_points(self.echo_points)
-        try:
-            comps = tuple(map(tuple, self.spectrum_b))
-        except TypeError:
-            comps = ((),)  # not a sequence of sequences: no valid component
-        if not comps:
+            message, value = f"{name} must be finite and {rule}", getattr(self, name)
+            number = _numbers(value, float, ConfigError, message)
+            if number.ndim or not rules[rule](number):  # NaN fails every rule
+                raise ConfigError(f"{message}, got {value!r}")
+        object.__setattr__(self, "echo_points", validate_echo_points(self.echo_points))
+        message = "spectrum_b components need finite positive weight, center, and width"
+        comps = _numbers(self.spectrum_b, float, ConfigError, message)
+        if not comps.size:
             raise ConfigError("spectrum_b needs at least one component")
-        if not all(len(c) == 3 and all(_holds(rules["positive"], v) for v in c) for c in comps):
-            raise ConfigError("spectrum_b components need finite positive weight, center, and width")
-        comps = tuple(tuple(map(float, c)) for c in comps)
-        total = sum(w for w, _, _ in comps)
+        if comps.ndim != 2 or comps.shape[1] != 3 or not np.all((comps > 0.0) & (comps < math.inf)):
+            raise ConfigError(f"{message}, got {self.spectrum_b!r}")
+        total = sum(comps[:, 0].tolist())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"spectrum_b weights sum to {total}, not 1")
-        object.__setattr__(self, "echo_points", pts)
-        object.__setattr__(self, "spectrum_b", comps)
+        object.__setattr__(self, "spectrum_b", tuple(map(tuple, comps.tolist())))
         # the lengths in meters that `sweep` uses can overflow, and step can underflow
         _, x_a, x_b_max, step, echo = self.meters()
         checks = [*zip(lengths, (x_a, x_b_max, step)), *((("echo_points", "nonnegative"), p) for p in echo)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import _numbers
 from .errors import InvalidStateError
 from .qstate import validate_bell_spectrum
 
@@ -23,15 +24,8 @@ KAPPA_TOL = 1e-9
 def _checked_kappa(kappa, name):
     """The one rule for a decoherence parameter: (kappa, |kappa|) as complex and float arrays,
     a modulus in (1, 1 + KAPPA_TOL] clipped to 1 with the phase kept (the modulus to exactly 1);
-    InvalidStateError naming `name` if not numbers (text too, which numpy would parse), NaN or above
-    1 + KAPPA_TOL."""
-    try:
-        k = np.asarray(kappa)
-        if k.dtype.kind in "US" or k.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in k.flat):
-            raise TypeError
-        k = k.astype(complex, copy=False)
-    except (TypeError, ValueError):  # "x", a ragged list: numpy's message names no parameter
-        raise InvalidStateError(f"{name} must be a number or an array of numbers, got {kappa!r}") from None
+    InvalidStateError naming `name` if not numbers (`config._numbers`), NaN or above 1 + KAPPA_TOL."""
+    k = _numbers(kappa, complex, InvalidStateError, f"{name} must be a number or an array of numbers")
     modulus = np.abs(k)
     if not (modulus <= 1.0).all():  # NaN too
         if not (modulus <= 1.0 + KAPPA_TOL).all():

@@ -13,12 +13,14 @@ correlation echoes; a negative net retardation gives the conjugate kappa.
 
 An `ExperimentConfig` (see `belldyn.config`) gives one experiment as the paper
 does, lengths in units of the central wavelength lambda0 and spectra in nm;
-`spectra` and `sweep` convert it to rad/s and meters and trust its checks. Every
-decoherence parameter and the echo schedule accept an array of retardations, so
-a sweep is one column computation over the whole x grid: the two moduli give the
-Bell-diagonal eigenvalues, and C and Q are `_bits` of the larger and the smaller
-one. The 4x4 density matrix of `evolve_state` is on no run path: tests
-cross-check the closed forms and the tomography counts with it.
+`spectra` and `sweep` convert it to rad/s and meters and trust its checks, but for
+two of values it does not compute: ConfigError for a spectrum beyond the float
+range in rad/s (`spectra`) and for a phase that overflows on the grid
+(`MultiGaussian.kappa`). Every decoherence parameter and the echo schedule accept
+an array of retardations, so a sweep is one column computation over the whole x
+grid: the two moduli give the Bell-diagonal eigenvalues, and C and Q are `_bits`
+of the larger and the smaller one. The 4x4 density matrix of `evolve_state` is on
+no run path: tests cross-check the closed forms and the tomography counts with it.
 
 `landmarks_from_series` reads the paper's observables off that table, or off its
 columns read back from a sweep.csv: the sudden transition, entanglement death and

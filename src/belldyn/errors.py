@@ -1,5 +1,7 @@
-"""Exception types shared across the package, each raised somewhere in it: `cli.main` exits 1 on
-a ConfigError and 2 on any other. The dephasing model trusts its checked `ExperimentConfig`."""
+"""Exception types shared across the package, each raised somewhere in it: `cli.main` exits 1 on a
+ConfigError and 2 on any other. The dephasing model trusts its checked `ExperimentConfig` but for two
+checks of values the config does not compute, which raise ConfigError: `dephasing.spectra`'s of the
+rad/s float range and `MultiGaussian.kappa`'s of a phase that overflows on the sweep grid."""
 
 
 class BelldynError(Exception):
@@ -7,10 +9,11 @@ class BelldynError(Exception):
 
 
 class InvalidStateError(BelldynError):
-    """A state that is not physical: a density matrix that is not square or 4x4, not finite, not
-    Hermitian, off unit trace or below the eigenvalue floor; a Bell spectrum that is not a sorted
-    probability 4-vector; or a decoherence parameter |kappa| above 1, which gives a negative
-    eigenvalue."""
+    """A state that is not physical: a density matrix that is not square or 4x4, not finite, not Hermitian,
+    off unit trace or below the eigenvalue floor; a Bell spectrum that is not a sorted probability 4-vector;
+    a decoherence parameter |kappa| above 1, which gives a negative eigenvalue; or a state, spectrum,
+    probability vector or kappa that is not numbers by the one rule of `config._numbers` (never text,
+    bytes, a ragged table, an int beyond the float range, or a complex value where a real one is due)."""
 
 
 class NonConvergenceError(BelldynError):
@@ -18,16 +21,17 @@ class NonConvergenceError(BelldynError):
 
 
 class TomographyInputError(BelldynError, ValueError):
-    """Malformed tomography input: counts that are not 16 finite nonnegative values, counts per
-    setting outside [1, MAX_TOMO_COUNTS], a seed word that is not an integer >= 0, or two kappas
-    that broadcast to no pair."""
+    """Malformed tomography input: counts that are not 16 finite nonnegative real numbers by the rule of
+    `config._numbers` (never text, bytes, a ragged table, an int beyond the float range or a complex value),
+    counts per setting outside [1, MAX_TOMO_COUNTS], a seed word that is not an integer >= 0 (a str or
+    bytes seed is one word), or two kappas that broadcast to no pair."""
 
 
 class ConfigError(BelldynError):
-    """Malformed experiment config or command line: an unknown or missing key or section, a
-    value out of range, an exchange schedule that is not finite, nonnegative and strictly
-    increasing, a spectrum that leaves the float range in rad/s or whose phase overflows on
-    the sweep grid, or a bad `belldyn` argument."""
+    """Malformed experiment config or command line: an unknown or missing key or section, a value
+    that is not numbers (`config._numbers`) or out of range, a schedule that is not finite,
+    nonnegative and strictly increasing, a spectrum that leaves the float range in rad/s or whose
+    phase overflows on the sweep grid, or a bad `belldyn` argument."""
 
 
 class ParseError(ConfigError):

@@ -42,7 +42,8 @@ import math
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .config import _numbers
+from .errors import InvalidStateError, NonConvergenceError
 from .qstate import shannon_bits, validate_bell_spectrum, validate_state
 
 
@@ -216,7 +217,7 @@ def _minimizing_basis(shape: tuple[int, ...], state: bytes) -> tuple[float, floa
 
 def oracle_quantum_correlation(rho) -> float:
     """Minimum of S(rho || dephased rho) over product bases, in bits."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numbers(rho, complex, InvalidStateError, "a state must be an array of numbers")
     best, _, s_rho = _minimizing_basis(rho.shape, rho.tobytes())
     return max(best - s_rho, 0.0)
 
@@ -230,7 +231,7 @@ def oracle_classical_correlation(rho) -> float:
     information of the populations. The basis is searched once per matrix:
     after `oracle_quantum_correlation` on the same matrix, its search is reused.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _numbers(rho, complex, InvalidStateError, "a state must be an array of numbers")
     best, marginals, _ = _minimizing_basis(rho.shape, rho.tobytes())
     return max(marginals - best, 0.0)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+from .config import _numbers
 from .errors import InvalidStateError
 
 HERMITICITY_TOL = 1e-12
@@ -25,9 +26,9 @@ _eigvalsh = _umath_linalg.eigvalsh_lo
 def shannon_bits(p: np.ndarray) -> float:
     """Shannon entropy -sum p log2 p of one probability vector, with 0 log 0 = 0.
 
-    Negative roundoff is clipped to zero before taking logs.
+    Negative roundoff is clipped to zero; InvalidStateError unless real numbers.
     """
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+    p = np.clip(_numbers(p, float, InvalidStateError, "probabilities must be real numbers"), 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
     return -terms.sum()
@@ -36,7 +37,7 @@ def shannon_bits(p: np.ndarray) -> float:
 def validate_state(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The matrix as complex and its ascending eigenvalues, unclipped; InvalidStateError unless
     a 4x4 state: `eigenvalues_sorted`'s checks and trace 1."""
-    rho = np.asarray(matrix, dtype=complex)
+    rho = _numbers(matrix, complex, InvalidStateError, "a state must be an array of numbers")
     if rho.shape != (4, 4):
         raise InvalidStateError(f"expected a two-qubit (4x4) state, got shape {rho.shape}")
     w = _checked_eigenvalues(rho)
@@ -49,11 +50,11 @@ def validate_state(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def validate_bell_spectrum(lambdas) -> np.ndarray:
     """Validate non-increasing probability 4-vectors and return them as a float array.
 
-    The spectra lie along the last axis (shape (4,) or (..., 4)). Entries may
-    dip to -1e-10 from roundoff; they are clipped to zero. Each sum must be 1
-    within 1e-12 and each ordering non-increasing; NaN fails every check.
+    The spectra, real numbers, lie along the last axis (shape (4,) or (..., 4)).
+    Entries may dip to -1e-10 from roundoff; they are clipped to zero. Each sum
+    must be 1 within 1e-12 and each ordering non-increasing; NaN fails every check.
     """
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _numbers(lambdas, float, InvalidStateError, "eigenvalues must be real numbers")
     if lam.ndim == 0 or lam.shape[-1] != 4:
         raise InvalidStateError(f"expected 4 eigenvalues, got shape {lam.shape}")
     for bad, what in (
@@ -66,9 +67,8 @@ def validate_bell_spectrum(lambdas) -> np.ndarray:
     return np.clip(lam, 0.0, 1.0)
 
 
-def _checked_eigenvalues(state) -> np.ndarray:
-    """The ascending eigenvalues of a matrix or stack that passes `eigenvalues_sorted`'s checks."""
-    rho = np.asarray(state, dtype=complex)
+def _checked_eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a complex matrix or stack that passes `eigenvalues_sorted`'s checks."""
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
     if np.count_nonzero(np.isfinite(rho)) < rho.size:
@@ -87,13 +87,13 @@ def _checked_eigenvalues(state) -> np.ndarray:
 def eigenvalues_sorted(state) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, or of each of a stack, non-increasing.
 
-    The eigenvalues lie along the last axis. Negative values above the -1e-10
-    floor are clipped to zero and each vector renormalized to unit sum; a
-    non-finite entry, an entry of rho - rho^H beyond 1e-12, values below the
-    floor (or NaN, from an eigensolve LAPACK failed on) or a zero sum raise
-    InvalidStateError. An empty stack gives an empty stack of vectors. No run
-    path calls it: `simulate_counts` and the oracles check a state with
-    `validate_state`, which shares these checks (`_checked_eigenvalues`).
+    The eigenvalues lie along the last axis. Negative values above the -1e-10 floor are clipped to
+    zero and each vector renormalized to unit sum; a state that is not numbers, a non-finite entry,
+    an entry of rho - rho^H beyond 1e-12, values below the floor (or NaN, from an eigensolve LAPACK
+    failed on) or a zero sum raise InvalidStateError. An empty stack gives an empty stack of vectors.
+    No run path calls it: `simulate_counts` and the oracles check a state with `validate_state`,
+    which shares these checks (`_checked_eigenvalues`).
     """
-    w = np.clip(_checked_eigenvalues(state)[..., ::-1], 0.0, None)
+    rho = _numbers(state, complex, InvalidStateError, "a state must be an array of numbers")
+    w = np.clip(_checked_eigenvalues(rho)[..., ::-1], 0.0, None)
     return w / w.sum(axis=-1, keepdims=True)

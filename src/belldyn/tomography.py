@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .config import MAX_TOMO_COUNTS, _holds, _integer_in, _real_array
+from .config import MAX_TOMO_COUNTS, _holds, _integer_in, _numbers
 from .correlations import _checked_pair, unchecked_bell_correlations
 from .errors import NonConvergenceError, TomographyInputError
 from .qstate import _eigvalsh, validate_state
@@ -60,8 +60,8 @@ STANDARD_PROJECTORS.flags.writeable = False
 
 
 def _seed_words(seed) -> list[int]:
-    """The words of an int or int-sequence seed; TomographyInputError unless each is an integer >= 0."""
-    words = list(seed) if np.iterable(seed) else [seed]
+    """The words of an int or int-sequence seed (str or bytes: one word); TomographyInputError unless integers >= 0."""
+    words = [seed] if isinstance(seed, (str, bytes)) or not np.iterable(seed) else list(seed)
     if not all(_integer_in(word, 0, math.inf) for word in words):
         raise TomographyInputError(f"seed words must be integers >= 0, got {seed!r}")
     return [int(w) for w in words]
@@ -82,10 +82,11 @@ class TomographyRecord:
 
 
 def _checked_counts(values) -> np.ndarray:
-    """Read-only float copy of 16 finite nonnegative counts; else TomographyInputError."""
-    counts = _real_array(values)
-    if counts is None or counts.shape != (len(STANDARD_LABELS),):
-        raise TomographyInputError(f"counts must be 16 values, each a real number, got {values!r}")
+    """Read-only float copy of 16 finite nonnegative real numbers (`config._numbers`); else TomographyInputError."""
+    message = "counts must be 16 values, each a real number"
+    counts = _numbers(values, float, TomographyInputError, message).copy()
+    if counts.shape != (len(STANDARD_LABELS),):
+        raise TomographyInputError(f"{message}, got {values!r}")
     ok = (counts >= 0.0) & (counts < math.inf)  # NaN fails both
     if np.count_nonzero(ok) < len(ok):
         raise TomographyInputError(f"counts must be finite and nonnegative, got {counts[~ok][0]}")
@@ -94,7 +95,7 @@ def _checked_counts(values) -> np.ndarray:
 
 
 def probabilities(rho) -> np.ndarray:
-    """Born-rule probabilities tr(rho P) for every standard setting."""
+    """Born-rule probabilities tr(rho P) for every standard setting; rho is trusted, not checked."""
     rho = np.asarray(rho, dtype=complex)
     return np.clip(np.einsum("kij,ji->k", STANDARD_PROJECTORS, rho).real, 0.0, 1.0)
 

@@ -2,8 +2,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import settings
 
 from belldyn.dephasing import SPEED_OF_LIGHT
+
+# every property test draws the same examples on every run, and writes no example database into the checkout
+settings.register_profile("belldyn", derandomize=True, database=None, deadline=None)
+settings.load_profile("belldyn")
 
 
 def random_density_matrix(rng, dim=4, rank=None):

@@ -204,7 +204,7 @@ _ROWS = st.lists(
 _RETARDATIONS = st.one_of(st.floats(0.0, 1e-2), st.floats(1e290, 1e300))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(rows=_ROWS, x=_RETARDATIONS)
 def test_kappa_of_a_negative_retardation_is_the_exact_conjugate(rows, x):
     spectrum = MultiGaussian(np.array(rows))
@@ -242,14 +242,14 @@ _OPTICAL_ROWS = st.lists(
 _PERIOD_GRID = 400
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(rows=_OPTICAL_ROWS, x_s=st.floats(0.0, 1e-2))
 def test_one_exchange_returns_kappa_to_1_at_twice_the_exchange_point(rows, x_s):
     kappa = MultiGaussian(np.array(rows)).kappa(effective_retardation(2 * x_s, (x_s,)))
     assert abs(abs(kappa) - 1.0) <= 1e-12
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(rows=_OPTICAL_ROWS, tau=st.floats(1e-6, 1e-3), n=st.integers(1, 8),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
        steps=st.lists(st.integers(0, 8 * _PERIOD_GRID), min_size=1, max_size=20))

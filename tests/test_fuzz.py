@@ -13,9 +13,7 @@ from belldyn.cli import SWEEP_COLUMNS, main
 from belldyn.config import parse_config_lines
 from belldyn.errors import ConfigError
 
-# derandomized, so that the suite gives the same verdict on every run
-_FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
-                 suppress_health_check=[HealthCheck.too_slow])
+_FUZZ = settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 
 _HEADER = ",".join(SWEEP_COLUMNS) + "\n"
 

@@ -250,7 +250,7 @@ _UNIT_CENTERS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda v: math.hypot(*v) > 1e-3).map(lambda v: np.array(v) / math.hypot(*v))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(center=_UNIT_CENTERS, w=st.floats(1e-9, math.pi / 11))
 @example(center=np.array([0.0, 0.0, 1.0]), w=math.pi / 11)
 @example(center=np.array([0.0, 0.0, -1.0]), w=math.pi / 11)

@@ -29,6 +29,7 @@ REMOVED = {
                           "kappa_numeric", "MIN_SAMPLES_PER_PERIOD", "LAMBDA0", "SweepConfig",
                           "GaussianComponent", "kappa_gaussian", "find_crossing"),
     "belldyn.cli": ("to_sweep_config", "write_landmarks", "_UsageError"),
+    "belldyn.config": ("_real_array",),
     "belldyn.errors": ("SingularSystemError", "EmptyRecordError", "UnderResolvedGridError",
                        "NormalizationError", "CountsRangeError", "OracleInputError",
                        "NonHermitianError", "InvalidSpectrumError", "InvalidKappaError",
